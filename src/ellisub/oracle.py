@@ -166,11 +166,15 @@ def compare_map_semigroups(oracle_sg: TransformationSemigroup,
 
 
 def oracle_equivalence(sub: Substitution, max_level: int = DEFAULT_MAX_LEVEL,
-                       escalate: bool = True) -> OracleComparison:
+                       escalate: bool = True,
+                       algebraic: TransformationSemigroup | None = None) -> OracleComparison:
     """Compare the dynamically built semigroup against the algebraic one:
-    equal map sets and equal multiplication tables, or a discrepancy list."""
-    from .pipeline import fiber_semigroup  # comparison phase only
+    equal map sets and equal multiplication tables, or a discrepancy list.
 
+    ``algebraic`` is the fiber semigroup of the pipeline when the caller has
+    already built it; otherwise it is built here.  Either way it enters only
+    the comparison, never the construction of the oracle's maps.
+    """
     result = limit_maps(sub, max_level, escalate)
     if not result.complete:
         return OracleComparison(
@@ -178,7 +182,9 @@ def oracle_equivalence(sub: Substitution, max_level: int = DEFAULT_MAX_LEVEL,
             tuple(f"no stabilization for nu={nu} by level {result.max_level}"
                   for nu in result.incomplete),
             result)
-    algebraic = fiber_semigroup(sub).semigroup
+    if algebraic is None:
+        from .pipeline import fiber_semigroup  # comparison phase only
+        algebraic = fiber_semigroup(sub).semigroup
     discrepancies = compare_map_semigroups(result.semigroup, algebraic)
     return OracleComparison(not discrepancies, discrepancies, result)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .errors import ResourceLimitError, ValidationError
@@ -83,14 +84,16 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self._element_set()
-
-    def _element_set(self) -> frozenset[Perm]:
+    @cached_property
+    def element_set(self) -> frozenset[Perm]:
+        """The elements as a set, built once per group."""
         return frozenset(self.elements)
 
+    def __contains__(self, p: Perm) -> bool:
+        return p in self.element_set
+
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self._element_set() <= other._element_set()
+        return self.degree == other.degree and self.element_set <= other.element_set
 
 
 def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
@@ -213,7 +216,7 @@ def centralizer_in_symmetric(group: PermGroup) -> PermGroup:
 def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
     if not sub.is_subgroup_of(ambient):
         return False
-    elems = sub._element_set()
+    elems = sub.element_set
     for g in ambient.generators:
         ginv = inverse(g)
         for x in sub.elements:
@@ -228,7 +231,7 @@ def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
         raise ValidationError("quotient: not a subgroup")
     if not is_normal(normal, group):
         raise ValidationError("quotient: subgroup is not normal")
-    nset = normal._element_set()
+    nset = normal.element_set
     cosets: dict[frozenset[Perm], Perm] = {}
     for g in group.elements:
         c = frozenset(compose(g, x) for x in nset)

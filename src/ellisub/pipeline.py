@@ -7,13 +7,24 @@ description of the whole Ellis semigroup.
 The cross-checks baked into this module are not optional: the fiber action is
 rebuilt from the matrix presentation and compared, the matrix presentation is
 re-derived from the raw fiber semigroup by Rees decomposition, consecutive
-column pairs of higher powers are compared against the one-step closure, and
-the grading is verified to be a morphism.  Any mismatch raises
+column pairs of the second and third powers are compared against the one-step
+closure, the classical height is recomputed from return times of the fixed
+point, and the grading is verified to be a morphism.  Any mismatch raises
 InternalCheckError rather than producing a report.
+
+No check writes out a power of the substitution.  Column k*l + j of sub^n is
+column j of sub after column k of sub^(n-1), and the boundary columns of a
+simplified substitution are the identity, so the distinct columns and the
+distinct consecutive column pairs of sub^n follow from the distinct columns
+of sub^(n-1) by one composition with the distinct level-one columns and
+pairs; the return times of the first letter follow level by level in the same
+way.  Sets of distinct columns stay inside the structure group, so these
+checks cost a multiple of |G| rather than of l^n.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -31,8 +42,9 @@ from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
 from .substitution import (LETTER_LIMIT, Alphabet, AperiodicityVerdict,
                            Substitution, TwoWordFiber, columns, fixed_points,
                            is_aperiodic, is_bijective, is_primitive,
-                           is_simplified, simplify, substitution_power)
+                           is_simplified, simplify)
 
+ColumnPair = tuple[Perm, Perm]
 SignedPair = tuple[Perm, Perm, int]  # (L, R, sign)
 
 
@@ -90,17 +102,44 @@ def _classical_height_by_grading(sub: Substitution) -> int:
     return 1
 
 
+def return_time_gcd(sub: Substitution, level: int) -> int:
+    """gcd of the positions of letter 0 in sigma^n(0): for a simplified
+    substitution, the level-n prefix of the one-sided fixed point that starts
+    with letter 0.
+
+    The prefix is never written out.  Per letter b the recursion carries
+    (r_b, d_b): one position of b in sigma^m(0) and the gcd of the differences
+    of all positions of b from it.  Position q*l + j of sigma^(m+1)(0) holds
+    letter j of the rule of the letter at q, so the first (b, j) that reaches c
+    sets r_c = r_b*l + j and d_c = l*d_b, and each later one sets
+    d_c = gcd(d_c, l*d_b, r_b*l + j - r_c).  The answer is gcd(r_0, d_0);
+    the cost is O(n*s*l) and the result exact.
+    """
+    if level < 1:
+        raise ValidationError("prefix level must be >= 1")
+    length = sub.length
+    positions = {0: (0, 0)}  # letter -> (r, d) in sigma^0(0) = "0"
+    for _ in range(level):
+        nxt: dict[int, tuple[int, int]] = {}
+        for b, (r, d) in positions.items():
+            for j, c in enumerate(sub.rules[b]):
+                p = r * length + j
+                if c in nxt:
+                    rc, dc = nxt[c]
+                    nxt[c] = (rc, gcd(dc, length * d, p - rc))
+                else:
+                    nxt[c] = (p, length * d)
+        positions = nxt
+    return gcd(*positions[0])
+
+
 def classical_height_bruteforce(sub: Substitution, prefix_level: int = 3) -> int:
-    """Independent oracle: gcd of the return positions of the first letter in
-    a level-n prefix of the one-sided fixed point, then the largest divisor
-    coprime to the length."""
+    """Independent oracle: the gcd of the return times of the first letter
+    in sigma^n(0) (:func:`return_time_gcd`), then its largest divisor coprime
+    to the length."""
     if not is_simplified(sub):
         raise ValidationError("classical height brute force needs a simplified substitution")
-    word = substitution_power(sub, prefix_level).rules[0]
-    returns = [k for k in range(1, len(word)) if word[k] == word[0]]
-    g = 0
-    for k in returns:
-        g = gcd(g, k)
+    g = return_time_gcd(sub, prefix_level)
     if g == 0:
         raise InternalCheckError("a simplified substitution must return to its first letter")
     for d in sorted((d for d in range(1, g + 1) if g % d == 0), reverse=True):
@@ -128,36 +167,67 @@ def heights(sub: Substitution) -> Heights:
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
             f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}")
-    completion_set = set(completion.elements)
+    completion_set = completion.element_set
     cosets = {frozenset(compose(g, x) for x in completion_set) for g in rset}
     if len(cosets) != 1:
         raise InternalCheckError("R-set elements must share a single coset of the normal completion")
     return Heights(order, classical, little, completion)
 
 
-def gtwo_pairs(sub: Substitution) -> tuple[tuple[Perm, Perm], ...]:
-    """All consecutive-column pairs of all powers, computed as the one-step
-    closure {(column_{i-1} g, column_i g) : g in G} and cross-checked against
-    levels two and three."""
+def column_levels(sub: Substitution
+                  ) -> Iterator[tuple[frozenset[Perm], frozenset[ColumnPair]]]:
+    """The distinct columns and the distinct consecutive column pairs of
+    sub^n, for n = 1, 2, 3, ... in turn, without writing out sub^n.
+
+    Column k*l + j of sub^n is column c_j of sub after column P_k of
+    sub^(n-1), so cols(n) = {cP : c in cols(1), P in cols(n-1)}, and the
+    pairs inside block k are (aP_k, bP_k) for (a, b) in pairs(1).  Since
+    c_0 = c_(l-1) = id, the pair across a block boundary, (P_(k-1), P_k), is
+    a consecutive pair of sub^(n-1).  With id in cols(1), cols(n-2) lies in
+    cols(n-1), so those pairs are among the block pairs already, and
+    pairs(n) = {(aP, bP) : (a, b) in pairs(1), P in cols(n-1)}.
+    """
     cols = columns(sub)
+    ident = identity(sub.size)
+    if cols[0] != ident or cols[-1] != ident:
+        raise ValidationError("the column recursion needs identity boundary columns")
+    base_cols = frozenset(cols)
+    base_pairs = frozenset(zip(cols, cols[1:]))
+    level_cols, level_pairs = base_cols, base_pairs
+    while True:
+        yield level_cols, level_pairs
+        level_pairs = frozenset((compose(a, p), compose(b, p))
+                                for a, b in base_pairs for p in level_cols)
+        level_cols = frozenset(compose(c, p) for c in base_cols for p in level_cols)
+
+
+def _translates(pairs: Iterable[ColumnPair], group: PermGroup) -> set[ColumnPair]:
+    """{(a g, b g) : (a, b) in pairs, g in G}."""
+    return {(compose(a, g), compose(b, g)) for a, b in pairs for g in group.elements}
+
+
+def gtwo_pairs(sub: Substitution) -> tuple[ColumnPair, ...]:
+    """All consecutive-column pairs of all powers, computed as the one-step
+    closure {(a g, b g) : (a, b) a distinct consecutive column pair, g in G}.
+
+    Cross-checked at levels two and three: the distinct consecutive pairs of
+    sub^n, from the recursion of :func:`column_levels`, lie in the closure,
+    and translating them by G regenerates the closure exactly.
+    """
     group = structure_group(sub)
     rset = set(r_set(sub))
-    pairs = {(compose(cols[i - 1], g), compose(cols[i], g))
-             for i in range(1, len(cols)) for g in group.elements}
+    levels = column_levels(sub)
+    _, level_one = next(levels)
+    pairs = _translates(level_one, group)
     if len(pairs) != len(rset) * group.order:
         raise InternalCheckError("pair closure size must be |I| * |G|")
     for left, right in pairs:
         if compose(right, inverse(left)) not in rset:
             raise InternalCheckError("pair quotient escaped the R-set")
-    for level in (2, 3):
-        power = substitution_power(sub, level)
-        pcols = columns(power)
-        raw = {(pcols[i - 1], pcols[i]) for i in range(1, len(pcols))}
+    for level, (_, raw) in zip((2, 3), levels):
         if not raw <= pairs:
             raise InternalCheckError(f"level-{level} consecutive pairs escape the closure")
-        regenerated = {(compose(pcols[i - 1], g), compose(pcols[i], g))
-                       for i in range(1, len(pcols)) for g in group.elements}
-        if regenerated != pairs:
+        if _translates(raw, group) != pairs:
             raise InternalCheckError(f"closure from level {level} disagrees with level 1")
     return tuple(sorted(pairs))
 
@@ -173,12 +243,6 @@ class FiberAction:
 
     def __post_init__(self):
         self.green = green_structure(self.semigroup)
-
-    def signed_pair_of(self, fiber_map: FiberMap) -> SignedPair:
-        for key, value in self.by_signed_pair.items():
-            if value == fiber_map:
-                return key
-        raise KeyError(fiber_map)
 
 
 def fiber_semigroup(sub: Substitution) -> FiberAction:
@@ -276,7 +340,7 @@ def _check_decomposition_matches(matrix: ReesMatrixSemigroup,
         return tuple(out)
 
     letter_group = {to_letters(p) for p in dec.group.elements}
-    if letter_group != set(matrix.group.elements):
+    if letter_group != matrix.group.element_set:
         raise InternalCheckError("decomposed structure group differs from the closure of the R-set")
     letter_sandwich = tuple(tuple(to_letters(entry) for entry in row) for row in dec.sandwich)
     letter_dec = ReesMatrixSemigroup(matrix.group, dec.i_labels, dec.lam_labels,
@@ -302,7 +366,7 @@ def degree_map(sub: Substitution, matrix: ReesMatrixSemigroup,
 
     Verified to be a semigroup morphism onto Z/hZ with idempotents at 0.
     """
-    completion_set = frozenset(completion.elements)
+    completion_set = completion.element_set
     rset = r_set(sub)
     generator_coset_rep = rset[0]
     cosets = [completion_set]
@@ -420,14 +484,17 @@ class StructuralReport:
 
 def global_description(sub: Substitution, g0: Perm | None = None,
                        exponent: int = 1, original_length: int | None = None,
-                       aperiodicity: AperiodicityVerdict | None = None) -> StructuralReport:
-    """Assemble the full report for a simplified substitution."""
+                       aperiodicity: AperiodicityVerdict | None = None,
+                       action: FiberAction | None = None) -> StructuralReport:
+    """Assemble the full report for a simplified substitution; ``action`` is
+    its fiber semigroup when the caller has already built it."""
     rset = r_set(sub)
     if len(rset) < 2:
         raise ValidationError("aperiodic bijective substitutions have at least two R-set elements")
     group = structure_group(sub)
     hs = heights(sub)
-    action = fiber_semigroup(sub)
+    if action is None:
+        action = fiber_semigroup(sub)
     if action.semigroup.size != 2 * len(rset) * group.order:
         raise InternalCheckError("fiber semigroup size must be 2|I||G|")
     matrix = structural_semigroup(sub, g0, action)
@@ -515,10 +582,13 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
             raise ValidationError(
                 f"g0 index {config.g0_index} out of range; the R-set has {len(rset)} elements")
         g0 = rset[config.g0_index]
+    action = fiber_semigroup(simplified)
     report = global_description(simplified, g0, exponent=exponent,
-                                original_length=sub.length, aperiodicity=verdict)
+                                original_length=sub.length, aperiodicity=verdict,
+                                action=action)
     if config.verify:
-        comparison = oracle_equivalence(simplified, config.oracle_level)
+        comparison = oracle_equivalence(simplified, config.oracle_level,
+                                        algebraic=action.semigroup)
         report.oracle = comparison
         if not comparison.equal:
             raise InternalCheckError(

@@ -215,7 +215,7 @@ def presentations_isomorphic(m1: ReesMatrixSemigroup, m2: ReesMatrixSemigroup) -
     if m1.group.order > ISO_SEARCH_GROUP_MAX or degree > ISO_SEARCH_DEGREE_MAX:
         raise ResourceLimitError("presentation isomorphism search is capped at "
                                  f"|G| <= {ISO_SEARCH_GROUP_MAX}, degree <= {ISO_SEARCH_DEGREE_MAX}")
-    g2set = set(m2.group.elements)
+    g2set = m2.group.element_set
     ni, nlam = len(m1.i_labels), len(m1.lam_labels)
 
     conjugators = []

@@ -179,3 +179,16 @@ def test_golden_snapshots_are_current():
 def test_main_callable_directly(tm_file, capsys):
     assert main(["analyze", tm_file]) == 0
     assert "structure group" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+def test_power_six_input_gets_a_report(tmp_path):
+    # simplified at power 6, rule words of 117649 letters
+    path = tmp_path / "power_six.sub"
+    path.write_text("a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n")
+    code, out, err = run_cli(["analyze", "--format", "json", str(path)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["analyzed_power"] == 6
+    assert payload["length"] == 117649
+    assert payload["semigroup_size"] == 72

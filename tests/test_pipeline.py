@@ -1,13 +1,21 @@
+import sys
+from math import gcd
+
 import pytest
 
+import ellisub.pipeline
 from ellisub.errors import ValidationError
+from ellisub.golden import compare, load_expectations, snapshot
 from ellisub.perms import (compose, cycle_string, element_order, identity,
                            inverse, is_normal, is_transitive)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
-                              degree_map, fiber_semigroup, gtwo_pairs, heights,
-                              r_set, structural_semigroup, structure_group)
-from ellisub.substitution import columns, substitution_power
+                              column_levels, degree_map, fiber_semigroup,
+                              global_description, gtwo_pairs, heights, r_set,
+                              return_time_gcd, structural_semigroup,
+                              structure_group)
+from ellisub.report import report_to_json
+from ellisub.substitution import columns, simplify, substitution_power
 from conftest import make_substitution
 
 SWAP = (1, 0)
@@ -282,3 +290,75 @@ def test_global_description_on_lone_class_example():
     assert report.fiber.labels(sub.alphabet) == ("ab", "ac", "ba", "cb", "cc")
     assert report.structure_group.order == 6
     assert report.oracle.equal
+
+
+# ---------------------------------------------------------------------------
+# the cross-checks work on distinct columns, never on written-out powers
+
+def test_column_levels_match_written_out_powers(golden_simplified, random_corpus):
+    for sub in list(golden_simplified.values()) + random_corpus:
+        levels = column_levels(sub)
+        for n in (1, 2, 3):
+            cols, pairs = next(levels)
+            written = columns(substitution_power(sub, n))
+            assert cols == frozenset(written)
+            assert pairs == frozenset(zip(written, written[1:]))
+
+
+def test_return_times_match_written_out_word(golden_simplified, random_corpus):
+    for sub in list(golden_simplified.values()) + random_corpus:
+        for n in (1, 2, 3):
+            word = substitution_power(sub, n).rules[0]
+            g = 0
+            for k in range(1, len(word)):
+                if word[k] == word[0]:
+                    g = gcd(g, k)
+            assert return_time_gcd(sub, n) == g
+            expected = max(d for d in range(1, g + 1)
+                           if g % d == 0 and gcd(d, sub.length) == 1)
+            assert classical_height_bruteforce(sub, n) == expected
+
+
+def test_classical_height_bruteforce_needs_a_positive_level(golden_simplified):
+    with pytest.raises(ValidationError, match="prefix level"):
+        classical_height_bruteforce(golden_simplified["thue_morse"], 0)
+
+
+def test_global_description_writes_out_no_power(golden_subs, monkeypatch):
+    simplified = {name: simplify(sub) for name, sub in golden_subs.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power of the substitution was written out")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ellisub" or name.startswith("ellisub."):
+            for attr in ("substitution_power", "compose_substitutions"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    expectations = load_expectations()
+    for name, (sub, exponent) in simplified.items():
+        report = global_description(sub, exponent=exponent,
+                                    original_length=golden_subs[name].length)
+        assert compare(expectations[name], snapshot(report_to_json(report))) == []
+
+
+def test_verified_analysis_builds_one_fiber_semigroup(golden_subs, monkeypatch):
+    calls = []
+    original = ellisub.pipeline.fiber_semigroup
+
+    def counting(sub):
+        calls.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(ellisub.pipeline, "fiber_semigroup", counting)
+    report = analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
+    assert report.oracle.equal
+    assert len(calls) == 1
+
+
+def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
+    # power 3 (length 125), |I| = 4, |G| = 120: the level-3 columns of the
+    # power never need to be written out
+    sub, exponent = simplify(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
+    assert (exponent, sub.length, structure_group(sub).order, len(r_set(sub))) == (3, 125, 120, 4)
+    assert len(gtwo_pairs(sub)) == 480
