@@ -4,13 +4,23 @@ generalized and classical heights, the fiber semigroup and its normalized
 Rees matrix form, the degree grading, automorphism data, and the symbolic
 description of the whole Ellis semigroup.
 
-The cross-checks baked into this module are not optional: the fiber action is
-rebuilt from the matrix presentation and compared, the matrix presentation is
-re-derived from the raw fiber semigroup by Rees decomposition, consecutive
-column pairs of the second and third powers are compared against the one-step
-closure, the classical height is recomputed from return times of the fixed
-point, and the grading is verified to be a morphism.  Any mismatch raises
-InternalCheckError rather than producing a report.
+The cross-checks baked into this module are not optional: the fiber maps
+obey the signed product rules, the fiber action is rebuilt from the matrix
+presentation and compared, the matrix presentation is re-derived from the raw
+fiber semigroup by Rees decomposition, consecutive column pairs of the second
+and third powers are compared against the one-step closure, the classical
+height is recomputed from return times of the fixed point, and the grading is
+verified to be a morphism.  Any mismatch raises InternalCheckError rather
+than producing a report.
+
+No check enumerates all |S|^2 pairs of the structural semigroup, where
+|S| = 2|I||G|.  Each product law is proved from a generating set X (Froidure
+& Pin, *Algorithms for computing finite semigroups*, 1997): a map out of a
+semigroup generated by X is a homomorphism once phi(xy) = phi(x) phi(y) for
+x in X and all y.  X is the set of signed level-one consecutive column pairs
+for the fiber semigroup and :func:`rees_generators` for a matrix
+presentation; that X generates is checked by a closure, never assumed.  So
+these checks cost |S| * |X| products.
 
 No check writes out a power of the substitution.  Column k*l + j of sub^n is
 column j of sub after column k of sub^(n-1), and the boundary columns of a
@@ -36,9 +46,11 @@ from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
 from .rees import (MINUS, PLUS, ReesDecomposition, ReesElement,
                    ReesMatrixSemigroup, as_transformation_semigroup,
                    idempotents_of, multiply, presentations_isomorphic,
-                   rees_decomposition, verify_rees_isomorphism)
+                   rees_decomposition, rees_generators,
+                   verify_rees_isomorphism)
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
-                         green_structure, is_completely_simple, map_compose)
+                         green_structure, is_completely_simple, map_compose,
+                         semigroup_closure)
 from .substitution import (LETTER_LIMIT, Alphabet, AperiodicityVerdict,
                            Substitution, TwoWordFiber, columns, fixed_points,
                            is_aperiodic, is_bijective, is_primitive,
@@ -249,8 +261,10 @@ def fiber_semigroup(sub: Substitution) -> FiberAction:
     """Realize every signed pair [L.R; +/-] as a self-map of the fixed-point
     fiber and collect them into a completely simple transformation semigroup.
 
-    Asserts: all 2|I||G| maps are distinct, the set is composition-closed,
-    the four signed product rules hold exhaustively, and the result is
+    Asserts: all 2|I||G| maps are distinct; the maps of the signed level-one
+    consecutive column pairs generate all of them (so the set is
+    composition-closed); the four signed product rules hold with the first
+    factor among those generators, hence for all factors; and the result is
     completely simple.
     """
     fiber = fixed_points(sub)
@@ -272,10 +286,17 @@ def fiber_semigroup(sub: Substitution) -> FiberAction:
     maps = set(by_signed.values())
     if len(maps) != len(by_signed):
         raise InternalCheckError("distinct signed pairs produced identical fiber maps")
-    mapset = tuple(sorted(maps))
-    semigroup = TransformationSemigroup(fiber.size, mapset, mapset)
+    _, level_one = next(column_levels(sub))
+    generators = [(left, right, sign) for left, right in sorted(level_one)
+                  for sign in (PLUS, MINUS)]
+    semigroup = semigroup_closure([by_signed[x] for x in generators], degree=fiber.size)
+    if semigroup.elements != tuple(sorted(maps)):
+        raise InternalCheckError(
+            f"the {len(generators)} signed level-one pairs generate {semigroup.size} "
+            f"of the {len(maps)} fiber maps")
     # the four product rules: [L.R;e][L'.R';e'] composes with R' (e=+) or L' (e=-)
-    for (l1, r1, e1), f1 in by_signed.items():
+    for l1, r1, e1 in generators:
+        f1 = by_signed[(l1, r1, e1)]
         for (l2, r2, e2), f2 in by_signed.items():
             inner = r2 if e1 == PLUS else l2
             predicted = by_signed[(compose(l1, inner), compose(r1, inner), e2)]
@@ -364,7 +385,8 @@ def degree_map(sub: Substitution, matrix: ReesMatrixSemigroup,
     """Degree of (i, g, sign) is the class of g modulo the normal completion,
     written as an integer via the common coset of the R-set.
 
-    Verified to be a semigroup morphism onto Z/hZ with idempotents at 0.
+    Verified to be a semigroup morphism onto Z/hZ with idempotents at 0;
+    the morphism law is checked for x in :func:`rees_generators` and all y.
     """
     completion_set = completion.element_set
     rset = r_set(sub)
@@ -387,7 +409,7 @@ def degree_map(sub: Substitution, matrix: ReesMatrixSemigroup,
         degree_of_perm[g] = coset_index[c]
     table = {x: degree_of_perm[x.g] for x in matrix.elements()}
     elements = list(matrix.elements())
-    for x in elements:
+    for x in rees_generators(matrix):
         for y in elements:
             if table[multiply(matrix, x, y)] != (table[x] + table[y]) % modulus:
                 raise InternalCheckError("degree map is not a semigroup morphism")

@@ -22,7 +22,8 @@ from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .perms import (Perm, PermGroup, closure, compose, identity, inverse,
                     is_transitive)
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
-                         green_structure, is_completely_simple, map_compose)
+                         green_structure, is_completely_simple, map_compose,
+                         semigroup_closure)
 from .substitution import TwoWordFiber
 
 PLUS, MINUS = 0, 1
@@ -90,6 +91,42 @@ def normal_inverse(m: ReesMatrixSemigroup, x: ReesElement) -> ReesElement:
     return ReesElement(x.i, compose(compose(a_inv, inverse(x.g)), a_inv), x.lam)
 
 
+def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[ReesElement]:
+    """The subsemigroup generated by ``seeds``, closed under left
+    multiplication by the seeds (|result| * |seeds| products)."""
+    elements = set(seeds)
+    frontier = set(seeds)
+    while frontier:
+        frontier = {multiply(m, x, y) for x in seeds for y in frontier} - elements
+        elements |= frontier
+    return elements
+
+
+def rees_generators(m: ReesMatrixSemigroup) -> tuple[ReesElement, ...]:
+    """A generating set X of M: every (i, 1, lam), plus (i0, s * A[lam0][i0]^-1,
+    lam0) for each generator s of G, where (i0, lam0) is the base.
+
+    The second part generates the H-class of the base, a copy of G under
+    (i0, g, lam0) -> g * A[lam0][i0]; then (i, 1, lam0) h (i0, 1, lam) runs
+    through row i and column lam.  That X reaches all of M is checked, not
+    assumed, by closing it under left multiplication by X (|M| * |X|
+    products).  By the Froidure-Pin lemma a map phi out of M is a
+    homomorphism as soon as phi(xy) = phi(x) phi(y) for x in X and all y.
+    """
+    i0, lam0 = m.base
+    ident = identity(m.group.degree)
+    a_inv = inverse(m.sandwich[lam0][i0])
+    gens = [ReesElement(i, ident, lam)
+            for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
+    gens += [ReesElement(i0, compose(s, a_inv), lam0) for s in m.group.generators]
+    gens = list(dict.fromkeys(gens))
+    reached = _element_closure(m, gens)
+    if len(reached) != m.size:
+        raise InternalCheckError(
+            f"Rees generators reach {len(reached)} of {m.size} elements")
+    return tuple(gens)
+
+
 def substitution_sandwich(i_perms: list[Perm] | tuple[Perm, ...], g0: Perm) -> ReesMatrixSemigroup:
     """The two-row sandwich over G = <I>: plus row all identity, minus row
     g0 * g^-1 per column g.  Normalized w.r.t. the idempotent (g0, 1, +)."""
@@ -144,21 +181,6 @@ def little_structure_group(m: ReesMatrixSemigroup) -> PermGroup:
     return closure(entries, m.group.degree)
 
 
-def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[ReesElement]:
-    elements = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        new = []
-        for x in seeds:
-            for y in frontier:
-                for z in (multiply(m, x, y), multiply(m, y, x)):
-                    if z not in elements:
-                        elements.add(z)
-                        new.append(z)
-        frontier = new
-    return elements
-
-
 def idempotent_generated(m: ReesMatrixSemigroup) -> ReesMatrixSemigroup:
     """M[Gamma; I, Lambda; A] with Gamma the little structure group; checked
     against the actual closure of the idempotents, element by element."""
@@ -178,7 +200,8 @@ def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
     """Multiply row lam by u_lam on the left and column i by v_i on the right.
 
     Returns the gauged semigroup plus the induced isomorphism
-    (i, g, lam) -> (i, v_i^-1 * g * u_lam^-1, lam), as a dict.
+    (i, g, lam) -> (i, v_i^-1 * g * u_lam^-1, lam), as a dict.  Its product
+    law is checked for x in :func:`rees_generators` and all y.
     """
     for f in list(row_factors) + list(col_factors):
         if f not in m.group:
@@ -191,8 +214,9 @@ def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
     iso = {x: ReesElement(x.i, compose(compose(inverse(col_factors[x.i]), x.g),
                                        inverse(row_factors[x.lam])), x.lam)
            for x in m.elements()}
-    for x in m.elements():
-        for y in m.elements():
+    elements = list(m.elements())
+    for x in rees_generators(m):
+        for y in elements:
             if iso[multiply(m, x, y)] != multiply(gauged, iso[x], iso[y]):
                 raise InternalCheckError("gauge transformation is not an isomorphism")
     return gauged, iso
@@ -261,7 +285,10 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
 
     The triple (i, g, +) acts as a.b -> L(b).R(b) and (i, g, -) as
     a.b -> L(a).R(a), where R = g (resp. g*g0) and L = i^-1 * R; this inverts
-    the bijection used to put the fiber semigroup into matrix form.
+    the bijection used to put the fiber semigroup into matrix form.  The
+    image is composition-closed because the closure of the images of
+    :func:`rees_generators` is the image itself; that closure, generated by
+    those images, is the returned semigroup.
     """
     if m.lam_labels != SIGN_LABELS:
         raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
@@ -287,17 +314,20 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
     maps = sorted(set(phi.values()))
     if len(maps) != m.size:
         raise InternalCheckError("fiber action is not faithful; distinct triples collided")
-    sg = TransformationSemigroup(fiber.size, tuple(maps), tuple(maps))
-    for f in maps:
-        for h in maps:
-            if map_compose(f, h) not in sg.index:
-                raise InternalCheckError("fiber action image is not composition-closed")
+    sg = semigroup_closure([phi[x] for x in rees_generators(m)], degree=fiber.size)
+    if sg.elements != tuple(maps):
+        raise InternalCheckError("fiber action image is not composition-closed")
     return sg, phi
 
 
 def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
                             phi: dict[ReesElement, FiberMap]) -> bool:
-    """Exhaustive check that phi is a bijective homomorphism M -> sg."""
+    """Check that phi is a bijective homomorphism M -> sg.
+
+    Bijectivity is checked on every element; the product law
+    phi(xy) = phi(x) phi(y) for x in :func:`rees_generators` and all y, which
+    by the Froidure-Pin lemma gives it for all x.
+    """
     elements = list(m.elements())
     if sorted(phi.keys(), key=lambda x: (x.i, x.g, x.lam)) != sorted(
             elements, key=lambda x: (x.i, x.g, x.lam)):
@@ -305,7 +335,7 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
     images = set(phi.values())
     if len(images) != len(elements) or images != set(sg.elements):
         return False
-    for x in elements:
+    for x in rees_generators(m):
         for y in elements:
             if phi[multiply(m, x, y)] != map_compose(phi[x], phi[y]):
                 return False
@@ -381,7 +411,15 @@ def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
     if len(set(perm_of.values())) != len(h_elements):
         raise InternalCheckError("H-class of e does not act faithfully on the image of e")
     by_perm = {p: f for f, p in perm_of.items()}
-    group = PermGroup(len(points), tuple(sorted(by_perm)), tuple(sorted(by_perm)))
+    # a few generators, each outside the group of those before it
+    gens: list[Perm] = []
+    group = closure(gens, len(points))
+    for p in sorted(by_perm):
+        if p not in group:
+            gens.append(p)
+            group = closure(gens, len(points))
+    if group.element_set != by_perm.keys():
+        raise InternalCheckError("H-class of e is not closed under composition")
 
     sandwich = tuple(
         tuple(perm_of[map_compose(q, r)] for r in r_reps) for q in q_reps)

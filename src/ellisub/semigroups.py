@@ -3,9 +3,13 @@ generating maps, Green's relations, kernel, and the completely-simple test.
 
 Elements are self-maps of {0..degree-1} stored as image tuples (not
 necessarily injective).  Composition follows the same convention as
-permutations: ``x compose y`` applies y first.  For semigroups of at most
-``MEMO_LIMIT`` elements the full Cayley table is materialized once; all
-ideal computations are then integer table lookups.
+permutations: ``x compose y`` applies y first.  Products are composed on
+demand; no Cayley table is stored.  Green's relations are read off the
+Cayley graphs over the generators (East, Egri-Nagy, Mitchell & Peresse,
+*Computing finite semigroups*, 2019): x S^1, S^1 x and S^1 x S^1 are the
+sets reachable from x along right, left and two-sided edges, so R-, L- and
+J = D-classes are strongly connected components, and the cost is
+|S| * (number of generators) compositions instead of |S|^2.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .errors import InternalCheckError, ResourceLimitError, ValidationError
 FiberMap = tuple[int, ...]
 
 CLOSURE_CAP = 10**5
-MEMO_LIMIT = 4096
 
 
 def map_compose(x: FiberMap, y: FiberMap) -> FiberMap:
@@ -39,13 +42,7 @@ class TransformationSemigroup:
         self.generators = generators
         self.index = {x: i for i, x in enumerate(elements)}
         self.contains_identity = tuple(range(degree)) in self.index
-        n = len(elements)
-        if n <= MEMO_LIMIT:
-            self.table: list[list[int]] | None = [
-                [self.index[map_compose(x, y)] for y in elements] for x in elements
-            ]
-        else:
-            self.table = None
+        self.table = None  # no Cayley table is stored; bench/tracing.py reads this attribute
 
     @property
     def size(self) -> int:
@@ -59,8 +56,6 @@ class TransformationSemigroup:
         return x in self.index
 
     def mul(self, i: int, j: int) -> int:
-        if self.table is not None:
-            return self.table[i][j]
         return self.index[map_compose(self.elements[i], self.elements[j])]
 
     def idempotent_indices(self) -> list[int]:
@@ -69,7 +64,11 @@ class TransformationSemigroup:
 
 def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
                       degree: int | None = None, cap: int = CLOSURE_CAP) -> TransformationSemigroup:
-    """Smallest composition-closed set of maps containing ``gens``."""
+    """Smallest composition-closed set of maps containing ``gens``.
+
+    Left multiplication by the generators suffices: g1 g2 ... gk is reached
+    from gk in k - 1 steps, so the cost is |S| * |gens| compositions.
+    """
     gens = [tuple(g) for g in gens]
     if not gens and degree is None:
         raise ValidationError("closure of an empty generator list needs an explicit degree")
@@ -86,13 +85,13 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
         new = []
         for g in gens:
             for x in frontier:
-                for y in (map_compose(g, x), map_compose(x, g)):
-                    if y not in elements:
-                        elements.add(y)
-                        new.append(y)
-                        if len(elements) > cap:
-                            raise ResourceLimitError(
-                                f"semigroup closure exceeded cap of {cap} elements")
+                y = map_compose(g, x)
+                if y not in elements:
+                    elements.add(y)
+                    new.append(y)
+                    if len(elements) > cap:
+                        raise ResourceLimitError(
+                            f"semigroup closure exceeded cap of {cap} elements")
         frontier = new
     return TransformationSemigroup(degree, tuple(sorted(elements)), tuple(sorted(set(gens))))
 
@@ -125,65 +124,102 @@ class GreenStructure:
         }
 
 
-def green_structure(sg: TransformationSemigroup) -> GreenStructure:
-    """Compute principal ideals for every element and partition by equality.
+def _components(edges: list[list[int]]) -> list[int]:
+    """Strongly connected component of every vertex of a directed graph
+    given by successor lists (iterative Tarjan)."""
+    n = len(edges)
+    order = [-1] * n
+    low = [0] * n
+    component = [-1] * n
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            v, k = work[-1]
+            if k < len(edges[v]):
+                work[-1] = (v, k + 1)
+                w = edges[v][k]
+                if order[w] == -1:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                elif component[w] == -1:  # w is still on the stack
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == order[v]:
+                while True:
+                    w = stack.pop()
+                    component[w] = count
+                    if w == v:
+                        break
+                count += 1
+    return component
 
-    Two-sided principal ideals are assembled as unions of right ideals over a
-    left ideal, so everything stays linear in the number of (left, right)
-    ideal pairs already computed.
+
+def _partition(labels) -> tuple[tuple[int, ...], ...]:
+    """Indices grouped by equal label: each class ascending, classes sorted."""
+    buckets: dict[object, list[int]] = {}
+    for i, label in enumerate(labels):
+        buckets.setdefault(label, []).append(i)
+    return tuple(tuple(b) for b in sorted(buckets.values()))
+
+
+def green_structure(sg: TransformationSemigroup) -> GreenStructure:
+    """Green's classes, idempotents and kernel from the Cayley graphs over
+    ``sg.generators``.
+
+    Along right edges x -> x g the vertices reachable from x are x S^1, so
+    R-classes are the strongly connected components of the right Cayley
+    graph; L-classes are those of the left graph (x -> g x), and the
+    components of the two-sided graph are the J-classes, which equal the
+    D-classes in a finite semigroup.  The kernel is the unique J-class that
+    no edge leaves.  This is exact for every finite semigroup, regular or
+    not, once the generators generate it, which is checked: every element
+    must be reachable from a generator along right edges.
     """
     n = sg.size
-    rng = range(n)
-    left = [frozenset({i} | {sg.mul(s, i) for s in rng}) for i in rng]
-    right = [frozenset({i} | {sg.mul(i, s) for s in rng}) for i in rng]
+    index, elements = sg.index, sg.elements
+    gens = [index[g] for g in sg.generators]
+    right = [[index[map_compose(x, elements[g])] for g in gens] for x in elements]
+    left = [[index[map_compose(elements[g], x)] for g in gens] for x in elements]
 
-    def group_by(keys):
-        buckets: dict[object, list[int]] = {}
-        for i in rng:
-            buckets.setdefault(keys[i], []).append(i)
-        return tuple(tuple(b) for b in sorted(buckets.values()))
+    reached = set(gens)
+    frontier = list(reached)
+    while frontier:
+        frontier = {y for x in frontier for y in right[x]} - reached
+        reached.update(frontier)
+    if len(reached) != n:
+        raise InternalCheckError(
+            f"the {len(gens)} generators reach {len(reached)} of {n} elements")
 
-    l_classes = group_by(left)
-    r_classes = group_by(right)
-    h_classes = group_by([(left[i], right[i]) for i in rng])
-
-    # D = join of L and R: union-find merging each element's L- and R-class
-    parent = list(rng)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for cls in l_classes + r_classes:
-        for i in cls[1:]:
-            union(cls[0], i)
-    d_buckets: dict[int, list[int]] = {}
-    for i in rng:
-        d_buckets.setdefault(find(i), []).append(i)
-    d_classes = tuple(tuple(b) for b in sorted(d_buckets.values()))
-
-    idempotents = tuple(sg.idempotent_indices())
-
-    two_sided = []
-    for i in rng:
-        ideal: set[int] = set()
-        for j in left[i]:
-            ideal |= right[j]
-        two_sided.append(frozenset(ideal))
-    kernel: frozenset[int] = two_sided[0]
-    for ideal in two_sided[1:]:
-        kernel &= ideal
-    if not kernel:
-        raise InternalCheckError("finite semigroup without a kernel; ideal computation is broken")
-    return GreenStructure(l_classes, r_classes, h_classes, d_classes,
-                          idempotents, tuple(sorted(kernel)))
+    r_labels = _components(right)
+    l_labels = _components(left)
+    both = [right[i] + left[i] for i in range(n)]
+    j_labels = _components(both)
+    leaving = {j_labels[i] for i in range(n) for k in both[i] if j_labels[k] != j_labels[i]}
+    sinks = set(j_labels) - leaving
+    if len(sinks) != 1:
+        raise InternalCheckError(
+            f"finite semigroup with {len(sinks)} minimal ideals; ideal computation is broken")
+    [sink] = sinks
+    return GreenStructure(
+        l_classes=_partition(l_labels),
+        r_classes=_partition(r_labels),
+        h_classes=_partition(list(zip(l_labels, r_labels))),
+        d_classes=_partition(j_labels),
+        idempotents=tuple(sg.idempotent_indices()),
+        kernel=tuple(i for i in range(n) if j_labels[i] == sink))
 
 
 def is_completely_simple(sg: TransformationSemigroup,

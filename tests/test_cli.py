@@ -192,3 +192,16 @@ def test_power_six_input_gets_a_report(tmp_path):
     assert payload["analyzed_power"] == 6
     assert payload["length"] == 117649
     assert payload["semigroup_size"] == 72
+
+
+@pytest.mark.slow
+def test_group_of_order_120_verifies(tmp_path):
+    # power 3 (length 125), |G| = 120, |S| = 960: the structural checks run
+    # from generators, and the window oracle still compares every map
+    path = tmp_path / "order_120.sub"
+    path.write_text("a -> abdaa\nb -> baedb\nc -> cecec\nd -> ddbbd\ne -> ecace\n")
+    code, out, err = run_cli(["analyze", "--verify", "--format", "json", str(path)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["semigroup_size"] == 960
+    assert payload["oracle"]["equal"] is True

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 import ellisub.pipeline
-from ellisub.errors import ValidationError
+from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
 from ellisub.perms import (compose, cycle_string, element_order, identity,
                            inverse, is_normal, is_transitive)
@@ -362,3 +362,20 @@ def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     sub, exponent = simplify(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
     assert (exponent, sub.length, structure_group(sub).order, len(r_set(sub))) == (3, 125, 120, 4)
     assert len(gtwo_pairs(sub)) == 480
+
+
+def test_fiber_semigroup_is_generated_by_signed_level_one_pairs(golden_simplified):
+    for sub in golden_simplified.values():
+        action = fiber_semigroup(sub)
+        _, level_one = next(column_levels(sub))
+        assert len(action.semigroup.generators) == 2 * len(level_one)
+        assert action.semigroup.size == 2 * len(gtwo_pairs(sub))
+
+
+def test_fiber_semigroup_refuses_generators_that_fall_short(golden_simplified, monkeypatch):
+    # the closure sees only the first signed pair, so it cannot reach every map
+    original = ellisub.pipeline.semigroup_closure
+    monkeypatch.setattr(ellisub.pipeline, "semigroup_closure",
+                        lambda gens, degree: original(gens[:1], degree=degree))
+    with pytest.raises(InternalCheckError, match="generate"):
+        fiber_semigroup(golden_simplified["s3_seven_words"])

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from ellisub.errors import ValidationError
-from ellisub.perms import closure, compose, identity, inverse
+from ellisub.errors import InternalCheckError, ValidationError
+from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.pipeline import fiber_semigroup, r_set
-from ellisub.rees import (MINUS, PLUS, ReesElement, ReesMatrixSemigroup,
-                          as_transformation_semigroup, gauge_renormalize,
-                          idempotent_generated, idempotents_of,
-                          little_structure_group, multiply, normal_inverse,
-                          presentations_isomorphic, rees_decomposition,
+from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
+                          ReesMatrixSemigroup, as_transformation_semigroup,
+                          gauge_renormalize, idempotent_generated,
+                          idempotents_of, little_structure_group, multiply,
+                          normal_inverse, presentations_isomorphic,
+                          rees_decomposition, rees_generators,
                           substitution_sandwich, verify_rees_isomorphism)
+from ellisub.semigroups import map_compose
 
 def tm_matrix(golden_simplified):
     return substitution_sandwich(r_set(golden_simplified["thue_morse"]), identity(2))
@@ -238,3 +240,49 @@ def test_presentations_distinguish_different_little_groups(golden_simplified):
     m2 = substitution_sandwich(r_set(golden_simplified["s3_height_two"]),
                                r_set(golden_simplified["s3_height_two"])[0])
     assert not presentations_isomorphic(m1, m2)
+
+
+def test_rees_generators_generate_every_golden_presentation(golden_simplified):
+    # base column g0 = the last R-set element, away from the one the pipeline uses
+    for sub in golden_simplified.values():
+        rset = r_set(sub)
+        m = substitution_sandwich(rset, rset[-1])
+        assert len(rees_generators(m)) <= 2 * len(rset) + len(m.group.generators)
+
+
+def test_rees_generators_refuse_a_group_whose_generators_fall_short():
+    # a structure group that lists only the identity as its generator: the
+    # triples it yields close up to the |I| * |Lambda| idempotents only
+    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    group = PermGroup(3, (identity(3),), s3.elements)
+    ident = identity(3)
+    m = ReesMatrixSemigroup(group, ("i", "j"), SIGN_LABELS, ((ident, ident), (ident, ident)))
+    with pytest.raises(InternalCheckError, match="reach 4 of 24"):
+        rees_generators(m)
+
+
+def _is_homomorphism_on_all_pairs(sg, m, phi):
+    return all(phi[multiply(m, x, y)] == map_compose(phi[x], phi[y])
+               for x in m.elements() for y in m.elements())
+
+
+def test_verify_rejects_swap_away_from_generators(golden_simplified):
+    sub = golden_simplified["s3_seven_words"]
+    rset = r_set(sub)
+    m = substitution_sandwich(rset, rset[0])
+    action = fiber_semigroup(sub)
+    _, phi = as_transformation_semigroup(m, action.fiber)
+    gens = set(rees_generators(m))
+    others = [x for x in m.elements() if x not in gens]
+    pairs = [(u, v) for k, u in enumerate(others) for v in others[k + 1:]]
+    coords = ("i", "g", "lam")
+    # every pair that differs only in the row, only in the group entry, or only in the sign
+    swaps = [(u, v) for u, v in pairs
+             if sum(getattr(u, c) != getattr(v, c) for c in coords) == 1]
+    assert len(swaps) > 50
+    for u, v in swaps:
+        swapped = dict(phi)
+        swapped[u], swapped[v] = phi[v], phi[u]
+        # same image set, so only the product law can catch the swap
+        assert not _is_homomorphism_on_all_pairs(action.semigroup, m, swapped)
+        assert not verify_rees_isomorphism(action.semigroup, m, swapped)

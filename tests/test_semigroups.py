@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from ellisub.errors import ResourceLimitError, ValidationError
+from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
 from ellisub.pipeline import fiber_semigroup
 from ellisub.semigroups import (TransformationSemigroup, green_structure,
                                 is_completely_simple, map_compose,
@@ -126,3 +128,76 @@ def test_large_semigroup_skips_memo_table():
     assert sg.table is None
     i, j = 3, sg.size - 1
     assert sg.elements[sg.mul(i, j)] == map_compose(sg.elements[i], sg.elements[j])
+
+
+def _reference_green(sg):
+    """Green's classes by the principal-ideal definition over all elements:
+    the |S|^2 (and, for the kernel, |S|^3) computation the Cayley-graph
+    version replaces."""
+    rng = range(sg.size)
+    left = [frozenset({i} | {sg.mul(s, i) for s in rng}) for i in rng]
+    right = [frozenset({i} | {sg.mul(i, s) for s in rng}) for i in rng]
+
+    def group_by(keys):
+        buckets = {}
+        for i in rng:
+            buckets.setdefault(keys[i], []).append(i)
+        return tuple(tuple(b) for b in sorted(buckets.values()))
+
+    parent = list(rng)
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    l_classes, r_classes = group_by(left), group_by(right)
+    for cls in l_classes + r_classes:
+        for i in cls[1:]:
+            parent[find(i)] = find(cls[0])
+    two_sided = [frozenset().union(*(right[j] for j in left[i])) for i in rng]
+    return {
+        "l_classes": l_classes,
+        "r_classes": r_classes,
+        "h_classes": group_by([(left[i], right[i]) for i in rng]),
+        "d_classes": group_by([find(i) for i in rng]),
+        "idempotents": tuple(i for i in rng if sg.mul(i, i) == i),
+        "kernel": tuple(sorted(frozenset.intersection(*two_sided))),
+    }
+
+
+def _is_regular(sg):
+    return all(any(sg.mul(sg.mul(x, y), x) == x for y in range(sg.size))
+               for x in range(sg.size))
+
+
+def test_green_structure_matches_principal_ideals_on_random_closures():
+    rng = random.Random(4242)
+    samples = [semigroup_closure([(1, 2, 2)]),               # x, x^2 = x^3: x is not regular
+               semigroup_closure([(1, 0, 2), (0, 0, 1)]),    # contains the identity
+               semigroup_closure([(1, 2, 3, 0), (0, 1, 1, 3)])]
+    while len(samples) < 40:
+        n = rng.choice((3, 4))
+        gens = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.choice((2, 3)))]
+        sg = semigroup_closure(gens)
+        if sg.size <= 120:  # keeps the cubic reference kernel fast
+            samples.append(sg)
+    assert any(not _is_regular(sg) for sg in samples)
+    assert any(sg.contains_identity for sg in samples)
+    for sg in samples:
+        expected = _reference_green(sg)
+        got = green_structure(sg)
+        assert {name: getattr(got, name) for name in expected} == expected, sg.generators
+        # every element as a generator gives the same partitions
+        everything = TransformationSemigroup(sg.degree, sg.elements, sg.elements)
+        assert green_structure(everything) == got
+
+
+def test_green_structure_refuses_generators_that_do_not_generate():
+    # {c0, c1, swap, id}; from the constant map c0 alone the Cayley graphs
+    # still have a single sink, so only the reachability check can object
+    sg = semigroup_closure([(0, 0), (1, 1), (1, 0)])
+    assert sg.size == 4
+    short = TransformationSemigroup(sg.degree, sg.elements, ((0, 0),))
+    with pytest.raises(InternalCheckError, match="reach 1 of 4"):
+        green_structure(short)
