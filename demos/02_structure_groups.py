@@ -5,7 +5,8 @@ The R-set collects the quotients of consecutive column maps; it generates the
 structure group.  Products g h^-1 of R-set elements generate the little
 structure group, whose normal completion cuts out a cyclic quotient -- the
 generalized height.  The classical height is recovered independently from a
-letter grading and from return positions of the fixed point.
+letter grading and from return positions of the fixed point.  Each stage
+takes what the one before it built.
 """
 
 from ellisub import (classical_height_bruteforce, cycle_string, group_name,
@@ -24,8 +25,8 @@ for name, source in EXAMPLES.items():
     sub, exponent = simplify(parse_substitution(source))
     letters = sub.alphabet.letters
     rset = r_set(sub)
-    group = structure_group(sub)
-    hs = heights(sub)
+    group = structure_group(rset)
+    hs = heights(sub, rset, group)
     print(f"== {name} (analyzed power {exponent})")
     print("  R-set:", ", ".join(cycle_string(g, letters) for g in rset))
     print(f"  structure group: order {group.order} ({group_name(group) or 'unnamed'})")

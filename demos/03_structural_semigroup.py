@@ -7,22 +7,27 @@ Dynamically it is the set of self-maps of the fixed-point fiber induced by
 signed pairs of consecutive column maps.  Both constructions are built here
 and reconciled: the matrix acts on the fiber, the raw map semigroup is
 decomposed back into normalized matrix form, and the presentations agree.
+Each stage takes what the one before it built: R-set, structure group,
+column pairs, fiber semigroup, matrix presentation.
 """
 
-from ellisub import (cycle_string, fiber_semigroup, fixed_points,
-                     gauge_renormalize, idempotent_generated,
+from ellisub import (cycle_string, fiber_semigroup, gauge_renormalize,
+                     gtwo_pairs, idempotent_generated,
                      little_structure_group, parse_substitution,
-                     presentations_isomorphic, rees_decomposition,
-                     simplify, structural_semigroup, verify_rees_isomorphism)
+                     presentations_isomorphic, r_set, rees_decomposition,
+                     simplify, structural_semigroup, structure_group,
+                     verify_rees_isomorphism)
 from ellisub.rees import as_transformation_semigroup, rees_to_json
 
 sub, _ = simplify(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
 letters = sub.alphabet.letters
 
 print("== the fiber and its maps")
-fiber = fixed_points(sub)
+rset = r_set(sub)
+pairs = gtwo_pairs(sub, rset, structure_group(rset))
+action = fiber_semigroup(sub, rset, pairs)
+fiber = action.fiber
 print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))
-action = fiber_semigroup(sub)
 print(f"{action.semigroup.size} maps on {fiber.size} points")
 green = action.green
 print("minimal left ideals:", sorted(len(c) for c in green.l_classes))
@@ -30,7 +35,7 @@ print("minimal right ideals:", sorted(len(c) for c in green.r_classes))
 print("idempotents:", len(green.idempotents))
 
 print("\n== normalized matrix presentation")
-matrix = structural_semigroup(sub)
+matrix = structural_semigroup(rset, action)
 print("sandwich rows:")
 for row in matrix.sandwich:
     print("  [" + ", ".join(cycle_string(entry, letters) for entry in row) + "]")

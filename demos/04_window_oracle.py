@@ -9,8 +9,8 @@ reference to column quotients or groups -- and the result is compared
 map-for-map against the algebraic pipeline.
 """
 
-from ellisub import (fixed_point_block, letter_at, limit_maps,
-                     oracle_equivalence, parse_substitution,
+from ellisub import (fixed_point_block, global_description, letter_at,
+                     limit_maps, oracle_equivalence, parse_substitution,
                      proximality_classes, shift_two_word, simplify)
 
 sub, _ = simplify(parse_substitution("a -> abba\nb -> baab"))
@@ -33,11 +33,12 @@ print(f"{len(result.maps)} seed maps, all stabilized at level",
 print("closure size:", result.semigroup.size)
 
 print("\n== equivalence with the algebraic semigroup")
-comparison = oracle_equivalence(sub)
+algebraic = global_description(sub).action.semigroup
+comparison = oracle_equivalence(sub, algebraic)
 print("equal:", comparison.equal)
 
 print("\n== a level ceiling that is too low is reported, never guessed")
-low = oracle_equivalence(sub, max_level=2, escalate=False)
+low = oracle_equivalence(sub, algebraic, max_level=2, escalate=False)
 print("equal:", low.equal)
 for line in low.discrepancies[:2]:
     print("  ", line)

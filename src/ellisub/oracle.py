@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .semigroups import (FiberMap, TransformationSemigroup,
                          semigroup_closure)
-from .substitution import (Substitution, TwoWordFiber, fixed_points,
+from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            is_simplified, letter_at)
 
 DEFAULT_MAX_LEVEL = 4
@@ -82,7 +82,7 @@ def limit_maps(sub: Substitution, max_level: int = DEFAULT_MAX_LEVEL,
         raise ValidationError("the window oracle needs a simplified substitution")
     if max_level < 1:
         raise ValidationError("max_level must be >= 1")
-    fiber = fixed_points(sub)
+    fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
     length = sub.length
     stabilized: list[OracleMap] = []
     incomplete: list[int] = []
@@ -160,15 +160,14 @@ def compare_map_semigroups(oracle_sg: TransformationSemigroup,
     return tuple(discrepancies)
 
 
-def oracle_equivalence(sub: Substitution, max_level: int = DEFAULT_MAX_LEVEL,
-                       escalate: bool = True,
-                       algebraic: TransformationSemigroup | None = None) -> OracleComparison:
+def oracle_equivalence(sub: Substitution, algebraic: TransformationSemigroup,
+                       max_level: int = DEFAULT_MAX_LEVEL,
+                       escalate: bool = True) -> OracleComparison:
     """Compare the dynamically built semigroup against the algebraic one:
     equal map sets, or a discrepancy list.
 
-    ``algebraic`` is the fiber semigroup of the pipeline when the caller has
-    already built it; otherwise it is built here.  Either way it enters only
-    the comparison, never the construction of the oracle's maps.
+    ``algebraic`` is the fiber semigroup of the algebraic pipeline; it enters
+    only the comparison, never the construction of the oracle's maps.
     """
     result = limit_maps(sub, max_level, escalate)
     if not result.complete:
@@ -177,9 +176,6 @@ def oracle_equivalence(sub: Substitution, max_level: int = DEFAULT_MAX_LEVEL,
             tuple(f"no stabilization for nu={nu} by level {result.max_level}"
                   for nu in result.incomplete),
             result)
-    if algebraic is None:
-        from .pipeline import fiber_semigroup  # comparison phase only
-        algebraic = fiber_semigroup(sub).semigroup
     discrepancies = compare_map_semigroups(result.semigroup, algebraic)
     return OracleComparison(not discrepancies, discrepancies, result)
 
@@ -202,7 +198,7 @@ def proximality_classes(sub: Substitution, check: bool = True) -> ProximalityDat
     """
     if not is_simplified(sub):
         raise ValidationError("proximality classes need a simplified substitution")
-    fiber = fixed_points(sub)
+    fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
 
     def group_by(side: int) -> tuple[tuple[int, ...], ...]:
         buckets: dict[int, list[int]] = {}

@@ -18,9 +18,16 @@ No check enumerates all |S|^2 pairs of the structural semigroup, where
 & Pin, *Algorithms for computing finite semigroups*, 1997): a map out of a
 semigroup generated by X is a homomorphism once phi(xy) = phi(x) phi(y) for
 x in X and all y.  X is the set of signed level-one consecutive column pairs
-for the fiber semigroup and :func:`rees_generators` for a matrix
+for the fiber semigroup and ``ReesMatrixSemigroup.generators`` for a matrix
 presentation; that X generates is checked by a closure, never assumed.  So
 these checks cost |S| * |X| products.
+
+Each stage runs once per analysis.  :func:`global_description` is the one
+place that orders them: :func:`r_set` validates the substitution (bijective
+and simplified) and reads its columns, and every later stage takes the
+objects it consumes -- the R-set, the structure group, the column pairs, the
+fiber action, the matrix presentation -- rather than a substitution to
+rebuild them from.
 
 No check writes out a power of the substitution.  Column k*l + j of sub^n is
 column j of sub after column k of sub^(n-1), and the boundary columns of a
@@ -46,14 +53,14 @@ from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
 from .rees import (MINUS, PLUS, ReesDecomposition, ReesElement,
                    ReesMatrixSemigroup, as_transformation_semigroup,
                    idempotents_of, multiply, presentations_isomorphic,
-                   rees_decomposition, rees_generators,
+                   rees_decomposition, substitution_sandwich,
                    verify_rees_isomorphism)
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
                          green_structure, is_completely_simple, map_compose,
                          semigroup_closure)
 from .substitution import (LETTER_LIMIT, Alphabet, AperiodicityVerdict,
-                           Substitution, TwoWordFiber, columns, fixed_points,
-                           is_aperiodic, is_bijective, is_primitive,
+                           Substitution, TwoWordFiber, allowed_two_words,
+                           columns, is_aperiodic, is_bijective, is_primitive,
                            is_simplified, simplify)
 
 ColumnPair = tuple[Perm, Perm]
@@ -62,7 +69,10 @@ SignedPair = tuple[Perm, Perm, int]  # (L, R, sign)
 
 def r_set(sub: Substitution) -> tuple[Perm, ...]:
     """Deduplicated successive-column quotients of a simplified substitution,
-    in canonical (lexicographic) order.  These label the minimal right ideals."""
+    in canonical (lexicographic) order.  These label the minimal right ideals.
+
+    The one stage that validates its substitution; the later stages take the
+    R-set and what is built from it."""
     if not is_bijective(sub):
         raise ValidationError("the R-set needs a bijective substitution")
     if not is_simplified(sub):
@@ -72,9 +82,12 @@ def r_set(sub: Substitution) -> tuple[Perm, ...]:
     return tuple(sorted(quotients))
 
 
-def structure_group(sub: Substitution) -> PermGroup:
-    group = closure(list(r_set(sub)), sub.size)
-    if is_primitive(sub) and not is_transitive(group):
+def structure_group(rset: tuple[Perm, ...]) -> PermGroup:
+    """The group generated by the R-set.  Every column lies in it and every
+    rule word of a simplified substitution holds every letter, so it is
+    transitive."""
+    group = closure(list(rset))
+    if not is_transitive(group):
         raise InternalCheckError("structure group of a primitive substitution must be transitive")
     return group
 
@@ -160,16 +173,14 @@ def classical_height_bruteforce(sub: Substitution, prefix_level: int = 3) -> int
     return 1
 
 
-def heights(sub: Substitution) -> Heights:
+def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heights:
     """Little structure group, its normal completion, and both heights.
 
     The generalized height is the order of the (necessarily cyclic) quotient
     of the structure group by the normal completion; the classical height
     comes from the letter grading and must divide it.
     """
-    group = structure_group(sub)
-    rset = r_set(sub)
-    little = closure([compose(g, inverse(h)) for g in rset for h in rset], sub.size)
+    little = closure([compose(g, inverse(h)) for g in rset for h in rset], group.degree)
     completion = normal_closure(little.elements, group)
     order, cyclic = quotient_data(group, completion)
     if not cyclic:
@@ -218,7 +229,8 @@ def _translates(pairs: Iterable[ColumnPair], group: PermGroup) -> set[ColumnPair
     return {(compose(a, g), compose(b, g)) for a, b in pairs for g in group.elements}
 
 
-def gtwo_pairs(sub: Substitution) -> tuple[ColumnPair, ...]:
+def gtwo_pairs(sub: Substitution, rset: tuple[Perm, ...],
+               group: PermGroup) -> tuple[ColumnPair, ...]:
     """All consecutive-column pairs of all powers, computed as the one-step
     closure {(a g, b g) : (a, b) a distinct consecutive column pair, g in G}.
 
@@ -226,15 +238,14 @@ def gtwo_pairs(sub: Substitution) -> tuple[ColumnPair, ...]:
     sub^n, from the recursion of :func:`column_levels`, lie in the closure,
     and translating them by G regenerates the closure exactly.
     """
-    group = structure_group(sub)
-    rset = set(r_set(sub))
     levels = column_levels(sub)
     _, level_one = next(levels)
     pairs = _translates(level_one, group)
     if len(pairs) != len(rset) * group.order:
         raise InternalCheckError("pair closure size must be |I| * |G|")
+    quotients = set(rset)
     for left, right in pairs:
-        if compose(right, inverse(left)) not in rset:
+        if compose(right, inverse(left)) not in quotients:
             raise InternalCheckError("pair quotient escaped the R-set")
     for level, (_, raw) in zip((2, 3), levels):
         if not raw <= pairs:
@@ -257,7 +268,8 @@ class FiberAction:
         self.green = green_structure(self.semigroup)
 
 
-def fiber_semigroup(sub: Substitution) -> FiberAction:
+def fiber_semigroup(sub: Substitution, rset: tuple[Perm, ...],
+                    pairs: tuple[ColumnPair, ...]) -> FiberAction:
     """Realize every signed pair [L.R; +/-] as a self-map of the fixed-point
     fiber and collect them into a completely simple transformation semigroup.
 
@@ -265,10 +277,9 @@ def fiber_semigroup(sub: Substitution) -> FiberAction:
     consecutive column pairs generate all of them (so the set is
     composition-closed); the four signed product rules hold with the first
     factor among those generators, hence for all factors; and the result is
-    completely simple.
+    completely simple.  ``pairs`` are the column pairs of :func:`gtwo_pairs`.
     """
-    fiber = fixed_points(sub)
-    pairs = gtwo_pairs(sub)
+    fiber = allowed_two_words(sub)  # the fixed points, as r_set checked sub is simplified
     index = {p: k for k, p in enumerate(fiber.pairs)}
     by_signed: dict[SignedPair, FiberMap] = {}
     for left, right in pairs:
@@ -305,36 +316,29 @@ def fiber_semigroup(sub: Substitution) -> FiberAction:
     action = FiberAction(fiber, semigroup, by_signed)
     if not is_completely_simple(semigroup, action.green):
         raise InternalCheckError("fiber semigroup must be completely simple")
-    if len(action.green.idempotents) != 2 * len(r_set(sub)):
+    if len(action.green.idempotents) != 2 * len(rset):
         raise InternalCheckError("fiber semigroup must have exactly 2|I| idempotents")
     return action
 
 
-def structural_semigroup(sub: Substitution, g0: Perm | None = None,
-                         action: FiberAction | None = None) -> ReesMatrixSemigroup:
+def structural_semigroup(rset: tuple[Perm, ...], action: FiberAction,
+                         g0: Perm | None = None) -> ReesMatrixSemigroup:
     """The normalized matrix presentation M[G; I, {+,-}; A] of the fiber
     semigroup, with the minus row g0 * g^-1.
 
     The presentation is validated the long way around: its fiber action must
     reproduce the fiber semigroup map-for-map, and the normalized Rees
     decomposition of the raw fiber semigroup at the matching idempotent must
-    be isomorphic to it as a presentation.
+    be isomorphic to it as a presentation.  ``g0`` defaults to the first
+    R-set element.
     """
-    from .rees import substitution_sandwich
-
-    rset = r_set(sub)
-    if g0 is None:
-        g0 = rset[0]
-    elif g0 not in rset:
-        raise ValidationError("g0 must be an element of the R-set")
-    matrix = substitution_sandwich(rset, g0)
-    action = action or fiber_semigroup(sub)
+    matrix = substitution_sandwich(rset, rset[0] if g0 is None else g0)
     realized, phi = as_transformation_semigroup(matrix, action.fiber)
     if realized != action.semigroup:
         raise InternalCheckError("matrix action and fiber semigroup are different map sets")
     if not verify_rees_isomorphism(action.semigroup, matrix, phi):
         raise InternalCheckError("matrix presentation is not isomorphic to the fiber semigroup")
-    base_idempotent = phi[ReesElement(matrix.base[0], identity(sub.size), PLUS)]
+    base_idempotent = phi[ReesElement(matrix.base[0], identity(matrix.group.degree), PLUS)]
     decomposition = rees_decomposition(action.semigroup, base_idempotent, action.green)
     _check_decomposition_matches(matrix, decomposition, action)
     return matrix
@@ -380,17 +384,16 @@ class DegreeData:
     table: dict[ReesElement, int]
 
 
-def degree_map(sub: Substitution, matrix: ReesMatrixSemigroup,
-               completion: PermGroup) -> DegreeData:
+def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData:
     """Degree of (i, g, sign) is the class of g modulo the normal completion,
-    written as an integer via the common coset of the R-set.
+    written as an integer via the common coset of the R-set, whose elements
+    label the columns of the substitution sandwich.
 
     Verified to be a semigroup morphism onto Z/hZ with idempotents at 0;
-    the morphism law is checked for x in :func:`rees_generators` and all y.
+    the morphism law is checked for x in ``matrix.generators`` and all y.
     """
     completion_set = completion.element_set
-    rset = r_set(sub)
-    generator_coset_rep = rset[0]
+    generator_coset_rep = matrix.i_labels[0]
     cosets = [completion_set]
     current = completion_set
     while True:
@@ -409,7 +412,7 @@ def degree_map(sub: Substitution, matrix: ReesMatrixSemigroup,
         degree_of_perm[g] = coset_index[c]
     table = {x: degree_of_perm[x.g] for x in matrix.elements()}
     elements = list(matrix.elements())
-    for x in rees_generators(matrix):
+    for x in matrix.generators:
         for y in elements:
             if table[multiply(matrix, x, y)] != (table[x] + table[y]) % modulus:
                 raise InternalCheckError("degree map is not a semigroup morphism")
@@ -424,24 +427,21 @@ class AutomorphismData:
     fiber_group: PermGroup      # centralizer of the structure group
     virtual: str                # symbolic product with the acting group
     semi_regular: bool
-    witness: str
 
 
-def automorphism_data(sub: Substitution) -> AutomorphismData:
-    group = structure_group(sub)
+def automorphism_data(group: PermGroup) -> AutomorphismData:
     cent = centralizer_in_symmetric(group)
-    if cent.order > sub.size:
+    if cent.order > group.degree:
         raise InternalCheckError("centralizer of a transitive group is semiregular, so at most s")
-    ident = identity(sub.size)
+    ident = identity(group.degree)
     for c in cent.elements:
-        if c != ident and any(c[x] == x for x in range(sub.size)):
+        if c != ident and any(c[x] == x for x in range(group.degree)):
             raise InternalCheckError("non-identity centralizing maps must be fixed-point-free")
     name = group_name(cent) or f"group of order {cent.order}"
     return AutomorphismData(
         fiber_group=cent,
         virtual=f"{name} x Z",
         semi_regular=True,
-        witness="identity on the fiber-preserving automorphisms",
     )
 
 
@@ -488,9 +488,8 @@ class StructuralReport:
     height: int
     classical_height: int
     r_pi: int
-    fiber: TwoWordFiber
+    action: FiberAction              # the fiber, its semigroup and Green structure
     matrix: ReesMatrixSemigroup
-    green: GreenStructure
     degree: DegreeData
     aut: AutomorphismData
     order_h_witness: Perm | None
@@ -504,42 +503,43 @@ class StructuralReport:
         return self.substitution.alphabet
 
 
-def global_description(sub: Substitution, g0: Perm | None = None,
+def global_description(sub: Substitution, g0_index: int | None = None,
                        exponent: int = 1, original_length: int | None = None,
-                       aperiodicity: AperiodicityVerdict | None = None,
-                       action: FiberAction | None = None) -> StructuralReport:
-    """Assemble the full report for a simplified substitution; ``action`` is
-    its fiber semigroup when the caller has already built it."""
+                       aperiodicity: AperiodicityVerdict | None = None) -> StructuralReport:
+    """Assemble the full report for a simplified substitution, running each
+    stage once; ``g0_index`` picks g0 from the R-set (default: the first)."""
     rset = r_set(sub)
+    g0_index = g0_index or 0
+    if not 0 <= g0_index < len(rset):
+        raise ValidationError(
+            f"g0 index {g0_index} out of range; the R-set has {len(rset)} elements")
     if len(rset) < 2:
         raise ValidationError("aperiodic bijective substitutions have at least two R-set elements")
-    group = structure_group(sub)
-    hs = heights(sub)
-    if action is None:
-        action = fiber_semigroup(sub)
+    group = structure_group(rset)
+    hs = heights(sub, rset, group)
+    action = fiber_semigroup(sub, rset, gtwo_pairs(sub, rset, group))
     if action.semigroup.size != 2 * len(rset) * group.order:
         raise InternalCheckError("fiber semigroup size must be 2|I||G|")
-    matrix = structural_semigroup(sub, g0, action)
-    degrees = degree_map(sub, matrix, hs.normal_completion)
+    matrix = structural_semigroup(rset, action, rset[g0_index])
+    degrees = degree_map(matrix, hs.normal_completion)
     if degrees.modulus != hs.height:
         raise InternalCheckError("degree modulus differs from the generalized height")
     brute = classical_height_bruteforce(sub, prefix_level=3)
     if brute != hs.classical_height:
         raise InternalCheckError(
             f"classical height mismatch: grading {hs.classical_height}, brute force {brute}")
-    aut = automorphism_data(sub)
+    aut = automorphism_data(group)
     witness = _order_h_witness(rset, group, hs.height)
     strings = _global_strings(hs.height, hs.classical_height, sub.length,
                               group_name(group), group_name(hs.normal_completion),
                               witness is not None)
-    fiber = action.fiber
-    if fiber.size <= sub.size:
+    if action.fiber.size <= sub.size:
         raise ValidationError("fiber is not larger than the alphabet; the substitution is periodic")
     return StructuralReport(
         substitution=sub,
         exponent=exponent,
         original_length=original_length or sub.length,
-        g0_index=rset.index(matrix.i_labels[matrix.base[0]]),
+        g0_index=matrix.base[0],
         rset=rset,
         structure_group=group,
         little_group=hs.little_group,
@@ -547,9 +547,8 @@ def global_description(sub: Substitution, g0: Perm | None = None,
         height=hs.height,
         classical_height=hs.classical_height,
         r_pi=sub.size,
-        fiber=fiber,
+        action=action,
         matrix=matrix,
-        green=action.green,
         degree=degrees,
         aut=aut,
         order_h_witness=witness,
@@ -597,20 +596,11 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
         exc.verdict = verdict
         raise exc
     simplified, exponent = simplify(sub, config.letter_limit)
-    rset = r_set(simplified)
-    g0 = None
-    if config.g0_index is not None:
-        if not 0 <= config.g0_index < len(rset):
-            raise ValidationError(
-                f"g0 index {config.g0_index} out of range; the R-set has {len(rset)} elements")
-        g0 = rset[config.g0_index]
-    action = fiber_semigroup(simplified)
-    report = global_description(simplified, g0, exponent=exponent,
-                                original_length=sub.length, aperiodicity=verdict,
-                                action=action)
+    report = global_description(simplified, config.g0_index, exponent=exponent,
+                                original_length=sub.length, aperiodicity=verdict)
     if config.verify:
-        comparison = oracle_equivalence(simplified, config.oracle_level,
-                                        algebraic=action.semigroup)
+        comparison = oracle_equivalence(simplified, report.action.semigroup,
+                                        config.oracle_level)
         report.oracle = comparison
         if not comparison.equal:
             raise InternalCheckError(

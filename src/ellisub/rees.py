@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .perms import (Perm, PermGroup, closure, compose, identity, inverse,
@@ -74,6 +75,32 @@ class ReesMatrixSemigroup:
         return (all(entry == ident for entry in self.sandwich[lam0])
                 and all(row[i0] == ident for row in self.sandwich))
 
+    @cached_property
+    def generators(self) -> tuple[ReesElement, ...]:
+        """A generating set X: every (i, 1, lam), plus (i0, s * A[lam0][i0]^-1,
+        lam0) for each generator s of G, where (i0, lam0) is the base; built
+        once per presentation.
+
+        The second part generates the H-class of the base, a copy of G under
+        (i0, g, lam0) -> g * A[lam0][i0]; then (i, 1, lam0) h (i0, 1, lam) runs
+        through row i and column lam.  That X reaches all of M is checked, not
+        assumed, by closing it under left multiplication by X (|M| * |X|
+        products).  By the Froidure-Pin lemma a map phi out of M is a
+        homomorphism as soon as phi(xy) = phi(x) phi(y) for x in X and all y.
+        """
+        i0, lam0 = self.base
+        ident = identity(self.group.degree)
+        a_inv = inverse(self.sandwich[lam0][i0])
+        gens = [ReesElement(i, ident, lam)
+                for i in range(len(self.i_labels)) for lam in range(len(self.lam_labels))]
+        gens += [ReesElement(i0, compose(s, a_inv), lam0) for s in self.group.generators]
+        gens = list(dict.fromkeys(gens))
+        reached = _element_closure(self, gens)
+        if len(reached) != self.size:
+            raise InternalCheckError(
+                f"Rees generators reach {len(reached)} of {self.size} elements")
+        return tuple(gens)
+
 
 def multiply(m: ReesMatrixSemigroup, x: ReesElement, y: ReesElement) -> ReesElement:
     middle = compose(compose(x.g, m.sandwich[x.lam][y.i]), y.g)
@@ -100,31 +127,6 @@ def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[Re
         frontier = {multiply(m, x, y) for x in seeds for y in frontier} - elements
         elements |= frontier
     return elements
-
-
-def rees_generators(m: ReesMatrixSemigroup) -> tuple[ReesElement, ...]:
-    """A generating set X of M: every (i, 1, lam), plus (i0, s * A[lam0][i0]^-1,
-    lam0) for each generator s of G, where (i0, lam0) is the base.
-
-    The second part generates the H-class of the base, a copy of G under
-    (i0, g, lam0) -> g * A[lam0][i0]; then (i, 1, lam0) h (i0, 1, lam) runs
-    through row i and column lam.  That X reaches all of M is checked, not
-    assumed, by closing it under left multiplication by X (|M| * |X|
-    products).  By the Froidure-Pin lemma a map phi out of M is a
-    homomorphism as soon as phi(xy) = phi(x) phi(y) for x in X and all y.
-    """
-    i0, lam0 = m.base
-    ident = identity(m.group.degree)
-    a_inv = inverse(m.sandwich[lam0][i0])
-    gens = [ReesElement(i, ident, lam)
-            for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
-    gens += [ReesElement(i0, compose(s, a_inv), lam0) for s in m.group.generators]
-    gens = list(dict.fromkeys(gens))
-    reached = _element_closure(m, gens)
-    if len(reached) != m.size:
-        raise InternalCheckError(
-            f"Rees generators reach {len(reached)} of {m.size} elements")
-    return tuple(gens)
 
 
 def substitution_sandwich(i_perms: list[Perm] | tuple[Perm, ...], g0: Perm) -> ReesMatrixSemigroup:
@@ -201,7 +203,7 @@ def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
 
     Returns the gauged semigroup plus the induced isomorphism
     (i, g, lam) -> (i, v_i^-1 * g * u_lam^-1, lam), as a dict.  Its product
-    law is checked for x in :func:`rees_generators` and all y.
+    law is checked for x in ``m.generators`` and all y.
     """
     for f in list(row_factors) + list(col_factors):
         if f not in m.group:
@@ -215,7 +217,7 @@ def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
                                        inverse(row_factors[x.lam])), x.lam)
            for x in m.elements()}
     elements = list(m.elements())
-    for x in rees_generators(m):
+    for x in m.generators:
         for y in elements:
             if iso[multiply(m, x, y)] != multiply(gauged, iso[x], iso[y]):
                 raise InternalCheckError("gauge transformation is not an isomorphism")
@@ -287,7 +289,7 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
     a.b -> L(a).R(a), where R = g (resp. g*g0) and L = i^-1 * R; this inverts
     the bijection used to put the fiber semigroup into matrix form.  The
     image is composition-closed because the closure of the images of
-    :func:`rees_generators` is the image itself; that closure, generated by
+    ``m.generators`` is the image itself; that closure, generated by
     those images, is the returned semigroup.
     """
     if m.lam_labels != SIGN_LABELS:
@@ -314,7 +316,7 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
     maps = sorted(set(phi.values()))
     if len(maps) != m.size:
         raise InternalCheckError("fiber action is not faithful; distinct triples collided")
-    sg = semigroup_closure([phi[x] for x in rees_generators(m)], degree=fiber.size)
+    sg = semigroup_closure([phi[x] for x in m.generators], degree=fiber.size)
     if sg.elements != tuple(maps):
         raise InternalCheckError("fiber action image is not composition-closed")
     return sg, phi
@@ -325,7 +327,7 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
     """Check that phi is a bijective homomorphism M -> sg.
 
     Bijectivity is checked on every element; the product law
-    phi(xy) = phi(x) phi(y) for x in :func:`rees_generators` and all y, which
+    phi(xy) = phi(x) phi(y) for x in ``m.generators`` and all y, which
     by the Froidure-Pin lemma gives it for all x.
     """
     elements = list(m.elements())
@@ -335,7 +337,7 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
     images = set(phi.values())
     if len(images) != len(elements) or images != set(sg.elements):
         return False
-    for x in rees_generators(m):
+    for x in m.generators:
         for y in elements:
             if phi[multiply(m, x, y)] != map_compose(phi[x], phi[y]):
                 return False

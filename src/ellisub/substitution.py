@@ -191,8 +191,7 @@ def parse_any(source: str) -> Substitution:
 
 def columns(sub: Substitution) -> tuple[tuple[int, ...], ...]:
     """Column maps: column j sends letter a to rules[a][j]."""
-    return tuple(tuple(sub.rules[a][j] for a in range(sub.size))
-                 for j in range(sub.length))
+    return tuple(zip(*sub.rules))
 
 
 def is_bijective(sub: Substitution) -> bool:
@@ -509,16 +508,11 @@ def fixed_points(sub: Substitution) -> TwoWordFiber:
     return allowed_two_words(sub)
 
 
-def fixed_point_block(sub: Substitution, letter: int, level: int, side: str = "right",
+def fixed_point_block(sub: Substitution, letter: int, level: int,
                       letter_limit: int = LETTER_LIMIT) -> str:
-    """The level-n image of a letter as a string of symbols.
-
-    side="right": the block occupies positions [0, l^n) of the fixed point
-    letter.letter; side="left": positions [-l^n, 0).  The word itself is the
-    same either way.
-    """
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
+    """The level-n image of a letter as a string of symbols: the block at
+    positions [0, l^n) of the fixed point letter.letter, and equally the one
+    at positions [-l^n, 0)."""
     if level < 0:
         raise ValidationError("level must be >= 0")
     return _power_word(sub, letter, level, letter_limit)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from ellisub import (AnalysisConfig, analyze_substitution, is_aperiodic,
-                     parse_substitution)
+from ellisub import (AnalysisConfig, FiberAction, analyze_substitution,
+                     fiber_semigroup, gtwo_pairs, is_aperiodic,
+                     parse_substitution, r_set, structure_group)
 from ellisub.golden import CASES
 from ellisub.substitution import Alphabet, Substitution
 
@@ -12,6 +13,18 @@ def make_substitution(rule_words: list[str]) -> Substitution:
     letters = "abcdefghij"[: len(rule_words)]
     return parse_substitution(
         "\n".join(f"{letters[i]} -> {word}" for i, word in enumerate(rule_words)))
+
+
+def rset_and_group(sub: Substitution) -> tuple:
+    """The first two stages of a simplified substitution: R-set and structure group."""
+    rset = r_set(sub)
+    return rset, structure_group(rset)
+
+
+def fiber_action(sub: Substitution) -> FiberAction:
+    """The fiber semigroup of a simplified substitution, built from its stages."""
+    rset, group = rset_and_group(sub)
+    return fiber_semigroup(sub, rset, gtwo_pairs(sub, rset, group))
 
 
 def random_simplified_aperiodic(rng: random.Random, size: int, length: int) -> Substitution | None:
@@ -78,6 +91,7 @@ def random_reports(random_corpus) -> list:
 
 
 @pytest.fixture(scope="session")
-def random_oracle(random_corpus) -> list:
+def random_oracle(random_corpus, random_reports) -> list:
     from ellisub import oracle_equivalence
-    return [oracle_equivalence(sub) for sub in random_corpus]
+    return [oracle_equivalence(sub, report.action.semigroup)
+            for sub, report in zip(random_corpus, random_reports)]

@@ -4,12 +4,12 @@ to see the lines."""
 
 from ellisub.perms import (cycles, element_order, identity, is_normal,
                            quotient_data)
-from ellisub.pipeline import (classical_height_bruteforce, degree_map,
-                              fiber_semigroup, r_set, structure_group)
+from ellisub.pipeline import classical_height_bruteforce, degree_map
 from ellisub.rees import (ReesMatrixSemigroup, as_transformation_semigroup,
                           idempotent_generated, idempotents_of,
                           presentations_isomorphic, rees_decomposition,
                           verify_rees_isomorphism)
+from conftest import rset_and_group
 
 def passed(number: int, message: str) -> None:
     print(f"PASS criterion {number}: {message}")
@@ -29,7 +29,7 @@ def test_criterion_1_two_letter(golden_reports):
     assert report.structure_group.order == 2
     assert report.matrix.sandwich == ((ident, ident), (ident, swap))
     assert 2 * len(report.rset) * report.structure_group.order == 8
-    assert len(report.green.idempotents) == 4
+    assert len(report.action.green.idempotents) == 4
     assert report.height == 1 and report.classical_height == 1
     assert report.aut.fiber_group.order == 2
     assert set(report.aut.fiber_group.elements) == {ident, swap}
@@ -39,16 +39,16 @@ def test_criterion_1_two_letter(golden_reports):
 
 def test_criterion_2_seven_word_case(golden_reports):
     report = golden_reports["s3_seven_words"]
-    assert report.fiber.size == 7
+    assert report.action.fiber.size == 7
     assert report.structure_group.order == 6
     from ellisub.perms import group_name
     assert group_name(report.structure_group) == "S_3"
     assert 2 * len(report.rset) * report.structure_group.order == 36
-    l_sizes = sorted(len(c) for c in report.green.l_classes)
-    r_sizes = sorted(len(c) for c in report.green.r_classes)
+    l_sizes = sorted(len(c) for c in report.action.green.l_classes)
+    r_sizes = sorted(len(c) for c in report.action.green.r_classes)
     assert l_sizes == [18, 18]
     assert r_sizes == [12, 12, 12]
-    assert len(report.green.idempotents) == 6
+    assert len(report.action.green.idempotents) == 6
     # expected sandwich [[1,1,1],[1,t1,t2]] with t1, t2 the transpositions
     # (b c) and (a c), compared up to gauge, relabeling and normalization slot
     t1 = perm_from_cycle_pairs(3, (1, 2))
@@ -132,7 +132,8 @@ def test_criterion_7_oracle_equivalence(golden_reports, random_corpus, random_or
     assert len(random_corpus) == 20
     for sub, comparison in zip(random_corpus, random_oracle):
         assert comparison.equal, sub.rules
-        expected_size = 2 * len(r_set(sub)) * structure_group(sub).order
+        rset, group = rset_and_group(sub)
+        expected_size = 2 * len(rset) * group.order
         assert comparison.oracle.semigroup.size == expected_size
     passed(7, "window oracle reproduces the fiber semigroup (maps and "
               "multiplication) on all 6 reference cases and 20 random "
@@ -143,7 +144,7 @@ def test_criterion_8_rees_round_trip(golden_reports, random_corpus, random_repor
     cases = [(r.substitution, r) for r in golden_reports.values()]
     cases += list(zip(random_corpus, random_reports))
     for sub, report in cases:
-        action = fiber_semigroup(sub)
+        action = report.action
         matrix = report.matrix
         realized, phi = as_transformation_semigroup(matrix, action.fiber)
         assert realized == action.semigroup
@@ -165,7 +166,7 @@ def test_criterion_9_structural_identities(golden_reports, random_corpus, random
         size_i = len(report.rset)
         order_g = report.structure_group.order
         assert 2 * size_i * order_g == report.matrix.size
-        assert len(report.green.idempotents) == 2 * size_i
+        assert len(report.action.green.idempotents) == 2 * size_i
         assert len(idempotents_of(report.matrix)) == 2 * size_i
         assert (sub.length - 1) % report.height == 0
         assert (sub.length - 1) % report.classical_height == 0
@@ -175,7 +176,7 @@ def test_criterion_9_structural_identities(golden_reports, random_corpus, random
         generated = idempotent_generated(report.matrix)  # checked internally
         assert generated.group.elements == report.little_group.elements
         assert classical_height_bruteforce(sub, 3) == report.classical_height
-        data = degree_map(sub, report.matrix, report.normal_completion)  # morphism asserted
+        data = degree_map(report.matrix, report.normal_completion)  # morphism asserted
         assert data.modulus == report.height
         cent = report.aut.fiber_group
         assert cent.order <= sub.size

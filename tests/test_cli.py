@@ -181,7 +181,6 @@ def test_main_callable_directly(tm_file, capsys):
     assert "structure group" in capsys.readouterr().out
 
 
-@pytest.mark.slow
 def test_power_six_input_gets_a_report(tmp_path):
     # simplified at power 6, rule words of 117649 letters
     path = tmp_path / "power_six.sub"

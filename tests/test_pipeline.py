@@ -16,7 +16,7 @@ from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               structure_group)
 from ellisub.report import report_to_json
 from ellisub.substitution import columns, simplify, substitution_power
-from conftest import make_substitution
+from conftest import fiber_action, make_substitution, rset_and_group
 
 SWAP = (1, 0)
 
@@ -56,15 +56,19 @@ def test_r_set_has_at_least_two_elements(golden_simplified, random_corpus):
 
 
 def test_structure_groups(golden_simplified):
-    assert structure_group(golden_simplified["thue_morse"]).order == 2
-    assert structure_group(golden_simplified["s3_seven_words"]).order == 6
-    assert structure_group(golden_simplified["cyclic_rotation"]).order == 3
-    assert structure_group(golden_simplified["d4_height_two"]).order == 8
+    orders = {"thue_morse": 2, "s3_seven_words": 6, "cyclic_rotation": 3, "d4_height_two": 8}
+    for name, order in orders.items():
+        assert structure_group(r_set(golden_simplified[name])).order == order
 
 
 def test_structure_group_transitive(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus[:5]:
-        assert is_transitive(structure_group(sub))
+        assert is_transitive(structure_group(r_set(sub)))
+
+
+def test_structure_group_refuses_an_intransitive_r_set():
+    with pytest.raises(InternalCheckError, match="transitive"):
+        structure_group(((1, 0, 2), (0, 1, 2)))
 
 
 def test_heights_per_case(golden_simplified):
@@ -77,14 +81,15 @@ def test_heights_per_case(golden_simplified):
         "d4_height_two": (2, 2),
     }
     for name, (h, h_cl) in expected.items():
-        hs = heights(golden_simplified[name])
+        sub = golden_simplified[name]
+        hs = heights(sub, *rset_and_group(sub))
         assert (hs.height, hs.classical_height) == (h, h_cl), name
 
 
 def test_little_group_not_normal_in_nonnormal_case(golden_simplified):
     sub = golden_simplified["s3_nonnormal_little"]
-    hs = heights(sub)
-    group = structure_group(sub)
+    rset, group = rset_and_group(sub)
+    hs = heights(sub, rset, group)
     assert hs.little_group.order == 2
     assert not is_normal(hs.little_group, group)
     assert hs.normal_completion.order == 6
@@ -92,7 +97,7 @@ def test_little_group_not_normal_in_nonnormal_case(golden_simplified):
 
 def test_height_divisibility(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        hs = heights(sub)
+        hs = heights(sub, *rset_and_group(sub))
         length = sub.length
         assert (length - 1) % hs.height == 0
         assert (length - 1) % hs.classical_height == 0
@@ -107,32 +112,34 @@ def test_classical_height_bruteforce_examples(golden_simplified):
 
 def test_grading_height_equals_bruteforce(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        assert heights(sub).classical_height == classical_height_bruteforce(sub, 3)
+        assert (heights(sub, *rset_and_group(sub)).classical_height
+                == classical_height_bruteforce(sub, 3))
 
 
 def test_gtwo_pair_counts(golden_simplified):
-    assert len(gtwo_pairs(golden_simplified["thue_morse"])) == 4
-    assert len(gtwo_pairs(golden_simplified["s3_seven_words"])) == 18
+    for name, count in {"thue_morse": 4, "s3_seven_words": 18}.items():
+        sub = golden_simplified[name]
+        assert len(gtwo_pairs(sub, *rset_and_group(sub))) == count
 
 
 def test_gtwo_pair_quotients_lie_in_r_set(golden_simplified):
     for name in ("thue_morse", "d4_height_two"):
         sub = golden_simplified[name]
-        rset = set(r_set(sub))
-        for left, right in gtwo_pairs(sub):
+        rset, group = rset_and_group(sub)
+        for left, right in gtwo_pairs(sub, rset, group):
             assert compose(right, inverse(left)) in rset
 
 
 def test_fiber_semigroup_sizes(golden_simplified):
     sizes = {"thue_morse": (8, 4), "s3_seven_words": (36, 7), "d4_height_two": (32, 6)}
     for name, (count, points) in sizes.items():
-        action = fiber_semigroup(golden_simplified[name])
+        action = fiber_action(golden_simplified[name])
         assert action.semigroup.size == count
         assert action.semigroup.degree == points
 
 
 def test_fiber_idempotents_fix_their_image(golden_simplified):
-    action = fiber_semigroup(golden_simplified["s3_seven_words"])
+    action = fiber_action(golden_simplified["s3_seven_words"])
     for idx in action.green.idempotents:
         p = action.semigroup.elements[idx]
         for point in set(p):
@@ -140,7 +147,8 @@ def test_fiber_idempotents_fix_their_image(golden_simplified):
 
 
 def test_structural_semigroup_thue_morse_exact(golden_simplified):
-    m = structural_semigroup(golden_simplified["thue_morse"])
+    sub = golden_simplified["thue_morse"]
+    m = structural_semigroup(r_set(sub), fiber_action(sub))
     ident = identity(2)
     assert m.sandwich == ((ident, ident), (ident, SWAP))
 
@@ -148,26 +156,29 @@ def test_structural_semigroup_thue_morse_exact(golden_simplified):
 def test_structural_semigroup_g0_override(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
     rset = r_set(sub)
+    action = fiber_action(sub)
     for g0 in rset:
-        m = structural_semigroup(sub, g0)
+        m = structural_semigroup(rset, action, g0)
         assert m.i_labels[m.base[0]] == g0
     with pytest.raises(ValidationError):
-        structural_semigroup(sub, (1, 2, 0, 3) if sub.size == 4 else (1, 2, 0))
+        structural_semigroup(rset, action, (1, 2, 0))
 
 
 def test_degree_map_trivial_when_height_one(golden_simplified):
     sub = golden_simplified["thue_morse"]
-    m = structural_semigroup(sub)
-    data = degree_map(sub, m, heights(sub).normal_completion)
+    rset, group = rset_and_group(sub)
+    m = structural_semigroup(rset, fiber_action(sub))
+    data = degree_map(m, heights(sub, rset, group).normal_completion)
     assert data.modulus == 1
     assert set(data.table.values()) == {0}
 
 
 def test_degree_map_splits_by_parity(golden_simplified):
     sub = golden_simplified["s3_height_two"]
-    hs = heights(sub)
-    m = structural_semigroup(sub)
-    data = degree_map(sub, m, hs.normal_completion)
+    rset, group = rset_and_group(sub)
+    hs = heights(sub, rset, group)
+    m = structural_semigroup(rset, fiber_action(sub))
+    data = degree_map(m, hs.normal_completion)
     assert data.modulus == 2
     counts = {0: 0, 1: 0}
     even = set(hs.normal_completion.elements)
@@ -182,9 +193,10 @@ def test_degree_calibration_level_two(golden_simplified):
     # degree nu modulo h
     for name in ("s3_height_two", "d4_height_two"):
         sub = golden_simplified[name]
-        hs = heights(sub)
+        rset, group = rset_and_group(sub)
+        hs = heights(sub, rset, group)
         completion = frozenset(hs.normal_completion.elements)
-        rep = r_set(sub)[0]
+        rep = rset[0]
         cosets = [completion]
         current = completion
         while True:
@@ -209,7 +221,7 @@ def test_automorphism_data(golden_simplified):
         "d4_height_two": 2,
     }
     for name, order in expected.items():
-        data = automorphism_data(golden_simplified[name])
+        data = automorphism_data(rset_and_group(golden_simplified[name])[1])
         assert data.fiber_group.order == order, name
         assert data.semi_regular
         assert data.virtual.endswith(" x Z")
@@ -243,7 +255,7 @@ def test_report_metadata(golden_reports):
     assert report.original_length == 3
     assert report.substitution.length == 27
     assert report.r_pi == 3
-    assert report.fiber.size == 9
+    assert report.action.fiber.size == 9
 
 
 def test_analyze_rejects_non_bijective():
@@ -287,7 +299,7 @@ def test_global_description_on_lone_class_example():
     from ellisub.substitution import is_simplified
     assert is_simplified(sub)
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
-    assert report.fiber.labels(sub.alphabet) == ("ab", "ac", "ba", "cb", "cc")
+    assert report.action.fiber.labels(sub.alphabet) == ("ab", "ac", "ba", "cb", "cc")
     assert report.structure_group.order == 6
     assert report.oracle.equal
 
@@ -342,34 +354,54 @@ def test_global_description_writes_out_no_power(golden_subs, monkeypatch):
         assert compare(expectations[name], snapshot(report_to_json(report))) == []
 
 
-def test_verified_analysis_builds_one_fiber_semigroup(golden_subs, monkeypatch):
-    calls = []
-    original = ellisub.pipeline.fiber_semigroup
+def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
+    calls: dict[str, int] = {}
 
-    def counting(sub):
-        calls.append(sub)
-        return original(sub)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(ellisub.pipeline, "fiber_semigroup", counting)
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    stages = ("r_set", "structure_group", "heights", "gtwo_pairs", "fiber_semigroup",
+              "structural_semigroup", "degree_map", "automorphism_data")
+    for name in stages:
+        counting(ellisub.pipeline, name)
+    closed = []  # presentations whose generators were closed
+    original_closure = ellisub.rees._element_closure
+
+    def closure(m, seeds):
+        closed.append(m)
+        return original_closure(m, seeds)
+    monkeypatch.setattr(ellisub.rees, "_element_closure", closure)
+
     report = analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
     assert report.oracle.equal
-    assert len(calls) == 1
+    assert calls == {name: 1 for name in stages}
+    # once for the substitution sandwich, once for the decomposition's matrix
+    assert len(closed) == 2
+    assert closed[0] == report.matrix and closed[1] != report.matrix
 
 
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     # power 3 (length 125), |I| = 4, |G| = 120: the level-3 columns of the
     # power never need to be written out
     sub, exponent = simplify(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
-    assert (exponent, sub.length, structure_group(sub).order, len(r_set(sub))) == (3, 125, 120, 4)
-    assert len(gtwo_pairs(sub)) == 480
+    rset, group = rset_and_group(sub)
+    assert (exponent, sub.length, group.order, len(rset)) == (3, 125, 120, 4)
+    assert len(gtwo_pairs(sub, rset, group)) == 480
 
 
 def test_fiber_semigroup_is_generated_by_signed_level_one_pairs(golden_simplified):
     for sub in golden_simplified.values():
-        action = fiber_semigroup(sub)
+        rset, group = rset_and_group(sub)
+        pairs = gtwo_pairs(sub, rset, group)
+        action = fiber_semigroup(sub, rset, pairs)
         _, level_one = next(column_levels(sub))
         assert len(action.semigroup.generators) == 2 * len(level_one)
-        assert action.semigroup.size == 2 * len(gtwo_pairs(sub))
+        assert action.semigroup.size == 2 * len(pairs)
 
 
 def test_fiber_semigroup_refuses_generators_that_fall_short(golden_simplified, monkeypatch):
@@ -378,4 +410,4 @@ def test_fiber_semigroup_refuses_generators_that_fall_short(golden_simplified, m
     monkeypatch.setattr(ellisub.pipeline, "semigroup_closure",
                         lambda gens, degree: original(gens[:1], degree=degree))
     with pytest.raises(InternalCheckError, match="generate"):
-        fiber_semigroup(golden_simplified["s3_seven_words"])
+        fiber_action(golden_simplified["s3_seven_words"])

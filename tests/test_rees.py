@@ -4,15 +4,16 @@ import pytest
 
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
-from ellisub.pipeline import fiber_semigroup, r_set
+from ellisub.pipeline import r_set
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
                           ReesMatrixSemigroup, as_transformation_semigroup,
                           gauge_renormalize, idempotent_generated,
                           idempotents_of, little_structure_group, multiply,
                           normal_inverse, presentations_isomorphic,
-                          rees_decomposition, rees_generators,
-                          substitution_sandwich, verify_rees_isomorphism)
+                          rees_decomposition, substitution_sandwich,
+                          verify_rees_isomorphism)
 from ellisub.semigroups import map_compose
+from conftest import fiber_action
 
 def tm_matrix(golden_simplified):
     return substitution_sandwich(r_set(golden_simplified["thue_morse"]), identity(2))
@@ -125,7 +126,7 @@ def test_fiber_action_matches_paper_formulas(golden_simplified):
     sub = golden_simplified["thue_morse"]
     rset = r_set(sub)
     m = substitution_sandwich(rset, rset[0])
-    action = fiber_semigroup(sub)
+    action = fiber_action(sub)
     sg, phi = as_transformation_semigroup(m, action.fiber)
     assert sg == action.semigroup
     assert verify_rees_isomorphism(action.semigroup, m, phi)
@@ -140,7 +141,7 @@ def test_verify_rejects_corrupted_sandwich(golden_simplified):
     sub = golden_simplified["thue_morse"]
     rset = r_set(sub)
     m = substitution_sandwich(rset, rset[0])
-    action = fiber_semigroup(sub)
+    action = fiber_action(sub)
     _, phi = as_transformation_semigroup(m, action.fiber)
     swap = (1, 0)
     corrupted = ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels,
@@ -161,7 +162,7 @@ def test_group_decomposes_to_one_by_one():
 
 def test_decomposition_of_seven_word_fiber(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
-    action = fiber_semigroup(sub)
+    action = fiber_action(sub)
     idem = action.semigroup.elements[action.green.idempotents[0]]
     dec = rees_decomposition(action.semigroup, idem)
     m = dec.matrix
@@ -223,7 +224,7 @@ def test_rees_json_serialization(golden_simplified):
     assert payload["sandwich"] == [["()", "()"], ["()", "(a b)"]]
     assert payload["normalized"]
 
-    action = fiber_semigroup(sub)
+    action = fiber_action(sub)
     idem = action.semigroup.elements[action.green.idempotents[0]]
     dec = rees_decomposition(action.semigroup, idem)
     dec_payload = rees_to_json(dec.matrix)
@@ -247,7 +248,7 @@ def test_rees_generators_generate_every_golden_presentation(golden_simplified):
     for sub in golden_simplified.values():
         rset = r_set(sub)
         m = substitution_sandwich(rset, rset[-1])
-        assert len(rees_generators(m)) <= 2 * len(rset) + len(m.group.generators)
+        assert len(m.generators) <= 2 * len(rset) + len(m.group.generators)
 
 
 def test_rees_generators_refuse_a_group_whose_generators_fall_short():
@@ -258,7 +259,7 @@ def test_rees_generators_refuse_a_group_whose_generators_fall_short():
     ident = identity(3)
     m = ReesMatrixSemigroup(group, ("i", "j"), SIGN_LABELS, ((ident, ident), (ident, ident)))
     with pytest.raises(InternalCheckError, match="reach 4 of 24"):
-        rees_generators(m)
+        m.generators
 
 
 def _is_homomorphism_on_all_pairs(sg, m, phi):
@@ -270,9 +271,9 @@ def test_verify_rejects_swap_away_from_generators(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
     rset = r_set(sub)
     m = substitution_sandwich(rset, rset[0])
-    action = fiber_semigroup(sub)
+    action = fiber_action(sub)
     _, phi = as_transformation_semigroup(m, action.fiber)
-    gens = set(rees_generators(m))
+    gens = set(m.generators)
     others = [x for x in m.elements() if x not in gens]
     pairs = [(u, v) for k, u in enumerate(others) for v in others[k + 1:]]
     coords = ("i", "g", "lam")

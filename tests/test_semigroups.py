@@ -3,10 +3,10 @@ import random
 import pytest
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
-from ellisub.pipeline import fiber_semigroup
 from ellisub.semigroups import (TransformationSemigroup, green_structure,
                                 is_completely_simple, map_compose,
                                 semigroup_closure)
+from conftest import fiber_action
 
 
 def test_closure_of_single_idempotent():
@@ -46,7 +46,7 @@ def test_group_as_transformation_semigroup_has_one_class_each():
 
 
 def test_thue_morse_fiber_green(golden_simplified):
-    action = fiber_semigroup(golden_simplified["thue_morse"])
+    action = fiber_action(golden_simplified["thue_morse"])
     green = action.green
     assert action.semigroup.size == 8
     assert sorted(len(c) for c in green.l_classes) == [4, 4]
@@ -57,7 +57,7 @@ def test_thue_morse_fiber_green(golden_simplified):
 
 def test_seven_word_fiber_green(golden_reports):
     report = golden_reports["s3_seven_words"]
-    green = report.green
+    green = report.action.green
     assert sorted(len(c) for c in green.l_classes) == [18, 18]
     assert sorted(len(c) for c in green.r_classes) == [12, 12, 12]
     assert sorted(len(c) for c in green.h_classes) == [6] * 6
@@ -68,7 +68,7 @@ def test_seven_word_fiber_green(golden_reports):
 def test_kernel_is_simple(golden_reports):
     # recomputing the kernel of the kernel returns the kernel
     for report in golden_reports.values():
-        sg = fiber_semigroup(report.substitution).semigroup
+        sg = report.action.semigroup
         green = green_structure(sg)
         kernel_maps = tuple(sg.elements[i] for i in green.kernel)
         inner = TransformationSemigroup(sg.degree, kernel_maps, kernel_maps)
@@ -78,7 +78,7 @@ def test_kernel_is_simple(golden_reports):
 
 def test_h_classes_have_one_idempotent_and_equal_size(golden_reports):
     for report in golden_reports.values():
-        sg = fiber_semigroup(report.substitution).semigroup
+        sg = report.action.semigroup
         green = green_structure(sg)
         idem = set(green.idempotents)
         sizes = {len(c) for c in green.h_classes}
@@ -89,7 +89,7 @@ def test_h_classes_have_one_idempotent_and_equal_size(golden_reports):
 
 def test_l_classes_are_minimal_left_ideals(golden_reports):
     for name in ("thue_morse", "d4_height_two"):
-        sg = fiber_semigroup(golden_reports[name].substitution).semigroup
+        sg = golden_reports[name].action.semigroup
         green = green_structure(sg)
         for l_class in green.l_classes:
             for idx in l_class:
@@ -98,7 +98,7 @@ def test_l_classes_are_minimal_left_ideals(golden_reports):
 
 
 def test_completely_simple_fails_with_identity_adjoined(golden_simplified):
-    action = fiber_semigroup(golden_simplified["s3_seven_words"])
+    action = fiber_action(golden_simplified["s3_seven_words"])
     sg = action.semigroup
     assert is_completely_simple(sg)
     with_id = tuple(sorted(set(sg.elements) | {tuple(range(sg.degree))}))
@@ -108,7 +108,7 @@ def test_completely_simple_fails_with_identity_adjoined(golden_simplified):
 
 def test_semigroup_json_serialization(golden_simplified):
     from ellisub.semigroups import semigroup_to_json
-    action = fiber_semigroup(golden_simplified["thue_morse"])
+    action = fiber_action(golden_simplified["thue_morse"])
     fiber_labels = action.fiber.labels(golden_simplified["thue_morse"].alphabet)
     payload = semigroup_to_json(action.semigroup, fiber_labels, action.green)
     assert payload["points"] == ["aa", "ab", "ba", "bb"]

@@ -306,9 +306,8 @@ def test_fixed_points_exceed_alphabet(golden_subs, random_corpus):
 def test_fixed_point_block_levels():
     tm = parse_substitution(THUE_MORSE)
     assert fixed_point_block(tm, 0, 0) == "a"
-    assert fixed_point_block(tm, 0, 1, side="right") == "abba"
+    assert fixed_point_block(tm, 0, 1) == "abba"
     assert fixed_point_block(tm, 0, 2) == "abbabaabbaababba"  # theta(abba) letterwise
-    assert fixed_point_block(tm, 0, 1, side="left") == "abba"
 
 
 def test_fixed_point_block_prefix_coherence():
