@@ -24,7 +24,8 @@ letters = sub.alphabet.letters
 
 print("== the fiber and its maps")
 rset = r_set(sub)
-pairs = gtwo_pairs(sub, rset, structure_group(rset))
+group = structure_group(rset)
+pairs = gtwo_pairs(sub, rset, group)
 action = fiber_semigroup(sub, rset, pairs)
 fiber = action.fiber
 print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))
@@ -35,7 +36,7 @@ print("minimal right ideals:", sorted(len(c) for c in green.r_classes))
 print("idempotents:", len(green.idempotents))
 
 print("\n== normalized matrix presentation")
-matrix = structural_semigroup(rset, action)
+matrix = structural_semigroup(rset, group, action)
 print("sandwich rows:")
 for row in matrix.sandwich:
     print("  [" + ", ".join(cycle_string(entry, letters) for entry in row) + "]")

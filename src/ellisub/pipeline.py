@@ -6,12 +6,15 @@ description of the whole Ellis semigroup.
 
 The cross-checks baked into this module are not optional: the fiber maps
 obey the signed product rules, the fiber action is rebuilt from the matrix
-presentation and compared, the matrix presentation is re-derived from the raw
-fiber semigroup by Rees decomposition, consecutive column pairs of the second
-and third powers are compared against the one-step closure, the classical
-height is recomputed from return times of the fixed point, and the grading is
-verified to be a morphism.  Any mismatch raises InternalCheckError rather
-than producing a report.
+presentation and compared map for map, that action is checked to be a
+bijective homomorphism from the matrix presentation onto the fiber semigroup
+(so, by Rees's theorem, every normalized Rees form of the fiber semigroup is
+isomorphic to it), consecutive column pairs of the second and third powers
+are compared against the one-step closure, the classical height is
+recomputed from return times of the fixed point, and the grading is verified
+to be a morphism.  Any mismatch raises InternalCheckError rather than
+producing a report.  The window oracle of ``--verify`` is the one witness
+built independently of this module.
 
 No check enumerates all |S|^2 pairs of the structural semigroup, where
 |S| = 2|I||G|.  Each product law is proved from a generating set X (Froidure
@@ -50,11 +53,9 @@ from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
                     compose, element_order, group_name, identity, inverse,
                     is_transitive, normal_closure, quotient_data)
-from .rees import (MINUS, PLUS, ReesDecomposition, ReesElement,
-                   ReesMatrixSemigroup, as_transformation_semigroup,
-                   idempotents_of, multiply, presentations_isomorphic,
-                   rees_decomposition, substitution_sandwich,
-                   verify_rees_isomorphism)
+from .rees import (MINUS, PLUS, ReesElement, ReesMatrixSemigroup,
+                   as_transformation_semigroup, idempotents_of, multiply,
+                   substitution_sandwich, verify_rees_isomorphism)
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
                          green_structure, is_completely_simple, map_compose,
                          semigroup_closure)
@@ -321,61 +322,26 @@ def fiber_semigroup(sub: Substitution, rset: tuple[Perm, ...],
     return action
 
 
-def structural_semigroup(rset: tuple[Perm, ...], action: FiberAction,
+def structural_semigroup(rset: tuple[Perm, ...], group: PermGroup, action: FiberAction,
                          g0: Perm | None = None) -> ReesMatrixSemigroup:
     """The normalized matrix presentation M[G; I, {+,-}; A] of the fiber
-    semigroup, with the minus row g0 * g^-1.
+    semigroup, with the minus row g0 * g^-1 over the structure group ``group``.
 
-    The presentation is validated the long way around: its fiber action must
-    reproduce the fiber semigroup map-for-map, and the normalized Rees
-    decomposition of the raw fiber semigroup at the matching idempotent must
-    be isomorphic to it as a presentation.  ``g0`` defaults to the first
-    R-set element.
+    Two checks prove that the presentation is the fiber semigroup: its action
+    on the fiber reproduces the fiber semigroup map for map, and that action
+    phi is a bijective homomorphism (:func:`verify_rees_isomorphism`).  Any
+    other normalized Rees presentation of the fiber semigroup is then
+    isomorphic to this one by Rees's theorem (Howie, *Fundamentals of
+    Semigroup Theory*, Thm 3.4.1).  ``g0`` defaults to the first R-set
+    element.
     """
-    matrix = substitution_sandwich(rset, rset[0] if g0 is None else g0)
+    matrix = substitution_sandwich(group, rset, rset[0] if g0 is None else g0)
     realized, phi = as_transformation_semigroup(matrix, action.fiber)
     if realized != action.semigroup:
         raise InternalCheckError("matrix action and fiber semigroup are different map sets")
     if not verify_rees_isomorphism(action.semigroup, matrix, phi):
         raise InternalCheckError("matrix presentation is not isomorphic to the fiber semigroup")
-    base_idempotent = phi[ReesElement(matrix.base[0], identity(matrix.group.degree), PLUS)]
-    decomposition = rees_decomposition(action.semigroup, base_idempotent, action.green)
-    _check_decomposition_matches(matrix, decomposition, action)
     return matrix
-
-
-def _check_decomposition_matches(matrix: ReesMatrixSemigroup,
-                                 decomposition: ReesDecomposition,
-                                 action: FiberAction) -> None:
-    """The decomposition's structure group acts on the image of e; relabel
-    those points by their right letters and compare presentations."""
-    dec = decomposition.matrix
-    if (dec.group.order != matrix.group.order
-            or len(dec.i_labels) != len(matrix.i_labels)
-            or len(dec.lam_labels) != len(matrix.lam_labels)):
-        raise InternalCheckError("decomposition shape differs from the algebraic presentation")
-    relabel = tuple(action.fiber.pairs[p][1] for p in decomposition.point_order)
-    if sorted(relabel) != list(range(matrix.group.degree)):
-        raise InternalCheckError("image of the base idempotent does not see every letter once")
-
-    def to_letters(p: Perm) -> Perm:
-        out = [0] * len(relabel)
-        for pos, image in enumerate(p):
-            out[relabel[pos]] = relabel[image]
-        return tuple(out)
-
-    letter_group = {to_letters(p) for p in dec.group.elements}
-    if letter_group != matrix.group.element_set:
-        raise InternalCheckError("decomposed structure group differs from the closure of the R-set")
-    letter_sandwich = tuple(tuple(to_letters(entry) for entry in row) for row in dec.sandwich)
-    letter_dec = ReesMatrixSemigroup(matrix.group, dec.i_labels, dec.lam_labels,
-                                     letter_sandwich, dec.base)
-    if not letter_dec.is_normalized():
-        raise InternalCheckError("relabeled decomposition lost its normalization")
-    if matrix.group.degree <= 6:
-        if not presentations_isomorphic(matrix, letter_dec):
-            raise InternalCheckError("decomposition and algebraic presentation are not "
-                                     "isomorphic up to gauge and relabeling")
 
 
 @dataclass
@@ -520,7 +486,7 @@ def global_description(sub: Substitution, g0_index: int | None = None,
     action = fiber_semigroup(sub, rset, gtwo_pairs(sub, rset, group))
     if action.semigroup.size != 2 * len(rset) * group.order:
         raise InternalCheckError("fiber semigroup size must be 2|I||G|")
-    matrix = structural_semigroup(rset, action, rset[g0_index])
+    matrix = structural_semigroup(rset, group, action, rset[g0_index])
     degrees = degree_map(matrix, hs.normal_completion)
     if degrees.modulus != hs.height:
         raise InternalCheckError("degree modulus differs from the generalized height")

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
-from .perms import (Perm, PermGroup, closure, compose, identity, inverse,
-                    is_transitive)
+from .perms import Perm, PermGroup, closure, compose, identity, inverse
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
                          green_structure, is_completely_simple, map_compose,
                          semigroup_closure)
@@ -129,15 +128,17 @@ def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[Re
     return elements
 
 
-def substitution_sandwich(i_perms: list[Perm] | tuple[Perm, ...], g0: Perm) -> ReesMatrixSemigroup:
-    """The two-row sandwich over G = <I>: plus row all identity, minus row
-    g0 * g^-1 per column g.  Normalized w.r.t. the idempotent (g0, 1, +)."""
+def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ...],
+                          g0: Perm) -> ReesMatrixSemigroup:
+    """The two-row sandwich over the structure group G = <I>: plus row all
+    identity, minus row g0 * g^-1 per column g.  Normalized w.r.t. the
+    idempotent (g0, 1, +).  ``group`` is taken as given, not closed again;
+    each column label must lie in it."""
     i_perms = tuple(i_perms)
     if g0 not in i_perms:
         raise ValidationError("g0 must be one of the given permutations")
-    group = closure(list(i_perms))
-    if not is_transitive(group):
-        raise ValidationError("the given permutations generate an intransitive group")
+    if any(g not in group.element_set for g in i_perms):
+        raise ValidationError("the given permutations must lie in the structure group")
     ident = identity(group.degree)
     plus_row = tuple(ident for _ in i_perms)
     minus_row = tuple(compose(g0, inverse(g)) for g in i_perms)

@@ -204,3 +204,18 @@ def test_group_of_order_120_verifies(tmp_path):
     payload = json.loads(out)
     assert payload["semigroup_size"] == 960
     assert payload["oracle"]["equal"] is True
+
+
+@pytest.mark.slow
+def test_degree_six_group_of_order_720_gets_a_report(tmp_path):
+    # |I| = 7, |G| = 720 (S_6), |S| = 10080: the report rests on the matrix
+    # presentation's own checks, with no capped isomorphism search
+    path = tmp_path / "order_720.sub"
+    path.write_text("a -> aabefddca\nb -> bddceaffb\nc -> cefdbeeac\n"
+                    "d -> dcafcbaed\ne -> efcbafcde\nf -> fbeadcbbf\n")
+    code, out, err = run_cli(["analyze", "--format", "json", str(path)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["structure_group"]["order"] == 720
+    assert len(payload["r_set"]) == 7
+    assert payload["semigroup_size"] == 10080

@@ -12,7 +12,7 @@ from ellisub.oracle import (compare_map_semigroups, induced_fiber_map,
 from ellisub.pipeline import r_set
 from ellisub.semigroups import map_compose
 from ellisub.substitution import columns, fixed_points, substitution_power
-from conftest import fiber_action, make_substitution
+from conftest import fiber_action, make_substitution, rset_and_group
 
 
 def test_shift_two_word_thue_morse(golden_simplified):
@@ -122,7 +122,7 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
     sub = golden_simplified["s3_height_two"]
     result = limit_maps(sub)
     action = fiber_action(sub)
-    matrix = structural_semigroup(r_set(sub), action)
+    matrix = structural_semigroup(*rset_and_group(sub), action)
     partial = idempotent_generated(matrix)
     partial_sg, _ = as_transformation_semigroup(partial, action.fiber)
     assert partial_sg.size == 18 and result.semigroup.size == 36

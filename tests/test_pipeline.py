@@ -148,26 +148,26 @@ def test_fiber_idempotents_fix_their_image(golden_simplified):
 
 def test_structural_semigroup_thue_morse_exact(golden_simplified):
     sub = golden_simplified["thue_morse"]
-    m = structural_semigroup(r_set(sub), fiber_action(sub))
+    m = structural_semigroup(*rset_and_group(sub), fiber_action(sub))
     ident = identity(2)
     assert m.sandwich == ((ident, ident), (ident, SWAP))
 
 
 def test_structural_semigroup_g0_override(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
-    rset = r_set(sub)
+    rset, group = rset_and_group(sub)
     action = fiber_action(sub)
     for g0 in rset:
-        m = structural_semigroup(rset, action, g0)
+        m = structural_semigroup(rset, group, action, g0)
         assert m.i_labels[m.base[0]] == g0
     with pytest.raises(ValidationError):
-        structural_semigroup(rset, action, (1, 2, 0))
+        structural_semigroup(rset, group, action, (1, 2, 0))
 
 
 def test_degree_map_trivial_when_height_one(golden_simplified):
     sub = golden_simplified["thue_morse"]
     rset, group = rset_and_group(sub)
-    m = structural_semigroup(rset, fiber_action(sub))
+    m = structural_semigroup(rset, group, fiber_action(sub))
     data = degree_map(m, heights(sub, rset, group).normal_completion)
     assert data.modulus == 1
     assert set(data.table.values()) == {0}
@@ -177,7 +177,7 @@ def test_degree_map_splits_by_parity(golden_simplified):
     sub = golden_simplified["s3_height_two"]
     rset, group = rset_and_group(sub)
     hs = heights(sub, rset, group)
-    m = structural_semigroup(rset, fiber_action(sub))
+    m = structural_semigroup(rset, group, fiber_action(sub))
     data = degree_map(m, hs.normal_completion)
     assert data.modulus == 2
     counts = {0: 0, 1: 0}
@@ -369,6 +369,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
               "structural_semigroup", "degree_map", "automorphism_data")
     for name in stages:
         counting(ellisub.pipeline, name)
+    # library functions that a verified analysis must not reach, under every
+    # name the pipeline could call them by
+    unused = ("rees_decomposition", "presentations_isomorphic")
+    for name in unused:
+        for module in (ellisub.rees, ellisub.pipeline):
+            if hasattr(module, name):
+                counting(module, name)
     closed = []  # presentations whose generators were closed
     original_closure = ellisub.rees._element_closure
 
@@ -376,13 +383,24 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         closed.append(m)
         return original_closure(m, seeds)
     monkeypatch.setattr(ellisub.rees, "_element_closure", closure)
+    original_sandwich = ellisub.pipeline.substitution_sandwich
+
+    def no_group_closure(*args, **kwargs):
+        raise AssertionError("the substitution sandwich closed a group again")
+
+    def sandwich(*args, **kwargs):
+        # the sandwich takes the structure group; it never closes one itself
+        with monkeypatch.context() as patch:
+            patch.setattr(ellisub.rees, "closure", no_group_closure)
+            return original_sandwich(*args, **kwargs)
+    monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
 
     report = analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
     assert report.oracle.equal
+    assert [name for name in unused if name in calls] == []
     assert calls == {name: 1 for name in stages}
-    # once for the substitution sandwich, once for the decomposition's matrix
-    assert len(closed) == 2
-    assert closed[0] == report.matrix and closed[1] != report.matrix
+    # one presentation per analysis: the substitution sandwich
+    assert closed == [report.matrix]
 
 
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():

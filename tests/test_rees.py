@@ -4,7 +4,6 @@ import pytest
 
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
-from ellisub.pipeline import r_set
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
                           ReesMatrixSemigroup, as_transformation_semigroup,
                           gauge_renormalize, idempotent_generated,
@@ -13,10 +12,19 @@ from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
                           rees_decomposition, substitution_sandwich,
                           verify_rees_isomorphism)
 from ellisub.semigroups import map_compose
-from conftest import fiber_action
+from conftest import fiber_action, rset_and_group
+
+
+def sandwich(sub, g0_index: int = 0) -> ReesMatrixSemigroup:
+    """The substitution sandwich of a simplified substitution at the R-set
+    element with index ``g0_index``."""
+    rset, group = rset_and_group(sub)
+    return substitution_sandwich(group, rset, rset[g0_index])
+
 
 def tm_matrix(golden_simplified):
-    return substitution_sandwich(r_set(golden_simplified["thue_morse"]), identity(2))
+    # the R-set is sorted, so the identity comes first
+    return sandwich(golden_simplified["thue_morse"])
 
 
 def test_substitution_sandwich_thue_morse(golden_simplified):
@@ -29,17 +37,26 @@ def test_substitution_sandwich_thue_morse(golden_simplified):
 
 def test_sandwich_g0_column_is_identity(golden_simplified):
     for sub in golden_simplified.values():
-        rset = r_set(sub)
+        rset, group = rset_and_group(sub)
         for g0 in rset:
-            m = substitution_sandwich(rset, g0)
+            m = substitution_sandwich(group, rset, g0)
             col = rset.index(g0)
             assert all(row[col] == identity(sub.size) for row in m.sandwich)
 
 
 def test_sandwich_requires_membership(golden_simplified):
-    rset = r_set(golden_simplified["thue_morse"])
-    with pytest.raises(ValidationError):
-        substitution_sandwich(rset, (0, 1, 2))
+    rset, group = rset_and_group(golden_simplified["thue_morse"])
+    with pytest.raises(ValidationError, match="g0"):
+        substitution_sandwich(group, rset, (0, 1, 2))
+
+
+def test_sandwich_refuses_labels_outside_the_group(golden_simplified):
+    # the group is taken as given: an R-set element outside it is refused
+    rset, group = rset_and_group(golden_simplified["s3_height_two"])
+    a3 = closure([(1, 2, 0)])
+    assert any(g not in a3 for g in rset)
+    with pytest.raises(ValidationError, match="structure group"):
+        substitution_sandwich(a3, rset, rset[0])
 
 
 def test_multiply_normalized_row(golden_simplified):
@@ -52,8 +69,7 @@ def test_multiply_normalized_row(golden_simplified):
 
 
 def test_multiply_associativity_random(golden_simplified):
-    m = substitution_sandwich(r_set(golden_simplified["s3_seven_words"]),
-                              r_set(golden_simplified["s3_seven_words"])[0])
+    m = sandwich(golden_simplified["s3_seven_words"])
     rng = random.Random(11)
     elements = list(m.elements())
     for _ in range(1000):
@@ -64,8 +80,7 @@ def test_multiply_associativity_random(golden_simplified):
 def test_idempotent_count(golden_simplified):
     tm = tm_matrix(golden_simplified)
     assert len(idempotents_of(tm)) == 4
-    m = substitution_sandwich(r_set(golden_simplified["s3_seven_words"]),
-                              r_set(golden_simplified["s3_seven_words"])[0])
+    m = sandwich(golden_simplified["s3_seven_words"])
     assert len(idempotents_of(m)) == 6
     for p in idempotents_of(m):
         assert multiply(m, p, p) == p
@@ -74,8 +89,7 @@ def test_idempotent_count(golden_simplified):
 
 
 def test_normal_inverse_law(golden_simplified):
-    m = substitution_sandwich(r_set(golden_simplified["s3_seven_words"]),
-                              r_set(golden_simplified["s3_seven_words"])[1])
+    m = sandwich(golden_simplified["s3_seven_words"], 1)
     for x in m.elements():
         y = normal_inverse(m, x)
         assert multiply(m, multiply(m, x, y), x) == x
@@ -98,20 +112,17 @@ def test_left_and_right_ideals_have_product_shape(golden_simplified):
 def test_little_structure_group(golden_simplified):
     tm = tm_matrix(golden_simplified)
     assert little_structure_group(tm).order == 2
-    m = substitution_sandwich(r_set(golden_simplified["s3_height_two"]),
-                              r_set(golden_simplified["s3_height_two"])[0])
+    m = sandwich(golden_simplified["s3_height_two"])
     little = little_structure_group(m)
     assert little.order == 3  # even permutations only
-    m2 = substitution_sandwich(r_set(golden_simplified["d4_height_two"]),
-                               r_set(golden_simplified["d4_height_two"])[0])
+    m2 = sandwich(golden_simplified["d4_height_two"])
     assert little_structure_group(m2).order == 2
 
 
 def test_idempotent_generated_subsemigroup(golden_simplified):
     tm = tm_matrix(golden_simplified)
     assert idempotent_generated(tm).size == 8  # little group is everything
-    m = substitution_sandwich(r_set(golden_simplified["s3_height_two"]),
-                              r_set(golden_simplified["s3_height_two"])[0])
+    m = sandwich(golden_simplified["s3_height_two"])
     part = idempotent_generated(m)
     assert part.size == 18 and m.size == 36
 
@@ -124,8 +135,8 @@ def test_idempotent_generated_of_group_case():
 
 def test_fiber_action_matches_paper_formulas(golden_simplified):
     sub = golden_simplified["thue_morse"]
-    rset = r_set(sub)
-    m = substitution_sandwich(rset, rset[0])
+    rset, group = rset_and_group(sub)
+    m = substitution_sandwich(group, rset, rset[0])
     action = fiber_action(sub)
     sg, phi = as_transformation_semigroup(m, action.fiber)
     assert sg == action.semigroup
@@ -139,8 +150,8 @@ def test_fiber_action_matches_paper_formulas(golden_simplified):
 
 def test_verify_rejects_corrupted_sandwich(golden_simplified):
     sub = golden_simplified["thue_morse"]
-    rset = r_set(sub)
-    m = substitution_sandwich(rset, rset[0])
+    rset, group = rset_and_group(sub)
+    m = substitution_sandwich(group, rset, rset[0])
     action = fiber_action(sub)
     _, phi = as_transformation_semigroup(m, action.fiber)
     swap = (1, 0)
@@ -188,8 +199,8 @@ def test_gauge_identity_factors_change_nothing(golden_simplified):
 
 def test_gauge_moves_identity_row(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
-    rset = r_set(sub)
-    m = substitution_sandwich(rset, rset[0])
+    rset, group = rset_and_group(sub)
+    m = substitution_sandwich(group, rset, rset[0])
     # push the identity row from + to - by undoing the minus entries columnwise
     cols = [inverse(entry) for entry in m.sandwich[MINUS]]
     gauged, _ = gauge_renormalize(m, [identity(3)] * 2, cols)
@@ -207,8 +218,8 @@ def test_gauge_rejects_foreign_factors(golden_simplified):
 
 def test_presentations_differing_by_g0_choice_are_isomorphic(golden_simplified):
     for name in ("s3_seven_words", "d4_height_two", "s3_height_two"):
-        rset = r_set(golden_simplified[name])
-        mats = [substitution_sandwich(rset, g0) for g0 in rset]
+        rset, group = rset_and_group(golden_simplified[name])
+        mats = [substitution_sandwich(group, rset, g0) for g0 in rset]
         for other in mats[1:]:
             assert presentations_isomorphic(mats[0], other)
 
@@ -216,7 +227,7 @@ def test_presentations_differing_by_g0_choice_are_isomorphic(golden_simplified):
 def test_rees_json_serialization(golden_simplified):
     from ellisub.rees import rees_to_json
     sub = golden_simplified["thue_morse"]
-    m = substitution_sandwich(r_set(sub), identity(2))
+    m = sandwich(sub)
     payload = rees_to_json(m, sub.alphabet.letters)
     assert payload["group"]["order"] == 2
     assert payload["i_labels"] == ["()", "(a b)"]
@@ -236,18 +247,16 @@ def test_rees_json_serialization(golden_simplified):
 
 def test_presentations_distinguish_different_little_groups(golden_simplified):
     # same shape (|I|=3, S_3) but little groups S_3 vs A_3: not isomorphic
-    m1 = substitution_sandwich(r_set(golden_simplified["s3_seven_words"]),
-                               r_set(golden_simplified["s3_seven_words"])[0])
-    m2 = substitution_sandwich(r_set(golden_simplified["s3_height_two"]),
-                               r_set(golden_simplified["s3_height_two"])[0])
+    m1 = sandwich(golden_simplified["s3_seven_words"])
+    m2 = sandwich(golden_simplified["s3_height_two"])
     assert not presentations_isomorphic(m1, m2)
 
 
 def test_rees_generators_generate_every_golden_presentation(golden_simplified):
     # base column g0 = the last R-set element, away from the one the pipeline uses
     for sub in golden_simplified.values():
-        rset = r_set(sub)
-        m = substitution_sandwich(rset, rset[-1])
+        rset, group = rset_and_group(sub)
+        m = substitution_sandwich(group, rset, rset[-1])
         assert len(m.generators) <= 2 * len(rset) + len(m.group.generators)
 
 
@@ -269,8 +278,8 @@ def _is_homomorphism_on_all_pairs(sg, m, phi):
 
 def test_verify_rejects_swap_away_from_generators(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
-    rset = r_set(sub)
-    m = substitution_sandwich(rset, rset[0])
+    rset, group = rset_and_group(sub)
+    m = substitution_sandwich(group, rset, rset[0])
     action = fiber_action(sub)
     _, phi = as_transformation_semigroup(m, action.fiber)
     gens = set(m.generators)
