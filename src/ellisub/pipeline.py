@@ -74,9 +74,10 @@ def r_set(sub: Substitution) -> tuple[Perm, ...]:
 
     The one stage that validates its substitution; the later stages take the
     R-set and what is built from it."""
-    if not is_bijective(sub):
-        raise ValidationError("the R-set needs a bijective substitution")
     if not is_simplified(sub):
+        # is_simplified starts with the bijectivity check; repeat it only to say which failed
+        if not is_bijective(sub):
+            raise ValidationError("the R-set needs a bijective substitution")
         raise ValidationError("the R-set is read off level one only for simplified substitutions")
     cols = columns(sub)
     quotients = {compose(cols[i], inverse(cols[i - 1])) for i in range(1, len(cols))}
@@ -351,31 +352,40 @@ class DegreeData:
 
 
 def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData:
-    """Degree of (i, g, sign) is the class of g modulo the normal completion,
-    written as an integer via the common coset of the R-set, whose elements
-    label the columns of the substitution sandwich.
+    """Degree of (i, g, sign) is the class of g modulo the normal completion N,
+    written as an integer: the length mod h = |G|/|N| of any word for g in
+    the R-set, whose elements label the columns of the substitution sandwich.
+
+    The group degrees come from one breadth-first search over G from the
+    identity, along g -> r*g for r in the R-set, that checks
+    d(r*g) = d(g) + 1 mod h on every edge.  Every element of G is a product of
+    R-set elements, so a search that reaches all of G and passes every edge
+    check shows d to be a well-defined homomorphism onto Z/hZ that sends each
+    R-set element to 1; its kernel must then be N, which is checked.
 
     Verified to be a semigroup morphism onto Z/hZ with idempotents at 0;
     the morphism law is checked for x in ``matrix.generators`` and all y.
     """
-    completion_set = completion.element_set
-    generator_coset_rep = matrix.i_labels[0]
-    cosets = [completion_set]
-    current = completion_set
-    while True:
-        nxt = frozenset(compose(generator_coset_rep, x) for x in current)
-        if nxt == completion_set:
-            break
-        cosets.append(nxt)
-        current = nxt
-    modulus = len(cosets)
-    coset_index = {c: k for k, c in enumerate(cosets)}
-    degree_of_perm = {}
-    for g in matrix.group.elements:
-        c = frozenset(compose(g, x) for x in completion_set)
-        if c not in coset_index:
-            raise InternalCheckError("group element escaped the coset decomposition")
-        degree_of_perm[g] = coset_index[c]
+    group = matrix.group
+    modulus = group.order // completion.order
+    degree_of_perm = {identity(group.degree): 0}
+    frontier = list(degree_of_perm)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            d = (degree_of_perm[g] + 1) % modulus
+            for r in matrix.i_labels:
+                rg = compose(r, g)
+                if rg not in degree_of_perm:
+                    degree_of_perm[rg] = d
+                    nxt.append(rg)
+                elif degree_of_perm[rg] != d:
+                    raise InternalCheckError("R-set word lengths do not define a degree mod h")
+        frontier = nxt
+    if degree_of_perm.keys() != group.element_set:
+        raise InternalCheckError("the R-set does not reach every element of the structure group")
+    if {g for g, d in degree_of_perm.items() if d == 0} != completion.element_set:
+        raise InternalCheckError("the degree-0 elements differ from the normal completion")
     table = {x: degree_of_perm[x.g] for x in matrix.elements()}
     elements = list(matrix.elements())
     for x in matrix.generators:

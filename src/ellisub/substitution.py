@@ -335,30 +335,55 @@ def _power_word(sub: Substitution, letter: int, level: int,
     return word
 
 
+class _FactorCounter:
+    """The complexity p(n) of one primitive substitution, for many n.
+
+    The allowed two-letter words are read once, and the blocks sigma^k(a) of
+    a level k are written out once, the first time a length needs that
+    level; :func:`word_complexity` says why the count is exact.
+    """
+
+    def __init__(self, sub: Substitution):
+        self.sub = sub
+        self.fiber = allowed_two_words(sub)
+        self.letters = sorted({x for p in self.fiber.pairs for x in p})
+        self.blocks: dict[int, dict[int, str]] = {}  # level k -> letter a -> sigma^k(a)
+
+    def count(self, n: int) -> int:
+        if n == 1:
+            return len(self.letters)
+        level, block = 0, 1
+        while block < n:
+            level += 1
+            block *= self.sub.length
+        if level not in self.blocks:
+            self.blocks[level] = {a: _power_word(self.sub, a, level) for a in self.letters}
+        blocks = self.blocks[level]
+        factors: set[str] = set()
+        for a in self.letters:
+            word = blocks[a]
+            factors.update(word[i : i + n] for i in range(block - n + 1))
+        for a, b in self.fiber.pairs:
+            # the n - 1 windows that start in sigma^k(a) and end in sigma^k(b)
+            word = blocks[a][block - n + 1 :] + blocks[b][: n - 1]
+            factors.update(word[i : i + n] for i in range(n - 1))
+        return len(factors)
+
+
 def word_complexity(sub: Substitution, n: int) -> int:
     """Number of allowed factors of length n.
 
-    Every length-n factor of the subshift occurs inside the image of an
-    allowed two-letter word under a power with block length >= n, so the
-    count below is exact (no stabilization heuristics needed).
+    Every length-n factor of the subshift occurs inside sigma^k(ab) for an
+    allowed two-letter word ab and the least level k with l^k >= n, so the
+    count is exact (no stabilization heuristics needed).  A window of
+    sigma^k(a) sigma^k(b) either lies inside one of the two blocks or is one
+    of the n - 1 windows that cross the junction between them.  So the
+    windows inside sigma^k(a) are counted once per letter a, and only the
+    junction windows once per allowed word ab; the set of factors is the same.
     """
     if n < 1:
         raise ValidationError("word_complexity needs n >= 1")
-    fiber = allowed_two_words(sub)
-    if n == 1:
-        return len({x for p in fiber.pairs for x in p})
-    level = 0
-    block = 1
-    while block < n:
-        level += 1
-        block *= sub.length
-    blocks = {a: _power_word(sub, a, level) for a in {x for p in fiber.pairs for x in p}}
-    factors: set[str] = set()
-    for a, b in fiber.pairs:
-        w = blocks[a] + blocks[b]
-        for i in range(len(w) - n + 1):
-            factors.add(w[i : i + n])
-    return len(factors)
+    return _FactorCounter(sub).count(n)
 
 
 @dataclass(frozen=True)
@@ -392,6 +417,11 @@ def is_aperiodic(sub: Substitution, bound: int | None = None) -> AperiodicityVer
     p(n2) >= p(n1) + (n2 - n1), which lets the scan double instead of walking
     every n.  A verdict of "aperiodic" is reported only when the scanned bound
     reaches the default threshold.
+
+    Every p(n) of one scan comes from the same allowed two-letter words and
+    level blocks, each built once; p(n) itself is counted as in
+    :func:`word_complexity`, from the windows inside each block and the
+    n - 1 windows across each allowed junction.
     """
     if not is_primitive(sub):
         raise ValidationError("aperiodicity scan needs a primitive substitution")
@@ -400,22 +430,23 @@ def is_aperiodic(sub: Substitution, bound: int | None = None) -> AperiodicityVer
         bound = default
     if bound < 1:
         raise ValidationError("aperiodicity bound must be >= 1")
+    factors = _FactorCounter(sub)
 
     def periodic_from(n: int, p_n: int) -> AperiodicityVerdict:
         # Complexity is constant from a plateau on; walk until p(n) <= n.
         while p_n > n:
             n += 1
-            p_n = word_complexity(sub, n)
+            p_n = factors.count(n)
         return AperiodicityVerdict("periodic", bound, period_evidence=n)
 
     checkpoints = [1]
     while checkpoints[-1] < bound:
         checkpoints.append(min(2 * checkpoints[-1], bound))
-    prev_n, prev_p = 1, word_complexity(sub, 1)
+    prev_n, prev_p = 1, factors.count(1)
     if prev_p <= 1:
         return periodic_from(1, prev_p)
     for n in checkpoints[1:]:
-        p = word_complexity(sub, n)
+        p = factors.count(n)
         if p >= prev_p + (n - prev_n):
             prev_n, prev_p = n, p
             continue
@@ -423,7 +454,7 @@ def is_aperiodic(sub: Substitution, bound: int | None = None) -> AperiodicityVer
         m, pm = prev_n, prev_p
         while m < n:
             m += 1
-            q = word_complexity(sub, m)
+            q = factors.count(m)
             if q == pm or q <= m:
                 return periodic_from(m, q)
             pm = q

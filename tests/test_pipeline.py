@@ -6,14 +6,15 @@ import pytest
 import ellisub.pipeline
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
-from ellisub.perms import (compose, cycle_string, element_order, identity,
-                           inverse, is_normal, is_transitive)
+from ellisub.perms import (closure, compose, cycle_string, element_order,
+                           identity, inverse, is_normal, is_transitive)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
                               column_levels, degree_map, fiber_semigroup,
                               global_description, gtwo_pairs, heights, r_set,
                               return_time_gcd, structural_semigroup,
                               structure_group)
+from ellisub.rees import substitution_sandwich
 from ellisub.report import report_to_json
 from ellisub.substitution import columns, simplify, substitution_power
 from conftest import fiber_action, make_substitution, rset_and_group
@@ -41,6 +42,15 @@ def test_r_set_d4(golden_simplified):
 def test_r_set_requires_simplified():
     with pytest.raises(ValidationError, match="simplified"):
         r_set(make_substitution(["abc", "bca", "cab"]))
+    with pytest.raises(ValidationError, match="bijective"):
+        r_set(make_substitution(["abb", "bab"]))
+
+
+def test_r_set_checks_bijectivity_only_inside_is_simplified(golden_simplified, monkeypatch):
+    def refuse(sub):
+        raise AssertionError("r_set checked bijectivity outside is_simplified")
+    monkeypatch.setattr(ellisub.pipeline, "is_bijective", refuse)
+    assert set(r_set(golden_simplified["thue_morse"])) == {identity(2), SWAP}
 
 
 def test_r_set_is_power_invariant(golden_simplified, random_corpus):
@@ -188,6 +198,57 @@ def test_degree_map_splits_by_parity(golden_simplified):
     assert counts == {0: 18, 1: 18}
 
 
+def coset_degrees(rep, group, completion):
+    """Reference degrees: g has degree k when g lies in the coset rep^k N,
+    with every coset written out as a set."""
+    normal = frozenset(completion.elements)
+    cosets = [normal]
+    while True:
+        current = frozenset(compose(rep, x) for x in cosets[-1])
+        if current == normal:
+            break
+        cosets.append(current)
+    return {g: next(k for k, coset in enumerate(cosets)
+                    if frozenset(compose(g, x) for x in normal) == coset)
+            for g in group.elements}
+
+
+def test_degree_map_matches_written_out_cosets(golden_reports, random_reports):
+    for report in list(golden_reports.values()) + random_reports:
+        m = report.matrix
+        reference = coset_degrees(m.i_labels[0], m.group, report.normal_completion)
+        assert report.degree.modulus == len(set(reference.values())) == report.height
+        assert report.degree.table == {x: reference[x.g] for x in m.elements()}
+
+
+def test_degree_map_refuses_a_wrong_completion(golden_reports):
+    # D4 has three subgroups of index 2; only the normal completion is the
+    # kernel of the R-set word length mod 2
+    report = golden_reports["d4_height_two"]
+    group, completion = report.structure_group, report.normal_completion
+    others = {closure([g, h]).element_set for g in group.elements for h in group.elements}
+    others = [closure(sorted(elements)) for elements in others
+              if len(elements) == 4 and elements != completion.element_set]
+    assert len(others) == 2
+    for wrong in others:
+        with pytest.raises(InternalCheckError, match="degree-0 elements"):
+            degree_map(report.matrix, wrong)
+    # S3 has no map onto Z/6 sending every R-set element to 1
+    report = golden_reports["s3_seven_words"]
+    with pytest.raises(InternalCheckError, match="degree mod h"):
+        degree_map(report.matrix, closure([], degree=3))
+
+
+def test_degree_map_refuses_labels_that_miss_the_group(golden_reports):
+    report = golden_reports["s3_seven_words"]
+    group = report.structure_group
+    swap = next(g for g in report.rset if element_order(g) == 2)
+    matrix = substitution_sandwich(group, [swap], swap)  # <swap> has order 2 of 6
+    alternating = closure([g for g in group.elements if element_order(g) == 3])
+    with pytest.raises(InternalCheckError, match="does not reach"):
+        degree_map(matrix, alternating)
+
+
 def test_degree_calibration_level_two(golden_simplified):
     # the +-element built from consecutive columns nu-1, nu of the square has
     # degree nu modulo h
@@ -195,20 +256,11 @@ def test_degree_calibration_level_two(golden_simplified):
         sub = golden_simplified[name]
         rset, group = rset_and_group(sub)
         hs = heights(sub, rset, group)
-        completion = frozenset(hs.normal_completion.elements)
-        rep = rset[0]
-        cosets = [completion]
-        current = completion
-        while True:
-            current = frozenset(compose(rep, x) for x in current)
-            if current == completion:
-                break
-            cosets.append(current)
-        assert len(cosets) == hs.height
+        degrees = coset_degrees(rset[0], group, hs.normal_completion)
+        assert len(set(degrees.values())) == hs.height
         square_cols = columns(substitution_power(sub, 2))
         for nu in range(1, len(square_cols)):
-            degree = next(k for k, coset in enumerate(cosets) if square_cols[nu] in coset)
-            assert degree == nu % hs.height
+            assert degrees[square_cols[nu]] == nu % hs.height
 
 
 def test_automorphism_data(golden_simplified):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import ellisub.substitution
 from ellisub.errors import ParseError, ResourceLimitError, ValidationError
 from ellisub.perms import compose, identity
 from ellisub.substitution import (allowed_two_words, columns,
@@ -14,6 +17,11 @@ from conftest import make_substitution
 
 THUE_MORSE = "a -> abba\nb -> baab\n"
 PERIODIC = "a -> aba\nb -> bab\n"
+# 5- and 7-letter inputs with structure groups of order 120 and 5040
+S5 = ("a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\n"
+      "e -> ebccadae\n")
+S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
+      "e -> ecacbfadge\nf -> fdebcbgaef\ng -> gbcefedcag\n")
 
 
 # --- parsing ---------------------------------------------------------------
@@ -240,6 +248,125 @@ def test_low_bound_is_inconclusive():
     verdict = is_aperiodic(parse_substitution(THUE_MORSE), bound=3)
     assert verdict.kind == "inconclusive"
     assert verdict.bound == 3
+
+
+def written_out_complexity(sub, n):
+    """Reference p(n): every window of sigma^k(a) sigma^k(b), for every
+    allowed two-letter word ab and the least k with l^k >= n, written out
+    letter by letter from the rule words."""
+    fiber = allowed_two_words(sub)
+    if n == 1:
+        return len({x for pair in fiber.pairs for x in pair})
+    level, block = 0, 1
+    while block < n:
+        level += 1
+        block *= sub.length
+    blocks = {}
+    for a in range(sub.size):
+        word = [a]
+        for _ in range(level):
+            word = [x for c in word for x in sub.rules[c]]
+        blocks[a] = "".join(sub.alphabet.letters[x] for x in word)
+    factors = set()
+    for a, b in fiber.pairs:
+        word = blocks[a] + blocks[b]
+        factors.update(word[i : i + n] for i in range(len(word) - n + 1))
+    return len(factors)
+
+
+def reference_scan(sub, bound=None):
+    """Reference Morse-Hedlund scan over :func:`written_out_complexity`:
+    doubling checkpoints, a plateau walk where strictness fails, and a walk
+    to the first n with p(n) <= n.  Returns (kind, bound, period_evidence)."""
+    default = sub.size**2 * sub.length**2
+    bound = default if bound is None else bound
+
+    def periodic_from(n, p_n):
+        while p_n > n:
+            n += 1
+            p_n = written_out_complexity(sub, n)
+        return ("periodic", bound, n)
+
+    prev_n, prev_p = 1, written_out_complexity(sub, 1)
+    if prev_p <= 1:
+        return periodic_from(1, prev_p)
+    n = 1
+    while n < bound:
+        n = min(2 * n, bound)
+        p = written_out_complexity(sub, n)
+        if p < prev_p + (n - prev_n):
+            m, pm = prev_n, prev_p
+            while m < n:
+                m += 1
+                q = written_out_complexity(sub, m)
+                if q == pm or q <= m:
+                    return periodic_from(m, q)
+                pm = q
+        prev_n, prev_p = n, p
+    return ("aperiodic" if bound >= default else "inconclusive", bound, None)
+
+
+def random_primitive_corpus(count=24, seed=20261018):
+    """Primitive substitutions with 2-5 letters and rule length 2-6, half of
+    them bijective (random columns), half with random rule words."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        size, length = rng.randint(2, 5), rng.randint(2, 6)
+        if len(found) % 2 == 0:
+            cols = [rng.sample(range(size), size) for _ in range(length)]
+            words = [[col[a] for col in cols] for a in range(size)]
+        else:
+            words = [[rng.randrange(size) for _ in range(length)] for _ in range(size)]
+        sub = make_substitution(["".join("abcde"[x] for x in word) for word in words])
+        if is_primitive(sub):
+            found.append(sub)
+    return found
+
+
+def test_word_complexity_matches_written_out_windows():
+    corpus = random_primitive_corpus()
+    assert sum(is_bijective(sub) for sub in corpus) == len(corpus) // 2
+    for sub in corpus:
+        for n in list(range(1, 41)) + [97, 216, 500]:
+            assert word_complexity(sub, n) == written_out_complexity(sub, n), (sub.rules, n)
+
+
+def test_aperiodicity_verdicts_match_reference_scan(golden_subs, random_corpus):
+    cases = [(sub, None) for sub in list(golden_subs.values()) + random_corpus]
+    cases += [(parse_substitution(PERIODIC), None),
+              (make_substitution(["abc", "bca", "cab"]), None),
+              # periodic with p(1) = p(2) = 3: the plateau walk finds evidence 3
+              (make_substitution(["ab", "ca", "bc"]), None)]
+    cases += [(parse_substitution(THUE_MORSE), bound) for bound in (3, 5, 100)]
+    for sub, bound in cases:
+        verdict = is_aperiodic(sub, bound)
+        assert (verdict.kind, verdict.bound, verdict.period_evidence) == reference_scan(sub, bound)
+    kinds = [reference_scan(sub, bound) for sub, bound in cases[-6:]]
+    assert [(kind, evidence) for kind, _, evidence in kinds] == [
+        ("periodic", 2), ("aperiodic", None), ("periodic", 3),
+        ("inconclusive", None), ("inconclusive", None), ("aperiodic", None)]
+
+
+def test_aperiodicity_scan_reads_two_letter_words_once(monkeypatch):
+    calls = []
+    original = ellisub.substitution.allowed_two_words
+
+    def counted(sub):
+        calls.append(sub)
+        return original(sub)
+    monkeypatch.setattr(ellisub.substitution, "allowed_two_words", counted)
+    sub = make_substitution(["abaa", "bacb", "ccbc"])
+    assert is_aperiodic(sub).is_aperiodic  # 9 checkpoints, bound 144
+    assert calls == [sub]
+
+
+@pytest.mark.slow
+def test_aperiodicity_scan_at_scale():
+    # bounds s^2 l^2 = 1600 and 4900: level-4 blocks of 4096 and 10 000 letters
+    for source, bound in ((S5, 1600), (S7, 4900)):
+        verdict = is_aperiodic(parse_substitution(source))
+        assert (verdict.kind, verdict.bound) == ("aperiodic", bound)
 
 
 # --- simplification ---------------------------------------------------------
