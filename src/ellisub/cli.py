@@ -21,10 +21,13 @@ from .substitution import parse_any
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _emit_error(kind: str, exc: Exception) -> None:

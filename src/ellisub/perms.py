@@ -2,9 +2,12 @@
 
 A permutation of {0..n-1} is a tuple ``p`` with ``p[x]`` the image of ``x``.
 Products are written like function composition: ``compose(p, q)`` applies ``q``
-first.  Groups are stored as the full, lexicographically sorted element list;
-alphabets in scope are tiny (n <= 10), so enumeration beats stabilizer chains
-on simplicity and is fast enough by a wide margin.
+first.  ``compose`` is the kernel under every group and semigroup check, so it
+reads p at the images of q in one list comprehension, which CPython runs about
+twice as fast as a generator handed to ``tuple``.  Groups are stored as the
+full, lexicographically sorted element list; alphabets in scope are tiny
+(n <= 10), so enumeration beats stabilizer chains on simplicity and is fast
+enough by a wide margin.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def is_perm(p: Perm) -> bool:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """p after q: x -> p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple([p[x] for x in q])
 
 
 def inverse(p: Perm) -> Perm:

@@ -23,7 +23,13 @@ semigroup generated by X is a homomorphism once phi(xy) = phi(x) phi(y) for
 x in X and all y.  X is the set of signed level-one consecutive column pairs
 for the fiber semigroup and ``ReesMatrixSemigroup.generators`` for a matrix
 presentation; that X generates is checked by a closure, never assumed.  So
-these checks cost |S| * |X| products.
+these checks cost |S| * |X| products, and each law is proved once: the signed
+product rules of the fiber maps in :func:`fiber_semigroup`, and the
+homomorphism law of the matrix action in :func:`as_transformation_semigroup`,
+whose image is then composition-closed without a second closure.  The degree
+grading needs no products: it is a homomorphism on G by its breadth-first
+search, so it is one on M[G; I, {+,-}; A] exactly when every sandwich entry
+has degree 0, which :func:`degree_map` checks on the 2|I| entries.
 
 Each stage runs once per analysis.  :func:`global_description` is the one
 place that orders them: :func:`r_set` validates the substitution (bijective
@@ -54,8 +60,8 @@ from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
                     compose, element_order, group_name, identity, inverse,
                     is_transitive, normal_closure, quotient_data)
 from .rees import (MINUS, PLUS, ReesElement, ReesMatrixSemigroup,
-                   as_transformation_semigroup, idempotents_of, multiply,
-                   substitution_sandwich, verify_rees_isomorphism)
+                   as_transformation_semigroup, idempotents_of,
+                   substitution_sandwich)
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
                          green_structure, is_completely_simple, map_compose,
                          semigroup_closure)
@@ -192,9 +198,9 @@ def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heig
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
             f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}")
-    completion_set = completion.element_set
-    cosets = {frozenset(compose(g, x) for x in completion_set) for g in rset}
-    if len(cosets) != 1:
+    # r lies in the coset r0 N exactly when r0^-1 r lies in N
+    r0_inverse = inverse(rset[0])
+    if any(compose(r0_inverse, r) not in completion for r in rset):
         raise InternalCheckError("R-set elements must share a single coset of the normal completion")
     return Heights(order, classical, little, completion)
 
@@ -329,19 +335,17 @@ def structural_semigroup(rset: tuple[Perm, ...], group: PermGroup, action: Fiber
     semigroup, with the minus row g0 * g^-1 over the structure group ``group``.
 
     Two checks prove that the presentation is the fiber semigroup: its action
-    on the fiber reproduces the fiber semigroup map for map, and that action
-    phi is a bijective homomorphism (:func:`verify_rees_isomorphism`).  Any
-    other normalized Rees presentation of the fiber semigroup is then
-    isomorphic to this one by Rees's theorem (Howie, *Fundamentals of
-    Semigroup Theory*, Thm 3.4.1).  ``g0`` defaults to the first R-set
-    element.
+    phi on the fiber is a bijective homomorphism onto its image, proved inside
+    :func:`as_transformation_semigroup`, and that image is the fiber
+    semigroup map for map, compared here.  Any other normalized Rees
+    presentation of the fiber semigroup is then isomorphic to this one by
+    Rees's theorem (Howie, *Fundamentals of Semigroup Theory*, Thm 3.4.1).
+    ``g0`` defaults to the first R-set element.
     """
     matrix = substitution_sandwich(group, rset, rset[0] if g0 is None else g0)
-    realized, phi = as_transformation_semigroup(matrix, action.fiber)
+    realized, _ = as_transformation_semigroup(matrix, action.fiber)
     if realized != action.semigroup:
         raise InternalCheckError("matrix action and fiber semigroup are different map sets")
-    if not verify_rees_isomorphism(action.semigroup, matrix, phi):
-        raise InternalCheckError("matrix presentation is not isomorphic to the fiber semigroup")
     return matrix
 
 
@@ -363,8 +367,12 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
     check shows d to be a well-defined homomorphism onto Z/hZ that sends each
     R-set element to 1; its kernel must then be N, which is checked.
 
-    Verified to be a semigroup morphism onto Z/hZ with idempotents at 0;
-    the morphism law is checked for x in ``matrix.generators`` and all y.
+    On the matrix semigroup, (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu),
+    and d is a homomorphism on G, so d(xy) = d(x) + d(y) holds for all x, y
+    exactly when every sandwich entry A[lam][j] has degree 0.  The morphism
+    law is therefore checked on the 2|I| entries, not on products; the
+    idempotents (i, A[lam][i]^-1, lam) must then sit at degree 0, which is
+    checked as well.
     """
     group = matrix.group
     modulus = group.order // completion.order
@@ -386,12 +394,9 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
         raise InternalCheckError("the R-set does not reach every element of the structure group")
     if {g for g, d in degree_of_perm.items() if d == 0} != completion.element_set:
         raise InternalCheckError("the degree-0 elements differ from the normal completion")
+    if any(degree_of_perm[entry] != 0 for row in matrix.sandwich for entry in row):
+        raise InternalCheckError("degree map is not a semigroup morphism")
     table = {x: degree_of_perm[x.g] for x in matrix.elements()}
-    elements = list(matrix.elements())
-    for x in matrix.generators:
-        for y in elements:
-            if table[multiply(matrix, x, y)] != (table[x] + table[y]) % modulus:
-                raise InternalCheckError("degree map is not a semigroup morphism")
     for p in idempotents_of(matrix):
         if table[p] != 0:
             raise InternalCheckError("idempotents must have degree 0")

@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .perms import Perm, PermGroup, closure, compose, identity, inverse
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
-                         green_structure, is_completely_simple, map_compose,
-                         semigroup_closure)
+                         green_structure, is_completely_simple, map_compose)
 from .substitution import TwoWordFiber
 
 PLUS, MINUS = 0, 1
@@ -33,8 +33,10 @@ ISO_SEARCH_GROUP_MAX = 120
 ISO_SEARCH_DEGREE_MAX = 6
 
 
-@dataclass(frozen=True)
-class ReesElement:
+class ReesElement(NamedTuple):
+    """A triple (i, g, lam); a named tuple, so hashing, equality and
+    construction run at the speed of the built-in tuple."""
+
     i: int  # index into I
     g: Perm
     lam: int  # index into Lambda
@@ -288,10 +290,12 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
 
     The triple (i, g, +) acts as a.b -> L(b).R(b) and (i, g, -) as
     a.b -> L(a).R(a), where R = g (resp. g*g0) and L = i^-1 * R; this inverts
-    the bijection used to put the fiber semigroup into matrix form.  The
-    image is composition-closed because the closure of the images of
-    ``m.generators`` is the image itself; that closure, generated by
-    those images, is the returned semigroup.
+    the bijection used to put the fiber semigroup into matrix form.
+
+    The returned semigroup is the image of this action phi, generated by the
+    images of ``m.generators``.  One call of :func:`verify_rees_isomorphism`
+    proves phi a bijective homomorphism onto it, and the image of a
+    homomorphism is closed under composition, so no closure is run.
     """
     if m.lam_labels != SIGN_LABELS:
         raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
@@ -317,9 +321,10 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
     maps = sorted(set(phi.values()))
     if len(maps) != m.size:
         raise InternalCheckError("fiber action is not faithful; distinct triples collided")
-    sg = semigroup_closure([phi[x] for x in m.generators], degree=fiber.size)
-    if sg.elements != tuple(maps):
-        raise InternalCheckError("fiber action image is not composition-closed")
+    sg = TransformationSemigroup(fiber.size, tuple(maps),
+                                 tuple(sorted({phi[x] for x in m.generators})))
+    if not verify_rees_isomorphism(sg, m, phi):
+        raise InternalCheckError("fiber action is not a bijective homomorphism onto its image")
     return sg, phi
 
 
@@ -332,8 +337,7 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
     by the Froidure-Pin lemma gives it for all x.
     """
     elements = list(m.elements())
-    if sorted(phi.keys(), key=lambda x: (x.i, x.g, x.lam)) != sorted(
-            elements, key=lambda x: (x.i, x.g, x.lam)):
+    if phi.keys() != set(elements):
         return False
     images = set(phi.values())
     if len(images) != len(elements) or images != set(sg.elements):

@@ -25,7 +25,7 @@ CLOSURE_CAP = 10**5
 
 def map_compose(x: FiberMap, y: FiberMap) -> FiberMap:
     """x after y."""
-    return tuple(x[y[i]] for i in range(len(x)))
+    return tuple([x[i] for i in y])
 
 
 def is_idempotent_map(x: FiberMap) -> bool:

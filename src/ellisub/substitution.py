@@ -146,12 +146,16 @@ def substitution_from_json(obj: dict | str) -> Substitution:
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "alphabet" not in obj or "rules" not in obj:
         raise ParseError("JSON form needs 'alphabet' and 'rules' keys")
-    alphabet = Alphabet(tuple(obj["alphabet"]))
-    rules_obj = obj["rules"]
+    letters, rules_obj = obj["alphabet"], obj["rules"]
+    if not isinstance(letters, list) or not all(isinstance(sym, str) for sym in letters):
+        raise ParseError("'alphabet' must be a list of letters")
+    if not isinstance(rules_obj, dict):
+        raise ParseError("'rules' must map each letter to its word")
+    alphabet = Alphabet(tuple(letters))
     for sym in rules_obj:
         if sym not in alphabet.letters:
             raise ParseError(f"rule for {sym!r} which is not in the alphabet")
@@ -160,6 +164,8 @@ def substitution_from_json(obj: dict | str) -> Substitution:
         if sym not in rules_obj:
             raise ParseError(f"missing rule for {sym!r}")
         word = rules_obj[sym]
+        if not isinstance(word, str):
+            raise ParseError(f"rule for {sym!r} must be a word, not {type(word).__name__}")
         rules.append(tuple(alphabet.index(c) for c in word))
     lengths = {len(r) for r in rules}
     if len(lengths) > 1:

@@ -114,6 +114,25 @@ def test_parse_error_exits_1_with_position():
     assert payload["error"]["line"] == 2
 
 
+@pytest.mark.parametrize("source", [
+    b"a -> ab\xff\nb -> ba\n",
+    b'{"alphabet": 5, "rules": {"a": "ab", "b": "ba"}}',
+    b'{"alphabet": [1, 2], "rules": {"a": "ab", "b": "ba"}}',
+    b'{"alphabet": ["a", "b"], "rules": {"a": 5, "b": "ba"}}',
+    b'{"alphabet": ["a", "b"], "rules": ["a", "b"]}',
+    b'{"alphabet": ["a", "b"], "rules": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["not-utf8", "alphabet-number", "alphabet-numbers", "rule-number", "rules-list",
+        "nested-too-deep"])
+def test_malformed_input_exits_1_without_traceback(tmp_path, source):
+    path = tmp_path / "malformed.sub"
+    path.write_bytes(source)
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"]["kind"] == "validation"
+
+
 def test_missing_file_exits_1():
     code, _, err = run_cli(["analyze", "/nonexistent/path.sub"])
     assert code == 1
@@ -193,7 +212,6 @@ def test_power_six_input_gets_a_report(tmp_path):
     assert payload["semigroup_size"] == 72
 
 
-@pytest.mark.slow
 def test_group_of_order_120_verifies(tmp_path):
     # power 3 (length 125), |G| = 120, |S| = 960: the structural checks run
     # from generators, and the window oracle still compares every map

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,18 @@ def test_compose_applies_right_factor_first():
     q = (1, 0, 2)
     assert compose(p, q) == tuple(p[q[x]] for x in range(3))
     assert compose(p, inverse(p)) == identity(3)
+
+
+def test_compose_matches_its_definition_on_random_permutations():
+    # degree 1 too: a kernel that returned a scalar there would fail
+    rng = random.Random(20261018)
+    for n in range(1, 10):
+        for _ in range(20):
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            p, q = tuple(p), tuple(q)
+            assert compose(p, q) == tuple(p[q[x]] for x in range(n))
 
 
 def test_closure_small_cases():

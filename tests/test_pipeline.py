@@ -14,7 +14,7 @@ from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               global_description, gtwo_pairs, heights, r_set,
                               return_time_gcd, structural_semigroup,
                               structure_group)
-from ellisub.rees import substitution_sandwich
+from ellisub.rees import MINUS, PLUS, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import report_to_json
 from ellisub.substitution import columns, simplify, substitution_power
 from conftest import fiber_action, make_substitution, rset_and_group
@@ -249,6 +249,21 @@ def test_degree_map_refuses_labels_that_miss_the_group(golden_reports):
         degree_map(matrix, alternating)
 
 
+@pytest.mark.parametrize("name", ["s3_height_two", "d4_height_two"])
+def test_degree_map_refuses_a_sandwich_entry_of_nonzero_degree(golden_reports, name):
+    # d(xy) = d(x) + d(y) holds on M exactly when every sandwich entry has
+    # degree 0, and an R-set element has degree 1 when h > 1
+    report = golden_reports[name]
+    m = report.matrix
+    assert report.height > 1
+    j = next(j for j in range(len(m.i_labels)) if j != m.base[0])
+    minus_row = m.sandwich[MINUS][:j] + (report.rset[0],) + m.sandwich[MINUS][j + 1:]
+    corrupted = ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels,
+                                    (m.sandwich[PLUS], minus_row), m.base)
+    with pytest.raises(InternalCheckError, match="not a semigroup morphism"):
+        degree_map(corrupted, report.normal_completion)
+
+
 def test_degree_calibration_level_two(golden_simplified):
     # the +-element built from consecutive columns nu-1, nu of the square has
     # degree nu modulo h
@@ -421,6 +436,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
               "structural_semigroup", "degree_map", "automorphism_data")
     for name in stages:
         counting(ellisub.pipeline, name)
+    # checks that run once per analysis wherever they are called from; the
+    # oracle's own closure is not counted, as it is the independent witness
+    once = ("verify_rees_isomorphism", "semigroup_closure")
+    for name in once:
+        for module in (ellisub.rees, ellisub.pipeline):
+            if hasattr(module, name):
+                counting(module, name)
     # library functions that a verified analysis must not reach, under every
     # name the pipeline could call them by
     unused = ("rees_decomposition", "presentations_isomorphic")
@@ -450,7 +472,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     report = analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
     assert report.oracle.equal
     assert [name for name in unused if name in calls] == []
-    assert calls == {name: 1 for name in stages}
+    assert calls == {name: 1 for name in stages + once}
     # one presentation per analysis: the substitution sandwich
     assert closed == [report.matrix]
 

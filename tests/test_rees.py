@@ -59,6 +59,36 @@ def test_sandwich_refuses_labels_outside_the_group(golden_simplified):
         substitution_sandwich(a3, rset, rset[0])
 
 
+def test_multiply_matches_its_definition_on_random_presentations():
+    # (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu) over a cyclic group of
+    # each degree 1..9, with the group product written out
+    rng = random.Random(20261018)
+    for n in range(1, 10):
+        gen = list(range(n))
+        rng.shuffle(gen)
+        group = closure([tuple(gen)], n)
+        ni, nlam = rng.randint(1, 3), rng.randint(1, 3)
+        sandwich = tuple(tuple(rng.choice(group.elements) for _ in range(ni))
+                         for _ in range(nlam))
+        m = ReesMatrixSemigroup(group, tuple(range(ni)), tuple(range(nlam)), sandwich)
+        for _ in range(20):
+            x = ReesElement(rng.randrange(ni), rng.choice(group.elements), rng.randrange(nlam))
+            y = ReesElement(rng.randrange(ni), rng.choice(group.elements), rng.randrange(nlam))
+            a = sandwich[x.lam][y.i]
+            middle = tuple(x.g[a[y.g[k]]] for k in range(n))
+            assert multiply(m, x, y) == ReesElement(x.i, middle, y.lam)
+
+
+def test_rees_element_hashes_and_compares_by_value():
+    x = ReesElement(1, (1, 0, 2), 0)
+    same = ReesElement(1, tuple([1, 0, 2]), 0)
+    assert x == same and hash(x) == hash(same)
+    assert len({x, same}) == 1 and {x: "x"}[same] == "x"
+    assert (x.i, x.g, x.lam) == (1, (1, 0, 2), 0)
+    assert all(x != other for other in (ReesElement(0, x.g, 0), ReesElement(1, (0, 1, 2), 0),
+                                         ReesElement(1, x.g, 1)))
+
+
 def test_multiply_normalized_row(golden_simplified):
     m = tm_matrix(golden_simplified)
     lam0 = m.base[1]

@@ -9,6 +9,16 @@ from ellisub.semigroups import (TransformationSemigroup, green_structure,
 from conftest import fiber_action
 
 
+def test_map_compose_matches_its_definition_on_random_maps():
+    # maps need not be injective; degree 1 guards against a scalar result
+    rng = random.Random(20261018)
+    for n in range(1, 10):
+        for _ in range(20):
+            x = tuple(rng.randrange(n) for _ in range(n))
+            y = tuple(rng.randrange(n) for _ in range(n))
+            assert map_compose(x, y) == tuple(x[y[i]] for i in range(n))
+
+
 def test_closure_of_single_idempotent():
     p = (0, 0, 2)
     sg = semigroup_closure([p])
