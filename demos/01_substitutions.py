@@ -7,9 +7,9 @@ a finite sequence of alphabet self-maps; when all of them are permutations
 the substitution is bijective and everything downstream applies.
 """
 
-from ellisub import (columns, cycle_string, is_aperiodic, is_bijective,
-                     is_primitive, is_simplified, parse_substitution,
-                     simplify, word_complexity)
+from ellisub import (allowed_two_words, columns, cycle_string, is_aperiodic,
+                     is_bijective, is_primitive, is_simplified,
+                     parse_substitution, simplify, word_complexity)
 
 THUE_MORSE = """
 # the classic two-letter example, already in simplified form
@@ -32,12 +32,16 @@ for j, col in enumerate(columns(tm)):
 print("\n== validation gates")
 print("bijective:", is_bijective(tm))
 print("primitive:", is_primitive(tm))
-verdict = is_aperiodic(tm)
-print(f"aperiodicity: {verdict.kind} (complexity scanned up to n = {verdict.bound})")
+# aperiodic exactly when some letter has two successors: more than s
+# allowed two-letter words
+words = allowed_two_words(tm)
+print(f"aperiodicity: {is_aperiodic(tm).kind} ({words.size} allowed two-letter words "
+      f"for {tm.size} letters: {', '.join(words.labels(tm.alphabet))})")
 print("complexity p(1..6):", [word_complexity(tm, n) for n in range(1, 7)])
 
-print("\n== a periodic impostor is rejected by the complexity scan")
+print("\n== a periodic impostor has one successor per letter")
 periodic = parse_substitution("a -> aba\nb -> bab")
+print("two-letter words:", ", ".join(allowed_two_words(periodic).labels(periodic.alphabet)))
 print("verdict:", is_aperiodic(periodic))
 
 print("\n== simplification may need a power")

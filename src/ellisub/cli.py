@@ -1,8 +1,8 @@
 """Command-line front end: analyze one substitution, or run the golden suite.
 
 Exit codes: 0 success, 1 input rejected (parse error, non-bijective,
-non-primitive, periodic, inconclusive scan), 2 internal cross-check failure,
-3 resource guard.  Errors are emitted as one JSON object on stderr.
+non-primitive, periodic, inconclusive aperiodicity verdict), 2 internal
+cross-check failure, 3 resource guard.  Errors are emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--g0", type=int, default=None, metavar="INDEX",
                          help="normalize at this R-set index instead of the canonical first")
     analyze.add_argument("--aperiodicity-bound", type=int, default=None, metavar="N",
-                         help="complexity scan bound (default: s^2 * l^2)")
+                         help="bound of the complexity scan the aperiodicity verdict stands for "
+                              "(default: s^2 * l^2)")
     analyze.add_argument("--oracle-level", type=int, default=4, metavar="K",
                          help="window level ceiling for the oracle (default 4)")
     analyze.set_defaults(func=_cmd_analyze)

@@ -138,22 +138,42 @@ def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
 
 def normal_closure(sub_gens: list[Perm] | tuple[Perm, ...], ambient: PermGroup) -> PermGroup:
     """Smallest subgroup of ``ambient`` containing ``sub_gens`` and invariant
-    under conjugation by all of ``ambient``."""
+    under conjugation by all of ``ambient``.
+
+    Grown from generators (Holt, Eick & O'Brien, *Handbook of Computational
+    Group Theory*, section 3): close the generators X, add the conjugates
+    y x y^-1 with y in ``ambient.generators`` and x a newly added generator
+    that the closure misses, and repeat until there are none.  Conjugates of
+    older generators already lie inside, so then y<X>y^-1 is in <X> for every
+    generator y of ``ambient``, and <X> is normal.  Each round's closure is
+    the subgroup generated by the previous one and its conjugates, so the
+    chain of subgroups is the one met by closing over all their elements.
+
+    ``generators`` of the result lists the elements of the last subgroup of
+    that chain which conjugation enlarged, with their conjugates, or the
+    elements of <sub_gens> when it is already normal: the set the chain
+    closed last, which reports print.
+    """
     for g in sub_gens:
         if g not in ambient:
             raise ValidationError(f"{g} lies outside the ambient group")
-    current = closure(list(sub_gens), ambient.degree)
+    conjugators = [(y, inverse(y)) for y in ambient.generators]
+    gens = list(sub_gens)
+    current = closure(gens, ambient.degree)
+    previous = None
+    new = gens
     while True:
-        conjugates = []
-        for g in ambient.generators:
-            ginv = inverse(g)
-            for x in current.elements:
-                y = compose(compose(g, x), ginv)
-                if y not in current:
-                    conjugates.append(y)
-        if not conjugates:
-            return current
-        current = closure(list(current.elements) + conjugates, ambient.degree)
+        conjugates = {compose(compose(y, x), yinv) for y, yinv in conjugators for x in new}
+        new = sorted(conjugates - current.element_set)
+        if not new:
+            break
+        gens += new
+        previous, current = current, closure(gens, ambient.degree)
+    if previous is None:
+        return PermGroup(ambient.degree, current.elements, current.elements)
+    listed = set(previous.elements)
+    listed.update(compose(compose(y, x), yinv) for y, yinv in conjugators for x in previous.elements)
+    return PermGroup(ambient.degree, tuple(sorted(listed)), current.elements)
 
 
 def is_transitive(group: PermGroup) -> bool:

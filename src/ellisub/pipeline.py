@@ -58,7 +58,7 @@ from .errors import InternalCheckError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
                     compose, element_order, group_name, identity, inverse,
-                    is_transitive, normal_closure, quotient_data)
+                    is_normal, is_transitive, normal_closure)
 from .rees import (MINUS, PLUS, ReesElement, ReesMatrixSemigroup,
                    as_transformation_semigroup, idempotents_of,
                    substitution_sandwich)
@@ -184,24 +184,25 @@ def classical_height_bruteforce(sub: Substitution, prefix_level: int = 3) -> int
 def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heights:
     """Little structure group, its normal completion, and both heights.
 
-    The generalized height is the order of the (necessarily cyclic) quotient
-    of the structure group by the normal completion; the classical height
-    comes from the letter grading and must divide it.
+    The R-set is checked to lie in one coset r0 N of the normal completion
+    N.  Then G = <R> lies in <r0, N>, so G/N = <r0 N> is cyclic, and the
+    generalized height is its order |G|/|N|.  The classical height comes
+    from the letter grading and must divide it.
     """
     little = closure([compose(g, inverse(h)) for g in rset for h in rset], group.degree)
-    completion = normal_closure(little.elements, group)
-    order, cyclic = quotient_data(group, completion)
-    if not cyclic:
-        raise InternalCheckError("quotient by the normal completion must be cyclic")
+    completion = normal_closure(little.generators, group)
+    if not is_normal(completion, group):
+        raise InternalCheckError("the normal completion must be normal in the structure group")
+    # r lies in the coset r0 N exactly when r0^-1 r lies in N
+    r0_inverse = inverse(rset[0])
+    if any(compose(r0_inverse, r) not in completion for r in rset):
+        raise InternalCheckError("R-set elements must share a single coset of the normal completion")
+    order = group.order // completion.order
     classical = _classical_height_by_grading(sub)
     length = sub.length
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
             f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}")
-    # r lies in the coset r0 N exactly when r0^-1 r lies in N
-    r0_inverse = inverse(rset[0])
-    if any(compose(r0_inverse, r) not in completion for r in rset):
-        raise InternalCheckError("R-set elements must share a single coset of the normal completion")
     return Heights(order, classical, little, completion)
 
 

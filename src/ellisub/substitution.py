@@ -14,6 +14,11 @@ contains every letter.  Both conditions hold for a suitable power, computed by
 :func:`simplify`.  For simplified substitutions the fixed points correspond
 one-to-one to the allowed two-letter words; that finite set is the singular
 fiber on which all later semigroup computation happens.
+
+The same words decide aperiodicity: the subshift of a primitive bijective
+substitution is aperiodic exactly when some letter has two successors, that
+is, when there are more than s allowed two-letter words (:func:`is_aperiodic`
+gives the proof).  No factor complexity is scanned for it.
 """
 
 from __future__ import annotations
@@ -341,41 +346,6 @@ def _power_word(sub: Substitution, letter: int, level: int,
     return word
 
 
-class _FactorCounter:
-    """The complexity p(n) of one primitive substitution, for many n.
-
-    The allowed two-letter words are read once, and the blocks sigma^k(a) of
-    a level k are written out once, the first time a length needs that
-    level; :func:`word_complexity` says why the count is exact.
-    """
-
-    def __init__(self, sub: Substitution):
-        self.sub = sub
-        self.fiber = allowed_two_words(sub)
-        self.letters = sorted({x for p in self.fiber.pairs for x in p})
-        self.blocks: dict[int, dict[int, str]] = {}  # level k -> letter a -> sigma^k(a)
-
-    def count(self, n: int) -> int:
-        if n == 1:
-            return len(self.letters)
-        level, block = 0, 1
-        while block < n:
-            level += 1
-            block *= self.sub.length
-        if level not in self.blocks:
-            self.blocks[level] = {a: _power_word(self.sub, a, level) for a in self.letters}
-        blocks = self.blocks[level]
-        factors: set[str] = set()
-        for a in self.letters:
-            word = blocks[a]
-            factors.update(word[i : i + n] for i in range(block - n + 1))
-        for a, b in self.fiber.pairs:
-            # the n - 1 windows that start in sigma^k(a) and end in sigma^k(b)
-            word = blocks[a][block - n + 1 :] + blocks[b][: n - 1]
-            factors.update(word[i : i + n] for i in range(n - 1))
-        return len(factors)
-
-
 def word_complexity(sub: Substitution, n: int) -> int:
     """Number of allowed factors of length n.
 
@@ -389,16 +359,36 @@ def word_complexity(sub: Substitution, n: int) -> int:
     """
     if n < 1:
         raise ValidationError("word_complexity needs n >= 1")
-    return _FactorCounter(sub).count(n)
+    fiber = allowed_two_words(sub)
+    letters = sorted({x for pair in fiber.pairs for x in pair})
+    if n == 1:
+        return len(letters)
+    level, block = 0, 1
+    while block < n:
+        level += 1
+        block *= sub.length
+    blocks = {a: _power_word(sub, a, level) for a in letters}
+    factors: set[str] = set()
+    for a in letters:
+        word = blocks[a]
+        factors.update(word[i : i + n] for i in range(block - n + 1))
+    for a, b in fiber.pairs:
+        # the n - 1 windows that start in sigma^k(a) and end in sigma^k(b)
+        word = blocks[a][block - n + 1 :] + blocks[b][: n - 1]
+        factors.update(word[i : i + n] for i in range(n - 1))
+    return len(factors)
 
 
 @dataclass(frozen=True)
 class AperiodicityVerdict:
-    """Outcome of the Morse-Hedlund complexity scan.
+    """Outcome of the aperiodicity test of :func:`is_aperiodic`.
 
     kind is "aperiodic", "periodic" or "inconclusive"; ``period_evidence`` is
-    the n with p(n) <= n for periodic verdicts.  The bound actually scanned is
-    recorded so callers can rerun with a larger one.
+    the least n with p(n) <= n for periodic verdicts, which is the alphabet
+    size s.  ``bound`` is the length n up to which a Morse-Hedlund complexity
+    scan would have to reach to give the same verdict: "aperiodic" needs the
+    default bound s^2 l^2, "periodic" needs 2, and a smaller bound gives
+    "inconclusive", so callers can rerun with a larger one.
     """
 
     kind: str
@@ -415,58 +405,41 @@ def default_aperiodicity_bound(sub: Substitution) -> int:
 
 
 def is_aperiodic(sub: Substitution, bound: int | None = None) -> AperiodicityVerdict:
-    """Morse-Hedlund scan: periodic iff p(n) <= n for some n.
+    """Decide aperiodicity of a primitive bijective substitution from its
+    allowed two-letter words: the subshift X is aperiodic iff it has more
+    than s of them (Dekking 1978).
 
-    For a factor-closed, extendable language, p(n+1) = p(n) at any n forces
-    the language to be eventually periodic, so p is strictly increasing on
-    aperiodic shifts.  Strictness between checkpoints n1 < n2 is equivalent to
-    p(n2) >= p(n1) + (n2 - n1), which lets the scan double instead of walking
-    every n.  A verdict of "aperiodic" is reported only when the scanned bound
-    reaches the default threshold.
+    - Some power tau = sigma^m has identity boundary columns (m the lcm of
+      the orders of the first and last column), so every allowed word ab
+      gives a tau-fixed point tau^inf(a).tau^inf(b) in X.
+    - Suppose ab and ab' are both allowed with b != b'.  Their fixed points
+      are distinct and agree on every negative position.  In a finite X
+      every point is periodic, and two periodic points that agree on a
+      half-line are equal; so X is infinite, and X, being minimal, then has
+      no periodic point.
+    - Suppose instead every letter a has a single successor f(a).  Then every
+      x in X satisfies x[i+1] = f(x[i]), so X is finite: a periodic orbit.
 
-    Every p(n) of one scan comes from the same allowed two-letter words and
-    level blocks, each built once; p(n) itself is counted as in
-    :func:`word_complexity`, from the windows inside each block and the
-    n - 1 windows across each allowed junction.
+    The verdict is the one the Morse-Hedlund complexity scan to ``bound``
+    gives.  With more than s words p(n) >= n + 1 for every n, so the scan
+    says "aperiodic" once the bound reaches s^2 l^2 and "inconclusive" below.
+    With exactly s words p(n) = s for every n, so the scan finds the plateau
+    at n = 2 and walks to the first p(n) <= n, which is n = s; a bound of 1
+    is "inconclusive".
     """
+    if not is_bijective(sub):
+        raise ValidationError("aperiodicity test needs a bijective substitution")
     if not is_primitive(sub):
-        raise ValidationError("aperiodicity scan needs a primitive substitution")
+        raise ValidationError("aperiodicity test needs a primitive substitution")
     default = default_aperiodicity_bound(sub)
     if bound is None:
         bound = default
     if bound < 1:
         raise ValidationError("aperiodicity bound must be >= 1")
-    factors = _FactorCounter(sub)
-
-    def periodic_from(n: int, p_n: int) -> AperiodicityVerdict:
-        # Complexity is constant from a plateau on; walk until p(n) <= n.
-        while p_n > n:
-            n += 1
-            p_n = factors.count(n)
-        return AperiodicityVerdict("periodic", bound, period_evidence=n)
-
-    checkpoints = [1]
-    while checkpoints[-1] < bound:
-        checkpoints.append(min(2 * checkpoints[-1], bound))
-    prev_n, prev_p = 1, factors.count(1)
-    if prev_p <= 1:
-        return periodic_from(1, prev_p)
-    for n in checkpoints[1:]:
-        p = factors.count(n)
-        if p >= prev_p + (n - prev_n):
-            prev_n, prev_p = n, p
-            continue
-        # strictness failed somewhere in (prev_n, n]: locate the plateau
-        m, pm = prev_n, prev_p
-        while m < n:
-            m += 1
-            q = factors.count(m)
-            if q == pm or q <= m:
-                return periodic_from(m, q)
-            pm = q
-        prev_n, prev_p = n, p
-    if bound >= default:
-        return AperiodicityVerdict("aperiodic", bound)
+    if allowed_two_words(sub).size > sub.size:
+        return AperiodicityVerdict("aperiodic" if bound >= default else "inconclusive", bound)
+    if bound >= 2:
+        return AperiodicityVerdict("periodic", bound, period_evidence=sub.size)
     return AperiodicityVerdict("inconclusive", bound)
 
 

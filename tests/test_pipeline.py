@@ -7,7 +7,8 @@ import ellisub.pipeline
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
 from ellisub.perms import (closure, compose, cycle_string, element_order,
-                           identity, inverse, is_normal, is_transitive)
+                           identity, inverse, is_normal, is_transitive,
+                           normal_closure, quotient_data)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
                               column_levels, degree_map, fiber_semigroup,
@@ -112,6 +113,34 @@ def test_height_divisibility(golden_simplified, random_corpus):
         assert (length - 1) % hs.height == 0
         assert (length - 1) % hs.classical_height == 0
         assert hs.height % hs.classical_height == 0
+
+
+def closure_of_all_conjugates(elements, ambient):
+    """Reference normal closure: close over every element and every conjugate
+    of one by a generator of the ambient group, until nothing new appears."""
+    current = closure(list(elements), ambient.degree)
+    while True:
+        conjugates = [compose(compose(g, x), inverse(g))
+                      for g in ambient.generators for x in current.elements]
+        conjugates = [y for y in conjugates if y not in current]
+        if not conjugates:
+            return current
+        current = closure(list(current.elements) + conjugates, ambient.degree)
+
+
+def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpus):
+    for sub in list(golden_simplified.values()) + random_corpus:
+        rset, group = rset_and_group(sub)
+        hs = heights(sub, rset, group)
+        little = closure([compose(g, inverse(h)) for g in rset for h in rset], group.degree)
+        completion = closure_of_all_conjugates(little.elements, group)
+        order, cyclic = quotient_data(group, completion)
+        assert cyclic
+        # generators too: reports list those of the normal completion
+        assert (hs.height, hs.little_group, hs.normal_completion) == (order, little, completion)
+        for x in group.elements:
+            assert (normal_closure([x], group).elements
+                    == closure_of_all_conjugates([x], group).elements)
 
 
 def test_classical_height_bruteforce_examples(golden_simplified):

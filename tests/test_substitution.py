@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -332,20 +333,65 @@ def test_word_complexity_matches_written_out_windows():
             assert word_complexity(sub, n) == written_out_complexity(sub, n), (sub.rules, n)
 
 
+def bijective_verdict_corpus(count=120, seed=20261018):
+    """Primitive bijective substitutions with 2-5 letters and rule length 2-6,
+    in three kinds by turn: random columns; periodic ones with columns
+    c_j = f^j c_0 for an s-cycle f and a c_0 with c_0 f = f^l c_0, which
+    exists when l is prime to s and makes every image of an f-progression
+    ... x f(x) f^2(x) ... again one; and such a periodic one with one column
+    replaced by a random permutation."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        size, length = rng.randint(2, 5), rng.randint(2, 6)
+        cols = [rng.sample(range(size), size) for _ in range(length)]
+        if len(found) % 3 and gcd(size, length) == 1:
+            order = rng.sample(range(size), size)  # f = (order[0] order[1] ...)
+            f = [0] * size
+            for i, x in enumerate(order):
+                f[x] = order[(i + 1) % size]
+            shift = rng.randrange(size)
+            c0 = [0] * size
+            for i, x in enumerate(order):
+                # c_0(f^i(x_0)) = f^(l*i)(y_0), with x_0 = order[0], y_0 = order[shift]
+                c0[x] = order[(shift + length * i) % size]
+            cols = [c0]
+            for _ in range(length - 1):
+                cols.append([f[x] for x in cols[-1]])
+            if len(found) % 3 == 2:
+                cols[rng.randrange(length)] = rng.sample(range(size), size)
+        sub = make_substitution(["".join("abcde"[col[a]] for col in cols) for a in range(size)])
+        if is_primitive(sub):
+            found.append(sub)
+    return found
+
+
 def test_aperiodicity_verdicts_match_reference_scan(golden_subs, random_corpus):
-    cases = [(sub, None) for sub in list(golden_subs.values()) + random_corpus]
-    cases += [(parse_substitution(PERIODIC), None),
-              (make_substitution(["abc", "bca", "cab"]), None),
-              # periodic with p(1) = p(2) = 3: the plateau walk finds evidence 3
-              (make_substitution(["ab", "ca", "bc"]), None)]
-    cases += [(parse_substitution(THUE_MORSE), bound) for bound in (3, 5, 100)]
+    named = [(parse_substitution(PERIODIC), None),
+             (make_substitution(["abc", "bca", "cab"]), None),
+             # periodic with p(1) = p(2) = 3: the plateau walk finds evidence 3
+             (make_substitution(["ab", "ca", "bc"]), None)]
+    named += [(parse_substitution(THUE_MORSE), bound) for bound in (3, 5, 100)]
+    cases = [(sub, None) for sub in list(golden_subs.values()) + random_corpus] + named
+    cases += [(sub, bound) for sub in bijective_verdict_corpus()
+              for bound in (None, 1, 2, 3)]
+    expected = []
     for sub, bound in cases:
         verdict = is_aperiodic(sub, bound)
-        assert (verdict.kind, verdict.bound, verdict.period_evidence) == reference_scan(sub, bound)
-    kinds = [reference_scan(sub, bound) for sub, bound in cases[-6:]]
+        expected.append(reference_scan(sub, bound))
+        assert (verdict.kind, verdict.bound, verdict.period_evidence) == expected[-1]
+    kinds = [expected[cases.index(case)] for case in named]
     assert [(kind, evidence) for kind, _, evidence in kinds] == [
         ("periodic", 2), ("aperiodic", None), ("periodic", 3),
         ("inconclusive", None), ("inconclusive", None), ("aperiodic", None)]
+    periodic = [sub for (sub, bound), (kind, _, _) in zip(cases, expected)
+                if kind == "periodic" and bound is None]
+    assert len(periodic) >= 20  # the periodic branch is exercised
+
+
+def test_aperiodicity_test_refuses_non_bijective_input():
+    with pytest.raises(ValidationError, match="bijective"):
+        is_aperiodic(make_substitution(["abb", "bab"]))
 
 
 def test_aperiodicity_scan_reads_two_letter_words_once(monkeypatch):
@@ -357,13 +403,15 @@ def test_aperiodicity_scan_reads_two_letter_words_once(monkeypatch):
         return original(sub)
     monkeypatch.setattr(ellisub.substitution, "allowed_two_words", counted)
     sub = make_substitution(["abaa", "bacb", "ccbc"])
-    assert is_aperiodic(sub).is_aperiodic  # 9 checkpoints, bound 144
+    assert is_aperiodic(sub).is_aperiodic
     assert calls == [sub]
 
 
-@pytest.mark.slow
-def test_aperiodicity_scan_at_scale():
-    # bounds s^2 l^2 = 1600 and 4900: level-4 blocks of 4096 and 10 000 letters
+def test_aperiodicity_scan_at_scale(monkeypatch):
+    # bounds s^2 l^2 = 1600 and 4900, decided without writing out a block
+    def refuse(*args, **kwargs):
+        raise AssertionError("the aperiodicity test wrote out a level block")
+    monkeypatch.setattr(ellisub.substitution, "_power_word", refuse)
     for source, bound in ((S5, 1600), (S7, 4900)):
         verdict = is_aperiodic(parse_substitution(source))
         assert (verdict.kind, verdict.bound) == ("aperiodic", bound)
