@@ -4,29 +4,28 @@
 Algebraically it is the Rees matrix semigroup over the structure group with
 columns indexed by the R-set, rows by a sign, and the minus row g0 * g^-1.
 Dynamically it is the set of self-maps of the fixed-point fiber induced by
-signed pairs of consecutive column maps.  Both constructions are built here
-and reconciled: the matrix acts on the fiber, the raw map semigroup is
-decomposed back into normalized matrix form, and the presentations agree.
-Each stage takes what the one before it built: R-set, structure group,
-column pairs, fiber semigroup, matrix presentation.
+signed pairs of consecutive column maps.  The pipeline builds the fiber maps
+once, as the action of the matrix on the fiber; here the signed-pair maps are
+also written out by hand and reconciled with it, and the raw map semigroup is
+decomposed back into normalized matrix form.  Each stage takes what the one
+before it built: R-set, structure group, column pairs, matrix presentation.
 """
 
-from ellisub import (cycle_string, fiber_semigroup, gauge_renormalize,
-                     gtwo_pairs, idempotent_generated,
-                     little_structure_group, parse_substitution,
-                     presentations_isomorphic, r_set, rees_decomposition,
-                     simplify, structural_semigroup, structure_group,
+from ellisub import (cycle_string, gauge_renormalize, gtwo_pairs,
+                     idempotent_generated, little_structure_group,
+                     parse_substitution, presentations_isomorphic, r_set,
+                     rees_decomposition, semigroup_closure, simplify,
+                     structural_semigroup, structure_group,
                      verify_rees_isomorphism)
 from ellisub.rees import as_transformation_semigroup, rees_to_json
 
 sub, _ = simplify(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
 letters = sub.alphabet.letters
 
-print("== the fiber and its maps")
+print("== normalized matrix presentation and its fiber semigroup")
 rset = r_set(sub)
 group = structure_group(rset)
-pairs = gtwo_pairs(sub, rset, group)
-action = fiber_semigroup(sub, rset, pairs)
+matrix, action = structural_semigroup(sub, rset, group)
 fiber = action.fiber
 print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))
 print(f"{action.semigroup.size} maps on {fiber.size} points")
@@ -34,18 +33,26 @@ green = action.green
 print("minimal left ideals:", sorted(len(c) for c in green.l_classes))
 print("minimal right ideals:", sorted(len(c) for c in green.r_classes))
 print("idempotents:", len(green.idempotents))
-
-print("\n== normalized matrix presentation")
-matrix = structural_semigroup(rset, group, action)
 print("sandwich rows:")
 for row in matrix.sandwich:
     print("  [" + ", ".join(cycle_string(entry, letters) for entry in row) + "]")
 print("little structure group order:", little_structure_group(matrix).order)
 print("idempotent-generated part:", idempotent_generated(matrix).size, "elements")
 
+print("\n== the signed-pair maps, by hand")
+# [L.R; +] sends a.b to L(b).R(b), [L.R; -] sends a.b to L(a).R(a)
+index = {pair: k for k, pair in enumerate(fiber.pairs)}
+signed = set()
+for left, right in gtwo_pairs(sub, rset, group):
+    signed.add(tuple(index[(left[b], right[b])] for a, b in fiber.pairs))
+    signed.add(tuple(index[(left[a], right[a])] for a, b in fiber.pairs))
+print(f"{len(signed)} signed-pair maps; the matrix action reproduces them:",
+      tuple(sorted(signed)) == action.semigroup.elements)
+print("they are closed under composition:",
+      semigroup_closure(sorted(signed), degree=fiber.size) == action.semigroup)
+
 print("\n== round trip through the raw semigroup")
-realized, phi = as_transformation_semigroup(matrix, fiber)
-print("matrix action reproduces the fiber maps:", realized == action.semigroup)
+_, phi = as_transformation_semigroup(matrix, fiber)
 print("matrix embeds isomorphically:", verify_rees_isomorphism(action.semigroup, matrix, phi))
 some_idempotent = action.semigroup.elements[green.idempotents[0]]
 decomposition = rees_decomposition(action.semigroup, some_idempotent)

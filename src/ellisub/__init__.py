@@ -21,8 +21,8 @@ from .perms import (PermGroup, centralizer_in_symmetric, closure,
 from .pipeline import (AnalysisConfig, FiberAction, Heights, StructuralReport,
                        analyze_substitution, automorphism_data,
                        classical_height_bruteforce, degree_map,
-                       fiber_semigroup, global_description, gtwo_pairs,
-                       heights, r_set, structural_semigroup, structure_group)
+                       global_description, gtwo_pairs, heights, r_set,
+                       structural_semigroup, structure_group)
 from .rees import (ReesElement, ReesMatrixSemigroup,
                    as_transformation_semigroup, gauge_renormalize,
                    idempotent_generated, idempotents_of,

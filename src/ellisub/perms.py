@@ -101,11 +101,12 @@ class PermGroup:
 
 def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
             cap: int = CLOSURE_CAP) -> PermGroup:
-    """Smallest group containing ``gens``, found by breadth-first multiplication.
+    """Smallest group containing ``gens``, found by breadth-first multiplication
+    by each distinct generator.
 
     ``degree`` is required when ``gens`` is empty (the trivial group).
     """
-    gens = [tuple(g) for g in gens]
+    gens = list(dict.fromkeys(tuple(g) for g in gens))
     if degree is None:
         if not gens:
             raise ValidationError("closure of an empty generator list needs an explicit degree")
@@ -133,17 +134,18 @@ def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
                     if len(elements) > cap:
                         raise ResourceLimitError(f"group closure exceeded cap of {cap} elements")
         frontier = new
-    return PermGroup(degree, tuple(sorted(set(gens))) or (ident,), tuple(sorted(elements)))
+    return PermGroup(degree, tuple(sorted(gens)) or (ident,), tuple(sorted(elements)))
 
 
-def normal_closure(sub_gens: list[Perm] | tuple[Perm, ...], ambient: PermGroup) -> PermGroup:
-    """Smallest subgroup of ``ambient`` containing ``sub_gens`` and invariant
+def normal_closure(sub: PermGroup, ambient: PermGroup) -> PermGroup:
+    """Smallest subgroup of ``ambient`` containing ``sub`` and invariant
     under conjugation by all of ``ambient``.
 
     Grown from generators (Holt, Eick & O'Brien, *Handbook of Computational
-    Group Theory*, section 3): close the generators X, add the conjugates
-    y x y^-1 with y in ``ambient.generators`` and x a newly added generator
-    that the closure misses, and repeat until there are none.  Conjugates of
+    Group Theory*, section 3): start from <X> = ``sub``, closed already, with
+    X its generators; add the conjugates y x y^-1 with y in
+    ``ambient.generators`` and x a newly added generator that the closure
+    misses, close again, and repeat until there are none.  Conjugates of
     older generators already lie inside, so then y<X>y^-1 is in <X> for every
     generator y of ``ambient``, and <X> is normal.  Each round's closure is
     the subgroup generated by the previous one and its conjugates, so the
@@ -151,15 +153,15 @@ def normal_closure(sub_gens: list[Perm] | tuple[Perm, ...], ambient: PermGroup) 
 
     ``generators`` of the result lists the elements of the last subgroup of
     that chain which conjugation enlarged, with their conjugates, or the
-    elements of <sub_gens> when it is already normal: the set the chain
-    closed last, which reports print.
+    elements of ``sub`` when it is already normal: the set the chain closed
+    last, which reports print.
     """
-    for g in sub_gens:
+    for g in sub.generators:
         if g not in ambient:
             raise ValidationError(f"{g} lies outside the ambient group")
     conjugators = [(y, inverse(y)) for y in ambient.generators]
-    gens = list(sub_gens)
-    current = closure(gens, ambient.degree)
+    gens = list(sub.generators)
+    current = sub
     previous = None
     new = gens
     while True:

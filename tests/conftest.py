@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ellisub import (AnalysisConfig, FiberAction, analyze_substitution,
-                     fiber_semigroup, gtwo_pairs, is_aperiodic,
-                     parse_substitution, r_set, structure_group)
+                     is_aperiodic, parse_substitution, r_set,
+                     structural_semigroup, structure_group)
 from ellisub.golden import CASES
 from ellisub.substitution import Alphabet, Substitution
 
@@ -23,8 +23,8 @@ def rset_and_group(sub: Substitution) -> tuple:
 
 def fiber_action(sub: Substitution) -> FiberAction:
     """The fiber semigroup of a simplified substitution, built from its stages."""
-    rset, group = rset_and_group(sub)
-    return fiber_semigroup(sub, rset, gtwo_pairs(sub, rset, group))
+    _, action = structural_semigroup(sub, *rset_and_group(sub))
+    return action
 
 
 def random_simplified_aperiodic(rng: random.Random, size: int, length: int) -> Substitution | None:

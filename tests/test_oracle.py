@@ -121,8 +121,7 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
     from ellisub.pipeline import structural_semigroup
     sub = golden_simplified["s3_height_two"]
     result = limit_maps(sub)
-    action = fiber_action(sub)
-    matrix = structural_semigroup(*rset_and_group(sub), action)
+    matrix, action = structural_semigroup(sub, *rset_and_group(sub))
     partial = idempotent_generated(matrix)
     partial_sg, _ = as_transformation_semigroup(partial, action.fiber)
     assert partial_sg.size == 18 and result.semigroup.size == 36

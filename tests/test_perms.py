@@ -64,25 +64,25 @@ def test_cycle_string():
 
 def test_normal_closure_of_transposition_in_s3_is_everything():
     s3 = s_n(3)
-    assert normal_closure([S3_TRANSPOSITION], s3).order == 6
+    assert normal_closure(closure([S3_TRANSPOSITION]), s3).order == 6
 
 
 def test_normal_closure_of_a3_is_a3():
     s3 = s_n(3)
     a3 = closure([S3_CYCLE])
-    assert normal_closure(list(a3.elements), s3).elements == a3.elements
+    assert normal_closure(a3, s3).elements == a3.elements
     assert is_normal(a3, s3)
 
 
 def test_normal_closure_of_identity_is_trivial():
     s3 = s_n(3)
-    assert normal_closure([identity(3)], s3).order == 1
+    assert normal_closure(closure([identity(3)]), s3).order == 1
 
 
 def test_normal_closure_rejects_outsiders():
     a3 = closure([S3_CYCLE])
     with pytest.raises(ValidationError):
-        normal_closure([S3_TRANSPOSITION], a3)
+        normal_closure(closure([S3_TRANSPOSITION]), a3)
 
 
 def test_transitivity():

@@ -1,4 +1,6 @@
+import random
 import sys
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -7,17 +9,19 @@ import ellisub.pipeline
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
 from ellisub.perms import (closure, compose, cycle_string, element_order,
-                           identity, inverse, is_normal, is_transitive,
-                           normal_closure, quotient_data)
+                           group_fingerprint, group_name, identity, inverse,
+                           is_normal, is_transitive, normal_closure,
+                           quotient_data)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
-                              column_levels, degree_map, fiber_semigroup,
-                              global_description, gtwo_pairs, heights, r_set,
-                              return_time_gcd, structural_semigroup,
-                              structure_group)
+                              column_levels, degree_map, global_description,
+                              gtwo_pairs, heights, r_set, return_time_gcd,
+                              structural_semigroup, structure_group)
 from ellisub.rees import MINUS, PLUS, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import report_to_json
-from ellisub.substitution import columns, simplify, substitution_power
+from ellisub.semigroups import map_compose, semigroup_closure
+from ellisub.substitution import (Substitution, allowed_two_words, columns,
+                                  simplify, substitution_power)
 from conftest import fiber_action, make_substitution, rset_and_group
 
 SWAP = (1, 0)
@@ -139,7 +143,7 @@ def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpu
         # generators too: reports list those of the normal completion
         assert (hs.height, hs.little_group, hs.normal_completion) == (order, little, completion)
         for x in group.elements:
-            assert (normal_closure([x], group).elements
+            assert (normal_closure(closure([x]), group).elements
                     == closure_of_all_conjugates([x], group).elements)
 
 
@@ -187,7 +191,7 @@ def test_fiber_idempotents_fix_their_image(golden_simplified):
 
 def test_structural_semigroup_thue_morse_exact(golden_simplified):
     sub = golden_simplified["thue_morse"]
-    m = structural_semigroup(*rset_and_group(sub), fiber_action(sub))
+    m, _ = structural_semigroup(sub, *rset_and_group(sub))
     ident = identity(2)
     assert m.sandwich == ((ident, ident), (ident, SWAP))
 
@@ -195,18 +199,18 @@ def test_structural_semigroup_thue_morse_exact(golden_simplified):
 def test_structural_semigroup_g0_override(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
     rset, group = rset_and_group(sub)
-    action = fiber_action(sub)
     for g0 in rset:
-        m = structural_semigroup(rset, group, action, g0)
+        m, action = structural_semigroup(sub, rset, group, g0)
         assert m.i_labels[m.base[0]] == g0
+        assert action.semigroup == fiber_action(sub).semigroup
     with pytest.raises(ValidationError):
-        structural_semigroup(rset, group, action, (1, 2, 0))
+        structural_semigroup(sub, rset, group, (1, 2, 0))
 
 
 def test_degree_map_trivial_when_height_one(golden_simplified):
     sub = golden_simplified["thue_morse"]
     rset, group = rset_and_group(sub)
-    m = structural_semigroup(rset, group, fiber_action(sub))
+    m, _ = structural_semigroup(sub, rset, group)
     data = degree_map(m, heights(sub, rset, group).normal_completion)
     assert data.modulus == 1
     assert set(data.table.values()) == {0}
@@ -216,7 +220,7 @@ def test_degree_map_splits_by_parity(golden_simplified):
     sub = golden_simplified["s3_height_two"]
     rset, group = rset_and_group(sub)
     hs = heights(sub, rset, group)
-    m = structural_semigroup(rset, group, fiber_action(sub))
+    m, _ = structural_semigroup(sub, rset, group)
     data = degree_map(m, hs.normal_completion)
     assert data.modulus == 2
     counts = {0: 0, 1: 0}
@@ -461,23 +465,25 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    stages = ("r_set", "structure_group", "heights", "gtwo_pairs", "fiber_semigroup",
+    stages = ("r_set", "structure_group", "heights", "gtwo_pairs",
               "structural_semigroup", "degree_map", "automorphism_data")
     for name in stages:
         counting(ellisub.pipeline, name)
-    # checks that run once per analysis wherever they are called from; the
-    # oracle's own closure is not counted, as it is the independent witness
-    once = ("verify_rees_isomorphism", "semigroup_closure")
+    # the fiber maps are built and their product law proved once per analysis,
+    # wherever these are called from
+    once = ("as_transformation_semigroup", "verify_rees_isomorphism")
     for name in once:
         for module in (ellisub.rees, ellisub.pipeline):
             if hasattr(module, name):
                 counting(module, name)
     # library functions that a verified analysis must not reach, under every
-    # name the pipeline could call them by
-    unused = ("rees_decomposition", "presentations_isomorphic")
+    # name the pipeline could call them by; the oracle's own semigroup
+    # closure is not counted, as it is the independent witness
+    unused = ("rees_decomposition", "presentations_isomorphic", "semigroup_closure")
     for name in unused:
-        for module in (ellisub.rees, ellisub.pipeline):
-            if hasattr(module, name):
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("ellisub.") and module_name != "ellisub.oracle"
+                    and hasattr(module, name)):
                 counting(module, name)
     closed = []  # presentations whose generators were closed
     original_closure = ellisub.rees._element_closure
@@ -515,20 +521,113 @@ def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     assert len(gtwo_pairs(sub, rset, group)) == 480
 
 
-def test_fiber_semigroup_is_generated_by_signed_level_one_pairs(golden_simplified):
-    for sub in golden_simplified.values():
+def signed_pair_maps(sub, pairs):
+    """Written-out reference: the fiber map of every signed column pair
+    [L.R; +/-], a.b -> L(b).R(b) for + and a.b -> L(a).R(a) for -."""
+    fiber = allowed_two_words(sub)
+    index = {pair: k for k, pair in enumerate(fiber.pairs)}
+    maps = {}
+    for left, right in pairs:
+        maps[(left, right, PLUS)] = tuple(index[(left[b], right[b])] for a, b in fiber.pairs)
+        maps[(left, right, MINUS)] = tuple(index[(left[a], right[a])] for a, b in fiber.pairs)
+    return maps
+
+
+def test_matrix_action_is_the_signed_pair_semigroup(golden_simplified, random_corpus):
+    for sub in list(golden_simplified.values()) + random_corpus:
         rset, group = rset_and_group(sub)
-        pairs = gtwo_pairs(sub, rset, group)
-        action = fiber_semigroup(sub, rset, pairs)
+        maps = signed_pair_maps(sub, gtwo_pairs(sub, rset, group))
+        _, action = structural_semigroup(sub, rset, group)
+        assert len(set(maps.values())) == len(maps)
+        assert tuple(sorted(maps.values())) == action.semigroup.elements
+        # the four signed product rules, on all pairs: [L.R; e][L'.R'; e'] is
+        # [L X . R X; e'] with X = R' for e = + and X = L' for e = -
+        for (l1, r1, e1), f1 in maps.items():
+            for (l2, r2, e2), f2 in maps.items():
+                inner = r2 if e1 == PLUS else l2
+                assert map_compose(f1, f2) == maps[(compose(l1, inner), compose(r1, inner), e2)]
         _, level_one = next(column_levels(sub))
-        assert len(action.semigroup.generators) == 2 * len(level_one)
-        assert action.semigroup.size == 2 * len(pairs)
+        generators = [maps[(left, right, sign)]
+                      for left, right in level_one for sign in (PLUS, MINUS)]
+        assert semigroup_closure(generators, degree=action.fiber.size) == action.semigroup
 
 
-def test_fiber_semigroup_refuses_generators_that_fall_short(golden_simplified, monkeypatch):
-    # the closure sees only the first signed pair, so it cannot reach every map
-    original = ellisub.pipeline.semigroup_closure
-    monkeypatch.setattr(ellisub.pipeline, "semigroup_closure",
-                        lambda gens, degree: original(gens[:1], degree=degree))
-    with pytest.raises(InternalCheckError, match="generate"):
-        fiber_action(golden_simplified["s3_seven_words"])
+def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, monkeypatch):
+    closed = []
+    original_closure = ellisub.perms.closure
+
+    def recording(*args, **kwargs):
+        group = original_closure(*args, **kwargs)
+        closed.append(group.element_set)
+        return group
+    for module in (ellisub.perms, ellisub.pipeline):
+        monkeypatch.setattr(module, "closure", recording)
+    for sub in list(golden_simplified.values()) + random_corpus:
+        rset, group = rset_and_group(sub)
+        closed.clear()
+        hs = heights(sub, rset, group)
+        assert closed.count(hs.little_group.element_set) == 1
+
+    # closure multiplies by each distinct generator once: a repeated
+    # generator costs no compositions
+    compositions = 0
+    original_compose = ellisub.perms.compose
+
+    def counting(p, q):
+        nonlocal compositions
+        compositions += 1
+        return original_compose(p, q)
+    monkeypatch.setattr(ellisub.perms, "compose", counting)
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    distinct = original_closure(gens)
+    walked = compositions
+    compositions = 0
+    repeated = original_closure(gens * 3 + gens[:1])
+    assert compositions == walked and repeated == distinct
+
+
+def test_fiber_no_larger_than_the_alphabet_stops_at_the_r_set(monkeypatch):
+    # one successor per letter makes every column quotient the same
+    # permutation, so the R-set check refuses before any later stage runs
+    def refuse(rset):
+        raise AssertionError("a stage ran after the R-set check")
+    monkeypatch.setattr(ellisub.pipeline, "structure_group", refuse)
+    for words in (["aba", "bab"], ["ab", "ca", "bc"]):
+        sub = substitution_power(make_substitution(words), 2)
+        assert allowed_two_words(sub).size == sub.size
+        with pytest.raises(ValidationError, match="at least two R-set elements"):
+            global_description(sub)
+
+
+def relabeled(sub, perm):
+    """``sub`` conjugated by the letter permutation ``perm``: the rule of
+    perm(a) is the rule of a with every letter x replaced by perm(x)."""
+    rules = [None] * sub.size
+    for a, word in enumerate(sub.rules):
+        rules[perm[a]] = tuple(perm[x] for x in word)
+    return Substitution(sub.alphabet, tuple(rules))
+
+
+def relabeling_invariants(report):
+    groups = (report.structure_group, report.little_group, report.normal_completion,
+              report.aut.fiber_group)
+    return {
+        "groups": [(g.order, group_name(g), group_fingerprint(g)) for g in groups],
+        "heights": (report.height, report.classical_height),
+        "fiber_size": report.action.fiber.size,
+        "semigroup_size": report_to_json(report)["semigroup_size"],
+        "green": report.action.green.summary(),
+        "degrees": sorted(Counter(report.degree.table.values()).items()),
+        "global_strings": report.global_strings,
+        "order_h_witness": report.order_h_witness is not None,
+    }
+
+
+def test_relabeling_the_alphabet_keeps_the_invariants(golden_simplified, random_corpus):
+    rng = random.Random(20261018)
+    for sub in list(golden_simplified.values()) + random_corpus:
+        expected = relabeling_invariants(global_description(sub))
+        for _ in range(3):
+            perm = list(range(sub.size))
+            rng.shuffle(perm)
+            assert relabeling_invariants(global_description(relabeled(sub, perm))) == expected
