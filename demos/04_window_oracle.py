@@ -9,8 +9,9 @@ reference to column quotients or groups -- and the result is compared
 map-for-map against the algebraic pipeline.
 """
 
-from ellisub import (fixed_point_block, global_description, letter_at,
-                     limit_maps, oracle_equivalence, parse_substitution,
+from ellisub import (as_transformation_semigroup, fixed_point_block,
+                     global_description, letter_at, limit_maps,
+                     oracle_equivalence, parse_substitution,
                      proximality_classes, shift_two_word, simplify)
 
 sub, _ = simplify(parse_substitution("a -> abba\nb -> baab"))
@@ -33,7 +34,8 @@ print(f"{len(result.maps)} seed maps, all stabilized at level",
 print("closure size:", result.semigroup.size)
 
 print("\n== equivalence with the algebraic semigroup")
-algebraic = global_description(sub).action.semigroup
+report = global_description(sub)
+algebraic, _ = as_transformation_semigroup(report.matrix, report.fiber)
 comparison = oracle_equivalence(sub, algebraic)
 print("equal:", comparison.equal)
 

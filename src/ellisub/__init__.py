@@ -18,11 +18,10 @@ from .perms import (PermGroup, centralizer_in_symmetric, closure,
                     cycle_string, element_order, group_fingerprint,
                     group_name, is_normal, is_transitive, normal_closure,
                     quotient_data)
-from .pipeline import (AnalysisConfig, FiberAction, Heights, StructuralReport,
+from .pipeline import (AnalysisConfig, Heights, StructuralReport,
                        analyze_substitution, automorphism_data,
                        classical_height_bruteforce, degree_map,
-                       global_description, gtwo_pairs, heights, r_set,
-                       structural_semigroup, structure_group)
+                       global_description, heights, r_set, structure_group)
 from .rees import (ReesElement, ReesMatrixSemigroup,
                    as_transformation_semigroup, gauge_renormalize,
                    idempotent_generated, idempotents_of,

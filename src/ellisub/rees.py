@@ -23,7 +23,8 @@ from typing import NamedTuple
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .perms import Perm, PermGroup, closure, compose, identity, inverse
 from .semigroups import (FiberMap, GreenStructure, TransformationSemigroup,
-                         green_structure, is_completely_simple, map_compose)
+                         green_structure, green_summary, is_completely_simple,
+                         map_compose)
 from .substitution import TwoWordFiber
 
 PLUS, MINUS = 0, 1
@@ -76,6 +77,19 @@ class ReesMatrixSemigroup:
         return (all(entry == ident for entry in self.sandwich[lam0])
                 and all(row[i0] == ident for row in self.sandwich))
 
+    def green_summary(self) -> dict:
+        """Green's structure by Rees's theorem (Howie, *Fundamentals of
+        Semigroup Theory*, Thm 3.4.1): with every sandwich entry in G the
+        semigroup is completely simple, x R y exactly when x and y share i,
+        and x L y exactly when they share lam.  So there are |Lambda|
+        L-classes of size |I||G|, |I| R-classes of size |Lambda||G|, |I||Lambda|
+        H-classes of size |G|, each a group with one idempotent, and one
+        D-class, which is the whole semigroup and its kernel."""
+        n_i, n_lam, order = len(self.i_labels), len(self.lam_labels), self.group.order
+        return green_summary([n_i * order] * n_lam, [n_lam * order] * n_i,
+                             [order] * (n_i * n_lam), [self.size],
+                             n_i * n_lam, self.size)
+
     @cached_property
     def generators(self) -> tuple[ReesElement, ...]:
         """A generating set X: every (i, 1, lam), plus (i0, s * A[lam0][i0]^-1,
@@ -112,11 +126,6 @@ def idempotents_of(m: ReesMatrixSemigroup) -> list[ReesElement]:
     """Exactly the triples (i, A[lam][i]^-1, lam); count |I|*|Lambda|."""
     return [ReesElement(i, inverse(m.sandwich[lam][i]), lam)
             for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
-
-
-def normal_inverse(m: ReesMatrixSemigroup, x: ReesElement) -> ReesElement:
-    a_inv = inverse(m.sandwich[x.lam][x.i])
-    return ReesElement(x.i, compose(compose(a_inv, inverse(x.g)), a_inv), x.lam)
 
 
 def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[ReesElement]:
@@ -290,12 +299,36 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
 
     The triple (i, g, +) acts as a.b -> L(b).R(b) and (i, g, -) as
     a.b -> L(a).R(a), where R = g (resp. g*g0) and L = i^-1 * R; this inverts
-    the bijection used to put the fiber semigroup into matrix form.
+    the bijection used to put the fiber semigroup into matrix form.  For the
+    sandwich of a substitution, with I its R-set and G = <I>, three
+    statements hold by construction, and each is still checked here:
+
+    * The maps stay in the fiber.  A target is (i^-1 c, c) for a letter c.
+      With i = c_j c_(j-1)^-1 for columns c_j of the substitution and
+      x = c_j^-1 c, it is the word (c_(j-1)(x), c_j(x)), letters j-1, j of
+      the rule of x.
+    * The action is faithful.  A + map reads b, and b runs through every
+      letter, so it fixes R = g and then L, hence i; a - map likewise.  With
+      |I| >= 2 some letter has two predecessors in the fiber, which a + map
+      sends to the same word and a - map to different ones.
+    * The product law (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu), with
+      A[+][j] = 1 and A[-][j] = g0 j^-1, holds as an identity in G.  The
+      left factor reads the word its right factor writes, (j^-1 R', R') with
+      R' = h (mu = +) or h g0 (mu = -), read at b (mu = +) or a (mu = -):
+      - (i, g, +)(j, h, +) = (i, g h, +): a.b -> i^-1 g h(b) . g h(b);
+      - (i, g, +)(j, h, -) = (i, g h, -): a.b -> i^-1 g h g0(a) . g h g0(a);
+      - (i, g, -)(j, h, +) = (i, g g0 j^-1 h, +):
+        a.b -> i^-1 g g0 j^-1 h(b) . g g0 j^-1 h(b);
+      - (i, g, -)(j, h, -) = (i, g g0 j^-1 h, -):
+        a.b -> i^-1 g g0 j^-1 h g0(a) . g g0 j^-1 h g0(a).
+      A + left factor reads R', so its R becomes g R'; a - left factor reads
+      j^-1 R', so its R becomes g g0 j^-1 R'.
 
     The returned semigroup is the image of this action phi, generated by the
     images of ``m.generators``.  One call of :func:`verify_rees_isomorphism`
     proves phi a bijective homomorphism onto it, and the image of a
-    homomorphism is closed under composition, so no closure is run.
+    homomorphism is closed under composition, so no closure is run; the cost
+    is |S| * |X| products, with |S| = 2|I||G| and X = ``m.generators``.
     """
     if m.lam_labels != SIGN_LABELS:
         raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")

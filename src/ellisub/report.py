@@ -70,12 +70,12 @@ def report_to_json(report: StructuralReport) -> dict:
         "height": report.height,
         "classical_height": report.classical_height,
         "r_pi": report.r_pi,
-        "fiber_size": report.action.fiber.size,
-        "fiber": list(report.action.fiber.labels(report.alphabet)),
+        "fiber_size": report.fiber.size,
+        "fiber": list(report.fiber.labels(report.alphabet)),
         "sandwich_matrix": [[cycle_string(entry, letters) for entry in row]
                             for row in matrix.sandwich],
         "semigroup_size": 2 * len(report.rset) * report.structure_group.order,
-        "green": report.action.green.summary(),
+        "green": matrix.green_summary(),
         "degree_table": degree_rows,
         "aut_fib": _group_payload(report.aut.fiber_group, letters),
         "virtual_aut": report.aut.virtual,

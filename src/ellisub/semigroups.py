@@ -14,6 +14,7 @@ J = D-classes are strongly connected components, and the cost is
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
@@ -26,10 +27,6 @@ CLOSURE_CAP = 10**5
 def map_compose(x: FiberMap, y: FiberMap) -> FiberMap:
     """x after y."""
     return tuple([x[i] for i in y])
-
-
-def is_idempotent_map(x: FiberMap) -> bool:
-    return map_compose(x, x) == x
 
 
 class TransformationSemigroup:
@@ -109,19 +106,29 @@ class GreenStructure:
     kernel: tuple[int, ...]
 
     def summary(self) -> dict:
-        def shape(classes):
-            sizes: dict[int, int] = {}
-            for c in classes:
-                sizes[len(c)] = sizes.get(len(c), 0) + 1
-            return {"count": len(classes), "sizes": {str(k): v for k, v in sorted(sizes.items())}}
-        return {
-            "l_classes": shape(self.l_classes),
-            "r_classes": shape(self.r_classes),
-            "h_classes": shape(self.h_classes),
-            "d_classes": shape(self.d_classes),
-            "idempotents": len(self.idempotents),
-            "kernel_size": len(self.kernel),
-        }
+        def sizes(classes):
+            return [len(c) for c in classes]
+        return green_summary(sizes(self.l_classes), sizes(self.r_classes),
+                             sizes(self.h_classes), sizes(self.d_classes),
+                             len(self.idempotents), len(self.kernel))
+
+
+def green_summary(l_sizes: list[int], r_sizes: list[int], h_sizes: list[int],
+                  d_sizes: list[int], idempotents: int, kernel_size: int) -> dict:
+    """The reported shape of a Green structure, from the size of every L-,
+    R-, H- and D-class: per relation the class count and how many classes
+    have each size, then the idempotent count and the kernel size."""
+    def shape(class_sizes):
+        counts = Counter(class_sizes)
+        return {"count": len(class_sizes), "sizes": {str(k): v for k, v in sorted(counts.items())}}
+    return {
+        "l_classes": shape(l_sizes),
+        "r_classes": shape(r_sizes),
+        "h_classes": shape(h_sizes),
+        "d_classes": shape(d_sizes),
+        "idempotents": idempotents,
+        "kernel_size": kernel_size,
+    }
 
 
 def _components(edges: list[list[int]]) -> list[int]:
@@ -227,21 +234,3 @@ def is_completely_simple(sg: TransformationSemigroup,
     """Finite case: simple (kernel is everything) plus an idempotent."""
     green = green or green_structure(sg)
     return len(green.kernel) == sg.size and bool(green.idempotents)
-
-
-def semigroup_to_json(sg: TransformationSemigroup,
-                      point_labels: tuple[str, ...] | None = None,
-                      green: GreenStructure | None = None) -> dict:
-    """JSON form: point labels, element image arrays, generator indices, and
-    the Green partition summary."""
-    labels = point_labels or tuple(str(i) for i in range(sg.degree))
-    if len(labels) != sg.degree:
-        raise ValidationError("one label per point is required")
-    green = green or green_structure(sg)
-    return {
-        "points": list(labels),
-        "elements": [list(x) for x in sg.elements],
-        "generators": [sg.index[g] for g in sg.generators],
-        "contains_identity": sg.contains_identity,
-        "green": green.summary(),
-    }

@@ -1,12 +1,18 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from ellisub import (AnalysisConfig, FiberAction, analyze_substitution,
-                     is_aperiodic, parse_substitution, r_set,
-                     structural_semigroup, structure_group)
+from ellisub import (AnalysisConfig, analyze_substitution, is_aperiodic,
+                     parse_substitution, r_set, structure_group)
 from ellisub.golden import CASES
-from ellisub.substitution import Alphabet, Substitution
+from ellisub.perms import compose
+from ellisub.rees import (ReesMatrixSemigroup, as_transformation_semigroup,
+                          substitution_sandwich)
+from ellisub.semigroups import (GreenStructure, TransformationSemigroup,
+                                green_structure)
+from ellisub.substitution import (Alphabet, Substitution, TwoWordFiber,
+                                  allowed_two_words, columns)
 
 
 def make_substitution(rule_words: list[str]) -> Substitution:
@@ -21,10 +27,37 @@ def rset_and_group(sub: Substitution) -> tuple:
     return rset, structure_group(rset)
 
 
-def fiber_action(sub: Substitution) -> FiberAction:
+def translates(pairs, group) -> set:
+    """{(a g, b g) : (a, b) in pairs, g in G}."""
+    return {(compose(a, g), compose(b, g)) for a, b in pairs for g in group.elements}
+
+
+def pair_closure(sub: Substitution, group) -> set:
+    """The consecutive column pairs of sub, translated by G."""
+    cols = columns(sub)
+    return translates(zip(cols, cols[1:]), group)
+
+
+@dataclass
+class FiberMaps:
+    """The fiber semigroup: the fiber, the maps the matrix action builds on
+    it, and their Green structure, recomputed from the maps by Cayley graphs
+    as the reference for the Green summary that reports read off the matrix."""
+
+    fiber: TwoWordFiber
+    semigroup: TransformationSemigroup
+    green: GreenStructure
+
+
+def fiber_maps(matrix: ReesMatrixSemigroup, fiber: TwoWordFiber) -> FiberMaps:
+    semigroup, _ = as_transformation_semigroup(matrix, fiber)
+    return FiberMaps(fiber, semigroup, green_structure(semigroup))
+
+
+def fiber_action(sub: Substitution) -> FiberMaps:
     """The fiber semigroup of a simplified substitution, built from its stages."""
-    _, action = structural_semigroup(sub, *rset_and_group(sub))
-    return action
+    rset, group = rset_and_group(sub)
+    return fiber_maps(substitution_sandwich(group, rset, rset[0]), allowed_two_words(sub))
 
 
 def random_simplified_aperiodic(rng: random.Random, size: int, length: int) -> Substitution | None:
@@ -80,6 +113,12 @@ def golden_reports(golden_subs) -> dict:
 
 
 @pytest.fixture(scope="session")
+def golden_fibers(golden_reports) -> dict:
+    return {name: fiber_maps(report.matrix, report.fiber)
+            for name, report in golden_reports.items()}
+
+
+@pytest.fixture(scope="session")
 def random_corpus() -> list[Substitution]:
     return build_random_corpus()
 
@@ -91,7 +130,12 @@ def random_reports(random_corpus) -> list:
 
 
 @pytest.fixture(scope="session")
-def random_oracle(random_corpus, random_reports) -> list:
+def random_fibers(random_reports) -> list:
+    return [fiber_maps(report.matrix, report.fiber) for report in random_reports]
+
+
+@pytest.fixture(scope="session")
+def random_oracle(random_corpus, random_fibers) -> list:
     from ellisub import oracle_equivalence
-    return [oracle_equivalence(sub, report.action.semigroup)
-            for sub, report in zip(random_corpus, random_reports)]
+    return [oracle_equivalence(sub, built.semigroup)
+            for sub, built in zip(random_corpus, random_fibers)]

@@ -22,14 +22,14 @@ def perm_from_cycle_pairs(size, *swaps):
     return tuple(images)
 
 
-def test_criterion_1_two_letter(golden_reports):
+def test_criterion_1_two_letter(golden_reports, golden_fibers):
     report = golden_reports["thue_morse"]
     ident, swap = identity(2), (1, 0)
     assert set(report.rset) == {ident, swap}
     assert report.structure_group.order == 2
     assert report.matrix.sandwich == ((ident, ident), (ident, swap))
     assert 2 * len(report.rset) * report.structure_group.order == 8
-    assert len(report.action.green.idempotents) == 4
+    assert len(golden_fibers["thue_morse"].green.idempotents) == 4
     assert report.height == 1 and report.classical_height == 1
     assert report.aut.fiber_group.order == 2
     assert set(report.aut.fiber_group.elements) == {ident, swap}
@@ -37,18 +37,19 @@ def test_criterion_1_two_letter(golden_reports):
               "8 elements with 4 idempotents, h = h_cl = 1, Aut_fib = S_2")
 
 
-def test_criterion_2_seven_word_case(golden_reports):
+def test_criterion_2_seven_word_case(golden_reports, golden_fibers):
     report = golden_reports["s3_seven_words"]
-    assert report.action.fiber.size == 7
+    green = golden_fibers["s3_seven_words"].green
+    assert report.fiber.size == 7
     assert report.structure_group.order == 6
     from ellisub.perms import group_name
     assert group_name(report.structure_group) == "S_3"
     assert 2 * len(report.rset) * report.structure_group.order == 36
-    l_sizes = sorted(len(c) for c in report.action.green.l_classes)
-    r_sizes = sorted(len(c) for c in report.action.green.r_classes)
+    l_sizes = sorted(len(c) for c in green.l_classes)
+    r_sizes = sorted(len(c) for c in green.r_classes)
     assert l_sizes == [18, 18]
     assert r_sizes == [12, 12, 12]
-    assert len(report.action.green.idempotents) == 6
+    assert len(green.idempotents) == 6
     # expected sandwich [[1,1,1],[1,t1,t2]] with t1, t2 the transpositions
     # (b c) and (a c), compared up to gauge, relabeling and normalization slot
     t1 = perm_from_cycle_pairs(3, (1, 2))
@@ -140,20 +141,20 @@ def test_criterion_7_oracle_equivalence(golden_reports, random_corpus, random_or
               "simplified substitutions")
 
 
-def test_criterion_8_rees_round_trip(golden_reports, random_corpus, random_reports):
-    cases = [(r.substitution, r) for r in golden_reports.values()]
-    cases += list(zip(random_corpus, random_reports))
-    for sub, report in cases:
-        action = report.action
-        matrix = report.matrix
-        realized, phi = as_transformation_semigroup(matrix, action.fiber)
-        assert realized == action.semigroup
-        assert verify_rees_isomorphism(action.semigroup, matrix, phi)
+def test_criterion_8_rees_round_trip(golden_reports, golden_fibers, random_reports,
+                                     random_fibers):
+    cases = list(zip(golden_reports.values(), golden_fibers.values()))
+    cases += list(zip(random_reports, random_fibers))
+    for report, built in cases:
+        sub, matrix = report.substitution, report.matrix
+        realized, phi = as_transformation_semigroup(matrix, report.fiber)
+        assert realized == built.semigroup
+        assert verify_rees_isomorphism(realized, matrix, phi)
         base_map = phi[next(x for x in matrix.elements()
                             if x.i == matrix.base[0] and x.lam == matrix.base[1]
                             and x.g == identity(sub.size))]
-        decomposition = rees_decomposition(action.semigroup, base_map, action.green)
-        assert verify_rees_isomorphism(action.semigroup, decomposition.matrix,
+        decomposition = rees_decomposition(realized, base_map, built.green)
+        assert verify_rees_isomorphism(realized, decomposition.matrix,
                                        decomposition.embedding)
         # the search ranges over every conjugator of the letters, so the
         # decomposition's points need no relabeling
@@ -164,14 +165,16 @@ def test_criterion_8_rees_round_trip(golden_reports, random_corpus, random_repor
               "relabeling and group isomorphism")
 
 
-def test_criterion_9_structural_identities(golden_reports, random_corpus, random_reports):
-    reports = list(golden_reports.values()) + list(random_reports)
-    for report in reports:
+def test_criterion_9_structural_identities(golden_reports, golden_fibers, random_reports,
+                                           random_fibers):
+    cases = list(zip(golden_reports.values(), golden_fibers.values()))
+    cases += list(zip(random_reports, random_fibers))
+    for report, built in cases:
         sub = report.substitution
         size_i = len(report.rset)
         order_g = report.structure_group.order
         assert 2 * size_i * order_g == report.matrix.size
-        assert len(report.action.green.idempotents) == 2 * size_i
+        assert len(built.green.idempotents) == 2 * size_i
         assert len(idempotents_of(report.matrix)) == 2 * size_i
         assert (sub.length - 1) % report.height == 0
         assert (sub.length - 1) % report.classical_height == 0

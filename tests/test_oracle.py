@@ -117,13 +117,14 @@ def test_oracle_equivalence_on_golden(golden_reports):
 def test_negative_control_detects_wrong_semigroup(golden_simplified):
     # compare the oracle against a genuinely closed but wrong candidate: the
     # idempotent-generated part, which is a proper subsemigroup here
-    from ellisub.rees import as_transformation_semigroup, idempotent_generated
-    from ellisub.pipeline import structural_semigroup
+    from ellisub.rees import (as_transformation_semigroup, idempotent_generated,
+                              substitution_sandwich)
+    from ellisub.substitution import allowed_two_words
     sub = golden_simplified["s3_height_two"]
     result = limit_maps(sub)
-    matrix, action = structural_semigroup(sub, *rset_and_group(sub))
-    partial = idempotent_generated(matrix)
-    partial_sg, _ = as_transformation_semigroup(partial, action.fiber)
+    rset, group = rset_and_group(sub)
+    partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
+    partial_sg, _ = as_transformation_semigroup(partial, allowed_two_words(sub))
     assert partial_sg.size == 18 and result.semigroup.size == 36
     discrepancies = compare_map_semigroups(result.semigroup, partial_sg)
     assert discrepancies

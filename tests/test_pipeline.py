@@ -14,15 +14,15 @@ from ellisub.perms import (closure, compose, cycle_string, element_order,
                            quotient_data)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
-                              column_levels, degree_map, global_description,
-                              gtwo_pairs, heights, r_set, return_time_gcd,
-                              structural_semigroup, structure_group)
+                              degree_map, global_description, heights, r_set,
+                              return_time_gcd, structure_group)
 from ellisub.rees import MINUS, PLUS, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import report_to_json
 from ellisub.semigroups import map_compose, semigroup_closure
 from ellisub.substitution import (Substitution, allowed_two_words, columns,
                                   simplify, substitution_power)
-from conftest import fiber_action, make_substitution, rset_and_group
+from conftest import (fiber_action, fiber_maps, make_substitution,
+                      pair_closure, rset_and_group)
 
 SWAP = (1, 0)
 
@@ -162,14 +162,14 @@ def test_grading_height_equals_bruteforce(golden_simplified, random_corpus):
 def test_gtwo_pair_counts(golden_simplified):
     for name, count in {"thue_morse": 4, "s3_seven_words": 18}.items():
         sub = golden_simplified[name]
-        assert len(gtwo_pairs(sub, *rset_and_group(sub))) == count
+        assert len(pair_closure(sub, structure_group(r_set(sub)))) == count
 
 
 def test_gtwo_pair_quotients_lie_in_r_set(golden_simplified):
     for name in ("thue_morse", "d4_height_two"):
         sub = golden_simplified[name]
         rset, group = rset_and_group(sub)
-        for left, right in gtwo_pairs(sub, rset, group):
+        for left, right in pair_closure(sub, group):
             assert compose(right, inverse(left)) in rset
 
 
@@ -190,8 +190,8 @@ def test_fiber_idempotents_fix_their_image(golden_simplified):
 
 
 def test_structural_semigroup_thue_morse_exact(golden_simplified):
-    sub = golden_simplified["thue_morse"]
-    m, _ = structural_semigroup(sub, *rset_and_group(sub))
+    rset, group = rset_and_group(golden_simplified["thue_morse"])
+    m = substitution_sandwich(group, rset, rset[0])
     ident = identity(2)
     assert m.sandwich == ((ident, ident), (ident, SWAP))
 
@@ -200,17 +200,17 @@ def test_structural_semigroup_g0_override(golden_simplified):
     sub = golden_simplified["s3_seven_words"]
     rset, group = rset_and_group(sub)
     for g0 in rset:
-        m, action = structural_semigroup(sub, rset, group, g0)
+        m = substitution_sandwich(group, rset, g0)
         assert m.i_labels[m.base[0]] == g0
-        assert action.semigroup == fiber_action(sub).semigroup
+        assert fiber_maps(m, allowed_two_words(sub)).semigroup == fiber_action(sub).semigroup
     with pytest.raises(ValidationError):
-        structural_semigroup(sub, rset, group, (1, 2, 0))
+        substitution_sandwich(group, rset, (1, 2, 0))
 
 
 def test_degree_map_trivial_when_height_one(golden_simplified):
     sub = golden_simplified["thue_morse"]
     rset, group = rset_and_group(sub)
-    m, _ = structural_semigroup(sub, rset, group)
+    m = substitution_sandwich(group, rset, rset[0])
     data = degree_map(m, heights(sub, rset, group).normal_completion)
     assert data.modulus == 1
     assert set(data.table.values()) == {0}
@@ -220,7 +220,7 @@ def test_degree_map_splits_by_parity(golden_simplified):
     sub = golden_simplified["s3_height_two"]
     rset, group = rset_and_group(sub)
     hs = heights(sub, rset, group)
-    m, _ = structural_semigroup(sub, rset, group)
+    m = substitution_sandwich(group, rset, rset[0])
     data = degree_map(m, hs.normal_completion)
     assert data.modulus == 2
     counts = {0: 0, 1: 0}
@@ -355,7 +355,7 @@ def test_report_metadata(golden_reports):
     assert report.original_length == 3
     assert report.substitution.length == 27
     assert report.r_pi == 3
-    assert report.action.fiber.size == 9
+    assert report.fiber.size == 9
 
 
 def test_analyze_rejects_non_bijective():
@@ -399,23 +399,13 @@ def test_global_description_on_lone_class_example():
     from ellisub.substitution import is_simplified
     assert is_simplified(sub)
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
-    assert report.action.fiber.labels(sub.alphabet) == ("ab", "ac", "ba", "cb", "cc")
+    assert report.fiber.labels(sub.alphabet) == ("ab", "ac", "ba", "cb", "cc")
     assert report.structure_group.order == 6
     assert report.oracle.equal
 
 
 # ---------------------------------------------------------------------------
 # the cross-checks work on distinct columns, never on written-out powers
-
-def test_column_levels_match_written_out_powers(golden_simplified, random_corpus):
-    for sub in list(golden_simplified.values()) + random_corpus:
-        levels = column_levels(sub)
-        for n in (1, 2, 3):
-            cols, pairs = next(levels)
-            written = columns(substitution_power(sub, n))
-            assert cols == frozenset(written)
-            assert pairs == frozenset(zip(written, written[1:]))
-
 
 def test_return_times_match_written_out_word(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
@@ -455,32 +445,34 @@ def test_global_description_writes_out_no_power(golden_subs, monkeypatch):
 
 
 def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
+    # A plain analysis builds the matrix and no fiber map: its Green summary
+    # is read off the matrix, and the fiber maps, their product law and their
+    # Green structure are identities of the construction, tested in
+    # test_identities.py.  Under --verify the maps are built once, for the
+    # window oracle.
     calls: dict[str, int] = {}
+
+    def count(name):
+        calls[name] = calls.get(name, 0) + 1
 
     def counting(module, name):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            count(name)
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    stages = ("r_set", "structure_group", "heights", "gtwo_pairs",
-              "structural_semigroup", "degree_map", "automorphism_data")
+    stages = ("r_set", "structure_group", "heights", "degree_map",
+              "classical_height_bruteforce", "automorphism_data")
     for name in stages:
         counting(ellisub.pipeline, name)
-    # the fiber maps are built and their product law proved once per analysis,
-    # wherever these are called from
-    once = ("as_transformation_semigroup", "verify_rees_isomorphism")
-    for name in once:
-        for module in (ellisub.rees, ellisub.pipeline):
-            if hasattr(module, name):
-                counting(module, name)
-    # library functions that a verified analysis must not reach, under every
-    # name the pipeline could call them by; the oracle's own semigroup
-    # closure is not counted, as it is the independent witness
+    # counted under every name the pipeline could call them by; the oracle's
+    # own semigroup closure is not counted, as it is the independent witness
+    fiber_work = ("as_transformation_semigroup", "verify_rees_isomorphism",
+                  "green_structure", "is_completely_simple")
     unused = ("rees_decomposition", "presentations_isomorphic", "semigroup_closure")
-    for name in unused:
+    for name in fiber_work + unused:
         for module_name, module in list(sys.modules.items()):
             if (module_name.startswith("ellisub.") and module_name != "ellisub.oracle"
                     and hasattr(module, name)):
@@ -499,26 +491,31 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
 
     def sandwich(*args, **kwargs):
         # the sandwich takes the structure group; it never closes one itself
+        count("substitution_sandwich")
         with monkeypatch.context() as patch:
             patch.setattr(ellisub.rees, "closure", no_group_closure)
             return original_sandwich(*args, **kwargs)
     monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
+    once = {name: 1 for name in stages + ("substitution_sandwich",)}
 
-    report = analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
+    sub = golden_subs["s3_seven_words"]
+    analyze_substitution(sub)
+    assert calls == once
+    assert closed == []
+    calls.clear()
+    report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal
-    assert [name for name in unused if name in calls] == []
-    assert calls == {name: 1 for name in stages + once}
+    assert calls == {**once, "as_transformation_semigroup": 1, "verify_rees_isomorphism": 1}
     # one presentation per analysis: the substitution sandwich
     assert closed == [report.matrix]
 
-
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
-    # power 3 (length 125), |I| = 4, |G| = 120: the level-3 columns of the
-    # power never need to be written out
+    # power 3 (length 125), |I| = 4, |G| = 120: the pair closure has |I||G|
+    # elements, and a plain analysis never builds it
     sub, exponent = simplify(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
     rset, group = rset_and_group(sub)
     assert (exponent, sub.length, group.order, len(rset)) == (3, 125, 120, 4)
-    assert len(gtwo_pairs(sub, rset, group)) == 480
+    assert len(pair_closure(sub, group)) == 480
 
 
 def signed_pair_maps(sub, pairs):
@@ -536,8 +533,8 @@ def signed_pair_maps(sub, pairs):
 def test_matrix_action_is_the_signed_pair_semigroup(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
         rset, group = rset_and_group(sub)
-        maps = signed_pair_maps(sub, gtwo_pairs(sub, rset, group))
-        _, action = structural_semigroup(sub, rset, group)
+        maps = signed_pair_maps(sub, pair_closure(sub, group))
+        action = fiber_action(sub)
         assert len(set(maps.values())) == len(maps)
         assert tuple(sorted(maps.values())) == action.semigroup.elements
         # the four signed product rules, on all pairs: [L.R; e][L'.R'; e'] is
@@ -546,9 +543,9 @@ def test_matrix_action_is_the_signed_pair_semigroup(golden_simplified, random_co
             for (l2, r2, e2), f2 in maps.items():
                 inner = r2 if e1 == PLUS else l2
                 assert map_compose(f1, f2) == maps[(compose(l1, inner), compose(r1, inner), e2)]
-        _, level_one = next(column_levels(sub))
+        cols = columns(sub)
         generators = [maps[(left, right, sign)]
-                      for left, right in level_one for sign in (PLUS, MINUS)]
+                      for left, right in zip(cols, cols[1:]) for sign in (PLUS, MINUS)]
         assert semigroup_closure(generators, degree=action.fiber.size) == action.semigroup
 
 
@@ -614,9 +611,9 @@ def relabeling_invariants(report):
     return {
         "groups": [(g.order, group_name(g), group_fingerprint(g)) for g in groups],
         "heights": (report.height, report.classical_height),
-        "fiber_size": report.action.fiber.size,
+        "fiber_size": report.fiber.size,
         "semigroup_size": report_to_json(report)["semigroup_size"],
-        "green": report.action.green.summary(),
+        "green": report_to_json(report)["green"],
         "degrees": sorted(Counter(report.degree.table.values()).items()),
         "global_strings": report.global_strings,
         "order_h_witness": report.order_h_witness is not None,

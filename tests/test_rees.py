@@ -8,7 +8,7 @@ from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
                           ReesMatrixSemigroup, as_transformation_semigroup,
                           gauge_renormalize, idempotent_generated,
                           idempotents_of, little_structure_group, multiply,
-                          normal_inverse, presentations_isomorphic,
+                          presentations_isomorphic,
                           rees_decomposition, substitution_sandwich,
                           verify_rees_isomorphism)
 from ellisub.semigroups import map_compose
@@ -116,15 +116,6 @@ def test_idempotent_count(golden_simplified):
         assert multiply(m, p, p) == p
     base = ReesElement(m.base[0], identity(3), m.base[1])
     assert base in idempotents_of(m)
-
-
-def test_normal_inverse_law(golden_simplified):
-    m = sandwich(golden_simplified["s3_seven_words"], 1)
-    for x in m.elements():
-        y = normal_inverse(m, x)
-        assert multiply(m, multiply(m, x, y), x) == x
-        assert multiply(m, multiply(m, y, x), y) == y
-        assert multiply(m, x, y) == multiply(m, y, x)
 
 
 def test_left_and_right_ideals_have_product_shape(golden_simplified):
