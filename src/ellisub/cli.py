@@ -95,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bound of the complexity scan the aperiodicity verdict stands for "
                               "(default: s^2 * l^2)")
     analyze.add_argument("--oracle-level", type=int, default=4, metavar="K",
-                         help="window level ceiling for the oracle (default 4)")
+                         help="only sets the max_level that the report's oracle section "
+                              "prints (K when K >= 3, else 6; default 4), until "
+                              "ellis-report/2 drops the field; the oracle reads every "
+                              "shift at level 1, where its maps are proved constant")
     analyze.set_defaults(func=_cmd_analyze)
 
     golden = commands.add_parser("golden", help="run the bundled reference suite")

@@ -2,10 +2,25 @@
 
 Everything here is built from nothing but the substitution rules: letters of
 the two-sided fixed points are read off by base-l digit walks, the maps
-induced on the singular fiber by large shift powers sigma^(nu * l^k) are
-tracked until they stabilize across levels, and the collected maps are closed
-under composition.  Only the comparison step looks at the algebraic pipeline;
-the construction never does.
+induced on the singular fiber by the shift powers sigma^(nu * l) are read
+once each, and the collected maps are closed under composition.  Only the
+comparison step looks at the algebraic pipeline; the construction never does.
+
+The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
+l-adic factor; here n_k = nu * l^k.  For a simplified substitution each of
+these limits is reached at level 1 (Dekking, *The spectrum of dynamical
+systems arising from substitutions of constant length*, 1978).  The fixed
+point x = a.b satisfies x[p*l + r] = rule(x[p])[r] for every integer p and
+0 <= r < l, and its boundary columns c_0 = c_(l-1) = id give rule(y)[0] = y
+and rule(y)[l-1] = y for every letter y.  So
+
+    x[nu*l] = rule(x[nu])[0] = x[nu],
+    x[nu*l - 1] = x[(nu-1)*l + (l-1)] = rule(x[nu-1])[l-1] = x[nu - 1],
+
+and by induction x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] for every
+k >= 0.  The two-letter word that sigma^(nu*l^k) puts over each fixed point,
+and with it the induced fiber map, is the same at every level k; the map
+read at level 1 is the limit.
 """
 
 from __future__ import annotations
@@ -18,8 +33,7 @@ from .semigroups import (FiberMap, TransformationSemigroup,
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            is_simplified, letter_at)
 
-DEFAULT_MAX_LEVEL = 4
-ESCALATED_MAX_LEVEL = 6
+LIMIT_LEVEL = 1  # the level every shift is read at; the map is constant in the level
 
 
 def shift_two_word(sub: Substitution, pair: tuple[int, int], nu: int,
@@ -31,86 +45,102 @@ def shift_two_word(sub: Substitution, pair: tuple[int, int], nu: int,
     return (letter_at(sub, pair, nu - 1), letter_at(sub, pair, nu))
 
 
+def _read_map(sub: Substitution, pairs: tuple[tuple[int, int], ...],
+              index: dict[tuple[int, int], int], shift: int) -> FiberMap:
+    """Self-map of the fiber induced by sigma^shift, as fiber indices."""
+    words = [(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift)) for pair in pairs]
+    images = tuple([index.get(word) for word in words])
+    if None in images:
+        word = words[images.index(None)]
+        raise ValidationError(f"shifted two-word {word} is not an allowed two-word")
+    return images
+
+
 def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
                       level: int) -> FiberMap:
     """Self-map of the fiber induced by sigma^(nu * l^level): each fixed point
     goes to the fixed point named by its shifted two-letter word."""
-    shift = nu * sub.length**level
     index = {p: k for k, p in enumerate(fiber.pairs)}
-    images = []
-    for pair in fiber.pairs:
-        word = (letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift))
-        if word not in index:
-            raise ValidationError(f"shifted two-word {word} is not an allowed two-word")
-        images.append(index[word])
-    return tuple(images)
+    return _read_map(sub, fiber.pairs, index, nu * sub.length**level)
 
 
 @dataclass(frozen=True)
 class OracleMap:
     nu: int
-    stabilized_at: int  # first level k with identical maps at k, k+1, k+2
-    fiber_map: FiberMap
+    fiber_map: FiberMap  # the map of sigma^(nu * l^k), the same for every k
 
 
 @dataclass
 class OracleResult:
     fiber: TwoWordFiber
     maps: tuple[OracleMap, ...]
-    incomplete: tuple[int, ...]  # shifts nu that never stabilized
-    max_level: int
-    semigroup: TransformationSemigroup | None  # closure; None when incomplete
-
-    @property
-    def complete(self) -> bool:
-        return not self.incomplete
+    semigroup: TransformationSemigroup  # closure of the maps
 
     def stabilization_by_nu(self) -> dict[int, int]:
-        return {m.nu: m.stabilized_at for m in self.maps}
+        """The level each map is reached at: 1 for every shift, by the proof
+        in the module docstring."""
+        return {m.nu: LIMIT_LEVEL for m in self.maps}
 
 
-def limit_maps(sub: Substitution, max_level: int = DEFAULT_MAX_LEVEL,
-               escalate: bool = True) -> OracleResult:
-    """Track sigma^(nu * l^k) on the fiber for 0 < |nu| < l and k up to
-    max_level; keep a map once it repeats over three consecutive levels.
+def _few_shifts(length: int) -> list[int]:
+    """The shifts +-nu * b^r for 0 < nu < b and 0 <= r < k, where b is the
+    smallest integer with b^k = length: 2(b-1)k of the 2(length-1) shifts."""
+    for base in range(2, length + 1):
+        power, k = base, 1
+        while power < length:
+            power, k = power * base, k + 1
+        if power == length:
+            break
+    shifts = [nu * base**r for r in range(k) for nu in range(1, base)]
+    return shifts + [-nu for nu in shifts]
 
-    Composition closure of the seed maps yields the full stabilized semigroup.
-    Non-stabilization is reported per nu, never silently dropped; one
-    escalation retry raises the level ceiling to 6.
+
+def _closure_of_maps(by_shift: dict[int, FiberMap], few: list[int],
+                     degree: int) -> TransformationSemigroup:
+    """The closure of all maps in ``by_shift``, grown from the maps of the
+    shifts ``few``.
+
+    If every map lies in the closure C of the few, then C is the closure of
+    all of them: C is closed, contains every map, and lies inside the closure
+    of all maps.  Otherwise all maps are closed.  Which shifts are chosen
+    affects only the cost, never the result.  The generators are the sorted
+    distinct maps of all shifts.
+    """
+    seeds = tuple(sorted(set(by_shift.values())))
+    closed = semigroup_closure([by_shift[nu] for nu in few], degree=degree)
+    if not all(f in closed for f in seeds):
+        closed = semigroup_closure(seeds, degree=degree)
+    return TransformationSemigroup(degree, closed.elements, seeds)
+
+
+def limit_maps(sub: Substitution) -> OracleResult:
+    """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l, and
+    their closure under composition.
+
+    Each map is read once, at level 1.  That is the limit: for a simplified
+    substitution x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] at every
+    level k, since x[p*l + r] = rule(x[p])[r] and the boundary columns are
+    the identity (the module docstring spells out the induction), so the map
+    does not depend on k.  The closure grows from the 2(b-1)k shifts
+    +-nu * b^r, with b^k = l, and falls back to all 2(l-1) maps unless every
+    map lies in it (:func:`_closure_of_maps`).
     """
     if not is_simplified(sub):
         raise ValidationError("the window oracle needs a simplified substitution")
-    if max_level < 1:
-        raise ValidationError("max_level must be >= 1")
     fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
+    index = {p: k for k, p in enumerate(fiber.pairs)}
     length = sub.length
-    stabilized: list[OracleMap] = []
-    incomplete: list[int] = []
     shifts = list(range(1, length)) + list(range(-length + 1, 0))
-    for nu in shifts:
-        levels = [induced_fiber_map(sub, fiber, nu, k) for k in range(1, max_level + 1)]
-        found = None
-        for k in range(len(levels) - 2):
-            if levels[k] == levels[k + 1] == levels[k + 2]:
-                found = OracleMap(nu, k + 1, levels[k])
-                break
-        if found is None:
-            incomplete.append(nu)
-        else:
-            stabilized.append(found)
-    if incomplete and escalate and max_level < ESCALATED_MAX_LEVEL:
-        return limit_maps(sub, ESCALATED_MAX_LEVEL, escalate=False)
-    if incomplete:
-        return OracleResult(fiber, tuple(stabilized), tuple(incomplete), max_level, None)
-    seeds = sorted({m.fiber_map for m in stabilized})
-    sg = semigroup_closure(seeds, degree=fiber.size)
-    return OracleResult(fiber, tuple(stabilized), (), max_level, sg)
+    by_shift = {nu: _read_map(sub, fiber.pairs, index, nu * length**LIMIT_LEVEL)
+                for nu in shifts}
+    sg = _closure_of_maps(by_shift, _few_shifts(length), fiber.size)
+    return OracleResult(fiber, tuple(OracleMap(nu, f) for nu, f in by_shift.items()), sg)
 
 
 def oracle_result_to_json(result: OracleResult,
                           letters: tuple[str, ...] | None = None) -> dict:
-    """JSON form: per-shift stabilization levels and stabilized map tables
-    keyed by two-word labels."""
+    """JSON form: per-shift levels and limit map tables keyed by two-word
+    labels."""
     fiber = result.fiber
     if letters is None:
         labels = [f"{a}.{b}" for a, b in fiber.pairs]
@@ -122,14 +152,11 @@ def oracle_result_to_json(result: OracleResult,
 
     return {
         "fiber": labels,
-        "max_level": result.max_level,
-        "complete": result.complete,
-        "incomplete_shifts": list(result.incomplete),
         "stabilized": [
-            {"shift": m.nu, "level": m.stabilized_at, "map": table(m.fiber_map)}
+            {"shift": m.nu, "level": LIMIT_LEVEL, "map": table(m.fiber_map)}
             for m in result.maps
         ],
-        "semigroup_size": result.semigroup.size if result.semigroup else None,
+        "semigroup_size": result.semigroup.size,
     }
 
 
@@ -160,22 +187,14 @@ def compare_map_semigroups(oracle_sg: TransformationSemigroup,
     return tuple(discrepancies)
 
 
-def oracle_equivalence(sub: Substitution, algebraic: TransformationSemigroup,
-                       max_level: int = DEFAULT_MAX_LEVEL,
-                       escalate: bool = True) -> OracleComparison:
+def oracle_equivalence(sub: Substitution, algebraic: TransformationSemigroup) -> OracleComparison:
     """Compare the dynamically built semigroup against the algebraic one:
     equal map sets, or a discrepancy list.
 
     ``algebraic`` is the fiber semigroup of the algebraic pipeline; it enters
     only the comparison, never the construction of the oracle's maps.
     """
-    result = limit_maps(sub, max_level, escalate)
-    if not result.complete:
-        return OracleComparison(
-            False,
-            tuple(f"no stabilization for nu={nu} by level {result.max_level}"
-                  for nu in result.incomplete),
-            result)
+    result = limit_maps(sub)
     discrepancies = compare_map_semigroups(result.semigroup, algebraic)
     return OracleComparison(not discrepancies, discrepancies, result)
 
@@ -218,8 +237,6 @@ def _merged_pairs(classes: tuple[tuple[int, ...], ...]) -> frozenset[tuple[int, 
 
 def _check_merge_classes(sub: Substitution, data: ProximalityData) -> None:
     result = limit_maps(sub)
-    if not result.complete:
-        raise ValidationError("oracle maps did not stabilize; cannot validate proximality")
     n = data.fiber.size
     forward_pairs = _merged_pairs(data.forward)
     backward_pairs = _merged_pairs(data.backward)

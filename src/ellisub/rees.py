@@ -128,13 +128,22 @@ def idempotents_of(m: ReesMatrixSemigroup) -> list[ReesElement]:
             for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
 
 
+def _left_row(m: ReesMatrixSemigroup, x: ReesElement) -> list[Perm]:
+    """x.g * A[x.lam][j] for every j: the product x (j, h, mu) is then
+    (x.i, row[j] * h, mu), one composition instead of two."""
+    g = x.g
+    return [tuple([g[k] for k in entry]) for entry in m.sandwich[x.lam]]
+
+
 def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[ReesElement]:
     """The subsemigroup generated by ``seeds``, closed under left
     multiplication by the seeds (|result| * |seeds| products)."""
     elements = set(seeds)
     frontier = set(seeds)
+    lefts = [(x.i, _left_row(m, x)) for x in seeds]
     while frontier:
-        frontier = {multiply(m, x, y) for x in seeds for y in frontier} - elements
+        frontier = {ReesElement(i, tuple([row[y.i][k] for k in y.g]), y.lam)
+                    for i, row in lefts for y in frontier} - elements
         elements |= frontier
     return elements
 
@@ -334,23 +343,22 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
         raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
     g0 = m.i_labels[m.base[0]]
     pair_index = {p: k for k, p in enumerate(fiber.pairs)}
+    # a + map reads each fixed point a.b at b, a - map at a
+    read_at = ([b for _, b in fiber.pairs], [a for a, _ in fiber.pairs])
+    rights = [(g, (g, compose(g, g0))) for g in m.group.elements]  # R per sign
     phi: dict[ReesElement, FiberMap] = {}
-    for x in m.elements():
-        i_perm = m.i_labels[x.i]
-        if x.lam == PLUS:
-            right = x.g
-        else:
-            right = compose(x.g, g0)
-        left = compose(inverse(i_perm), right)
-        images = []
-        for (a, b) in fiber.pairs:
-            src = b if x.lam == PLUS else a
-            target = (left[src], right[src])
-            if target not in pair_index:
-                raise InternalCheckError(
-                    f"fiber action left the fiber: {target} is not an allowed two-word")
-            images.append(pair_index[target])
-        phi[x] = tuple(images)
+    for i, i_perm in enumerate(m.i_labels):
+        i_inv = inverse(i_perm)
+        for g, by_sign in rights:
+            for lam in (PLUS, MINUS):
+                right = by_sign[lam]
+                # the fixed point written for each letter c: (i^-1 R(c), R(c))
+                written = [pair_index.get((i_inv[r], r)) for r in right]
+                if None in written:
+                    r = right[written.index(None)]
+                    raise InternalCheckError(
+                        f"fiber action left the fiber: {(i_inv[r], r)} is not an allowed two-word")
+                phi[ReesElement(i, g, lam)] = tuple([written[c] for c in read_at[lam]])
     maps = sorted(set(phi.values()))
     if len(maps) != m.size:
         raise InternalCheckError("fiber action is not faithful; distinct triples collided")
@@ -376,8 +384,10 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
     if len(images) != len(elements) or images != set(sg.elements):
         return False
     for x in m.generators:
+        i, row, px = x.i, _left_row(m, x), phi[x]
         for y in elements:
-            if phi[multiply(m, x, y)] != map_compose(phi[x], phi[y]):
+            xy = ReesElement(i, tuple([row[y.i][k] for k in y.g]), y.lam)
+            if phi[xy] != tuple([px[k] for k in phi[y]]):
                 return False
     return True
 

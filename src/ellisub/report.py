@@ -38,11 +38,10 @@ def report_to_json(report: StructuralReport) -> dict:
     if report.oracle is not None:
         oracle = {
             "equal": report.oracle.equal,
-            "max_level": report.oracle.oracle.max_level,
+            "max_level": report.oracle_max_level,
             "stabilized_levels": {str(nu): lvl for nu, lvl
                                   in sorted(report.oracle.oracle.stabilization_by_nu().items())},
-            "map_count": (report.oracle.oracle.semigroup.size
-                          if report.oracle.oracle.semigroup else None),
+            "map_count": report.oracle.oracle.semigroup.size,
             "discrepancies": list(report.oracle.discrepancies),
         }
     aperiodicity = None

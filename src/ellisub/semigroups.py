@@ -82,7 +82,7 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
         new = []
         for g in gens:
             for x in frontier:
-                y = map_compose(g, x)
+                y = tuple([g[i] for i in x])
                 if y not in elements:
                     elements.add(y)
                     new.append(y)

@@ -536,7 +536,8 @@ def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
     no window is materialized.
     """
     a, b = pair
-    length = sub.length
+    rules = sub.rules
+    length = len(rules[0])
     digits = []
     p = position
     if p >= 0:
@@ -550,5 +551,5 @@ def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
             p //= length  # Python floor division keeps us on the left side
         x = a
     for d in reversed(digits):
-        x = sub.rules[x][d]
+        x = rules[x][d]
     return x

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +142,17 @@ def random_oracle(random_corpus, random_fibers) -> list:
     from ellisub import oracle_equivalence
     return [oracle_equivalence(sub, built.semigroup)
             for sub, built in zip(random_corpus, random_fibers)]
+
+
+@pytest.fixture(scope="session")
+def long_power_simplified() -> list[Substitution]:
+    """The simplified powers of the benchmark's long-power inputs, seeds 1-3:
+    2-3-letter inputs analysed at power 2 or 3, length 16-27."""
+    from ellisub import simplify
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return [simplify(parse_substitution(case.source))[0]
+            for seed in (1, 2, 3) for case in corpus.generate("long-power", seed)]

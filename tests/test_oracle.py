@@ -6,12 +6,16 @@ import pytest
 
 import ellisub.oracle
 from ellisub.errors import ValidationError
-from ellisub.oracle import (compare_map_semigroups, induced_fiber_map,
+import ellisub.substitution
+from ellisub import AnalysisConfig, analyze_substitution
+from ellisub.oracle import (_closure_of_maps, _few_shifts,
+                            compare_map_semigroups, induced_fiber_map,
                             limit_maps, oracle_equivalence,
                             proximality_classes, shift_two_word)
 from ellisub.pipeline import r_set
-from ellisub.semigroups import map_compose
-from ellisub.substitution import columns, fixed_points, substitution_power
+from ellisub.semigroups import map_compose, semigroup_closure
+from ellisub.substitution import (allowed_two_words, columns, fixed_points,
+                                  substitution_power)
 from conftest import fiber_action, make_substitution, rset_and_group
 
 
@@ -48,7 +52,6 @@ def test_shift_two_word_matches_columns(golden_simplified):
 
 def test_limit_maps_counts(golden_simplified):
     tm_result = limit_maps(golden_simplified["thue_morse"])
-    assert tm_result.complete
     assert tm_result.semigroup.size == 8
     seven = limit_maps(golden_simplified["s3_seven_words"])
     assert seven.semigroup.size == 36
@@ -59,7 +62,6 @@ def test_limit_maps_stabilize_immediately(golden_simplified):
     # is already constant across levels
     for name, sub in golden_simplified.items():
         result = limit_maps(sub)
-        assert result.complete, name
         assert set(result.stabilization_by_nu().values()) == {1}
         fiber = result.fiber
         for entry in result.maps:
@@ -67,25 +69,85 @@ def test_limit_maps_stabilize_immediately(golden_simplified):
                 assert induced_fiber_map(sub, fiber, entry.nu, extra) == entry.fiber_map
 
 
-def test_limit_maps_too_low_level_reports_incomplete(golden_simplified):
-    result = limit_maps(golden_simplified["thue_morse"], max_level=2, escalate=False)
-    assert not result.complete
-    assert result.semigroup is None
-    assert set(result.incomplete) == {-3, -2, -1, 1, 2, 3}
+def _level_zero_map(sub, fiber, nu):
+    """The fiber map of sigma^nu, read straight off the rule words: position
+    p of a.b is rule(b)[p] for 0 <= p < l and rule(a)[p + l] for -l <= p < 0."""
+    def letter(pair, p):
+        a, b = pair
+        return sub.rules[b][p] if p >= 0 else sub.rules[a][p + sub.length]
+    return tuple(fiber.pairs.index((letter(pair, nu - 1), letter(pair, nu)))
+                 for pair in fiber.pairs)
 
 
-def test_escalation_recovers_from_low_level(golden_simplified):
-    result = limit_maps(golden_simplified["thue_morse"], max_level=2, escalate=True)
-    assert result.complete
-    assert result.max_level == 6
+def test_every_level_reads_the_level_zero_map(golden_simplified, random_corpus,
+                                              long_power_simplified):
+    # c_0 = c_(l-1) = id gives x[nu l^k] = x[nu] and x[nu l^k - 1] = x[nu - 1]
+    # for every k, so no level above 1 can differ from level 1
+    subs = list(golden_simplified.values()) + random_corpus + long_power_simplified
+    assert len(subs) == 6 + 20 + 21
+    for sub in subs:
+        fiber = allowed_two_words(sub)
+        for nu in list(range(1, sub.length)) + list(range(1 - sub.length, 0)):
+            expected = _level_zero_map(sub, fiber, nu)
+            for k in range(1, 5):
+                assert induced_fiber_map(sub, fiber, nu, k) == expected, (sub, nu, k)
 
 
-def test_oracle_equivalence_incomplete_is_not_a_false_positive(golden_simplified):
-    tm = golden_simplified["thue_morse"]
-    comparison = oracle_equivalence(tm, fiber_action(tm).semigroup,
-                                    max_level=2, escalate=False)
-    assert not comparison.equal
-    assert all("no stabilization" in d for d in comparison.discrepancies)
+def test_limit_maps_are_the_level_one_maps(golden_simplified):
+    sub = golden_simplified["s3_seven_words"]
+    result = limit_maps(sub)
+    assert [m.nu for m in result.maps] == list(range(1, 16)) + list(range(-15, 0))
+    for m in result.maps:
+        assert m.fiber_map == induced_fiber_map(sub, result.fiber, m.nu, 1)
+    assert result.semigroup.generators == tuple(sorted({m.fiber_map for m in result.maps}))
+
+
+def test_few_shifts_are_the_digit_shifts():
+    assert _few_shifts(4) == [1, 2, -1, -2]
+    assert _few_shifts(27) == [1, 2, 3, 6, 9, 18, -1, -2, -3, -6, -9, -18]
+    assert _few_shifts(117649) == [nu * 7**r for r in range(6) for nu in range(1, 7)] + \
+        [-nu * 7**r for r in range(6) for nu in range(1, 7)]
+    assert _few_shifts(6) == [1, 2, 3, 4, 5, -1, -2, -3, -4, -5]
+    assert _few_shifts(7) == [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6]
+
+
+def test_few_shifts_generate_the_closure_of_all_shifts(golden_simplified, random_corpus,
+                                                       long_power_simplified):
+    for sub in list(golden_simplified.values()) + random_corpus + long_power_simplified:
+        result = limit_maps(sub)
+        by_shift = {m.nu: m.fiber_map for m in result.maps}
+        degree = result.fiber.size
+        few = semigroup_closure([by_shift[nu] for nu in _few_shifts(sub.length)], degree=degree)
+        full = semigroup_closure(list(by_shift.values()), degree=degree)
+        assert few.elements == full.elements == result.semigroup.elements
+
+
+def test_closure_falls_back_when_the_few_shifts_do_not_generate(golden_simplified):
+    # the maps of sigma^(+-l) generate 4 of Thue-Morse's 8 maps; the closure
+    # must notice that the other shifts' maps lie outside and close them all
+    by_shift = {m.nu: m.fiber_map for m in limit_maps(golden_simplified["thue_morse"]).maps}
+    full = semigroup_closure(list(by_shift.values()), degree=4)
+    partial = semigroup_closure([by_shift[1], by_shift[-1]], degree=4)
+    assert partial.size == 4 and full.size == 8
+    closed = _closure_of_maps(by_shift, [1, -1], 4)
+    assert closed.elements == full.elements
+    assert closed.generators == tuple(sorted(set(by_shift.values())))
+
+
+def test_verify_reads_each_shift_once(golden_subs, monkeypatch):
+    # one level: two letters per fixed point for each of the 2(L-1) shifts
+    counted = []
+    original = ellisub.oracle.letter_at
+
+    def letter_at(*args):
+        counted.append(args)
+        return original(*args)
+    monkeypatch.setattr(ellisub.oracle, "letter_at", letter_at)
+    monkeypatch.setattr(ellisub.substitution, "letter_at", letter_at)
+    report = analyze_substitution(golden_subs["cyclic_rotation"], AnalysisConfig(verify=True))
+    length, fiber = report.substitution.length, report.fiber.size
+    assert report.exponent == 3 and length == 27
+    assert len(counted) == 2 * 2 * (length - 1) * fiber
 
 
 def test_oracle_idempotents(golden_simplified):
@@ -146,10 +208,11 @@ def test_oracle_json_serialization(golden_simplified):
     # block; for abba/baab that is b(b).a(b) read from the rules
     assert by_shift[1]["map"]["aa"] == "ab"
     assert set(by_shift) == {-3, -2, -1, 1, 2, 3}
+    assert {entry["level"] for entry in payload["stabilized"]} == {1}
     json.dumps(payload)
-    incomplete = limit_maps(sub, max_level=2, escalate=False)
-    partial = oracle_result_to_json(incomplete, sub.alphabet.letters)
-    assert not partial["complete"] and partial["semigroup_size"] is None
+    plain = oracle_result_to_json(comparison.oracle)
+    assert set(plain) == {"fiber", "stabilized", "semigroup_size"}
+    assert plain["fiber"] == ["0.0", "0.1", "1.0", "1.1"]
 
 
 def test_proximality_thue_morse(golden_simplified):

@@ -5,13 +5,15 @@ import pytest
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
-                          ReesMatrixSemigroup, as_transformation_semigroup,
+                          ReesMatrixSemigroup, _element_closure,
+                          as_transformation_semigroup,
                           gauge_renormalize, idempotent_generated,
                           idempotents_of, little_structure_group, multiply,
                           presentations_isomorphic,
                           rees_decomposition, substitution_sandwich,
                           verify_rees_isomorphism)
-from ellisub.semigroups import map_compose
+from ellisub.semigroups import TransformationSemigroup, map_compose
+from ellisub.substitution import TwoWordFiber, allowed_two_words
 from conftest import fiber_action, rset_and_group
 
 
@@ -317,3 +319,126 @@ def test_verify_rejects_swap_away_from_generators(golden_simplified):
         # same image set, so only the product law can catch the swap
         assert not _is_homomorphism_on_all_pairs(action.semigroup, m, swapped)
         assert not verify_rees_isomorphism(action.semigroup, m, swapped)
+
+
+# ---------------------------------------------------------------------------
+# the product kernels, which multiply through a precomputed row
+# x.g * A[x.lam][j] per left factor, against multiply
+
+def _closure_by_multiply(m, seeds):
+    elements, frontier = set(seeds), set(seeds)
+    while frontier:
+        frontier = {multiply(m, x, y) for x in seeds for y in frontier} - elements
+        elements |= frontier
+    return elements
+
+
+def _isomorphism_by_multiply(sg, m, phi):
+    elements = list(m.elements())
+    images = set(phi.values())
+    return (phi.keys() == set(elements) and len(images) == len(elements)
+            and images == set(sg.elements)
+            and all(phi[multiply(m, x, y)] == map_compose(phi[x], phi[y])
+                    for x in m.generators for y in elements))
+
+
+def _action_by_pairs(m, fiber):
+    """(i, g, +) sends a.b to L(b).R(b) and (i, g, -) to L(a).R(a), with R = g
+    or g g0 and L = i^-1 R, one fixed point at a time."""
+    g0 = m.i_labels[m.base[0]]
+    phi = {}
+    for x in m.elements():
+        right = x.g if x.lam == PLUS else compose(x.g, g0)
+        left = compose(inverse(m.i_labels[x.i]), right)
+        phi[x] = tuple(fiber.pairs.index((left[b], right[b]) if x.lam == PLUS
+                                         else (left[a], right[a]))
+                       for a, b in fiber.pairs)
+    return phi
+
+
+def three_row_matrix() -> ReesMatrixSemigroup:
+    """|I| = 2 and |Lambda| = 3 over S_3, with non-identity sandwich entries
+    in every row, base row included."""
+    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    sandwich = (((1, 2, 0), (0, 2, 1)),
+                ((1, 0, 2), (2, 0, 1)),
+                ((2, 1, 0), (1, 2, 0)))
+    return ReesMatrixSemigroup(s3, ("i", "j"), ("p", "q", "r"), sandwich)
+
+
+def left_regular_action(m):
+    """x -> (y -> xy, 1 -> x) on the points M u {1}, built with multiply."""
+    elements = list(m.elements())
+    index = {x: k for k, x in enumerate(elements)}
+    phi = {x: tuple(index[multiply(m, x, y)] for y in elements) + (index[x],)
+           for x in elements}
+    maps = tuple(sorted(phi.values()))
+    sg = TransformationSemigroup(len(elements) + 1, maps,
+                                 tuple(sorted(phi[x] for x in m.generators)))
+    return sg, phi
+
+
+def _golden_sandwiches(golden_simplified):
+    for sub in golden_simplified.values():
+        rset, group = rset_and_group(sub)
+        for g0 in (rset[0], rset[-1]):
+            yield sub, substitution_sandwich(group, rset, g0)
+
+
+def test_element_closure_matches_multiply(golden_simplified):
+    matrices = [m for _, m in _golden_sandwiches(golden_simplified)] + [three_row_matrix()]
+    rng = random.Random(5)
+    for m in matrices:
+        elements = list(m.elements())
+        samples = [[x] for x in rng.sample(elements, 4)] + [rng.sample(elements, 2)]
+        for seeds in [list(m.generators), idempotents_of(m)] + samples:
+            assert _element_closure(m, seeds) == _closure_by_multiply(m, seeds)
+    assert len(_element_closure(matrices[-1], list(matrices[-1].generators))) == 36
+
+
+def test_fiber_action_matches_its_pair_formula(golden_simplified):
+    for sub, m in _golden_sandwiches(golden_simplified):
+        fiber = allowed_two_words(sub)
+        sg, phi = as_transformation_semigroup(m, fiber)
+        assert phi == _action_by_pairs(m, fiber)
+        assert list(phi) == list(m.elements())
+        assert verify_rees_isomorphism(sg, m, phi) and _isomorphism_by_multiply(sg, m, phi)
+
+
+def test_product_law_matches_multiply_on_three_rows():
+    m = three_row_matrix()
+    sg, phi = left_regular_action(m)
+    assert sg.size == m.size == 36
+    assert verify_rees_isomorphism(sg, m, phi)
+    assert _isomorphism_by_multiply(sg, m, phi)
+    elements = list(m.elements())
+    rng = random.Random(11)
+    for _ in range(40):
+        u, v = rng.sample(elements, 2)
+        swapped = dict(phi)
+        swapped[u], swapped[v] = phi[v], phi[u]
+        assert not verify_rees_isomorphism(sg, m, swapped)
+        assert not _isomorphism_by_multiply(sg, m, swapped)
+
+
+def test_product_law_catches_every_swap_of_two_golden_values(golden_simplified):
+    sub = golden_simplified["thue_morse"]
+    m = sandwich(sub)
+    sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+    elements = list(m.elements())
+    for k, u in enumerate(elements):
+        for v in elements[k + 1:]:
+            swapped = dict(phi)
+            swapped[u], swapped[v] = phi[v], phi[u]
+            assert not verify_rees_isomorphism(sg, m, swapped)
+
+
+def test_fiber_action_refuses_a_fiber_missing_one_word(golden_simplified):
+    # every allowed word is (i^-1 c, c) for some i in I, so the action writes
+    # each one, and a fiber without it is left
+    for sub, m in _golden_sandwiches(golden_simplified):
+        pairs = allowed_two_words(sub).pairs
+        for drop in (0, len(pairs) - 1):
+            fiber = TwoWordFiber(pairs[:drop] + pairs[drop + 1:])
+            with pytest.raises(InternalCheckError, match="left the fiber"):
+                as_transformation_semigroup(m, fiber)

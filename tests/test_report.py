@@ -12,7 +12,7 @@ import pytest
 
 from ellisub.golden import CASE_ORDER
 from ellisub.pipeline import AnalysisConfig, analyze_substitution
-from ellisub.report import render_json, render_text
+from ellisub.report import render_json, render_text, report_to_json
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
 DIGESTS = {
@@ -54,3 +54,14 @@ def test_golden_reports_are_byte_identical(golden_subs, golden_reports, verify):
                   else analyze_substitution(golden_subs[name], AnalysisConfig()))
         assert (sha256(render_json(report)), sha256(render_text(report))) == \
             DIGESTS[(name, verify)], name
+
+
+@pytest.mark.parametrize("level, printed", [(1, 6), (2, 6), (3, 3), (4, 4), (5, 5), (7, 7)])
+def test_oracle_max_level_keeps_the_printed_ceiling(golden_subs, level, printed):
+    # every shift is read at level 1 whatever the level; ellis-report/1 still
+    # prints the ceiling the level search printed, which escalated to 6 below 3
+    report = analyze_substitution(golden_subs["thue_morse"],
+                                  AnalysisConfig(verify=True, oracle_level=level))
+    oracle = report_to_json(report)["oracle"]
+    assert oracle["max_level"] == printed
+    assert set(oracle["stabilized_levels"].values()) == {1}
