@@ -4,7 +4,8 @@
 Letters of the two-sided fixed points are read off by digit walks, so shift
 powers sigma^(nu * l^k) can be evaluated on the whole singular fiber without
 materializing windows.  For a simplified substitution the map such a shift
-induces is the same at every level k, so each is read once; closing those
+induces is the same at every level k, so each is read once, off the rule
+words, and the digit walks confirm it at levels 1 to 4; closing those
 maps under composition rebuilds the structural semigroup with no reference
 to column quotients or groups -- and the result is compared map-for-map
 against the algebraic pipeline.

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="only sets the max_level that the report's oracle section "
                               "prints (K when K >= 3, else 6; default 4), until "
                               "ellis-report/2 drops the field; the oracle reads every "
-                              "shift at level 1, where its maps are proved constant")
+                              "shift once, since its maps are proved the same at every level")
     analyze.set_defaults(func=_cmd_analyze)
 
     golden = commands.add_parser("golden", help="run the bundled reference suite")

@@ -1,14 +1,14 @@
 """Independent verification by actual shift dynamics on fixed-point windows.
 
-Everything here is built from nothing but the substitution rules: letters of
-the two-sided fixed points are read off by base-l digit walks, the maps
-induced on the singular fiber by the shift powers sigma^(nu * l) are read
-once each, and the collected maps are closed under composition.  Only the
-comparison step looks at the algebraic pipeline; the construction never does.
+Everything here is built from nothing but the substitution rules: the maps
+induced on the singular fiber by the shift powers sigma^(nu * l^k) are read
+off the letters of the two-sided fixed points, and the collected maps are
+closed under composition.  Only the comparison step looks at the algebraic
+pipeline; the construction never does.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
-l-adic factor; here n_k = nu * l^k.  For a simplified substitution each of
-these limits is reached at level 1 (Dekking, *The spectrum of dynamical
+l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
+of sigma^(nu * l^k) does not depend on k (Dekking, *The spectrum of dynamical
 systems arising from substitutions of constant length*, 1978).  The fixed
 point x = a.b satisfies x[p*l + r] = rule(x[p])[r] for every integer p and
 0 <= r < l, and its boundary columns c_0 = c_(l-1) = id give rule(y)[0] = y
@@ -19,8 +19,11 @@ and rule(y)[l-1] = y for every letter y.  So
 
 and by induction x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] for every
 k >= 0.  The two-letter word that sigma^(nu*l^k) puts over each fixed point,
-and with it the induced fiber map, is the same at every level k; the map
-read at level 1 is the limit.
+and with it the induced fiber map, is the same at every level k.  For
+0 < |nu| < l that word lies in the central block of x: x[p] = rule(b)[p] for
+0 <= p < l and x[p] = rule(a)[p + l] for -l <= p < 0, so the limit map is
+read straight off the rule words.  :func:`induced_fiber_map` reads any level
+by base-l digit walks; the tests use it to check the collapse.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .semigroups import (FiberMap, TransformationSemigroup,
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            is_simplified, letter_at)
 
-LIMIT_LEVEL = 1  # the level every shift is read at; the map is constant in the level
+LIMIT_LEVEL = 1  # the level reported for every shift; the map is constant in the level
 
 
 def shift_two_word(sub: Substitution, pair: tuple[int, int], nu: int,
@@ -45,10 +48,8 @@ def shift_two_word(sub: Substitution, pair: tuple[int, int], nu: int,
     return (letter_at(sub, pair, nu - 1), letter_at(sub, pair, nu))
 
 
-def _read_map(sub: Substitution, pairs: tuple[tuple[int, int], ...],
-              index: dict[tuple[int, int], int], shift: int) -> FiberMap:
-    """Self-map of the fiber induced by sigma^shift, as fiber indices."""
-    words = [(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift)) for pair in pairs]
+def _fiber_map(words: list[tuple[int, int]], index: dict[tuple[int, int], int]) -> FiberMap:
+    """The fiber indices of the shifted two-words, one per fixed point."""
     images = tuple([index.get(word) for word in words])
     if None in images:
         word = words[images.index(None)]
@@ -59,9 +60,24 @@ def _read_map(sub: Substitution, pairs: tuple[tuple[int, int], ...],
 def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
                       level: int) -> FiberMap:
     """Self-map of the fiber induced by sigma^(nu * l^level): each fixed point
-    goes to the fixed point named by its shifted two-letter word."""
+    goes to the fixed point named by its shifted two-letter word, read by
+    digit walks."""
     index = {p: k for k, p in enumerate(fiber.pairs)}
-    return _read_map(sub, fiber.pairs, index, nu * sub.length**level)
+    shift = nu * sub.length**level
+    return _fiber_map([(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift))
+                       for pair in fiber.pairs], index)
+
+
+def _limit_map(sub: Substitution, pairs: tuple[tuple[int, int], ...],
+               index: dict[tuple[int, int], int], nu: int) -> FiberMap:
+    """The limit map of sigma^(nu * l^k) for 0 < |nu| < l: the map of sigma^nu,
+    read off the rule words (positions nu-1, nu of a.b)."""
+    rules, length = sub.rules, sub.length
+    if nu > 0:
+        words = [(rules[b][nu - 1], rules[b][nu]) for _, b in pairs]
+    else:
+        words = [(rules[a][nu - 1 + length], rules[a][nu + length]) for a, _ in pairs]
+    return _fiber_map(words, index)
 
 
 @dataclass(frozen=True)
@@ -117,11 +133,11 @@ def limit_maps(sub: Substitution) -> OracleResult:
     """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l, and
     their closure under composition.
 
-    Each map is read once, at level 1.  That is the limit: for a simplified
-    substitution x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] at every
-    level k, since x[p*l + r] = rule(x[p])[r] and the boundary columns are
-    the identity (the module docstring spells out the induction), so the map
-    does not depend on k.  The closure grows from the 2(b-1)k shifts
+    Each map is read once, off the rule words.  That is the limit: for a
+    simplified substitution x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] at
+    every level k, since x[p*l + r] = rule(x[p])[r] and the boundary columns
+    are the identity (the module docstring spells out the induction), so the
+    map does not depend on k.  The closure grows from the 2(b-1)k shifts
     +-nu * b^r, with b^k = l, and falls back to all 2(l-1) maps unless every
     map lies in it (:func:`_closure_of_maps`).
     """
@@ -131,8 +147,7 @@ def limit_maps(sub: Substitution) -> OracleResult:
     index = {p: k for k, p in enumerate(fiber.pairs)}
     length = sub.length
     shifts = list(range(1, length)) + list(range(-length + 1, 0))
-    by_shift = {nu: _read_map(sub, fiber.pairs, index, nu * length**LIMIT_LEVEL)
-                for nu in shifts}
+    by_shift = {nu: _limit_map(sub, fiber.pairs, index, nu) for nu in shifts}
     sg = _closure_of_maps(by_shift, _few_shifts(length), fiber.size)
     return OracleResult(fiber, tuple(OracleMap(nu, f) for nu, f in by_shift.items()), sg)
 

@@ -445,8 +445,9 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
         semigroup, _ = as_transformation_semigroup(report.matrix, report.fiber)
         comparison = oracle_equivalence(simplified, semigroup)
         report.oracle = comparison
-        # The oracle reads each shift at level 1, where its map is proved to
-        # be the limit (see :mod:`ellisub.oracle`), so no level is searched.
+        # The map of each shift is proved the same at every level (see
+        # :mod:`ellisub.oracle`), so the oracle reads it once and searches no
+        # level.
         # ellis-report/1 still prints the ceiling the earlier search printed:
         # the requested level once it held three levels, else the
         # escalation ceiling 6.

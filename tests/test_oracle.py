@@ -14,8 +14,7 @@ from ellisub.oracle import (_closure_of_maps, _few_shifts,
                             proximality_classes, shift_two_word)
 from ellisub.pipeline import r_set
 from ellisub.semigroups import map_compose, semigroup_closure
-from ellisub.substitution import (allowed_two_words, columns, fixed_points,
-                                  substitution_power)
+from ellisub.substitution import columns, fixed_points, substitution_power
 from conftest import fiber_action, make_substitution, rset_and_group
 
 
@@ -69,37 +68,21 @@ def test_limit_maps_stabilize_immediately(golden_simplified):
                 assert induced_fiber_map(sub, fiber, entry.nu, extra) == entry.fiber_map
 
 
-def _level_zero_map(sub, fiber, nu):
-    """The fiber map of sigma^nu, read straight off the rule words: position
-    p of a.b is rule(b)[p] for 0 <= p < l and rule(a)[p + l] for -l <= p < 0."""
-    def letter(pair, p):
-        a, b = pair
-        return sub.rules[b][p] if p >= 0 else sub.rules[a][p + sub.length]
-    return tuple(fiber.pairs.index((letter(pair, nu - 1), letter(pair, nu)))
-                 for pair in fiber.pairs)
-
-
-def test_every_level_reads_the_level_zero_map(golden_simplified, random_corpus,
-                                              long_power_simplified):
+def test_every_level_reads_the_limit_map(golden_simplified, random_corpus,
+                                         long_power_simplified):
     # c_0 = c_(l-1) = id gives x[nu l^k] = x[nu] and x[nu l^k - 1] = x[nu - 1]
-    # for every k, so no level above 1 can differ from level 1
+    # for every k, so the map read off the rule words is the map that the
+    # digit walks read at every level
     subs = list(golden_simplified.values()) + random_corpus + long_power_simplified
     assert len(subs) == 6 + 20 + 21
     for sub in subs:
-        fiber = allowed_two_words(sub)
-        for nu in list(range(1, sub.length)) + list(range(1 - sub.length, 0)):
-            expected = _level_zero_map(sub, fiber, nu)
+        result = limit_maps(sub)
+        assert [m.nu for m in result.maps] == \
+            list(range(1, sub.length)) + list(range(1 - sub.length, 0))
+        assert result.semigroup.generators == tuple(sorted({m.fiber_map for m in result.maps}))
+        for m in result.maps:
             for k in range(1, 5):
-                assert induced_fiber_map(sub, fiber, nu, k) == expected, (sub, nu, k)
-
-
-def test_limit_maps_are_the_level_one_maps(golden_simplified):
-    sub = golden_simplified["s3_seven_words"]
-    result = limit_maps(sub)
-    assert [m.nu for m in result.maps] == list(range(1, 16)) + list(range(-15, 0))
-    for m in result.maps:
-        assert m.fiber_map == induced_fiber_map(sub, result.fiber, m.nu, 1)
-    assert result.semigroup.generators == tuple(sorted({m.fiber_map for m in result.maps}))
+                assert induced_fiber_map(sub, result.fiber, m.nu, k) == m.fiber_map, (sub, m.nu, k)
 
 
 def test_few_shifts_are_the_digit_shifts():
@@ -135,19 +118,26 @@ def test_closure_falls_back_when_the_few_shifts_do_not_generate(golden_simplifie
 
 
 def test_verify_reads_each_shift_once(golden_subs, monkeypatch):
-    # one level: two letters per fixed point for each of the 2(L-1) shifts
-    counted = []
-    original = ellisub.oracle.letter_at
+    # one read of the rule words per shift, and no digit walk at any level
+    reads, walks = [], []
+    limit_map, letter_at = ellisub.oracle._limit_map, ellisub.substitution.letter_at
 
-    def letter_at(*args):
-        counted.append(args)
-        return original(*args)
-    monkeypatch.setattr(ellisub.oracle, "letter_at", letter_at)
-    monkeypatch.setattr(ellisub.substitution, "letter_at", letter_at)
+    def counted_limit_map(*args):
+        reads.append(args[-1])
+        return limit_map(*args)
+
+    def counted_letter_at(*args):
+        walks.append(args)
+        return letter_at(*args)
+    monkeypatch.setattr(ellisub.oracle, "_limit_map", counted_limit_map)
+    monkeypatch.setattr(ellisub.oracle, "letter_at", counted_letter_at)
+    monkeypatch.setattr(ellisub.substitution, "letter_at", counted_letter_at)
     report = analyze_substitution(golden_subs["cyclic_rotation"], AnalysisConfig(verify=True))
-    length, fiber = report.substitution.length, report.fiber.size
+    length = report.substitution.length
     assert report.exponent == 3 and length == 27
-    assert len(counted) == 2 * 2 * (length - 1) * fiber
+    assert report.oracle is not None and report.oracle.equal
+    assert sorted(reads) == list(range(1 - length, 0)) + list(range(1, length))
+    assert walks == []
 
 
 def test_oracle_idempotents(golden_simplified):
