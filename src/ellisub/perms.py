@@ -292,6 +292,11 @@ class GroupFingerprint:
             "element_orders": {str(k): v for k, v in self.element_orders},
         }
 
+    @property
+    def name(self) -> str | None:
+        """Name of the abstract isomorphism type for orders <= 12, else None."""
+        return _NAMES.get((self.order, self.abelian, self.element_orders))
+
 
 def group_fingerprint(group: PermGroup) -> GroupFingerprint:
     orders: dict[int, int] = {}
@@ -344,5 +349,4 @@ _register("Dic_3", 12, False, {1: 1, 2: 1, 3: 2, 4: 6, 6: 2})
 
 def group_name(group: PermGroup) -> str | None:
     """Name of the abstract isomorphism type for orders <= 12, else None."""
-    fp = group_fingerprint(group)
-    return _NAMES.get((fp.order, fp.abelian, fp.element_orders))
+    return group_fingerprint(group).name

@@ -16,8 +16,9 @@ the faithful action on the two-word fiber.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
@@ -35,8 +36,9 @@ ISO_SEARCH_DEGREE_MAX = 6
 
 
 class ReesElement(NamedTuple):
-    """A triple (i, g, lam); a named tuple, so hashing, equality and
-    construction run at the speed of the built-in tuple."""
+    """A triple (i, g, lam).  As a named tuple it hashes and compares equal to
+    the plain tuple (i, g, lam), so the product kernels form plain tuples and
+    skip its constructor, a Python-level call."""
 
     i: int  # index into I
     g: Perm
@@ -92,29 +94,35 @@ class ReesMatrixSemigroup:
 
     @cached_property
     def generators(self) -> tuple[ReesElement, ...]:
-        """A generating set X: every (i, 1, lam), plus (i0, s * A[lam0][i0]^-1,
-        lam0) for each generator s of G, where (i0, lam0) is the base; built
-        once per presentation.
+        """A generating set X of M, built once per presentation and not
+        closed here: with (i0, lam0) the base and a = A[lam0][i0], X holds
 
-        The second part generates the H-class of the base, a copy of G under
-        (i0, g, lam0) -> g * A[lam0][i0]; then (i, 1, lam0) h (i0, 1, lam) runs
-        through row i and column lam.  That X reaches all of M is checked, not
-        assumed, by closing it under left multiplication by X (|M| * |X|
-        products).  By the Froidure-Pin lemma a map phi out of M is a
-        homomorphism as soon as phi(xy) = phi(x) phi(y) for x in X and all y.
+        * (i, 1, lam0) for every i in I,
+        * (i0, 1, lam) for every lam != lam0,
+        * (i0, s * a^-1, lam0) for every generator s of G,
+
+        |I| + |Lambda| - 1 + (number of generators of G) elements, so 2|I| + 1
+        for a substitution sandwich, whose G is generated by the R-set.
+
+        X generates M, for every sandwich matrix.  The H-class of the triples
+        (i0, h, lam0) is a group, and h -> h * a is an isomorphism onto G, since
+        (i0, g, lam0)(i0, h, lam0) = (i0, g a h, lam0) and g a h a = (g a)(h a).
+        The third part maps onto the generators of G, so it generates the whole
+        H-class.  Then (i, 1, lam0)(i0, h, lam0)(i0, 1, lam) = (i, a h a, lam),
+        and a h a runs through G as h does, so every triple is a product of
+        elements of X; (i0, 1, lam0) lies in the first part.
+
+        The proof is also checked, not assumed: :func:`verify_rees_isomorphism`
+        closes X under left multiplication by X and raises InternalCheckError
+        if the closure falls short of M.
         """
         i0, lam0 = self.base
         ident = identity(self.group.degree)
         a_inv = inverse(self.sandwich[lam0][i0])
-        gens = [ReesElement(i, ident, lam)
-                for i in range(len(self.i_labels)) for lam in range(len(self.lam_labels))]
+        gens = [ReesElement(i, ident, lam0) for i in range(len(self.i_labels))]
+        gens += [ReesElement(i0, ident, lam) for lam in range(len(self.lam_labels)) if lam != lam0]
         gens += [ReesElement(i0, compose(s, a_inv), lam0) for s in self.group.generators]
-        gens = list(dict.fromkeys(gens))
-        reached = _element_closure(self, gens)
-        if len(reached) != self.size:
-            raise InternalCheckError(
-                f"Rees generators reach {len(reached)} of {self.size} elements")
-        return tuple(gens)
+        return tuple(dict.fromkeys(gens))
 
 
 def multiply(m: ReesMatrixSemigroup, x: ReesElement, y: ReesElement) -> ReesElement:
@@ -135,17 +143,57 @@ def _left_row(m: ReesMatrixSemigroup, x: ReesElement) -> list[Perm]:
     return [tuple([g[k] for k in entry]) for entry in m.sandwich[x.lam]]
 
 
-def _element_closure(m: ReesMatrixSemigroup, seeds: list[ReesElement]) -> set[ReesElement]:
+def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement],
+                     phi: dict | None = None, image_product: Callable | None = None
+                     ) -> set[tuple] | None:
     """The subsemigroup generated by ``seeds``, closed under left
-    multiplication by the seeds (|result| * |seeds| products)."""
-    elements = set(seeds)
-    frontier = set(seeds)
-    lefts = [(x.i, _left_row(m, x)) for x in seeds]
+    multiplication by the seeds: |result| * |seeds| products, each formed as a
+    plain (i, g, lam) tuple, which hashes and compares like the ReesElement.
+
+    Given a map ``phi`` out of M, each product xy is also checked as it is
+    formed: phi(xy) must equal image_product(phi(x), phi(y)).  Returns None at
+    the first product that breaks this law.
+    """
+    check = phi is not None
+    lefts = [(x.i, _left_row(m, x), phi[x] if check else None) for x in seeds]
+    reached = set(seeds)
+    frontier = seeds
     while frontier:
-        frontier = {ReesElement(i, tuple([row[y.i][k] for k in y.g]), y.lam)
-                    for i, row in lefts for y in frontier} - elements
-        elements |= frontier
-    return elements
+        new = []
+        for i, row, px in lefts:
+            for y in frontier:
+                yi, yg, ylam = y
+                left = row[yi]
+                xy = (i, tuple([left[k] for k in yg]), ylam)
+                if check and phi[xy] != image_product(px, phi[y]):
+                    return None
+                if xy not in reached:
+                    reached.add(xy)
+                    new.append(xy)
+        frontier = new
+    return reached
+
+
+def _proves_homomorphism(m: ReesMatrixSemigroup, phi: dict, image_product: Callable) -> bool:
+    """One pass that proves both hypotheses of the Froidure-Pin lemma for phi
+    and X = ``m.generators``: it closes X under left multiplication by X and
+    checks phi(xy) = image_product(phi(x), phi(y)) on each of the |S| * |X|
+    products as it forms it.  Once the closure reaches all |S| triples, X
+    generates M and the law holds for x in X and every y in M, so phi is a
+    homomorphism: by induction on the length of w as a word in X, for x in X,
+    phi((x w) y) = phi(x) phi(w y) = phi(x) phi(w) phi(y) = phi(x w) phi(y).
+
+    Returns False when the law fails; raises InternalCheckError when X falls
+    short of M, which only a fault in :attr:`ReesMatrixSemigroup.generators`
+    could cause.
+    """
+    reached = _element_closure(m, m.generators, phi, image_product)
+    if reached is None:
+        return False
+    if len(reached) != m.size:
+        raise InternalCheckError(
+            f"Rees generators reach {len(reached)} of {m.size} elements")
+    return True
 
 
 def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ...],
@@ -224,7 +272,8 @@ def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
 
     Returns the gauged semigroup plus the induced isomorphism
     (i, g, lam) -> (i, v_i^-1 * g * u_lam^-1, lam), as a dict.  Its product
-    law is checked for x in ``m.generators`` and all y.
+    law is proved by the pass of :func:`verify_rees_isomorphism`, |S| * |X|
+    products with X = ``m.generators``.
     """
     for f in list(row_factors) + list(col_factors):
         if f not in m.group:
@@ -237,11 +286,8 @@ def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
     iso = {x: ReesElement(x.i, compose(compose(inverse(col_factors[x.i]), x.g),
                                        inverse(row_factors[x.lam])), x.lam)
            for x in m.elements()}
-    elements = list(m.elements())
-    for x in m.generators:
-        for y in elements:
-            if iso[multiply(m, x, y)] != multiply(gauged, iso[x], iso[y]):
-                raise InternalCheckError("gauge transformation is not an isomorphism")
+    if not _proves_homomorphism(m, iso, partial(multiply, gauged)):
+        raise InternalCheckError("gauge transformation is not an isomorphism")
     return gauged, iso
 
 
@@ -334,10 +380,12 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
       j^-1 R', so its R becomes g g0 j^-1 R'.
 
     The returned semigroup is the image of this action phi, generated by the
-    images of ``m.generators``.  One call of :func:`verify_rees_isomorphism`
-    proves phi a bijective homomorphism onto it, and the image of a
-    homomorphism is closed under composition, so no closure is run; the cost
-    is |S| * |X| products, with |S| = 2|I||G| and X = ``m.generators``.
+    images of X = ``m.generators``, 2|I| + 1 triples at most.  One call of
+    :func:`verify_rees_isomorphism` proves phi a bijective homomorphism onto
+    it in a single pass of |S| * |X| products, with |S| = 2|I||G|: the pass
+    closes X under left multiplication, which proves that X generates M, and
+    checks the product law on each product as it forms it.  The image of a
+    homomorphism is closed under composition, so no closure of maps is run.
     """
     if m.lam_labels != SIGN_LABELS:
         raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
@@ -371,25 +419,22 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
 
 def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
                             phi: dict[ReesElement, FiberMap]) -> bool:
-    """Check that phi is a bijective homomorphism M -> sg.
+    """Check that phi is a bijective homomorphism of M onto sg.
 
-    Bijectivity is checked on every element; the product law
-    phi(xy) = phi(x) phi(y) for x in ``m.generators`` and all y, which
-    by the Froidure-Pin lemma gives it for all x.
+    Bijectivity is checked on every element.  The rest is one pass of
+    |S| * |X| products, X = ``m.generators``: X is closed under left
+    multiplication by X, and phi(xy) = phi(x) phi(y) is checked on each
+    product as it is formed.  When the closure reaches all |S| triples, X
+    generates M and the law holds on X x M, which by the Froidure-Pin lemma
+    makes phi a homomorphism.  Returns False when phi fails either check;
+    raises InternalCheckError when X does not generate M.
     """
-    elements = list(m.elements())
-    if phi.keys() != set(elements):
+    if phi.keys() != set(m.elements()):
         return False
     images = set(phi.values())
-    if len(images) != len(elements) or images != set(sg.elements):
+    if len(images) != m.size or images != set(sg.elements):
         return False
-    for x in m.generators:
-        i, row, px = x.i, _left_row(m, x), phi[x]
-        for y in elements:
-            xy = ReesElement(i, tuple([row[y.i][k] for k in y.g]), y.lam)
-            if phi[xy] != tuple([px[k] for k in phi[y]]):
-                return False
-    return True
+    return _proves_homomorphism(m, phi, map_compose)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 
-from .perms import PermGroup, cycle_string, group_fingerprint, group_name
+from .perms import PermGroup, cycle_string, group_fingerprint
 from .pipeline import StructuralReport
 from .rees import SIGN_LABELS
 from .substitution import substitution_to_json
@@ -16,7 +16,7 @@ SCHEMA_VERSION = "ellis-report/1"
 def _group_payload(group: PermGroup, letters: tuple[str, ...]) -> dict:
     fp = group_fingerprint(group)
     payload = fp.as_dict()
-    payload["name"] = group_name(group)
+    payload["name"] = fp.name
     payload["generators"] = [cycle_string(g, letters) for g in group.generators]
     return payload
 
@@ -24,15 +24,13 @@ def _group_payload(group: PermGroup, letters: tuple[str, ...]) -> dict:
 def report_to_json(report: StructuralReport) -> dict:
     letters = report.alphabet.letters
     matrix = report.matrix
+    # each permutation is written out once; elements() runs in (i, g, lam) order
+    i_cycles = [cycle_string(label, letters) for label in matrix.i_labels]
+    g_cycles = {g: cycle_string(g, letters) for g in matrix.group.elements}
+    table = report.degree.table
     degree_rows = [
-        {
-            "i": cycle_string(matrix.i_labels[x.i], letters),
-            "g": cycle_string(x.g, letters),
-            "sign": SIGN_LABELS[x.lam],
-            "degree": degree,
-        }
-        for x, degree in sorted(report.degree.table.items(),
-                                key=lambda kv: (kv[0].i, kv[0].g, kv[0].lam))
+        {"i": i_cycles[x.i], "g": g_cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": table[x]}
+        for x in matrix.elements()
     ]
     oracle = None
     if report.oracle is not None:

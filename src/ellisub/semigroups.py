@@ -64,9 +64,10 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
     """Smallest composition-closed set of maps containing ``gens``.
 
     Left multiplication by the generators suffices: g1 g2 ... gk is reached
-    from gk in k - 1 steps, so the cost is |S| * |gens| compositions.
+    from gk in k - 1 steps, so the cost is |S| * |gens| compositions, with
+    each distinct generator walked once.
     """
-    gens = [tuple(g) for g in gens]
+    gens = list(dict.fromkeys(tuple(g) for g in gens))
     if not gens and degree is None:
         raise ValidationError("closure of an empty generator list needs an explicit degree")
     if degree is None:
@@ -90,7 +91,7 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
                         raise ResourceLimitError(
                             f"semigroup closure exceeded cap of {cap} elements")
         frontier = new
-    return TransformationSemigroup(degree, tuple(sorted(elements)), tuple(sorted(set(gens))))
+    return TransformationSemigroup(degree, tuple(sorted(elements)), tuple(sorted(gens)))
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,9 @@ def test_group_names():
     assert group_name(closure([rot, diag])) == "D_4"
     klein = closure([(1, 0, 3, 2), (2, 3, 0, 1)])
     assert group_name(klein) == "Z/2xZ/2"
+    # a fingerprint computed once names the group as well
+    for group in (klein, s_n(3), s_n(4)):
+        assert group_fingerprint(group).name == group_name(group)
 
 
 def test_fingerprint_contents():

@@ -477,13 +477,21 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
             if (module_name.startswith("ellisub.") and module_name != "ellisub.oracle"
                     and hasattr(module, name)):
                 counting(module, name)
-    closed = []  # presentations whose generators were closed
+    passes = []  # (presentation, number of seeds, checked) per Rees closure
     original_closure = ellisub.rees._element_closure
 
-    def closure(m, seeds):
-        closed.append(m)
-        return original_closure(m, seeds)
+    def closure(m, seeds, phi=None, image_product=None):
+        seeds = list(seeds)
+        passes.append((m, len(seeds), phi is not None))
+        return original_closure(m, seeds, phi, image_product)
     monkeypatch.setattr(ellisub.rees, "_element_closure", closure)
+    products = []  # map compositions, one per product the pass checks
+    original_compose = ellisub.rees.map_compose
+
+    def compose_maps(x, y):
+        products.append(None)
+        return original_compose(x, y)
+    monkeypatch.setattr(ellisub.rees, "map_compose", compose_maps)
     original_sandwich = ellisub.pipeline.substitution_sandwich
 
     def no_group_closure(*args, **kwargs):
@@ -501,13 +509,18 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     sub = golden_subs["s3_seven_words"]
     analyze_substitution(sub)
     assert calls == once
-    assert closed == []
+    assert passes == [] and products == []
     calls.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal
     assert calls == {**once, "as_transformation_semigroup": 1, "verify_rees_isomorphism": 1}
-    # one presentation per analysis: the substitution sandwich
-    assert closed == [report.matrix]
+    # one fused pass over the substitution sandwich: it closes X and checks
+    # the product law on the same |S| * |X| products, 36 * 7 here
+    matrix = report.matrix
+    generators = len(matrix.generators)
+    assert (matrix.size, generators) == (36, 2 * len(report.rset) + 1)
+    assert passes == [(matrix, generators, True)]
+    assert len(products) == matrix.size * generators
 
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     # power 3 (length 125), |I| = 4, |G| = 120: the pair closure has |I||G|

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,9 @@ def test_rees_element_hashes_and_compares_by_value():
     same = ReesElement(1, tuple([1, 0, 2]), 0)
     assert x == same and hash(x) == hash(same)
     assert len({x, same}) == 1 and {x: "x"}[same] == "x"
+    # the product kernels form plain tuples and look them up among named ones
+    plain = (1, (1, 0, 2), 0)
+    assert x == plain and hash(x) == hash(plain) and {x: "x"}[plain] == "x"
     assert (x.i, x.g, x.lam) == (1, (1, 0, 2), 0)
     assert all(x != other for other in (ReesElement(0, x.g, 0), ReesElement(1, (0, 1, 2), 0),
                                          ReesElement(1, x.g, 1)))
@@ -276,22 +280,54 @@ def test_presentations_distinguish_different_little_groups(golden_simplified):
 
 
 def test_rees_generators_generate_every_golden_presentation(golden_simplified):
-    # base column g0 = the last R-set element, away from the one the pipeline uses
-    for sub in golden_simplified.values():
-        rset, group = rset_and_group(sub)
-        m = substitution_sandwich(group, rset, rset[-1])
-        assert len(m.generators) <= 2 * len(rset) + len(m.group.generators)
+    # X = {(i, 1, +)} u {(i0, 1, -)} u {(i0, s, +)}: 2|I| + 1 triples at most,
+    # at either base column, and X closes to all of M
+    for sub, m in _golden_sandwiches(golden_simplified):
+        i0, ident = m.base[0], identity(sub.size)
+        expected = ([ReesElement(i, ident, PLUS) for i in range(len(m.i_labels))]
+                    + [ReesElement(i0, ident, MINUS)]
+                    + [ReesElement(i0, s, PLUS) for s in m.group.generators])
+        assert m.generators == tuple(dict.fromkeys(expected))
+        assert len(m.generators) <= 2 * len(m.i_labels) + 1
+        assert _element_closure(m, m.generators) == set(m.elements())
+
+
+def test_rees_generators_generate_the_three_row_matrix_at_every_base():
+    # the proof covers any sandwich: here a = A[lam0][i0] is never the identity
+    for i0 in range(2):
+        for lam0 in range(3):
+            m = three_row_matrix(base=(i0, lam0))
+            assert m.sandwich[lam0][i0] != identity(3)
+            assert len(m.generators) <= 2 + 2 + len(m.group.generators)
+            assert _element_closure(m, m.generators) == set(m.elements())
+            sg, phi = left_regular_action(m)
+            assert verify_rees_isomorphism(sg, m, phi)
 
 
 def test_rees_generators_refuse_a_group_whose_generators_fall_short():
     # a structure group that lists only the identity as its generator: the
-    # triples it yields close up to the |I| * |Lambda| idempotents only
+    # triples it yields close up to the |I| * |Lambda| idempotents only, and
+    # the pass refuses even a true homomorphism once its closure stops short
     s3 = closure([(1, 0, 2), (1, 2, 0)])
     group = PermGroup(3, (identity(3),), s3.elements)
     ident = identity(3)
     m = ReesMatrixSemigroup(group, ("i", "j"), SIGN_LABELS, ((ident, ident), (ident, ident)))
+    sg, phi = left_regular_action(m)
+    assert _is_homomorphism_on_all_pairs(sg, m, phi)
     with pytest.raises(InternalCheckError, match="reach 4 of 24"):
-        m.generators
+        verify_rees_isomorphism(sg, m, phi)
+
+
+def test_the_pass_refuses_generators_without_the_minus_triple(golden_simplified):
+    # without (i0, 1, -) every product keeps the sign +, so the closure stops
+    # at half of M although the law holds on every product it forms
+    for sub, m in _golden_sandwiches(golden_simplified):
+        sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+        short = replace(m)
+        short.__dict__["generators"] = tuple(x for x in m.generators if x.lam == PLUS)
+        assert len(short.generators) == len(m.generators) - 1
+        with pytest.raises(InternalCheckError, match=f"reach {m.size // 2} of {m.size}"):
+            verify_rees_isomorphism(sg, short, phi)
 
 
 def _is_homomorphism_on_all_pairs(sg, m, phi):
@@ -356,14 +392,13 @@ def _action_by_pairs(m, fiber):
     return phi
 
 
-def three_row_matrix() -> ReesMatrixSemigroup:
-    """|I| = 2 and |Lambda| = 3 over S_3, with non-identity sandwich entries
-    in every row, base row included."""
+def three_row_matrix(base: tuple[int, int] = (0, 0)) -> ReesMatrixSemigroup:
+    """|I| = 2 and |Lambda| = 3 over S_3, with no identity sandwich entry."""
     s3 = closure([(1, 0, 2), (1, 2, 0)])
     sandwich = (((1, 2, 0), (0, 2, 1)),
                 ((1, 0, 2), (2, 0, 1)),
                 ((2, 1, 0), (1, 2, 0)))
-    return ReesMatrixSemigroup(s3, ("i", "j"), ("p", "q", "r"), sandwich)
+    return ReesMatrixSemigroup(s3, ("i", "j"), ("p", "q", "r"), sandwich, base)
 
 
 def left_regular_action(m):

@@ -39,6 +39,20 @@ def test_closure_cap():
         semigroup_closure(gens, cap=100)
 
 
+def test_closure_of_repeated_generators(golden_simplified):
+    # the shifts of the window oracle repeat their maps: s3_seven_words has
+    # fewer distinct maps than shifts
+    from ellisub.oracle import limit_maps
+    maps = [m.fiber_map for m in limit_maps(golden_simplified["s3_seven_words"]).maps]
+    distinct = sorted(set(maps))
+    assert len(distinct) < len(maps)
+    expected = semigroup_closure(distinct)
+    for gens in (maps, maps[::-1] + maps):
+        sg = semigroup_closure(gens)
+        assert sg == expected
+        assert sg.generators == tuple(distinct)
+
+
 def test_closure_validates_inputs():
     with pytest.raises(ValidationError):
         semigroup_closure([(0, 1), (0, 1, 2)])
