@@ -9,7 +9,7 @@ the substitution is bijective and everything downstream applies.
 
 from ellisub import (allowed_two_words, columns, cycle_string, is_aperiodic,
                      is_bijective, is_primitive, is_simplified,
-                     parse_substitution, simplify, word_complexity)
+                     parse_substitution, simplify)
 
 THUE_MORSE = """
 # the classic two-letter example, already in simplified form
@@ -37,7 +37,6 @@ print("primitive:", is_primitive(tm))
 words = allowed_two_words(tm)
 print(f"aperiodicity: {is_aperiodic(tm).kind} ({words.size} allowed two-letter words "
       f"for {tm.size} letters: {', '.join(words.labels(tm.alphabet))})")
-print("complexity p(1..6):", [word_complexity(tm, n) for n in range(1, 7)])
 
 print("\n== a periodic impostor has one successor per letter")
 periodic = parse_substitution("a -> aba\nb -> bab")

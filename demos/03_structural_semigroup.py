@@ -14,14 +14,12 @@ presentation, fiber maps.
 """
 
 from ellisub import (allowed_two_words, as_transformation_semigroup, columns,
-                     cycle_string, gauge_renormalize, green_structure,
-                     idempotent_generated, little_structure_group,
-                     parse_substitution, presentations_isomorphic, r_set,
+                     cycle_string, green_structure, idempotent_generated,
+                     little_structure_group, parse_substitution, r_set,
                      rees_decomposition, semigroup_closure, simplify,
                      structure_group, substitution_sandwich,
                      verify_rees_isomorphism)
 from ellisub.perms import compose
-from ellisub.rees import rees_to_json
 
 sub, _ = simplify(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
 letters = sub.alphabet.letters
@@ -70,16 +68,3 @@ print("decomposition shape:",
 print("decomposition verified:",
       verify_rees_isomorphism(semigroup, decomposition.matrix,
                               decomposition.embedding))
-
-print("\n== gauge freedom")
-from ellisub.perms import identity, inverse
-cols = [inverse(entry) for entry in matrix.sandwich[1]]
-gauged, _ = gauge_renormalize(matrix, [identity(3), identity(3)], cols)
-print("after gauging, minus row is the identity row:",
-      [cycle_string(e, letters) for e in gauged.sandwich[1]])
-print("still the same semigroup up to presentation:",
-      presentations_isomorphic(matrix, gauged))
-
-print("\n== JSON view")
-import json
-print(json.dumps(rees_to_json(matrix, letters), indent=2)[:400], "...")

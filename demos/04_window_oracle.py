@@ -11,23 +11,23 @@ to column quotients or groups -- and the result is compared map-for-map
 against the algebraic pipeline.
 """
 
-from ellisub import (as_transformation_semigroup, fixed_point_block,
-                     global_description, letter_at, limit_maps,
-                     oracle_equivalence, parse_substitution,
-                     proximality_classes, shift_two_word, simplify)
+from ellisub import (as_transformation_semigroup, global_description,
+                     letter_at, limit_maps, oracle_equivalence,
+                     parse_substitution, proximality_classes, simplify,
+                     substitution_power)
 from ellisub.oracle import induced_fiber_map
 
 sub, _ = simplify(parse_substitution("a -> abba\nb -> baab"))
 letters = sub.alphabet.letters
 
 print("== reading a fixed point window")
-print("block of a at level 3:", fixed_point_block(sub, 0, 3))
+print("block of a at level 3:", substitution_power(sub, 3).rule_word("a"))
 window = "".join(letters[letter_at(sub, (1, 0), p)] for p in range(-8, 8))
 print("window [-8, 8) of b.a:", window[:8], ".", window[8:])
 
 print("\n== induced two-words")
 for nu in (1, 2, 3, -1):
-    a, b = shift_two_word(sub, (0, 0), nu, 1)
+    a, b = letter_at(sub, (0, 0), nu - 1), letter_at(sub, (0, 0), nu)
     print(f"  sigma^{nu} of a.a sits over the two-word {letters[a]}{letters[b]}")
 
 print("\n== stabilized limit maps")

@@ -13,7 +13,7 @@ cross-checks every map.
 from .errors import (EllisubError, InternalCheckError, ParseError,
                      ResourceLimitError, ValidationError)
 from .oracle import (OracleComparison, OracleResult, limit_maps,
-                     oracle_equivalence, proximality_classes, shift_two_word)
+                     oracle_equivalence, proximality_classes)
 from .perms import (PermGroup, centralizer_in_symmetric, closure,
                     cycle_string, element_order, group_fingerprint,
                     group_name, is_normal, is_transitive, normal_closure,
@@ -23,9 +23,8 @@ from .pipeline import (AnalysisConfig, Heights, StructuralReport,
                        classical_height_bruteforce, degree_map,
                        global_description, heights, r_set, structure_group)
 from .rees import (ReesElement, ReesMatrixSemigroup,
-                   as_transformation_semigroup, gauge_renormalize,
-                   idempotent_generated, idempotents_of,
-                   little_structure_group, multiply,
+                   as_transformation_semigroup, idempotent_generated,
+                   idempotents_of, little_structure_group, multiply,
                    presentations_isomorphic, rees_decomposition,
                    substitution_sandwich, verify_rees_isomorphism)
 from .semigroups import (GreenStructure, TransformationSemigroup,
@@ -33,12 +32,11 @@ from .semigroups import (GreenStructure, TransformationSemigroup,
                          semigroup_closure)
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,
-                           compose_substitutions, fixed_point_block,
-                           fixed_points, is_aperiodic, is_bijective,
-                           is_primitive, is_simplified, letter_at,
-                           parse_any, parse_substitution, simplify,
-                           substitution_from_json, substitution_power,
-                           substitution_to_json, substitution_to_text,
-                           word_complexity)
+                           compose_substitutions, is_aperiodic,
+                           is_bijective, is_primitive, is_simplified,
+                           letter_at, parse_any, parse_substitution,
+                           simplify, substitution_from_json,
+                           substitution_power, substitution_to_json,
+                           substitution_to_text)
 
 __version__ = "1.0.0"

@@ -39,15 +39,6 @@ from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
 LIMIT_LEVEL = 1  # the level reported for every shift; the map is constant in the level
 
 
-def shift_two_word(sub: Substitution, pair: tuple[int, int], nu: int,
-                   level: int) -> tuple[int, int]:
-    """The two-letter word of sigma^nu applied to the fixed point a.b, read at
-    positions nu-1 and nu of the level-sized window."""
-    if nu == 0 or abs(nu) >= sub.length**level:
-        raise ValidationError(f"shift {nu} is outside the level-{level} window")
-    return (letter_at(sub, pair, nu - 1), letter_at(sub, pair, nu))
-
-
 def _fiber_map(words: list[tuple[int, int]], index: dict[tuple[int, int], int]) -> FiberMap:
     """The fiber indices of the shifted two-words, one per fixed point."""
     images = tuple([index.get(word) for word in words])

@@ -11,8 +11,9 @@ and simplified), :func:`structure_group`, :func:`heights`,
 :func:`substitution_sandwich`, :func:`degree_map`,
 :func:`classical_height_bruteforce` and :func:`automorphism_data`.  No stage
 builds a fiber map, multiplies two elements of the structural semigroup (of
-size |S| = 2|I||G|) or writes out a power of the substitution; the degree
-table, one entry per element, is the only |S|-sized object.
+size |S| = 2|I||G|) or writes out a power of the substitution, and none
+holds an |S|-sized object: the degree of (i, g, sign) is that of g, so the
+degree table has one entry per element of G.
 
 Checks that run on every input, each raising InternalCheckError on a
 mismatch: the structure group is transitive; the R-set lies in one coset of
@@ -62,12 +63,11 @@ from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
                     compose, element_order, group_name, identity, inverse,
                     is_normal, is_transitive, normal_closure)
-from .rees import (ReesElement, ReesMatrixSemigroup,
-                   as_transformation_semigroup, idempotents_of,
-                   substitution_sandwich)
-from .substitution import (LETTER_LIMIT, Alphabet, AperiodicityVerdict,
-                           Substitution, TwoWordFiber, allowed_two_words,
-                           columns, is_aperiodic, is_bijective, is_primitive,
+from .rees import (ReesMatrixSemigroup, as_transformation_semigroup,
+                   idempotents_of, substitution_sandwich)
+from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
+                           TwoWordFiber, allowed_two_words, columns,
+                           is_aperiodic, is_bijective, is_primitive,
                            is_simplified, simplify)
 
 
@@ -212,7 +212,7 @@ def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heig
 @dataclass
 class DegreeData:
     modulus: int
-    table: dict[ReesElement, int]
+    by_perm: dict[Perm, int]  # degree of each g in G; (i, g, sign) has the degree of g
 
 
 def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData:
@@ -256,11 +256,9 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
         raise InternalCheckError("the degree-0 elements differ from the normal completion")
     if any(degree_of_perm[entry] != 0 for row in matrix.sandwich for entry in row):
         raise InternalCheckError("degree map is not a semigroup morphism")
-    table = {x: degree_of_perm[x.g] for x in matrix.elements()}
-    for p in idempotents_of(matrix):
-        if table[p] != 0:
-            raise InternalCheckError("idempotents must have degree 0")
-    return DegreeData(modulus, table)
+    if any(degree_of_perm[p.g] != 0 for p in idempotents_of(matrix)):
+        raise InternalCheckError("idempotents must have degree 0")
+    return DegreeData(modulus, degree_of_perm)
 
 
 @dataclass
@@ -407,7 +405,6 @@ class AnalysisConfig:
     oracle_level: int = 4
     verify: bool = False
     output_format: str = "text"
-    letter_limit: int = LETTER_LIMIT
 
     def __post_init__(self):
         if self.output_format not in ("text", "json"):
@@ -438,7 +435,7 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
             f"aperiodicity scan inconclusive at bound {verdict.bound}; raise the bound")
         exc.verdict = verdict
         raise exc
-    simplified, exponent = simplify(sub, config.letter_limit)
+    simplified, exponent = simplify(sub)
     report = global_description(simplified, config.g0_index, exponent=exponent,
                                 original_length=sub.length, aperiodicity=verdict)
     if config.verify:

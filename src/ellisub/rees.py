@@ -16,9 +16,9 @@ the faithful action on the two-word fiber.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
@@ -144,17 +144,18 @@ def _left_row(m: ReesMatrixSemigroup, x: ReesElement) -> list[Perm]:
 
 
 def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement],
-                     phi: dict | None = None, image_product: Callable | None = None
-                     ) -> set[tuple] | None:
+                     phi: dict | None = None) -> set[tuple] | None:
     """The subsemigroup generated by ``seeds``, closed under left
     multiplication by the seeds: |result| * |seeds| products, each formed as a
     plain (i, g, lam) tuple, which hashes and compares like the ReesElement.
 
-    Given a map ``phi`` out of M, each product xy is also checked as it is
-    formed: phi(xy) must equal image_product(phi(x), phi(y)).  Returns None at
-    the first product that breaks this law.
+    Given a map ``phi`` from M to fiber maps, each product xy is also checked
+    as it is formed: phi(xy) must equal map_compose(phi(x), phi(y)).  Returns
+    None at the first product that breaks this law.
     """
     check = phi is not None
+    # one global read per call, so a rebound rees.map_compose still applies
+    compose_maps = map_compose
     lefts = [(x.i, _left_row(m, x), phi[x] if check else None) for x in seeds]
     reached = set(seeds)
     frontier = seeds
@@ -165,7 +166,7 @@ def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement],
                 yi, yg, ylam = y
                 left = row[yi]
                 xy = (i, tuple([left[k] for k in yg]), ylam)
-                if check and phi[xy] != image_product(px, phi[y]):
+                if check and phi[xy] != compose_maps(px, phi[y]):
                     return None
                 if xy not in reached:
                     reached.add(xy)
@@ -174,20 +175,20 @@ def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement],
     return reached
 
 
-def _proves_homomorphism(m: ReesMatrixSemigroup, phi: dict, image_product: Callable) -> bool:
+def _proves_homomorphism(m: ReesMatrixSemigroup, phi: dict) -> bool:
     """One pass that proves both hypotheses of the Froidure-Pin lemma for phi
     and X = ``m.generators``: it closes X under left multiplication by X and
-    checks phi(xy) = image_product(phi(x), phi(y)) on each of the |S| * |X|
-    products as it forms it.  Once the closure reaches all |S| triples, X
-    generates M and the law holds for x in X and every y in M, so phi is a
-    homomorphism: by induction on the length of w as a word in X, for x in X,
+    checks phi(xy) = phi(x) phi(y) on each of the |S| * |X| products as it
+    forms it.  Once the closure reaches all |S| triples, X generates M and
+    the law holds for x in X and every y in M, so phi is a homomorphism: by
+    induction on the length of w as a word in X, for x in X,
     phi((x w) y) = phi(x) phi(w y) = phi(x) phi(w) phi(y) = phi(x w) phi(y).
 
     Returns False when the law fails; raises InternalCheckError when X falls
     short of M, which only a fault in :attr:`ReesMatrixSemigroup.generators`
     could cause.
     """
-    reached = _element_closure(m, m.generators, phi, image_product)
+    reached = _element_closure(m, m.generators, phi)
     if reached is None:
         return False
     if len(reached) != m.size:
@@ -217,33 +218,6 @@ def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ..
     return m
 
 
-def rees_to_json(m: ReesMatrixSemigroup, letters: tuple[str, ...] | None = None) -> dict:
-    """JSON form: structure group as generators plus order, index labels, and
-    the sandwich matrix entry by entry (cycle notation)."""
-    from .perms import cycle_string, is_perm
-
-    def show_label(label) -> str:
-        if isinstance(label, tuple):
-            # permutation labels from substitution sandwiches render as
-            # cycles, idempotent-map labels from decompositions as images
-            if is_perm(label):
-                return cycle_string(label, letters)
-            return str(list(label))
-        return str(label)
-
-    return {
-        "group": {
-            "order": m.group.order,
-            "generators": [cycle_string(g, letters) for g in m.group.generators],
-        },
-        "i_labels": [show_label(label) for label in m.i_labels],
-        "lambda_labels": [show_label(label) for label in m.lam_labels],
-        "sandwich": [[cycle_string(entry, letters) for entry in row] for row in m.sandwich],
-        "base": list(m.base),
-        "normalized": m.is_normalized(),
-    }
-
-
 def little_structure_group(m: ReesMatrixSemigroup) -> PermGroup:
     """Group generated by the sandwich entries of a normalized presentation."""
     if not m.is_normalized():
@@ -264,31 +238,6 @@ def idempotent_generated(m: ReesMatrixSemigroup) -> ReesMatrixSemigroup:
     if generated != expected:
         raise InternalCheckError("closure of idempotents differs from M[Gamma; I, Lambda; A]")
     return ReesMatrixSemigroup(gamma, m.i_labels, m.lam_labels, m.sandwich, m.base)
-
-
-def gauge_renormalize(m: ReesMatrixSemigroup, row_factors: list[Perm],
-                      col_factors: list[Perm]) -> tuple[ReesMatrixSemigroup, dict]:
-    """Multiply row lam by u_lam on the left and column i by v_i on the right.
-
-    Returns the gauged semigroup plus the induced isomorphism
-    (i, g, lam) -> (i, v_i^-1 * g * u_lam^-1, lam), as a dict.  Its product
-    law is proved by the pass of :func:`verify_rees_isomorphism`, |S| * |X|
-    products with X = ``m.generators``.
-    """
-    for f in list(row_factors) + list(col_factors):
-        if f not in m.group:
-            raise ValidationError("gauge factor outside the structure group")
-    sandwich = tuple(
-        tuple(compose(compose(row_factors[lam], m.sandwich[lam][i]), col_factors[i])
-              for i in range(len(m.i_labels)))
-        for lam in range(len(m.lam_labels)))
-    gauged = ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels, sandwich, m.base)
-    iso = {x: ReesElement(x.i, compose(compose(inverse(col_factors[x.i]), x.g),
-                                       inverse(row_factors[x.lam])), x.lam)
-           for x in m.elements()}
-    if not _proves_homomorphism(m, iso, partial(multiply, gauged)):
-        raise InternalCheckError("gauge transformation is not an isomorphism")
-    return gauged, iso
 
 
 def presentations_isomorphic(m1: ReesMatrixSemigroup, m2: ReesMatrixSemigroup) -> bool:
@@ -434,7 +383,7 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
     images = set(phi.values())
     if len(images) != m.size or images != set(sg.elements):
         return False
-    return _proves_homomorphism(m, phi, map_compose)
+    return _proves_homomorphism(m, phi)
 
 
 @dataclass

@@ -27,9 +27,9 @@ def report_to_json(report: StructuralReport) -> dict:
     # each permutation is written out once; elements() runs in (i, g, lam) order
     i_cycles = [cycle_string(label, letters) for label in matrix.i_labels]
     g_cycles = {g: cycle_string(g, letters) for g in matrix.group.elements}
-    table = report.degree.table
+    degrees = report.degree.by_perm
     degree_rows = [
-        {"i": i_cycles[x.i], "g": g_cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": table[x]}
+        {"i": i_cycles[x.i], "g": g_cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": degrees[x.g]}
         for x in matrix.elements()
     ]
     oracle = None

@@ -1,5 +1,5 @@
 """Constant-length substitutions: parsing, validation, powers, simplification,
-allowed words, fixed points and word complexity.
+allowed words, aperiodicity and the letters of the fixed points.
 
 A substitution maps each letter of a finite alphabet to a word of one fixed
 length.  Letters are canonicalized to indices 0..s-1 internally; the original
@@ -209,18 +209,17 @@ def is_bijective(sub: Substitution) -> bool:
     return all(is_perm(col) for col in columns(sub))
 
 
-def compose_substitutions(outer: Substitution, inner: Substitution,
-                          letter_limit: int = LETTER_LIMIT) -> Substitution:
+def compose_substitutions(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution a -> outer(inner(a)); its length is the product.
 
     Column k*l_outer + j of the result is column_j(outer) after column_k(inner).
     """
     if outer.alphabet != inner.alphabet:
         raise ValidationError("substitutions are over different alphabets")
-    if outer.length * inner.length > letter_limit:
+    if outer.length * inner.length > LETTER_LIMIT:
         raise ResourceLimitError(
             f"composition would have rule words of {outer.length * inner.length} letters "
-            f"(cap {letter_limit})")
+            f"(cap {LETTER_LIMIT})")
     rules = []
     for a in range(inner.size):
         word: list[int] = []
@@ -230,15 +229,15 @@ def compose_substitutions(outer: Substitution, inner: Substitution,
     return Substitution(outer.alphabet, tuple(rules))
 
 
-def substitution_power(sub: Substitution, n: int, letter_limit: int = LETTER_LIMIT) -> Substitution:
+def substitution_power(sub: Substitution, n: int) -> Substitution:
     if n < 1:
         raise ValidationError("power exponent must be >= 1")
-    if sub.length**n > letter_limit:
+    if sub.length**n > LETTER_LIMIT:
         raise ResourceLimitError(
-            f"power {n} would have rule words of {sub.length**n} letters (cap {letter_limit})")
+            f"power {n} would have rule words of {sub.length**n} letters (cap {LETTER_LIMIT})")
     result = sub
     for _ in range(n - 1):
-        result = compose_substitutions(sub, result, letter_limit)
+        result = compose_substitutions(sub, result)
     return result
 
 
@@ -291,9 +290,6 @@ class TwoWordFiber:
     def size(self) -> int:
         return len(self.pairs)
 
-    def index(self, pair: tuple[int, int]) -> int:
-        return self.pairs.index(pair)
-
     def labels(self, alphabet: Alphabet) -> tuple[str, ...]:
         return tuple(alphabet.letters[a] + alphabet.letters[b] for a, b in self.pairs)
 
@@ -327,57 +323,7 @@ def allowed_two_words(sub: Substitution) -> TwoWordFiber:
 
 
 # ---------------------------------------------------------------------------
-# word complexity and aperiodicity
-
-def _string_rules(sub: Substitution) -> list[str]:
-    return [sub.rule_word(sym) for sym in sub.alphabet.letters]
-
-
-def _power_word(sub: Substitution, letter: int, level: int,
-                letter_limit: int = LETTER_LIMIT) -> str:
-    if sub.length**level > letter_limit:
-        raise ResourceLimitError(
-            f"level {level} block has {sub.length**level} letters (cap {letter_limit})")
-    rules = _string_rules(sub)
-    index = {sym: i for i, sym in enumerate(sub.alphabet.letters)}
-    word = sub.alphabet.letters[letter]
-    for _ in range(level):
-        word = "".join(rules[index[c]] for c in word)
-    return word
-
-
-def word_complexity(sub: Substitution, n: int) -> int:
-    """Number of allowed factors of length n.
-
-    Every length-n factor of the subshift occurs inside sigma^k(ab) for an
-    allowed two-letter word ab and the least level k with l^k >= n, so the
-    count is exact (no stabilization heuristics needed).  A window of
-    sigma^k(a) sigma^k(b) either lies inside one of the two blocks or is one
-    of the n - 1 windows that cross the junction between them.  So the
-    windows inside sigma^k(a) are counted once per letter a, and only the
-    junction windows once per allowed word ab; the set of factors is the same.
-    """
-    if n < 1:
-        raise ValidationError("word_complexity needs n >= 1")
-    fiber = allowed_two_words(sub)
-    letters = sorted({x for pair in fiber.pairs for x in pair})
-    if n == 1:
-        return len(letters)
-    level, block = 0, 1
-    while block < n:
-        level += 1
-        block *= sub.length
-    blocks = {a: _power_word(sub, a, level) for a in letters}
-    factors: set[str] = set()
-    for a in letters:
-        word = blocks[a]
-        factors.update(word[i : i + n] for i in range(block - n + 1))
-    for a, b in fiber.pairs:
-        # the n - 1 windows that start in sigma^k(a) and end in sigma^k(b)
-        word = blocks[a][block - n + 1 :] + blocks[b][: n - 1]
-        factors.update(word[i : i + n] for i in range(n - 1))
-    return len(factors)
-
+# aperiodicity
 
 @dataclass(frozen=True)
 class AperiodicityVerdict:
@@ -480,7 +426,7 @@ def _junction_cycle_lcm(sub: Substitution) -> int:
     return result
 
 
-def simplify(sub: Substitution, letter_limit: int = LETTER_LIMIT) -> tuple[Substitution, int]:
+def simplify(sub: Substitution) -> tuple[Substitution, int]:
     """Return (sub^n, n) with n minimal such that sub^n is simplified.
 
     n = M*m where M is the lcm of the junction-map cycle lengths on the
@@ -495,7 +441,7 @@ def simplify(sub: Substitution, letter_limit: int = LETTER_LIMIT) -> tuple[Subst
     letters_exp = _all_letters_exponent(sub)
     m = -(-letters_exp // cycle_lcm)  # ceil division
     n = cycle_lcm * m
-    result = substitution_power(sub, n, letter_limit)
+    result = substitution_power(sub, n)
     cols = columns(result)
     ident = identity(sub.size)
     if cols[0] != ident or cols[-1] != ident:
@@ -508,25 +454,7 @@ def simplify(sub: Substitution, letter_limit: int = LETTER_LIMIT) -> tuple[Subst
 
 
 # ---------------------------------------------------------------------------
-# fixed points
-
-def fixed_points(sub: Substitution) -> TwoWordFiber:
-    """The fixed points a.b of a simplified substitution, one per allowed
-    two-letter word."""
-    if not is_simplified(sub):
-        raise ValidationError("fixed_points needs a simplified substitution")
-    return allowed_two_words(sub)
-
-
-def fixed_point_block(sub: Substitution, letter: int, level: int,
-                      letter_limit: int = LETTER_LIMIT) -> str:
-    """The level-n image of a letter as a string of symbols: the block at
-    positions [0, l^n) of the fixed point letter.letter, and equally the one
-    at positions [-l^n, 0)."""
-    if level < 0:
-        raise ValidationError("level must be >= 0")
-    return _power_word(sub, letter, level, letter_limit)
-
+# letters of the fixed points
 
 def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
     """Letter of the fixed point a.b at an arbitrary position.

@@ -90,7 +90,7 @@ def test_criterion_4_height_two_over_three_letters(golden_reports):
     assert report.height == 2
     assert report.classical_height == 1
     assert report.unresolved_extension
-    values = sorted(report.degree.table.values())
+    values = [report.degree.by_perm[x.g] for x in report.matrix.elements()]
     assert values.count(0) == 18 and values.count(1) == 18
     passed(4, "R-set is all three transpositions, completion A_3, h = 2 > "
               "h_cl = 1, unresolved extension flagged, degrees split 18/18")

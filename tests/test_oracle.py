@@ -2,35 +2,31 @@ import ast
 import random
 from pathlib import Path
 
-import pytest
-
 import ellisub.oracle
-from ellisub.errors import ValidationError
 import ellisub.substitution
 from ellisub import AnalysisConfig, analyze_substitution
 from ellisub.oracle import (_closure_of_maps, _few_shifts,
                             compare_map_semigroups, induced_fiber_map,
                             limit_maps, oracle_equivalence,
-                            proximality_classes, shift_two_word)
+                            proximality_classes)
 from ellisub.pipeline import r_set
 from ellisub.semigroups import map_compose, semigroup_closure
-from ellisub.substitution import columns, fixed_points, substitution_power
+from ellisub.substitution import (allowed_two_words, columns, letter_at,
+                                  substitution_power)
 from conftest import fiber_action, make_substitution, rset_and_group
+
+
+def shifted_two_word(sub, pair, nu):
+    """The two-letter word that sigma^nu puts over the fixed point a.b:
+    its letters at positions nu-1 and nu."""
+    return (letter_at(sub, pair, nu - 1), letter_at(sub, pair, nu))
 
 
 def test_shift_two_word_thue_morse(golden_simplified):
     tm = golden_simplified["thue_morse"]
     # sigma of a.a reads positions 0,1 of abba
-    assert shift_two_word(tm, (0, 0), 1, 1) == (0, 1)
-    assert shift_two_word(tm, (0, 0), 3, 1) == (1, 0)
-
-
-def test_shift_two_word_window_guard(golden_simplified):
-    tm = golden_simplified["thue_morse"]
-    with pytest.raises(ValidationError):
-        shift_two_word(tm, (0, 0), 4, 1)
-    with pytest.raises(ValidationError):
-        shift_two_word(tm, (0, 0), 0, 1)
+    assert shifted_two_word(tm, (0, 0), 1) == (0, 1)
+    assert shifted_two_word(tm, (0, 0), 3) == (1, 0)
 
 
 def test_shift_two_word_matches_columns(golden_simplified):
@@ -39,14 +35,14 @@ def test_shift_two_word_matches_columns(golden_simplified):
     rng = random.Random(3)
     for name in ("thue_morse", "s3_seven_words", "d4_height_two"):
         sub = golden_simplified[name]
-        fiber = fixed_points(sub)
+        fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
         level = 2
         cols = columns(substitution_power(sub, level))
         for _ in range(100):
             pair = rng.choice(fiber.pairs)
             nu = rng.randrange(1, sub.length**level)
             expected = (cols[nu - 1][pair[1]], cols[nu][pair[1]])
-            assert shift_two_word(sub, pair, nu, level) == expected
+            assert shifted_two_word(sub, pair, nu) == expected
 
 
 def test_limit_maps_counts(golden_simplified):
@@ -171,7 +167,6 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
     # idempotent-generated part, which is a proper subsemigroup here
     from ellisub.rees import (as_transformation_semigroup, idempotent_generated,
                               substitution_sandwich)
-    from ellisub.substitution import allowed_two_words
     sub = golden_simplified["s3_height_two"]
     result = limit_maps(sub)
     rset, group = rset_and_group(sub)

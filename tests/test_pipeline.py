@@ -213,7 +213,8 @@ def test_degree_map_trivial_when_height_one(golden_simplified):
     m = substitution_sandwich(group, rset, rset[0])
     data = degree_map(m, heights(sub, rset, group).normal_completion)
     assert data.modulus == 1
-    assert set(data.table.values()) == {0}
+    assert data.by_perm.keys() == group.element_set
+    assert set(data.by_perm.values()) == {0}
 
 
 def test_degree_map_splits_by_parity(golden_simplified):
@@ -225,7 +226,8 @@ def test_degree_map_splits_by_parity(golden_simplified):
     assert data.modulus == 2
     counts = {0: 0, 1: 0}
     even = set(hs.normal_completion.elements)
-    for element, deg in data.table.items():
+    for element in m.elements():
+        deg = data.by_perm[element.g]
         counts[deg] += 1
         assert (element.g in even) == (deg == 0)
     assert counts == {0: 18, 1: 18}
@@ -251,7 +253,7 @@ def test_degree_map_matches_written_out_cosets(golden_reports, random_reports):
         m = report.matrix
         reference = coset_degrees(m.i_labels[0], m.group, report.normal_completion)
         assert report.degree.modulus == len(set(reference.values())) == report.height
-        assert report.degree.table == {x: reference[x.g] for x in m.elements()}
+        assert report.degree.by_perm == reference
 
 
 def test_degree_map_refuses_a_wrong_completion(golden_reports):
@@ -480,10 +482,10 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     passes = []  # (presentation, number of seeds, checked) per Rees closure
     original_closure = ellisub.rees._element_closure
 
-    def closure(m, seeds, phi=None, image_product=None):
+    def closure(m, seeds, phi=None):
         seeds = list(seeds)
         passes.append((m, len(seeds), phi is not None))
-        return original_closure(m, seeds, phi, image_product)
+        return original_closure(m, seeds, phi)
     monkeypatch.setattr(ellisub.rees, "_element_closure", closure)
     products = []  # map compositions, one per product the pass checks
     original_compose = ellisub.rees.map_compose
@@ -627,7 +629,7 @@ def relabeling_invariants(report):
         "fiber_size": report.fiber.size,
         "semigroup_size": report_to_json(report)["semigroup_size"],
         "green": report_to_json(report)["green"],
-        "degrees": sorted(Counter(report.degree.table.values()).items()),
+        "degrees": sorted(Counter(report.degree.by_perm.values()).items()),
         "global_strings": report.global_strings,
         "order_h_witness": report.order_h_witness is not None,
     }

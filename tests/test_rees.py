@@ -7,8 +7,7 @@ from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
                           ReesMatrixSemigroup, _element_closure,
-                          as_transformation_semigroup,
-                          gauge_renormalize, idempotent_generated,
+                          as_transformation_semigroup, idempotent_generated,
                           idempotents_of, little_structure_group, multiply,
                           presentations_isomorphic,
                           rees_decomposition, substitution_sandwich,
@@ -217,11 +216,14 @@ def test_decomposition_requires_completely_simple():
         rees_decomposition(sg, (0, 1, 2))
 
 
-def test_gauge_identity_factors_change_nothing(golden_simplified):
-    m = tm_matrix(golden_simplified)
-    gauged, iso = gauge_renormalize(m, [identity(2)] * 2, [identity(2)] * 2)
-    assert gauged.sandwich == m.sandwich
-    assert all(iso[x] == x for x in m.elements())
+def gauged(m, row_factors, col_factors):
+    """M with row lam multiplied by u_lam on the left and column i by v_i on
+    the right: A'[lam][i] = u_lam A[lam][i] v_i."""
+    sandwich = tuple(
+        tuple(compose(compose(row_factors[lam], m.sandwich[lam][i]), col_factors[i])
+              for i in range(len(m.i_labels)))
+        for lam in range(len(m.lam_labels)))
+    return ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels, sandwich, m.base)
 
 
 def test_gauge_moves_identity_row(golden_simplified):
@@ -230,17 +232,22 @@ def test_gauge_moves_identity_row(golden_simplified):
     m = substitution_sandwich(group, rset, rset[0])
     # push the identity row from + to - by undoing the minus entries columnwise
     cols = [inverse(entry) for entry in m.sandwich[MINUS]]
-    gauged, _ = gauge_renormalize(m, [identity(3)] * 2, cols)
-    assert all(entry == identity(3) for entry in gauged.sandwich[MINUS])
-    assert (len(gauged.i_labels), len(gauged.lam_labels)) == (len(m.i_labels), len(m.lam_labels))
-    assert gauged.group.order == m.group.order
-    assert presentations_isomorphic(m, gauged)
+    moved = gauged(m, [identity(3)] * 2, cols)
+    assert all(entry == identity(3) for entry in moved.sandwich[MINUS])
+    assert moved.sandwich[PLUS] != m.sandwich[PLUS]
+    assert (len(moved.i_labels), len(moved.lam_labels)) == (len(m.i_labels), len(m.lam_labels))
+    assert moved.group.order == m.group.order
+    assert presentations_isomorphic(m, moved)
 
 
 def test_gauge_rejects_foreign_factors(golden_simplified):
-    m = tm_matrix(golden_simplified)
-    with pytest.raises(ValidationError):
-        gauge_renormalize(m, [(0, 1, 2), (0, 1, 2)], [identity(2)] * 2)
+    # a factor outside G moves a sandwich entry out of G, which the matrix
+    # semigroup refuses
+    m = sandwich(golden_simplified["d4_height_two"])
+    foreign = (1, 2, 0, 3)  # a 3-cycle, which D4 lacks
+    assert foreign not in m.group
+    with pytest.raises(ValidationError, match="outside the structure group"):
+        gauged(m, [identity(4)] * 2, [foreign] * len(m.i_labels))
 
 
 def test_presentations_differing_by_g0_choice_are_isomorphic(golden_simplified):
@@ -249,27 +256,6 @@ def test_presentations_differing_by_g0_choice_are_isomorphic(golden_simplified):
         mats = [substitution_sandwich(group, rset, g0) for g0 in rset]
         for other in mats[1:]:
             assert presentations_isomorphic(mats[0], other)
-
-
-def test_rees_json_serialization(golden_simplified):
-    from ellisub.rees import rees_to_json
-    sub = golden_simplified["thue_morse"]
-    m = sandwich(sub)
-    payload = rees_to_json(m, sub.alphabet.letters)
-    assert payload["group"]["order"] == 2
-    assert payload["i_labels"] == ["()", "(a b)"]
-    assert payload["lambda_labels"] == ["+", "-"]
-    assert payload["sandwich"] == [["()", "()"], ["()", "(a b)"]]
-    assert payload["normalized"]
-
-    action = fiber_action(sub)
-    idem = action.semigroup.elements[action.green.idempotents[0]]
-    dec = rees_decomposition(action.semigroup, idem)
-    dec_payload = rees_to_json(dec.matrix)
-    assert dec_payload["group"]["order"] == 2
-    assert len(dec_payload["i_labels"]) == 2 and len(dec_payload["lambda_labels"]) == 2
-    import json
-    json.dumps(dec_payload)
 
 
 def test_presentations_distinguish_different_little_groups(golden_simplified):

@@ -7,13 +7,12 @@ import ellisub.substitution
 from ellisub.errors import ParseError, ResourceLimitError, ValidationError
 from ellisub.perms import compose, identity
 from ellisub.substitution import (allowed_two_words, columns,
-                                  compose_substitutions, fixed_point_block,
-                                  fixed_points, is_aperiodic, is_bijective,
-                                  is_primitive, is_simplified, junction_map,
-                                  letter_at, parse_any, parse_substitution,
-                                  simplify, substitution_from_json,
-                                  substitution_power, substitution_to_json,
-                                  substitution_to_text, word_complexity)
+                                  compose_substitutions, is_aperiodic,
+                                  is_bijective, is_primitive, is_simplified,
+                                  junction_map, letter_at, parse_any,
+                                  parse_substitution, simplify,
+                                  substitution_from_json, substitution_power,
+                                  substitution_to_json, substitution_to_text)
 from conftest import make_substitution
 
 THUE_MORSE = "a -> abba\nb -> baab\n"
@@ -212,20 +211,7 @@ def test_junction_closure_is_stable():
         assert {junction_map(sub, p) for p in fiber.pairs} <= set(fiber.pairs)
 
 
-# --- complexity and aperiodicity -------------------------------------------
-
-def test_word_complexity_small():
-    tm = parse_substitution(THUE_MORSE)
-    assert word_complexity(tm, 1) == 2
-    assert word_complexity(tm, 2) == 4
-    assert word_complexity(make_substitution(["abaa", "bacb", "ccbc"]), 2) == 7
-
-
-def test_word_complexity_nondecreasing():
-    tm = parse_substitution(THUE_MORSE)
-    values = [word_complexity(tm, n) for n in range(1, 12)]
-    assert values == sorted(values)
-
+# --- aperiodicity -----------------------------------------------------------
 
 def test_periodic_verdict():
     verdict = is_aperiodic(parse_substitution(PERIODIC))
@@ -307,32 +293,6 @@ def reference_scan(sub, bound=None):
     return ("aperiodic" if bound >= default else "inconclusive", bound, None)
 
 
-def random_primitive_corpus(count=24, seed=20261018):
-    """Primitive substitutions with 2-5 letters and rule length 2-6, half of
-    them bijective (random columns), half with random rule words."""
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        size, length = rng.randint(2, 5), rng.randint(2, 6)
-        if len(found) % 2 == 0:
-            cols = [rng.sample(range(size), size) for _ in range(length)]
-            words = [[col[a] for col in cols] for a in range(size)]
-        else:
-            words = [[rng.randrange(size) for _ in range(length)] for _ in range(size)]
-        sub = make_substitution(["".join("abcde"[x] for x in word) for word in words])
-        if is_primitive(sub):
-            found.append(sub)
-    return found
-
-
-def test_word_complexity_matches_written_out_windows():
-    corpus = random_primitive_corpus()
-    assert sum(is_bijective(sub) for sub in corpus) == len(corpus) // 2
-    for sub in corpus:
-        for n in list(range(1, 41)) + [97, 216, 500]:
-            assert word_complexity(sub, n) == written_out_complexity(sub, n), (sub.rules, n)
-
-
 def bijective_verdict_corpus(count=120, seed=20261018):
     """Primitive bijective substitutions with 2-5 letters and rule length 2-6,
     in three kinds by turn: random columns; periodic ones with columns
@@ -408,10 +368,11 @@ def test_aperiodicity_scan_reads_two_letter_words_once(monkeypatch):
 
 
 def test_aperiodicity_scan_at_scale(monkeypatch):
-    # bounds s^2 l^2 = 1600 and 4900, decided without writing out a block
+    # bounds s^2 l^2 = 1600 and 4900, decided without writing out a power
     def refuse(*args, **kwargs):
-        raise AssertionError("the aperiodicity test wrote out a level block")
-    monkeypatch.setattr(ellisub.substitution, "_power_word", refuse)
+        raise AssertionError("the aperiodicity test wrote out a power")
+    for attr in ("substitution_power", "compose_substitutions"):
+        monkeypatch.setattr(ellisub.substitution, attr, refuse)
     for source, bound in ((S5, 1600), (S7, 4900)):
         verdict = is_aperiodic(parse_substitution(source))
         assert (verdict.kind, verdict.bound) == ("aperiodic", bound)
@@ -464,48 +425,35 @@ def test_simplify_rejects_bad_input():
 
 # --- fixed points -----------------------------------------------------------
 
-def test_fixed_points_match_two_words():
-    tm = parse_substitution(THUE_MORSE)
-    assert fixed_points(tm) == allowed_two_words(tm)
-    with pytest.raises(ValidationError, match="simplified"):
-        fixed_points(make_substitution(["abc", "bca", "cab"]))
-
-
 def test_fixed_points_exceed_alphabet(golden_subs, random_corpus):
-    from ellisub import simplify as simp
+    # a simplified substitution has one fixed point per allowed two-letter word
     for sub in list(golden_subs.values()) + random_corpus[:5]:
-        result, _ = simp(sub)
-        assert fixed_points(result).size > result.size
-
-
-def test_fixed_point_block_levels():
-    tm = parse_substitution(THUE_MORSE)
-    assert fixed_point_block(tm, 0, 0) == "a"
-    assert fixed_point_block(tm, 0, 1) == "abba"
-    assert fixed_point_block(tm, 0, 2) == "abbabaabbaababba"  # theta(abba) letterwise
+        result, _ = simplify(sub)
+        assert is_simplified(result)
+        assert allowed_two_words(result).size > result.size
 
 
 def test_fixed_point_block_prefix_coherence():
+    # the block sigma^n(b) of the fixed point at b is a prefix of sigma^(n+1)(b)
     tm = parse_substitution(THUE_MORSE)
-    for level in range(4):
-        longer = fixed_point_block(tm, 1, level + 1)
-        assert longer.startswith(fixed_point_block(tm, 1, level))
+    blocks = ["b"] + [substitution_power(tm, level).rule_word("b") for level in range(1, 5)]
+    for shorter, longer in zip(blocks, blocks[1:]):
+        assert longer.startswith(shorter)
 
 
 def test_fixed_point_block_starts_with_its_letter(golden_reports):
     for report in golden_reports.values():
         sub = report.substitution
         for a in range(sub.size):
-            assert fixed_point_block(sub, a, 1)[0] == sub.alphabet.letters[a]
+            assert sub.rules[a][0] == a
 
 
 def test_letter_at_agrees_with_blocks():
     tm = parse_substitution(THUE_MORSE)
-    block = fixed_point_block(tm, 0, 3)
-    index = {c: i for i, c in enumerate(tm.alphabet.letters)}
-    for p in range(len(block)):
-        assert letter_at(tm, (1, 0), p) == index[block[p]]
+    blocks = substitution_power(tm, 3).rules  # the level-3 blocks sigma^3(a), sigma^3(b)
+    for p in range(len(blocks[0])):
+        assert letter_at(tm, (1, 0), p) == blocks[0][p]
     # left side of the fixed point b.a is the block of b read backwards from 0
-    left = fixed_point_block(tm, 1, 3)
+    left = blocks[1]
     for k in range(1, len(left) + 1):
-        assert letter_at(tm, (1, 0), -k) == index[left[-k]]
+        assert letter_at(tm, (1, 0), -k) == left[-k]
