@@ -1,8 +1,8 @@
 """Command-line front end: analyze one substitution, or run the golden suite.
 
-Exit codes: 0 success, 1 input rejected (parse error, non-bijective,
-non-primitive, periodic, inconclusive aperiodicity verdict), 2 internal
-cross-check failure, 3 resource guard.  Errors are emitted as one JSON object on stderr.
+Exit codes: 0 success, 1 usage error or input rejected (parse error,
+non-bijective, non-primitive, periodic), 2 internal cross-check failure,
+3 resource guard.  Errors are emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +18,17 @@ from .golden import CASE_ORDER, load_expectations, run_golden
 from .pipeline import AnalysisConfig, analyze_substitution
 from .report import render_json, render_text
 from .substitution import parse_any
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so that :func:`main` reports it as JSON."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _read_source(path: str) -> str:
@@ -46,13 +57,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = AnalysisConfig(
-        g0_index=args.g0,
-        aperiodicity_bound=args.aperiodicity_bound,
-        oracle_level=args.oracle_level,
-        verify=args.verify,
-        output_format=args.format,
-    )
+    config = AnalysisConfig(g0_index=args.g0, verify=args.verify, output_format=args.format)
     sub = parse_any(_read_source(args.path))
     report = analyze_substitution(sub, config)
     if args.format == "json":
@@ -77,7 +82,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellisub",
         description="Structural semigroup, heights and automorphism data of "
                     "bijective constant-length substitutions.")
@@ -91,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--g0", type=int, default=None, metavar="INDEX",
                          help="normalize at this R-set index instead of the canonical first")
-    analyze.add_argument("--aperiodicity-bound", type=int, default=None, metavar="N",
-                         help="bound of the complexity scan the aperiodicity verdict stands for "
-                              "(default: s^2 * l^2)")
-    analyze.add_argument("--oracle-level", type=int, default=4, metavar="K",
-                         help="only sets the max_level that the report's oracle section "
-                              "prints (K when K >= 3, else 6; default 4), until "
-                              "ellis-report/2 drops the field; the oracle reads every "
-                              "shift once, since its maps are proved the same at every level")
     analyze.set_defaults(func=_cmd_analyze)
 
     golden = commands.add_parser("golden", help="run the bundled reference suite")
@@ -107,10 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except _UsageError as exc:
+        _emit_error("usage", exc)
+        return 1
     except (ParseError, ValidationError) as exc:
         _emit_error("validation", exc)
         return 1

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .pipeline import AnalysisConfig, analyze_substitution
+from .pipeline import analyze_substitution
 from .report import report_to_json
 from .substitution import parse_substitution
 
@@ -86,9 +86,9 @@ def snapshot(report_json: dict) -> dict:
     }
 
 
-def run_case(name: str, verify: bool = False) -> dict:
+def run_case(name: str) -> dict:
     sub = parse_substitution(CASES[name])
-    report = analyze_substitution(sub, AnalysisConfig(verify=verify))
+    report = analyze_substitution(sub)
     return report_to_json(report)
 
 
@@ -122,11 +122,11 @@ class CaseResult:
     diffs: tuple[str, ...]
 
 
-def run_golden(expectations: dict | None = None, verify: bool = False) -> list[CaseResult]:
+def run_golden(expectations: dict | None = None) -> list[CaseResult]:
     expectations = expectations if expectations is not None else load_expectations()
     results = []
     for name in CASE_ORDER:
-        actual = snapshot(run_case(name, verify=verify))
+        actual = snapshot(run_case(name))
         diffs = compare(expectations[name], actual)
         results.append(CaseResult(name, not diffs, tuple(diffs)))
     return results

@@ -37,6 +37,7 @@ from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            is_simplified, letter_at)
 
 LIMIT_LEVEL = 1  # the level reported for every shift; the map is constant in the level
+REPORTED_MAX_LEVEL = 4  # ellis-report/1 keeps the ceiling the old level search printed by default
 
 
 def _fiber_map(words: list[tuple[int, int]], index: dict[tuple[int, int], int]) -> FiberMap:
@@ -143,40 +144,11 @@ def limit_maps(sub: Substitution) -> OracleResult:
     return OracleResult(fiber, tuple(OracleMap(nu, f) for nu, f in by_shift.items()), sg)
 
 
-def oracle_result_to_json(result: OracleResult,
-                          letters: tuple[str, ...] | None = None) -> dict:
-    """JSON form: per-shift levels and limit map tables keyed by two-word
-    labels."""
-    fiber = result.fiber
-    if letters is None:
-        labels = [f"{a}.{b}" for a, b in fiber.pairs]
-    else:
-        labels = [letters[a] + letters[b] for a, b in fiber.pairs]
-
-    def table(f: FiberMap) -> dict:
-        return {labels[k]: labels[f[k]] for k in range(fiber.size)}
-
-    return {
-        "fiber": labels,
-        "stabilized": [
-            {"shift": m.nu, "level": LIMIT_LEVEL, "map": table(m.fiber_map)}
-            for m in result.maps
-        ],
-        "semigroup_size": result.semigroup.size,
-    }
-
-
 @dataclass
 class OracleComparison:
     equal: bool
     discrepancies: tuple[str, ...]
     oracle: OracleResult
-
-    def to_json(self, letters: tuple[str, ...] | None = None) -> dict:
-        payload = oracle_result_to_json(self.oracle, letters)
-        payload["equal"] = self.equal
-        payload["discrepancies"] = list(self.discrepancies)
-        return payload
 
 
 def compare_map_semigroups(oracle_sg: TransformationSemigroup,
@@ -212,14 +184,14 @@ class ProximalityData:
     backward: tuple[tuple[int, ...], ...]  # grouped by left letter
 
 
-def proximality_classes(sub: Substitution, check: bool = True) -> ProximalityData:
+def proximality_classes(sub: Substitution) -> ProximalityData:
     """Forward classes group fixed points by right letter, backward by left.
 
-    With check=True the Ellis-proximality link is verified against the
-    oracle's own maps: every stabilized map depends only on the right letter
-    (then it merges exactly the forward classes) or only on the left letter
-    (backward), and when the fiber is strictly larger than the alphabet both
-    partitions contain a merged pair.
+    The Ellis-proximality link is verified against the oracle's own maps:
+    every stabilized map depends only on the right letter (then it merges
+    exactly the forward classes) or only on the left letter (backward), and
+    when the fiber is strictly larger than the alphabet both partitions
+    contain a merged pair.
     """
     if not is_simplified(sub):
         raise ValidationError("proximality classes need a simplified substitution")
@@ -232,8 +204,7 @@ def proximality_classes(sub: Substitution, check: bool = True) -> ProximalityDat
         return tuple(tuple(v) for _, v in sorted(buckets.items()))
 
     data = ProximalityData(fiber, forward=group_by(1), backward=group_by(0))
-    if check:
-        _check_merge_classes(sub, data)
+    _check_merge_classes(sub, data)
     return data
 
 

@@ -12,7 +12,6 @@ enough by a wide margin.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -22,7 +21,6 @@ from .errors import ResourceLimitError, ValidationError
 Perm = tuple[int, ...]
 
 CLOSURE_CAP = 10**6
-SYMMETRIC_FALLBACK_MAX = 8
 
 
 def identity(n: int) -> Perm:
@@ -207,33 +205,27 @@ def _transversal(group: PermGroup) -> dict[int, Perm]:
 
 
 def centralizer_in_symmetric(group: PermGroup) -> PermGroup:
-    """Centralizer of ``group`` inside the full symmetric group on its points.
+    """Centralizer of a transitive ``group`` inside the full symmetric group
+    on its points.
 
-    For transitive groups a centralizing map is pinned down by the image of
-    point 0: extend candidate c along a transversal via c(w(0)) = w(c(0)),
-    then keep candidates commuting with every generator.  Non-transitive
-    groups fall back to filtering all n! permutations (n <= 8).
+    A centralizing map is pinned down by the image of point 0: extend
+    candidate c along a transversal via c(w(0)) = w(c(0)), then keep
+    candidates commuting with every generator.
     """
+    if not is_transitive(group):
+        raise ValidationError("the centralizer is computed for transitive groups only")
     n = group.degree
+    words = _transversal(group)
     found: list[Perm] = []
-    if is_transitive(group):
-        words = _transversal(group)
-        for target in range(n):
-            images = [0] * n
-            for x in range(n):
-                images[x] = words[x][target]
-            c = tuple(images)
-            if not is_perm(c):
-                continue
-            if all(compose(c, g) == compose(g, c) for g in group.generators):
-                found.append(c)
-    else:
-        if n > SYMMETRIC_FALLBACK_MAX:
-            raise ResourceLimitError(
-                f"centralizer fallback enumerates {n}! permutations; refusing for n > {SYMMETRIC_FALLBACK_MAX}")
-        for c in itertools.permutations(range(n)):
-            if all(compose(c, g) == compose(g, c) for g in group.generators):
-                found.append(c)
+    for target in range(n):
+        images = [0] * n
+        for x in range(n):
+            images[x] = words[x][target]
+        c = tuple(images)
+        if not is_perm(c):
+            continue
+        if all(compose(c, g) == compose(g, c) for g in group.generators):
+            found.append(c)
     found.sort()
     return PermGroup(n, tuple(found), tuple(found))
 

@@ -336,7 +336,6 @@ class StructuralReport:
     unresolved_extension: bool
     aperiodicity: AperiodicityVerdict | None = None
     oracle: OracleComparison | None = None
-    oracle_max_level: int | None = None  # the oracle section's printed max_level
 
     @property
     def alphabet(self) -> Alphabet:
@@ -401,17 +400,12 @@ def global_description(sub: Substitution, g0_index: int | None = None,
 @dataclass
 class AnalysisConfig:
     g0_index: int | None = None
-    aperiodicity_bound: int | None = None
-    oracle_level: int = 4
     verify: bool = False
     output_format: str = "text"
 
     def __post_init__(self):
         if self.output_format not in ("text", "json"):
             raise ValidationError("output format must be 'text' or 'json'")
-        if self.oracle_level < 1 or (self.aperiodicity_bound is not None
-                                     and self.aperiodicity_bound < 1):
-            raise ValidationError("bounds must be positive")
 
 
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
@@ -423,16 +417,11 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
         raise ValidationError(f"substitution is not bijective: column(s) {bad} are not permutations")
     if not is_primitive(sub):
         raise ValidationError("substitution is not primitive")
-    verdict = is_aperiodic(sub, config.aperiodicity_bound)
+    verdict = is_aperiodic(sub)
     if verdict.kind == "periodic":
         exc = ValidationError(
             f"substitution is periodic: complexity p({verdict.period_evidence}) "
             f"<= {verdict.period_evidence}")
-        exc.verdict = verdict
-        raise exc
-    if verdict.kind == "inconclusive":
-        exc = ValidationError(
-            f"aperiodicity scan inconclusive at bound {verdict.bound}; raise the bound")
         exc.verdict = verdict
         raise exc
     simplified, exponent = simplify(sub)
@@ -442,13 +431,6 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
         semigroup, _ = as_transformation_semigroup(report.matrix, report.fiber)
         comparison = oracle_equivalence(simplified, semigroup)
         report.oracle = comparison
-        # The map of each shift is proved the same at every level (see
-        # :mod:`ellisub.oracle`), so the oracle reads it once and searches no
-        # level.
-        # ellis-report/1 still prints the ceiling the earlier search printed:
-        # the requested level once it held three levels, else the
-        # escalation ceiling 6.
-        report.oracle_max_level = config.oracle_level if config.oracle_level >= 3 else 6
         if not comparison.equal:
             raise InternalCheckError(
                 "window oracle disagrees with the algebraic semigroup: "

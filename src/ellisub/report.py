@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+from .oracle import REPORTED_MAX_LEVEL
 from .perms import PermGroup, cycle_string, group_fingerprint
 from .pipeline import StructuralReport
 from .rees import SIGN_LABELS
@@ -36,7 +37,7 @@ def report_to_json(report: StructuralReport) -> dict:
     if report.oracle is not None:
         oracle = {
             "equal": report.oracle.equal,
-            "max_level": report.oracle_max_level,
+            "max_level": REPORTED_MAX_LEVEL,
             "stabilized_levels": {str(nu): lvl for nu, lvl
                                   in sorted(report.oracle.oracle.stabilization_by_nu().items())},
             "map_count": report.oracle.oracle.semigroup.size,

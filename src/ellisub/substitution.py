@@ -327,14 +327,12 @@ def allowed_two_words(sub: Substitution) -> TwoWordFiber:
 
 @dataclass(frozen=True)
 class AperiodicityVerdict:
-    """Outcome of the aperiodicity test of :func:`is_aperiodic`.
+    """Outcome of :func:`is_aperiodic`.
 
-    kind is "aperiodic", "periodic" or "inconclusive"; ``period_evidence`` is
-    the least n with p(n) <= n for periodic verdicts, which is the alphabet
-    size s.  ``bound`` is the length n up to which a Morse-Hedlund complexity
-    scan would have to reach to give the same verdict: "aperiodic" needs the
-    default bound s^2 l^2, "periodic" needs 2, and a smaller bound gives
-    "inconclusive", so callers can rerun with a larger one.
+    kind is "aperiodic" or "periodic"; ``period_evidence`` is the least n
+    with p(n) <= n for periodic verdicts, which is the alphabet size s.
+    ``bound`` is s^2 l^2 (:func:`default_aperiodicity_bound`), the length a
+    Morse-Hedlund complexity scan would reach; reports print it.
     """
 
     kind: str
@@ -350,7 +348,7 @@ def default_aperiodicity_bound(sub: Substitution) -> int:
     return sub.size**2 * sub.length**2
 
 
-def is_aperiodic(sub: Substitution, bound: int | None = None) -> AperiodicityVerdict:
+def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
     """Decide aperiodicity of a primitive bijective substitution from its
     allowed two-letter words: the subshift X is aperiodic iff it has more
     than s of them (Dekking 1978).
@@ -366,27 +364,17 @@ def is_aperiodic(sub: Substitution, bound: int | None = None) -> AperiodicityVer
     - Suppose instead every letter a has a single successor f(a).  Then every
       x in X satisfies x[i+1] = f(x[i]), so X is finite: a periodic orbit.
 
-    The verdict is the one the Morse-Hedlund complexity scan to ``bound``
-    gives.  With more than s words p(n) >= n + 1 for every n, so the scan
-    says "aperiodic" once the bound reaches s^2 l^2 and "inconclusive" below.
-    With exactly s words p(n) = s for every n, so the scan finds the plateau
-    at n = 2 and walks to the first p(n) <= n, which is n = s; a bound of 1
-    is "inconclusive".
+    With exactly s words p(n) = s for every n, so the first n with
+    p(n) <= n is s, the ``period_evidence`` of a periodic verdict.
     """
     if not is_bijective(sub):
         raise ValidationError("aperiodicity test needs a bijective substitution")
     if not is_primitive(sub):
         raise ValidationError("aperiodicity test needs a primitive substitution")
-    default = default_aperiodicity_bound(sub)
-    if bound is None:
-        bound = default
-    if bound < 1:
-        raise ValidationError("aperiodicity bound must be >= 1")
+    bound = default_aperiodicity_bound(sub)
     if allowed_two_words(sub).size > sub.size:
-        return AperiodicityVerdict("aperiodic" if bound >= default else "inconclusive", bound)
-    if bound >= 2:
-        return AperiodicityVerdict("periodic", bound, period_evidence=sub.size)
-    return AperiodicityVerdict("inconclusive", bound)
+        return AperiodicityVerdict("aperiodic", bound)
+    return AperiodicityVerdict("periodic", bound, period_evidence=sub.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -95,8 +96,8 @@ def test_periodic_input_exits_1(tmp_path):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"]["kind"] == "validation"
-    assert payload["error"]["verdict"]["kind"] == "periodic"
-    assert payload["error"]["verdict"]["period_evidence"] == 2
+    # the bound is s^2 l^2 = 36, the length a complexity scan would reach
+    assert payload["error"]["verdict"] == {"kind": "periodic", "bound": 36, "period_evidence": 2}
 
 
 def test_non_bijective_exits_1(tmp_path):
@@ -148,10 +149,38 @@ def test_g0_override_and_range(tm_file):
     assert "out of range" in json.loads(err)["error"]["message"]
 
 
-def test_low_aperiodicity_bound_exits_1(tm_file):
-    code, _, err = run_cli(["analyze", tm_file, "--aperiodicity-bound", "3"])
+@pytest.mark.parametrize("args, fragment", [
+    (["--aperiodicity-bound", "3"], "unrecognized arguments: --aperiodicity-bound 3"),
+    (["--oracle-level", "4"], "unrecognized arguments: --oracle-level 4"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--format", "yaml"], "argument --format: invalid choice"),
+    (["--g0", "x"], "argument --g0: invalid int value"),
+    (None, "the following arguments are required: path"),
+], ids=["removed-bound", "removed-level", "unknown-flag", "bad-choice", "non-integer-g0",
+        "missing-path"])
+def test_usage_errors_exit_1_with_one_json_line(tm_file, args, fragment):
+    code, out, err = run_cli(["analyze"] + ([tm_file, *args] if args is not None else []))
     assert code == 1
-    assert json.loads(err)["error"]["verdict"]["kind"] == "inconclusive"
+    assert out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "usage"
+    assert fragment in error["message"]
+
+
+def test_negative_g0_is_a_validation_error(tm_file):
+    code, _, err = run_cli(["analyze", tm_file, "--g0", "-1"])
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    assert "out of range" in error["message"]
+
+
+def test_help_exits_0_and_lists_four_options():
+    code, out, _ = run_cli(["analyze", "--help"])
+    assert code == 0
+    assert set(re.findall(r"--[a-z0-9-]+", out)) == {"--help", "--verify", "--format", "--g0"}
+    assert "path" in out
 
 
 def test_resource_guard_exits_3(tmp_path):

@@ -179,25 +179,26 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
     assert len(discrepancies) == 18
 
 
-def test_oracle_json_serialization(golden_simplified):
+def test_oracle_json_serialization(golden_subs, golden_simplified):
     import json
-    from ellisub.oracle import oracle_result_to_json
+    from ellisub.report import report_to_json
     sub = golden_simplified["thue_morse"]
     comparison = oracle_equivalence(sub, fiber_action(sub).semigroup)
-    payload = comparison.to_json(sub.alphabet.letters)
-    assert payload["equal"] is True
-    assert payload["fiber"] == ["aa", "ab", "ba", "bb"]
-    assert payload["semigroup_size"] == 8
-    by_shift = {entry["shift"]: entry for entry in payload["stabilized"]}
+    assert comparison.equal and comparison.discrepancies == ()
+    result = comparison.oracle
+    assert list(result.fiber.labels(sub.alphabet)) == ["aa", "ab", "ba", "bb"]
+    assert result.semigroup.size == 8
+    by_shift = {m.nu: m.fiber_map for m in result.maps}
     # sigma^(1*4^k) sends a.b to the two-word at positions 4^k - 1, 4^k of b's
     # block; for abba/baab that is b(b).a(b) read from the rules
-    assert by_shift[1]["map"]["aa"] == "ab"
+    aa, ab = result.fiber.pairs.index((0, 0)), result.fiber.pairs.index((0, 1))
+    assert by_shift[1][aa] == ab
     assert set(by_shift) == {-3, -2, -1, 1, 2, 3}
-    assert {entry["level"] for entry in payload["stabilized"]} == {1}
-    json.dumps(payload)
-    plain = oracle_result_to_json(comparison.oracle)
-    assert set(plain) == {"fiber", "stabilized", "semigroup_size"}
-    assert plain["fiber"] == ["0.0", "0.1", "1.0", "1.1"]
+    # the one JSON view of the oracle is the report's oracle section
+    report = analyze_substitution(golden_subs["thue_morse"], AnalysisConfig(verify=True))
+    payload = json.loads(json.dumps(report_to_json(report)["oracle"]))
+    assert payload["equal"] is True and payload["map_count"] == 8
+    assert payload["stabilized_levels"] == {str(nu): 1 for nu in (-3, -2, -1, 1, 2, 3)}
 
 
 def test_proximality_thue_morse(golden_simplified):

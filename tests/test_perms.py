@@ -106,13 +106,10 @@ def test_centralizer_of_cyclic_group_is_itself():
     assert set(cent.elements) == set(z3.elements)
 
 
-def test_centralizer_nontransitive_fallback():
-    fix_c = closure([S3_TRANSPOSITION])
-    cent = centralizer_in_symmetric(fix_c)
-    # anything commuting with (a b) and fixing the support split
-    assert all(compose(c, S3_TRANSPOSITION) == compose(S3_TRANSPOSITION, c)
-               for c in cent.elements)
-    assert cent.order == 2
+def test_centralizer_refuses_nontransitive_group():
+    # (a b) fixes c, so the group it generates is not transitive on {a, b, c}
+    with pytest.raises(ValidationError, match="transitive"):
+        centralizer_in_symmetric(closure([S3_TRANSPOSITION]))
 
 
 def test_centralizer_commutes_exhaustively(golden_reports):

@@ -376,12 +376,6 @@ def test_analyze_rejects_periodic_with_verdict():
     assert err.value.verdict.period_evidence == 2
 
 
-def test_analyze_rejects_inconclusive_bound():
-    with pytest.raises(ValidationError, match="inconclusive"):
-        analyze_substitution(make_substitution(["abba", "baab"]),
-                             AnalysisConfig(aperiodicity_bound=3))
-
-
 def test_analyze_g0_index_range(golden_subs):
     with pytest.raises(ValidationError, match="out of range"):
         analyze_substitution(golden_subs["thue_morse"], AnalysisConfig(g0_index=5))
@@ -390,8 +384,6 @@ def test_analyze_g0_index_range(golden_subs):
 def test_config_validation():
     with pytest.raises(ValidationError):
         AnalysisConfig(output_format="yaml")
-    with pytest.raises(ValidationError):
-        AnalysisConfig(oracle_level=0)
 
 
 def test_global_description_on_lone_class_example():

@@ -231,12 +231,6 @@ def test_aperiodic_verdicts():
     assert is_aperiodic(make_substitution(["abaa", "bacb", "ccbc"])).is_aperiodic
 
 
-def test_low_bound_is_inconclusive():
-    verdict = is_aperiodic(parse_substitution(THUE_MORSE), bound=3)
-    assert verdict.kind == "inconclusive"
-    assert verdict.bound == 3
-
-
 def written_out_complexity(sub, n):
     """Reference p(n): every window of sigma^k(a) sigma^k(b), for every
     allowed two-letter word ab and the least k with l^k >= n, written out
@@ -261,12 +255,12 @@ def written_out_complexity(sub, n):
     return len(factors)
 
 
-def reference_scan(sub, bound=None):
-    """Reference Morse-Hedlund scan over :func:`written_out_complexity`:
-    doubling checkpoints, a plateau walk where strictness fails, and a walk
-    to the first n with p(n) <= n.  Returns (kind, bound, period_evidence)."""
-    default = sub.size**2 * sub.length**2
-    bound = default if bound is None else bound
+def reference_scan(sub):
+    """Reference Morse-Hedlund scan over :func:`written_out_complexity` to
+    the bound s^2 l^2: doubling checkpoints, a plateau walk where strictness
+    fails, and a walk to the first n with p(n) <= n.  Returns (kind, bound,
+    period_evidence)."""
+    bound = sub.size**2 * sub.length**2
 
     def periodic_from(n, p_n):
         while p_n > n:
@@ -290,7 +284,7 @@ def reference_scan(sub, bound=None):
                     return periodic_from(m, q)
                 pm = q
         prev_n, prev_p = n, p
-    return ("aperiodic" if bound >= default else "inconclusive", bound, None)
+    return ("aperiodic", bound, None)
 
 
 def bijective_verdict_corpus(count=120, seed=20261018):
@@ -327,25 +321,20 @@ def bijective_verdict_corpus(count=120, seed=20261018):
 
 
 def test_aperiodicity_verdicts_match_reference_scan(golden_subs, random_corpus):
-    named = [(parse_substitution(PERIODIC), None),
-             (make_substitution(["abc", "bca", "cab"]), None),
+    named = [parse_substitution(PERIODIC),
+             make_substitution(["abc", "bca", "cab"]),
              # periodic with p(1) = p(2) = 3: the plateau walk finds evidence 3
-             (make_substitution(["ab", "ca", "bc"]), None)]
-    named += [(parse_substitution(THUE_MORSE), bound) for bound in (3, 5, 100)]
-    cases = [(sub, None) for sub in list(golden_subs.values()) + random_corpus] + named
-    cases += [(sub, bound) for sub in bijective_verdict_corpus()
-              for bound in (None, 1, 2, 3)]
+             make_substitution(["ab", "ca", "bc"]),
+             parse_substitution(THUE_MORSE)]
+    cases = named + list(golden_subs.values()) + random_corpus + bijective_verdict_corpus()
     expected = []
-    for sub, bound in cases:
-        verdict = is_aperiodic(sub, bound)
-        expected.append(reference_scan(sub, bound))
+    for sub in cases:
+        verdict = is_aperiodic(sub)
+        expected.append(reference_scan(sub))
         assert (verdict.kind, verdict.bound, verdict.period_evidence) == expected[-1]
-    kinds = [expected[cases.index(case)] for case in named]
-    assert [(kind, evidence) for kind, _, evidence in kinds] == [
-        ("periodic", 2), ("aperiodic", None), ("periodic", 3),
-        ("inconclusive", None), ("inconclusive", None), ("aperiodic", None)]
-    periodic = [sub for (sub, bound), (kind, _, _) in zip(cases, expected)
-                if kind == "periodic" and bound is None]
+    assert [(kind, evidence) for kind, _, evidence in expected[:len(named)]] == [
+        ("periodic", 2), ("aperiodic", None), ("periodic", 3), ("aperiodic", None)]
+    periodic = [kind for kind, _, _ in expected if kind == "periodic"]
     assert len(periodic) >= 20  # the periodic branch is exercised
 
 
