@@ -7,8 +7,10 @@ materializing windows.  For a simplified substitution the map such a shift
 induces is the same at every level k, so each is read once, off the rule
 words, and the digit walks confirm it at levels 1 to 4; closing those
 maps under composition rebuilds the structural semigroup with no reference
-to column quotients or groups -- and the result is compared map-for-map
-against the algebraic pipeline.
+to column quotients or groups.  The comparison with the algebraic pipeline
+names each map by its triple under the matrix action and decides by a walk
+search in the structure group whether the triples generate the whole
+matrix semigroup.
 """
 
 from ellisub import (as_transformation_semigroup, global_description,
@@ -38,9 +40,9 @@ print("closure size:", result.semigroup.size)
 
 print("\n== equivalence with the algebraic semigroup")
 report = global_description(sub)
-algebraic, _ = as_transformation_semigroup(report.matrix, report.fiber)
-comparison = oracle_equivalence(sub, algebraic)
-print("equal:", comparison.equal)
+_, phi = as_transformation_semigroup(report.matrix, report.fiber)
+comparison = oracle_equivalence(sub, report.matrix, phi)
+print("equal:", comparison.equal, "with", comparison.map_count, "maps")
 
 print("\n== every level reads the same map")
 # c_0 = c_(l-1) = id gives x[nu * l^k] = x[nu] and x[nu * l^k - 1] = x[nu - 1]

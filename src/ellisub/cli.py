@@ -53,6 +53,9 @@ def _emit_error(kind: str, exc: Exception) -> None:
     if isinstance(exc, ParseError):
         payload["error"]["line"] = exc.line
         payload["error"]["column"] = exc.column
+    if isinstance(exc, InternalCheckError) and exc.law is not None:
+        payload["error"]["law"] = exc.law
+        payload["error"]["witness"] = exc.witness
     print(json.dumps(payload), file=sys.stderr)
 
 

@@ -30,4 +30,13 @@ class ResourceLimitError(EllisubError):
 
 
 class InternalCheckError(EllisubError):
-    """A built-in cross-check failed; indicates a bug, not bad input."""
+    """A built-in cross-check failed; indicates a bug, not bad input.
+
+    ``law`` names the law that failed and ``witness`` is the element it
+    failed at, where the check has one; the CLI prints both.
+    """
+
+    def __init__(self, message: str, law: str | None = None, witness=None):
+        self.law = law
+        self.witness = witness
+        super().__init__(message)

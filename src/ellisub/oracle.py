@@ -1,10 +1,22 @@
 """Independent verification by actual shift dynamics on fixed-point windows.
 
-Everything here is built from nothing but the substitution rules: the maps
-induced on the singular fiber by the shift powers sigma^(nu * l^k) are read
-off the letters of the two-sided fixed points, and the collected maps are
-closed under composition.  Only the comparison step looks at the algebraic
-pipeline; the construction never does.
+The maps under test are built from nothing but the substitution rules: the
+maps induced on the singular fiber by the shift powers sigma^(nu * l^k) are
+read off the letters of the two-sided fixed points.  Only the comparison step
+looks at the algebra, and the construction of the maps never does.
+
+The comparison decides whether the maps generate exactly the algebraic fiber
+semigroup phi(M), the image of the matrix action phi of M = M[G; I, {+,-}; A]
+(:func:`oracle_equivalence`).  It may use phi without costing the oracle its
+independence.  The pipeline proves phi a bijective homomorphism without
+looking at the oracle (``ellisub.rees.as_transformation_semigroup``).  The
+comparison uses phi only to name each oracle map by its triple, and a map
+without a name is reported as a discrepancy, so no map the rules produce is
+taken on trust.  Once every map is named, the maps generate phi(M) exactly
+when their triples generate M, since phi is an isomorphism.  That is decided in G by :func:`triples_generate`, at a cost of
+|G| * (number of maps + 2|I|) compositions of permutations, instead of
+closing the maps, |S| * (number of maps) compositions with |S| = 2|I||G|.
+Only when the triples fall short are the maps closed, to list the difference.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
 l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
@@ -29,8 +41,10 @@ by base-l digit walks; the tests use it to check the collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
+from .perms import compose, identity
 from .semigroups import (FiberMap, TransformationSemigroup,
                          semigroup_closure)
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
@@ -82,7 +96,14 @@ class OracleMap:
 class OracleResult:
     fiber: TwoWordFiber
     maps: tuple[OracleMap, ...]
-    semigroup: TransformationSemigroup  # closure of the maps
+
+    @cached_property
+    def semigroup(self) -> TransformationSemigroup:
+        """The closure of the maps, generated by the sorted distinct maps.
+        Built on first use: :func:`oracle_equivalence` decides generation
+        without it, and closes the maps only when they fall short."""
+        seeds = sorted({m.fiber_map for m in self.maps})
+        return semigroup_closure(seeds, degree=self.fiber.size)
 
     def stabilization_by_nu(self) -> dict[int, int]:
         """The level each map is reached at: 1 for every shift, by the proof
@@ -90,58 +111,82 @@ class OracleResult:
         return {m.nu: LIMIT_LEVEL for m in self.maps}
 
 
-def _few_shifts(length: int) -> list[int]:
-    """The shifts +-nu * b^r for 0 < nu < b and 0 <= r < k, where b is the
-    smallest integer with b^k = length: 2(b-1)k of the 2(length-1) shifts."""
-    for base in range(2, length + 1):
-        power, k = base, 1
-        while power < length:
-            power, k = power * base, k + 1
-        if power == length:
-            break
-    shifts = [nu * base**r for r in range(k) for nu in range(1, base)]
-    return shifts + [-nu for nu in shifts]
-
-
-def _closure_of_maps(by_shift: dict[int, FiberMap], few: list[int],
-                     degree: int) -> TransformationSemigroup:
-    """The closure of all maps in ``by_shift``, grown from the maps of the
-    shifts ``few``.
-
-    If every map lies in the closure C of the few, then C is the closure of
-    all of them: C is closed, contains every map, and lies inside the closure
-    of all maps.  Otherwise all maps are closed.  Which shifts are chosen
-    affects only the cost, never the result.  The generators are the sorted
-    distinct maps of all shifts.
-    """
-    seeds = tuple(sorted(set(by_shift.values())))
-    closed = semigroup_closure([by_shift[nu] for nu in few], degree=degree)
-    if not all(f in closed for f in seeds):
-        closed = semigroup_closure(seeds, degree=degree)
-    return TransformationSemigroup(degree, closed.elements, seeds)
-
-
 def limit_maps(sub: Substitution) -> OracleResult:
-    """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l, and
-    their closure under composition.
+    """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l.
 
     Each map is read once, off the rule words.  That is the limit: for a
     simplified substitution x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] at
     every level k, since x[p*l + r] = rule(x[p])[r] and the boundary columns
     are the identity (the module docstring spells out the induction), so the
-    map does not depend on k.  The closure grows from the 2(b-1)k shifts
-    +-nu * b^r, with b^k = l, and falls back to all 2(l-1) maps unless every
-    map lies in it (:func:`_closure_of_maps`).
+    map does not depend on k.  No closure is run here; ``semigroup`` closes
+    the maps when it is first read.
     """
-    if not is_simplified(sub):
-        raise ValidationError("the window oracle needs a simplified substitution")
     fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
+    if not is_simplified(sub, fiber):
+        raise ValidationError("the window oracle needs a simplified substitution")
     index = {p: k for k, p in enumerate(fiber.pairs)}
     length = sub.length
     shifts = list(range(1, length)) + list(range(-length + 1, 0))
-    by_shift = {nu: _limit_map(sub, fiber.pairs, index, nu) for nu in shifts}
-    sg = _closure_of_maps(by_shift, _few_shifts(length), fiber.size)
-    return OracleResult(fiber, tuple(OracleMap(nu, f) for nu, f in by_shift.items()), sg)
+    return OracleResult(fiber, tuple(OracleMap(nu, _limit_map(sub, fiber.pairs, index, nu))
+                                     for nu in shifts))
+
+
+def triples_generate(matrix, triples) -> bool:
+    """Whether ``triples`` generate the Rees matrix semigroup ``matrix``,
+    M = M[G; I, Lambda; A] with base (i0, lam0), decided by a walk search in G.
+
+    A product (i1, g1, lam1) ... (ik, gk, lamk) is
+    (i1, g1 A[lam1][i2] g2 ... A[lam(k-1)][ik] gk, lamk).  So the triples T
+    generate M exactly when T meets every row i and every column lam, and the
+    labels g1 A[lam1][i2] g2 ... gk of the words over T that start in row i0
+    and end in column lam0 cover G.  Both are necessary: each (i, g, lam) is
+    a product whose first factor lies in row i and whose last lies in column
+    lam, and each (i0, g, lam0) is such a word with label g.  They suffice:
+    with t = (i, gt, lamt) in T in row i, u = (iu, gu, lam) in T in column lam
+    and w a word from row i0 to column lam0 with label h,
+    t w u = (i, gt A[lamt][i0] h A[lam0][iu] gu, lam), and as h runs through
+    G the middle runs through G.  (Howie, *Fundamentals of Semigroup Theory*,
+    Thm 3.4.1; Gray & Ruskuc, *Generating sets of completely 0-simple
+    semigroups*, Comm. Algebra 33, 2005.)
+
+    The search walks the bipartite graph with an edge i -> lam of label g
+    for each (i, g, lam) in T and an edge lam -> j of label A[lam][j], over
+    the states (vertex, label) reachable from (i0, 1): at most |G| per
+    vertex, so |G| * (|T| + |Lambda||I|) compositions.  It stops as soon as
+    column lam0 holds every label.
+    """
+    i0, lam0 = matrix.base
+    n_i, n_lam = len(matrix.i_labels), len(matrix.lam_labels)
+    if ({i for i, _, _ in triples} != set(range(n_i))
+            or {lam for _, _, lam in triples} != set(range(n_lam))):
+        return False
+    order = matrix.group.order
+    by_row: list[list[tuple]] = [[] for _ in range(n_i)]
+    for i, g, lam in triples:
+        by_row[i].append((g, lam))
+    start = identity(matrix.group.degree)
+    at_row = [set() for _ in range(n_i)]
+    at_column = [set() for _ in range(n_lam)]
+    at_row[i0].add(start)
+    frontier = [(i0, start)]
+    while frontier:
+        reached = []  # new column states
+        for i, h in frontier:
+            for g, lam in by_row[i]:
+                label = compose(h, g)
+                if label not in at_column[lam]:
+                    at_column[lam].add(label)
+                    reached.append((lam, label))
+        if len(at_column[lam0]) == order:
+            return True
+        frontier = []
+        for lam, h in reached:
+            for j, entry in enumerate(matrix.sandwich[lam]):
+                label = compose(h, entry)
+                if label not in at_row[j]:
+                    at_row[j].add(label)
+                    frontier.append((j, label))
+    return False
 
 
 @dataclass
@@ -149,6 +194,7 @@ class OracleComparison:
     equal: bool
     discrepancies: tuple[str, ...]
     oracle: OracleResult
+    map_count: int  # the size of the closure of the oracle's maps
 
 
 def compare_map_semigroups(oracle_sg: TransformationSemigroup,
@@ -165,16 +211,31 @@ def compare_map_semigroups(oracle_sg: TransformationSemigroup,
     return tuple(discrepancies)
 
 
-def oracle_equivalence(sub: Substitution, algebraic: TransformationSemigroup) -> OracleComparison:
-    """Compare the dynamically built semigroup against the algebraic one:
-    equal map sets, or a discrepancy list.
-
-    ``algebraic`` is the fiber semigroup of the algebraic pipeline; it enters
-    only the comparison, never the construction of the oracle's maps.
-    """
-    result = limit_maps(sub)
+def _compare_with_action(result: OracleResult, matrix, phi: dict) -> OracleComparison:
+    """Compare the oracle's maps with phi(M): name each distinct map by its
+    triple under phi, and decide by :func:`triples_generate` whether the
+    triples generate M.  When a map has no triple or the triples fall short,
+    close the maps and list the maps each side lacks."""
+    named = {f: x for x, f in phi.items()}
+    seeds = sorted({m.fiber_map for m in result.maps})
+    triples = [named.get(f) for f in seeds]
+    if None not in triples and triples_generate(matrix, triples):
+        return OracleComparison(True, (), result, len(named))
+    algebraic = TransformationSemigroup(result.fiber.size, tuple(sorted(named)), ())
     discrepancies = compare_map_semigroups(result.semigroup, algebraic)
-    return OracleComparison(not discrepancies, discrepancies, result)
+    return OracleComparison(not discrepancies, discrepancies, result, result.semigroup.size)
+
+
+def oracle_equivalence(sub: Substitution, matrix, phi: dict) -> OracleComparison:
+    """Compare the semigroup that the oracle's maps generate with the
+    algebraic fiber semigroup phi(M): equal, or a discrepancy list.
+
+    ``matrix`` is the substitution sandwich M and ``phi`` its action on the
+    fiber, ``as_transformation_semigroup(matrix, fiber)[1]``, which must be
+    a bijective homomorphism; they enter only the comparison, never the
+    construction of the oracle's maps (the module docstring says why).
+    """
+    return _compare_with_action(limit_maps(sub), matrix, phi)
 
 
 @dataclass

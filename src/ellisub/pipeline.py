@@ -23,11 +23,20 @@ homomorphism onto Z/hZ with kernel the normal completion, under which every
 sandwich entry and idempotent has degree 0 (:func:`degree_map`, from the 2|I|
 entries rather than from products); the classical height from the letter
 grading equals the one from return times; the centralizer of G is
-semiregular.  Under ``--verify``, :func:`analyze_substitution` also builds
-the 2|I||G| fiber maps with :func:`as_transformation_semigroup`, which checks
-that they stay in the fiber, that they are distinct, and that the matrix
-action is a homomorphism, and hands them to the window oracle, the one
-witness built independently of this module.
+semiregular.  :func:`r_set` validates the substitution, once, with the
+fiber that :func:`global_description` reads once; the later stages take it
+as validated.
+
+Under ``--verify``, :func:`analyze_substitution` also builds the 2|I||G|
+fiber maps with :func:`as_transformation_semigroup`.  It checks that they
+stay in the fiber and are distinct, and proves the matrix action phi a
+homomorphism through the Rees factorization (j, h, mu) =
+(j, 1, +)(i0, h, +)(i0, 1, mu), in |S| + 2|G| + |G||I| + 2|I| map
+compositions.  The matrix and phi then go to the window oracle, the one
+witness built independently of this module.  The oracle reads its maps off
+the rule letters, names each by its triple under phi and decides by a walk
+search in G whether the triples generate the matrix semigroup; it closes
+maps only to list a discrepancy.
 
 Three identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
@@ -71,13 +80,14 @@ from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            is_simplified, simplify)
 
 
-def r_set(sub: Substitution) -> tuple[Perm, ...]:
+def r_set(sub: Substitution, fiber: TwoWordFiber | None = None) -> tuple[Perm, ...]:
     """Deduplicated successive-column quotients of a simplified substitution,
     in canonical (lexicographic) order.  These label the minimal right ideals.
 
     The one stage that validates its substitution; the later stages take the
-    R-set and what is built from it."""
-    if not is_simplified(sub):
+    R-set and what is built from it.  ``fiber`` is ``allowed_two_words(sub)``,
+    when the caller already holds it."""
+    if not is_simplified(sub, fiber):
         # is_simplified starts with the bijectivity check; repeat it only to say which failed
         if not is_bijective(sub):
             raise ValidationError("the R-set needs a bijective substitution")
@@ -166,9 +176,8 @@ def return_time_gcd(sub: Substitution, level: int) -> int:
 def classical_height_bruteforce(sub: Substitution, prefix_level: int = 3) -> int:
     """Independent oracle: the gcd of the return times of the first letter
     in sigma^n(0) (:func:`return_time_gcd`), then its largest divisor coprime
-    to the length."""
-    if not is_simplified(sub):
-        raise ValidationError("classical height brute force needs a simplified substitution")
+    to the length.  ``sub`` must be simplified; :func:`global_description`
+    passes the substitution that :func:`r_set` validated."""
     g = return_time_gcd(sub, prefix_level)
     if g == 0:
         raise InternalCheckError("a simplified substitution must return to its first letter")
@@ -347,7 +356,8 @@ def global_description(sub: Substitution, g0_index: int | None = None,
                        aperiodicity: AperiodicityVerdict | None = None) -> StructuralReport:
     """Assemble the full report for a simplified substitution, running each
     stage once; ``g0_index`` picks g0 from the R-set (default: the first)."""
-    rset = r_set(sub)
+    fiber = allowed_two_words(sub)  # the fixed points, once r_set checks sub is simplified
+    rset = r_set(sub, fiber)
     g0_index = g0_index or 0
     if not 0 <= g0_index < len(rset):
         raise ValidationError(
@@ -386,7 +396,7 @@ def global_description(sub: Substitution, g0_index: int | None = None,
         height=hs.height,
         classical_height=hs.classical_height,
         r_pi=sub.size,
-        fiber=allowed_two_words(sub),  # the fixed points, as r_set checked sub is simplified
+        fiber=fiber,
         matrix=matrix,
         degree=degrees,
         aut=aut,
@@ -410,7 +420,7 @@ class AnalysisConfig:
 
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
     """Validate, simplify and run the pipeline; under ``verify``, build the
-    fiber semigroup from the matrix and compare it with the window oracle."""
+    fiber maps from the matrix and compare them with the window oracle."""
     config = config or AnalysisConfig()
     if not is_bijective(sub):
         bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
@@ -428,8 +438,8 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
     report = global_description(simplified, config.g0_index, exponent=exponent,
                                 original_length=sub.length, aperiodicity=verdict)
     if config.verify:
-        semigroup, _ = as_transformation_semigroup(report.matrix, report.fiber)
-        comparison = oracle_equivalence(simplified, semigroup)
+        _, phi = as_transformation_semigroup(report.matrix, report.fiber)
+        comparison = oracle_equivalence(simplified, report.matrix, phi)
         report.oracle = comparison
         if not comparison.equal:
             raise InternalCheckError(

@@ -112,9 +112,9 @@ class ReesMatrixSemigroup:
         and a h a runs through G as h does, so every triple is a product of
         elements of X; (i0, 1, lam0) lies in the first part.
 
-        The proof is also checked, not assumed: :func:`verify_rees_isomorphism`
-        closes X under left multiplication by X and raises InternalCheckError
-        if the closure falls short of M.
+        ``tests/test_rees.py`` closes X on every golden presentation and on a
+        three-row sandwich at each base, and :func:`green_structure` checks
+        that the images of X reach every map whenever it is run on them.
         """
         i0, lam0 = self.base
         ident = identity(self.group.degree)
@@ -143,31 +143,21 @@ def _left_row(m: ReesMatrixSemigroup, x: ReesElement) -> list[Perm]:
     return [tuple([g[k] for k in entry]) for entry in m.sandwich[x.lam]]
 
 
-def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement],
-                     phi: dict | None = None) -> set[tuple] | None:
+def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement]) -> set[tuple]:
     """The subsemigroup generated by ``seeds``, closed under left
     multiplication by the seeds: |result| * |seeds| products, each formed as a
     plain (i, g, lam) tuple, which hashes and compares like the ReesElement.
-
-    Given a map ``phi`` from M to fiber maps, each product xy is also checked
-    as it is formed: phi(xy) must equal map_compose(phi(x), phi(y)).  Returns
-    None at the first product that breaks this law.
     """
-    check = phi is not None
-    # one global read per call, so a rebound rees.map_compose still applies
-    compose_maps = map_compose
-    lefts = [(x.i, _left_row(m, x), phi[x] if check else None) for x in seeds]
+    lefts = [(x.i, _left_row(m, x)) for x in seeds]
     reached = set(seeds)
     frontier = seeds
     while frontier:
         new = []
-        for i, row, px in lefts:
+        for i, row in lefts:
             for y in frontier:
                 yi, yg, ylam = y
                 left = row[yi]
                 xy = (i, tuple([left[k] for k in yg]), ylam)
-                if check and phi[xy] != compose_maps(px, phi[y]):
-                    return None
                 if xy not in reached:
                     reached.add(xy)
                     new.append(xy)
@@ -175,26 +165,76 @@ def _element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement],
     return reached
 
 
-def _proves_homomorphism(m: ReesMatrixSemigroup, phi: dict) -> bool:
-    """One pass that proves both hypotheses of the Froidure-Pin lemma for phi
-    and X = ``m.generators``: it closes X under left multiplication by X and
-    checks phi(xy) = phi(x) phi(y) on each of the |S| * |X| products as it
-    forms it.  Once the closure reaches all |S| triples, X generates M and
-    the law holds for x in X and every y in M, so phi is a homomorphism: by
-    induction on the length of w as a word in X, for x in X,
-    phi((x w) y) = phi(x) phi(w y) = phi(x) phi(w) phi(y) = phi(x w) phi(y).
+GROUP_LAW, SANDWICH_RELATION, FACTORIZATION = "group law", "sandwich relation", "factorization"
 
-    Returns False when the law fails; raises InternalCheckError when X falls
-    short of M, which only a fault in :attr:`ReesMatrixSemigroup.generators`
-    could cause.
+
+def _product_law_failure(m: ReesMatrixSemigroup,
+                         phi: dict) -> tuple[str, ReesElement] | None:
+    """The first of the three product-law checks that ``phi`` fails, as
+    (law, triple), or None when it passes all three; the proof that they make
+    phi a homomorphism is in :func:`as_transformation_semigroup`.  With
+    (i0, lam0) the base, a = A[lam0][i0] and theta(h) = phi(i0, h a^-1, lam0):
+
+    * GROUP_LAW: theta(s g) = theta(s) theta(g) for every g in G and every
+      generator s of G, along a breadth-first search from the identity;
+    * SANDWICH_RELATION: phi(i0, 1, mu) phi(j, 1, lam0) = phi(i0, A[mu][j], lam0)
+      for every mu and j;
+    * FACTORIZATION: phi(j, h, mu) = phi(j, 1, lam0) theta(a^-1 h) phi(i0, 1, mu)
+      for every triple.
+
+    |G| * (number of generators) + |Lambda||I| + |Lambda||G| + |S| map
+    compositions: the factorization composes theta(a^-1 h) phi(i0, 1, mu) once
+    per (h, mu).  Raises InternalCheckError, naming the group law, when the
+    search does not reach all of G, since then the generators of G fall short
+    and the group law is not proved.
     """
-    reached = _element_closure(m, m.generators, phi)
-    if reached is None:
-        return False
-    if len(reached) != m.size:
+    compose_maps = map_compose  # one global read, so a rebound rees.map_compose applies
+    i0, lam0 = m.base
+    group = m.group
+    a_inv = inverse(m.sandwich[lam0][i0])
+    ident = identity(group.degree)
+
+    def triple(h: Perm) -> ReesElement:  # theta(h) is phi of this triple
+        return ReesElement(i0, compose(h, a_inv), lam0)
+    theta = {h: phi[triple(h)] for h in group.elements}
+
+    gens = group.generators or (ident,)  # the trivial group: check theta(1) theta(1)
+    reached, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            theta_g = theta[g]
+            for s in gens:
+                sg = compose(s, g)
+                if theta[sg] != compose_maps(theta[s], theta_g):
+                    return GROUP_LAW, triple(sg)
+                if sg not in reached:
+                    reached.add(sg)
+                    new.append(sg)
+        frontier = new
+    if len(reached) != group.order:
+        missing = min(group.element_set - reached)
         raise InternalCheckError(
-            f"Rees generators reach {len(reached)} of {m.size} elements")
-    return True
+            f"the generators of G reach {len(reached)} of {group.order} elements, "
+            "so the group law is not proved", law=GROUP_LAW, witness=triple(missing))
+
+    i_range, lam_range = range(len(m.i_labels)), range(len(m.lam_labels))
+    lefts = [phi[(j, ident, lam0)] for j in i_range]      # phi(j, 1, lam0)
+    rights = [phi[(i0, ident, mu)] for mu in lam_range]   # phi(i0, 1, mu)
+    for mu in lam_range:
+        for j in i_range:
+            x = ReesElement(i0, m.sandwich[mu][j], lam0)
+            if phi[x] != compose_maps(rights[mu], lefts[j]):
+                return SANDWICH_RELATION, x
+
+    for h in group.elements:
+        theta_h = theta[compose(a_inv, h)]
+        for mu in lam_range:
+            middle = compose_maps(theta_h, rights[mu])
+            for j in i_range:
+                if phi[(j, h, mu)] != compose_maps(lefts[j], middle):
+                    return FACTORIZATION, ReesElement(j, h, mu)
+    return None
 
 
 def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ...],
@@ -329,12 +369,40 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
       j^-1 R', so its R becomes g g0 j^-1 R'.
 
     The returned semigroup is the image of this action phi, generated by the
-    images of X = ``m.generators``, 2|I| + 1 triples at most.  One call of
-    :func:`verify_rees_isomorphism` proves phi a bijective homomorphism onto
-    it in a single pass of |S| * |X| products, with |S| = 2|I||G|: the pass
-    closes X under left multiplication, which proves that X generates M, and
-    checks the product law on each product as it forms it.  The image of a
-    homomorphism is closed under composition, so no closure of maps is run.
+    images of X = ``m.generators``, 2|I| + 1 triples at most.  The maps are
+    checked to be distinct, and phi is proved a homomorphism through the Rees
+    factorization, at a cost of |S| + 2|G| + |G||I| + 2|I| map compositions
+    rather than one per product; the image of a homomorphism is closed under
+    composition, so no closure of maps is run.  The sandwich is normalized,
+    so with (i0, +) the base every triple factors as
+
+        (j, h, mu) = (j, 1, +)(i0, h, +)(i0, 1, mu),
+
+    since (j, 1, +)(i0, h, +) = (j, A[+][i0] h, +) = (j, h, +) and
+    (j, h, +)(i0, 1, mu) = (j, h A[+][i0], mu).  Write L_j = phi(j, 1, +),
+    R_mu = phi(i0, 1, mu) and theta(h) = phi(i0, h, +).  Three checks
+    (:func:`_product_law_failure`) each raise InternalCheckError naming the
+    law and the triple it failed at:
+
+    * (a) group law: theta(s g) = theta(s) theta(g) for every g in G and every
+      generator s of G, by a breadth-first search from the identity along
+      g -> s g that must reach all of G.  Every element is a nonempty word in
+      the generators, so by induction on its length
+      theta(s x g) = theta(s) theta(x g) = theta(s) theta(x) theta(g)
+      = theta(s x) theta(g): theta is a homomorphism on G;
+    * (b) sandwich relation: R_mu L_j = theta(A[mu][j]) for each of the 2|I|
+      pairs (mu, j), the image of (i0, 1, mu)(j, 1, +) = (i0, A[mu][j], +);
+    * (c) factorization: phi(j, h, mu) = L_j theta(h) R_mu for all |S| triples.
+
+    Then for x = (i, g, lam) and y = (j, h, mu), by (c), (b), (a) and (c):
+
+        phi(x) phi(y) = L_i theta(g) R_lam L_j theta(h) R_mu
+                      = L_i theta(g) theta(A[lam][j]) theta(h) R_mu
+                      = L_i theta(g A[lam][j] h) R_mu = phi(xy).
+
+    :func:`verify_rees_isomorphism` runs the same checks on any Rees matrix
+    semigroup, where a = A[lam0][i0] need not be 1 and the middle factor of
+    (j, h, mu) is (i0, a^-1 h a^-1, lam0).
     """
     if m.lam_labels != SIGN_LABELS:
         raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
@@ -346,23 +414,27 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup, fiber: TwoWordFiber
     phi: dict[ReesElement, FiberMap] = {}
     for i, i_perm in enumerate(m.i_labels):
         i_inv = inverse(i_perm)
+        # the fixed point (i^-1 r, r) for each letter r, as a fiber index
+        target = [pair_index.get((i_inv[r], r)) for r in range(len(i_perm))]
+        if None in target:
+            r = target.index(None)
+            raise InternalCheckError(
+                f"fiber action left the fiber: {(i_inv[r], r)} is not an allowed two-word")
         for g, by_sign in rights:
             for lam in (PLUS, MINUS):
-                right = by_sign[lam]
                 # the fixed point written for each letter c: (i^-1 R(c), R(c))
-                written = [pair_index.get((i_inv[r], r)) for r in right]
-                if None in written:
-                    r = right[written.index(None)]
-                    raise InternalCheckError(
-                        f"fiber action left the fiber: {(i_inv[r], r)} is not an allowed two-word")
+                written = [target[r] for r in by_sign[lam]]
                 phi[ReesElement(i, g, lam)] = tuple([written[c] for c in read_at[lam]])
     maps = sorted(set(phi.values()))
     if len(maps) != m.size:
         raise InternalCheckError("fiber action is not faithful; distinct triples collided")
+    failure = _product_law_failure(m, phi)
+    if failure is not None:
+        law, x = failure
+        raise InternalCheckError(f"fiber action breaks the {law} at the triple {tuple(x)}",
+                                 law=law, witness=x)
     sg = TransformationSemigroup(fiber.size, tuple(maps),
                                  tuple(sorted({phi[x] for x in m.generators})))
-    if not verify_rees_isomorphism(sg, m, phi):
-        raise InternalCheckError("fiber action is not a bijective homomorphism onto its image")
     return sg, phi
 
 
@@ -370,20 +442,21 @@ def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
                             phi: dict[ReesElement, FiberMap]) -> bool:
     """Check that phi is a bijective homomorphism of M onto sg.
 
-    Bijectivity is checked on every element.  The rest is one pass of
-    |S| * |X| products, X = ``m.generators``: X is closed under left
-    multiplication by X, and phi(xy) = phi(x) phi(y) is checked on each
-    product as it is formed.  When the closure reaches all |S| triples, X
-    generates M and the law holds on X x M, which by the Froidure-Pin lemma
-    makes phi a homomorphism.  Returns False when phi fails either check;
-    raises InternalCheckError when X does not generate M.
+    Bijectivity is checked on every element; the product law through the Rees
+    factorization (j, h, mu) = (j, 1, lam0)(i0, a^-1 h a^-1, lam0)(i0, 1, mu),
+    with a = A[lam0][i0], by the group law on G, the |Lambda||I| sandwich
+    relations and the factorization of every triple
+    (:func:`_product_law_failure`; :func:`as_transformation_semigroup` gives
+    the proof for a = 1, and it carries over with theta(h) = phi(i0, h a^-1,
+    lam0)).  Returns False when phi fails a check; raises InternalCheckError
+    when the generators of G do not reach all of G.
     """
     if phi.keys() != set(m.elements()):
         return False
     images = set(phi.values())
     if len(images) != m.size or images != set(sg.elements):
         return False
-    return _proves_homomorphism(m, phi)
+    return _product_law_failure(m, phi) is None
 
 
 @dataclass

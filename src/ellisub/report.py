@@ -40,7 +40,7 @@ def report_to_json(report: StructuralReport) -> dict:
             "max_level": REPORTED_MAX_LEVEL,
             "stabilized_levels": {str(nu): lvl for nu, lvl
                                   in sorted(report.oracle.oracle.stabilization_by_nu().items())},
-            "map_count": report.oracle.oracle.semigroup.size,
+            "map_count": report.oracle.map_count,
             "discrepancies": list(report.oracle.discrepancies),
         }
     aperiodicity = None

@@ -380,9 +380,10 @@ def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
 # ---------------------------------------------------------------------------
 # simplification
 
-def is_simplified(sub: Substitution) -> bool:
+def is_simplified(sub: Substitution, fiber: TwoWordFiber | None = None) -> bool:
     """Both simplified conditions: boundary columns are the identity, every
-    junction orbit is a fixed point, and every rule word contains every letter."""
+    junction orbit is a fixed point, and every rule word contains every letter.
+    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds it."""
     if not is_bijective(sub):
         return False
     cols = columns(sub)
@@ -391,7 +392,8 @@ def is_simplified(sub: Substitution) -> bool:
         return False
     if any(len(set(word)) != sub.size for word in sub.rules):
         return False
-    fiber = allowed_two_words(sub)
+    if fiber is None:
+        fiber = allowed_two_words(sub)
     return all(junction_map(sub, p) == p for p in fiber.pairs)
 
 
@@ -420,6 +422,14 @@ def simplify(sub: Substitution) -> tuple[Substitution, int]:
     n = M*m where M is the lcm of the junction-map cycle lengths on the
     allowed two-letter words (condition: all periodic points become fixed) and
     m is minimal so that every rule word of sub^(M*m) contains every letter.
+
+    Both conditions hold by this choice of n.  The junction map of sub^n is
+    the nth power of that of sub on the same two-letter words, and M divides
+    n.  If every rule word of sub^e contains every letter, then so does every
+    rule word of sub^(e+1) = sub^e o sub, and n >= e for the least such e.
+    The boundary columns are checked here; the whole of
+    :func:`is_simplified` is checked by :func:`ellisub.pipeline.r_set`, the
+    stage that validates the substitution it analyses.
     """
     if not is_bijective(sub):
         raise ValidationError("simplify needs a bijective substitution")
@@ -436,8 +446,6 @@ def simplify(sub: Substitution) -> tuple[Substitution, int]:
         raise ValidationError(
             "simplification failed: boundary columns of the computed power are not the identity "
             "(is the input really bijective and primitive?)")
-    if not is_simplified(result):
-        raise ValidationError("simplification failed: computed power does not satisfy both conditions")
     return result, n
 
 

@@ -9,7 +9,7 @@ import pytest
 from ellisub import (AnalysisConfig, analyze_substitution, is_aperiodic,
                      parse_substitution, r_set, structure_group)
 from ellisub.golden import CASES
-from ellisub.perms import compose
+from ellisub.perms import closure, compose
 from ellisub.rees import (ReesMatrixSemigroup, as_transformation_semigroup,
                           substitution_sandwich)
 from ellisub.semigroups import (GreenStructure, TransformationSemigroup,
@@ -44,23 +44,34 @@ def pair_closure(sub: Substitution, group) -> set:
 @dataclass
 class FiberMaps:
     """The fiber semigroup: the fiber, the maps the matrix action builds on
-    it, and their Green structure, recomputed from the maps by Cayley graphs
-    as the reference for the Green summary that reports read off the matrix."""
+    it, the action itself, and the maps' Green structure, recomputed from the
+    maps by Cayley graphs as the reference for the Green summary that reports
+    read off the matrix."""
 
     fiber: TwoWordFiber
     semigroup: TransformationSemigroup
+    phi: dict
     green: GreenStructure
 
 
 def fiber_maps(matrix: ReesMatrixSemigroup, fiber: TwoWordFiber) -> FiberMaps:
-    semigroup, _ = as_transformation_semigroup(matrix, fiber)
-    return FiberMaps(fiber, semigroup, green_structure(semigroup))
+    semigroup, phi = as_transformation_semigroup(matrix, fiber)
+    return FiberMaps(fiber, semigroup, phi, green_structure(semigroup))
 
 
 def fiber_action(sub: Substitution) -> FiberMaps:
     """The fiber semigroup of a simplified substitution, built from its stages."""
     rset, group = rset_and_group(sub)
     return fiber_maps(substitution_sandwich(group, rset, rset[0]), allowed_two_words(sub))
+
+
+def three_row_matrix(base: tuple[int, int] = (0, 0)) -> ReesMatrixSemigroup:
+    """|I| = 2 and |Lambda| = 3 over S_3, with no identity sandwich entry."""
+    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    sandwich = (((1, 2, 0), (0, 2, 1)),
+                ((1, 0, 2), (2, 0, 1)),
+                ((2, 1, 0), (1, 2, 0)))
+    return ReesMatrixSemigroup(s3, ("i", "j"), ("p", "q", "r"), sandwich, base)
 
 
 def random_simplified_aperiodic(rng: random.Random, size: int, length: int) -> Substitution | None:
@@ -138,10 +149,10 @@ def random_fibers(random_reports) -> list:
 
 
 @pytest.fixture(scope="session")
-def random_oracle(random_corpus, random_fibers) -> list:
+def random_oracle(random_corpus, random_reports, random_fibers) -> list:
     from ellisub import oracle_equivalence
-    return [oracle_equivalence(sub, built.semigroup)
-            for sub, built in zip(random_corpus, random_fibers)]
+    return [oracle_equivalence(sub, report.matrix, built.phi)
+            for sub, report, built in zip(random_corpus, random_reports, random_fibers)]
 
 
 @pytest.fixture(scope="session")

@@ -229,6 +229,30 @@ def test_main_callable_directly(tm_file, capsys):
     assert "structure group" in capsys.readouterr().out
 
 
+def test_a_broken_product_law_exits_2_naming_the_law_and_triple(tm_file, monkeypatch, capsys):
+    # a sandwich entry that disagrees with the column labels the fiber action
+    # is built from: the sandwich relation fails at the minus row and column
+    # 1, and the stderr JSON names the law and the triple
+    from dataclasses import replace
+
+    import ellisub.pipeline
+    original = ellisub.pipeline.as_transformation_semigroup
+
+    def corrupted(matrix, fiber):
+        plus, minus = matrix.sandwich
+        assert matrix.base == (0, 0) and minus[1] == (1, 0)
+        return original(replace(matrix, sandwich=(plus, (minus[0], (0, 1)))), fiber)
+    monkeypatch.setattr(ellisub.pipeline, "as_transformation_semigroup", corrupted)
+    assert main(["analyze", tm_file, "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "internal-check"
+    assert error["law"] == "sandwich relation"
+    assert error["witness"] == [0, [0, 1], 0]
+    assert "sandwich relation at the triple (0, (0, 1), 0)" in error["message"]
+
+
 def test_power_six_input_gets_a_report(tmp_path):
     # simplified at power 6, rule words of 117649 letters
     path = tmp_path / "power_six.sub"

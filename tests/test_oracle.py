@@ -4,16 +4,21 @@ from pathlib import Path
 
 import ellisub.oracle
 import ellisub.substitution
-from ellisub import AnalysisConfig, analyze_substitution
-from ellisub.oracle import (_closure_of_maps, _few_shifts,
+from ellisub import AnalysisConfig, analyze_substitution, parse_substitution, simplify
+from ellisub.oracle import (OracleResult, _compare_with_action,
                             compare_map_semigroups, induced_fiber_map,
                             limit_maps, oracle_equivalence,
-                            proximality_classes)
+                            proximality_classes, triples_generate)
 from ellisub.pipeline import r_set
+from ellisub.rees import (_element_closure, as_transformation_semigroup,
+                          idempotent_generated, idempotents_of,
+                          substitution_sandwich)
 from ellisub.semigroups import map_compose, semigroup_closure
 from ellisub.substitution import (allowed_two_words, columns, letter_at,
                                   substitution_power)
-from conftest import fiber_action, make_substitution, rset_and_group
+from conftest import make_substitution, rset_and_group, three_row_matrix
+
+S5 = "a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\ne -> ebccadae"
 
 
 def shifted_two_word(sub, pair, nu):
@@ -81,36 +86,103 @@ def test_every_level_reads_the_limit_map(golden_simplified, random_corpus,
                 assert induced_fiber_map(sub, result.fiber, m.nu, k) == m.fiber_map, (sub, m.nu, k)
 
 
-def test_few_shifts_are_the_digit_shifts():
-    assert _few_shifts(4) == [1, 2, -1, -2]
-    assert _few_shifts(27) == [1, 2, 3, 6, 9, 18, -1, -2, -3, -6, -9, -18]
-    assert _few_shifts(117649) == [nu * 7**r for r in range(6) for nu in range(1, 7)] + \
-        [-nu * 7**r for r in range(6) for nu in range(1, 7)]
-    assert _few_shifts(6) == [1, 2, 3, 4, 5, -1, -2, -3, -4, -5]
-    assert _few_shifts(7) == [1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6]
+def sandwich_action(sub):
+    """The substitution sandwich of a simplified substitution at the first
+    R-set element, and its action phi on the fiber."""
+    rset, group = rset_and_group(sub)
+    matrix = substitution_sandwich(group, rset, rset[0])
+    _, phi = as_transformation_semigroup(matrix, allowed_two_words(sub))
+    return matrix, phi
 
 
-def test_few_shifts_generate_the_closure_of_all_shifts(golden_simplified, random_corpus,
-                                                       long_power_simplified):
-    for sub in list(golden_simplified.values()) + random_corpus + long_power_simplified:
-        result = limit_maps(sub)
-        by_shift = {m.nu: m.fiber_map for m in result.maps}
-        degree = result.fiber.size
-        few = semigroup_closure([by_shift[nu] for nu in _few_shifts(sub.length)], degree=degree)
-        full = semigroup_closure(list(by_shift.values()), degree=degree)
-        assert few.elements == full.elements == result.semigroup.elements
+def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
+                                             long_power_simplified):
+    # the lifted triples generate M exactly when the maps close to all |S|
+    # maps: on every shift's map, and on three short sets that fall short
+    s5 = simplify(parse_substitution(S5))[0]
+    subs = list(golden_simplified.values()) + random_corpus + long_power_simplified + [s5]
+    assert len(subs) == 6 + 20 + 21 + 1
+    short_sets = 0
+    for sub in subs:
+        matrix, phi = sandwich_action(sub)
+        named = {f: x for x, f in phi.items()}
+        by_shift = {m.nu: m.fiber_map for m in limit_maps(sub).maps}
+        candidates = [list(by_shift.values()),
+                      [f for nu, f in by_shift.items() if nu > 0],
+                      [f for nu, f in by_shift.items() if nu < 0],
+                      [by_shift[1], by_shift[-1]]]
+        for k, maps in enumerate(candidates):
+            closed = semigroup_closure(maps, degree=len(maps[0])).size == matrix.size
+            assert triples_generate(matrix, [named[f] for f in maps]) == closed, (sub.rules, k)
+            assert closed or k > 0
+            short_sets += not closed
+    assert short_sets >= 2 * len(subs)
 
 
-def test_closure_falls_back_when_the_few_shifts_do_not_generate(golden_simplified):
-    # the maps of sigma^(+-l) generate 4 of Thue-Morse's 8 maps; the closure
-    # must notice that the other shifts' maps lie outside and close them all
-    by_shift = {m.nu: m.fiber_map for m in limit_maps(golden_simplified["thue_morse"]).maps}
-    full = semigroup_closure(list(by_shift.values()), degree=4)
-    partial = semigroup_closure([by_shift[1], by_shift[-1]], degree=4)
-    assert partial.size == 4 and full.size == 8
-    closed = _closure_of_maps(by_shift, [1, -1], 4)
-    assert closed.elements == full.elements
-    assert closed.generators == tuple(sorted(set(by_shift.values())))
+def test_walk_search_decides_generation_of_rees_triples(golden_simplified):
+    # against the closure of the triples themselves, on the three-row sandwich
+    # at every base (A[lam0][i0] != 1) and on random seed sets
+    rng = random.Random(20261018)
+    matrices = [three_row_matrix((i0, lam0)) for i0 in range(2) for lam0 in range(3)]
+    for sub in golden_simplified.values():
+        rset, group = rset_and_group(sub)
+        matrices.append(substitution_sandwich(group, rset, rset[-1]))
+    outcomes = set()
+    for matrix in matrices:
+        elements = list(matrix.elements())
+        for size in (2, 3, 4, 6):
+            for _ in range(8):
+                seeds = rng.sample(elements, min(size, len(elements)))
+                generated = _element_closure(matrix, seeds) == set(elements)
+                assert triples_generate(matrix, seeds) == generated
+                outcomes.add(generated)
+        assert triples_generate(matrix, list(matrix.generators))
+    assert outcomes == {True, False}
+    # the idempotents meet every row and both columns, but their walk labels
+    # cover only the little group A_3 of S_3: the search itself must refuse
+    rset, group = rset_and_group(golden_simplified["s3_height_two"])
+    matrix = substitution_sandwich(group, rset, rset[0])
+    idempotents = idempotents_of(matrix)
+    assert {x.i for x in idempotents} == set(range(len(rset)))
+    assert {x.lam for x in idempotents} == {0, 1}
+    assert not triples_generate(matrix, idempotents)
+
+
+def test_a_short_map_set_is_closed_to_list_the_missing_maps(golden_simplified):
+    # Thue-Morse cut to the maps of sigma^(+-1) generates 4 of its 8 maps: the
+    # walk search refuses their triples, and only then are the maps closed,
+    # to list the 4 algebraic maps they miss
+    sub = golden_simplified["thue_morse"]
+    matrix, phi = sandwich_action(sub)
+    result = limit_maps(sub)
+    short = OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1))
+    named = {f: x for x, f in phi.items()}
+    assert not triples_generate(matrix, [named[m.fiber_map] for m in short.maps])
+    comparison = _compare_with_action(short, matrix, phi)
+    full = semigroup_closure(list(phi.values()), degree=4)
+    missing = sorted(set(full.elements) - set(short.semigroup.elements))
+    assert short.semigroup.size == 4 and full.size == 8
+    assert not comparison.equal and comparison.map_count == 4
+    assert comparison.discrepancies == tuple(
+        f"algebraic map {f} not produced by the oracle" for f in missing)
+    # all six shifts generate: the search decides it and no closure is run
+    whole = _compare_with_action(result, matrix, phi)
+    assert whole.equal and whole.map_count == 8 and whole.discrepancies == ()
+    assert "semigroup" not in vars(result)
+
+
+def test_a_map_outside_the_action_is_a_discrepancy(golden_simplified):
+    # against the idempotent-generated half of s3_height_two, 18 of the
+    # oracle's 36 maps have no triple: the lookup misses, and the closure
+    # lists each of them as missing from the algebraic side
+    sub = golden_simplified["s3_height_two"]
+    rset, group = rset_and_group(sub)
+    partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
+    _, phi = as_transformation_semigroup(partial, allowed_two_words(sub))
+    comparison = oracle_equivalence(sub, partial, phi)
+    assert not comparison.equal and comparison.map_count == 36
+    assert len(comparison.discrepancies) == 18
+    assert all("missing from the algebraic semigroup" in d for d in comparison.discrepancies)
 
 
 def test_verify_reads_each_shift_once(golden_subs, monkeypatch):
@@ -165,8 +237,6 @@ def test_oracle_equivalence_on_golden(golden_reports):
 def test_negative_control_detects_wrong_semigroup(golden_simplified):
     # compare the oracle against a genuinely closed but wrong candidate: the
     # idempotent-generated part, which is a proper subsemigroup here
-    from ellisub.rees import (as_transformation_semigroup, idempotent_generated,
-                              substitution_sandwich)
     sub = golden_simplified["s3_height_two"]
     result = limit_maps(sub)
     rset, group = rset_and_group(sub)
@@ -183,7 +253,7 @@ def test_oracle_json_serialization(golden_subs, golden_simplified):
     import json
     from ellisub.report import report_to_json
     sub = golden_simplified["thue_morse"]
-    comparison = oracle_equivalence(sub, fiber_action(sub).semigroup)
+    comparison = oracle_equivalence(sub, *sandwich_action(sub))
     assert comparison.equal and comparison.discrepancies == ()
     result = comparison.oracle
     assert list(result.fiber.labels(sub.alphabet)) == ["aa", "ab", "ba", "bb"]

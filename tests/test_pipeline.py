@@ -443,8 +443,9 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # is read off the matrix, and the fiber maps, their product law and their
     # Green structure are identities of the construction, tested in
     # test_identities.py.  Under --verify the maps are built once, for the
-    # window oracle.
+    # window oracle, which closes none of them.
     calls: dict[str, int] = {}
+    on_power: list[tuple[str, object]] = []  # (name, substitution) per validation call
 
     def count(name):
         calls[name] = calls.get(name, 0) + 1
@@ -457,29 +458,34 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def recorded(sub, *args, **kwargs):
+            on_power.append((name, sub))
+            return original(sub, *args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+
     stages = ("r_set", "structure_group", "heights", "degree_map",
               "classical_height_bruteforce", "automorphism_data")
     for name in stages:
         counting(ellisub.pipeline, name)
-    # counted under every name the pipeline could call them by; the oracle's
-    # own semigroup closure is not counted, as it is the independent witness
-    fiber_work = ("as_transformation_semigroup", "verify_rees_isomorphism",
-                  "green_structure", "is_completely_simple")
-    unused = ("rees_decomposition", "presentations_isomorphic", "semigroup_closure")
+    # counted under every name any module could call them by, the oracle's
+    # included: the oracle decides generation by a walk search in G
+    fiber_work = ("as_transformation_semigroup", "green_structure", "is_completely_simple")
+    unused = ("rees_decomposition", "presentations_isomorphic", "semigroup_closure",
+              "verify_rees_isomorphism", "_element_closure")
+    modules = [module for module_name, module in list(sys.modules.items())
+               if module_name.startswith("ellisub.")]
     for name in fiber_work + unused:
-        for module_name, module in list(sys.modules.items()):
-            if (module_name.startswith("ellisub.") and module_name != "ellisub.oracle"
-                    and hasattr(module, name)):
+        for module in modules:
+            if hasattr(module, name):
                 counting(module, name)
-    passes = []  # (presentation, number of seeds, checked) per Rees closure
-    original_closure = ellisub.rees._element_closure
-
-    def closure(m, seeds, phi=None):
-        seeds = list(seeds)
-        passes.append((m, len(seeds), phi is not None))
-        return original_closure(m, seeds, phi)
-    monkeypatch.setattr(ellisub.rees, "_element_closure", closure)
-    products = []  # map compositions, one per product the pass checks
+    for name in ("is_simplified", "allowed_two_words"):
+        for module in modules:
+            if hasattr(module, name):
+                recording(module, name)
+    products = []  # map compositions of the product-law checks
     original_compose = ellisub.rees.map_compose
 
     def compose_maps(x, y):
@@ -500,21 +506,32 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
     once = {name: 1 for name in stages + ("substitution_sandwich",)}
 
+    def validations(power):
+        return Counter(name for name, sub in on_power if sub is power)
+
     sub = golden_subs["s3_seven_words"]
-    analyze_substitution(sub)
-    assert calls == once
-    assert passes == [] and products == []
+    report = analyze_substitution(sub)
+    assert report.exponent == 2 and report.substitution is not sub
+    assert calls == once and products == []
+    # the pipeline validates the analysed power once, in r_set, and reads
+    # its fiber once
+    assert validations(report.substitution) == {"is_simplified": 1, "allowed_two_words": 1}
     calls.clear()
+    on_power.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
-    assert report.oracle.equal
-    assert calls == {**once, "as_transformation_semigroup": 1, "verify_rees_isomorphism": 1}
-    # one fused pass over the substitution sandwich: it closes X and checks
-    # the product law on the same |S| * |X| products, 36 * 7 here
+    assert report.oracle.equal and report.oracle.map_count == report.matrix.size
+    assert calls == {**once, "as_transformation_semigroup": 1}
+    # and the oracle once more, in limit_maps
+    assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 2}
+    # the product law through the Rees factorization: the group law on
+    # G x (generators of G), the 2|I| sandwich relations, theta(h) R_mu once
+    # per (h, mu) and L_j times it once per triple; 18 + 6 + 12 + 36 here,
+    # against 36 * 7 for a pass over X x M with the 2|I| + 1 Rees generators
     matrix = report.matrix
-    generators = len(matrix.generators)
-    assert (matrix.size, generators) == (36, 2 * len(report.rset) + 1)
-    assert passes == [(matrix, generators, True)]
-    assert len(products) == matrix.size * generators
+    order, n_i = matrix.group.order, len(report.rset)
+    assert (matrix.size, order, n_i, len(matrix.group.generators)) == (36, 6, 3, 3)
+    assert len(products) == order * n_i + 2 * n_i + 2 * order + matrix.size == 72
+
 
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     # power 3 (length 125), |I| = 4, |G| = 120: the pair closure has |I||G|

@@ -7,14 +7,14 @@ from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
                           ReesMatrixSemigroup, _element_closure,
-                          as_transformation_semigroup, idempotent_generated,
+                          _product_law_failure, as_transformation_semigroup, idempotent_generated,
                           idempotents_of, little_structure_group, multiply,
                           presentations_isomorphic,
                           rees_decomposition, substitution_sandwich,
                           verify_rees_isomorphism)
 from ellisub.semigroups import TransformationSemigroup, map_compose
 from ellisub.substitution import TwoWordFiber, allowed_two_words
-from conftest import fiber_action, rset_and_group
+from conftest import fiber_action, rset_and_group, three_row_matrix
 
 
 def sandwich(sub, g0_index: int = 0) -> ReesMatrixSemigroup:
@@ -290,30 +290,106 @@ def test_rees_generators_generate_the_three_row_matrix_at_every_base():
             assert verify_rees_isomorphism(sg, m, phi)
 
 
-def test_rees_generators_refuse_a_group_whose_generators_fall_short():
+def test_rees_generators_refuse_a_group_whose_generators_fall_short(golden_simplified):
     # a structure group that lists only the identity as its generator: the
-    # triples it yields close up to the |I| * |Lambda| idempotents only, and
-    # the pass refuses even a true homomorphism once its closure stops short
+    # group-law search from the identity reaches 1 of its 6 elements, and the
+    # checks refuse even a true homomorphism, naming the group law and a
+    # triple of the base H-class that the search missed
     s3 = closure([(1, 0, 2), (1, 2, 0)])
     group = PermGroup(3, (identity(3),), s3.elements)
     ident = identity(3)
     m = ReesMatrixSemigroup(group, ("i", "j"), SIGN_LABELS, ((ident, ident), (ident, ident)))
     sg, phi = left_regular_action(m)
     assert _is_homomorphism_on_all_pairs(sg, m, phi)
-    with pytest.raises(InternalCheckError, match="reach 4 of 24"):
+    with pytest.raises(InternalCheckError, match="reach 1 of 6") as caught:
         verify_rees_isomorphism(sg, m, phi)
+    assert caught.value.law == "group law"
+    assert caught.value.witness == ReesElement(0, min(s3.elements[1:]), PLUS)
+    # the fiber action of s3_seven_words over S_3 listed as generated by one
+    # transposition, which reaches 2 of the 6 elements
+    sub = golden_simplified["s3_seven_words"]
+    rset, full = rset_and_group(sub)
+    short = replace(full, generators=((1, 0, 2),))
+    with pytest.raises(InternalCheckError, match="reach 2 of 6") as caught:
+        as_transformation_semigroup(substitution_sandwich(short, rset, rset[0]),
+                                    allowed_two_words(sub))
+    assert caught.value.law == "group law"
 
 
-def test_the_pass_refuses_generators_without_the_minus_triple(golden_simplified):
-    # without (i0, 1, -) every product keeps the sign +, so the closure stops
-    # at half of M although the law holds on every product it forms
+def test_only_the_sandwich_relation_catches_a_shifted_minus_column(golden_simplified):
+    # phi'(j, h, -) = phi(j, h c, -) for a fixed c != 1 keeps the image and
+    # both the group law (it reads the + column only) and the factorization
+    # (L_j theta(h) phi(i0, c, -) = phi(j, h c, -)); the sandwich relation
+    # R'_- L_j = phi(i0, c A[-][j], +) != phi(i0, A[-][j], +) refuses it
     for sub, m in _golden_sandwiches(golden_simplified):
         sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
-        short = replace(m)
-        short.__dict__["generators"] = tuple(x for x in m.generators if x.lam == PLUS)
-        assert len(short.generators) == len(m.generators) - 1
-        with pytest.raises(InternalCheckError, match=f"reach {m.size // 2} of {m.size}"):
-            verify_rees_isomorphism(sg, short, phi)
+        i0 = m.base[0]
+        for c in m.group.elements[1:]:
+            shifted = {x: phi[ReesElement(x.i, compose(x.g, c), x.lam)] if x.lam == MINUS
+                       else phi[x] for x in m.elements()}
+            assert set(shifted.values()) == set(phi.values())
+            assert not _is_homomorphism_on_all_pairs(sg, m, shifted)
+            law, witness = _product_law_failure(m, shifted)
+            assert law == "sandwich relation"
+            assert witness.i == i0 and witness.lam == PLUS
+            assert not verify_rees_isomorphism(sg, m, shifted)
+
+
+def test_a_wrong_generator_image_breaks_the_group_law(golden_simplified):
+    # theta(s) swapped with theta(1) = phi(i0, 1, +) for a generator s: an
+    # automorphism fixes 1, so theta is no longer a homomorphism, and the
+    # group law, checked first, fails
+    for sub, m in _golden_sandwiches(golden_simplified):
+        sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+        i0, ident = m.base[0], identity(sub.size)
+        for s in m.group.generators:
+            if s == ident:
+                continue
+            swapped = dict(phi)
+            base, image = ReesElement(i0, ident, PLUS), ReesElement(i0, s, PLUS)
+            swapped[base], swapped[image] = phi[image], phi[base]
+            law, witness = _product_law_failure(m, swapped)
+            assert law == "group law"
+            assert witness.i == i0 and witness.lam == PLUS
+            assert not verify_rees_isomorphism(sg, m, swapped)
+
+
+def test_a_swap_away_from_the_base_breaks_the_factorization(golden_simplified):
+    # the group law and the sandwich relations read only theta, L_j and R_mu;
+    # a swap of two values outside them is caught by the factorization, at
+    # one of the two swapped triples
+    sub = golden_simplified["s3_seven_words"]
+    m = sandwich(sub)
+    sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+    i0, ident = m.base[0], identity(sub.size)
+    read = {x for x in m.elements()
+            if (x.i, x.lam) == (i0, PLUS) or (x.g == ident and (x.lam == PLUS or x.i == i0))}
+    away = [x for x in m.elements() if x not in read]
+    assert len(away) == m.size - m.group.order - len(m.i_labels)
+    rng = random.Random(7)
+    for _ in range(200):
+        u, v = rng.sample(away, 2)
+        swapped = dict(phi)
+        swapped[u], swapped[v] = phi[v], phi[u]
+        law, witness = _product_law_failure(m, swapped)
+        assert law == "factorization" and witness in (u, v)
+        assert not verify_rees_isomorphism(sg, m, swapped)
+
+
+def test_a_wrong_sandwich_entry_breaks_the_sandwich_relation(golden_simplified):
+    # the action is built from the column labels, so a sandwich entry that
+    # disagrees with them breaks the relation at its (mu, j)
+    for sub, m in _golden_sandwiches(golden_simplified):
+        i0 = m.base[0]
+        j = next(j for j in range(len(m.i_labels)) if j != i0)
+        entry = m.sandwich[MINUS][j]
+        wrong = next(g for g in m.group.elements if g != entry)
+        minus_row = m.sandwich[MINUS][:j] + (wrong,) + m.sandwich[MINUS][j + 1:]
+        corrupted = replace(m, sandwich=(m.sandwich[PLUS], minus_row))
+        with pytest.raises(InternalCheckError, match="sandwich relation") as caught:
+            as_transformation_semigroup(corrupted, allowed_two_words(sub))
+        assert caught.value.law == "sandwich relation"
+        assert caught.value.witness == ReesElement(i0, wrong, PLUS)
 
 
 def _is_homomorphism_on_all_pairs(sg, m, phi):
@@ -376,15 +452,6 @@ def _action_by_pairs(m, fiber):
                                          else (left[a], right[a]))
                        for a, b in fiber.pairs)
     return phi
-
-
-def three_row_matrix(base: tuple[int, int] = (0, 0)) -> ReesMatrixSemigroup:
-    """|I| = 2 and |Lambda| = 3 over S_3, with no identity sandwich entry."""
-    s3 = closure([(1, 0, 2), (1, 2, 0)])
-    sandwich = (((1, 2, 0), (0, 2, 1)),
-                ((1, 0, 2), (2, 0, 1)),
-                ((2, 1, 0), (1, 2, 0)))
-    return ReesMatrixSemigroup(s3, ("i", "j"), ("p", "q", "r"), sandwich, base)
 
 
 def left_regular_action(m):
