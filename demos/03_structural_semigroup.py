@@ -5,44 +5,44 @@ Algebraically it is the Rees matrix semigroup over the structure group with
 columns indexed by the R-set, rows by a sign, and the minus row g0 * g^-1.
 Dynamically it is the set of self-maps of the fixed-point fiber induced by
 signed pairs of consecutive column maps.  An analysis builds only the matrix
-and reads the Green structure off its shape; the fiber maps are the action of
-the matrix on the fiber, built here as ``--verify`` builds them.  The
-signed-pair maps are also written out by hand and reconciled with them, and
-the raw map semigroup is decomposed back into normalized matrix form.  Each
-stage takes what the one before it built: R-set, structure group, matrix
-presentation, fiber maps.
+and reads the Green structure off its shape; the fiber maps are the action
+phi of the matrix on the fiber, built here as ``--verify`` builds them.  The
+signed-pair maps are then written out by hand, reconciled with the image of
+phi, and closed under composition, which adds no map.  Each stage takes what
+the one before it built: R-set, structure group, matrix presentation, fiber
+action.
 """
 
 from ellisub import (allowed_two_words, as_transformation_semigroup, columns,
-                     cycle_string, green_structure, idempotent_generated,
-                     little_structure_group, parse_substitution, r_set,
-                     rees_decomposition, semigroup_closure, simplify,
-                     structure_group, substitution_sandwich,
-                     verify_rees_isomorphism)
+                     cycle_string, parse_substitution, r_set,
+                     semigroup_closure, simplify, structure_group,
+                     substitution_sandwich)
 from ellisub.perms import compose
 
 sub, _ = simplify(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
 letters = sub.alphabet.letters
 
-print("== normalized matrix presentation and its fiber semigroup")
+print("== normalized matrix presentation")
 rset = r_set(sub)
 group = structure_group(rset)
 matrix = substitution_sandwich(group, rset, rset[0])
-fiber = allowed_two_words(sub)
-semigroup, phi = as_transformation_semigroup(matrix, fiber)
-print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))
-print(f"{semigroup.size} maps on {fiber.size} points")
-green = green_structure(semigroup)
-print("minimal left ideals:", sorted(len(c) for c in green.l_classes))
-print("minimal right ideals:", sorted(len(c) for c in green.r_classes))
-print("idempotents:", len(green.idempotents))
-print("the Rees shape of the matrix predicts them:",
-      matrix.green_summary() == green.summary())
+print(f"|I| = {len(rset)}, |G| = {group.order}: {matrix.size} elements")
 print("sandwich rows:")
 for row in matrix.sandwich:
     print("  [" + ", ".join(cycle_string(entry, letters) for entry in row) + "]")
-print("little structure group order:", little_structure_group(matrix).order)
-print("idempotent-generated part:", idempotent_generated(matrix).size, "elements")
+green = matrix.green_summary()  # by Rees's theorem, from |I|, |G| and the two signs
+print("minimal left ideals:", green["l_classes"])
+print("minimal right ideals:", green["r_classes"])
+print("idempotents:", green["idempotents"])
+
+print("\n== its action phi on the fiber")
+fiber = allowed_two_words(sub)
+# checks that the maps stay in the fiber, are distinct and multiply like M
+phi = as_transformation_semigroup(matrix, fiber)
+images = set(phi.values())
+print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))
+print(f"{len(images)} distinct maps on {fiber.size} points")
+assert len(images) == matrix.size
 
 print("\n== the signed-pair maps, by hand")
 # [L.R; +] sends a.b to L(b).R(b), [L.R; -] sends a.b to L(a).R(a)
@@ -54,17 +54,7 @@ signed = set()
 for left, right in pairs:
     signed.add(tuple(index[(left[b], right[b])] for a, b in fiber.pairs))
     signed.add(tuple(index[(left[a], right[a])] for a, b in fiber.pairs))
-print(f"{len(signed)} signed-pair maps; the matrix action reproduces them:",
-      tuple(sorted(signed)) == semigroup.elements)
-print("they are closed under composition:",
-      semigroup_closure(sorted(signed), degree=fiber.size) == semigroup)
-
-print("\n== round trip through the raw semigroup")
-print("matrix embeds isomorphically:", verify_rees_isomorphism(semigroup, matrix, phi))
-some_idempotent = semigroup.elements[green.idempotents[0]]
-decomposition = rees_decomposition(semigroup, some_idempotent)
-print("decomposition shape:",
-      f"{len(decomposition.matrix.i_labels)} x |G| x {len(decomposition.matrix.lam_labels)}")
-print("decomposition verified:",
-      verify_rees_isomorphism(semigroup, decomposition.matrix,
-                              decomposition.embedding))
+print(f"{len(signed)} signed-pair maps; the matrix action reproduces them:", signed == images)
+closed = semigroup_closure(sorted(signed), degree=fiber.size)
+print("they are closed under composition:", set(closed.elements) == signed)
+assert signed == images and set(closed.elements) == signed

@@ -13,7 +13,8 @@ looking at the oracle (``ellisub.rees.as_transformation_semigroup``).  The
 comparison uses phi only to name each oracle map by its triple, and a map
 without a name is reported as a discrepancy, so no map the rules produce is
 taken on trust.  Once every map is named, the maps generate phi(M) exactly
-when their triples generate M, since phi is an isomorphism.  That is decided in G by :func:`triples_generate`, at a cost of
+when their triples generate M, since phi is an isomorphism.  That is
+decided in G by :func:`triples_generate`, at a cost of
 |G| * (number of maps + 2|I|) compositions of permutations, instead of
 closing the maps, |S| * (number of maps) compositions with |S| = 2|I||G|.
 Only when the triples fall short are the maps closed, to list the difference.
@@ -34,8 +35,8 @@ k >= 0.  The two-letter word that sigma^(nu*l^k) puts over each fixed point,
 and with it the induced fiber map, is the same at every level k.  For
 0 < |nu| < l that word lies in the central block of x: x[p] = rule(b)[p] for
 0 <= p < l and x[p] = rule(a)[p + l] for -l <= p < 0, so the limit map is
-read straight off the rule words.  :func:`induced_fiber_map` reads any level
-by base-l digit walks; the tests use it to check the collapse.
+read straight off the rule words.  The tests check the collapse against
+maps read by base-l digit walks at levels 1 to 4.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .perms import compose, identity
 from .semigroups import (FiberMap, TransformationSemigroup,
                          semigroup_closure)
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
-                           is_simplified, letter_at)
+                           is_simplified)
 
 LIMIT_LEVEL = 1  # the level reported for every shift; the map is constant in the level
 REPORTED_MAX_LEVEL = 4  # ellis-report/1 keeps the ceiling the old level search printed by default
@@ -61,17 +62,6 @@ def _fiber_map(words: list[tuple[int, int]], index: dict[tuple[int, int], int]) 
         word = words[images.index(None)]
         raise ValidationError(f"shifted two-word {word} is not an allowed two-word")
     return images
-
-
-def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
-                      level: int) -> FiberMap:
-    """Self-map of the fiber induced by sigma^(nu * l^level): each fixed point
-    goes to the fixed point named by its shifted two-letter word, read by
-    digit walks."""
-    index = {p: k for k, p in enumerate(fiber.pairs)}
-    shift = nu * sub.length**level
-    return _fiber_map([(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift))
-                       for pair in fiber.pairs], index)
 
 
 def _limit_map(sub: Substitution, pairs: tuple[tuple[int, int], ...],
@@ -231,60 +221,8 @@ def oracle_equivalence(sub: Substitution, matrix, phi: dict) -> OracleComparison
     algebraic fiber semigroup phi(M): equal, or a discrepancy list.
 
     ``matrix`` is the substitution sandwich M and ``phi`` its action on the
-    fiber, ``as_transformation_semigroup(matrix, fiber)[1]``, which must be
+    fiber, ``as_transformation_semigroup(matrix, fiber)``, which must be
     a bijective homomorphism; they enter only the comparison, never the
     construction of the oracle's maps (the module docstring says why).
     """
     return _compare_with_action(limit_maps(sub), matrix, phi)
-
-
-@dataclass
-class ProximalityData:
-    fiber: TwoWordFiber
-    forward: tuple[tuple[int, ...], ...]   # fiber indices grouped by right letter
-    backward: tuple[tuple[int, ...], ...]  # grouped by left letter
-
-
-def proximality_classes(sub: Substitution) -> ProximalityData:
-    """Forward classes group fixed points by right letter, backward by left.
-
-    The Ellis-proximality link is verified against the oracle's own maps:
-    every stabilized map depends only on the right letter (then it merges
-    exactly the forward classes) or only on the left letter (backward), and
-    when the fiber is strictly larger than the alphabet both partitions
-    contain a merged pair.
-    """
-    if not is_simplified(sub):
-        raise ValidationError("proximality classes need a simplified substitution")
-    fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
-
-    def group_by(side: int) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[int, list[int]] = {}
-        for k, pair in enumerate(fiber.pairs):
-            buckets.setdefault(pair[side], []).append(k)
-        return tuple(tuple(v) for _, v in sorted(buckets.items()))
-
-    data = ProximalityData(fiber, forward=group_by(1), backward=group_by(0))
-    _check_merge_classes(sub, data)
-    return data
-
-
-def _merged_pairs(classes: tuple[tuple[int, ...], ...]) -> frozenset[tuple[int, int]]:
-    return frozenset((x, y) for c in classes for x in c for y in c if x < y)
-
-
-def _check_merge_classes(sub: Substitution, data: ProximalityData) -> None:
-    result = limit_maps(sub)
-    n = data.fiber.size
-    forward_pairs = _merged_pairs(data.forward)
-    backward_pairs = _merged_pairs(data.backward)
-    for f in result.semigroup.elements:
-        merged = frozenset((x, y) for x in range(n) for y in range(x + 1, n) if f[x] == f[y])
-        # a stabilized map reads one side of the fixed point, so it must merge
-        # exactly one of the two partitions
-        if merged != forward_pairs and merged != backward_pairs:
-            raise ValidationError(
-                f"map {f} merges {sorted(merged)}, matching neither proximality partition")
-    if n > sub.size:
-        if all(len(c) == 1 for c in data.forward) or all(len(c) == 1 for c in data.backward):
-            raise ValidationError("expected non-trivial forward and backward proximality")

@@ -97,12 +97,12 @@ class PermGroup:
         return self.degree == other.degree and self.element_set <= other.element_set
 
 
-def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
-            cap: int = CLOSURE_CAP) -> PermGroup:
+def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None) -> PermGroup:
     """Smallest group containing ``gens``, found by breadth-first multiplication
     by each distinct generator.
 
-    ``degree`` is required when ``gens`` is empty (the trivial group).
+    ``degree`` is required when ``gens`` is empty (the trivial group).  Raises
+    ResourceLimitError past ``CLOSURE_CAP`` elements.
     """
     gens = list(dict.fromkeys(tuple(g) for g in gens))
     if degree is None:
@@ -129,8 +129,9 @@ def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
                 if y not in elements:
                     elements.add(y)
                     new.append(y)
-                    if len(elements) > cap:
-                        raise ResourceLimitError(f"group closure exceeded cap of {cap} elements")
+                    if len(elements) > CLOSURE_CAP:
+                        raise ResourceLimitError(
+                            f"group closure exceeded cap of {CLOSURE_CAP} elements")
         frontier = new
     return PermGroup(degree, tuple(sorted(gens)) or (ident,), tuple(sorted(elements)))
 
@@ -240,33 +241,6 @@ def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
             if compose(compose(g, x), ginv) not in elems:
                 return False
     return True
-
-
-def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
-    """(order, is_cyclic) of group/normal; normality is verified, not assumed."""
-    if not normal.is_subgroup_of(group):
-        raise ValidationError("quotient: not a subgroup")
-    if not is_normal(normal, group):
-        raise ValidationError("quotient: subgroup is not normal")
-    nset = normal.element_set
-    cosets: dict[frozenset[Perm], Perm] = {}
-    for g in group.elements:
-        c = frozenset(compose(g, x) for x in nset)
-        if c not in cosets:
-            cosets[c] = g
-    order = len(cosets)
-    assert order * normal.order == group.order
-    is_cyclic = False
-    for rep in cosets.values():
-        seen = set()
-        g = identity(group.degree)
-        for _ in range(order):
-            seen.add(frozenset(compose(g, x) for x in nset))
-            g = compose(rep, g)
-        if len(seen) == order:
-            is_cyclic = True
-            break
-    return order, is_cyclic
 
 
 @dataclass(frozen=True)

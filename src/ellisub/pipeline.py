@@ -438,7 +438,7 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
     report = global_description(simplified, config.g0_index, exponent=exponent,
                                 original_length=sub.length, aperiodicity=verdict)
     if config.verify:
-        _, phi = as_transformation_semigroup(report.matrix, report.fiber)
+        phi = as_transformation_semigroup(report.matrix, report.fiber)
         comparison = oracle_equivalence(simplified, report.matrix, phi)
         report.oracle = comparison
         if not comparison.equal:

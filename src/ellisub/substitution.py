@@ -1,5 +1,5 @@
 """Constant-length substitutions: parsing, validation, powers, simplification,
-allowed words, aperiodicity and the letters of the fixed points.
+allowed words and aperiodicity.
 
 A substitution maps each letter of a finite alphabet to a word of one fixed
 length.  Letters are canonicalized to indices 0..s-1 internally; the original
@@ -447,33 +447,3 @@ def simplify(sub: Substitution) -> tuple[Substitution, int]:
             "simplification failed: boundary columns of the computed power are not the identity "
             "(is the input really bijective and primitive?)")
     return result, n
-
-
-# ---------------------------------------------------------------------------
-# letters of the fixed points
-
-def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
-    """Letter of the fixed point a.b at an arbitrary position.
-
-    The fixed point satisfies x[p] = rule(x[p // l])[p mod l] with x[0] = b
-    and x[-1] = a, so a position is resolved by walking its base-l digits;
-    no window is materialized.
-    """
-    a, b = pair
-    rules = sub.rules
-    length = len(rules[0])
-    digits = []
-    p = position
-    if p >= 0:
-        while p > 0:
-            digits.append(p % length)
-            p //= length
-        x = b
-    else:
-        while p != -1:
-            digits.append(p % length)
-            p //= length  # Python floor division keeps us on the left side
-        x = a
-    for d in reversed(digits):
-        x = rules[x][d]
-    return x

@@ -10,12 +10,11 @@ from ellisub import (AnalysisConfig, analyze_substitution, is_aperiodic,
                      parse_substitution, r_set, structure_group)
 from ellisub.golden import CASES
 from ellisub.perms import closure, compose
-from ellisub.rees import (ReesMatrixSemigroup, as_transformation_semigroup,
-                          substitution_sandwich)
-from ellisub.semigroups import (GreenStructure, TransformationSemigroup,
-                                green_structure)
+from ellisub.rees import ReesMatrixSemigroup, substitution_sandwich
+from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Alphabet, Substitution, TwoWordFiber,
                                   allowed_two_words, columns)
+from reference import GreenStructure, fiber_semigroup, green_structure
 
 
 def make_substitution(rule_words: list[str]) -> Substitution:
@@ -55,7 +54,7 @@ class FiberMaps:
 
 
 def fiber_maps(matrix: ReesMatrixSemigroup, fiber: TwoWordFiber) -> FiberMaps:
-    semigroup, phi = as_transformation_semigroup(matrix, fiber)
+    semigroup, phi = fiber_semigroup(matrix, fiber)
     return FiberMaps(fiber, semigroup, phi, green_structure(semigroup))
 
 

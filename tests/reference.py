@@ -1,0 +1,534 @@
+"""Reference computations that the tests compare the library against.
+
+The library builds one construction: the Rees matrix M[G; I, {+,-}; A] and
+its action phi on the fiber, proved a homomorphism through the Rees
+factorization.  The computations here work on the maps themselves, or search
+where the library proves: Green's classes from Cayley graphs, the normalized
+Rees form of a completely simple map semigroup, a capped isomorphism search
+between presentations, closures of Rees triples, digit walks into the fixed
+points and the proximality classes of the fiber.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
+from ellisub.oracle import _fiber_map, limit_maps
+from ellisub.perms import Perm, PermGroup, closure, compose, identity, inverse, is_normal
+from ellisub.rees import (ReesElement, ReesMatrixSemigroup, _product_law_failure,
+                          as_transformation_semigroup, idempotents_of)
+from ellisub.semigroups import FiberMap, TransformationSemigroup, green_summary, map_compose
+from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
+                                  is_simplified)
+
+ISO_SEARCH_GROUP_MAX = 120
+ISO_SEARCH_DEGREE_MAX = 6
+
+
+# ---------------------------------------------------------------------------
+# Rees matrix semigroups, element by element
+
+def multiply(m: ReesMatrixSemigroup, x: ReesElement, y: ReesElement) -> ReesElement:
+    middle = compose(compose(x.g, m.sandwich[x.lam][y.i]), y.g)
+    return ReesElement(x.i, middle, y.lam)
+
+
+def rees_generators(m: ReesMatrixSemigroup) -> tuple[ReesElement, ...]:
+    """A generating set X of M: with (i0, lam0) the base and a = A[lam0][i0],
+    X holds
+
+    * (i, 1, lam0) for every i in I,
+    * (i0, 1, lam) for every lam != lam0,
+    * (i0, s * a^-1, lam0) for every generator s of G,
+
+    |I| + |Lambda| - 1 + (number of generators of G) elements, so 2|I| + 1
+    for a substitution sandwich, whose G is generated by the R-set.
+
+    X generates M, for every sandwich matrix.  The H-class of the triples
+    (i0, h, lam0) is a group, and h -> h * a is an isomorphism onto G, since
+    (i0, g, lam0)(i0, h, lam0) = (i0, g a h, lam0) and g a h a = (g a)(h a).
+    The third part maps onto the generators of G, so it generates the whole
+    H-class.  Then (i, 1, lam0)(i0, h, lam0)(i0, 1, lam) = (i, a h a, lam),
+    and a h a runs through G as h does, so every triple is a product of
+    elements of X; (i0, 1, lam0) lies in the first part.
+    """
+    i0, lam0 = m.base
+    ident = identity(m.group.degree)
+    a_inv = inverse(m.sandwich[lam0][i0])
+    gens = [ReesElement(i, ident, lam0) for i in range(len(m.i_labels))]
+    gens += [ReesElement(i0, ident, lam) for lam in range(len(m.lam_labels)) if lam != lam0]
+    gens += [ReesElement(i0, compose(s, a_inv), lam0) for s in m.group.generators]
+    return tuple(dict.fromkeys(gens))
+
+
+def _left_row(m: ReesMatrixSemigroup, x: ReesElement) -> list[Perm]:
+    """x.g * A[x.lam][j] for every j: the product x (j, h, mu) is then
+    (x.i, row[j] * h, mu), one composition instead of two."""
+    g = x.g
+    return [tuple([g[k] for k in entry]) for entry in m.sandwich[x.lam]]
+
+
+def element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement]) -> set[tuple]:
+    """The subsemigroup generated by ``seeds``, closed under left
+    multiplication by the seeds: |result| * |seeds| products, each formed as a
+    plain (i, g, lam) tuple, which hashes and compares like the ReesElement.
+    """
+    lefts = [(x.i, _left_row(m, x)) for x in seeds]
+    reached = set(seeds)
+    frontier = seeds
+    while frontier:
+        new = []
+        for i, row in lefts:
+            for y in frontier:
+                yi, yg, ylam = y
+                left = row[yi]
+                xy = (i, tuple([left[k] for k in yg]), ylam)
+                if xy not in reached:
+                    reached.add(xy)
+                    new.append(xy)
+        frontier = new
+    return reached
+
+
+def little_structure_group(m: ReesMatrixSemigroup) -> PermGroup:
+    """Group generated by the sandwich entries of a normalized presentation."""
+    if not m.is_normalized():
+        raise ValidationError("little structure group is defined for normalized presentations")
+    return closure([entry for row in m.sandwich for entry in row], m.group.degree)
+
+
+def idempotent_generated(m: ReesMatrixSemigroup) -> ReesMatrixSemigroup:
+    """M[Gamma; I, Lambda; A] with Gamma the little structure group; checked
+    against the actual closure of the idempotents, element by element."""
+    gamma = little_structure_group(m)
+    expected = {ReesElement(i, g, lam)
+                for i in range(len(m.i_labels))
+                for g in gamma.elements
+                for lam in range(len(m.lam_labels))}
+    if element_closure(m, idempotents_of(m)) != expected:
+        raise InternalCheckError("closure of idempotents differs from M[Gamma; I, Lambda; A]")
+    return ReesMatrixSemigroup(gamma, m.i_labels, m.lam_labels, m.sandwich, m.base)
+
+
+def presentations_isomorphic(m1: ReesMatrixSemigroup, m2: ReesMatrixSemigroup) -> bool:
+    """Isomorphism test up to index relabeling, gauge and structure-group
+    isomorphism (conjugation inside the ambient symmetric group).
+
+    Uses the classification of Rees matrix isomorphisms: M1 ~ M2 iff there are
+    bijections alpha: I1->I2, beta: L1->L2, an isomorphism phi: G1->G2 and
+    gauge factors u_lam, v_i with phi(A1[lam][i]) = u_lam A2[beta lam][alpha i] v_i.
+    Exhaustive over small shapes only.
+    """
+    if (len(m1.i_labels), len(m1.lam_labels)) != (len(m2.i_labels), len(m2.lam_labels)):
+        return False
+    if m1.group.order != m2.group.order or m1.group.degree != m2.group.degree:
+        return False
+    degree = m1.group.degree
+    if m1.group.order > ISO_SEARCH_GROUP_MAX or degree > ISO_SEARCH_DEGREE_MAX:
+        raise ResourceLimitError("presentation isomorphism search is capped at "
+                                 f"|G| <= {ISO_SEARCH_GROUP_MAX}, degree <= {ISO_SEARCH_DEGREE_MAX}")
+    g2set = m2.group.element_set
+    ni, nlam = len(m1.i_labels), len(m1.lam_labels)
+
+    conjugators = []
+    for w in itertools.permutations(range(degree)):
+        winv = inverse(w)
+        if all(compose(compose(w, g), winv) in g2set for g in m1.group.generators):
+            if {compose(compose(w, g), winv) for g in m1.group.elements} == g2set:
+                conjugators.append((w, winv))
+
+    for w, winv in conjugators:
+        phi1 = [[compose(compose(w, m1.sandwich[lam][i]), winv) for i in range(ni)]
+                for lam in range(nlam)]
+        for alpha in itertools.permutations(range(ni)):
+            for beta in itertools.permutations(range(nlam)):
+                a2 = [[m2.sandwich[beta[lam]][alpha[i]] for i in range(ni)] for lam in range(nlam)]
+                for v_ref in m2.group.elements:
+                    v = [None] * ni
+                    v[0] = v_ref
+                    u = [compose(phi1[lam][0], inverse(compose(a2[lam][0], v_ref)))
+                         for lam in range(nlam)]
+                    if not all(u_l in g2set for u_l in u):
+                        continue
+                    ok = True
+                    for i in range(1, ni):
+                        v[i] = compose(inverse(compose(u[0], a2[0][i])), phi1[0][i])
+                        if v[i] not in g2set:
+                            ok = False
+                            break
+                    if ok and all(phi1[lam][i] == compose(compose(u[lam], a2[lam][i]), v[i])
+                                  for lam in range(nlam) for i in range(ni)):
+                        return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# map semigroups
+
+def image_semigroup(m: ReesMatrixSemigroup, phi: dict) -> TransformationSemigroup:
+    """The image of phi as a map semigroup, generated by the images of
+    :func:`rees_generators`: closed under composition when phi is a
+    homomorphism."""
+    degree = len(next(iter(phi.values())))
+    return TransformationSemigroup(degree, tuple(sorted(set(phi.values()))),
+                                   tuple(sorted({phi[x] for x in rees_generators(m)})))
+
+
+def fiber_semigroup(m: ReesMatrixSemigroup,
+                    fiber: TwoWordFiber) -> tuple[TransformationSemigroup, dict]:
+    """The fiber maps of a substitution sandwich as a map semigroup, and phi."""
+    phi = as_transformation_semigroup(m, fiber)
+    return image_semigroup(m, phi), phi
+
+
+def left_regular_action(m: ReesMatrixSemigroup) -> tuple[TransformationSemigroup, dict]:
+    """x -> (y -> xy, 1 -> x) on the points M u {1}, built with multiply: a
+    faithful representation that knows nothing of Rees's theorem."""
+    elements = list(m.elements())
+    index = {x: k for k, x in enumerate(elements)}
+    phi = {x: tuple(index[multiply(m, x, y)] for y in elements) + (index[x],)
+           for x in elements}
+    return image_semigroup(m, phi), phi
+
+
+def mul(sg: TransformationSemigroup, i: int, j: int) -> int:
+    return sg.index[map_compose(sg.elements[i], sg.elements[j])]
+
+
+def idempotent_indices(sg: TransformationSemigroup) -> list[int]:
+    return [i for i in range(sg.size) if mul(sg, i, i) == i]
+
+
+def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
+                            phi: dict[ReesElement, FiberMap]) -> bool:
+    """Whether phi is a bijective homomorphism of M onto sg: bijective onto
+    the maps of sg, and through the product-law checks of the library
+    (``rees._product_law_failure``).  Raises InternalCheckError when the
+    generators of G do not reach all of G."""
+    if phi.keys() != set(m.elements()):
+        return False
+    images = set(phi.values())
+    if len(images) != m.size or images != set(sg.elements):
+        return False
+    return _product_law_failure(m, phi) is None
+
+
+@dataclass(frozen=True)
+class GreenStructure:
+    """Partitions of element indices by Green's relations, plus idempotents
+    and the kernel (minimal two-sided ideal)."""
+
+    l_classes: tuple[tuple[int, ...], ...]
+    r_classes: tuple[tuple[int, ...], ...]
+    h_classes: tuple[tuple[int, ...], ...]
+    d_classes: tuple[tuple[int, ...], ...]
+    idempotents: tuple[int, ...]
+    kernel: tuple[int, ...]
+
+    def summary(self) -> dict:
+        def sizes(classes):
+            return [len(c) for c in classes]
+        return green_summary(sizes(self.l_classes), sizes(self.r_classes),
+                             sizes(self.h_classes), sizes(self.d_classes),
+                             len(self.idempotents), len(self.kernel))
+
+
+def _components(edges: list[list[int]]) -> list[int]:
+    """Strongly connected component of every vertex of a directed graph
+    given by successor lists (iterative Tarjan)."""
+    n = len(edges)
+    order = [-1] * n
+    low = [0] * n
+    component = [-1] * n
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(n):
+        if order[root] != -1:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            v, k = work[-1]
+            if k < len(edges[v]):
+                work[-1] = (v, k + 1)
+                w = edges[v][k]
+                if order[w] == -1:
+                    order[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                elif component[w] == -1:  # w is still on the stack
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == order[v]:
+                while True:
+                    w = stack.pop()
+                    component[w] = count
+                    if w == v:
+                        break
+                count += 1
+    return component
+
+
+def _partition(labels) -> tuple[tuple[int, ...], ...]:
+    """Indices grouped by equal label: each class ascending, classes sorted."""
+    buckets: dict[object, list[int]] = {}
+    for i, label in enumerate(labels):
+        buckets.setdefault(label, []).append(i)
+    return tuple(tuple(b) for b in sorted(buckets.values()))
+
+
+def green_structure(sg: TransformationSemigroup) -> GreenStructure:
+    """Green's classes, idempotents and kernel from the Cayley graphs over
+    ``sg.generators`` (East, Egri-Nagy, Mitchell & Peresse, *Computing finite
+    semigroups*, 2019).
+
+    Along right edges x -> x g the vertices reachable from x are x S^1, so
+    R-classes are the strongly connected components of the right Cayley
+    graph; L-classes are those of the left graph (x -> g x), and the
+    components of the two-sided graph are the J-classes, which equal the
+    D-classes in a finite semigroup.  The kernel is the unique J-class that
+    no edge leaves.  This is exact for every finite semigroup, regular or
+    not, once the generators generate it, which is checked: every element
+    must be reachable from a generator along right edges.
+    """
+    n = sg.size
+    index, elements = sg.index, sg.elements
+    gens = [index[g] for g in sg.generators]
+    right = [[index[map_compose(x, elements[g])] for g in gens] for x in elements]
+    left = [[index[map_compose(elements[g], x)] for g in gens] for x in elements]
+
+    reached = set(gens)
+    frontier = list(reached)
+    while frontier:
+        frontier = {y for x in frontier for y in right[x]} - reached
+        reached.update(frontier)
+    if len(reached) != n:
+        raise InternalCheckError(
+            f"the {len(gens)} generators reach {len(reached)} of {n} elements")
+
+    r_labels = _components(right)
+    l_labels = _components(left)
+    both = [right[i] + left[i] for i in range(n)]
+    j_labels = _components(both)
+    leaving = {j_labels[i] for i in range(n) for k in both[i] if j_labels[k] != j_labels[i]}
+    sinks = set(j_labels) - leaving
+    if len(sinks) != 1:
+        raise InternalCheckError(
+            f"finite semigroup with {len(sinks)} minimal ideals; ideal computation is broken")
+    [sink] = sinks
+    return GreenStructure(
+        l_classes=_partition(l_labels),
+        r_classes=_partition(r_labels),
+        h_classes=_partition(list(zip(l_labels, r_labels))),
+        d_classes=_partition(j_labels),
+        idempotents=tuple(idempotent_indices(sg)),
+        kernel=tuple(i for i in range(n) if j_labels[i] == sink))
+
+
+def is_completely_simple(sg: TransformationSemigroup,
+                         green: GreenStructure | None = None) -> bool:
+    """Finite case: simple (kernel is everything) plus an idempotent."""
+    green = green or green_structure(sg)
+    return len(green.kernel) == sg.size and bool(green.idempotents)
+
+
+@dataclass
+class ReesDecomposition:
+    matrix: ReesMatrixSemigroup
+    embedding: dict[ReesElement, FiberMap]
+    point_order: tuple[int, ...]  # image of e, as fiber indices; G permutes positions
+
+
+def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
+                       green: GreenStructure | None = None) -> ReesDecomposition:
+    """Normalized Rees matrix form of a completely simple transformation
+    semigroup w.r.t. the idempotent e.
+
+    R-classes are indexed by I, L-classes by Lambda, both labeled by their
+    idempotent in e's row/column and sorted by that label; G is the H-class
+    of e acting on the image of e; the sandwich entry at (lam, i) is the
+    product q_lam * r_i of those idempotents.  The returned embedding is
+    (i, g, lam) -> r_i * g * q_lam.
+    """
+    green = green or green_structure(sg)
+    if not is_completely_simple(sg, green):
+        raise ValidationError("Rees decomposition needs a completely simple semigroup")
+    if e not in sg.index or not map_compose(e, e) == e:
+        raise ValidationError("the chosen element is not an idempotent of the semigroup")
+    e_idx = sg.index[e]
+    idem = set(green.idempotents)
+
+    def class_of(classes, idx):
+        return next(frozenset(c) for c in classes if idx in c)
+
+    r0 = class_of(green.r_classes, e_idx)
+    l0 = class_of(green.l_classes, e_idx)
+
+    def unique_idempotent(h_class: frozenset[int]) -> FiberMap:
+        found = [i for i in h_class if i in idem]
+        if len(found) != 1:
+            raise InternalCheckError("H-class of a completely simple semigroup must "
+                                     f"contain exactly one idempotent, found {len(found)}")
+        return sg.elements[found[0]]
+
+    # r_i: idempotent of (R-class i) intersect (L-class of e); q_lam dually
+    r_reps = sorted(unique_idempotent(frozenset(c) & l0) for c in green.r_classes)
+    q_reps = sorted(unique_idempotent(frozenset(c) & r0) for c in green.l_classes)
+    i0, lam0 = r_reps.index(e), q_reps.index(e)
+
+    points = tuple(sorted(set(e)))
+    position = {p: k for k, p in enumerate(points)}
+
+    def restrict(f: FiberMap) -> Perm:
+        images = tuple(position[f[p]] for p in points)
+        if sorted(images) != list(range(len(points))):
+            raise InternalCheckError("H-class element does not permute the image of e")
+        return images
+
+    h_elements = [sg.elements[i] for i in sorted(r0 & l0)]
+    perm_of = {f: restrict(f) for f in h_elements}
+    if len(set(perm_of.values())) != len(h_elements):
+        raise InternalCheckError("H-class of e does not act faithfully on the image of e")
+    by_perm = {p: f for f, p in perm_of.items()}
+    # a few generators, each outside the group of those before it
+    gens: list[Perm] = []
+    group = closure(gens, len(points))
+    for p in sorted(by_perm):
+        if p not in group:
+            gens.append(p)
+            group = closure(gens, len(points))
+    if group.element_set != by_perm.keys():
+        raise InternalCheckError("H-class of e is not closed under composition")
+
+    sandwich = tuple(tuple(perm_of[map_compose(q, r)] for r in r_reps) for q in q_reps)
+    matrix = ReesMatrixSemigroup(group, tuple(r_reps), tuple(q_reps), sandwich,
+                                 base=(i0, lam0))
+    if not matrix.is_normalized():
+        raise InternalCheckError("normalized decomposition has a non-identity base row/column")
+    embedding = {x: map_compose(map_compose(r_reps[x.i], by_perm[x.g]), q_reps[x.lam])
+                 for x in matrix.elements()}
+    if not verify_rees_isomorphism(sg, matrix, embedding):
+        raise InternalCheckError("Rees decomposition embedding failed its product check")
+    return ReesDecomposition(matrix, embedding, points)
+
+
+# ---------------------------------------------------------------------------
+# groups
+
+def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
+    """(order, is_cyclic) of group/normal; normality is verified, not assumed."""
+    if not normal.is_subgroup_of(group):
+        raise ValidationError("quotient: not a subgroup")
+    if not is_normal(normal, group):
+        raise ValidationError("quotient: subgroup is not normal")
+    nset = normal.element_set
+    cosets: dict[frozenset[Perm], Perm] = {}
+    for g in group.elements:
+        cosets.setdefault(frozenset(compose(g, x) for x in nset), g)
+    order = len(cosets)
+    assert order * normal.order == group.order
+    for rep in cosets.values():
+        seen = set()
+        g = identity(group.degree)
+        for _ in range(order):
+            seen.add(frozenset(compose(g, x) for x in nset))
+            g = compose(rep, g)
+        if len(seen) == order:
+            return order, True
+    return order, False
+
+
+# ---------------------------------------------------------------------------
+# the fixed points, letter by letter
+
+def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
+    """Letter of the fixed point a.b at an arbitrary position.
+
+    The fixed point satisfies x[p] = rule(x[p // l])[p mod l] with x[0] = b
+    and x[-1] = a, so a position is resolved by walking its base-l digits;
+    no window is materialized.
+    """
+    a, b = pair
+    rules = sub.rules
+    length = len(rules[0])
+    digits = []
+    p = position
+    if p >= 0:
+        while p > 0:
+            digits.append(p % length)
+            p //= length
+        x = b
+    else:
+        while p != -1:
+            digits.append(p % length)
+            p //= length  # floor division keeps the walk on the left side
+        x = a
+    for d in reversed(digits):
+        x = rules[x][d]
+    return x
+
+
+def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
+                      level: int) -> FiberMap:
+    """Self-map of the fiber induced by sigma^(nu * l^level): each fixed point
+    goes to the fixed point named by its shifted two-letter word, read by
+    digit walks."""
+    index = {p: k for k, p in enumerate(fiber.pairs)}
+    shift = nu * sub.length**level
+    return _fiber_map([(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift))
+                       for pair in fiber.pairs], index)
+
+
+@dataclass
+class ProximalityData:
+    fiber: TwoWordFiber
+    forward: tuple[tuple[int, ...], ...]   # fiber indices grouped by right letter
+    backward: tuple[tuple[int, ...], ...]  # grouped by left letter
+
+
+def proximality_classes(sub: Substitution) -> ProximalityData:
+    """Forward classes group fixed points by right letter, backward by left.
+
+    The Ellis-proximality link is verified against the oracle's own maps:
+    every stabilized map depends only on the right letter (then it merges
+    exactly the forward classes) or only on the left letter (backward), and
+    when the fiber is strictly larger than the alphabet both partitions
+    contain a merged pair.
+    """
+    if not is_simplified(sub):
+        raise ValidationError("proximality classes need a simplified substitution")
+    fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
+
+    def group_by(side: int) -> tuple[tuple[int, ...], ...]:
+        buckets: dict[int, list[int]] = {}
+        for k, pair in enumerate(fiber.pairs):
+            buckets.setdefault(pair[side], []).append(k)
+        return tuple(tuple(v) for _, v in sorted(buckets.items()))
+
+    data = ProximalityData(fiber, forward=group_by(1), backward=group_by(0))
+    n = fiber.size
+
+    def merged_pairs(f) -> frozenset[tuple[int, int]]:
+        return frozenset((x, y) for x in range(n) for y in range(x + 1, n) if f[x] == f[y])
+    classes = {frozenset((x, y) for c in side for x in c for y in c if x < y)
+               for side in (data.forward, data.backward)}
+    for f in limit_maps(sub).semigroup.elements:
+        # a stabilized map reads one side of the fixed point, so it must merge
+        # exactly one of the two partitions
+        if merged_pairs(f) not in classes:
+            raise ValidationError(
+                f"map {f} merges {sorted(merged_pairs(f))}, matching neither proximality partition")
+    if n > sub.size:
+        if all(len(c) == 1 for c in data.forward) or all(len(c) == 1 for c in data.backward):
+            raise ValidationError("expected non-trivial forward and backward proximality")
+    return data

@@ -9,17 +9,17 @@ import pytest
 
 from ellisub.perms import closure, compose, inverse
 from ellisub.rees import (PLUS, ReesMatrixSemigroup, as_transformation_semigroup,
-                          multiply, substitution_sandwich)
+                          substitution_sandwich)
 from ellisub.report import report_to_json
-from ellisub.semigroups import TransformationSemigroup, green_structure
 from ellisub.substitution import allowed_two_words, columns, substitution_power
 from conftest import pair_closure, rset_and_group, translates
+from reference import green_structure, left_regular_action
 
 
 def realized_pairs(matrix, fiber) -> set:
     """The column pairs (L, R) that the + maps of the matrix action realize,
     read back from the maps: (i, g, +) sends a.b to L(b).R(b)."""
-    _, phi = as_transformation_semigroup(matrix, fiber)
+    phi = as_transformation_semigroup(matrix, fiber)
     size = matrix.group.degree
     pairs = set()
     for x, image in phi.items():
@@ -57,19 +57,6 @@ def test_green_summary_of_the_matrix_is_that_of_the_fiber_maps(golden_reports, g
         assert report_to_json(report)["green"] == built.green.summary()
 
 
-def left_regular(m: ReesMatrixSemigroup) -> TransformationSemigroup:
-    """M as maps of M u {1}: x acts by y -> xy and 1 -> x, a faithful
-    representation that knows nothing of Rees's theorem."""
-    elements = list(m.elements())
-    index = {x: k for k, x in enumerate(elements)}
-    one = len(elements)
-
-    def image(x):
-        return tuple(index[multiply(m, x, y)] for y in elements) + (index[x],)
-    maps = tuple(sorted(image(x) for x in elements))
-    return TransformationSemigroup(one + 1, maps, tuple(sorted(image(x) for x in m.generators)))
-
-
 @pytest.mark.parametrize("n_i, n_lam", [(3, 4), (2, 1), (1, 3)])
 def test_green_summary_of_a_matrix_with_other_row_counts(n_i, n_lam):
     group = closure([(1, 0, 2), (1, 2, 0)])  # S_3
@@ -77,6 +64,6 @@ def test_green_summary_of_a_matrix_with_other_row_counts(n_i, n_lam):
     sandwich = tuple(tuple(rng.choice(group.elements) for _ in range(n_i))
                      for _ in range(n_lam))
     m = ReesMatrixSemigroup(group, tuple(range(n_i)), tuple(range(n_lam)), sandwich)
-    sg = left_regular(m)
+    sg, _ = left_regular_action(m)
     assert sg.size == m.size == n_i * n_lam * group.order
     assert m.green_summary() == green_structure(sg).summary()

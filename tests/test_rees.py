@@ -6,15 +6,16 @@ import pytest
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
-                          ReesMatrixSemigroup, _element_closure,
-                          _product_law_failure, as_transformation_semigroup, idempotent_generated,
-                          idempotents_of, little_structure_group, multiply,
-                          presentations_isomorphic,
-                          rees_decomposition, substitution_sandwich,
-                          verify_rees_isomorphism)
-from ellisub.semigroups import TransformationSemigroup, map_compose
+                          ReesMatrixSemigroup, _product_law_failure,
+                          as_transformation_semigroup, idempotents_of,
+                          substitution_sandwich)
+from ellisub.semigroups import map_compose, semigroup_closure
 from ellisub.substitution import TwoWordFiber, allowed_two_words
 from conftest import fiber_action, rset_and_group, three_row_matrix
+from reference import (element_closure, fiber_semigroup, idempotent_generated,
+                       left_regular_action, little_structure_group, multiply,
+                       presentations_isomorphic, rees_decomposition,
+                       rees_generators, verify_rees_isomorphism)
 
 
 def sandwich(sub, g0_index: int = 0) -> ReesMatrixSemigroup:
@@ -86,7 +87,7 @@ def test_rees_element_hashes_and_compares_by_value():
     same = ReesElement(1, tuple([1, 0, 2]), 0)
     assert x == same and hash(x) == hash(same)
     assert len({x, same}) == 1 and {x: "x"}[same] == "x"
-    # the product kernels form plain tuples and look them up among named ones
+    # the product-law checks look plain tuples up among named ones
     plain = (1, (1, 0, 2), 0)
     assert x == plain and hash(x) == hash(plain) and {x: "x"}[plain] == "x"
     assert (x.i, x.g, x.lam) == (1, (1, 0, 2), 0)
@@ -164,8 +165,8 @@ def test_fiber_action_matches_paper_formulas(golden_simplified):
     rset, group = rset_and_group(sub)
     m = substitution_sandwich(group, rset, rset[0])
     action = fiber_action(sub)
-    sg, phi = as_transformation_semigroup(m, action.fiber)
-    assert sg == action.semigroup
+    phi = as_transformation_semigroup(m, action.fiber)
+    assert set(phi.values()) == set(action.semigroup.elements)
     assert verify_rees_isomorphism(action.semigroup, m, phi)
     # the normalizing idempotent projects a.b onto g0^-1(b).b
     g0 = rset[m.base[0]]
@@ -179,7 +180,7 @@ def test_verify_rejects_corrupted_sandwich(golden_simplified):
     rset, group = rset_and_group(sub)
     m = substitution_sandwich(group, rset, rset[0])
     action = fiber_action(sub)
-    _, phi = as_transformation_semigroup(m, action.fiber)
+    phi = as_transformation_semigroup(m, action.fiber)
     swap = (1, 0)
     corrupted = ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels,
                                     ((m.sandwich[0][0], swap), m.sandwich[1]), m.base)
@@ -188,7 +189,6 @@ def test_verify_rejects_corrupted_sandwich(golden_simplified):
 
 def test_group_decomposes_to_one_by_one():
     rot = (1, 2, 0)
-    from ellisub.semigroups import semigroup_closure
     sg = semigroup_closure([rot])
     dec = rees_decomposition(sg, identity(3))
     m = dec.matrix
@@ -210,7 +210,6 @@ def test_decomposition_of_seven_word_fiber(golden_simplified):
 
 
 def test_decomposition_requires_completely_simple():
-    from ellisub.semigroups import semigroup_closure
     sg = semigroup_closure([(0, 0, 2), (0, 1, 2)])  # contains identity and a collapse
     with pytest.raises(ValidationError):
         rees_decomposition(sg, (0, 1, 2))
@@ -273,9 +272,9 @@ def test_rees_generators_generate_every_golden_presentation(golden_simplified):
         expected = ([ReesElement(i, ident, PLUS) for i in range(len(m.i_labels))]
                     + [ReesElement(i0, ident, MINUS)]
                     + [ReesElement(i0, s, PLUS) for s in m.group.generators])
-        assert m.generators == tuple(dict.fromkeys(expected))
-        assert len(m.generators) <= 2 * len(m.i_labels) + 1
-        assert _element_closure(m, m.generators) == set(m.elements())
+        assert rees_generators(m) == tuple(dict.fromkeys(expected))
+        assert len(rees_generators(m)) <= 2 * len(m.i_labels) + 1
+        assert element_closure(m, rees_generators(m)) == set(m.elements())
 
 
 def test_rees_generators_generate_the_three_row_matrix_at_every_base():
@@ -284,8 +283,8 @@ def test_rees_generators_generate_the_three_row_matrix_at_every_base():
         for lam0 in range(3):
             m = three_row_matrix(base=(i0, lam0))
             assert m.sandwich[lam0][i0] != identity(3)
-            assert len(m.generators) <= 2 + 2 + len(m.group.generators)
-            assert _element_closure(m, m.generators) == set(m.elements())
+            assert len(rees_generators(m)) <= 2 + 2 + len(m.group.generators)
+            assert element_closure(m, rees_generators(m)) == set(m.elements())
             sg, phi = left_regular_action(m)
             assert verify_rees_isomorphism(sg, m, phi)
 
@@ -322,7 +321,7 @@ def test_only_the_sandwich_relation_catches_a_shifted_minus_column(golden_simpli
     # (L_j theta(h) phi(i0, c, -) = phi(j, h c, -)); the sandwich relation
     # R'_- L_j = phi(i0, c A[-][j], +) != phi(i0, A[-][j], +) refuses it
     for sub, m in _golden_sandwiches(golden_simplified):
-        sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+        sg, phi = fiber_semigroup(m, allowed_two_words(sub))
         i0 = m.base[0]
         for c in m.group.elements[1:]:
             shifted = {x: phi[ReesElement(x.i, compose(x.g, c), x.lam)] if x.lam == MINUS
@@ -340,7 +339,7 @@ def test_a_wrong_generator_image_breaks_the_group_law(golden_simplified):
     # automorphism fixes 1, so theta is no longer a homomorphism, and the
     # group law, checked first, fails
     for sub, m in _golden_sandwiches(golden_simplified):
-        sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+        sg, phi = fiber_semigroup(m, allowed_two_words(sub))
         i0, ident = m.base[0], identity(sub.size)
         for s in m.group.generators:
             if s == ident:
@@ -360,7 +359,7 @@ def test_a_swap_away_from_the_base_breaks_the_factorization(golden_simplified):
     # one of the two swapped triples
     sub = golden_simplified["s3_seven_words"]
     m = sandwich(sub)
-    sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+    sg, phi = fiber_semigroup(m, allowed_two_words(sub))
     i0, ident = m.base[0], identity(sub.size)
     read = {x for x in m.elements()
             if (x.i, x.lam) == (i0, PLUS) or (x.g == ident and (x.lam == PLUS or x.i == i0))}
@@ -402,8 +401,8 @@ def test_verify_rejects_swap_away_from_generators(golden_simplified):
     rset, group = rset_and_group(sub)
     m = substitution_sandwich(group, rset, rset[0])
     action = fiber_action(sub)
-    _, phi = as_transformation_semigroup(m, action.fiber)
-    gens = set(m.generators)
+    phi = as_transformation_semigroup(m, action.fiber)
+    gens = set(rees_generators(m))
     others = [x for x in m.elements() if x not in gens]
     pairs = [(u, v) for k, u in enumerate(others) for v in others[k + 1:]]
     coords = ("i", "g", "lam")
@@ -437,7 +436,7 @@ def _isomorphism_by_multiply(sg, m, phi):
     return (phi.keys() == set(elements) and len(images) == len(elements)
             and images == set(sg.elements)
             and all(phi[multiply(m, x, y)] == map_compose(phi[x], phi[y])
-                    for x in m.generators for y in elements))
+                    for x in rees_generators(m) for y in elements))
 
 
 def _action_by_pairs(m, fiber):
@@ -454,18 +453,6 @@ def _action_by_pairs(m, fiber):
     return phi
 
 
-def left_regular_action(m):
-    """x -> (y -> xy, 1 -> x) on the points M u {1}, built with multiply."""
-    elements = list(m.elements())
-    index = {x: k for k, x in enumerate(elements)}
-    phi = {x: tuple(index[multiply(m, x, y)] for y in elements) + (index[x],)
-           for x in elements}
-    maps = tuple(sorted(phi.values()))
-    sg = TransformationSemigroup(len(elements) + 1, maps,
-                                 tuple(sorted(phi[x] for x in m.generators)))
-    return sg, phi
-
-
 def _golden_sandwiches(golden_simplified):
     for sub in golden_simplified.values():
         rset, group = rset_and_group(sub)
@@ -479,15 +466,15 @@ def test_element_closure_matches_multiply(golden_simplified):
     for m in matrices:
         elements = list(m.elements())
         samples = [[x] for x in rng.sample(elements, 4)] + [rng.sample(elements, 2)]
-        for seeds in [list(m.generators), idempotents_of(m)] + samples:
-            assert _element_closure(m, seeds) == _closure_by_multiply(m, seeds)
-    assert len(_element_closure(matrices[-1], list(matrices[-1].generators))) == 36
+        for seeds in [list(rees_generators(m)), idempotents_of(m)] + samples:
+            assert element_closure(m, seeds) == _closure_by_multiply(m, seeds)
+    assert len(element_closure(matrices[-1], list(rees_generators(matrices[-1])))) == 36
 
 
 def test_fiber_action_matches_its_pair_formula(golden_simplified):
     for sub, m in _golden_sandwiches(golden_simplified):
         fiber = allowed_two_words(sub)
-        sg, phi = as_transformation_semigroup(m, fiber)
+        sg, phi = fiber_semigroup(m, fiber)
         assert phi == _action_by_pairs(m, fiber)
         assert list(phi) == list(m.elements())
         assert verify_rees_isomorphism(sg, m, phi) and _isomorphism_by_multiply(sg, m, phi)
@@ -512,7 +499,7 @@ def test_product_law_matches_multiply_on_three_rows():
 def test_product_law_catches_every_swap_of_two_golden_values(golden_simplified):
     sub = golden_simplified["thue_morse"]
     m = sandwich(sub)
-    sg, phi = as_transformation_semigroup(m, allowed_two_words(sub))
+    sg, phi = fiber_semigroup(m, allowed_two_words(sub))
     elements = list(m.elements())
     for k, u in enumerate(elements):
         for v in elements[k + 1:]:

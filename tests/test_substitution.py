@@ -9,11 +9,12 @@ from ellisub.perms import compose, identity
 from ellisub.substitution import (allowed_two_words, columns,
                                   compose_substitutions, is_aperiodic,
                                   is_bijective, is_primitive, is_simplified,
-                                  junction_map, letter_at, parse_any,
+                                  junction_map, parse_any,
                                   parse_substitution, simplify,
                                   substitution_from_json, substitution_power,
                                   substitution_to_json, substitution_to_text)
 from conftest import make_substitution
+from reference import letter_at
 
 THUE_MORSE = "a -> abba\nb -> baab\n"
 PERIODIC = "a -> aba\nb -> bab\n"
