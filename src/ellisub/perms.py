@@ -4,7 +4,9 @@ A permutation of {0..n-1} is a tuple ``p`` with ``p[x]`` the image of ``x``.
 Products are written like function composition: ``compose(p, q)`` applies ``q``
 first.  ``compose`` is the kernel under every group and semigroup check, so it
 reads p at the images of q in one list comprehension, which CPython runs about
-twice as fast as a generator handed to ``tuple``.  Groups are stored as the
+twice as fast as a generator handed to ``tuple``; ``cycle_string`` and
+``element_order``, which the report and the group fingerprints call once per
+group element, build lists the same way.  Groups are stored as the
 full, lexicographically sorted element list; alphabets in scope are tiny
 (n <= 10), so enumeration beats stabilizer chains on simplicity and is fast
 enough by a wide margin.
@@ -45,7 +47,7 @@ def inverse(p: Perm) -> Perm:
 
 def element_order(p: Perm) -> int:
     """Least n >= 1 with p^n = id (lcm of cycle lengths)."""
-    return lcm(*(len(c) for c in cycles(p))) if p else 1
+    return lcm(*[len(c) for c in cycles(p)]) if p else 1
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -68,8 +70,8 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 
 def cycle_string(p: Perm, letters: tuple[str, ...] | None = None) -> str:
     """Cycle notation, e.g. "(a b)(c d)"; the identity renders as "()"."""
-    name = (lambda x: letters[x]) if letters else str
-    parts = ["(" + " ".join(name(x) for x in c) + ")" for c in cycles(p) if len(c) > 1]
+    name = letters or [str(x) for x in range(len(p))]
+    parts = ["(" + " ".join([name[x] for x in c]) + ")" for c in cycles(p) if len(c) > 1]
     return "".join(parts) or "()"
 
 
@@ -95,6 +97,23 @@ class PermGroup:
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.element_set <= other.element_set
+
+    @cached_property
+    def fingerprint(self) -> "GroupFingerprint":
+        """Order, abelianness, exponent and element-order counts, computed
+        once per group: the report and the global strings both read them."""
+        orders: dict[int, int] = {}
+        for g in self.elements:
+            o = element_order(g)
+            orders[o] = orders.get(o, 0) + 1
+        abelian = all(compose(a, b) == compose(b, a)
+                      for a in self.generators for b in self.generators)
+        return GroupFingerprint(
+            order=self.order,
+            abelian=abelian,
+            exponent=lcm(*orders.keys()),
+            element_orders=tuple(sorted(orders.items())),
+        )
 
 
 def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None) -> PermGroup:
@@ -265,18 +284,7 @@ class GroupFingerprint:
 
 
 def group_fingerprint(group: PermGroup) -> GroupFingerprint:
-    orders: dict[int, int] = {}
-    for g in group.elements:
-        o = element_order(g)
-        orders[o] = orders.get(o, 0) + 1
-    abelian = all(compose(a, b) == compose(b, a)
-                  for a in group.generators for b in group.generators)
-    return GroupFingerprint(
-        order=group.order,
-        abelian=abelian,
-        exponent=lcm(*orders.keys()),
-        element_orders=tuple(sorted(orders.items())),
-    )
+    return group.fingerprint
 
 
 # (order, abelian, element-order multiset) separates all groups of order <= 12.
@@ -315,4 +323,4 @@ _register("Dic_3", 12, False, {1: 1, 2: 1, 3: 2, 4: 6, 6: 2})
 
 def group_name(group: PermGroup) -> str | None:
     """Name of the abstract isomorphism type for orders <= 12, else None."""
-    return group_fingerprint(group).name
+    return group.fingerprint.name

@@ -1,9 +1,26 @@
 """Rendering of structural reports: versioned JSON ("ellis-report/1") and a
-human-readable text form carrying the same facts."""
+human-readable text form carrying the same facts.
+
+:func:`report_to_json` is the report as a dict.  :func:`render_json` returns
+exactly ``json.dumps(report_to_json(report), indent=2) + "\n"``, byte for
+byte, but writes the degree table as text.  The table has one row per
+triple (i, g, sign), |S| = 2|I||G| of them, while the degree depends on g
+alone; with an indent, CPython's ``json`` skips its C encoder and walks
+every value in Python, which made rendering the largest stage of a run.  So
+:func:`render_json` encodes each R-set label and each element of G once, with
+the same ``ensure_ascii`` escaping as ``json.dumps``, joins the rows from one
+template, and splices the table into the one ``json.dumps`` of the other
+fields at the text ``"degree_table": []``.  That text can only be the key:
+the report's keys are the program's own, and ``json`` escapes every ``"``
+inside a string as ``\"``, so no string value holds ``"degree_table":``
+with an unescaped closing quote.
+"""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from json.encoder import encode_basestring_ascii as encode
 
 from .oracle import REPORTED_MAX_LEVEL
 from .perms import PermGroup, cycle_string, group_fingerprint
@@ -22,17 +39,10 @@ def _group_payload(group: PermGroup, letters: tuple[str, ...]) -> dict:
     return payload
 
 
-def report_to_json(report: StructuralReport) -> dict:
+def _report_fields(report: StructuralReport) -> dict:
+    """Every field of the report, with an empty degree table."""
     letters = report.alphabet.letters
     matrix = report.matrix
-    # each permutation is written out once; elements() runs in (i, g, lam) order
-    i_cycles = [cycle_string(label, letters) for label in matrix.i_labels]
-    g_cycles = {g: cycle_string(g, letters) for g in matrix.group.elements}
-    degrees = report.degree.by_perm
-    degree_rows = [
-        {"i": i_cycles[x.i], "g": g_cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": degrees[x.g]}
-        for x in matrix.elements()
-    ]
     oracle = None
     if report.oracle is not None:
         oracle = {
@@ -74,7 +84,7 @@ def report_to_json(report: StructuralReport) -> dict:
                             for row in matrix.sandwich],
         "semigroup_size": 2 * len(report.rset) * report.structure_group.order,
         "green": matrix.green_summary(),
-        "degree_table": degree_rows,
+        "degree_table": [],
         "aut_fib": _group_payload(report.aut.fiber_group, letters),
         "virtual_aut": report.aut.virtual,
         "semi_regular": report.aut.semi_regular,
@@ -87,12 +97,53 @@ def report_to_json(report: StructuralReport) -> dict:
     }
 
 
+def report_to_json(report: StructuralReport) -> dict:
+    fields = _report_fields(report)
+    letters = report.alphabet.letters
+    matrix = report.matrix
+    # each permutation is written out once; elements() runs in (i, g, lam) order
+    i_cycles = [cycle_string(label, letters) for label in matrix.i_labels]
+    g_cycles = {g: cycle_string(g, letters) for g in matrix.group.elements}
+    degrees = report.degree.by_perm
+    fields["degree_table"] = [
+        {"i": i_cycles[x.i], "g": g_cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": degrees[x.g]}
+        for x in matrix.elements()
+    ]
+    return fields
+
+
+def _degree_table(report: StructuralReport) -> list[str]:
+    """The degree table as ``json.dumps(..., indent=2)`` writes the value of a
+    top-level key, rows in (i, g, sign) order, in pieces to be joined once:
+    each further copy of a large table costs time and peak memory."""
+    letters = report.alphabet.letters
+    matrix = report.matrix
+    degrees = report.degree.by_perm
+    # each row is the head of its i followed by a tail per (g, sign)
+    signs = [encode(sign) for sign in SIGN_LABELS]
+    tails = []
+    for g in matrix.group.elements:
+        g_field = ',\n      "g": ' + encode(cycle_string(g, letters)) + ',\n      "sign": '
+        degree_field = f',\n      "degree": {degrees[g]}\n    }}'
+        tails += [g_field + sign + degree_field for sign in signs]
+    row_sep = ",\n    "
+    pieces = ["[\n    "]
+    for label in matrix.i_labels:
+        head = '{\n      "i": ' + encode(cycle_string(label, letters))
+        # joining the tails with the separator and the head puts the head on every row
+        pieces += [head, (row_sep + head).join(tails), row_sep]
+    pieces[-1] = "\n  ]"
+    return pieces
+
+
 def render_json(report: StructuralReport) -> str:
-    return json.dumps(report_to_json(report), indent=2, sort_keys=False) + "\n"
+    # the dump holds "degree_table": [] once, as the key: see the module docstring
+    head, _, tail = json.dumps(_report_fields(report), indent=2).partition('"degree_table": []')
+    return "".join([head, '"degree_table": ', *_degree_table(report), tail, "\n"])
 
 
 def render_text(report: StructuralReport) -> str:
-    d = report_to_json(report)
+    d = _report_fields(report)
     letters = "".join(report.alphabet.letters)
     lines = []
     lines.append(f"substitution over {{{letters}}}, analyzed power: {d['analyzed_power']} "
@@ -124,11 +175,11 @@ def render_text(report: StructuralReport) -> str:
     lines.append(f"  minimal right ideals: {green['r_classes']['count']} "
                  f"of sizes {green['r_classes']['sizes']}")
     lines.append(f"  H-classes: {green['h_classes']['count']} of sizes {green['h_classes']['sizes']}")
-    degrees: dict[int, int] = {}
-    for row in d["degree_table"]:
-        degrees[row["degree"]] = degrees.get(row["degree"], 0) + 1
+    # (i, g, sign) has the degree of g, for each of the |I||Lambda| pairs (i, sign)
+    per_g = len(report.matrix.i_labels) * len(report.matrix.lam_labels)
+    degrees = Counter(report.degree.by_perm.values())
     lines.append("degree distribution: " + ", ".join(
-        f"{count} elements of degree {deg}" for deg, count in sorted(degrees.items())))
+        f"{per_g * count} elements of degree {deg}" for deg, count in sorted(degrees.items())))
     lines.append("")
     lines.append(describe("aut_fib", "fiber-preserving automorphisms"))
     lines.append(f"automorphism group: {d['aut_fib']['name'] or 'C'} x Z")

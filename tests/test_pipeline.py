@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from functools import cached_property
 from math import gcd
 
 import pytest
@@ -8,15 +9,16 @@ import pytest
 import ellisub.pipeline
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
-from ellisub.perms import (closure, compose, cycle_string, element_order,
-                           group_fingerprint, group_name, identity, inverse,
-                           is_normal, is_transitive, normal_closure)
+from ellisub.perms import (PermGroup, closure, compose, cycle_string,
+                           element_order, group_fingerprint, group_name,
+                           identity, inverse, is_normal, is_transitive,
+                           normal_closure)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
                               degree_map, global_description, heights, r_set,
                               return_time_gcd, structure_group)
 from ellisub.rees import MINUS, PLUS, ReesMatrixSemigroup, substitution_sandwich
-from ellisub.report import report_to_json
+from ellisub.report import render_json, report_to_json
 from ellisub.semigroups import (TransformationSemigroup, map_compose,
                                 semigroup_closure)
 from ellisub.substitution import (Substitution, allowed_two_words, columns,
@@ -519,6 +521,15 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
             return original_sandwich(*args, **kwargs)
     monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
     once = {name: 1 for name in stages + ("substitution_sandwich",)}
+    fingerprinted = []  # the group of each fingerprint computation
+    original_fingerprint = PermGroup.fingerprint.func
+
+    def fingerprint(group):
+        fingerprinted.append(group)
+        return original_fingerprint(group)
+    counted_fingerprint = cached_property(fingerprint)
+    counted_fingerprint.__set_name__(PermGroup, "fingerprint")
+    monkeypatch.setattr(PermGroup, "fingerprint", counted_fingerprint)
 
     def validations(power):
         return Counter(name for name, sub in on_power if sub is power)
@@ -527,6 +538,14 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     report = analyze_substitution(sub)
     assert report.exponent == 2 and report.substitution is not sub
     assert calls == once and products == []
+    # the global strings, the automorphism data and the report all read group
+    # fingerprints; each group's is computed once
+    render_json(report)
+    groups = (report.structure_group, report.little_group, report.normal_completion,
+              report.aut.fiber_group)
+    for group in groups:
+        assert group_fingerprint(group) is group_fingerprint(group)
+    assert sorted(map(id, fingerprinted)) == sorted({id(group) for group in groups})
     # the pipeline validates the analysed power once, in r_set, and reads
     # its fiber once
     assert validations(report.substitution) == {"is_simplified": 1, "allowed_two_words": 1}

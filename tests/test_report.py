@@ -7,11 +7,14 @@ report on purpose must update them and say so.
 """
 
 import hashlib
+import json
+from collections import Counter
 
 import pytest
 
+from ellisub import parse_substitution
 from ellisub.golden import CASE_ORDER
-from ellisub.pipeline import AnalysisConfig, analyze_substitution
+from ellisub.pipeline import AnalysisConfig, analyze_substitution, global_description
 from ellisub.report import render_json, render_text, report_to_json
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
@@ -63,3 +66,30 @@ def test_oracle_max_level_keeps_the_printed_ceiling(golden_subs):
     oracle = report_to_json(report)["oracle"]
     assert oracle["max_level"] == 4
     assert set(oracle["stabilized_levels"].values()) == {1}
+
+
+# json writes letters outside ASCII as \u escapes, and those outside the
+# basic plane as surrogate pairs: \u00e9 for é, \ud835\udd1e for 𝔞
+NON_ASCII = ("é -> éüüé\nü -> üééü\n", "𝔞 -> 𝔞𝔟𝔟𝔞\n𝔟 -> 𝔟𝔞𝔞𝔟\n")
+
+
+def test_render_json_is_the_indented_dump(golden_subs, golden_reports, random_reports,
+                                          long_power_simplified):
+    # render_json writes the degree table from a row template; it must give
+    # the bytes of the plain indented dump, and render_text the degree
+    # distribution of the rows it no longer builds
+    reports = list(golden_reports.values()) + random_reports
+    for config in (AnalysisConfig(), AnalysisConfig(g0_index=1)):
+        reports += [analyze_substitution(golden_subs[name], config) for name in CASE_ORDER]
+    reports += [global_description(sub) for sub in long_power_simplified]
+    reports += [analyze_substitution(parse_substitution(source), AnalysisConfig(verify=verify))
+                for source in NON_ASCII for verify in (False, True)]
+    assert '"(\\u00e9 \\u00fc)"' in render_json(reports[-4])
+    assert '"(\\ud835\\udd1e \\ud835\\udd1f)"' in render_json(reports[-2])
+    for report in reports:
+        d = report_to_json(report)
+        assert render_json(report) == json.dumps(d, indent=2) + "\n"
+        degrees = Counter(row["degree"] for row in d["degree_table"])
+        line = "degree distribution: " + ", ".join(
+            f"{count} elements of degree {deg}" for deg, count in sorted(degrees.items()))
+        assert line in render_text(report).splitlines()
