@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
-from .perms import compose, identity
+from .perms import after, identity
 from .semigroups import (FiberMap, TransformationSemigroup,
                          semigroup_closure)
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
@@ -142,7 +142,8 @@ def triples_generate(matrix, triples) -> bool:
     The search walks the bipartite graph with an edge i -> lam of label g
     for each (i, g, lam) in T and an edge lam -> j of label A[lam][j], over
     the states (vertex, label) reachable from (i0, 1): at most |G| per
-    vertex, so |G| * (|T| + |Lambda||I|) compositions.  It stops as soon as
+    vertex, so |G| * (|T| + |Lambda||I|) compositions, each one call of the
+    getter of its edge label, built once per edge.  It stops as soon as
     column lam0 holds every label.
     """
     i0, lam0 = matrix.base
@@ -151,9 +152,11 @@ def triples_generate(matrix, triples) -> bool:
             or {lam for _, _, lam in triples} != set(range(n_lam))):
         return False
     order = matrix.group.order
+    # each edge as (getter of its label, head): label h reaches h * label
     by_row: list[list[tuple]] = [[] for _ in range(n_i)]
     for i, g, lam in triples:
-        by_row[i].append((g, lam))
+        by_row[i].append((after(g), lam))
+    by_column = [[(after(entry), j) for j, entry in enumerate(row)] for row in matrix.sandwich]
     start = identity(matrix.group.degree)
     at_row = [set() for _ in range(n_i)]
     at_column = [set() for _ in range(n_lam)]
@@ -162,8 +165,8 @@ def triples_generate(matrix, triples) -> bool:
     while frontier:
         reached = []  # new column states
         for i, h in frontier:
-            for g, lam in by_row[i]:
-                label = compose(h, g)
+            for g_after, lam in by_row[i]:
+                label = g_after(h)
                 if label not in at_column[lam]:
                     at_column[lam].add(label)
                     reached.append((lam, label))
@@ -171,8 +174,8 @@ def triples_generate(matrix, triples) -> bool:
             return True
         frontier = []
         for lam, h in reached:
-            for j, entry in enumerate(matrix.sandwich[lam]):
-                label = compose(h, entry)
+            for entry_after, j in by_column[lam]:
+                label = entry_after(h)
                 if label not in at_row[j]:
                     at_row[j].add(label)
                     frontier.append((j, label))

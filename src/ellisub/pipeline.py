@@ -69,7 +69,7 @@ from math import gcd
 
 from .errors import InternalCheckError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
-from .perms import (Perm, PermGroup, centralizer_in_symmetric, closure,
+from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
                     compose, element_order, group_name, identity, inverse,
                     is_normal, is_transitive, normal_closure)
 from .rees import (ReesMatrixSemigroup, as_transformation_semigroup,
@@ -197,7 +197,9 @@ def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heig
     The R-set is checked to lie in one coset r0 N of the normal completion
     N.  Then G = <R> lies in <r0, N>, so G/N = <r0 N> is cyclic, and the
     generalized height is its order |G|/|N|.  The classical height comes
-    from the letter grading and must divide it.
+    from the letter grading and must divide it.  A little group or N with
+    |G| elements is G, and takes G's fingerprint rather than counting the
+    element orders again.
     """
     r0_inverse = inverse(rset[0])
     products = sorted({compose(g, inverse(h)) for g in rset for h in rset})
@@ -215,6 +217,8 @@ def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heig
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
             f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}")
+    for subgroup in (little, completion):
+        subgroup.reuse_fingerprint(group)
     return Heights(order, classical, little, completion)
 
 
@@ -251,8 +255,9 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
         nxt = []
         for g in frontier:
             d = (degree_of_perm[g] + 1) % modulus
+            g_after = after(g)
             for r in matrix.i_labels:
-                rg = compose(r, g)
+                rg = g_after(r)
                 if rg not in degree_of_perm:
                     degree_of_perm[rg] = d
                     nxt.append(rg)
@@ -420,21 +425,25 @@ class AnalysisConfig:
 
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
     """Validate, simplify and run the pipeline; under ``verify``, build the
-    fiber maps from the matrix and compare them with the window oracle."""
+    fiber maps from the matrix and compare them with the window oracle.  The
+    input's allowed two-letter words are read once and shared by the
+    aperiodicity test and :func:`simplify`, which then skip their own
+    primitivity checks."""
     config = config or AnalysisConfig()
     if not is_bijective(sub):
         bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
         raise ValidationError(f"substitution is not bijective: column(s) {bad} are not permutations")
     if not is_primitive(sub):
         raise ValidationError("substitution is not primitive")
-    verdict = is_aperiodic(sub)
+    fiber = allowed_two_words(sub)  # read once, for the aperiodicity test and simplify
+    verdict = is_aperiodic(sub, fiber)
     if verdict.kind == "periodic":
         exc = ValidationError(
             f"substitution is periodic: complexity p({verdict.period_evidence}) "
             f"<= {verdict.period_evidence}")
         exc.verdict = verdict
         raise exc
-    simplified, exponent = simplify(sub)
+    simplified, exponent = simplify(sub, fiber)
     report = global_description(simplified, config.g0_index, exponent=exponent,
                                 original_length=sub.length, aperiodicity=verdict)
     if config.verify:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InternalCheckError, ValidationError
-from .perms import Perm, PermGroup, compose, identity, inverse
-from .semigroups import FiberMap, green_summary, map_compose
+from .perms import Perm, PermGroup, after, compose, identity, inverse
+from .semigroups import FiberMap, green_summary, map_after, map_compose
 from .substitution import TwoWordFiber
 
 PLUS, MINUS = 0, 1
@@ -108,11 +108,15 @@ def _product_law_failure(m: ReesMatrixSemigroup,
 
     |G| * (number of generators) + |Lambda||I| + |Lambda||G| + |S| map
     compositions: the factorization composes theta(a^-1 h) phi(i0, 1, mu) once
-    per (h, mu).  Raises InternalCheckError, naming the group law, when the
-    search does not reach all of G, since then the generators of G fall short
-    and the group law is not proved.
+    per (h, mu) and builds its getter, which then reads each of the |I| maps
+    phi(j, 1, lam0); the group law builds one getter for g and one for
+    theta(g) per element g, each read by every generator.  Raises
+    InternalCheckError, naming the group law, when the search does not reach
+    all of G, since then the generators of G fall short and the group law is
+    not proved.
     """
-    compose_maps = map_compose  # one global read, so a rebound rees.map_compose applies
+    # one global read each, so a rebound rees.map_compose or rees.map_after applies
+    compose_maps, map_getter = map_compose, map_after
     i0, lam0 = m.base
     group = m.group
     a_inv = inverse(m.sandwich[lam0][i0])
@@ -120,17 +124,18 @@ def _product_law_failure(m: ReesMatrixSemigroup,
 
     def triple(h: Perm) -> ReesElement:  # theta(h) is phi of this triple
         return ReesElement(i0, compose(h, a_inv), lam0)
-    theta = {h: phi[triple(h)] for h in group.elements}
+    a_inv_after = after(a_inv)
+    theta = {h: phi[(i0, a_inv_after(h), lam0)] for h in group.elements}
 
     gens = group.generators or (ident,)  # the trivial group: check theta(1) theta(1)
     reached, frontier = {ident}, [ident]
     while frontier:
         new = []
         for g in frontier:
-            theta_g = theta[g]
+            g_after, theta_g_after = after(g), map_getter(theta[g])
             for s in gens:
-                sg = compose(s, g)
-                if theta[sg] != compose_maps(theta[s], theta_g):
+                sg = g_after(s)
+                if theta[sg] != theta_g_after(theta[s]):
                     return GROUP_LAW, triple(sg)
                 if sg not in reached:
                     reached.add(sg)
@@ -154,9 +159,9 @@ def _product_law_failure(m: ReesMatrixSemigroup,
     for h in group.elements:
         theta_h = theta[compose(a_inv, h)]
         for mu in lam_range:
-            middle = compose_maps(theta_h, rights[mu])
+            middle_after = map_getter(compose_maps(theta_h, rights[mu]))
             for j in i_range:
-                if phi[(j, h, mu)] != compose_maps(lefts[j], middle):
+                if phi[(j, h, mu)] != middle_after(lefts[j]):
                     return FACTORIZATION, ReesElement(j, h, mu)
     return None
 
@@ -217,11 +222,13 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup,
       A + left factor reads R', so its R becomes g R'; a - left factor reads
       j^-1 R', so its R becomes g g0 j^-1 R'.
 
-    The maps are checked to be distinct, and phi is proved a homomorphism
-    through the Rees factorization, at a cost of |S| + 2|G| + |G||I| + 2|I|
-    map compositions rather than one per product; the image of a
-    homomorphism is closed under composition, so the image of phi is the
-    fiber semigroup and no closure of maps is run.  The sandwich is
+    Each map costs two getter calls, one for R and one for the reads, with
+    one getter per element and sign and one per sign.  The maps are checked
+    to be distinct, and phi is proved a homomorphism through the Rees
+    factorization, at a cost of |S| + 2|G| + |G||I| + 2|I| map compositions
+    rather than one per product, all but 2|G| + 2|I| of them one getter
+    call; the image of a homomorphism is closed under composition, so the
+    image of phi is the fiber semigroup and no closure of maps is run.  The sandwich is
     normalized, so with (i0, +) the base every triple factors as
 
         (j, h, mu) = (j, 1, +)(i0, h, +)(i0, 1, mu),
@@ -257,8 +264,11 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup,
     g0 = m.i_labels[m.base[0]]
     pair_index = {p: k for k, p in enumerate(fiber.pairs)}
     # a + map reads each fixed point a.b at b, a - map at a
-    read_at = ([b for _, b in fiber.pairs], [a for a, _ in fiber.pairs])
-    rights = [(g, (g, compose(g, g0))) for g in m.group.elements]  # R per sign
+    read_at = (after([b for _, b in fiber.pairs]), after([a for a, _ in fiber.pairs]))
+    g0_after = after(g0)
+    # per element g and sign: the getter of R (g for +, g g0 for -) and of the reads
+    slots = [(g, lam, after(r), read_at[lam])
+             for g in m.group.elements for lam, r in ((PLUS, g), (MINUS, g0_after(g)))]
     phi: dict[ReesElement, FiberMap] = {}
     for i, i_perm in enumerate(m.i_labels):
         i_inv = inverse(i_perm)
@@ -268,11 +278,9 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup,
             r = target.index(None)
             raise InternalCheckError(
                 f"fiber action left the fiber: {(i_inv[r], r)} is not an allowed two-word")
-        for g, by_sign in rights:
-            for lam in (PLUS, MINUS):
-                # the fixed point written for each letter c: (i^-1 R(c), R(c))
-                written = [target[r] for r in by_sign[lam]]
-                phi[ReesElement(i, g, lam)] = tuple([written[c] for c in read_at[lam]])
+        for g, lam, r_after, read in slots:
+            # r_after writes the fixed point (i^-1 R(c), R(c)) for each letter c
+            phi[ReesElement(i, g, lam)] = read(r_after(target))
     if len(set(phi.values())) != m.size:
         raise InternalCheckError("fiber action is not faithful; distinct triples collided")
     failure = _product_law_failure(m, phi)

@@ -3,7 +3,11 @@ generating maps, and the reported shape of a Green structure.
 
 Elements are self-maps of {0..degree-1} stored as image tuples (not
 necessarily injective).  Composition follows the same convention as
-permutations: ``x compose y`` applies y first.  Products are composed on
+permutations, ``map_compose(x, y)`` applies y first, and runs in C the same
+way as :func:`ellisub.perms.compose`: ``itemgetter(*y)(x)``, with a list
+comprehension below degree 2, where ``itemgetter`` of one index returns a
+scalar and of none raises.  Where one right factor y is applied to many
+maps, :func:`map_after` builds its getter once.  Products are composed on
 demand; no Cayley table is stored.  The window oracle closes its maps here
 only to list the maps that two semigroups do not share.
 """
@@ -11,6 +15,8 @@ only to list the maps that two semigroups do not share.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
+from typing import Callable
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -21,7 +27,17 @@ CLOSURE_CAP = 10**5
 
 def map_compose(x: FiberMap, y: FiberMap) -> FiberMap:
     """x after y."""
+    if len(y) > 1:
+        return itemgetter(*y)(x)
     return tuple([x[i] for i in y])
+
+
+def map_after(y: FiberMap) -> Callable[[FiberMap], FiberMap]:
+    """The map x -> map_compose(x, y), built once for a right factor applied
+    to many maps."""
+    if len(y) > 1:
+        return itemgetter(*y)
+    return lambda x: tuple([x[i] for i in y])
 
 
 class TransformationSemigroup:
@@ -48,10 +64,10 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
                       degree: int | None = None) -> TransformationSemigroup:
     """Smallest composition-closed set of maps containing ``gens``.
 
-    Left multiplication by the generators suffices: g1 g2 ... gk is reached
-    from gk in k - 1 steps, so the cost is |S| * |gens| compositions, with
-    each distinct generator walked once.  Raises ResourceLimitError past
-    ``CLOSURE_CAP`` elements.
+    Right multiplication by the generators suffices: g1 g2 ... gk is reached
+    from g1 in k - 1 steps, so the cost is |S| * |gens| compositions, one
+    getter call each, with each distinct generator walked once.  Raises
+    ResourceLimitError past ``CLOSURE_CAP`` elements.
     """
     gens = list(dict.fromkeys(tuple(g) for g in gens))
     if not gens and degree is None:
@@ -65,11 +81,11 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
             raise ValidationError(f"map {g} has out-of-range images")
     elements = set(gens)
     frontier = list(elements)
+    getters = [map_after(g) for g in gens]
     while frontier:
         new = []
-        for g in gens:
-            for x in frontier:
-                y = tuple([g[i] for i in x])
+        for g_after in getters:
+            for y in map(g_after, frontier):
                 if y not in elements:
                     elements.add(y)
                     new.append(y)

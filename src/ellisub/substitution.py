@@ -348,7 +348,7 @@ def default_aperiodicity_bound(sub: Substitution) -> int:
     return sub.size**2 * sub.length**2
 
 
-def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
+def is_aperiodic(sub: Substitution, fiber: TwoWordFiber | None = None) -> AperiodicityVerdict:
     """Decide aperiodicity of a primitive bijective substitution from its
     allowed two-letter words: the subshift X is aperiodic iff it has more
     than s of them (Dekking 1978).
@@ -366,13 +366,19 @@ def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
 
     With exactly s words p(n) = s for every n, so the first n with
     p(n) <= n is s, the ``period_evidence`` of a periodic verdict.
+
+    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds
+    it; that function refuses a substitution that is not primitive, so then
+    primitivity is not checked again.
     """
     if not is_bijective(sub):
         raise ValidationError("aperiodicity test needs a bijective substitution")
-    if not is_primitive(sub):
-        raise ValidationError("aperiodicity test needs a primitive substitution")
+    if fiber is None:
+        if not is_primitive(sub):
+            raise ValidationError("aperiodicity test needs a primitive substitution")
+        fiber = allowed_two_words(sub)
     bound = default_aperiodicity_bound(sub)
-    if allowed_two_words(sub).size > sub.size:
+    if fiber.size > sub.size:
         return AperiodicityVerdict("aperiodic", bound)
     return AperiodicityVerdict("periodic", bound, period_evidence=sub.size)
 
@@ -397,8 +403,7 @@ def is_simplified(sub: Substitution, fiber: TwoWordFiber | None = None) -> bool:
     return all(junction_map(sub, p) == p for p in fiber.pairs)
 
 
-def _junction_cycle_lcm(sub: Substitution) -> int:
-    fiber = allowed_two_words(sub)
+def _junction_cycle_lcm(sub: Substitution, fiber: TwoWordFiber) -> int:
     seen: set[tuple[int, int]] = set()
     result = 1
     for start in fiber.pairs:
@@ -416,7 +421,7 @@ def _junction_cycle_lcm(sub: Substitution) -> int:
     return result
 
 
-def simplify(sub: Substitution) -> tuple[Substitution, int]:
+def simplify(sub: Substitution, fiber: TwoWordFiber | None = None) -> tuple[Substitution, int]:
     """Return (sub^n, n) with n minimal such that sub^n is simplified.
 
     n = M*m where M is the lcm of the junction-map cycle lengths on the
@@ -430,12 +435,17 @@ def simplify(sub: Substitution) -> tuple[Substitution, int]:
     The boundary columns are checked here; the whole of
     :func:`is_simplified` is checked by :func:`ellisub.pipeline.r_set`, the
     stage that validates the substitution it analyses.
+
+    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds
+    it, and stands for the primitivity check, as in :func:`is_aperiodic`.
     """
     if not is_bijective(sub):
         raise ValidationError("simplify needs a bijective substitution")
-    if not is_primitive(sub):
-        raise ValidationError("simplify needs a primitive substitution")
-    cycle_lcm = _junction_cycle_lcm(sub)
+    if fiber is None:
+        if not is_primitive(sub):
+            raise ValidationError("simplify needs a primitive substitution")
+        fiber = allowed_two_words(sub)
+    cycle_lcm = _junction_cycle_lcm(sub, fiber)
     letters_exp = _all_letters_exponent(sub)
     m = -(-letters_exp // cycle_lcm)  # ceil division
     n = cycle_lcm * m

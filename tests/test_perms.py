@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ellisub.errors import ValidationError
-from ellisub.perms import (centralizer_in_symmetric, closure,
+from ellisub.perms import (after, centralizer_in_symmetric, closure,
                            compose, cycle_string, element_order,
                            group_fingerprint, group_name, identity, inverse,
                            is_normal, is_transitive, normal_closure)
@@ -27,15 +27,28 @@ def test_compose_applies_right_factor_first():
 
 
 def test_compose_matches_its_definition_on_random_permutations():
-    # degree 1 too: a kernel that returned a scalar there would fail
+    # degrees 0 to 10: itemgetter of one index returns a scalar and of none
+    # raises, so degrees 0 and 1 take the fallback, which must agree too
     rng = random.Random(20261018)
-    for n in range(1, 10):
+    for n in range(0, 11):
         for _ in range(20):
             p, q = list(range(n)), list(range(n))
             rng.shuffle(p)
             rng.shuffle(q)
             p, q = tuple(p), tuple(q)
-            assert compose(p, q) == tuple(p[q[x]] for x in range(n))
+            expected = tuple([p[x] for x in q])
+            assert compose(p, q) == expected and type(compose(p, q)) is tuple
+            assert after(q)(p) == expected and after(q)(list(p)) == expected
+
+
+def test_trivial_group_at_degree_one():
+    # every product in the closure, the normal closure and the normality
+    # check of S_1 goes through the degree-1 fallback of the kernel
+    for trivial in (closure([], degree=1), closure([(0,)])):
+        assert trivial.elements == ((0,),) and trivial.generators == ((0,),)
+        assert normal_closure(trivial, trivial).elements == ((0,),)
+        assert is_normal(trivial, trivial)
+    assert closure([], degree=0).elements == ((),)
 
 
 def test_closure_small_cases():

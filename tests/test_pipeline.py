@@ -122,6 +122,24 @@ def test_little_group_not_normal_in_nonnormal_case(golden_simplified):
     assert hs.normal_completion.order == 6
 
 
+def test_heights_refuses_a_completion_that_is_not_normal(golden_simplified, monkeypatch):
+    # a normal closure that returned the little group itself: |N| = 2 < |G| = 6,
+    # so is_normal cannot answer from the orders and conjugates each element
+    sub = golden_simplified["s3_nonnormal_little"]
+    rset, group = rset_and_group(sub)
+    monkeypatch.setattr(ellisub.pipeline, "normal_closure", lambda little, ambient: little)
+    with pytest.raises(InternalCheckError, match="must be normal"):
+        heights(sub, rset, group)
+
+
+def test_is_normal_decides_from_the_orders_only_for_the_whole_group():
+    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    # a subgroup of S_3 with six elements is S_3
+    assert is_normal(PermGroup(3, ((1, 0, 2),), s3.elements), s3)
+    # six elements outside S_3 fail the subgroup check first
+    assert not is_normal(closure([(1, 0, 2, 3), (1, 2, 0, 3)]), s3)
+
+
 def test_height_divisibility(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
         hs = heights(sub, *rset_and_group(sub))
@@ -495,17 +513,28 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         for module in modules:
             if hasattr(module, name):
                 counting(module, name)
-    for name in ("is_simplified", "allowed_two_words"):
+    for name in ("is_simplified", "allowed_two_words", "is_primitive"):
         for module in modules:
             if hasattr(module, name):
                 recording(module, name)
-    products = []  # map compositions of the product-law checks
-    original_compose = ellisub.rees.map_compose
+    # map compositions of the product-law checks, made by map_compose or by a
+    # getter that map_after built once for a reused right factor
+    products = []
+    original_compose, original_after = ellisub.rees.map_compose, ellisub.rees.map_after
 
     def compose_maps(x, y):
         products.append(None)
         return original_compose(x, y)
+
+    def map_after(y):
+        getter = original_after(y)
+
+        def counted(x):
+            products.append(None)
+            return getter(x)
+        return counted
     monkeypatch.setattr(ellisub.rees, "map_compose", compose_maps)
+    monkeypatch.setattr(ellisub.rees, "map_after", map_after)
     original_sandwich = ellisub.pipeline.substitution_sandwich
 
     def no_group_closure(*args, **kwargs):
@@ -539,23 +568,31 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert report.exponent == 2 and report.substitution is not sub
     assert calls == once and products == []
     # the global strings, the automorphism data and the report all read group
-    # fingerprints; each group's is computed once
+    # fingerprints; each is computed once per distinct element set, so a
+    # little group or normal completion with |G| elements reuses G's
     render_json(report)
     groups = (report.structure_group, report.little_group, report.normal_completion,
               report.aut.fiber_group)
     for group in groups:
         assert group_fingerprint(group) is group_fingerprint(group)
-    assert sorted(map(id, fingerprinted)) == sorted({id(group) for group in groups})
+    assert sorted(group.elements for group in fingerprinted) == sorted(
+        {group.elements for group in groups})
     # the pipeline validates the analysed power once, in r_set, and reads
     # its fiber once
-    assert validations(report.substitution) == {"is_simplified": 1, "allowed_two_words": 1}
+    assert validations(report.substitution) == {"is_simplified": 1, "allowed_two_words": 1,
+                                                "is_primitive": 1}
+    # the input is checked primitive by analyze_substitution and by the one
+    # allowed_two_words that the aperiodicity test and simplify share
+    assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
     calls.clear()
     on_power.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
     assert calls == {**once, "as_transformation_semigroup": 1}
     # and the oracle once more, in limit_maps
-    assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 2}
+    assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 2,
+                                                "is_primitive": 2}
+    assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
     # the product law through the Rees factorization: the group law on
     # G x (generators of G), the 2|I| sandwich relations, theta(h) R_mu once
     # per (h, mu) and L_j times it once per triple; 18 + 6 + 12 + 36 here,
@@ -623,20 +660,27 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
         assert closed.count(hs.little_group.element_set) == 1
 
     # closure multiplies by each distinct generator once: a repeated
-    # generator costs no compositions
+    # generator costs no compositions.  Each composition is a call of the
+    # getter that perms.after builds once per generator.
     compositions = 0
-    original_compose = ellisub.perms.compose
+    original_after = ellisub.perms.after
 
-    def counting(p, q):
-        nonlocal compositions
-        compositions += 1
-        return original_compose(p, q)
-    monkeypatch.setattr(ellisub.perms, "compose", counting)
+    def counting(q):
+        getter = original_after(q)
+
+        def counted(p):
+            nonlocal compositions
+            compositions += 1
+            return getter(p)
+        return counted
+    monkeypatch.setattr(ellisub.perms, "after", counting)
     gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
     distinct = original_closure(gens)
     walked = compositions
     compositions = 0
     repeated = original_closure(gens * 3 + gens[:1])
+    # every element of S_4 times each of the two generators
+    assert walked == 2 * distinct.order == 48
     assert compositions == walked and repeated == distinct
 
 

@@ -4,26 +4,31 @@ import pytest
 
 import ellisub.semigroups
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
-from ellisub.semigroups import (TransformationSemigroup, map_compose,
+from ellisub.semigroups import (TransformationSemigroup, map_after, map_compose,
                                 semigroup_closure)
 from conftest import fiber_action
 from reference import green_structure, is_completely_simple, mul
 
 
 def test_map_compose_matches_its_definition_on_random_maps():
-    # maps need not be injective; degree 1 guards against a scalar result
+    # maps need not be injective; degrees 0 and 1 take the fallback, since
+    # itemgetter of one index returns a scalar and of none raises
     rng = random.Random(20261018)
-    for n in range(1, 10):
+    for n in range(0, 11):
         for _ in range(20):
             x = tuple(rng.randrange(n) for _ in range(n))
             y = tuple(rng.randrange(n) for _ in range(n))
-            assert map_compose(x, y) == tuple(x[y[i]] for i in range(n))
+            expected = tuple([x[i] for i in y])
+            assert map_compose(x, y) == expected and type(map_compose(x, y)) is tuple
+            assert map_after(y)(x) == expected
 
 
 def test_closure_of_single_idempotent():
     p = (0, 0, 2)
     sg = semigroup_closure([p])
     assert sg.elements == (p,)
+    # degree 1: the closure's getter takes the kernel's fallback
+    assert semigroup_closure([(0,)]).elements == ((0,),)
 
 
 def test_closure_of_constant_maps():
