@@ -7,13 +7,14 @@ runs in C: ``itemgetter(*q)(p)`` reads p at the images of q in one call.
 ``itemgetter`` of one index returns a scalar and of none raises, so below
 degree 2 the kernel falls back to a list comprehension.  Where one right
 factor q is applied to many left factors, :func:`after` builds its getter
-once, and each product then costs one C call.  ``cycle_string`` and
-``element_order``, which the report and the group fingerprints call once per
-group element, build lists in one comprehension, which CPython runs about
-twice as fast as a generator handed to ``tuple``.  Groups are stored as the
-full, lexicographically sorted element list; alphabets in scope are tiny
-(n <= 10), so enumeration beats stabilizer chains on simplicity and is fast
-enough by a wide margin.
+once, and each product then costs one C call.  ``element_order``, which
+the group fingerprints call once per group element, builds its list in one
+comprehension, which CPython runs about twice as fast as a generator handed
+to ``tuple``; ``cycle_string``, which the report calls once per
+permutation it prints, skips fixed points without building a cycle for
+them.  Groups are stored as the full, lexicographically sorted element
+list; alphabets in scope are tiny (n <= 10), so enumeration beats
+stabilizer chains on simplicity and is fast enough by a wide margin.
 """
 
 from __future__ import annotations
@@ -87,7 +88,18 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
 def cycle_string(p: Perm, letters: tuple[str, ...] | None = None) -> str:
     """Cycle notation, e.g. "(a b)(c d)"; the identity renders as "()"."""
     name = letters or [str(x) for x in range(len(p))]
-    parts = ["(" + " ".join([name[x] for x in c]) + ")" for c in cycles(p) if len(c) > 1]
+    seen: set[int] = set()
+    parts = []
+    # the first point of each cycle met in this scan is its least
+    for x, y in enumerate(p):
+        if y == x or x in seen:
+            continue
+        cycle = [name[x]]
+        while y != x:
+            seen.add(y)
+            cycle.append(name[y])
+            y = p[y]
+        parts.append("(" + " ".join(cycle) + ")")
     return "".join(parts) or "()"
 
 

@@ -24,8 +24,9 @@ sandwich entry and idempotent has degree 0 (:func:`degree_map`, from the 2|I|
 entries rather than from products); the classical height from the letter
 grading equals the one from return times; the centralizer of G is
 semiregular.  :func:`r_set` validates the substitution, once, with the
-fiber that :func:`global_description` reads once; the later stages take it
-as validated.
+fiber that :func:`global_description` is given or reads once (a power has
+the fiber of the input it came from); the later stages take it as
+validated.
 
 Under ``--verify``, :func:`analyze_substitution` also builds the 2|I||G|
 fiber maps with :func:`as_transformation_semigroup`.  It checks that they
@@ -65,6 +66,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import gcd
 
 from .errors import InternalCheckError, ValidationError
@@ -250,20 +252,23 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
     group = matrix.group
     modulus = group.order // completion.order
     degree_of_perm = {identity(group.degree): 0}
+    set_degree = degree_of_perm.setdefault
     frontier = list(degree_of_perm)
+    level = 0
     while frontier:
-        nxt = []
+        # every element of the frontier lies at distance `level` from the
+        # identity, so has degree level mod h, and each r*g must have the next
+        level += 1
+        d = level % modulus
+        reached = len(degree_of_perm)
         for g in frontier:
-            d = (degree_of_perm[g] + 1) % modulus
             g_after = after(g)
             for r in matrix.i_labels:
-                rg = g_after(r)
-                if rg not in degree_of_perm:
-                    degree_of_perm[rg] = d
-                    nxt.append(rg)
-                elif degree_of_perm[rg] != d:
+                # one lookup per edge: a new r*g gets degree d, a known one keeps its own
+                if set_degree(g_after(r), d) != d:
                     raise InternalCheckError("R-set word lengths do not define a degree mod h")
-        frontier = nxt
+        # the dict keeps insertion order, so the elements new at this level come last
+        frontier = list(islice(degree_of_perm, reached, None))
     if degree_of_perm.keys() != group.element_set:
         raise InternalCheckError("the R-set does not reach every element of the structure group")
     if {g for g, d in degree_of_perm.items() if d == 0} != completion.element_set:
@@ -358,10 +363,26 @@ class StructuralReport:
 
 def global_description(sub: Substitution, g0_index: int | None = None,
                        exponent: int = 1, original_length: int | None = None,
-                       aperiodicity: AperiodicityVerdict | None = None) -> StructuralReport:
+                       aperiodicity: AperiodicityVerdict | None = None,
+                       fiber: TwoWordFiber | None = None) -> StructuralReport:
     """Assemble the full report for a simplified substitution, running each
-    stage once; ``g0_index`` picks g0 from the R-set (default: the first)."""
-    fiber = allowed_two_words(sub)  # the fixed points, once r_set checks sub is simplified
+    stage once; ``g0_index`` picks g0 from the R-set (default: the first).
+
+    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds
+    it.  For sub = theta^n, the power of a primitive theta that
+    :func:`analyze_substitution` analyses, that is ``allowed_two_words(theta)``.
+    A word occurs in the language of theta^n when it occurs in some
+    theta^(nk)(a), so every such word occurs in the language of theta.
+    Conversely, let w occur in theta^k(a), and let p be a primitivity
+    exponent: every letter occurs in theta^p(c) for every letter c, and so
+    in theta^q(c) = theta^p(theta^(q-p)(c)) for every q >= p.  Take m with
+    nm >= k + p.  Then theta^(nm)(c) = theta^k(theta^(nm-k)(c)) holds
+    theta^k(a), since theta^(nm-k)(c) holds a, and so w.  The two languages
+    are equal, so theta and theta^n generate the same subshift and have the
+    same two-letter factors, which is what :func:`allowed_two_words` lists.
+    :func:`r_set` still checks that sub is simplified on these words."""
+    if fiber is None:
+        fiber = allowed_two_words(sub)  # the fixed points, once r_set checks sub is simplified
     rset = r_set(sub, fiber)
     g0_index = g0_index or 0
     if not 0 <= g0_index < len(rset):
@@ -428,7 +449,8 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
     fiber maps from the matrix and compare them with the window oracle.  The
     input's allowed two-letter words are read once and shared by the
     aperiodicity test and :func:`simplify`, which then skip their own
-    primitivity checks."""
+    primitivity checks, and by :func:`global_description`, as the fiber of
+    the analysed power."""
     config = config or AnalysisConfig()
     if not is_bijective(sub):
         bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
@@ -444,8 +466,9 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
         exc.verdict = verdict
         raise exc
     simplified, exponent = simplify(sub, fiber)
+    # the power has the input's subshift, so its fiber: see global_description
     report = global_description(simplified, config.g0_index, exponent=exponent,
-                                original_length=sub.length, aperiodicity=verdict)
+                                original_length=sub.length, aperiodicity=verdict, fiber=fiber)
     if config.verify:
         phi = as_transformation_semigroup(report.matrix, report.fiber)
         comparison = oracle_equivalence(simplified, report.matrix, phi)

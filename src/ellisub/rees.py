@@ -78,8 +78,8 @@ class ReesMatrixSemigroup:
         H-classes of size |G|, each a group with one idempotent, and one
         D-class, which is the whole semigroup and its kernel."""
         n_i, n_lam, order = len(self.i_labels), len(self.lam_labels), self.group.order
-        return green_summary([n_i * order] * n_lam, [n_lam * order] * n_i,
-                             [order] * (n_i * n_lam), [self.size],
+        return green_summary({n_i * order: n_lam}, {n_lam * order: n_i},
+                             {order: n_i * n_lam}, {self.size: 1},
                              n_i * n_lam, self.size)
 
 

@@ -3,27 +3,32 @@ human-readable text form carrying the same facts.
 
 :func:`report_to_json` is the report as a dict.  :func:`render_json` returns
 exactly ``json.dumps(report_to_json(report), indent=2) + "\n"``, byte for
-byte, but writes the degree table as text.  The table has one row per
-triple (i, g, sign), |S| = 2|I||G| of them, while the degree depends on g
-alone; with an indent, CPython's ``json`` skips its C encoder and walks
-every value in Python, which made rendering the largest stage of a run.  So
-:func:`render_json` encodes each R-set label and each element of G once, with
-the same ``ensure_ascii`` escaping as ``json.dumps``, joins the rows from one
-template, and splices the table into the one ``json.dumps`` of the other
-fields at the text ``"degree_table": []``.  That text can only be the key:
-the report's keys are the program's own, and ``json`` escapes every ``"``
-inside a string as ``\"``, so no string value holds ``"degree_table":``
-with an unescaped closing quote.
+byte, without calling ``json``'s encoder.  On CPython before 3.14 any
+``indent`` turns off the C encoder, and ``json`` then walks the value in
+Python, one generator step per token: for a report of a few kB that walk
+took a quarter to a half of the time of the analysis.  So :func:`_write`
+writes the ``indent=2`` layout itself for the only value types a report
+holds (dict with str keys, list, str, int, bool, None), encoding strings
+with the C ``encode_basestring_ascii`` that ``json`` uses and ints with
+``int.__repr__``, and raises ``TypeError`` on any other type rather than
+diverge from ``json``.
+
+The degree table has one row per triple (i, g, sign), |S| = 2|I||G| of
+them, while the degree depends on g alone, so :func:`_degree_table` joins
+its rows from one template per element of G and the writer splices the
+pieces in at the table's key.  Every permutation is written in cycle
+notation once per render (:class:`_CycleStrings`): an element of the R-set
+appears in g0, ``r_set``, the group generators, the sandwich matrix and the
+table.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from json.encoder import encode_basestring_ascii as encode
 
 from .oracle import REPORTED_MAX_LEVEL
-from .perms import PermGroup, cycle_string, group_fingerprint
+from .perms import Perm, PermGroup, cycle_string, group_fingerprint
 from .pipeline import StructuralReport
 from .rees import SIGN_LABELS
 from .substitution import substitution_to_json
@@ -31,17 +36,91 @@ from .substitution import substitution_to_json
 SCHEMA_VERSION = "ellis-report/1"
 
 
-def _group_payload(group: PermGroup, letters: tuple[str, ...]) -> dict:
+class _CycleStrings(dict):
+    """The cycle notation of each permutation, written on first use."""
+
+    def __init__(self, letters: tuple[str, ...]):
+        super().__init__()
+        self.letters = letters
+
+    def __missing__(self, perm: Perm) -> str:
+        text = self[perm] = cycle_string(perm, self.letters)
+        return text
+
+
+class _Written(list):
+    """Pieces of JSON text already laid out as the value of a top-level key,
+    which :func:`_write` copies there."""
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+# the writer of each scalar type, looked up by exact type: a bool is not written as an int
+_SCALARS = {str: encode, int: int.__repr__, bool: _CONSTANTS.__getitem__,
+            type(None): _CONSTANTS.__getitem__}
+
+
+def _write(value, pieces: list[str], newline: str = "\n") -> None:
+    """Append ``json.dumps(value, indent=2)`` to ``pieces``, laid out for a
+    value whose line starts with ``newline`` (a line break and its indent).
+    Scalar items are written in the loop over their container, not by a
+    call each."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        pieces.append(scalar(value))
+    elif kind is dict:
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{"
+        for key, item in value.items():
+            # encode raises TypeError on a key that is not a str
+            pieces += (separator, inner, encode(key), ": ")
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                _write(item, pieces, inner)
+            else:
+                pieces.append(scalar(item))
+            separator = ","
+        pieces += (newline, "}")
+    elif kind is list:
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and (kinds <= {str, int}):
+            # a list of strs or of ints is one join in C
+            pieces += ("[", inner, ("," + inner).join(map(_SCALARS[kinds.pop()], value)),
+                       newline, "]")
+            return
+        separator = "["
+        for item in value:
+            pieces += (separator, inner)
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                _write(item, pieces, inner)
+            else:
+                pieces.append(scalar(item))
+            separator = ","
+        pieces += (newline, "]")
+    elif kind is _Written:
+        pieces += value
+    else:
+        raise TypeError(f"a report holds no value of type {kind.__name__}")
+
+
+def _group_payload(group: PermGroup, cycles: _CycleStrings) -> dict:
     fp = group_fingerprint(group)
     payload = fp.as_dict()
     payload["name"] = fp.name
-    payload["generators"] = [cycle_string(g, letters) for g in group.generators]
+    payload["generators"] = [cycles[g] for g in group.generators]
     return payload
 
 
-def _report_fields(report: StructuralReport) -> dict:
+def _report_fields(report: StructuralReport, cycles: _CycleStrings) -> dict:
     """Every field of the report, with an empty degree table."""
-    letters = report.alphabet.letters
     matrix = report.matrix
     oracle = None
     if report.oracle is not None:
@@ -69,26 +148,25 @@ def _report_fields(report: StructuralReport) -> dict:
         "alphabet_size": report.substitution.size,
         "g0": {
             "index": report.g0_index,
-            "cycles": cycle_string(report.rset[report.g0_index], letters),
+            "cycles": cycles[report.rset[report.g0_index]],
         },
-        "r_set": [{"cycles": cycle_string(g, letters), "images": list(g)} for g in report.rset],
-        "structure_group": _group_payload(report.structure_group, letters),
-        "little_group": _group_payload(report.little_group, letters),
-        "normal_completion": _group_payload(report.normal_completion, letters),
+        "r_set": [{"cycles": cycles[g], "images": list(g)} for g in report.rset],
+        "structure_group": _group_payload(report.structure_group, cycles),
+        "little_group": _group_payload(report.little_group, cycles),
+        "normal_completion": _group_payload(report.normal_completion, cycles),
         "height": report.height,
         "classical_height": report.classical_height,
         "r_pi": report.r_pi,
         "fiber_size": report.fiber.size,
         "fiber": list(report.fiber.labels(report.alphabet)),
-        "sandwich_matrix": [[cycle_string(entry, letters) for entry in row]
-                            for row in matrix.sandwich],
+        "sandwich_matrix": [[cycles[entry] for entry in row] for row in matrix.sandwich],
         "semigroup_size": 2 * len(report.rset) * report.structure_group.order,
         "green": matrix.green_summary(),
         "degree_table": [],
-        "aut_fib": _group_payload(report.aut.fiber_group, letters),
+        "aut_fib": _group_payload(report.aut.fiber_group, cycles),
         "virtual_aut": report.aut.virtual,
         "semi_regular": report.aut.semi_regular,
-        "order_h_witness": (cycle_string(report.order_h_witness, letters)
+        "order_h_witness": (cycles[report.order_h_witness]
                             if report.order_h_witness is not None else None),
         "global_strings": dict(sorted(report.global_strings.items())),
         "unresolved_extension": report.unresolved_extension,
@@ -98,38 +176,37 @@ def _report_fields(report: StructuralReport) -> dict:
 
 
 def report_to_json(report: StructuralReport) -> dict:
-    fields = _report_fields(report)
-    letters = report.alphabet.letters
+    cycles = _CycleStrings(report.alphabet.letters)
+    fields = _report_fields(report, cycles)
     matrix = report.matrix
-    # each permutation is written out once; elements() runs in (i, g, lam) order
-    i_cycles = [cycle_string(label, letters) for label in matrix.i_labels]
-    g_cycles = {g: cycle_string(g, letters) for g in matrix.group.elements}
+    # elements() runs in (i, g, lam) order
+    i_cycles = [cycles[label] for label in matrix.i_labels]
     degrees = report.degree.by_perm
     fields["degree_table"] = [
-        {"i": i_cycles[x.i], "g": g_cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": degrees[x.g]}
+        {"i": i_cycles[x.i], "g": cycles[x.g], "sign": SIGN_LABELS[x.lam], "degree": degrees[x.g]}
         for x in matrix.elements()
     ]
     return fields
 
 
-def _degree_table(report: StructuralReport) -> list[str]:
+def _degree_table(report: StructuralReport, cycles: _CycleStrings) -> _Written:
     """The degree table as ``json.dumps(..., indent=2)`` writes the value of a
     top-level key, rows in (i, g, sign) order, in pieces to be joined once:
     each further copy of a large table costs time and peak memory."""
-    letters = report.alphabet.letters
     matrix = report.matrix
     degrees = report.degree.by_perm
-    # each row is the head of its i followed by a tail per (g, sign)
-    signs = [encode(sign) for sign in SIGN_LABELS]
+    # each row is the head of its i followed by a tail per (g, sign), and
+    # each tail the field of g followed by one of the few (sign, degree) ends
+    ends = {d: [encode(sign) + f',\n      "degree": {d}\n    }}' for sign in SIGN_LABELS]
+            for d in set(degrees.values())}
     tails = []
     for g in matrix.group.elements:
-        g_field = ',\n      "g": ' + encode(cycle_string(g, letters)) + ',\n      "sign": '
-        degree_field = f',\n      "degree": {degrees[g]}\n    }}'
-        tails += [g_field + sign + degree_field for sign in signs]
+        g_field = ',\n      "g": ' + encode(cycles[g]) + ',\n      "sign": '
+        tails += [g_field + end for end in ends[degrees[g]]]
     row_sep = ",\n    "
-    pieces = ["[\n    "]
+    pieces = _Written(["[\n    "])
     for label in matrix.i_labels:
-        head = '{\n      "i": ' + encode(cycle_string(label, letters))
+        head = '{\n      "i": ' + encode(cycles[label])
         # joining the tails with the separator and the head puts the head on every row
         pieces += [head, (row_sep + head).join(tails), row_sep]
     pieces[-1] = "\n  ]"
@@ -137,13 +214,17 @@ def _degree_table(report: StructuralReport) -> list[str]:
 
 
 def render_json(report: StructuralReport) -> str:
-    # the dump holds "degree_table": [] once, as the key: see the module docstring
-    head, _, tail = json.dumps(_report_fields(report), indent=2).partition('"degree_table": []')
-    return "".join([head, '"degree_table": ', *_degree_table(report), tail, "\n"])
+    cycles = _CycleStrings(report.alphabet.letters)
+    fields = _report_fields(report, cycles)
+    fields["degree_table"] = _degree_table(report, cycles)
+    pieces: list[str] = []
+    _write(fields, pieces)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def render_text(report: StructuralReport) -> str:
-    d = _report_fields(report)
+    d = _report_fields(report, _CycleStrings(report.alphabet.letters))
     letters = "".join(report.alphabet.letters)
     lines = []
     lines.append(f"substitution over {{{letters}}}, analyzed power: {d['analyzed_power']} "

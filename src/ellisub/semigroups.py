@@ -14,7 +14,6 @@ only to list the maps that two semigroups do not share.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import itemgetter
 from typing import Callable
 
@@ -96,19 +95,20 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
     return TransformationSemigroup(degree, tuple(sorted(elements)), tuple(sorted(gens)))
 
 
-def green_summary(l_sizes: list[int], r_sizes: list[int], h_sizes: list[int],
-                  d_sizes: list[int], idempotents: int, kernel_size: int) -> dict:
-    """The reported shape of a Green structure, from the size of every L-,
-    R-, H- and D-class: per relation the class count and how many classes
-    have each size, then the idempotent count and the kernel size."""
-    def shape(class_sizes):
-        counts = Counter(class_sizes)
-        return {"count": len(class_sizes), "sizes": {str(k): v for k, v in sorted(counts.items())}}
+def green_summary(l_counts: dict[int, int], r_counts: dict[int, int], h_counts: dict[int, int],
+                  d_counts: dict[int, int], idempotents: int, kernel_size: int) -> dict:
+    """The reported shape of a Green structure, from how many L-, R-, H- and
+    D-classes have each size (a map from class size to class count): per
+    relation the class count and the count of each size, then the
+    idempotent count and the kernel size."""
+    def shape(counts):
+        return {"count": sum(counts.values()),
+                "sizes": {str(k): v for k, v in sorted(counts.items())}}
     return {
-        "l_classes": shape(l_sizes),
-        "r_classes": shape(r_sizes),
-        "h_classes": shape(h_sizes),
-        "d_classes": shape(d_sizes),
+        "l_classes": shape(l_counts),
+        "r_classes": shape(r_counts),
+        "h_classes": shape(h_counts),
+        "d_classes": shape(d_counts),
         "idempotents": idempotents,
         "kernel_size": kernel_size,
     }

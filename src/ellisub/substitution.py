@@ -178,14 +178,20 @@ def substitution_from_json(obj: dict | str) -> Substitution:
     return Substitution(alphabet, tuple(rules))
 
 
+def _rule_words(sub: Substitution) -> dict[str, str]:
+    """Each letter's rule word, spelled out, in alphabet order."""
+    letters = sub.alphabet.letters
+    return {sym: "".join(map(letters.__getitem__, word)) for sym, word in zip(letters, sub.rules)}
+
+
 def substitution_to_text(sub: Substitution) -> str:
-    return "\n".join(f"{sym} -> {sub.rule_word(sym)}" for sym in sub.alphabet.letters) + "\n"
+    return "\n".join(f"{sym} -> {word}" for sym, word in _rule_words(sub).items()) + "\n"
 
 
 def substitution_to_json(sub: Substitution) -> dict:
     return {
         "alphabet": list(sub.alphabet.letters),
-        "rules": {sym: sub.rule_word(sym) for sym in sub.alphabet.letters},
+        "rules": _rule_words(sub),
     }
 
 

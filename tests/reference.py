@@ -12,6 +12,7 @@ points and the proximality classes of the fiber.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -230,7 +231,7 @@ class GreenStructure:
 
     def summary(self) -> dict:
         def sizes(classes):
-            return [len(c) for c in classes]
+            return Counter(len(c) for c in classes)
         return green_summary(sizes(self.l_classes), sizes(self.r_classes),
                              sizes(self.h_classes), sizes(self.d_classes),
                              len(self.idempotents), len(self.kernel))

@@ -577,21 +577,22 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         assert group_fingerprint(group) is group_fingerprint(group)
     assert sorted(group.elements for group in fingerprinted) == sorted(
         {group.elements for group in groups})
-    # the pipeline validates the analysed power once, in r_set, and reads
-    # its fiber once
-    assert validations(report.substitution) == {"is_simplified": 1, "allowed_two_words": 1,
-                                                "is_primitive": 1}
+    # the pipeline validates the analysed power once, in r_set, on the
+    # input's fiber: a power has the subshift, so the two-letter words, of
+    # the input it came from, and its L-letter rule words are not scanned
+    assert validations(report.substitution) == {"is_simplified": 1}
     # the input is checked primitive by analyze_substitution and by the one
-    # allowed_two_words that the aperiodicity test and simplify share
+    # allowed_two_words that the aperiodicity test, simplify and
+    # global_description share
     assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
     calls.clear()
     on_power.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
     assert calls == {**once, "as_transformation_semigroup": 1}
-    # and the oracle once more, in limit_maps
-    assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 2,
-                                                "is_primitive": 2}
+    # and the oracle once more, in limit_maps, which reads its own fiber
+    assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
+                                                "is_primitive": 1}
     assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
     # the product law through the Rees factorization: the group law on
     # G x (generators of G), the 2|I| sandwich relations, theta(h) R_mu once

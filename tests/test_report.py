@@ -15,7 +15,7 @@ import pytest
 from ellisub import parse_substitution
 from ellisub.golden import CASE_ORDER
 from ellisub.pipeline import AnalysisConfig, analyze_substitution, global_description
-from ellisub.report import render_json, render_text, report_to_json
+from ellisub.report import _write, render_json, render_text, report_to_json
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
 DIGESTS = {
@@ -93,3 +93,39 @@ def test_render_json_is_the_indented_dump(golden_subs, golden_reports, random_re
         line = "degree distribution: " + ", ".join(
             f"{count} elements of degree {deg}" for deg, count in sorted(degrees.items()))
         assert line in render_text(report).splitlines()
+
+
+def written(value) -> str:
+    pieces: list[str] = []
+    _write(value, pieces)
+    return "".join(pieces)
+
+
+# the value types a report holds, in every position the writer lays out
+# differently: top level, dict value, list item, and lists of one scalar type
+WRITER_VALUES = [
+    {}, [], {"a": {}, "b": []}, [[], {}, [[]]], {"x": [{}], "y": {"z": []}},
+    None, True, False, 0, -1, -37, 2**64, 2**64 + 1, -(2**70),
+    "", '"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f\n\r\t\b\f", "\u2028", "é", "𝔞", "é𝔞\"",
+    [None, True, False, 0, -5, 2**65], [True, False], [None],
+    ["a", "é", "𝔞", '"'], [1, 2, 3], [1, True], [1, "1"],
+    [[1, 2], [3, [4, [5]]], ["a", ["b"]]],
+    [{"k": 1}, {"k": [None, {"é": "𝔞"}]}, {}],
+    {"é": 1, "𝔞": "𝔞", '"': None, "": False, "n": -(2**64)},
+    {"a": {"b": {"c": [1, {"d": []}]}}, "e": [["f"]]},
+]
+
+
+def test_writer_is_the_indented_dump():
+    for value in WRITER_VALUES:
+        assert written(value) == json.dumps(value, indent=2), repr(value)
+
+
+@pytest.mark.parametrize("value", [1.5, [1.0], {"a": 0.0}, {1, 2}, [frozenset()], (1, 2),
+                                   {1: "a"}, {None: 1}, {True: 1}, {"a": {2: 3}}, [{(1,): 1}]],
+                         ids=repr)
+def test_writer_refuses_what_a_report_does_not_hold(value):
+    # json would write a float, a tuple, or a key it can turn into a str;
+    # the writer refuses them rather than risk writing other bytes
+    with pytest.raises(TypeError):
+        written(value)

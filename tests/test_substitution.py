@@ -205,6 +205,16 @@ def test_two_words_periodic():
     assert fiber.size == 2
 
 
+def test_a_power_has_the_two_letter_words_of_its_base(golden_subs, random_corpus,
+                                                      long_power_simplified):
+    # global_description reads the analysed power's fiber off the input;
+    # its docstring proves that theta and theta^n generate the same subshift
+    for sub in [*golden_subs.values(), *random_corpus, *long_power_simplified]:
+        fiber = allowed_two_words(sub)
+        assert allowed_two_words(simplify(sub)[0]) == fiber
+        assert allowed_two_words(substitution_power(sub, 2)) == fiber
+
+
 def test_junction_closure_is_stable():
     for words in (["abba", "baab"], ["abaa", "bacb", "ccbc"], ["abc", "bca", "cab"]):
         sub = make_substitution(words)
