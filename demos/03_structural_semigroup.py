@@ -6,11 +6,11 @@ columns indexed by the R-set, rows by a sign, and the minus row g0 * g^-1.
 Dynamically it is the set of self-maps of the fixed-point fiber induced by
 signed pairs of consecutive column maps.  An analysis builds only the matrix
 and reads the Green structure off its shape; the fiber maps are the action
-phi of the matrix on the fiber, built here as ``--verify`` builds them.  The
-signed-pair maps are then written out by hand, reconciled with the image of
-phi, and closed under composition, which adds no map.  Each stage takes what
-the one before it built: R-set, structure group, matrix presentation, fiber
-action.
+phi of the matrix on the fiber, all written out here, which ``--verify``
+never does: it encodes only the maps it names.  The signed-pair maps are
+then written out by hand, reconciled with the image of phi, and closed under
+composition, which adds no map.  Each stage takes what the one before it
+built: R-set, structure group, matrix presentation, fiber action.
 """
 
 from ellisub import (allowed_two_words, as_transformation_semigroup, columns,
@@ -37,7 +37,8 @@ print("idempotents:", green["idempotents"])
 
 print("\n== its action phi on the fiber")
 fiber = allowed_two_words(sub)
-# checks that the maps stay in the fiber, are distinct and multiply like M
+# FiberAction proves that the maps stay in the fiber, are distinct and
+# multiply like M; as_transformation_semigroup then encodes every triple
 phi = as_transformation_semigroup(matrix, fiber)
 images = set(phi.values())
 print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))

@@ -7,12 +7,12 @@ its left, so a window is read off the rule words of a power.  For a
 simplified substitution the map that a shift sigma^(nu * l^k) induces on the
 fixed points is the same at every level k, so the oracle reads each once, off
 the rule words; the written-out powers confirm it at levels 1 to 4.  The
-comparison with the algebraic pipeline names each map by its triple under
-the matrix action and decides by a walk search in the structure group
-whether the triples generate the whole matrix semigroup.
+comparison with the algebraic pipeline names each map by its triple,
+decoding it through the matrix action, and decides by a walk search in the
+structure group whether the triples generate the whole matrix semigroup.
 """
 
-from ellisub import (as_transformation_semigroup, global_description,
+from ellisub import (FiberAction, cycle_string, global_description,
                      limit_maps, oracle_equivalence, parse_substitution,
                      simplify, substitution_power)
 
@@ -58,7 +58,11 @@ for m in result.maps:
 
 print("\n== equivalence with the algebraic semigroup")
 report = global_description(sub)
-phi = as_transformation_semigroup(report.matrix, report.fiber)
-comparison = oracle_equivalence(sub, report.matrix, phi)
+action = FiberAction(report.matrix, report.fiber)  # proves the action, builds no map
+for m in result.maps[:3]:
+    i, g, sign = action.decode(m.fiber_map)
+    print(f"  sigma^({m.nu} * 4^k) is the triple "
+          f"({cycle_string(report.rset[i], letters)}, {cycle_string(g, letters)}, {'+-'[sign]})")
+comparison = oracle_equivalence(sub, report.matrix, action)
 print("equal:", comparison.equal, "with", comparison.map_count, "maps")
 assert comparison.equal and comparison.map_count == report.matrix.size

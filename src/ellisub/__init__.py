@@ -21,7 +21,7 @@ from .pipeline import (AnalysisConfig, Heights, StructuralReport,
                        analyze_substitution, automorphism_data,
                        classical_height_bruteforce, degree_map,
                        global_description, heights, r_set, structure_group)
-from .rees import (ReesElement, ReesMatrixSemigroup,
+from .rees import (FiberAction, ReesElement, ReesMatrixSemigroup,
                    as_transformation_semigroup, idempotents_of,
                    substitution_sandwich)
 from .semigroups import TransformationSemigroup, semigroup_closure

@@ -56,6 +56,8 @@ def _emit_error(kind: str, exc: Exception) -> None:
     if isinstance(exc, InternalCheckError) and exc.law is not None:
         payload["error"]["law"] = exc.law
         payload["error"]["witness"] = exc.witness
+    if getattr(exc, "stage", None) is not None:
+        payload["error"]["stage"] = exc.stage
     print(json.dumps(payload), file=sys.stderr)
 
 

@@ -26,17 +26,28 @@ class ValidationError(EllisubError):
 
 
 class ResourceLimitError(EllisubError):
-    """A configured size cap would be exceeded; computation refused."""
+    """A configured size cap would be exceeded; computation refused.
+
+    ``stage`` names the pipeline stage that tripped the cap, where it is
+    known; the CLI prints it.
+    """
+
+    def __init__(self, message: str, stage: str | None = None):
+        self.stage = stage
+        super().__init__(message)
 
 
 class InternalCheckError(EllisubError):
     """A built-in cross-check failed; indicates a bug, not bad input.
 
     ``law`` names the law that failed and ``witness`` is the element it
-    failed at, where the check has one; the CLI prints both.
+    failed at, where the check has one, and ``stage`` the stage that ran
+    it; the CLI prints each that is set.
     """
 
-    def __init__(self, message: str, law: str | None = None, witness=None):
+    def __init__(self, message: str, law: str | None = None, witness=None,
+                 stage: str | None = None):
         self.law = law
         self.witness = witness
+        self.stage = stage
         super().__init__(message)

@@ -8,16 +8,20 @@ looks at the algebra, and the construction of the maps never does.
 The comparison decides whether the maps generate exactly the algebraic fiber
 semigroup phi(M), the image of the matrix action phi of M = M[G; I, {+,-}; A]
 (:func:`oracle_equivalence`).  It may use phi without costing the oracle its
-independence.  The pipeline proves phi a bijective homomorphism without
-looking at the oracle (``ellisub.rees.as_transformation_semigroup``).  The
-comparison uses phi only to name each oracle map by its triple, and a map
-without a name is reported as a discrepancy, so no map the rules produce is
-taken on trust.  Once every map is named, the maps generate phi(M) exactly
-when their triples generate M, since phi is an isomorphism.  That is
-decided in G by :func:`triples_generate`, at a cost of
-|G| * (number of maps + 2|I|) compositions of permutations, instead of
-closing the maps, |S| * (number of maps) compositions with |S| = 2|I||G|.
-Only when the triples fall short are the maps closed, to list the difference.
+independence.  The pipeline proves phi an injective homomorphism without
+looking at the oracle (``ellisub.rees.FiberAction``), from 2|I| letter
+identities and O(|I| s + fiber) further work, and writes out none of its
+|S| = 2|I||G| maps.  The comparison uses phi only to name each distinct
+oracle map by its triple: ``FiberAction.decode`` reads the triple off the
+map's images and accepts it only when it encodes back to the map, O(fiber)
+per map, and a map without a name is reported as a discrepancy, so no map
+the rules produce is taken on trust.  Once every map is named, the maps
+generate phi(M) exactly when their triples generate M, since phi is an
+isomorphism.  That is decided in G by :func:`triples_generate`, at a cost
+of |G| * (number of maps + 2|I|) compositions of permutations, instead of
+closing the maps, |S| * (number of maps) compositions.  Only when the
+triples fall short are all |S| maps encoded and the oracle's maps closed,
+to list the difference.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
 l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
@@ -204,28 +208,29 @@ def compare_map_semigroups(oracle_sg: TransformationSemigroup,
     return tuple(discrepancies)
 
 
-def _compare_with_action(result: OracleResult, matrix, phi: dict) -> OracleComparison:
+def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparison:
     """Compare the oracle's maps with phi(M): name each distinct map by its
-    triple under phi, and decide by :func:`triples_generate` whether the
-    triples generate M.  When a map has no triple or the triples fall short,
-    close the maps and list the maps each side lacks."""
-    named = {f: x for x, f in phi.items()}
+    triple with ``action.decode``, and decide by :func:`triples_generate`
+    whether the triples generate M.  When a map has no triple or the
+    triples fall short, encode all |S| triples, close the maps and list the
+    maps each side lacks."""
     seeds = sorted({m.fiber_map for m in result.maps})
-    triples = [named.get(f) for f in seeds]
+    triples = [action.decode(f) for f in seeds]
     if None not in triples and triples_generate(matrix, triples):
-        return OracleComparison(True, (), result, len(named))
-    algebraic = TransformationSemigroup(result.fiber.size, tuple(sorted(named)), ())
+        return OracleComparison(True, (), result, matrix.size)
+    images = tuple(sorted({action.encode(*x) for x in matrix.elements()}))
+    algebraic = TransformationSemigroup(result.fiber.size, images, ())
     discrepancies = compare_map_semigroups(result.semigroup, algebraic)
     return OracleComparison(not discrepancies, discrepancies, result, result.semigroup.size)
 
 
-def oracle_equivalence(sub: Substitution, matrix, phi: dict) -> OracleComparison:
+def oracle_equivalence(sub: Substitution, matrix, action) -> OracleComparison:
     """Compare the semigroup that the oracle's maps generate with the
     algebraic fiber semigroup phi(M): equal, or a discrepancy list.
 
-    ``matrix`` is the substitution sandwich M and ``phi`` its action on the
-    fiber, ``as_transformation_semigroup(matrix, fiber)``, which must be
-    a bijective homomorphism; they enter only the comparison, never the
-    construction of the oracle's maps (the module docstring says why).
+    ``matrix`` is the substitution sandwich M and ``action`` its action phi
+    on the fiber, ``FiberAction(matrix, fiber)``, proved an injective
+    homomorphism when it was built; they enter only the comparison, never
+    the construction of the oracle's maps (the module docstring says why).
     """
-    return _compare_with_action(limit_maps(sub), matrix, phi)
+    return _compare_with_action(limit_maps(sub), matrix, action)

@@ -28,16 +28,18 @@ fiber that :func:`global_description` is given or reads once (a power has
 the fiber of the input it came from); the later stages take it as
 validated.
 
-Under ``--verify``, :func:`analyze_substitution` also builds the 2|I||G|
-fiber maps with :func:`as_transformation_semigroup`.  It checks that they
-stay in the fiber and are distinct, and proves the matrix action phi a
-homomorphism through the Rees factorization (j, h, mu) =
-(j, 1, +)(i0, h, +)(i0, 1, mu), in |S| + 2|G| + |G||I| + 2|I| map
-compositions.  The matrix and phi then go to the window oracle, the one
-witness built independently of this module.  The oracle reads its maps off
-the rule letters, names each by its triple under phi and decides by a walk
-search in G whether the triples generate the matrix semigroup; it closes
-maps only to list a discrepancy.
+Under ``--verify``, :func:`analyze_substitution` also builds the matrix
+action phi as a :class:`FiberAction`, which writes out none of the 2|I||G|
+fiber maps.  Its constructor proves phi an injective homomorphism: each
+(i^-1 r, r) is an allowed two-word, the 2|I| letter identities
+c_lam T_j = A[lam][j] hold, the rows write distinct fixed points, and some
+letter has two predecessors in the fiber; O(|I| s + fiber) work in all.
+The matrix and the action then go to the window oracle, the one witness
+built independently of this module.  The oracle reads its maps off the rule
+letters, names each distinct map by decoding it, O(fiber) per map, and
+decides by a walk search in G whether the triples generate the matrix
+semigroup; it encodes all |S| maps and closes its own only to list a
+discrepancy.
 
 Three identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
@@ -55,7 +57,7 @@ them.
   (a P, b P) of a pair of sub, and block 0, where P = id, holds the pairs of
   sub.  So the pairs of every power lie in the closure and regenerate it.
 * The matrix action stays in the fiber, is faithful and is a homomorphism;
-  :func:`as_transformation_semigroup` gives the proof of each.
+  :class:`FiberAction` gives the proof of each.
 * By Rees's theorem (Howie, *Fundamentals of Semigroup Theory*, Thm 3.4.1)
   the Green structure of M[G; I, {+,-}; A] follows from |I|, |G| and the two
   signs, so the report reads it from
@@ -69,13 +71,13 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from math import gcd
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
                     compose, element_order, group_name, identity, inverse,
                     is_normal, is_transitive, normal_closure)
-from .rees import (ReesMatrixSemigroup, as_transformation_semigroup,
-                   idempotents_of, substitution_sandwich)
+from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
+                   substitution_sandwich)
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,
                            is_aperiodic, is_bijective, is_primitive,
@@ -103,7 +105,11 @@ def structure_group(rset: tuple[Perm, ...]) -> PermGroup:
     """The group generated by the R-set.  Every column lies in it and every
     rule word of a simplified substitution holds every letter, so it is
     transitive."""
-    group = closure(list(rset))
+    try:
+        group = closure(list(rset))
+    except ResourceLimitError as exc:
+        exc.stage = "structure_group"
+        raise
     if not is_transitive(group):
         raise InternalCheckError("structure group of a primitive substitution must be transitive")
     return group
@@ -446,11 +452,10 @@ class AnalysisConfig:
 
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
     """Validate, simplify and run the pipeline; under ``verify``, build the
-    fiber maps from the matrix and compare them with the window oracle.  The
-    input's allowed two-letter words are read once and shared by the
-    aperiodicity test and :func:`simplify`, which then skip their own
-    primitivity checks, and by :func:`global_description`, as the fiber of
-    the analysed power."""
+    matrix action and compare it with the window oracle.  The input's
+    allowed two-letter words are read once and shared by the aperiodicity
+    test and :func:`simplify`, which then skip their own primitivity checks,
+    and by :func:`global_description`, as the fiber of the analysed power."""
     config = config or AnalysisConfig()
     if not is_bijective(sub):
         bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
@@ -470,8 +475,8 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
     report = global_description(simplified, config.g0_index, exponent=exponent,
                                 original_length=sub.length, aperiodicity=verdict, fiber=fiber)
     if config.verify:
-        phi = as_transformation_semigroup(report.matrix, report.fiber)
-        comparison = oracle_equivalence(simplified, report.matrix, phi)
+        action = FiberAction(report.matrix, report.fiber)
+        comparison = oracle_equivalence(simplified, report.matrix, action)
         report.oracle = comparison
         if not comparison.equal:
             raise InternalCheckError(

@@ -8,7 +8,8 @@ sandwich matrix are all identity; the idempotent (i0, 1, lam0) is then the
 distinguished one.
 
 For substitution sandwiches the module builds the faithful action on the
-two-word fiber and proves it a homomorphism through the Rees factorization.
+two-word fiber, one map at a time, and proves it an injective homomorphism
+from 2|I| letter identities.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ SIGN_LABELS = ("+", "-")
 
 class ReesElement(NamedTuple):
     """A triple (i, g, lam).  As a named tuple it hashes and compares equal to
-    the plain tuple (i, g, lam), so the product-law checks look triples up
-    as plain tuples and skip its constructor, a Python-level call."""
+    the plain tuple (i, g, lam), so a dict keyed by triples answers a plain
+    tuple without its constructor, a Python-level call."""
 
     i: int  # index into I
     g: Perm
@@ -89,83 +90,6 @@ def idempotents_of(m: ReesMatrixSemigroup) -> list[ReesElement]:
             for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
 
 
-GROUP_LAW, SANDWICH_RELATION, FACTORIZATION = "group law", "sandwich relation", "factorization"
-
-
-def _product_law_failure(m: ReesMatrixSemigroup,
-                         phi: dict) -> tuple[str, ReesElement] | None:
-    """The first of the three product-law checks that ``phi`` fails, as
-    (law, triple), or None when it passes all three; the proof that they make
-    phi a homomorphism is in :func:`as_transformation_semigroup`.  With
-    (i0, lam0) the base, a = A[lam0][i0] and theta(h) = phi(i0, h a^-1, lam0):
-
-    * GROUP_LAW: theta(s g) = theta(s) theta(g) for every g in G and every
-      generator s of G, along a breadth-first search from the identity;
-    * SANDWICH_RELATION: phi(i0, 1, mu) phi(j, 1, lam0) = phi(i0, A[mu][j], lam0)
-      for every mu and j;
-    * FACTORIZATION: phi(j, h, mu) = phi(j, 1, lam0) theta(a^-1 h) phi(i0, 1, mu)
-      for every triple.
-
-    |G| * (number of generators) + |Lambda||I| + |Lambda||G| + |S| map
-    compositions: the factorization composes theta(a^-1 h) phi(i0, 1, mu) once
-    per (h, mu) and builds its getter, which then reads each of the |I| maps
-    phi(j, 1, lam0); the group law builds one getter for g and one for
-    theta(g) per element g, each read by every generator.  Raises
-    InternalCheckError, naming the group law, when the search does not reach
-    all of G, since then the generators of G fall short and the group law is
-    not proved.
-    """
-    # one global read each, so a rebound rees.map_compose or rees.map_after applies
-    compose_maps, map_getter = map_compose, map_after
-    i0, lam0 = m.base
-    group = m.group
-    a_inv = inverse(m.sandwich[lam0][i0])
-    ident = identity(group.degree)
-
-    def triple(h: Perm) -> ReesElement:  # theta(h) is phi of this triple
-        return ReesElement(i0, compose(h, a_inv), lam0)
-    a_inv_after = after(a_inv)
-    theta = {h: phi[(i0, a_inv_after(h), lam0)] for h in group.elements}
-
-    gens = group.generators or (ident,)  # the trivial group: check theta(1) theta(1)
-    reached, frontier = {ident}, [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            g_after, theta_g_after = after(g), map_getter(theta[g])
-            for s in gens:
-                sg = g_after(s)
-                if theta[sg] != theta_g_after(theta[s]):
-                    return GROUP_LAW, triple(sg)
-                if sg not in reached:
-                    reached.add(sg)
-                    new.append(sg)
-        frontier = new
-    if len(reached) != group.order:
-        missing = min(group.element_set - reached)
-        raise InternalCheckError(
-            f"the generators of G reach {len(reached)} of {group.order} elements, "
-            "so the group law is not proved", law=GROUP_LAW, witness=triple(missing))
-
-    i_range, lam_range = range(len(m.i_labels)), range(len(m.lam_labels))
-    lefts = [phi[(j, ident, lam0)] for j in i_range]      # phi(j, 1, lam0)
-    rights = [phi[(i0, ident, mu)] for mu in lam_range]   # phi(i0, 1, mu)
-    for mu in lam_range:
-        for j in i_range:
-            x = ReesElement(i0, m.sandwich[mu][j], lam0)
-            if phi[x] != compose_maps(rights[mu], lefts[j]):
-                return SANDWICH_RELATION, x
-
-    for h in group.elements:
-        theta_h = theta[compose(a_inv, h)]
-        for mu in lam_range:
-            middle_after = map_getter(compose_maps(theta_h, rights[mu]))
-            for j in i_range:
-                if phi[(j, h, mu)] != middle_after(lefts[j]):
-                    return FACTORIZATION, ReesElement(j, h, mu)
-    return None
-
-
 def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ...],
                           g0: Perm) -> ReesMatrixSemigroup:
     """The two-row sandwich over the structure group G = <I>: plus row all
@@ -188,104 +112,149 @@ def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ..
 
 
 # ---------------------------------------------------------------------------
-# between Rees presentations and transformation semigroups
+# the action of a substitution sandwich on its two-word fiber
+
+IN_FIBER, SANDWICH_RELATION, FAITHFULNESS = "fiber", "sandwich relation", "faithfulness"
+STAGE = "fiber action"
+
+
+def _letter_reads(fiber: TwoWordFiber, g0: Perm) -> tuple[FiberMap, FiberMap]:
+    """The letter that a + map and a - map read at each fixed point a.b:
+    c_+(a.b) = b, and g0 c_-(a.b) = g0(a), with c_-(a.b) = a and the factor
+    g0 of R = g g0 folded in."""
+    return tuple([b for _, b in fiber.pairs]), tuple([g0[a] for a, _ in fiber.pairs])
+
+
+def _broken(message: str, law: str, witness: ReesElement) -> InternalCheckError:
+    return InternalCheckError(message, law=law, witness=witness, stage=STAGE)
+
+
+class FiberAction:
+    """The faithful action phi of a substitution sandwich M[G; I, {+,-}; A]
+    on its two-word fiber, encoded and decoded one map at a time.
+
+    The triple (i, g, +) acts as a.b -> L(b).R(b) and (i, g, -) as
+    a.b -> L(a).R(a), where R = g (resp. g g0) and L = i^-1 R; this inverts
+    the bijection used to put the fiber semigroup into matrix form.  With
+    T_i the map from a letter r to the fixed point (i^-1 r, r), c_+ the map
+    that reads b off a.b and c_- the one that reads a, and g0 folded into
+    c_- from here on, phi(i, g, lam) = T_i g c_lam.  :meth:`encode` writes
+    one map, :meth:`decode` names one, and no map is built ahead.
+
+    The constructor proves phi an injective homomorphism from the |I| lists
+    T_i and the 2|I| sandwich entries.  Each check raises InternalCheckError
+    with its law, a triple and the stage "fiber action":
+
+    * fiber: each (i^-1 r, r) is an allowed two-word.  For a substitution,
+      with i = c_j c_(j-1)^-1 for columns c_j and x = c_j^-1 r, it is
+      (c_(j-1)(x), c_j(x)), letters j-1, j of the rule of x;
+    * sandwich relation: the 2|I| letter identities c_lam T_j = A[lam][j],
+      that is c_+ T_j = 1 and c_- T_j = j^-1 before g0 is folded in, since
+      A[+][j] = 1 and A[-][j] = g0 j^-1.  They compose the encoder's own
+      reads, g0 included, and fail at (i0, A[lam][j], +), the right side of
+      phi(i0, 1, lam) phi(j, 1, +) = phi(i0, A[lam][j], +);
+    * faithfulness: the T_i are distinct, and two fixed points k and k'
+      share their right letter and differ in their left one, as T_0(r) and
+      T_1(r) do at a letter r where T_0 and T_1 differ, once |I| >= 2.
+
+    Homomorphism.  For x = (i, g, lam) and y = (j, h, mu),
+
+        phi(x) phi(y) = T_i g c_lam T_j h c_mu = T_i (g A[lam][j] h) c_mu
+                      = phi(i, g A[lam][j] h, mu) = phi(xy).
+
+    The left factor reads the word (j^-1 R', R') that the right factor
+    writes, with R' = h (mu = +) or h g0 (mu = -), so the four cases are
+    - (i, g, +)(j, h, +) = (i, g h, +): a.b -> i^-1 g h(b) . g h(b);
+    - (i, g, +)(j, h, -) = (i, g h, -): a.b -> i^-1 g h g0(a) . g h g0(a);
+    - (i, g, -)(j, h, +) = (i, g g0 j^-1 h, +):
+      a.b -> i^-1 g g0 j^-1 h(b) . g g0 j^-1 h(b);
+    - (i, g, -)(j, h, -) = (i, g g0 j^-1 h, -):
+      a.b -> i^-1 g g0 j^-1 h g0(a) . g g0 j^-1 h g0(a).
+    The image of a homomorphism is closed under composition, so the image
+    of phi is the fiber semigroup, and no closure of maps is run.
+
+    Injectivity.  The sandwich is normalized at (i0, +), where g0 is the
+    label of i0, so A[lam][i0] = 1 and phi(i, g, lam) T_i0 = T_i g for
+    either sign.  Its right letters give c_+ T_i g = g, then T_i g g^-1
+    gives T_i, so i.  A + map reads only the right letter, so it sends k
+    and k' to one point; a - map reads their distinct left letters through
+    T_i g, injective as c_+ T_i = 1, so it separates them.  So phi(x) =
+    phi(y) only for x = y, and :meth:`decode` takes these steps.  The
+    identities also make c_+ and c_- onto the letters, since each c_lam T_j
+    is a permutation.
+
+    Cost: |I| s lookups for the T_i and 2|I| compositions of s letters,
+    then O(s + fiber) per map encoded or decoded, where writing out phi
+    takes |S| = 2|I||G| maps.
+    """
+
+    def __init__(self, matrix: ReesMatrixSemigroup, fiber: TwoWordFiber):
+        if matrix.lam_labels != SIGN_LABELS:
+            raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
+        self.matrix = matrix
+        i0 = matrix.base[0]
+        ident = identity(matrix.group.degree)
+        pair_index = {p: k for k, p in enumerate(fiber.pairs)}
+        targets = []
+        for i, i_perm in enumerate(matrix.i_labels):
+            i_inv = inverse(i_perm)
+            # T_i: the fixed point (i^-1 r, r) for each letter r, as a fiber index
+            target = tuple([pair_index.get((i_inv[r], r)) for r in range(len(i_perm))])
+            if None in target:
+                r = target.index(None)
+                raise _broken(f"fiber action left the fiber: {(i_inv[r], r)} is not an "
+                              "allowed two-word", IN_FIBER, ReesElement(i, ident, PLUS))
+            targets.append(target)
+        self.targets = tuple(targets)
+
+        reads = _letter_reads(fiber, matrix.i_labels[i0])
+        for lam, read in enumerate(reads):
+            for j, target in enumerate(self.targets):
+                entry = matrix.sandwich[lam][j]
+                if map_compose(read, target) != entry:
+                    x = ReesElement(i0, entry, PLUS)
+                    raise _broken(f"fiber action breaks the {SANDWICH_RELATION} at the "
+                                  f"triple {tuple(x)}", SANDWICH_RELATION, x)
+        self._reads = tuple(map_after(read) for read in reads)
+        self._rights = reads[PLUS]
+
+        self._rows: dict[FiberMap, int] = {}
+        for j, target in enumerate(self.targets):
+            if self._rows.setdefault(target, j) != j:
+                raise _broken(f"fiber action is not faithful: rows {self._rows[target]} and {j} "
+                              "write the same fixed points", FAITHFULNESS, ReesElement(j, ident, PLUS))
+        first: dict[int, int] = {}  # the first fixed point with each right letter
+        twins = next(((first[b], k) for k, (_, b) in enumerate(fiber.pairs)
+                      if first.setdefault(b, k) != k), None)
+        if twins is None:
+            raise _broken("fiber action is not faithful: no letter has two predecessors, so a "
+                          "+ map can equal a - map", FAITHFULNESS, ReesElement(i0, ident, MINUS))
+        self._twins = twins
+
+    def encode(self, i: int, g: Perm, lam: int) -> FiberMap:
+        """phi(i, g, lam) = T_i g c_lam, in two getter calls."""
+        return self._reads[lam](after(g)(self.targets[i]))
+
+    def decode(self, f: FiberMap) -> ReesElement | None:
+        """The triple x with phi(x) = f, or None when f is no image of phi:
+        the steps of the injectivity proof, accepted only when x encodes
+        back to f."""
+        k, k2 = self._twins
+        lam = PLUS if f[k] == f[k2] else MINUS
+        written = map_compose(f, self.targets[self.matrix.base[0]])  # T_i g
+        g = map_compose(self._rights, written)
+        if g not in self.matrix.group:
+            return None
+        i = self._rows.get(compose(written, inverse(g)))
+        if i is None:
+            return None
+        x = ReesElement(i, g, lam)
+        return x if self.encode(*x) == f else None
+
 
 def as_transformation_semigroup(m: ReesMatrixSemigroup,
                                 fiber: TwoWordFiber) -> dict[ReesElement, FiberMap]:
-    """The faithful action phi of a substitution sandwich on its two-word
-    fiber, as a map from each triple to its fiber map.
-
-    The triple (i, g, +) acts as a.b -> L(b).R(b) and (i, g, -) as
-    a.b -> L(a).R(a), where R = g (resp. g*g0) and L = i^-1 * R; this inverts
-    the bijection used to put the fiber semigroup into matrix form.  For the
-    sandwich of a substitution, with I its R-set and G = <I>, three
-    statements hold by construction, and each is still checked here:
-
-    * The maps stay in the fiber.  A target is (i^-1 c, c) for a letter c.
-      With i = c_j c_(j-1)^-1 for columns c_j of the substitution and
-      x = c_j^-1 c, it is the word (c_(j-1)(x), c_j(x)), letters j-1, j of
-      the rule of x.
-    * The action is faithful.  A + map reads b, and b runs through every
-      letter, so it fixes R = g and then L, hence i; a - map likewise.  With
-      |I| >= 2 some letter has two predecessors in the fiber, which a + map
-      sends to the same word and a - map to different ones.
-    * The product law (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu), with
-      A[+][j] = 1 and A[-][j] = g0 j^-1, holds as an identity in G.  The
-      left factor reads the word its right factor writes, (j^-1 R', R') with
-      R' = h (mu = +) or h g0 (mu = -), read at b (mu = +) or a (mu = -):
-      - (i, g, +)(j, h, +) = (i, g h, +): a.b -> i^-1 g h(b) . g h(b);
-      - (i, g, +)(j, h, -) = (i, g h, -): a.b -> i^-1 g h g0(a) . g h g0(a);
-      - (i, g, -)(j, h, +) = (i, g g0 j^-1 h, +):
-        a.b -> i^-1 g g0 j^-1 h(b) . g g0 j^-1 h(b);
-      - (i, g, -)(j, h, -) = (i, g g0 j^-1 h, -):
-        a.b -> i^-1 g g0 j^-1 h g0(a) . g g0 j^-1 h g0(a).
-      A + left factor reads R', so its R becomes g R'; a - left factor reads
-      j^-1 R', so its R becomes g g0 j^-1 R'.
-
-    Each map costs two getter calls, one for R and one for the reads, with
-    one getter per element and sign and one per sign.  The maps are checked
-    to be distinct, and phi is proved a homomorphism through the Rees
-    factorization, at a cost of |S| + 2|G| + |G||I| + 2|I| map compositions
-    rather than one per product, all but 2|G| + 2|I| of them one getter
-    call; the image of a homomorphism is closed under composition, so the
-    image of phi is the fiber semigroup and no closure of maps is run.  The sandwich is
-    normalized, so with (i0, +) the base every triple factors as
-
-        (j, h, mu) = (j, 1, +)(i0, h, +)(i0, 1, mu),
-
-    since (j, 1, +)(i0, h, +) = (j, A[+][i0] h, +) = (j, h, +) and
-    (j, h, +)(i0, 1, mu) = (j, h A[+][i0], mu).  Write L_j = phi(j, 1, +),
-    R_mu = phi(i0, 1, mu) and theta(h) = phi(i0, h, +).  Three checks
-    (:func:`_product_law_failure`) each raise InternalCheckError naming the
-    law and the triple it failed at:
-
-    * (a) group law: theta(s g) = theta(s) theta(g) for every g in G and every
-      generator s of G, by a breadth-first search from the identity along
-      g -> s g that must reach all of G.  Every element is a nonempty word in
-      the generators, so by induction on its length
-      theta(s x g) = theta(s) theta(x g) = theta(s) theta(x) theta(g)
-      = theta(s x) theta(g): theta is a homomorphism on G;
-    * (b) sandwich relation: R_mu L_j = theta(A[mu][j]) for each of the 2|I|
-      pairs (mu, j), the image of (i0, 1, mu)(j, 1, +) = (i0, A[mu][j], +);
-    * (c) factorization: phi(j, h, mu) = L_j theta(h) R_mu for all |S| triples.
-
-    Then for x = (i, g, lam) and y = (j, h, mu), by (c), (b), (a) and (c):
-
-        phi(x) phi(y) = L_i theta(g) R_lam L_j theta(h) R_mu
-                      = L_i theta(g) theta(A[lam][j]) theta(h) R_mu
-                      = L_i theta(g A[lam][j] h) R_mu = phi(xy).
-
-    :func:`_product_law_failure` runs the same checks on any Rees matrix
-    semigroup, where a = A[lam0][i0] need not be 1 and the middle factor of
-    (j, h, mu) is (i0, a^-1 h a^-1, lam0).
-    """
-    if m.lam_labels != SIGN_LABELS:
-        raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
-    g0 = m.i_labels[m.base[0]]
-    pair_index = {p: k for k, p in enumerate(fiber.pairs)}
-    # a + map reads each fixed point a.b at b, a - map at a
-    read_at = (after([b for _, b in fiber.pairs]), after([a for a, _ in fiber.pairs]))
-    g0_after = after(g0)
-    # per element g and sign: the getter of R (g for +, g g0 for -) and of the reads
-    slots = [(g, lam, after(r), read_at[lam])
-             for g in m.group.elements for lam, r in ((PLUS, g), (MINUS, g0_after(g)))]
-    phi: dict[ReesElement, FiberMap] = {}
-    for i, i_perm in enumerate(m.i_labels):
-        i_inv = inverse(i_perm)
-        # the fixed point (i^-1 r, r) for each letter r, as a fiber index
-        target = [pair_index.get((i_inv[r], r)) for r in range(len(i_perm))]
-        if None in target:
-            r = target.index(None)
-            raise InternalCheckError(
-                f"fiber action left the fiber: {(i_inv[r], r)} is not an allowed two-word")
-        for g, lam, r_after, read in slots:
-            # r_after writes the fixed point (i^-1 R(c), R(c)) for each letter c
-            phi[ReesElement(i, g, lam)] = read(r_after(target))
-    if len(set(phi.values())) != m.size:
-        raise InternalCheckError("fiber action is not faithful; distinct triples collided")
-    failure = _product_law_failure(m, phi)
-    if failure is not None:
-        law, x = failure
-        raise InternalCheckError(f"fiber action breaks the {law} at the triple {tuple(x)}",
-                                 law=law, witness=x)
-    return phi
+    """phi written out, a dict from each of the |S| triples to its fiber
+    map; ``--verify`` encodes only the maps it names (:class:`FiberAction`)."""
+    action = FiberAction(m, fiber)
+    return {x: action.encode(*x) for x in m.elements()}

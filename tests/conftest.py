@@ -148,10 +148,10 @@ def random_fibers(random_reports) -> list:
 
 
 @pytest.fixture(scope="session")
-def random_oracle(random_corpus, random_reports, random_fibers) -> list:
-    from ellisub import oracle_equivalence
-    return [oracle_equivalence(sub, report.matrix, built.phi)
-            for sub, report, built in zip(random_corpus, random_reports, random_fibers)]
+def random_oracle(random_corpus, random_reports) -> list:
+    from ellisub import FiberAction, oracle_equivalence
+    return [oracle_equivalence(sub, report.matrix, FiberAction(report.matrix, report.fiber))
+            for sub, report in zip(random_corpus, random_reports)]
 
 
 @pytest.fixture(scope="session")

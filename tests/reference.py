@@ -1,12 +1,14 @@
 """Reference computations that the tests compare the library against.
 
 The library builds one construction: the Rees matrix M[G; I, {+,-}; A] and
-its action phi on the fiber, proved a homomorphism through the Rees
-factorization.  The computations here work on the maps themselves, or search
-where the library proves: Green's classes from Cayley graphs, the normalized
-Rees form of a completely simple map semigroup, a capped isomorphism search
-between presentations, closures of Rees triples, digit walks into the fixed
-points and the proximality classes of the fiber.
+its action phi on the fiber, encoded one map at a time and proved an
+injective homomorphism from 2|I| letter identities.  The computations here
+work on the maps themselves, or search where the library proves: the
+reference phi, with all |S| maps written out and its product law checked
+through the Rees factorization; Green's classes from Cayley graphs; the
+normalized Rees form of a completely simple map semigroup; a capped
+isomorphism search between presentations; closures of Rees triples; digit
+walks into the fixed points and the proximality classes of the fiber.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
 from ellisub.oracle import _fiber_map, limit_maps
-from ellisub.perms import Perm, PermGroup, closure, compose, identity, inverse, is_normal
-from ellisub.rees import (ReesElement, ReesMatrixSemigroup, _product_law_failure,
-                          as_transformation_semigroup, idempotents_of)
-from ellisub.semigroups import FiberMap, TransformationSemigroup, green_summary, map_compose
+from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, inverse,
+                           is_normal)
+from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement, ReesMatrixSemigroup,
+                          idempotents_of)
+from ellisub.semigroups import (FiberMap, TransformationSemigroup, green_summary, map_after,
+                                map_compose)
 from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
                                   is_simplified)
 
@@ -167,6 +171,129 @@ def presentations_isomorphic(m1: ReesMatrixSemigroup, m2: ReesMatrixSemigroup) -
 
 
 # ---------------------------------------------------------------------------
+# the fiber action written out: the reference phi
+
+GROUP_LAW, SANDWICH_RELATION, FACTORIZATION = "group law", "sandwich relation", "factorization"
+
+
+def product_law_failure(m: ReesMatrixSemigroup,
+                        phi: dict) -> tuple[str, ReesElement] | None:
+    """The first of three product-law checks that ``phi`` fails, as
+    (law, triple), or None when it passes all three.  With (i0, lam0) the
+    base, a = A[lam0][i0] and theta(h) = phi(i0, h a^-1, lam0):
+
+    * GROUP_LAW: theta(s g) = theta(s) theta(g) for every g in G and every
+      generator s of G, along a breadth-first search from the identity;
+    * SANDWICH_RELATION: phi(i0, 1, mu) phi(j, 1, lam0) = phi(i0, A[mu][j], lam0)
+      for every mu and j;
+    * FACTORIZATION: phi(j, h, mu) = phi(j, 1, lam0) theta(a^-1 h) phi(i0, 1, mu)
+      for every triple.
+
+    Together they make phi a homomorphism: every triple factors as
+    (j, h, mu) = (j, 1, lam0)(i0, a^-1 h a^-1, lam0)(i0, 1, mu), so with
+    L_j = phi(j, 1, lam0), R_mu = phi(i0, 1, mu), and x = (i, g, lam),
+    y = (j, h, mu), by the factorization, the sandwich relation, the group
+    law and the factorization again,
+
+        phi(x) phi(y) = L_i theta(a^-1 g) R_lam L_j theta(a^-1 h) R_mu
+                      = L_i theta(a^-1 g) theta(A[lam][j] a) theta(a^-1 h) R_mu
+                      = L_i theta(a^-1 g A[lam][j] h) R_mu = phi(xy),
+
+    where theta(s g) = theta(s) theta(g) for generators s extends to all of
+    G by induction on the length of a word in the generators.  Raises
+    InternalCheckError, naming the group law, when the search does not reach
+    all of G, since then the generators of G fall short and the group law is
+    not proved.  |G| * (number of generators) + |Lambda||I| + |Lambda||G| + |S|
+    map compositions.
+    """
+    i0, lam0 = m.base
+    group = m.group
+    a_inv = inverse(m.sandwich[lam0][i0])
+    ident = identity(group.degree)
+
+    def triple(h: Perm) -> ReesElement:  # theta(h) is phi of this triple
+        return ReesElement(i0, compose(h, a_inv), lam0)
+    a_inv_after = after(a_inv)
+    theta = {h: phi[(i0, a_inv_after(h), lam0)] for h in group.elements}
+
+    gens = group.generators or (ident,)  # the trivial group: check theta(1) theta(1)
+    reached, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            g_after, theta_g_after = after(g), map_after(theta[g])
+            for s in gens:
+                sg = g_after(s)
+                if theta[sg] != theta_g_after(theta[s]):
+                    return GROUP_LAW, triple(sg)
+                if sg not in reached:
+                    reached.add(sg)
+                    new.append(sg)
+        frontier = new
+    if len(reached) != group.order:
+        missing = min(group.element_set - reached)
+        raise InternalCheckError(
+            f"the generators of G reach {len(reached)} of {group.order} elements, "
+            "so the group law is not proved", law=GROUP_LAW, witness=triple(missing))
+
+    i_range, lam_range = range(len(m.i_labels)), range(len(m.lam_labels))
+    lefts = [phi[(j, ident, lam0)] for j in i_range]      # phi(j, 1, lam0)
+    rights = [phi[(i0, ident, mu)] for mu in lam_range]   # phi(i0, 1, mu)
+    for mu in lam_range:
+        for j in i_range:
+            x = ReesElement(i0, m.sandwich[mu][j], lam0)
+            if phi[x] != map_compose(rights[mu], lefts[j]):
+                return SANDWICH_RELATION, x
+
+    for h in group.elements:
+        theta_h = theta[compose(a_inv, h)]
+        for mu in lam_range:
+            middle_after = map_after(map_compose(theta_h, rights[mu]))
+            for j in i_range:
+                if phi[(j, h, mu)] != middle_after(lefts[j]):
+                    return FACTORIZATION, ReesElement(j, h, mu)
+    return None
+
+
+def reference_action(m: ReesMatrixSemigroup, fiber: TwoWordFiber) -> dict[ReesElement, FiberMap]:
+    """The fiber action phi of a substitution sandwich, all |S| maps written
+    out: (i, g, +) sends a.b to L(b).R(b) and (i, g, -) to L(a).R(a), with
+    R = g (resp. g g0) and L = i^-1 R.  Checks that the maps stay in the
+    fiber and are distinct and that phi passes :func:`product_law_failure`,
+    raising InternalCheckError naming the law and the triple."""
+    if m.lam_labels != SIGN_LABELS:
+        raise ValidationError("fiber action requires a substitution sandwich with signs {+,-}")
+    g0 = m.i_labels[m.base[0]]
+    pair_index = {p: k for k, p in enumerate(fiber.pairs)}
+    # a + map reads each fixed point a.b at b, a - map at a
+    read_at = (after([b for _, b in fiber.pairs]), after([a for a, _ in fiber.pairs]))
+    g0_after = after(g0)
+    # per element g and sign: the getter of R (g for +, g g0 for -) and of the reads
+    slots = [(g, lam, after(r), read_at[lam])
+             for g in m.group.elements for lam, r in ((PLUS, g), (MINUS, g0_after(g)))]
+    phi: dict[ReesElement, FiberMap] = {}
+    for i, i_perm in enumerate(m.i_labels):
+        i_inv = inverse(i_perm)
+        # the fixed point (i^-1 r, r) for each letter r, as a fiber index
+        target = [pair_index.get((i_inv[r], r)) for r in range(len(i_perm))]
+        if None in target:
+            r = target.index(None)
+            raise InternalCheckError(
+                f"fiber action left the fiber: {(i_inv[r], r)} is not an allowed two-word")
+        for g, lam, r_after, read in slots:
+            # r_after writes the fixed point (i^-1 R(c), R(c)) for each letter c
+            phi[ReesElement(i, g, lam)] = read(r_after(target))
+    if len(set(phi.values())) != m.size:
+        raise InternalCheckError("fiber action is not faithful; distinct triples collided")
+    failure = product_law_failure(m, phi)
+    if failure is not None:
+        law, x = failure
+        raise InternalCheckError(f"fiber action breaks the {law} at the triple {tuple(x)}",
+                                 law=law, witness=x)
+    return phi
+
+
+# ---------------------------------------------------------------------------
 # map semigroups
 
 def image_semigroup(m: ReesMatrixSemigroup, phi: dict) -> TransformationSemigroup:
@@ -180,8 +307,9 @@ def image_semigroup(m: ReesMatrixSemigroup, phi: dict) -> TransformationSemigrou
 
 def fiber_semigroup(m: ReesMatrixSemigroup,
                     fiber: TwoWordFiber) -> tuple[TransformationSemigroup, dict]:
-    """The fiber maps of a substitution sandwich as a map semigroup, and phi."""
-    phi = as_transformation_semigroup(m, fiber)
+    """The fiber maps of a substitution sandwich as a map semigroup, and the
+    reference phi."""
+    phi = reference_action(m, fiber)
     return image_semigroup(m, phi), phi
 
 
@@ -206,15 +334,14 @@ def idempotent_indices(sg: TransformationSemigroup) -> list[int]:
 def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
                             phi: dict[ReesElement, FiberMap]) -> bool:
     """Whether phi is a bijective homomorphism of M onto sg: bijective onto
-    the maps of sg, and through the product-law checks of the library
-    (``rees._product_law_failure``).  Raises InternalCheckError when the
-    generators of G do not reach all of G."""
+    the maps of sg, and through :func:`product_law_failure`.  Raises
+    InternalCheckError when the generators of G do not reach all of G."""
     if phi.keys() != set(m.elements()):
         return False
     images = set(phi.values())
     if len(images) != m.size or images != set(sg.elements):
         return False
-    return _product_law_failure(m, phi) is None
+    return product_law_failure(m, phi) is None
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,22 @@ def test_resource_guard_exits_3(tmp_path):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["kind"] == "resource-limit"
+    assert "stage" not in payload["error"]
+
+
+def test_a_capped_group_closure_names_its_stage(tmp_path, monkeypatch, capsys):
+    # S_3 has 6 elements, so a cap of 5 trips in structure_group, the first
+    # stage that closes a group, and the stderr JSON names it
+    import ellisub.perms
+    monkeypatch.setattr(ellisub.perms, "CLOSURE_CAP", 5)
+    path = tmp_path / "s3.sub"
+    path.write_text(CASES["s3_seven_words"])
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {
+        "kind": "resource-limit", "message": "group closure exceeded cap of 5 elements",
+        "stage": "structure_group"}}
 
 
 def test_golden_cli_passes():
@@ -232,17 +248,17 @@ def test_main_callable_directly(tm_file, capsys):
 def test_a_broken_product_law_exits_2_naming_the_law_and_triple(tm_file, monkeypatch, capsys):
     # a sandwich entry that disagrees with the column labels the fiber action
     # is built from: the sandwich relation fails at the minus row and column
-    # 1, and the stderr JSON names the law and the triple
+    # 1, and the stderr JSON names the law, the triple and the stage
     from dataclasses import replace
 
     import ellisub.pipeline
-    original = ellisub.pipeline.as_transformation_semigroup
+    original = ellisub.pipeline.FiberAction
 
     def corrupted(matrix, fiber):
         plus, minus = matrix.sandwich
         assert matrix.base == (0, 0) and minus[1] == (1, 0)
         return original(replace(matrix, sandwich=(plus, (minus[0], (0, 1)))), fiber)
-    monkeypatch.setattr(ellisub.pipeline, "as_transformation_semigroup", corrupted)
+    monkeypatch.setattr(ellisub.pipeline, "FiberAction", corrupted)
     assert main(["analyze", tm_file, "--verify"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -251,6 +267,7 @@ def test_a_broken_product_law_exits_2_naming_the_law_and_triple(tm_file, monkeyp
     assert error["law"] == "sandwich relation"
     assert error["witness"] == [0, [0, 1], 0]
     assert "sandwich relation at the triple (0, (0, 1), 0)" in error["message"]
+    assert error["stage"] == "fiber action"
 
 
 def test_power_six_input_gets_a_report(tmp_path):

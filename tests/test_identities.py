@@ -1,7 +1,7 @@
 """Identities of the construction that no substitution can break, so a plain
 analysis does not recheck them: they are tested here over the golden cases
 and the random corpus.  The proofs are in the docstrings of
-``ellisub.pipeline`` and ``ellisub.rees.as_transformation_semigroup``."""
+``ellisub.pipeline`` and ``ellisub.rees.FiberAction``."""
 
 import random
 

@@ -8,8 +8,8 @@ from ellisub.oracle import (OracleResult, _compare_with_action,
                             compare_map_semigroups, limit_maps,
                             oracle_equivalence, triples_generate)
 from ellisub.pipeline import r_set
-from ellisub.rees import (as_transformation_semigroup, idempotents_of,
-                          substitution_sandwich)
+from ellisub.rees import (FiberAction, as_transformation_semigroup,
+                          idempotents_of, substitution_sandwich)
 from ellisub.semigroups import map_compose, semigroup_closure
 from ellisub.substitution import (allowed_two_words, columns,
                                   substitution_power)
@@ -91,7 +91,7 @@ def sandwich_action(sub):
     R-set element, and its action phi on the fiber."""
     rset, group = rset_and_group(sub)
     matrix = substitution_sandwich(group, rset, rset[0])
-    return matrix, as_transformation_semigroup(matrix, allowed_two_words(sub))
+    return matrix, FiberAction(matrix, allowed_two_words(sub))
 
 
 def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
@@ -103,8 +103,7 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
     assert len(subs) == 6 + 20 + 21 + 1
     short_sets = 0
     for sub in subs:
-        matrix, phi = sandwich_action(sub)
-        named = {f: x for x, f in phi.items()}
+        matrix, action = sandwich_action(sub)
         by_shift = {m.nu: m.fiber_map for m in limit_maps(sub).maps}
         candidates = [list(by_shift.values()),
                       [f for nu, f in by_shift.items() if nu > 0],
@@ -112,7 +111,8 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
                       [by_shift[1], by_shift[-1]]]
         for k, maps in enumerate(candidates):
             closed = semigroup_closure(maps, degree=len(maps[0])).size == matrix.size
-            assert triples_generate(matrix, [named[f] for f in maps]) == closed, (sub.rules, k)
+            assert triples_generate(matrix, [action.decode(f) for f in maps]) == closed, \
+                (sub.rules, k)
             assert closed or k > 0
             short_sets += not closed
     assert short_sets >= 2 * len(subs)
@@ -152,20 +152,20 @@ def test_a_short_map_set_is_closed_to_list_the_missing_maps(golden_simplified):
     # walk search refuses their triples, and only then are the maps closed,
     # to list the 4 algebraic maps they miss
     sub = golden_simplified["thue_morse"]
-    matrix, phi = sandwich_action(sub)
+    matrix, action = sandwich_action(sub)
     result = limit_maps(sub)
     short = OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1))
-    named = {f: x for x, f in phi.items()}
-    assert not triples_generate(matrix, [named[m.fiber_map] for m in short.maps])
-    comparison = _compare_with_action(short, matrix, phi)
-    full = semigroup_closure(list(phi.values()), degree=4)
+    assert not triples_generate(matrix, [action.decode(m.fiber_map) for m in short.maps])
+    comparison = _compare_with_action(short, matrix, action)
+    full = semigroup_closure(list(as_transformation_semigroup(matrix, result.fiber).values()),
+                             degree=4)
     missing = sorted(set(full.elements) - set(short.semigroup.elements))
     assert short.semigroup.size == 4 and full.size == 8
     assert not comparison.equal and comparison.map_count == 4
     assert comparison.discrepancies == tuple(
         f"algebraic map {f} not produced by the oracle" for f in missing)
     # all six shifts generate: the search decides it and no closure is run
-    whole = _compare_with_action(result, matrix, phi)
+    whole = _compare_with_action(result, matrix, action)
     assert whole.equal and whole.map_count == 8 and whole.discrepancies == ()
     assert "semigroup" not in vars(result)
 
@@ -177,8 +177,7 @@ def test_a_map_outside_the_action_is_a_discrepancy(golden_simplified):
     sub = golden_simplified["s3_height_two"]
     rset, group = rset_and_group(sub)
     partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
-    phi = as_transformation_semigroup(partial, allowed_two_words(sub))
-    comparison = oracle_equivalence(sub, partial, phi)
+    comparison = oracle_equivalence(sub, partial, FiberAction(partial, allowed_two_words(sub)))
     assert not comparison.equal and comparison.map_count == 36
     assert len(comparison.discrepancies) == 18
     assert all("missing from the algebraic semigroup" in d for d in comparison.discrepancies)

@@ -17,7 +17,7 @@ from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               automorphism_data, classical_height_bruteforce,
                               degree_map, global_description, heights, r_set,
                               return_time_gcd, structure_group)
-from ellisub.rees import MINUS, PLUS, ReesMatrixSemigroup, substitution_sandwich
+from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import render_json, report_to_json
 from ellisub.semigroups import (TransformationSemigroup, map_compose,
                                 semigroup_closure)
@@ -34,7 +34,7 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "verify_rees_isomorphism", "green_structure", "GreenStructure", "_components",
          "_partition", "is_completely_simple", "quotient_data", "proximality_classes",
          "ProximalityData", "_merged_pairs", "_check_merge_classes", "induced_fiber_map",
-         "letter_at")
+         "letter_at", "_product_law_failure")
 
 SWAP = (1, 0)
 
@@ -472,8 +472,9 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # A plain analysis builds the matrix and no fiber map: its Green summary
     # is read off the matrix, and the fiber maps, their product law and their
     # Green structure are identities of the construction, tested in
-    # test_identities.py.  Under --verify the maps are built once, for the
-    # window oracle, which closes none of them.
+    # test_identities.py.  Under --verify no |S|-sized object is built either:
+    # the fiber action encodes only the maps the window oracle names, and
+    # the oracle closes none of them.
     calls: dict[str, int] = {}
     on_power: list[tuple[str, object]] = []  # (name, substitution) per validation call
 
@@ -517,7 +518,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         for module in modules:
             if hasattr(module, name):
                 recording(module, name)
-    # map compositions of the product-law checks, made by map_compose or by a
+    # map compositions of the fiber action, made by map_compose or by a
     # getter that map_after built once for a reused right factor
     products = []
     original_compose, original_after = ellisub.rees.map_compose, ellisub.rees.map_after
@@ -535,6 +536,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         return counted
     monkeypatch.setattr(ellisub.rees, "map_compose", compose_maps)
     monkeypatch.setattr(ellisub.rees, "map_after", map_after)
+    encoded = []
+    original_encode = FiberAction.encode
+
+    def encode(self, *triple):
+        encoded.append(triple)
+        return original_encode(self, *triple)
+    monkeypatch.setattr(FiberAction, "encode", encode)
     original_sandwich = ellisub.pipeline.substitution_sandwich
 
     def no_group_closure(*args, **kwargs):
@@ -566,7 +574,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     sub = golden_subs["s3_seven_words"]
     report = analyze_substitution(sub)
     assert report.exponent == 2 and report.substitution is not sub
-    assert calls == once and products == []
+    assert calls == once and products == [] and encoded == []
     # the global strings, the automorphism data and the report all read group
     # fingerprints; each is computed once per distinct element set, so a
     # little group or normal completion with |G| elements reuses G's
@@ -589,19 +597,24 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     on_power.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
-    assert calls == {**once, "as_transformation_semigroup": 1}
+    assert calls == once  # no as_transformation_semigroup, no semigroup_closure
     # and the oracle once more, in limit_maps, which reads its own fiber
     assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
                                                 "is_primitive": 1}
     assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
-    # the product law through the Rees factorization: the group law on
-    # G x (generators of G), the 2|I| sandwich relations, theta(h) R_mu once
-    # per (h, mu) and L_j times it once per triple; 18 + 6 + 12 + 36 here,
-    # against 36 * 7 for a pass over X x M with the 2|I| + 1 Rees generators
+    # the fiber action proves itself from the 2|I| letter identities
+    # c_lam T_j = A[lam][j], one map_compose each; the oracle names each of
+    # its distinct maps by one decode, two map_compose calls and one encode,
+    # whose read getter makes the third composition.  6 + 3 * 18 here,
+    # against the |S| = 36 maps of phi written out
     matrix = report.matrix
     order, n_i = matrix.group.order, len(report.rset)
-    assert (matrix.size, order, n_i, len(matrix.group.generators)) == (36, 6, 3, 3)
-    assert len(products) == order * n_i + 2 * n_i + 2 * order + matrix.size == 72
+    distinct = sorted({m.fiber_map for m in report.oracle.oracle.maps})
+    assert (matrix.size, order, n_i, len(distinct)) == (36, 6, 3, 18)
+    assert len(products) == 2 * n_i + 3 * len(distinct) == 60
+    assert len(encoded) == len(distinct) <= len(distinct) + 2 * n_i
+    action = FiberAction(matrix, report.fiber)
+    assert sorted(original_encode(action, *x) for x in encoded) == distinct
 
 
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():

@@ -1,21 +1,25 @@
 import random
 from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
+import ellisub.pipeline
+import ellisub.rees
+from ellisub import AnalysisConfig, analyze_substitution
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
-from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement,
-                          ReesMatrixSemigroup, _product_law_failure,
-                          as_transformation_semigroup, idempotents_of,
-                          substitution_sandwich)
+from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
+                          ReesMatrixSemigroup, as_transformation_semigroup,
+                          idempotents_of, substitution_sandwich)
 from ellisub.semigroups import map_compose, semigroup_closure
 from ellisub.substitution import TwoWordFiber, allowed_two_words
-from conftest import fiber_action, rset_and_group, three_row_matrix
+from conftest import build_random_corpus, fiber_action, rset_and_group, three_row_matrix
 from reference import (element_closure, fiber_semigroup, idempotent_generated,
                        left_regular_action, little_structure_group, multiply,
-                       presentations_isomorphic, rees_decomposition,
-                       rees_generators, verify_rees_isomorphism)
+                       presentations_isomorphic, product_law_failure,
+                       reference_action, rees_decomposition, rees_generators,
+                       verify_rees_isomorphism)
 
 
 def sandwich(sub, g0_index: int = 0) -> ReesMatrixSemigroup:
@@ -309,10 +313,13 @@ def test_rees_generators_refuse_a_group_whose_generators_fall_short(golden_simpl
     sub = golden_simplified["s3_seven_words"]
     rset, full = rset_and_group(sub)
     short = replace(full, generators=((1, 0, 2),))
+    fiber = allowed_two_words(sub)
     with pytest.raises(InternalCheckError, match="reach 2 of 6") as caught:
-        as_transformation_semigroup(substitution_sandwich(short, rset, rset[0]),
-                                    allowed_two_words(sub))
+        reference_action(substitution_sandwich(short, rset, rset[0]), fiber)
     assert caught.value.law == "group law"
+    # the library's proof reads no generator of G, so it holds as before
+    assert (as_transformation_semigroup(substitution_sandwich(short, rset, rset[0]), fiber)
+            == reference_action(substitution_sandwich(full, rset, rset[0]), fiber))
 
 
 def test_only_the_sandwich_relation_catches_a_shifted_minus_column(golden_simplified):
@@ -328,7 +335,8 @@ def test_only_the_sandwich_relation_catches_a_shifted_minus_column(golden_simpli
                        else phi[x] for x in m.elements()}
             assert set(shifted.values()) == set(phi.values())
             assert not _is_homomorphism_on_all_pairs(sg, m, shifted)
-            law, witness = _product_law_failure(m, shifted)
+            assert not _named_by(FiberAction(m, allowed_two_words(sub)), shifted)
+            law, witness = product_law_failure(m, shifted)
             assert law == "sandwich relation"
             assert witness.i == i0 and witness.lam == PLUS
             assert not verify_rees_isomorphism(sg, m, shifted)
@@ -347,10 +355,11 @@ def test_a_wrong_generator_image_breaks_the_group_law(golden_simplified):
             swapped = dict(phi)
             base, image = ReesElement(i0, ident, PLUS), ReesElement(i0, s, PLUS)
             swapped[base], swapped[image] = phi[image], phi[base]
-            law, witness = _product_law_failure(m, swapped)
+            law, witness = product_law_failure(m, swapped)
             assert law == "group law"
             assert witness.i == i0 and witness.lam == PLUS
             assert not verify_rees_isomorphism(sg, m, swapped)
+            assert not _named_by(FiberAction(m, allowed_two_words(sub)), swapped)
 
 
 def test_a_swap_away_from_the_base_breaks_the_factorization(golden_simplified):
@@ -365,35 +374,49 @@ def test_a_swap_away_from_the_base_breaks_the_factorization(golden_simplified):
             if (x.i, x.lam) == (i0, PLUS) or (x.g == ident and (x.lam == PLUS or x.i == i0))}
     away = [x for x in m.elements() if x not in read]
     assert len(away) == m.size - m.group.order - len(m.i_labels)
+    action = FiberAction(m, allowed_two_words(sub))
     rng = random.Random(7)
     for _ in range(200):
         u, v = rng.sample(away, 2)
         swapped = dict(phi)
         swapped[u], swapped[v] = phi[v], phi[u]
-        law, witness = _product_law_failure(m, swapped)
+        law, witness = product_law_failure(m, swapped)
         assert law == "factorization" and witness in (u, v)
         assert not verify_rees_isomorphism(sg, m, swapped)
+        assert not _named_by(action, swapped)
 
 
 def test_a_wrong_sandwich_entry_breaks_the_sandwich_relation(golden_simplified):
     # the action is built from the column labels, so a sandwich entry that
-    # disagrees with them breaks the relation at its (mu, j)
+    # disagrees with them breaks the relation at its (mu, j): in the letter
+    # identity c_mu T_j = A[mu][j] and in the reference's product law
     for sub, m in _golden_sandwiches(golden_simplified):
-        i0 = m.base[0]
-        j = next(j for j in range(len(m.i_labels)) if j != i0)
-        entry = m.sandwich[MINUS][j]
-        wrong = next(g for g in m.group.elements if g != entry)
-        minus_row = m.sandwich[MINUS][:j] + (wrong,) + m.sandwich[MINUS][j + 1:]
-        corrupted = replace(m, sandwich=(m.sandwich[PLUS], minus_row))
-        with pytest.raises(InternalCheckError, match="sandwich relation") as caught:
-            as_transformation_semigroup(corrupted, allowed_two_words(sub))
-        assert caught.value.law == "sandwich relation"
-        assert caught.value.witness == ReesElement(i0, wrong, PLUS)
+        corrupted, wrong = _corrupted(m)
+        for build, stage in ((FiberAction, "fiber action"), (reference_action, None)):
+            with pytest.raises(InternalCheckError, match="sandwich relation") as caught:
+                build(corrupted, allowed_two_words(sub))
+            assert caught.value.law == "sandwich relation"
+            assert caught.value.witness == ReesElement(m.base[0], wrong, PLUS)
+            assert caught.value.stage == stage
+
+
+def _corrupted(m):
+    """m with the minus entry of the first column off the base replaced by
+    another element of G, and that element."""
+    j = next(j for j in range(len(m.i_labels)) if j != m.base[0])
+    wrong = next(g for g in m.group.elements if g != m.sandwich[MINUS][j])
+    minus_row = m.sandwich[MINUS][:j] + (wrong,) + m.sandwich[MINUS][j + 1:]
+    return replace(m, sandwich=(m.sandwich[PLUS], minus_row)), wrong
 
 
 def _is_homomorphism_on_all_pairs(sg, m, phi):
     return all(phi[multiply(m, x, y)] == map_compose(phi[x], phi[y])
                for x in m.elements() for y in m.elements())
+
+
+def _named_by(action, phi):
+    """Whether the action decodes every map of phi to its own triple."""
+    return all(action.decode(f) == x for x, f in phi.items())
 
 
 def test_verify_rejects_swap_away_from_generators(golden_simplified):
@@ -517,3 +540,142 @@ def test_fiber_action_refuses_a_fiber_missing_one_word(golden_simplified):
             fiber = TwoWordFiber(pairs[:drop] + pairs[drop + 1:])
             with pytest.raises(InternalCheckError, match="left the fiber"):
                 as_transformation_semigroup(m, fiber)
+
+
+# ---------------------------------------------------------------------------
+# the fiber action, one map at a time, against the reference phi with all
+# |S| maps written out and its product law checked
+
+def _first_sandwiches(subs):
+    for sub in subs:
+        rset, group = rset_and_group(sub)
+        yield sub, substitution_sandwich(group, rset, rset[0])
+
+
+def _all_sandwiches(golden_simplified, random_corpus):
+    """The golden six at the first and last R-set element, the random corpus
+    and 40 more random substitutions at the first."""
+    yield from _golden_sandwiches(golden_simplified)
+    yield from _first_sandwiches(random_corpus + build_random_corpus(40, seed=7))
+
+
+def _check_encode_and_decode(sub, m) -> int:
+    """encode is the reference phi, and decode inverts it, on every triple;
+    a map T_i g c_lam with g a permutation outside G is no image of phi and
+    has no triple.  Returns how many such maps it tried."""
+    fiber = allowed_two_words(sub)
+    action = FiberAction(m, fiber)
+    phi = reference_action(m, fiber)  # raises unless the reference product law holds
+    for x, f in phi.items():
+        assert action.encode(*x) == f
+        assert action.decode(f) == x
+    outside = [g for g in permutations(range(sub.size)) if g not in m.group]
+    images = set(phi.values())
+    for x in product(range(len(m.i_labels)), outside, (PLUS, MINUS)):
+        f = action.encode(*x)
+        assert f not in images and action.decode(f) is None
+    return len(outside)
+
+
+def _check_swaps(sub, m) -> int:
+    """Every map of phi with two distinct images swapped decodes to a triple
+    exactly when the reference phi has it, and then to its triple; returns
+    how many swapped maps it has not."""
+    fiber = allowed_two_words(sub)
+    action = FiberAction(m, fiber)
+    named = {f: x for x, f in reference_action(m, fiber).items()}
+    outside = 0
+    for f in named:
+        for k in range(len(f)):
+            for k2 in range(k + 1, len(f)):
+                if f[k] != f[k2]:
+                    swapped = list(f)
+                    swapped[k], swapped[k2] = f[k2], f[k]
+                    swapped = tuple(swapped)
+                    assert action.decode(swapped) == named.get(swapped)
+                    outside += swapped not in named
+    return outside
+
+
+def test_encode_is_the_reference_phi_and_decode_inverts_it(golden_simplified, random_corpus):
+    sandwiches = list(_all_sandwiches(golden_simplified, random_corpus))
+    assert len(sandwiches) == 12 + 20 + 40
+    assert sum(_check_encode_and_decode(sub, m) > 0 for sub, m in sandwiches) > 0
+
+
+def test_a_swapped_map_decodes_exactly_when_it_is_an_image(golden_simplified, random_corpus):
+    sandwiches = list(_golden_sandwiches(golden_simplified)) + list(_first_sandwiches(random_corpus))
+    assert all(_check_swaps(sub, m) > 0 for sub, m in sandwiches)
+
+
+def test_the_fiber_action_names_its_stage_and_law_when_it_fails(golden_simplified):
+    # a fiber where no letter has two predecessors cannot tell a + map from
+    # a - map: with one row, (g0, 1, +) and (g0, 1, -) both act as the identity
+    sub = golden_simplified["thue_morse"]
+    rset, group = rset_and_group(sub)
+    one_row = substitution_sandwich(group, rset[:1], rset[0])
+    diagonal = TwoWordFiber(((0, 0), (1, 1)))
+    with pytest.raises(InternalCheckError, match="not faithful") as caught:
+        FiberAction(one_row, diagonal)
+    assert caught.value.law == "faithfulness" and caught.value.stage == "fiber action"
+    with pytest.raises(InternalCheckError, match="collided"):
+        reference_action(one_row, diagonal)
+    # a row listed twice writes the same fixed points twice
+    twice = substitution_sandwich(group, rset + rset[:1], rset[0])
+    with pytest.raises(InternalCheckError, match="rows 0 and 2") as caught:
+        FiberAction(twice, allowed_two_words(sub))
+    assert caught.value.law == "faithfulness"
+    assert caught.value.witness == ReesElement(2, identity(2), PLUS)
+    # a fixed point missing from the fiber
+    pairs = allowed_two_words(sub).pairs
+    with pytest.raises(InternalCheckError, match="left the fiber") as caught:
+        FiberAction(substitution_sandwich(group, rset, rset[0]), TwoWordFiber(pairs[1:]))
+    assert caught.value.law == "fiber" and caught.value.stage == "fiber action"
+
+
+class _EqualToEveryMap(tuple):
+    """What a mutant encode returns: equal to any map it meets."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = tuple.__hash__
+
+
+@pytest.mark.parametrize("mutant", ["c_minus_reads_b", "wrong_g0_in_the_encoder",
+                                    "decode_skips_the_encode_back", "corrupted_sandwich_entry"])
+def test_a_mutant_of_the_fiber_action_fails_a_named_test(mutant, golden_simplified, golden_subs,
+                                                         random_corpus, monkeypatch):
+    reads = ellisub.rees._letter_reads
+    if mutant == "decode_skips_the_encode_back":
+        # a swap away from the fixed points that decode reads still decodes
+        monkeypatch.setattr(FiberAction, "encode", lambda self, i, g, lam: _EqualToEveryMap())
+        with pytest.raises(AssertionError):
+            test_a_swapped_map_decodes_exactly_when_it_is_an_image(golden_simplified,
+                                                                    random_corpus)
+        return
+    if mutant == "corrupted_sandwich_entry":
+        # as in the CLI test of a broken product law, on every golden --verify run
+        monkeypatch.setattr(ellisub.pipeline, "FiberAction",
+                            lambda matrix, fiber: FiberAction(_corrupted(matrix)[0], fiber))
+        for sub in golden_subs.values():
+            with pytest.raises(InternalCheckError) as caught:
+                analyze_substitution(sub, AnalysisConfig(verify=True))
+            assert (caught.value.law, caught.value.stage) == ("sandwich relation", "fiber action")
+        return
+    if mutant == "c_minus_reads_b":
+        # g0 c_+ T_j = g0 differs from A[-][j] = g0 j^-1 at every j != 1
+        def mutated(fiber, g0):
+            plus, _ = reads(fiber, g0)
+            return plus, tuple(g0[b] for b in plus)
+    else:
+        # g0' c_- T_j = g0' j^-1 differs from A[-][j] = g0 j^-1
+        def mutated(fiber, g0):
+            return reads(fiber, compose((1, 0) + tuple(range(2, len(g0))), g0))
+    monkeypatch.setattr(ellisub.rees, "_letter_reads", mutated)
+    with pytest.raises(InternalCheckError) as caught:
+        test_encode_is_the_reference_phi_and_decode_inverts_it(golden_simplified, random_corpus)
+    assert caught.value.law == "sandwich relation"
