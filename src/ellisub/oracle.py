@@ -41,49 +41,73 @@ and with it the induced fiber map, is the same at every level k.  For
 0 <= p < l and x[p] = rule(a)[p + l] for -l <= p < 0, so the limit map is
 read straight off the rule words.  The tests check the collapse against
 maps read by base-l digit walks at levels 1 to 4.
+
+The maps of sigma^nu and sigma^(nu - l) share a column pair.  For
+0 < nu < l,
+
+    sigma^nu puts x[nu-1] x[nu] = letters nu-1, nu of rule(b) over a.b,
+    sigma^(nu-l) puts x[nu-l-1] x[nu-l] = letters nu-1, nu of rule(a) over it.
+
+So one table, the fiber index of (c_(nu-1)(y), c_nu(y)) for each letter y,
+gives both: the + map reads it at the right letter b of each fixed point and
+the - map at the left letter a, through two getters built once.  That is
+l - 1 tables of s lookups for the 2(l - 1) maps, where reading each fixed
+point's two-letter word would take 2(l - 1) * fiber.
+
+The oracle validates the substitution itself: :func:`limit_maps` computes
+its own ``allowed_two_words`` and checks ``is_simplified`` on it, although
+the pipeline has validated the same power.  Taking the pipeline's fiber
+would save two scans of the rule words and cost the oracle its own reading
+of the fixed points.  Its fiber indices are what ``FiberAction.decode``
+compares with the action's, which the pipeline builds on its own fiber, so
+a wrong fiber there shows up as a discrepancy rather than being taken on
+trust.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 from .perms import after, identity
-from .semigroups import (FiberMap, TransformationSemigroup,
+from .semigroups import (FiberMap, TransformationSemigroup, map_after,
                          semigroup_closure)
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
-                           is_simplified)
+                           columns, is_simplified)
 
 LIMIT_LEVEL = 1  # the level reported for every shift; the map is constant in the level
 REPORTED_MAX_LEVEL = 4  # ellis-report/1 keeps the ceiling the old level search printed by default
 
 
-def _fiber_map(words: list[tuple[int, int]], index: dict[tuple[int, int], int]) -> FiberMap:
-    """The fiber indices of the shifted two-words, one per fixed point."""
-    images = tuple([index.get(word) for word in words])
-    if None in images:
-        word = words[images.index(None)]
+def _column_pair_table(cols: tuple[tuple[int, ...], ...], index: dict[tuple[int, int], int],
+                       nu: int) -> list[int]:
+    """The fiber index of (c_(nu-1)(x), c_nu(x)), letters nu-1 and nu of the
+    rule word of x, for each letter x: the maps of sigma^nu and of
+    sigma^(nu - l) both read it."""
+    table = list(map(index.get, zip(cols[nu - 1], cols[nu])))
+    if None in table:
+        x = table.index(None)
+        word = (cols[nu - 1][x], cols[nu][x])
         raise ValidationError(f"shifted two-word {word} is not an allowed two-word")
-    return images
+    return table
 
 
-def _limit_map(sub: Substitution, pairs: tuple[tuple[int, int], ...],
-               index: dict[tuple[int, int], int], nu: int) -> FiberMap:
-    """The limit map of sigma^(nu * l^k) for 0 < |nu| < l: the map of sigma^nu,
-    read off the rule words (positions nu-1, nu of a.b)."""
-    rules, length = sub.rules, sub.length
-    if nu > 0:
-        words = [(rules[b][nu - 1], rules[b][nu]) for _, b in pairs]
-    else:
-        words = [(rules[a][nu - 1 + length], rules[a][nu + length]) for a, _ in pairs]
-    return _fiber_map(words, index)
+def _fixed_point_reads(fiber: TwoWordFiber) -> tuple[Callable, Callable]:
+    """Getters that read a letter table at the right letter b and at the left
+    letter a of each fixed point a.b, built once for the 2(l-1) maps."""
+    return (map_after(tuple([b for _, b in fiber.pairs])),
+            map_after(tuple([a for a, _ in fiber.pairs])))
 
 
-@dataclass(frozen=True)
-class OracleMap:
+class OracleMap(NamedTuple):
+    """The map of sigma^(nu * l^k) on the fiber, the same for every k.  A
+    named tuple, built by one tuple.__new__, where a frozen dataclass sets
+    each field through object.__setattr__."""
+
     nu: int
-    fiber_map: FiberMap  # the map of sigma^(nu * l^k), the same for every k
+    fiber_map: FiberMap
 
 
 @dataclass
@@ -106,23 +130,32 @@ class OracleResult:
 
 
 def limit_maps(sub: Substitution) -> OracleResult:
-    """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l.
+    """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l, in
+    the order 1, ..., l-1, 1-l, ..., -1.
 
     Each map is read once, off the rule words.  That is the limit: for a
     simplified substitution x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] at
     every level k, since x[p*l + r] = rule(x[p])[r] and the boundary columns
     are the identity (the module docstring spells out the induction), so the
-    map does not depend on k.  No closure is run here; ``semigroup`` closes
-    the maps when it is first read.
+    map does not depend on k.  For 0 < nu < l, sigma^nu puts letters nu-1
+    and nu of rule(b) over a.b, and sigma^(nu - l) puts letters nu-1 and nu
+    of rule(a) over it.  So both maps read one table of the column pair
+    (c_(nu-1), c_nu), at b and at a: l - 1 tables of s lookups, where reading
+    each fixed point's word takes 2(l-1) * fiber.  No closure is run here;
+    ``semigroup`` closes the maps when it is first read.
     """
     fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
     if not is_simplified(sub, fiber):
         raise ValidationError("the window oracle needs a simplified substitution")
     index = {p: k for k, p in enumerate(fiber.pairs)}
-    length = sub.length
-    shifts = list(range(1, length)) + list(range(-length + 1, 0))
-    return OracleResult(fiber, tuple(OracleMap(nu, _limit_map(sub, fiber.pairs, index, nu))
-                                     for nu in shifts))
+    cols, length = columns(sub), sub.length
+    read_right, read_left = _fixed_point_reads(fiber)
+    plus, minus = [], []
+    for nu in range(1, length):
+        table = _column_pair_table(cols, index, nu)
+        plus.append(OracleMap(nu, read_right(table)))
+        minus.append(OracleMap(nu - length, read_left(table)))
+    return OracleResult(fiber, tuple(plus + minus))
 
 
 def triples_generate(matrix, triples) -> bool:

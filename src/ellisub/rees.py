@@ -217,6 +217,8 @@ class FiberAction:
                                   f"triple {tuple(x)}", SANDWICH_RELATION, x)
         self._reads = tuple(map_after(read) for read in reads)
         self._rights = reads[PLUS]
+        self._through_base = map_after(self.targets[i0])  # f -> f T_i0
+        self._elements = matrix.group.element_set
 
         self._rows: dict[FiberMap, int] = {}
         for j, target in enumerate(self.targets):
@@ -238,14 +240,18 @@ class FiberAction:
     def decode(self, f: FiberMap) -> ReesElement | None:
         """The triple x with phi(x) = f, or None when f is no image of phi:
         the steps of the injectivity proof, accepted only when x encodes
-        back to f."""
+        back to f.  f T_i0 = T_i g is one call of a getter built once, and
+        T_i is T_i g scattered over the letters g(r), with no inverse."""
         k, k2 = self._twins
         lam = PLUS if f[k] == f[k2] else MINUS
-        written = map_compose(f, self.targets[self.matrix.base[0]])  # T_i g
+        written = self._through_base(f)  # T_i g
         g = map_compose(self._rights, written)
-        if g not in self.matrix.group:
+        if g not in self._elements:
             return None
-        i = self._rows.get(compose(written, inverse(g)))
+        target = [0] * len(g)  # T_i, scattered: T_i(g(r)) = written(r)
+        for r, point in zip(g, written):
+            target[r] = point
+        i = self._rows.get(tuple(target))
         if i is None:
             return None
         x = ReesElement(i, g, lam)

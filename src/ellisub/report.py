@@ -16,18 +16,21 @@ diverge from ``json``.
 The degree table has one row per triple (i, g, sign), |S| = 2|I||G| of
 them, while the degree depends on g alone, so :func:`_degree_table` joins
 its rows from one template per element of G and the writer splices the
-pieces in at the table's key.  Every permutation is written in cycle
-notation once per render (:class:`_CycleStrings`): an element of the R-set
-appears in g0, ``r_set``, the group generators, the sandwich matrix and the
-table.
+pieces in at the table's key.  Under ``--verify`` the oracle's
+``stabilized_levels`` has 2(L-1) entries, all 1, and
+:func:`_levels_written` writes them in one join without building their
+dict.  Every permutation is written in cycle notation once per render
+(:class:`_CycleStrings`): an element of the R-set appears in g0, ``r_set``,
+the group generators, the sandwich matrix and the table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from json.encoder import encode_basestring_ascii as encode
+from typing import Callable
 
-from .oracle import REPORTED_MAX_LEVEL
+from .oracle import LIMIT_LEVEL, REPORTED_MAX_LEVEL, OracleResult
 from .perms import Perm, PermGroup, cycle_string, group_fingerprint
 from .pipeline import StructuralReport
 from .rees import SIGN_LABELS
@@ -49,8 +52,8 @@ class _CycleStrings(dict):
 
 
 class _Written(list):
-    """Pieces of JSON text already laid out as the value of a top-level key,
-    which :func:`_write` copies there."""
+    """Pieces of JSON text already laid out as the value of the key they are
+    written at, which :func:`_write` copies there."""
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -119,16 +122,30 @@ def _group_payload(group: PermGroup, cycles: _CycleStrings) -> dict:
     return payload
 
 
-def _report_fields(report: StructuralReport, cycles: _CycleStrings) -> dict:
-    """Every field of the report, with an empty degree table."""
+def _levels_dict(result: OracleResult) -> dict:
+    return {str(nu): lvl for nu, lvl in sorted(result.stabilization_by_nu().items())}
+
+
+def _levels_written(result: OracleResult) -> _Written:
+    """``stabilized_levels``, 2(L-1) >= 2 entries that are all LIMIT_LEVEL, as
+    ``json.dumps(..., indent=2)`` writes it inside the ``oracle`` field, in
+    one join."""
+    shifts = sorted([nu for nu, _ in result.maps])
+    item = f'": {LIMIT_LEVEL}'
+    return _Written(['{\n      "', (item + ',\n      "').join(map(str, shifts)), item + "\n    }"])
+
+
+def _report_fields(report: StructuralReport, cycles: _CycleStrings,
+                   levels: Callable[[OracleResult], object] = _levels_dict) -> dict:
+    """Every field of the report, with an empty degree table; ``levels``
+    writes the oracle's ``stabilized_levels``."""
     matrix = report.matrix
     oracle = None
     if report.oracle is not None:
         oracle = {
             "equal": report.oracle.equal,
             "max_level": REPORTED_MAX_LEVEL,
-            "stabilized_levels": {str(nu): lvl for nu, lvl
-                                  in sorted(report.oracle.oracle.stabilization_by_nu().items())},
+            "stabilized_levels": levels(report.oracle.oracle),
             "map_count": report.oracle.map_count,
             "discrepancies": list(report.oracle.discrepancies),
         }
@@ -215,7 +232,7 @@ def _degree_table(report: StructuralReport, cycles: _CycleStrings) -> _Written:
 
 def render_json(report: StructuralReport) -> str:
     cycles = _CycleStrings(report.alphabet.letters)
-    fields = _report_fields(report, cycles)
+    fields = _report_fields(report, cycles, _levels_written)
     fields["degree_table"] = _degree_table(report, cycles)
     pieces: list[str] = []
     _write(fields, pieces)

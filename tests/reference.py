@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
-from ellisub.oracle import _fiber_map, limit_maps
+from ellisub.oracle import limit_maps
 from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, inverse,
                            is_normal)
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement, ReesMatrixSemigroup,
@@ -613,8 +613,12 @@ def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
     digit walks."""
     index = {p: k for k, p in enumerate(fiber.pairs)}
     shift = nu * sub.length**level
-    return _fiber_map([(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift))
-                       for pair in fiber.pairs], index)
+    words = [(letter_at(sub, pair, shift - 1), letter_at(sub, pair, shift))
+             for pair in fiber.pairs]
+    for word in words:
+        if word not in index:
+            raise ValidationError(f"shifted two-word {word} is not an allowed two-word")
+    return tuple(index[word] for word in words)
 
 
 @dataclass

@@ -1,9 +1,17 @@
 import ast
+import inspect
 import random
+import re
+import textwrap
+import types
 from pathlib import Path
 
+import pytest
+
 import ellisub.oracle
+import ellisub.pipeline
 from ellisub import AnalysisConfig, analyze_substitution, parse_substitution, simplify
+from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.oracle import (OracleResult, _compare_with_action,
                             compare_map_semigroups, limit_maps,
                             oracle_equivalence, triples_generate)
@@ -11,7 +19,7 @@ from ellisub.pipeline import r_set
 from ellisub.rees import (FiberAction, as_transformation_semigroup,
                           idempotents_of, substitution_sandwich)
 from ellisub.semigroups import map_compose, semigroup_closure
-from ellisub.substitution import (allowed_two_words, columns,
+from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
 from conftest import make_substitution, rset_and_group, three_row_matrix
 from reference import (element_closure, fiber_semigroup, idempotent_generated,
@@ -183,21 +191,103 @@ def test_a_map_outside_the_action_is_a_discrepancy(golden_simplified):
     assert all("missing from the algebraic semigroup" in d for d in comparison.discrepancies)
 
 
-def test_verify_reads_each_shift_once(golden_subs, monkeypatch):
-    # one read of the rule words per shift; the digit walks live in the tests
-    # only (test_pipeline.py checks that no ellisub module defines letter_at)
-    reads = []
-    limit_map = ellisub.oracle._limit_map
+def test_verify_reads_each_column_pair_once(golden_subs, monkeypatch):
+    # the maps of sigma^nu and sigma^(nu - L) read one table of the column
+    # pair (c_(nu-1), c_nu), so L - 1 tables give the 2(L - 1) maps; the
+    # digit walks live in the tests only (test_pipeline.py checks that no
+    # ellisub module defines letter_at)
+    tables = []
+    column_pair_table = ellisub.oracle._column_pair_table
 
-    def counted_limit_map(*args):
-        reads.append(args[-1])
-        return limit_map(*args)
-    monkeypatch.setattr(ellisub.oracle, "_limit_map", counted_limit_map)
+    def counted_table(cols, index, nu):
+        tables.append(nu)
+        return column_pair_table(cols, index, nu)
+    monkeypatch.setattr(ellisub.oracle, "_column_pair_table", counted_table)
     report = analyze_substitution(golden_subs["cyclic_rotation"], AnalysisConfig(verify=True))
-    length = report.substitution.length
+    sub = report.substitution
+    length = sub.length
     assert report.exponent == 3 and length == 27
     assert report.oracle is not None and report.oracle.equal
-    assert sorted(reads) == list(range(1 - length, 0)) + list(range(1, length))
+    assert tables == list(range(1, length)) and len(tables) == 26
+    result = report.oracle.oracle
+    assert [m.nu for m in result.maps] == list(range(1, length)) + list(range(1 - length, 0))
+    for m in result.maps:
+        assert induced_fiber_map(sub, result.fiber, m.nu, 1) == m.fiber_map, m.nu
+
+
+def test_limit_maps_refuse_a_substitution_that_is_not_simplified(golden_subs):
+    # cyclic_rotation is simplified at power 3, not at power 1
+    with pytest.raises(ValidationError, match="the window oracle needs a simplified substitution"):
+        limit_maps(golden_subs["cyclic_rotation"])
+
+
+def test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_simplified, monkeypatch):
+    # every shifted two-word is a factor of a rule word, so only a fiber that
+    # lacks one misses it: here the first two letters of rule(a), which the
+    # table of the column pair (c_0, c_1) reads first
+    sub = golden_simplified["s3_seven_words"]
+    word = sub.rules[0][:2]
+    fiber = allowed_two_words(sub)
+    short = TwoWordFiber(tuple(p for p in fiber.pairs if p != word))
+    assert short.size == fiber.size - 1
+    monkeypatch.setattr(ellisub.oracle, "allowed_two_words", lambda s: short)
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"shifted two-word {word} is not an allowed two-word")):
+        limit_maps(sub)
+
+
+def test_a_wrong_pipeline_fiber_is_a_discrepancy(golden_subs, monkeypatch):
+    # the oracle reads its own fiber, so a pipeline fiber with two fixed
+    # points swapped, which the fiber action still accepts, gives the
+    # oracle's maps no names
+    def swapped(sub):
+        pairs = list(allowed_two_words(sub).pairs)
+        pairs[0], pairs[1] = pairs[1], pairs[0]
+        return TwoWordFiber(tuple(pairs))
+    monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped)
+    with pytest.raises(InternalCheckError, match="window oracle disagrees"):
+        analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
+
+
+def mutant(function, old, new):
+    """``function`` with the one occurrence of ``old`` in its source replaced
+    by ``new``, run in its module's namespace, so that it calls whatever is
+    patched there."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    scratch = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), scratch)
+    return types.FunctionType(scratch[function.__name__].__code__, function.__globals__,
+                              function.__name__, function.__defaults__)
+
+
+@pytest.mark.parametrize("name", ["minus_reads_the_right_letters",
+                                  "minus_reads_the_next_column_pair",
+                                  "table_skips_the_fiber_check"])
+def test_a_mutant_of_the_limit_maps_fails_a_named_test(name, golden_subs, golden_simplified,
+                                                       random_corpus, long_power_simplified,
+                                                       monkeypatch):
+    oracle = ellisub.oracle
+    if name == "minus_reads_the_right_letters":
+        monkeypatch.setattr(oracle, "_fixed_point_reads", mutant(
+            oracle._fixed_point_reads, "[a for a, _ in fiber.pairs]", "[b for _, b in fiber.pairs]"))
+        with pytest.raises(AssertionError):
+            test_every_level_reads_the_limit_map(golden_simplified, random_corpus,
+                                                 long_power_simplified)
+    elif name == "minus_reads_the_next_column_pair":
+        # the maps of sigma^(nu - L) are the same set, so the oracle still
+        # agrees; only the reads and their shifts tell
+        monkeypatch.setattr(oracle, "limit_maps", mutant(
+            oracle.limit_maps, "read_left(table)",
+            "read_left(_column_pair_table(cols, index, nu % (length - 1) + 1))"))
+        with pytest.raises(AssertionError):
+            test_verify_reads_each_column_pair_once(golden_subs, monkeypatch)
+    else:
+        monkeypatch.setattr(oracle, "_column_pair_table", mutant(
+            oracle._column_pair_table, "if None in table:", "if False:"))
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_simplified,
+                                                                   monkeypatch)
 
 
 def test_oracle_idempotents(golden_simplified):

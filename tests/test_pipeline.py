@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+import ellisub.oracle
 import ellisub.pipeline
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
@@ -519,23 +520,29 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
             if hasattr(module, name):
                 recording(module, name)
     # map compositions of the fiber action, made by map_compose or by a
-    # getter that map_after built once for a reused right factor
-    products = []
-    original_compose, original_after = ellisub.rees.map_compose, ellisub.rees.map_after
+    # getter that map_after built once for a reused right factor, and the
+    # oracle's reads of its column-pair tables, each a call of a getter
+    products, reads = [], []
+    original_compose = ellisub.rees.map_compose
 
     def compose_maps(x, y):
         products.append(None)
         return original_compose(x, y)
 
-    def map_after(y):
-        getter = original_after(y)
+    def counting_after(module, calls):
+        original_after = module.map_after
 
-        def counted(x):
-            products.append(None)
-            return getter(x)
-        return counted
+        def map_after(y):
+            getter = original_after(y)
+
+            def counted(x):
+                calls.append(None)
+                return getter(x)
+            return counted
+        monkeypatch.setattr(module, "map_after", map_after)
     monkeypatch.setattr(ellisub.rees, "map_compose", compose_maps)
-    monkeypatch.setattr(ellisub.rees, "map_after", map_after)
+    counting_after(ellisub.rees, products)
+    counting_after(ellisub.oracle, reads)
     encoded = []
     original_encode = FiberAction.encode
 
@@ -574,7 +581,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     sub = golden_subs["s3_seven_words"]
     report = analyze_substitution(sub)
     assert report.exponent == 2 and report.substitution is not sub
-    assert calls == once and products == [] and encoded == []
+    assert calls == once and products == [] and reads == [] and encoded == []
     # the global strings, the automorphism data and the report all read group
     # fingerprints; each is computed once per distinct element set, so a
     # little group or normal completion with |G| elements reuses G's
@@ -602,11 +609,16 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
                                                 "is_primitive": 1}
     assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
-    # the fiber action proves itself from the 2|I| letter identities
-    # c_lam T_j = A[lam][j], one map_compose each; the oracle names each of
-    # its distinct maps by one decode, two map_compose calls and one encode,
-    # whose read getter makes the third composition.  6 + 3 * 18 here,
-    # against the |S| = 36 maps of phi written out
+    # the oracle reads each of its 2(L - 1) maps by one getter call, at the
+    # right or the left letters of the fixed points, off the table of its
+    # column pair: 30 at L = 16.  The fiber action proves itself from the
+    # 2|I| letter identities c_lam T_j = A[lam][j], one map_compose each;
+    # the oracle names each of its distinct maps by one decode, a getter
+    # call through T_i0 and one map_compose, and one encode, whose read
+    # getter makes the third composition.  6 + 3 * 18 here, against the
+    # |S| = 36 maps of phi written out
+    length = report.substitution.length
+    assert len(reads) == 2 * (length - 1) == 30
     matrix = report.matrix
     order, n_i = matrix.group.order, len(report.rset)
     distinct = sorted({m.fiber_map for m in report.oracle.oracle.maps})
