@@ -6,18 +6,18 @@ columns indexed by the R-set, rows by a sign, and the minus row g0 * g^-1.
 Dynamically it is the set of self-maps of the fixed-point fiber induced by
 signed pairs of consecutive column maps.  An analysis builds only the matrix
 and reads the Green structure off its shape; the fiber maps are the action
-phi of the matrix on the fiber, all written out here, which ``--verify``
-never does: it encodes only the maps it names.  The signed-pair maps are
-then written out by hand, reconciled with the image of phi, and closed under
-composition, which adds no map.  Each stage takes what the one before it
-built: R-set, structure group, matrix presentation, fiber action.
+phi of the matrix on the fiber, all encoded here, which ``--verify`` never
+does: it encodes only the maps it names.  The signed-pair maps are then
+written out by hand, reconciled with the image of phi, and composed in
+pairs, which adds no map.  Each stage takes what the one before it built:
+R-set, structure group, matrix presentation, fiber action.
 """
 
-from ellisub import (allowed_two_words, as_transformation_semigroup, columns,
-                     cycle_string, parse_substitution, r_set,
-                     semigroup_closure, simplify, structure_group,
+from ellisub import (FiberAction, allowed_two_words, columns, cycle_string,
+                     parse_substitution, r_set, simplify, structure_group,
                      substitution_sandwich)
 from ellisub.perms import compose
+from ellisub.semigroups import map_compose
 
 sub, _ = simplify(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
 letters = sub.alphabet.letters
@@ -38,9 +38,9 @@ print("idempotents:", green["idempotents"])
 print("\n== its action phi on the fiber")
 fiber = allowed_two_words(sub)
 # FiberAction proves that the maps stay in the fiber, are distinct and
-# multiply like M; as_transformation_semigroup then encodes every triple
-phi = as_transformation_semigroup(matrix, fiber)
-images = set(phi.values())
+# multiply like M; encode then writes the map of each triple
+action = FiberAction(matrix, fiber)
+images = {action.encode(*x) for x in matrix.elements()}
 print("fixed points:", ", ".join(fiber.labels(sub.alphabet)))
 print(f"{len(images)} distinct maps on {fiber.size} points")
 assert len(images) == matrix.size
@@ -56,6 +56,6 @@ for left, right in pairs:
     signed.add(tuple(index[(left[b], right[b])] for a, b in fiber.pairs))
     signed.add(tuple(index[(left[a], right[a])] for a, b in fiber.pairs))
 print(f"{len(signed)} signed-pair maps; the matrix action reproduces them:", signed == images)
-closed = semigroup_closure(sorted(signed), degree=fiber.size)
-print("they are closed under composition:", set(closed.elements) == signed)
-assert signed == images and set(closed.elements) == signed
+products = {map_compose(f, g) for f in signed for g in signed}
+print(f"their {len(signed)}^2 products are signed-pair maps again:", products <= signed)
+assert signed == images and products <= signed

@@ -39,9 +39,9 @@ for nu in (1, 2, 3, -1):
 
 print("\n== limit maps, read once off the rule words")
 result = limit_maps(sub)
-print(f"{len(result.maps)} seed maps, all stabilized at level",
+distinct = sorted({m.fiber_map for m in result.maps})
+print(f"{len(result.maps)} seed maps, {len(distinct)} distinct, all stabilized at level",
       set(result.stabilization_by_nu().values()))
-print("closure size:", result.semigroup.size)
 
 print("\n== every level reads the same map")
 # c_0 = c_(l-1) = id gives x[nu * l^k] = x[nu] and x[nu * l^k - 1] = x[nu - 1]
@@ -59,10 +59,14 @@ for m in result.maps:
 print("\n== equivalence with the algebraic semigroup")
 report = global_description(sub)
 action = FiberAction(report.matrix, report.fiber)  # proves the action, builds no map
-for m in result.maps[:3]:
+triples = set()
+for m in result.maps:
     i, g, sign = action.decode(m.fiber_map)
+    triples.add((i, g, sign))
     print(f"  sigma^({m.nu} * 4^k) is the triple "
           f"({cycle_string(report.rset[i], letters)}, {cycle_string(g, letters)}, {'+-'[sign]})")
 comparison = oracle_equivalence(sub, report.matrix, action)
-print("equal:", comparison.equal, "with", comparison.map_count, "maps")
+print(f"{len(triples)} triples; equal: {comparison.equal}, against the "
+      f"{comparison.map_count} maps of the matrix action")
+assert len(triples) == len(distinct)
 assert comparison.equal and comparison.map_count == report.matrix.size

@@ -22,9 +22,8 @@ from .pipeline import (AnalysisConfig, Heights, StructuralReport,
                        classical_height_bruteforce, degree_map,
                        global_description, heights, r_set, structure_group)
 from .rees import (FiberAction, ReesElement, ReesMatrixSemigroup,
-                   as_transformation_semigroup, idempotents_of,
-                   substitution_sandwich)
-from .semigroups import TransformationSemigroup, semigroup_closure
+                   idempotents_of, substitution_sandwich)
+from .semigroups import TransformationSemigroup
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,
                            compose_substitutions, is_aperiodic,
@@ -33,4 +32,4 @@ from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            substitution_from_json, substitution_power,
                            substitution_to_json, substitution_to_text)
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

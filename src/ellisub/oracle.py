@@ -16,12 +16,12 @@ oracle map by its triple: ``FiberAction.decode`` reads the triple off the
 map's images and accepts it only when it encodes back to the map, O(fiber)
 per map, and a map without a name is reported as a discrepancy, so no map
 the rules produce is taken on trust.  Once every map is named, the maps
-generate phi(M) exactly when their triples generate M, since phi is an
-isomorphism.  That is decided in G by :func:`triples_generate`, at a cost
-of |G| * (number of maps + 2|I|) compositions of permutations, instead of
-closing the maps, |S| * (number of maps) compositions.  Only when the
-triples fall short are all |S| maps encoded and the oracle's maps closed,
-to list the difference.
+generate phi(M) exactly when their triples generate M
+(:func:`_compare_with_action` proves it).  That is decided in G by
+:func:`generation_shortfall`, at a cost of |G| * (number of maps + 2|I|)
+compositions of permutations, and the same search names what the triples
+miss.  No map is closed and no triple outside the oracle's is encoded, on
+either answer.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
 l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
@@ -67,13 +67,11 @@ trust.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 from .perms import after, identity
-from .semigroups import (FiberMap, TransformationSemigroup, map_after,
-                         semigroup_closure)
+from .semigroups import FiberMap, map_after
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            columns, is_simplified)
 
@@ -115,14 +113,6 @@ class OracleResult:
     fiber: TwoWordFiber
     maps: tuple[OracleMap, ...]
 
-    @cached_property
-    def semigroup(self) -> TransformationSemigroup:
-        """The closure of the maps, generated by the sorted distinct maps.
-        Built on first use: :func:`oracle_equivalence` decides generation
-        without it, and closes the maps only when they fall short."""
-        seeds = sorted({m.fiber_map for m in self.maps})
-        return semigroup_closure(seeds, degree=self.fiber.size)
-
     def stabilization_by_nu(self) -> dict[int, int]:
         """The level each map is reached at: 1 for every shift, by the proof
         in the module docstring."""
@@ -141,8 +131,7 @@ def limit_maps(sub: Substitution) -> OracleResult:
     and nu of rule(b) over a.b, and sigma^(nu - l) puts letters nu-1 and nu
     of rule(a) over it.  So both maps read one table of the column pair
     (c_(nu-1), c_nu), at b and at a: l - 1 tables of s lookups, where reading
-    each fixed point's word takes 2(l-1) * fiber.  No closure is run here;
-    ``semigroup`` closes the maps when it is first read.
+    each fixed point's word takes 2(l-1) * fiber.  No closure is run.
     """
     fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
     if not is_simplified(sub, fiber):
@@ -158,9 +147,12 @@ def limit_maps(sub: Substitution) -> OracleResult:
     return OracleResult(fiber, tuple(plus + minus))
 
 
-def triples_generate(matrix, triples) -> bool:
-    """Whether ``triples`` generate the Rees matrix semigroup ``matrix``,
-    M = M[G; I, Lambda; A] with base (i0, lam0), decided by a walk search in G.
+def generation_shortfall(matrix, triples) -> tuple[str, ...]:
+    """What keeps ``triples`` from generating the Rees matrix semigroup
+    ``matrix``, M = M[G; I, Lambda; A] with base (i0, lam0), found by a walk
+    search in G: each row and each column that no triple meets, or else the
+    k < |G| labels that the search reaches from row i0 to column lam0.  Empty
+    exactly when the triples generate M.
 
     A product (i1, g1, lam1) ... (ik, gk, lamk) is
     (i1, g1 A[lam1][i2] g2 ... A[lam(k-1)][ik] gk, lamk).  So the triples T
@@ -185,9 +177,12 @@ def triples_generate(matrix, triples) -> bool:
     """
     i0, lam0 = matrix.base
     n_i, n_lam = len(matrix.i_labels), len(matrix.lam_labels)
-    if ({i for i, _, _ in triples} != set(range(n_i))
-            or {lam for _, _, lam in triples} != set(range(n_lam))):
-        return False
+    rows_met, columns_met = {i for i, _, _ in triples}, {lam for _, _, lam in triples}
+    unmet = tuple([f"no oracle map lies in row {i}" for i in range(n_i) if i not in rows_met]
+                  + [f"no oracle map lies in column {matrix.lam_labels[lam]}"
+                     for lam in range(n_lam) if lam not in columns_met])
+    if unmet:
+        return unmet
     order = matrix.group.order
     # each edge as (getter of its label, head): label h reaches h * label
     by_row: list[list[tuple]] = [[] for _ in range(n_i)]
@@ -208,7 +203,7 @@ def triples_generate(matrix, triples) -> bool:
                     at_column[lam].add(label)
                     reached.append((lam, label))
         if len(at_column[lam0]) == order:
-            return True
+            return ()
         frontier = []
         for lam, h in reached:
             for entry_after, j in by_column[lam]:
@@ -216,7 +211,8 @@ def triples_generate(matrix, triples) -> bool:
                 if label not in at_row[j]:
                     at_row[j].add(label)
                     frontier.append((j, label))
-    return False
+    return (f"the oracle's maps reach {len(at_column[lam0])} of the {order} labels "
+            f"from row {i0} to column {matrix.lam_labels[lam0]}",)
 
 
 @dataclass
@@ -224,37 +220,35 @@ class OracleComparison:
     equal: bool
     discrepancies: tuple[str, ...]
     oracle: OracleResult
-    map_count: int  # the size of the closure of the oracle's maps
-
-
-def compare_map_semigroups(oracle_sg: TransformationSemigroup,
-                           algebraic: TransformationSemigroup) -> tuple[str, ...]:
-    """Discrepancies between two map semigroups: the maps each has and the
-    other lacks.  Equal map sets are equal semigroups, since both multiply by
-    composing maps."""
-    discrepancies: list[str] = []
-    orc, alg = set(oracle_sg.elements), set(algebraic.elements)
-    for f in sorted(orc - alg):
-        discrepancies.append(f"oracle map {f} missing from the algebraic semigroup")
-    for f in sorted(alg - orc):
-        discrepancies.append(f"algebraic map {f} not produced by the oracle")
-    return tuple(discrepancies)
+    map_count: int  # |S|, the size of phi(M), which the maps are compared with
 
 
 def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparison:
-    """Compare the oracle's maps with phi(M): name each distinct map by its
-    triple with ``action.decode``, and decide by :func:`triples_generate`
-    whether the triples generate M.  When a map has no triple or the
-    triples fall short, encode all |S| triples, close the maps and list the
-    maps each side lacks."""
+    """Compare the oracle's maps F with phi(M): name each distinct map by its
+    triple with ``action.decode``, list each map without one, and when every
+    map has one, let :func:`generation_shortfall` decide whether the triples
+    generate M and say what they miss.
+
+    F generates phi(M) exactly when every map of F has a triple and the
+    triples generate M.  phi is an injective homomorphism, so its image
+    phi(M) is closed under composition, and ``decode`` finds the one triple
+    of every map in phi(M) and of no other map.
+    - A map f of F without a triple lies outside phi(M), and so does the
+      semigroup <F> that holds it: the maps are not equal.
+    - Otherwise F = phi(T) for the set T of triples, and
+      <F> = phi(<T>), since phi is a homomorphism.  When T generates M,
+      <F> = phi(M).  When it does not, <T> is a proper subset of M, and
+      phi(<T>) is a proper subset of phi(M), since phi is injective.
+    So the decision is made without closing F or encoding a triple outside
+    T, and the maps named here are the oracle's own maps outside phi(M).
+    """
     seeds = sorted({m.fiber_map for m in result.maps})
     triples = [action.decode(f) for f in seeds]
-    if None not in triples and triples_generate(matrix, triples):
-        return OracleComparison(True, (), result, matrix.size)
-    images = tuple(sorted({action.encode(*x) for x in matrix.elements()}))
-    algebraic = TransformationSemigroup(result.fiber.size, images, ())
-    discrepancies = compare_map_semigroups(result.semigroup, algebraic)
-    return OracleComparison(not discrepancies, discrepancies, result, result.semigroup.size)
+    discrepancies = tuple(f"oracle map {f} missing from the algebraic semigroup"
+                          for f, x in zip(seeds, triples) if x is None)
+    if not discrepancies:
+        discrepancies = generation_shortfall(matrix, triples)
+    return OracleComparison(not discrepancies, discrepancies, result, matrix.size)
 
 
 def oracle_equivalence(sub: Substitution, matrix, action) -> OracleComparison:

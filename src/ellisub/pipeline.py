@@ -38,8 +38,9 @@ The matrix and the action then go to the window oracle, the one witness
 built independently of this module.  The oracle reads its maps off the rule
 letters, names each distinct map by decoding it, O(fiber) per map, and
 decides by a walk search in G whether the triples generate the matrix
-semigroup; it encodes all |S| maps and closes its own only to list a
-discrepancy.
+semigroup.  A disagreement lists the maps without a name, or what the walk
+search missed, and raises InternalCheckError with the stage "window
+oracle"; no map is closed and no triple outside the oracle's is encoded.
 
 Three identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
@@ -80,8 +81,8 @@ from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
                    substitution_sandwich)
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,
-                           is_aperiodic, is_bijective, is_primitive,
-                           is_simplified, simplify)
+                           is_aperiodic, is_bijective, is_simplified,
+                           simplify)
 
 
 def r_set(sub: Substitution, fiber: TwoWordFiber | None = None) -> tuple[Perm, ...]:
@@ -453,16 +454,15 @@ class AnalysisConfig:
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
     """Validate, simplify and run the pipeline; under ``verify``, build the
     matrix action and compare it with the window oracle.  The input's
-    allowed two-letter words are read once and shared by the aperiodicity
-    test and :func:`simplify`, which then skip their own primitivity checks,
-    and by :func:`global_description`, as the fiber of the analysed power."""
+    allowed two-letter words are read once, by the one primitivity check,
+    and shared by the aperiodicity test and :func:`simplify`, which then
+    skip their own primitivity checks, and by :func:`global_description`,
+    as the fiber of the analysed power."""
     config = config or AnalysisConfig()
     if not is_bijective(sub):
         bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
         raise ValidationError(f"substitution is not bijective: column(s) {bad} are not permutations")
-    if not is_primitive(sub):
-        raise ValidationError("substitution is not primitive")
-    fiber = allowed_two_words(sub)  # read once, for the aperiodicity test and simplify
+    fiber = allowed_two_words(sub)  # refuses a substitution that is not primitive
     verdict = is_aperiodic(sub, fiber)
     if verdict.kind == "periodic":
         exc = ValidationError(
@@ -481,5 +481,5 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
         if not comparison.equal:
             raise InternalCheckError(
                 "window oracle disagrees with the algebraic semigroup: "
-                + "; ".join(comparison.discrepancies))
+                + "; ".join(comparison.discrepancies), stage="window oracle")
     return report

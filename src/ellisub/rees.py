@@ -257,10 +257,3 @@ class FiberAction:
         x = ReesElement(i, g, lam)
         return x if self.encode(*x) == f else None
 
-
-def as_transformation_semigroup(m: ReesMatrixSemigroup,
-                                fiber: TwoWordFiber) -> dict[ReesElement, FiberMap]:
-    """phi written out, a dict from each of the |S| triples to its fiber
-    map; ``--verify`` encodes only the maps it names (:class:`FiberAction`)."""
-    action = FiberAction(m, fiber)
-    return {x: action.encode(*x) for x in m.elements()}

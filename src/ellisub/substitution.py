@@ -252,25 +252,16 @@ def substitution_power(sub: Substitution, n: int) -> Substitution:
 
 def is_primitive(sub: Substitution) -> bool:
     """True iff some power k makes every rule word of the power contain every
-    letter.  Checked by boolean powers of the letter-occurrence matrix up to
-    the Wielandt bound (s-1)^2 + 1."""
-    s = sub.size
-    occurs = [[False] * s for _ in range(s)]
-    for a in range(s):
-        for x in sub.rules[a]:
-            occurs[a][x] = True
-    reach = [row[:] for row in occurs]
-    bound = (s - 1) ** 2 + 1
-    for _ in range(bound):
-        if all(all(row) for row in reach):
-            return True
-        reach = [[any(reach[a][k] and occurs[k][b] for k in range(s)) for b in range(s)]
-                 for a in range(s)]
-    return all(all(row) for row in reach)
+    letter (:func:`_all_letters_exponent`)."""
+    return _all_letters_exponent(sub) is not None
 
 
-def _all_letters_exponent(sub: Substitution) -> int:
-    """Minimal k such that every rule word of sub^k contains every letter."""
+def _all_letters_exponent(sub: Substitution) -> int | None:
+    """Minimal k such that every rule word of sub^k contains every letter, or
+    None when there is none.  The letters of sub^(k+1)(a) are those of the
+    rules of the letters of sub^k(a), so one union per letter and step; a
+    primitive substitution reaches all letters by the Wielandt bound
+    (s-1)^2 + 1 on the exponent of a primitive matrix."""
     s = sub.size
     occurs = [frozenset(word) for word in sub.rules]
     reach = list(occurs)
@@ -279,7 +270,7 @@ def _all_letters_exponent(sub: Substitution) -> int:
         if all(len(r) == s for r in reach):
             return k
         reach = [frozenset().union(*(occurs[x] for x in r)) for r in reach]
-    raise ValidationError("substitution is not primitive")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +302,7 @@ def allowed_two_words(sub: Substitution) -> TwoWordFiber:
     """All two-letter factors of the subshift: interior pairs of the rule
     words, closed under junction propagation."""
     if not is_primitive(sub):
-        raise ValidationError("allowed_two_words needs a primitive substitution")
+        raise ValidationError("substitution is not primitive")
     pairs: set[tuple[int, int]] = set()
     for word in sub.rules:
         for j in range(len(word) - 1):
@@ -453,6 +444,8 @@ def simplify(sub: Substitution, fiber: TwoWordFiber | None = None) -> tuple[Subs
         fiber = allowed_two_words(sub)
     cycle_lcm = _junction_cycle_lcm(sub, fiber)
     letters_exp = _all_letters_exponent(sub)
+    if letters_exp is None:
+        raise ValidationError("substitution is not primitive")
     m = -(-letters_exp // cycle_lcm)  # ceil division
     n = cycle_lcm * m
     result = substitution_power(sub, n)

@@ -155,14 +155,20 @@ def random_oracle(random_corpus, random_reports) -> list:
 
 
 @pytest.fixture(scope="session")
-def long_power_simplified() -> list[Substitution]:
-    """The simplified powers of the benchmark's long-power inputs, seeds 1-3:
-    2-3-letter inputs analysed at power 2 or 3, length 16-27."""
-    from ellisub import simplify
+def long_power_subs() -> list[Substitution]:
+    """The benchmark's long-power inputs, seeds 1-3: 2-3-letter inputs that
+    are analysed at power 2 or 3."""
     path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("bench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # its dataclasses look their module up
     spec.loader.exec_module(corpus)
-    return [simplify(parse_substitution(case.source))[0]
+    return [parse_substitution(case.source)
             for seed in (1, 2, 3) for case in corpus.generate("long-power", seed)]
+
+
+@pytest.fixture(scope="session")
+def long_power_simplified(long_power_subs) -> list[Substitution]:
+    """The simplified powers of the long-power inputs, length 16-27."""
+    from ellisub import simplify
+    return [simplify(sub)[0] for sub in long_power_subs]

@@ -7,8 +7,9 @@ work on the maps themselves, or search where the library proves: the
 reference phi, with all |S| maps written out and its product law checked
 through the Rees factorization; Green's classes from Cayley graphs; the
 normalized Rees form of a completely simple map semigroup; a capped
-isomorphism search between presentations; closures of Rees triples; digit
-walks into the fixed points and the proximality classes of the fiber.
+isomorphism search between presentations; closures of Rees triples and of
+map sets; primitivity by boolean matrix powers; digit walks into the fixed
+points and the proximality classes of the fiber.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
-from ellisub.oracle import limit_maps
+from ellisub.oracle import OracleResult, limit_maps
 from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, inverse,
                            is_normal)
-from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, ReesElement, ReesMatrixSemigroup,
-                          idempotents_of)
+from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
+                          ReesMatrixSemigroup, idempotents_of)
 from ellisub.semigroups import (FiberMap, TransformationSemigroup, green_summary, map_after,
                                 map_compose)
 from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
@@ -293,8 +294,77 @@ def reference_action(m: ReesMatrixSemigroup, fiber: TwoWordFiber) -> dict[ReesEl
     return phi
 
 
+def as_transformation_semigroup(m: ReesMatrixSemigroup,
+                                fiber: TwoWordFiber) -> dict[ReesElement, FiberMap]:
+    """phi written out by the library's own encoder, a dict from each of the
+    |S| triples to its fiber map; ``--verify`` encodes only the maps it
+    names (:class:`ellisub.rees.FiberAction`)."""
+    action = FiberAction(m, fiber)
+    return {x: action.encode(*x) for x in m.elements()}
+
+
 # ---------------------------------------------------------------------------
 # map semigroups
+
+CLOSURE_CAP = 10**5
+
+
+def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
+                      degree: int | None = None) -> TransformationSemigroup:
+    """Smallest composition-closed set of maps containing ``gens``.
+
+    Right multiplication by the generators suffices: g1 g2 ... gk is reached
+    from g1 in k - 1 steps, so the cost is |S| * |gens| compositions, one
+    getter call each, with each distinct generator walked once.  Raises
+    ResourceLimitError past ``CLOSURE_CAP`` elements.
+    """
+    gens = list(dict.fromkeys(tuple(g) for g in gens))
+    if not gens and degree is None:
+        raise ValidationError("closure of an empty generator list needs an explicit degree")
+    if degree is None:
+        degree = len(gens[0])
+    for g in gens:
+        if len(g) != degree:
+            raise ValidationError(f"map acts on {len(g)} points, expected {degree}")
+        if any(not 0 <= v < degree for v in g):
+            raise ValidationError(f"map {g} has out-of-range images")
+    elements = set(gens)
+    frontier = list(elements)
+    getters = [map_after(g) for g in gens]
+    while frontier:
+        new = []
+        for g_after in getters:
+            for y in map(g_after, frontier):
+                if y not in elements:
+                    elements.add(y)
+                    new.append(y)
+                    if len(elements) > CLOSURE_CAP:
+                        raise ResourceLimitError(
+                            f"semigroup closure exceeded cap of {CLOSURE_CAP} elements")
+        frontier = new
+    return TransformationSemigroup(degree, tuple(sorted(elements)), tuple(sorted(gens)))
+
+
+def oracle_closure(result: OracleResult) -> TransformationSemigroup:
+    """The closure of the window oracle's maps, generated by the sorted
+    distinct maps."""
+    seeds = sorted({m.fiber_map for m in result.maps})
+    return semigroup_closure(seeds, degree=result.fiber.size)
+
+
+def compare_map_semigroups(oracle_sg: TransformationSemigroup,
+                           algebraic: TransformationSemigroup) -> tuple[str, ...]:
+    """Discrepancies between two map semigroups: the maps each has and the
+    other lacks.  Equal map sets are equal semigroups, since both multiply by
+    composing maps."""
+    discrepancies: list[str] = []
+    orc, alg = set(oracle_sg.elements), set(algebraic.elements)
+    for f in sorted(orc - alg):
+        discrepancies.append(f"oracle map {f} missing from the algebraic semigroup")
+    for f in sorted(alg - orc):
+        discrepancies.append(f"algebraic map {f} not produced by the oracle")
+    return tuple(discrepancies)
+
 
 def image_semigroup(m: ReesMatrixSemigroup, phi: dict) -> TransformationSemigroup:
     """The image of phi as a map semigroup, generated by the images of
@@ -577,6 +647,27 @@ def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
+# primitivity
+
+def occurrence_matrix_exponent(sub: Substitution) -> int | None:
+    """The least k whose boolean power of the letter-occurrence matrix is all
+    true, so that every rule word of sub^k holds every letter, or None when
+    none is by the Wielandt bound (s-1)^2 + 1: O(s^3) per power."""
+    s = sub.size
+    occurs = [[False] * s for _ in range(s)]
+    for a in range(s):
+        for x in sub.rules[a]:
+            occurs[a][x] = True
+    reach = [row[:] for row in occurs]
+    for k in range(1, (s - 1) ** 2 + 2):
+        if all(all(row) for row in reach):
+            return k
+        reach = [[any(reach[a][j] and occurs[j][b] for j in range(s)) for b in range(s)]
+                 for a in range(s)]
+    return None
+
+
+# ---------------------------------------------------------------------------
 # the fixed points, letter by letter
 
 def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
@@ -654,7 +745,7 @@ def proximality_classes(sub: Substitution) -> ProximalityData:
         return frozenset((x, y) for x in range(n) for y in range(x + 1, n) if f[x] == f[y])
     classes = {frozenset((x, y) for c in side for x in c for y in c if x < y)
                for side in (data.forward, data.backward)}
-    for f in limit_maps(sub).semigroup.elements:
+    for f in oracle_closure(limit_maps(sub)).elements:
         # a stabilized map reads one side of the fixed point, so it must merge
         # exactly one of the two partitions
         if merged_pairs(f) not in classes:

@@ -29,7 +29,7 @@ def tm_file(tmp_path):
 def test_version():
     code, out, _ = run_cli(["--version"])
     assert code == 0
-    assert out.strip() == "ellisub 2.0.0"
+    assert out.strip() == "ellisub 3.0.0"
 
 
 def test_analyze_text(tm_file):

@@ -8,12 +8,11 @@ import random
 import pytest
 
 from ellisub.perms import closure, compose, inverse
-from ellisub.rees import (PLUS, ReesMatrixSemigroup, as_transformation_semigroup,
-                          substitution_sandwich)
+from ellisub.rees import PLUS, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import report_to_json
 from ellisub.substitution import allowed_two_words, columns, substitution_power
 from conftest import pair_closure, rset_and_group, translates
-from reference import green_structure, left_regular_action
+from reference import as_transformation_semigroup, green_structure, left_regular_action
 
 
 def realized_pairs(matrix, fiber) -> set:

@@ -1,9 +1,11 @@
 import ast
 import inspect
+import json
 import random
 import re
 import textwrap
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,22 +13,25 @@ import pytest
 import ellisub.oracle
 import ellisub.pipeline
 from ellisub import AnalysisConfig, analyze_substitution, parse_substitution, simplify
+from ellisub.cli import main
 from ellisub.errors import InternalCheckError, ValidationError
-from ellisub.oracle import (OracleResult, _compare_with_action,
-                            compare_map_semigroups, limit_maps,
-                            oracle_equivalence, triples_generate)
+from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
+                            oracle_equivalence)
 from ellisub.pipeline import r_set
-from ellisub.rees import (FiberAction, as_transformation_semigroup,
-                          idempotents_of, substitution_sandwich)
-from ellisub.semigroups import map_compose, semigroup_closure
+from ellisub.rees import FiberAction, ReesMatrixSemigroup, idempotents_of, substitution_sandwich
+from ellisub.semigroups import map_compose
 from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
 from conftest import make_substitution, rset_and_group, three_row_matrix
-from reference import (element_closure, fiber_semigroup, idempotent_generated,
-                       induced_fiber_map, letter_at, proximality_classes,
-                       rees_generators)
+from reference import (as_transformation_semigroup, compare_map_semigroups,
+                       element_closure, fiber_semigroup, idempotent_generated,
+                       induced_fiber_map, letter_at, oracle_closure,
+                       proximality_classes, reference_action, rees_generators,
+                       semigroup_closure)
 
 S5 = "a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\ne -> ebccadae"
+S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
+      "e -> ecacbfadge\nf -> fdebcbgaef\ng -> gbcefedcag\n")
 
 
 def shifted_two_word(sub, pair, nu):
@@ -60,9 +65,9 @@ def test_shift_two_word_matches_columns(golden_simplified):
 
 def test_limit_maps_counts(golden_simplified):
     tm_result = limit_maps(golden_simplified["thue_morse"])
-    assert tm_result.semigroup.size == 8
+    assert oracle_closure(tm_result).size == 8
     seven = limit_maps(golden_simplified["s3_seven_words"])
-    assert seven.semigroup.size == 36
+    assert oracle_closure(seven).size == 36
 
 
 def test_limit_maps_stabilize_immediately(golden_simplified):
@@ -88,7 +93,8 @@ def test_every_level_reads_the_limit_map(golden_simplified, random_corpus,
         result = limit_maps(sub)
         assert [m.nu for m in result.maps] == \
             list(range(1, sub.length)) + list(range(1 - sub.length, 0))
-        assert result.semigroup.generators == tuple(sorted({m.fiber_map for m in result.maps}))
+        seeds = tuple(sorted({m.fiber_map for m in result.maps}))
+        assert oracle_closure(result).generators == seeds
         for m in result.maps:
             for k in range(1, 5):
                 assert induced_fiber_map(sub, result.fiber, m.nu, k) == m.fiber_map, (sub, m.nu, k)
@@ -119,8 +125,8 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
                       [by_shift[1], by_shift[-1]]]
         for k, maps in enumerate(candidates):
             closed = semigroup_closure(maps, degree=len(maps[0])).size == matrix.size
-            assert triples_generate(matrix, [action.decode(f) for f in maps]) == closed, \
-                (sub.rules, k)
+            shortfall = generation_shortfall(matrix, [action.decode(f) for f in maps])
+            assert (not shortfall) == closed, (sub.rules, k)
             assert closed or k > 0
             short_sets += not closed
     assert short_sets >= 2 * len(subs)
@@ -141,9 +147,9 @@ def test_walk_search_decides_generation_of_rees_triples(golden_simplified):
             for _ in range(8):
                 seeds = rng.sample(elements, min(size, len(elements)))
                 generated = element_closure(matrix, seeds) == set(elements)
-                assert triples_generate(matrix, seeds) == generated
+                assert (not generation_shortfall(matrix, seeds)) == generated
                 outcomes.add(generated)
-        assert triples_generate(matrix, list(rees_generators(matrix)))
+        assert not generation_shortfall(matrix, list(rees_generators(matrix)))
     assert outcomes == {True, False}
     # the idempotents meet every row and both columns, but their walk labels
     # cover only the little group A_3 of S_3: the search itself must refuse
@@ -152,43 +158,49 @@ def test_walk_search_decides_generation_of_rees_triples(golden_simplified):
     idempotents = idempotents_of(matrix)
     assert {x.i for x in idempotents} == set(range(len(rset)))
     assert {x.lam for x in idempotents} == {0, 1}
-    assert not triples_generate(matrix, idempotents)
+    assert generation_shortfall(matrix, idempotents) == (
+        "the oracle's maps reach 3 of the 6 labels from row 0 to column +",)
 
 
-def test_a_short_map_set_is_closed_to_list_the_missing_maps(golden_simplified):
-    # Thue-Morse cut to the maps of sigma^(+-1) generates 4 of its 8 maps: the
-    # walk search refuses their triples, and only then are the maps closed,
-    # to list the 4 algebraic maps they miss
+def test_a_short_map_set_is_named_by_the_walk_search(golden_simplified):
+    # Thue-Morse cut to the maps of sigma^(+-1) generates 4 of its 8 maps:
+    # both maps have a triple, and the walk search names what the triples
+    # miss, a row that none of them lies in; no map is closed and no triple
+    # outside the oracle's is encoded
     sub = golden_simplified["thue_morse"]
     matrix, action = sandwich_action(sub)
     result = limit_maps(sub)
     short = OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1))
-    assert not triples_generate(matrix, [action.decode(m.fiber_map) for m in short.maps])
-    comparison = _compare_with_action(short, matrix, action)
+    triples = [action.decode(m.fiber_map) for m in short.maps]
+    assert None not in triples
+    assert generation_shortfall(matrix, triples) == ("no oracle map lies in row 0",)
+    comparison = ellisub.oracle._compare_with_action(short, matrix, action)
     full = semigroup_closure(list(as_transformation_semigroup(matrix, result.fiber).values()),
                              degree=4)
-    missing = sorted(set(full.elements) - set(short.semigroup.elements))
-    assert short.semigroup.size == 4 and full.size == 8
-    assert not comparison.equal and comparison.map_count == 4
-    assert comparison.discrepancies == tuple(
-        f"algebraic map {f} not produced by the oracle" for f in missing)
-    # all six shifts generate: the search decides it and no closure is run
-    whole = _compare_with_action(result, matrix, action)
+    assert oracle_closure(short).size == 4 and full.size == 8
+    assert not comparison.equal and comparison.map_count == 8
+    assert comparison.discrepancies == ("no oracle map lies in row 0",)
+    # all six shifts generate: the search decides it
+    whole = ellisub.oracle._compare_with_action(result, matrix, action)
     assert whole.equal and whole.map_count == 8 and whole.discrepancies == ()
-    assert "semigroup" not in vars(result)
+    assert not hasattr(OracleResult, "semigroup")
 
 
 def test_a_map_outside_the_action_is_a_discrepancy(golden_simplified):
-    # against the idempotent-generated half of s3_height_two, 18 of the
-    # oracle's 36 maps have no triple: the lookup misses, and the closure
-    # lists each of them as missing from the algebraic side
+    # against the idempotent-generated half of s3_height_two, 6 of the
+    # oracle's 12 distinct maps have no triple: decode refuses them, and each
+    # is listed as missing from the algebraic semigroup, with no closure run
     sub = golden_simplified["s3_height_two"]
     rset, group = rset_and_group(sub)
     partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
+    partial_sg, _ = fiber_semigroup(partial, allowed_two_words(sub))
     comparison = oracle_equivalence(sub, partial, FiberAction(partial, allowed_two_words(sub)))
-    assert not comparison.equal and comparison.map_count == 36
-    assert len(comparison.discrepancies) == 18
-    assert all("missing from the algebraic semigroup" in d for d in comparison.discrepancies)
+    assert not comparison.equal and comparison.map_count == partial.size == 18
+    seeds = sorted({m.fiber_map for m in comparison.oracle.maps})
+    outside = [f for f in seeds if f not in partial_sg.index]
+    assert (len(seeds), len(outside)) == (12, 6)
+    assert comparison.discrepancies == tuple(
+        f"oracle map {f} missing from the algebraic semigroup" for f in outside)
 
 
 def test_verify_reads_each_column_pair_once(golden_subs, monkeypatch):
@@ -236,17 +248,64 @@ def test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_simplified, m
         limit_maps(sub)
 
 
+def swapped_fiber(sub):
+    """The fiber of ``sub`` with its first two fixed points swapped."""
+    pairs = list(allowed_two_words(sub).pairs)
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+    return TwoWordFiber(tuple(pairs))
+
+
 def test_a_wrong_pipeline_fiber_is_a_discrepancy(golden_subs, monkeypatch):
     # the oracle reads its own fiber, so a pipeline fiber with two fixed
     # points swapped, which the fiber action still accepts, gives the
-    # oracle's maps no names
-    def swapped(sub):
-        pairs = list(allowed_two_words(sub).pairs)
-        pairs[0], pairs[1] = pairs[1], pairs[0]
-        return TwoWordFiber(tuple(pairs))
-    monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped)
-    with pytest.raises(InternalCheckError, match="window oracle disagrees"):
+    # oracle's maps no names; the error names the stage
+    monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped_fiber)
+    with pytest.raises(InternalCheckError, match="window oracle disagrees") as caught:
         analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
+    assert caught.value.stage == "window oracle"
+    assert "missing from the algebraic semigroup" in str(caught.value)
+
+
+def test_the_comparison_agrees_with_the_reference_closure(golden_simplified, random_corpus,
+                                                          long_power_simplified, monkeypatch):
+    # four map sets per input: all maps, the maps of sigma^(+-1), the + maps
+    # and all maps against an action on a fiber with two fixed points
+    # swapped.  The comparison is equal exactly when the closure of the maps
+    # is the image of the reference phi, and it lists exactly the distinct
+    # maps outside that image; it never lists the matrix's elements
+    subs = list(golden_simplified.values()) + random_corpus + long_power_simplified
+    outcomes = Counter()
+    for sub in subs:
+        rset, group = rset_and_group(sub)
+        matrix = substitution_sandwich(group, rset, rset[0])
+        result = limit_maps(sub)
+        cases = [(result, allowed_two_words(sub)),
+                 (OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1)),
+                  allowed_two_words(sub)),
+                 (OracleResult(result.fiber, tuple(m for m in result.maps if m.nu > 0)),
+                  allowed_two_words(sub)),
+                 (result, swapped_fiber(sub))]
+        for k, (maps, fiber) in enumerate(cases):
+            image = set(reference_action(matrix, fiber).values())
+            closed = set(oracle_closure(maps).elements)
+            action = FiberAction(matrix, fiber)
+            with monkeypatch.context() as patch:
+                patch.setattr(ReesMatrixSemigroup, "elements", None)
+                comparison = ellisub.oracle._compare_with_action(maps, matrix, action)
+            assert comparison.equal == (closed == image), (sub.rules, k)
+            assert comparison.map_count == matrix.size
+            outside = sorted({m.fiber_map for m in maps.maps} - image)
+            unnamed = [d for d in comparison.discrepancies if d.startswith("oracle map ")]
+            assert unnamed == [f"oracle map {f} missing from the algebraic semigroup"
+                               for f in outside], (sub.rules, k)
+            if not outside:
+                triples = [action.decode(m.fiber_map) for m in maps.maps]
+                assert comparison.discrepancies == generation_shortfall(matrix, triples)
+            outcomes[k, comparison.equal, bool(outside)] += 1
+    assert outcomes[0, True, False] == len(subs)
+    assert outcomes[2, False, False] == len(subs)
+    assert outcomes[3, False, True] == len(subs)
+    assert outcomes[1, False, False] > 0
 
 
 def mutant(function, old, new):
@@ -290,11 +349,53 @@ def test_a_mutant_of_the_limit_maps_fails_a_named_test(name, golden_subs, golden
                                                                    monkeypatch)
 
 
+@pytest.mark.parametrize("name", ["comparison_skips_unnamed_maps",
+                                  "comparison_skips_the_walk_search"])
+def test_a_mutant_of_the_comparison_fails_a_named_test(name, golden_simplified, monkeypatch):
+    oracle = ellisub.oracle
+    if name == "comparison_skips_unnamed_maps":
+        # only the named maps go on to the walk search
+        monkeypatch.setattr(oracle, "_compare_with_action", mutant(
+            oracle._compare_with_action, "triples = [action.decode(f) for f in seeds]",
+            "triples = [x for x in map(action.decode, seeds) if x is not None]"))
+        with pytest.raises(AssertionError):
+            test_a_map_outside_the_action_is_a_discrepancy(golden_simplified)
+    else:
+        monkeypatch.setattr(oracle, "_compare_with_action", mutant(
+            oracle._compare_with_action, "discrepancies = generation_shortfall(matrix, triples)",
+            "discrepancies = ()"))
+        with pytest.raises(AssertionError):
+            test_a_short_map_set_is_named_by_the_walk_search(golden_simplified)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["swapped_fiber", "cut_to_one_shift"])
+def test_a_forced_discrepancy_on_s7_exits_2_and_names_the_stage(case, tmp_path, monkeypatch,
+                                                                capsys):
+    # |S| = 80 640: the exit-2 path lists the unnamed maps or what the walk
+    # search missed, and neither encodes |S| maps nor closes the oracle's
+    if case == "swapped_fiber":
+        monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped_fiber)
+    else:
+        def cut(sub):
+            result = limit_maps(sub)
+            return OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1))
+        monkeypatch.setattr(ellisub.oracle, "limit_maps", cut)
+    path = tmp_path / "s7.sub"
+    path.write_text(S7)
+    assert main(["analyze", "--verify", "--format", "json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.encode()) < 64 * 1024
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "internal-check" and error["stage"] == "window oracle"
+    assert error["message"].startswith("window oracle disagrees with the algebraic semigroup: ")
+
+
 def test_oracle_idempotents(golden_simplified):
     for name in ("thue_morse", "s3_seven_words", "d4_height_two"):
         sub = golden_simplified[name]
         result = limit_maps(sub)
-        idem = [f for f in result.semigroup.elements if map_compose(f, f) == f]
+        idem = [f for f in oracle_closure(result).elements if map_compose(f, f) == f]
         assert len(idem) == 2 * len(r_set(sub))
         for p in idem:
             for point in set(p):
@@ -324,22 +425,21 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
     rset, group = rset_and_group(sub)
     partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
     partial_sg, _ = fiber_semigroup(partial, allowed_two_words(sub))
-    assert partial_sg.size == 18 and result.semigroup.size == 36
-    discrepancies = compare_map_semigroups(result.semigroup, partial_sg)
+    assert partial_sg.size == 18 and oracle_closure(result).size == 36
+    discrepancies = compare_map_semigroups(oracle_closure(result), partial_sg)
     assert discrepancies
     assert all("missing from the algebraic semigroup" in d for d in discrepancies)
     assert len(discrepancies) == 18
 
 
 def test_oracle_json_serialization(golden_subs, golden_simplified):
-    import json
     from ellisub.report import report_to_json
     sub = golden_simplified["thue_morse"]
     comparison = oracle_equivalence(sub, *sandwich_action(sub))
     assert comparison.equal and comparison.discrepancies == ()
     result = comparison.oracle
     assert list(result.fiber.labels(sub.alphabet)) == ["aa", "ab", "ba", "bb"]
-    assert result.semigroup.size == 8
+    assert oracle_closure(result).size == 8
     by_shift = {m.nu: m.fiber_map for m in result.maps}
     # sigma^(1*4^k) sends a.b to the two-word at positions 4^k - 1, 4^k of b's
     # block; for abba/baab that is b(b).a(b) read from the rules

@@ -8,8 +8,10 @@ import pytest
 
 import ellisub.oracle
 import ellisub.pipeline
+import ellisub.semigroups
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
+from ellisub.oracle import OracleResult
 from ellisub.perms import (PermGroup, closure, compose, cycle_string,
                            element_order, group_fingerprint, group_name,
                            identity, inverse, is_normal, is_transitive,
@@ -20,13 +22,12 @@ from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
                               return_time_gcd, structure_group)
 from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import render_json, report_to_json
-from ellisub.semigroups import (TransformationSemigroup, map_compose,
-                                semigroup_closure)
+from ellisub.semigroups import TransformationSemigroup, map_compose
 from ellisub.substitution import (Substitution, allowed_two_words, columns,
                                   simplify, substitution_power)
 from conftest import (fiber_action, fiber_maps, make_substitution,
                       pair_closure, rset_and_group)
-from reference import quotient_data
+from reference import quotient_data, semigroup_closure
 
 # what moved to tests/reference.py or was deleted: no ellisub module defines it
 MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
@@ -35,7 +36,8 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "verify_rees_isomorphism", "green_structure", "GreenStructure", "_components",
          "_partition", "is_completely_simple", "quotient_data", "proximality_classes",
          "ProximalityData", "_merged_pairs", "_check_merge_classes", "induced_fiber_map",
-         "letter_at", "_product_law_failure")
+         "letter_at", "_product_law_failure", "as_transformation_semigroup",
+         "semigroup_closure", "compare_map_semigroups")
 
 SWAP = (1, 0)
 
@@ -511,10 +513,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
             if hasattr(module, name)] == []
     assert not hasattr(ReesMatrixSemigroup, "generators")
     assert not any(hasattr(TransformationSemigroup, name) for name in ("mul", "idempotent_indices"))
-    for name in ("as_transformation_semigroup", "semigroup_closure"):
-        for module in modules:
-            if hasattr(module, name):
-                counting(module, name)
+    assert not hasattr(OracleResult, "semigroup") and not hasattr(ellisub.semigroups, "CLOSURE_CAP")
     for name in ("is_simplified", "allowed_two_words", "is_primitive"):
         for module in modules:
             if hasattr(module, name):
@@ -596,19 +595,18 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # input's fiber: a power has the subshift, so the two-letter words, of
     # the input it came from, and its L-letter rule words are not scanned
     assert validations(report.substitution) == {"is_simplified": 1}
-    # the input is checked primitive by analyze_substitution and by the one
-    # allowed_two_words that the aperiodicity test, simplify and
-    # global_description share
-    assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
+    # the input is checked primitive once, by the one allowed_two_words that
+    # the aperiodicity test, simplify and global_description share
+    assert validations(sub) == {"is_primitive": 1, "allowed_two_words": 1}
     calls.clear()
     on_power.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
-    assert calls == once  # no as_transformation_semigroup, no semigroup_closure
+    assert calls == once
     # and the oracle once more, in limit_maps, which reads its own fiber
     assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
                                                 "is_primitive": 1}
-    assert validations(sub) == {"is_primitive": 2, "allowed_two_words": 1}
+    assert validations(sub) == {"is_primitive": 1, "allowed_two_words": 1}
     # the oracle reads each of its 2(L - 1) maps by one getter call, at the
     # right or the left letters of the fixed points, off the table of its
     # column pair: 30 at L = 16.  The fiber action proves itself from the

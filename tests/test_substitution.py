@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import ellisub.substitution
 from ellisub.errors import ParseError, ResourceLimitError, ValidationError
 from ellisub.perms import compose, identity
-from ellisub.substitution import (allowed_two_words, columns,
+from ellisub.substitution import (_all_letters_exponent, allowed_two_words, columns,
                                   compose_substitutions, is_aperiodic,
                                   is_bijective, is_primitive, is_simplified,
                                   junction_map, parse_any,
@@ -14,7 +15,7 @@ from ellisub.substitution import (allowed_two_words, columns,
                                   substitution_from_json, substitution_power,
                                   substitution_to_json, substitution_to_text)
 from conftest import make_substitution
-from reference import letter_at
+from reference import letter_at, occurrence_matrix_exponent
 
 THUE_MORSE = "a -> abba\nb -> baab\n"
 PERIODIC = "a -> aba\nb -> bab\n"
@@ -185,6 +186,26 @@ def test_unreachable_letter_is_not_primitive():
 def test_cyclic_occurrence_graph_is_not_primitive():
     sub = make_substitution(["bb", "aa"])
     assert not is_primitive(sub)
+
+
+def test_primitivity_agrees_with_boolean_matrix_powers(golden_subs, golden_simplified,
+                                                       random_corpus, long_power_subs):
+    # one routine decides primitivity and gives simplify its exponent: the
+    # least k with every rule word of sub^k holding every letter, the least
+    # all-true boolean power of the letter-occurrence matrix
+    non_primitive = [make_substitution(words) for words in (
+        ["ab", "ba", "cc"], ["bb", "aa"], ["aa", "bb"], ["ab", "bb"], ["bb", "cc", "aa"],
+        ["abab", "baba", "cdcd", "dcdc"], ["bcb", "cac", "aba", "ddd"])]
+    subs = (list(golden_subs.values()) + list(golden_simplified.values()) + random_corpus
+            + long_power_subs + non_primitive + [parse_substitution(PERIODIC)])
+    exponents = Counter()
+    for sub in subs:
+        expected = occurrence_matrix_exponent(sub)
+        assert _all_letters_exponent(sub) == expected, sub.rules
+        assert is_primitive(sub) == (expected is not None)
+        exponents[expected] += 1
+    assert exponents[None] == len(non_primitive)
+    assert exponents[1] > 0 and any(k is not None and k > 1 for k in exponents)
 
 
 # --- two-letter words ------------------------------------------------------
