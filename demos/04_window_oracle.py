@@ -8,8 +8,10 @@ simplified substitution the map that a shift sigma^(nu * l^k) induces on the
 fixed points is the same at every level k, so the oracle reads each once, off
 the rule words; the written-out powers confirm it at levels 1 to 4.  The
 comparison with the algebraic pipeline names each map by its triple,
-decoding it through the matrix action, and decides by a walk search in the
-structure group whether the triples generate the whole matrix semigroup.
+decoding it through the matrix action, and decides whether the triples
+generate the whole matrix semigroup by the order of their loop group: the
+closure in the structure group of one Schreier generator per edge of the
+row/column graph, |G| compositions per distinct generator.
 """
 
 from ellisub import (FiberAction, cycle_string, global_description,

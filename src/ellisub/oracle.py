@@ -17,11 +17,11 @@ map's images and accepts it only when it encodes back to the map, O(fiber)
 per map, and a map without a name is reported as a discrepancy, so no map
 the rules produce is taken on trust.  Once every map is named, the maps
 generate phi(M) exactly when their triples generate M
-(:func:`_compare_with_action` proves it).  That is decided in G by
-:func:`generation_shortfall`, at a cost of |G| * (number of maps + 2|I|)
-compositions of permutations, and the same search names what the triples
-miss.  No map is closed and no triple outside the oracle's is encoded, on
-either answer.
+(:func:`_compare_with_action` proves it): when they meet every row and
+column and their loop group at row i0 is G.  :func:`generation_shortfall`
+closes that group from its Schreier generators, |G| compositions of
+permutations per distinct generator, and its order names what the triples
+miss.  No map is closed and no triple outside the oracle's is encoded.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
 l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
-from .perms import after, identity
+from .perms import after, closure, compose, identity, inverse
 from .semigroups import FiberMap, map_after
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            columns, is_simplified)
@@ -149,31 +149,38 @@ def limit_maps(sub: Substitution) -> OracleResult:
 
 def generation_shortfall(matrix, triples) -> tuple[str, ...]:
     """What keeps ``triples`` from generating the Rees matrix semigroup
-    ``matrix``, M = M[G; I, Lambda; A] with base (i0, lam0), found by a walk
-    search in G: each row and each column that no triple meets, or else the
-    k < |G| labels that the search reaches from row i0 to column lam0.  Empty
-    exactly when the triples generate M.
+    ``matrix``, M = M[G; I, Lambda; A] with base (i0, lam0): each row and
+    each column that no triple meets, or else the k < |G| labels that the
+    triples reach from row i0 to column lam0.  Empty exactly when the
+    triples generate M.
 
     A product (i1, g1, lam1) ... (ik, gk, lamk) is
-    (i1, g1 A[lam1][i2] g2 ... A[lam(k-1)][ik] gk, lamk).  So the triples T
-    generate M exactly when T meets every row i and every column lam, and the
-    labels g1 A[lam1][i2] g2 ... gk of the words over T that start in row i0
-    and end in column lam0 cover G.  Both are necessary: each (i, g, lam) is
-    a product whose first factor lies in row i and whose last lies in column
-    lam, and each (i0, g, lam0) is such a word with label g.  They suffice:
-    with t = (i, gt, lamt) in T in row i, u = (iu, gu, lam) in T in column lam
-    and w a word from row i0 to column lam0 with label h,
-    t w u = (i, gt A[lamt][i0] h A[lam0][iu] gu, lam), and as h runs through
-    G the middle runs through G.  (Howie, *Fundamentals of Semigroup Theory*,
-    Thm 3.4.1; Gray & Ruskuc, *Generating sets of completely 0-simple
-    semigroups*, Comm. Algebra 33, 2005.)
-
-    The search walks the bipartite graph with an edge i -> lam of label g
-    for each (i, g, lam) in T and an edge lam -> j of label A[lam][j], over
-    the states (vertex, label) reachable from (i0, 1): at most |G| per
-    vertex, so |G| * (|T| + |Lambda||I|) compositions, each one call of the
-    getter of its edge label, built once per edge.  It stops as soon as
-    column lam0 holds every label.
+    (i1, g1 A[lam1][i2] g2 ... A[lam(k-1)][ik] gk, lamk): a walk, labelled by
+    the product of its edge labels, in the graph on the rows and columns with
+    an edge i -> lam of label g for each (i, g, lam) in T and an edge
+    lam -> j of label A[lam][j].  T generates M exactly when it meets every
+    row and column and its walks from i0 to lam0 take every label: each
+    (i0, g, lam0) is such a walk, and for such a walk w, t in T in row i
+    and u in T in column lam, t w u = (i, x w y, lam) with x and y fixed,
+    which takes every label as w does.  (Howie, *Fundamentals of Semigroup
+    Theory*, Thm 3.4.1; Gray & Ruskuc, *Generating sets of completely
+    0-simple semigroups*, 2005.)  These labels are a coset of the group H of
+    the labels of closed walks at i0, so k = |H|:
+    - the graph is strongly connected once T meets every row and column:
+      a column has an edge to every row, a row one out, a column one in;
+    - H is a subgroup of G: it is closed under products, and h^-1 = h^(n-1)
+      when h^n = 1 in the finite group G;
+    - for q the label of a walk lam0 -> i0 and w, w' of walks i0 -> lam0,
+      w' = (w' q)(w q)^-1 w lies in H w, and each h w is a walk's label;
+    - Schreier's lemma: for p_v the label of one walk i0 -> v, p_i0 = 1, H is
+      generated by the p_u g p_v^-1 of the edges u -> v of label g.  Each is
+      (p_u g q)(p_v q)^-1 in H, for q the label of a walk v -> i0, and a
+      closed walk telescopes into them: g1 ... gk is the product over t of
+      p_v(t-1) g_t p_vt^-1.  (Holt, Eick & O'Brien, *Handbook of
+      Computational Group Theory*, 2005.)
+    The p_v come from a triple in row i0, the sandwich entries of its column
+    and the triples; the |T| + |Lambda||I| generators take one inverse per
+    vertex, and ``closure`` makes |G| compositions per distinct generator.
     """
     i0, lam0 = matrix.base
     n_i, n_lam = len(matrix.i_labels), len(matrix.lam_labels)
@@ -183,35 +190,22 @@ def generation_shortfall(matrix, triples) -> tuple[str, ...]:
                      for lam in range(n_lam) if lam not in columns_met])
     if unmet:
         return unmet
-    order = matrix.group.order
-    # each edge as (getter of its label, head): label h reaches h * label
-    by_row: list[list[tuple]] = [[] for _ in range(n_i)]
-    for i, g, lam in triples:
-        by_row[i].append((after(g), lam))
-    by_column = [[(after(entry), j) for j, entry in enumerate(row)] for row in matrix.sandwich]
-    start = identity(matrix.group.degree)
-    at_row = [set() for _ in range(n_i)]
-    at_column = [set() for _ in range(n_lam)]
-    at_row[i0].add(start)
-    frontier = [(i0, start)]
-    while frontier:
-        reached = []  # new column states
-        for i, h in frontier:
-            for g_after, lam in by_row[i]:
-                label = g_after(h)
-                if label not in at_column[lam]:
-                    at_column[lam].add(label)
-                    reached.append((lam, label))
-        if len(at_column[lam0]) == order:
-            return ()
-        frontier = []
-        for lam, h in reached:
-            for entry_after, j in by_column[lam]:
-                label = entry_after(h)
-                if label not in at_row[j]:
-                    at_row[j].add(label)
-                    frontier.append((j, label))
-    return (f"the oracle's maps reach {len(at_column[lam0])} of the {order} labels "
+    degree, order = matrix.group.degree, matrix.group.order
+    _, first, lam1 = next(t for t in triples if t[0] == i0)
+    to_row = [compose(first, entry) for entry in matrix.sandwich[lam1]]
+    to_row[i0] = identity(degree)
+    walked = [(lam, compose(to_row[i], g)) for i, g, lam in triples]  # p_i g per triple
+    to_column = dict(walked)  # the label of any walk to each column will do
+    # the getter of p_v^-1 for each vertex: the rows, then the columns
+    back = [after(inverse(p)) for p in to_row + [to_column[lam] for lam in range(n_lam)]]
+    loops = {back[n_i + lam](label) for lam, label in walked}
+    loops.update(back[j](compose(to_column[lam], entry))
+                 for lam, row in enumerate(matrix.sandwich) for j, entry in enumerate(row))
+    loops.discard(identity(degree))
+    reached = closure(list(loops), degree).order
+    if reached == order:
+        return ()
+    return (f"the oracle's maps reach {reached} of the {order} labels "
             f"from row {i0} to column {matrix.lam_labels[lam0]}",)
 
 
@@ -226,8 +220,8 @@ class OracleComparison:
 def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparison:
     """Compare the oracle's maps F with phi(M): name each distinct map by its
     triple with ``action.decode``, list each map without one, and when every
-    map has one, let :func:`generation_shortfall` decide whether the triples
-    generate M and say what they miss.
+    map has one, let :func:`generation_shortfall` decide from the order of
+    their loop group whether the triples generate M, and say what they miss.
 
     F generates phi(M) exactly when every map of F has a triple and the
     triples generate M.  phi is an injective homomorphism, so its image
@@ -239,8 +233,8 @@ def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparis
       <F> = phi(<T>), since phi is a homomorphism.  When T generates M,
       <F> = phi(M).  When it does not, <T> is a proper subset of M, and
       phi(<T>) is a proper subset of phi(M), since phi is injective.
-    So the decision is made without closing F or encoding a triple outside
-    T, and the maps named here are the oracle's own maps outside phi(M).
+    So the decision closes one subgroup of G and never F, encodes no triple
+    outside T, and names only the oracle's own maps outside phi(M).
     """
     seeds = sorted({m.fiber_map for m in result.maps})
     triples = [action.decode(f) for f in seeds]

@@ -37,10 +37,11 @@ letter has two predecessors in the fiber; O(|I| s + fiber) work in all.
 The matrix and the action then go to the window oracle, the one witness
 built independently of this module.  The oracle reads its maps off the rule
 letters, names each distinct map by decoding it, O(fiber) per map, and
-decides by a walk search in G whether the triples generate the matrix
-semigroup.  A disagreement lists the maps without a name, or what the walk
-search missed, and raises InternalCheckError with the stage "window
-oracle"; no map is closed and no triple outside the oracle's is encoded.
+decides whether the triples generate the matrix semigroup by the order of
+their loop group, closed in G at |G| compositions per distinct Schreier
+generator.  A disagreement lists the maps without a name, or what the
+triples miss, and raises InternalCheckError with the stage "window oracle";
+no map is closed and no other triple is encoded.
 
 Three identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
@@ -470,7 +471,11 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
             f"<= {verdict.period_evidence}")
         exc.verdict = verdict
         raise exc
-    simplified, exponent = simplify(sub, fiber)
+    try:
+        simplified, exponent = simplify(sub, fiber)
+    except ResourceLimitError as exc:
+        exc.stage = "simplify"
+        raise
     # the power has the input's subshift, so its fiber: see global_description
     report = global_description(simplified, config.g0_index, exponent=exponent,
                                 original_length=sub.length, aperiodicity=verdict, fiber=fiber)

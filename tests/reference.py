@@ -8,8 +8,9 @@ reference phi, with all |S| maps written out and its product law checked
 through the Rees factorization; Green's classes from Cayley graphs; the
 normalized Rees form of a completely simple map semigroup; a capped
 isomorphism search between presentations; closures of Rees triples and of
-map sets; primitivity by boolean matrix powers; digit walks into the fixed
-points and the proximality classes of the fiber.
+map sets; a walk search in G for whether Rees triples generate; primitivity
+by boolean matrix powers; digit walks into the fixed points and the
+proximality classes of the fiber.
 """
 
 from __future__ import annotations
@@ -97,6 +98,59 @@ def element_closure(m: ReesMatrixSemigroup, seeds: Sequence[ReesElement]) -> set
                     new.append(xy)
         frontier = new
     return reached
+
+
+def walk_shortfall(m: ReesMatrixSemigroup, triples) -> tuple[str, ...]:
+    """What keeps ``triples`` from generating ``m``, found by a walk search
+    in G: the reference for ``oracle.generation_shortfall``, with its
+    messages.
+
+    The search walks the graph with an edge i -> lam of label g for each
+    triple (i, g, lam) and an edge lam -> j of label A[lam][j], over the
+    states (vertex, label) reachable from (i0, 1): at most |G| per vertex,
+    and it stops as soon as column lam0 holds every label.  The triples
+    generate M exactly when they meet every row and column and column lam0
+    holds every label (Gray & Ruskuc, *Generating sets of completely
+    0-simple semigroups*, 2005).
+    """
+    i0, lam0 = m.base
+    n_i, n_lam = len(m.i_labels), len(m.lam_labels)
+    rows_met, columns_met = {i for i, _, _ in triples}, {lam for _, _, lam in triples}
+    unmet = tuple([f"no oracle map lies in row {i}" for i in range(n_i) if i not in rows_met]
+                  + [f"no oracle map lies in column {m.lam_labels[lam]}"
+                     for lam in range(n_lam) if lam not in columns_met])
+    if unmet:
+        return unmet
+    order = m.group.order
+    # each edge as (getter of its label, head): label h reaches h * label
+    by_row: list[list[tuple]] = [[] for _ in range(n_i)]
+    for i, g, lam in triples:
+        by_row[i].append((after(g), lam))
+    by_column = [[(after(entry), j) for j, entry in enumerate(row)] for row in m.sandwich]
+    start = identity(m.group.degree)
+    at_row = [set() for _ in range(n_i)]
+    at_column = [set() for _ in range(n_lam)]
+    at_row[i0].add(start)
+    frontier = [(i0, start)]
+    while frontier:
+        reached = []  # new column states
+        for i, h in frontier:
+            for g_after, lam in by_row[i]:
+                label = g_after(h)
+                if label not in at_column[lam]:
+                    at_column[lam].add(label)
+                    reached.append((lam, label))
+        if len(at_column[lam0]) == order:
+            return ()
+        frontier = []
+        for lam, h in reached:
+            for entry_after, j in by_column[lam]:
+                label = entry_after(h)
+                if label not in at_row[j]:
+                    at_row[j].add(label)
+                    frontier.append((j, label))
+    return (f"the oracle's maps reach {len(at_column[lam0])} of the {order} labels "
+            f"from row {i0} to column {m.lam_labels[lam0]}",)
 
 
 def little_structure_group(m: ReesMatrixSemigroup) -> PermGroup:

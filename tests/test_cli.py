@@ -191,7 +191,7 @@ def test_resource_guard_exits_3(tmp_path):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["kind"] == "resource-limit"
-    assert "stage" not in payload["error"]
+    assert payload["error"]["stage"] == "simplify"
 
 
 def test_a_capped_group_closure_names_its_stage(tmp_path, monkeypatch, capsys):

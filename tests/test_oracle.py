@@ -17,6 +17,7 @@ from ellisub.cli import main
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
                             oracle_equivalence)
+from ellisub.perms import closure
 from ellisub.pipeline import r_set
 from ellisub.rees import FiberAction, ReesMatrixSemigroup, idempotents_of, substitution_sandwich
 from ellisub.semigroups import map_compose
@@ -27,7 +28,7 @@ from reference import (as_transformation_semigroup, compare_map_semigroups,
                        element_closure, fiber_semigroup, idempotent_generated,
                        induced_fiber_map, letter_at, oracle_closure,
                        proximality_classes, reference_action, rees_generators,
-                       semigroup_closure)
+                       semigroup_closure, walk_shortfall)
 
 S5 = "a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\ne -> ebccadae"
 S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
@@ -132,27 +133,51 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
     assert short_sets >= 2 * len(subs)
 
 
-def test_walk_search_decides_generation_of_rees_triples(golden_simplified):
-    # against the closure of the triples themselves, on the three-row sandwich
-    # at every base (A[lam0][i0] != 1) and on random seed sets
+def rees_seed_sets(golden_simplified):
+    """(matrix, seed sets) for the three-row sandwich at every base
+    (A[lam0][i0] != 1) and for each golden sandwich: 32 random sets of 2 to
+    6 triples, then the idempotents, then the generators of
+    ``rees_generators``."""
     rng = random.Random(20261018)
     matrices = [three_row_matrix((i0, lam0)) for i0 in range(2) for lam0 in range(3)]
     for sub in golden_simplified.values():
         rset, group = rset_and_group(sub)
         matrices.append(substitution_sandwich(group, rset, rset[-1]))
-    outcomes = set()
     for matrix in matrices:
         elements = list(matrix.elements())
-        for size in (2, 3, 4, 6):
-            for _ in range(8):
-                seeds = rng.sample(elements, min(size, len(elements)))
-                generated = element_closure(matrix, seeds) == set(elements)
-                assert (not generation_shortfall(matrix, seeds)) == generated
-                outcomes.add(generated)
-        assert not generation_shortfall(matrix, list(rees_generators(matrix)))
+        randoms = [rng.sample(elements, min(size, len(elements)))
+                   for size in (2, 3, 4, 6) for _ in range(8)]
+        yield matrix, randoms + [idempotents_of(matrix), list(rees_generators(matrix))]
+
+
+def random_rees_cases(count):
+    """``count`` seeded pairs (matrix, triples): a sandwich of 1 to 3 rows
+    and columns over S_4 with random entries and base, and 1 to 4 random
+    triples.  Unlike a substitution sandwich, no entry need be 1."""
+    rng = random.Random(20261019)
+    s4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)])
+    for _ in range(count):
+        n_i, n_lam = rng.randint(1, 3), rng.randint(1, 3)
+        sandwich = tuple(tuple(rng.choice(s4.elements) for _ in range(n_i)) for _ in range(n_lam))
+        matrix = ReesMatrixSemigroup(s4, tuple(range(n_i)), tuple(range(n_lam)), sandwich,
+                                     (rng.randrange(n_i), rng.randrange(n_lam)))
+        yield matrix, [(rng.randrange(n_i), rng.choice(s4.elements), rng.randrange(n_lam))
+                       for _ in range(rng.randint(1, 4))]
+
+
+def test_walk_search_decides_generation_of_rees_triples(golden_simplified):
+    # against the closure of the triples themselves, on rees_seed_sets
+    outcomes = set()
+    for matrix, seed_sets in rees_seed_sets(golden_simplified):
+        elements = set(matrix.elements())
+        for seeds in seed_sets:
+            generated = element_closure(matrix, seeds) == elements
+            assert (not generation_shortfall(matrix, seeds)) == generated
+            outcomes.add(generated)
+        assert not generation_shortfall(matrix, seed_sets[-1])
     assert outcomes == {True, False}
-    # the idempotents meet every row and both columns, but their walk labels
-    # cover only the little group A_3 of S_3: the search itself must refuse
+    # the idempotents meet every row and both columns, but their loop group
+    # is only the little group A_3 of S_3: its order must refuse them
     rset, group = rset_and_group(golden_simplified["s3_height_two"])
     matrix = substitution_sandwich(group, rset, rset[0])
     idempotents = idempotents_of(matrix)
@@ -162,9 +187,43 @@ def test_walk_search_decides_generation_of_rees_triples(golden_simplified):
         "the oracle's maps reach 3 of the 6 labels from row 0 to column +",)
 
 
+def test_the_loop_group_agrees_with_the_walk_search(golden_simplified, random_corpus,
+                                                   long_power_simplified):
+    # generation_shortfall decides by the order of the loop group at row i0,
+    # the walk search of the reference counts the labels from row i0 to
+    # column lam0: the tuples are equal, the "reach k of the n labels" text
+    # included, on the oracle's maps (all, |nu| = 1, + and -) of every input,
+    # on every seed set of rees_seed_sets and on random sandwiches over S_4
+    cases = []
+    for sub in list(golden_simplified.values()) + random_corpus + long_power_simplified:
+        matrix, action = sandwich_action(sub)
+        maps = limit_maps(sub).maps
+        for keep in (lambda nu: True, lambda nu: abs(nu) == 1, lambda nu: nu > 0,
+                     lambda nu: nu < 0):
+            cases.append((matrix, [action.decode(m.fiber_map) for m in maps if keep(m.nu)]))
+    for matrix, seed_sets in rees_seed_sets(golden_simplified):
+        cases.extend((matrix, seeds) for seeds in seed_sets)
+    cases.extend(random_rees_cases(400))
+    assert len(cases) == 4 * (6 + 20 + 21) + 12 * 34 + 400
+    kinds = Counter()
+    for matrix, triples in cases:
+        shortfall = ellisub.oracle.generation_shortfall(matrix, triples)
+        assert shortfall == walk_shortfall(matrix, triples), (matrix.base, triples)
+        if not shortfall:
+            kinds["generate"] += 1
+        elif shortfall[0].startswith("the oracle's maps reach "):
+            # k = |H| for the loop group H, so k divides |G|
+            reached = int(shortfall[0].split(" ")[4])
+            assert reached < matrix.group.order and matrix.group.order % reached == 0
+            kinds["reach k of the n labels"] += 1
+        else:
+            kinds["unmet row or column"] += 1
+    assert kinds == {"generate": 335, "reach k of the n labels": 60, "unmet row or column": 601}
+
+
 def test_a_short_map_set_is_named_by_the_walk_search(golden_simplified):
     # Thue-Morse cut to the maps of sigma^(+-1) generates 4 of its 8 maps:
-    # both maps have a triple, and the walk search names what the triples
+    # both maps have a triple, and the loop group names what the triples
     # miss, a row that none of them lies in; no map is closed and no triple
     # outside the oracle's is encoded
     sub = golden_simplified["thue_morse"]
@@ -180,7 +239,7 @@ def test_a_short_map_set_is_named_by_the_walk_search(golden_simplified):
     assert oracle_closure(short).size == 4 and full.size == 8
     assert not comparison.equal and comparison.map_count == 8
     assert comparison.discrepancies == ("no oracle map lies in row 0",)
-    # all six shifts generate: the search decides it
+    # all six shifts generate: the loop group decides it
     whole = ellisub.oracle._compare_with_action(result, matrix, action)
     assert whole.equal and whole.map_count == 8 and whole.discrepancies == ()
     assert not hasattr(OracleResult, "semigroup")
@@ -354,7 +413,7 @@ def test_a_mutant_of_the_limit_maps_fails_a_named_test(name, golden_subs, golden
 def test_a_mutant_of_the_comparison_fails_a_named_test(name, golden_simplified, monkeypatch):
     oracle = ellisub.oracle
     if name == "comparison_skips_unnamed_maps":
-        # only the named maps go on to the walk search
+        # only the named maps go on to the loop group
         monkeypatch.setattr(oracle, "_compare_with_action", mutant(
             oracle._compare_with_action, "triples = [action.decode(f) for f in seeds]",
             "triples = [x for x in map(action.decode, seeds) if x is not None]"))
@@ -368,12 +427,35 @@ def test_a_mutant_of_the_comparison_fails_a_named_test(name, golden_simplified, 
             test_a_short_map_set_is_named_by_the_walk_search(golden_simplified)
 
 
+@pytest.mark.parametrize("name", ["loop_group_drops_the_sandwich_edges",
+                                  "loop_group_skips_the_inverse",
+                                  "loop_group_counts_its_generators"])
+def test_a_mutant_of_the_loop_group_fails_a_named_test(name, golden_simplified, random_corpus,
+                                                       long_power_simplified, monkeypatch):
+    oracle = ellisub.oracle
+    old, new = {
+        # the generators of the sandwich edges are formed and thrown away
+        "loop_group_drops_the_sandwich_edges": (
+            "loops.update(", "set().union("),
+        "loop_group_skips_the_inverse": (
+            "after(inverse(p))", "after(p)"),
+        # as if the loop group were its distinct generators and the identity
+        "loop_group_counts_its_generators": (
+            "reached == order", "len(loops) + 1 >= order"),
+    }[name]
+    monkeypatch.setattr(oracle, "generation_shortfall",
+                        mutant(oracle.generation_shortfall, old, new))
+    with pytest.raises(AssertionError):
+        test_the_loop_group_agrees_with_the_walk_search(golden_simplified, random_corpus,
+                                                        long_power_simplified)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("case", ["swapped_fiber", "cut_to_one_shift"])
 def test_a_forced_discrepancy_on_s7_exits_2_and_names_the_stage(case, tmp_path, monkeypatch,
                                                                 capsys):
-    # |S| = 80 640: the exit-2 path lists the unnamed maps or what the walk
-    # search missed, and neither encodes |S| maps nor closes the oracle's
+    # |S| = 80 640: the exit-2 path lists the unnamed maps or what the
+    # triples miss, and neither encodes |S| maps nor closes the oracle's
     if case == "swapped_fiber":
         monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped_fiber)
     else:

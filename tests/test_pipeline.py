@@ -505,8 +505,9 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     for name in stages:
         counting(ellisub.pipeline, name)
     # counted under every name any module could call them by, the oracle's
-    # included: the oracle decides generation by a walk search in G, and the
-    # map-side reference computations are not in the library at all
+    # included: the oracle decides generation by the order of one loop
+    # group, closed by perms.closure, and the map-side reference
+    # computations are not in the library at all
     modules = [module for module_name, module in list(sys.modules.items())
                if module_name == "ellisub" or module_name.startswith("ellisub.")]
     assert [(module.__name__, name) for module in modules for name in MOVED
@@ -563,6 +564,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
                     patch.setattr(module, "closure", no_group_closure)
             return original_sandwich(*args, **kwargs)
     monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
+    oracle_closures = []  # the generators of each group the oracle closes
+    original_closure = ellisub.oracle.closure
+
+    def oracle_closure(gens, *args):
+        oracle_closures.append(gens)
+        return original_closure(gens, *args)
+    monkeypatch.setattr(ellisub.oracle, "closure", oracle_closure)
     once = {name: 1 for name in stages + ("substitution_sandwich",)}
     fingerprinted = []  # the group of each fingerprint computation
     original_fingerprint = PermGroup.fingerprint.func
@@ -581,6 +589,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     report = analyze_substitution(sub)
     assert report.exponent == 2 and report.substitution is not sub
     assert calls == once and products == [] and reads == [] and encoded == []
+    assert oracle_closures == []
     # the global strings, the automorphism data and the report all read group
     # fingerprints; each is computed once per distinct element set, so a
     # little group or normal completion with |G| elements reuses G's
@@ -603,6 +612,9 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
     assert calls == once
+    # generation is decided by one closure: the loop group at row i0, which
+    # has |G| elements exactly when the oracle's triples generate the matrix
+    assert len(oracle_closures) == 1
     # and the oracle once more, in limit_maps, which reads its own fiber
     assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
                                                 "is_primitive": 1}
