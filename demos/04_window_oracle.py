@@ -10,8 +10,9 @@ the rule words; the written-out powers confirm it at levels 1 to 4.  The
 comparison with the algebraic pipeline names each map by its triple,
 decoding it through the matrix action, and decides whether the triples
 generate the whole matrix semigroup by the order of their loop group: the
-closure in the structure group of one Schreier generator per edge of the
-row/column graph, |G| compositions per distinct generator.
+closure inside the structure group of the Schreier generators of the edges
+of the row/column graph, formed one at a time, closed again only on one the
+group misses, and stopped once the group has |G| elements.
 """
 
 from ellisub import (FiberAction, cycle_string, global_description,

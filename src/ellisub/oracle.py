@@ -19,9 +19,8 @@ the rules produce is taken on trust.  Once every map is named, the maps
 generate phi(M) exactly when their triples generate M
 (:func:`_compare_with_action` proves it): when they meet every row and
 column and their loop group at row i0 is G.  :func:`generation_shortfall`
-closes that group from its Schreier generators, |G| compositions of
-permutations per distinct generator, and its order names what the triples
-miss.  No map is closed and no triple outside the oracle's is encoded.
+closes that group inside G from its Schreier generators, stopping once it
+has |G| elements, and its order names what the triples miss.  No map is closed and no triple outside the oracle's is encoded.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
 l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
@@ -67,6 +66,7 @@ trust.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
@@ -180,7 +180,9 @@ def generation_shortfall(matrix, triples) -> tuple[str, ...]:
       Computational Group Theory*, 2005.)
     The p_v come from a triple in row i0, the sandwich entries of its column
     and the triples; the |T| + |Lambda||I| generators take one inverse per
-    vertex, and ``closure`` makes |G| compositions per distinct generator.
+    vertex, one at a time, and H is closed again inside G only on one it
+    misses.  H only grows inside G, so it equals G exactly when |H| = |G|,
+    and the search stops there; a set that does not generate closes all.
     """
     i0, lam0 = matrix.base
     n_i, n_lam = len(matrix.i_labels), len(matrix.lam_labels)
@@ -190,19 +192,25 @@ def generation_shortfall(matrix, triples) -> tuple[str, ...]:
                      for lam in range(n_lam) if lam not in columns_met])
     if unmet:
         return unmet
-    degree, order = matrix.group.degree, matrix.group.order
+    group, order = matrix.group, matrix.group.order
     _, first, lam1 = next(t for t in triples if t[0] == i0)
     to_row = [compose(first, entry) for entry in matrix.sandwich[lam1]]
-    to_row[i0] = identity(degree)
+    to_row[i0] = identity(group.degree)
     walked = [(lam, compose(to_row[i], g)) for i, g, lam in triples]  # p_i g per triple
     to_column = dict(walked)  # the label of any walk to each column will do
     # the getter of p_v^-1 for each vertex: the rows, then the columns
     back = [after(inverse(p)) for p in to_row + [to_column[lam] for lam in range(n_lam)]]
-    loops = {back[n_i + lam](label) for lam, label in walked}
-    loops.update(back[j](compose(to_column[lam], entry))
-                 for lam, row in enumerate(matrix.sandwich) for j, entry in enumerate(row))
-    loops.discard(identity(degree))
-    reached = closure(list(loops), degree).order
+    loops = chain((back[n_i + lam](label) for lam, label in walked),
+                  (back[j](compose(to_column[lam], entry))
+                   for lam, row in enumerate(matrix.sandwich) for j, entry in enumerate(row)))
+    gens, loop_group = [], closure([], ambient=group)
+    for loop in loops:
+        if loop not in loop_group:
+            gens.append(loop)
+            loop_group = closure(gens, ambient=group)
+            if loop_group is group:  # |H| = |G|
+                break
+    reached = loop_group.order
     if reached == order:
         return ()
     return (f"the oracle's maps reach {reached} of the {order} labels "

@@ -7,21 +7,24 @@ runs in C: ``itemgetter(*q)(p)`` reads p at the images of q in one call.
 ``itemgetter`` of one index returns a scalar and of none raises, so below
 degree 2 the kernel falls back to a list comprehension.  Where one right
 factor q is applied to many left factors, :func:`after` builds its getter
-once, and each product then costs one C call.  ``element_order``, which
-the group fingerprints call once per group element, builds its list in one
-comprehension, which CPython runs about twice as fast as a generator handed
-to ``tuple``; ``cycle_string``, which the report calls once per
-permutation it prints, skips fixed points without building a cycle for
-them.  Groups are stored as the full, lexicographically sorted element
-list; alphabets in scope are tiny (n <= 10), so enumeration beats
-stabilizer chains on simplicity and is fast enough by a wide margin.
+once, and each product then costs one C call.  ``cycle_string``, which the
+report calls once per permutation it prints, skips fixed points without
+building a cycle for them.  Groups are stored as the full, lexicographically
+sorted element list; alphabets in scope are tiny (n <= 10), so enumeration
+beats stabilizer chains on simplicity and is fast enough by a wide margin.
+
+Every group closed after the structure group G is a subgroup of G, so
+:func:`closure` checks generators by membership in G and stops at |G|
+elements, returning G.  :attr:`PermGroup.orders` counts element orders once,
+by cyclic subgroups; :func:`element_order` is the reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable
 
@@ -126,56 +129,72 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.element_set <= other.element_set
 
-    def reuse_fingerprint(self, group: "PermGroup") -> None:
-        """Take the fingerprint of ``group`` when this is a subgroup of it
-        with as many elements, and so the same elements: then the element
-        orders are not counted a second time."""
-        if self.order == group.order and self.is_subgroup_of(group):
-            self.__dict__["fingerprint"] = group.fingerprint  # where cached_property keeps it
+    @cached_property
+    def orders(self) -> dict[Perm, int]:
+        """The order of each element, one cyclic subgroup at a time: the walk
+        p, p^2, ..., p^k = 1 from an element not yet met gives
+        ord(p^j) = k / gcd(j, k) for every j, one composition per power."""
+        orders: dict[Perm, int] = {}
+        ident = identity(self.degree)
+        for p in self.elements:
+            if p not in orders:
+                step, q, powers = after(p), p, [p]
+                while q != ident:
+                    q = step(q)
+                    powers.append(q)
+                k = len(powers)
+                for j, q in enumerate(powers, 1):
+                    orders[q] = k // gcd(j, k)
+        return orders
 
     @cached_property
     def fingerprint(self) -> "GroupFingerprint":
         """Order, abelianness, exponent and element-order counts, computed
-        once per element set (see :meth:`reuse_fingerprint`): the report and
+        once per element set (see :meth:`with_generators`): the report and
         the global strings both read them."""
-        orders: dict[int, int] = {}
-        for g in self.elements:
-            o = element_order(g)
-            orders[o] = orders.get(o, 0) + 1
+        orders = Counter(self.orders.values())
         abelian = all(compose(a, b) == compose(b, a)
                       for a in self.generators for b in self.generators)
-        return GroupFingerprint(
-            order=self.order,
-            abelian=abelian,
-            exponent=lcm(*orders.keys()),
-            element_orders=tuple(sorted(orders.items())),
-        )
+        return GroupFingerprint(self.order, abelian, lcm(*orders), tuple(sorted(orders.items())))
+
+    def with_generators(self, generators) -> "PermGroup":
+        """This group under other generators, sharing its element set, element
+        orders and fingerprint, which depend on the elements alone."""
+        group = PermGroup(self.degree, tuple(generators), self.elements)
+        group.__dict__.update(element_set=self.element_set, orders=self.orders,
+                              fingerprint=self.fingerprint)
+        return group
 
 
-def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None) -> PermGroup:
+def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
+            ambient: PermGroup | None = None) -> PermGroup:
     """Smallest group containing ``gens``, found by breadth-first multiplication
     on the right by each distinct generator, through one getter per generator.
 
-    ``degree`` is required when ``gens`` is empty (the trivial group).  Raises
+    ``degree`` is required when ``gens`` is empty and no ``ambient`` group
+    holds them.  Inside ``ambient`` the walk stops as soon as it holds
+    |ambient| elements and returns ``ambient``: a subset of a finite group
+    with as many elements is the group.  Otherwise it raises
     ResourceLimitError past ``CLOSURE_CAP`` elements.
     """
     gens = list(dict.fromkeys(tuple(g) for g in gens))
-    if degree is None:
+    if ambient is not None:
+        degree = ambient.degree
+    elif degree is None:
         if not gens:
             raise ValidationError("closure of an empty generator list needs an explicit degree")
         degree = len(gens[0])
     for g in gens:
         if len(g) != degree:
             raise ValidationError(f"generator acts on {len(g)} points, expected {degree}")
-        if not is_perm(g):
-            raise ValidationError(f"generator {g} is not a permutation")
+        if not (is_perm(g) if ambient is None else g in ambient):
+            raise ValidationError(f"generator {g} is not a permutation" if ambient is None
+                                  else f"generator {g} lies outside the ambient group")
+    if ambient is not None and ambient.order == 1:  # the identity alone fills it
+        return ambient
+    stop = ambient.order if ambient is not None else CLOSURE_CAP + 1
     ident = identity(degree)
-    elements = {ident}
-    frontier = [ident]
-    for g in gens:
-        if g not in elements:
-            elements.add(g)
-            frontier.append(g)
+    elements, frontier = {ident}, [ident]
     getters = [after(g) for g in gens]
     while frontier:
         new = []
@@ -184,9 +203,11 @@ def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None) -> P
                 if y not in elements:
                     elements.add(y)
                     new.append(y)
-                    if len(elements) > CLOSURE_CAP:
-                        raise ResourceLimitError(
-                            f"group closure exceeded cap of {CLOSURE_CAP} elements")
+                    if len(elements) == stop:
+                        if ambient is None:
+                            raise ResourceLimitError(
+                                f"group closure exceeded cap of {CLOSURE_CAP} elements")
+                        return ambient
         frontier = new
     return PermGroup(degree, tuple(sorted(gens)) or (ident,), tuple(sorted(elements)))
 
@@ -219,26 +240,24 @@ def normal_closure(sub: PermGroup, ambient: PermGroup) -> PermGroup:
     ``generators`` of the result lists the elements of the last subgroup of
     that chain which conjugation enlarged, with their conjugates, or the
     elements of ``sub`` when it is already normal: the set the chain closed
-    last, which reports print.
+    last, which reports print.  Each round closes inside ``ambient``.
     """
     for g in sub.generators:
         if g not in ambient:
             raise ValidationError(f"{g} lies outside the ambient group")
     gens = list(sub.generators)
-    current = sub
-    previous = None
-    new = gens
-    while True:
+    current, previous, new = sub, None, gens
+    while current.order < ambient.order:
         new = sorted(set(_conjugates(new, ambient.generators)) - current.element_set)
         if not new:
             break
         gens += new
-        previous, current = current, closure(gens, ambient.degree)
+        previous, current = current, closure(gens, ambient=ambient)
     if previous is None:
-        return PermGroup(ambient.degree, current.elements, current.elements)
+        return sub.with_generators(sub.elements)
     listed = set(previous.elements)
     listed.update(_conjugates(previous.elements, ambient.generators))
-    return PermGroup(ambient.degree, tuple(sorted(listed)), current.elements)
+    return current.with_generators(sorted(listed))
 
 
 def is_transitive(group: PermGroup) -> bool:

@@ -16,17 +16,17 @@ holds an |S|-sized object: the degree of (i, g, sign) is that of g, so the
 degree table has one entry per element of G.
 
 Checks that run on every input, each raising InternalCheckError on a
-mismatch: the structure group is transitive; the R-set lies in one coset of
-the normal completion, which is normal, and the heights divide l - 1 and
-each other; the sandwich is normalized; the degree is a well-defined
-homomorphism onto Z/hZ with kernel the normal completion, under which every
-sandwich entry and idempotent has degree 0 (:func:`degree_map`, from the 2|I|
-entries rather than from products); the classical height from the letter
-grading equals the one from return times; the centralizer of G is
-semiregular.  :func:`r_set` validates the substitution, once, with the
-fiber that :func:`global_description` is given or reads once (a power has
-the fiber of the input it came from); the later stages take it as
-validated.
+mismatch, with the name of the function that runs it as ``stage``: the
+structure group is transitive; the R-set lies in one coset of the normal
+completion, which is normal, and the heights divide l - 1 and each other;
+the sandwich is normalized; the degree is a well-defined homomorphism onto
+Z/hZ with kernel the normal completion, under which every sandwich entry
+and idempotent has degree 0 (:func:`degree_map`, from the 2|I| entries
+rather than from products); the classical height from the letter grading
+equals the one from return times; the centralizer of G is semiregular.
+:func:`r_set` validates the substitution, once, with the fiber that
+:func:`global_description` is given or reads once (a power has the fiber
+of the input it came from); the later stages take it as validated.
 
 Under ``--verify``, :func:`analyze_substitution` also builds the matrix
 action phi as a :class:`FiberAction`, which writes out none of the 2|I||G|
@@ -38,10 +38,10 @@ The matrix and the action then go to the window oracle, the one witness
 built independently of this module.  The oracle reads its maps off the rule
 letters, names each distinct map by decoding it, O(fiber) per map, and
 decides whether the triples generate the matrix semigroup by the order of
-their loop group, closed in G at |G| compositions per distinct Schreier
-generator.  A disagreement lists the maps without a name, or what the
-triples miss, and raises InternalCheckError with the stage "window oracle";
-no map is closed and no other triple is encoded.
+their loop group, closed inside G again only on a Schreier generator it
+misses, until it has |G| elements.  A disagreement lists the maps without a
+name, or what the triples miss, and raises InternalCheckError with the
+stage "window oracle"; no map is closed and no other triple is encoded.
 
 Three identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
@@ -69,14 +69,14 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
-                    compose, element_order, group_name, identity, inverse,
+                    compose, group_name, identity, inverse,
                     is_normal, is_transitive, normal_closure)
 from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
                    substitution_sandwich)
@@ -113,7 +113,8 @@ def structure_group(rset: tuple[Perm, ...]) -> PermGroup:
         exc.stage = "structure_group"
         raise
     if not is_transitive(group):
-        raise InternalCheckError("structure group of a primitive substitution must be transitive")
+        raise InternalCheckError("structure group of a primitive substitution must be transitive",
+                                 stage="structure_group")
     return group
 
 
@@ -190,7 +191,8 @@ def classical_height_bruteforce(sub: Substitution, prefix_level: int = 3) -> int
     passes the substitution that :func:`r_set` validated."""
     g = return_time_gcd(sub, prefix_level)
     if g == 0:
-        raise InternalCheckError("a simplified substitution must return to its first letter")
+        raise InternalCheckError("a simplified substitution must return to its first letter",
+                                 stage="classical_height_bruteforce")
     for d in sorted((d for d in range(1, g + 1) if g % d == 0), reverse=True):
         if gcd(d, sub.length) == 1:
             return d
@@ -201,34 +203,33 @@ def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heig
     """Little structure group, its normal completion, and both heights.
 
     The little group is generated by the |I|^2 products g h^-1 of R-set
-    elements, which reports list as its generators; it is closed from the
-    |I| products g r0^-1 alone, since g h^-1 = (g r0^-1)(h r0^-1)^-1.
+    elements, which reports list as its generators; it is closed inside G
+    from the |I| products g r0^-1 alone, since g h^-1 = (g r0^-1)(h r0^-1)^-1.
+    A subgroup of G with |G| elements is G: its closure stops there.
 
     The R-set is checked to lie in one coset r0 N of the normal completion
     N.  Then G = <R> lies in <r0, N>, so G/N = <r0 N> is cyclic, and the
     generalized height is its order |G|/|N|.  The classical height comes
-    from the letter grading and must divide it.  A little group or N with
-    |G| elements is G, and takes G's fingerprint rather than counting the
-    element orders again.
+    from the letter grading and must divide it.
     """
-    r0_inverse = inverse(rset[0])
-    products = sorted({compose(g, inverse(h)) for g in rset for h in rset})
-    little = replace(closure([compose(g, r0_inverse) for g in rset], group.degree),
-                     generators=tuple(products))
+    inverses = [inverse(h) for h in rset]
+    products = sorted({compose(g, h_inverse) for g in rset for h_inverse in inverses})
+    little = closure([compose(g, inverses[0]) for g in rset], ambient=group).with_generators(products)
     completion = normal_closure(little, group)
     if not is_normal(completion, group):
-        raise InternalCheckError("the normal completion must be normal in the structure group")
+        raise InternalCheckError("the normal completion must be normal in the structure group",
+                                 stage="heights")
     # r lies in the coset r0 N exactly when r0^-1 r lies in N
-    if any(compose(r0_inverse, r) not in completion for r in rset):
-        raise InternalCheckError("R-set elements must share a single coset of the normal completion")
+    if any(compose(inverses[0], r) not in completion for r in rset):
+        raise InternalCheckError("R-set elements must share a single coset of the normal completion",
+                                 stage="heights")
     order = group.order // completion.order
     classical = _classical_height_by_grading(sub)
     length = sub.length
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
-            f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}")
-    for subgroup in (little, completion):
-        subgroup.reuse_fingerprint(group)
+            f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}",
+            stage="heights")
     return Heights(order, classical, little, completion)
 
 
@@ -244,11 +245,11 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
     the R-set, whose elements label the columns of the substitution sandwich.
 
     The group degrees come from one breadth-first search over G from the
-    identity, along g -> r*g for r in the R-set, that checks
-    d(r*g) = d(g) + 1 mod h on every edge.  Every element of G is a product of
-    R-set elements, so a search that reaches all of G and passes every edge
-    check shows d to be a well-defined homomorphism onto Z/hZ that sends each
-    R-set element to 1; its kernel must then be N, which is checked.
+    identity, by right multiplication g -> g*r with each r in the R-set,
+    that checks d(g*r) = d(g) + 1 mod h on every edge.  Every element of G is
+    a product of R-set elements, so a search that reaches all of G and passes
+    every edge check shows d to be a well-defined homomorphism onto Z/hZ that
+    sends each R-set element to 1; its kernel must then be N, which is checked.
 
     On the matrix semigroup, (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu),
     and d is a homomorphism on G, so d(xy) = d(x) + d(y) holds for all x, y
@@ -261,30 +262,33 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
     modulus = group.order // completion.order
     degree_of_perm = {identity(group.degree): 0}
     set_degree = degree_of_perm.setdefault
+    getters = [after(r) for r in matrix.i_labels]
     frontier = list(degree_of_perm)
     level = 0
     while frontier:
         # every element of the frontier lies at distance `level` from the
-        # identity, so has degree level mod h, and each r*g must have the next
+        # identity, so has degree level mod h, and each g*r must have the next
         level += 1
         d = level % modulus
         reached = len(degree_of_perm)
-        for g in frontier:
-            g_after = after(g)
-            for r in matrix.i_labels:
-                # one lookup per edge: a new r*g gets degree d, a known one keeps its own
-                if set_degree(g_after(r), d) != d:
-                    raise InternalCheckError("R-set word lengths do not define a degree mod h")
+        for r_after in getters:
+            for y in map(r_after, frontier):
+                # one lookup per edge: a new g*r gets degree d, a known one keeps its own
+                if set_degree(y, d) != d:
+                    raise InternalCheckError("R-set word lengths do not define a degree mod h",
+                                             stage="degree_map")
         # the dict keeps insertion order, so the elements new at this level come last
         frontier = list(islice(degree_of_perm, reached, None))
     if degree_of_perm.keys() != group.element_set:
-        raise InternalCheckError("the R-set does not reach every element of the structure group")
+        raise InternalCheckError("the R-set does not reach every element of the structure group",
+                                 stage="degree_map")
     if {g for g, d in degree_of_perm.items() if d == 0} != completion.element_set:
-        raise InternalCheckError("the degree-0 elements differ from the normal completion")
+        raise InternalCheckError("the degree-0 elements differ from the normal completion",
+                                 stage="degree_map")
     if any(degree_of_perm[entry] != 0 for row in matrix.sandwich for entry in row):
-        raise InternalCheckError("degree map is not a semigroup morphism")
+        raise InternalCheckError("degree map is not a semigroup morphism", stage="degree_map")
     if any(degree_of_perm[p.g] != 0 for p in idempotents_of(matrix)):
-        raise InternalCheckError("idempotents must have degree 0")
+        raise InternalCheckError("idempotents must have degree 0", stage="degree_map")
     return DegreeData(modulus, degree_of_perm)
 
 
@@ -298,11 +302,13 @@ class AutomorphismData:
 def automorphism_data(group: PermGroup) -> AutomorphismData:
     cent = centralizer_in_symmetric(group)
     if cent.order > group.degree:
-        raise InternalCheckError("centralizer of a transitive group is semiregular, so at most s")
+        raise InternalCheckError("centralizer of a transitive group is semiregular, so at most s",
+                                 stage="automorphism_data")
     ident = identity(group.degree)
     for c in cent.elements:
         if c != ident and any(c[x] == x for x in range(group.degree)):
-            raise InternalCheckError("non-identity centralizing maps must be fixed-point-free")
+            raise InternalCheckError("non-identity centralizing maps must be fixed-point-free",
+                                     stage="automorphism_data")
     name = group_name(cent) or f"group of order {cent.order}"
     return AutomorphismData(
         fiber_group=cent,
@@ -312,13 +318,8 @@ def automorphism_data(group: PermGroup) -> AutomorphismData:
 
 
 def _order_h_witness(rset: tuple[Perm, ...], group: PermGroup, h: int) -> Perm | None:
-    for g in rset:
-        if element_order(g) == h:
-            return g
-    for g in group.elements:
-        if element_order(g) == h:
-            return g
-    return None
+    orders = group.orders
+    return next((g for g in (*rset, *group.elements) if orders[g] == h), None)
 
 
 def _global_strings(h: int, h_cl: int, length: int, g_name: str | None,
@@ -408,11 +409,13 @@ def global_description(sub: Substitution, g0_index: int | None = None,
     matrix = substitution_sandwich(group, rset, rset[g0_index])
     degrees = degree_map(matrix, hs.normal_completion)
     if degrees.modulus != hs.height:
-        raise InternalCheckError("degree modulus differs from the generalized height")
+        raise InternalCheckError("degree modulus differs from the generalized height",
+                                 stage="global_description")
     brute = classical_height_bruteforce(sub, prefix_level=3)
     if brute != hs.classical_height:
         raise InternalCheckError(
-            f"classical height mismatch: grading {hs.classical_height}, brute force {brute}")
+            f"classical height mismatch: grading {hs.classical_height}, brute force {brute}",
+            stage="global_description")
     aut = automorphism_data(group)
     witness = _order_h_witness(rset, group, hs.height)
     strings = _global_strings(hs.height, hs.classical_height, sub.length,

@@ -1,6 +1,9 @@
 import importlib.util
+import inspect
 import random
 import sys
+import textwrap
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +18,20 @@ from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Alphabet, Substitution, TwoWordFiber,
                                   allowed_two_words, columns)
 from reference import GreenStructure, fiber_semigroup, green_structure
+
+
+def mutant(function, old, new):
+    """``function`` with the one occurrence of ``old`` in its source replaced
+    by ``new``, run in its module's namespace, so that it calls whatever is
+    patched there.  A decorated method, such as a ``cached_property``'s
+    ``func``, comes back undecorated."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, old
+    scratch = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), scratch)
+    made = scratch[function.__name__]
+    return types.FunctionType(getattr(made, "func", made).__code__, function.__globals__,
+                              function.__name__, function.__defaults__)
 
 
 def make_substitution(rule_words: list[str]) -> Substitution:

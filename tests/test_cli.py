@@ -209,6 +209,60 @@ def test_a_capped_group_closure_names_its_stage(tmp_path, monkeypatch, capsys):
         "stage": "structure_group"}}
 
 
+def _forced_check(stage, monkeypatch):
+    """Break the one check of ``stage`` through what it calls; returns the
+    golden case the check then fails on."""
+    from dataclasses import replace
+
+    import ellisub.pipeline as pipeline
+    from ellisub.perms import closure
+    from ellisub.rees import ReesElement
+    if stage == "structure_group":
+        monkeypatch.setattr(pipeline, "is_transitive", lambda group: False)
+    elif stage == "heights":
+        monkeypatch.setattr(pipeline, "is_normal", lambda sub, ambient: False)
+    elif stage == "degree_map":
+        # an R-set element has degree 1 when h = 2, so it is no idempotent
+        monkeypatch.setattr(pipeline, "idempotents_of",
+                            lambda matrix: [ReesElement(0, matrix.i_labels[0], 0)])
+        return "s3_height_two"
+    elif stage == "classical_height_bruteforce":
+        monkeypatch.setattr(pipeline, "return_time_gcd", lambda sub, level: 0)
+    elif stage == "global_description (degree modulus)":
+        original = pipeline.degree_map
+        monkeypatch.setattr(pipeline, "degree_map", lambda matrix, completion: replace(
+            original(matrix, completion), modulus=0))
+    elif stage == "global_description (classical height)":
+        monkeypatch.setattr(pipeline, "classical_height_bruteforce", lambda sub, prefix_level: 5)
+    else:
+        # S_3 is no centralizer of S_3 on three points: it is not semiregular
+        monkeypatch.setattr(pipeline, "centralizer_in_symmetric",
+                            lambda group: closure(list(group.elements)))
+    return "s3_seven_words"
+
+
+@pytest.mark.parametrize("stage, message", [
+    ("structure_group", "must be transitive"),
+    ("heights", "the normal completion must be normal"),
+    ("degree_map", "idempotents must have degree 0"),
+    ("classical_height_bruteforce", "must return to its first letter"),
+    ("global_description (degree modulus)", "degree modulus differs"),
+    ("global_description (classical height)", "classical height mismatch: grading 1, brute force 5"),
+    ("automorphism_data", "semiregular, so at most s")])
+def test_each_pipeline_check_names_its_stage(stage, message, tmp_path, monkeypatch, capsys):
+    # a failed cross-check exits 2, and the stderr JSON names the function
+    # of the stage that ran it
+    path = tmp_path / "case.sub"
+    path.write_text(CASES[_forced_check(stage, monkeypatch)])
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "internal-check"
+    assert error["stage"] == stage.split(" ")[0]
+    assert message in error["message"]
+
+
 def test_golden_cli_passes():
     code, out, _ = run_cli(["golden"])
     assert code == 0

@@ -1,13 +1,25 @@
 import itertools
+import math
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ellisub.oracle
+import ellisub.perms
+import ellisub.pipeline
 from ellisub.errors import ValidationError
+from ellisub.oracle import oracle_equivalence
 from ellisub.perms import (after, centralizer_in_symmetric, closure,
                            compose, cycle_string, element_order,
                            group_fingerprint, group_name, identity, inverse,
                            is_normal, is_transitive, normal_closure)
+from ellisub.pipeline import global_description
+from ellisub.rees import FiberAction
+from conftest import mutant
 from reference import quotient_data
 
 SWAP = (1, 0)
@@ -47,6 +59,8 @@ def test_trivial_group_at_degree_one():
     for trivial in (closure([], degree=1), closure([(0,)])):
         assert trivial.elements == ((0,),) and trivial.generators == ((0,),)
         assert normal_closure(trivial, trivial).elements == ((0,),)
+        # the identity alone fills a trivial ambient group, which comes back itself
+        assert closure([], ambient=trivial) is trivial and closure([(0,)], ambient=trivial) is trivial
         assert is_normal(trivial, trivial)
     assert closure([], degree=0).elements == ((),)
 
@@ -214,3 +228,121 @@ def test_permgroup_deterministic_ordering():
     g1 = closure([S3_TRANSPOSITION, S3_CYCLE])
     g2 = closure([S3_CYCLE, S3_TRANSPOSITION])
     assert g1.elements == g2.elements == tuple(sorted(g1.elements))
+
+
+def closures_inside_g(subs, monkeypatch):
+    """(generators, G) of each group that the pipeline and the window oracle
+    close inside the structure group G of each simplified substitution: the
+    little group, each round of the normal completion and each loop group."""
+    recorded = []
+    original = ellisub.perms.closure
+
+    def recording(gens, degree=None, ambient=None):
+        if ambient is not None:
+            recorded.append((list(gens), ambient))
+        return original(gens, degree, ambient)
+    with monkeypatch.context() as patch:
+        for module in (ellisub.perms, ellisub.pipeline, ellisub.oracle):
+            patch.setattr(module, "closure", recording)
+        for sub in subs:
+            report = global_description(sub)
+            oracle_equivalence(sub, report.matrix, FiberAction(report.matrix, report.fiber))
+    return recorded
+
+
+def random_generator_sets(rng):
+    """(generators, ambient) over S_4 and S_5: 1 to 3 random elements of
+    S_n, then 1 to 3 random elements of a random subgroup of S_n, each
+    closed inside that subgroup."""
+    for n in (4, 5):
+        symmetric = s_n(n)
+        for _ in range(40):
+            yield rng.sample(symmetric.elements, rng.randint(1, 3)), symmetric
+            sub = closure(rng.sample(symmetric.elements, rng.randint(1, 2)))
+            yield [rng.choice(sub.elements) for _ in range(rng.randint(1, 3))], sub
+
+
+def test_closure_inside_a_group_agrees_with_the_list_closure(golden_simplified, random_corpus,
+                                                             long_power_simplified, monkeypatch):
+    # the closure inside G lists the elements that the closure from the
+    # generator list alone lists, and returns G itself exactly when it holds
+    # |G| of them: on every group the pipeline closes inside G over the three
+    # corpora, on each cyclic subgroup of every structure group met there
+    # (the trivial one of Z/2 included), and on seeded random sets
+    subs = list(golden_simplified.values()) + random_corpus + long_power_simplified
+    cases = closures_inside_g(subs, monkeypatch)
+    groups = {id(group): group for _, group in cases}.values()
+    cases += [([g], group) for group in groups for g in group.elements]
+    cases += random_generator_sets(random.Random(20261019))
+    kinds = Counter()
+    for gens, ambient in cases:
+        listed = closure(gens, ambient.degree)
+        inside = ellisub.perms.closure(gens, ambient=ambient)
+        assert inside.elements == listed.elements, (gens, ambient.order)
+        assert (inside is ambient) == (listed.order == ambient.order)
+        kinds[inside is ambient, ambient.order == math.factorial(ambient.degree)] += 1
+    # (all of G, G = S_n): each of the four kinds occurs
+    assert kinds == {(True, True): 138, (False, True): 239, (True, False): 67, (False, False): 53}
+    assert min(group.order for group in groups) == 2
+    # a generator outside the ambient group is refused, as a non-permutation is
+    refused = 0
+    for group in groups:
+        for outside in itertools.permutations(range(group.degree)):
+            if outside not in group:
+                with pytest.raises(ValidationError, match="outside the ambient group"):
+                    closure([group.generators[0], outside], ambient=group)
+                refused += 1
+                break
+    assert refused > 0
+    with pytest.raises(ValidationError, match="not a permutation"):
+        closure([(0, 0, 1)])
+
+
+def test_orders_agree_with_element_order(golden_simplified, random_corpus, long_power_simplified):
+    # the cyclic walk gives ord(p^j) = k / gcd(j, k) for every power of p;
+    # it must agree with the lcm of the cycle lengths on every element
+    s5 = s_n(5)
+    assert s5.order == 120 and s5.orders == {p: element_order(p) for p in s5.elements}
+    checked = 0
+    for sub in list(golden_simplified.values()) + random_corpus + long_power_simplified:
+        report = global_description(sub)
+        for group in (report.structure_group, report.little_group, report.normal_completion,
+                      report.aut.fiber_group):
+            assert group.orders == {p: element_order(p) for p in group.elements}
+            checked += group.order
+    assert checked == 575
+
+
+@pytest.mark.parametrize("name", ["early_stop_one_element_short", "cyclic_walk_assigns_k"])
+def test_a_mutant_of_the_group_kernels_fails_a_named_test(name, golden_simplified, random_corpus,
+                                                          long_power_simplified, monkeypatch):
+    perms = ellisub.perms
+    if name == "early_stop_one_element_short":
+        # a proper subgroup one element short of G (the trivial group in
+        # Z/2) would be taken for G
+        monkeypatch.setattr(perms, "closure", mutant(
+            perms.closure, "if len(elements) == stop:", "if len(elements) == stop - 1:"))
+        with pytest.raises(AssertionError):
+            test_closure_inside_a_group_agrees_with_the_list_closure(
+                golden_simplified, random_corpus, long_power_simplified, monkeypatch)
+    else:
+        walked = cached_property(mutant(perms.PermGroup.orders.func,
+                                        "orders[q] = k // gcd(j, k)", "orders[q] = k"))
+        walked.__set_name__(perms.PermGroup, "orders")
+        monkeypatch.setattr(perms.PermGroup, "orders", walked)
+        with pytest.raises(AssertionError):
+            test_orders_agree_with_element_order(golden_simplified, random_corpus,
+                                                 long_power_simplified)
+
+
+S5_GROUP = closure([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.permutations(range(5)).map(tuple), max_size=4))
+def test_closure_inside_s5_is_the_list_closure(gens):
+    listed = closure(gens, 5)
+    inside = closure(gens, ambient=S5_GROUP)
+    assert inside.elements == listed.elements
+    assert (inside is S5_GROUP) == (listed.order == 120)
+    assert listed.orders == {p: element_order(p) for p in listed.elements}

@@ -564,12 +564,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
                     patch.setattr(module, "closure", no_group_closure)
             return original_sandwich(*args, **kwargs)
     monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
-    oracle_closures = []  # the generators of each group the oracle closes
+    oracle_closures = []  # the generators of each group the oracle closes, and the group
     original_closure = ellisub.oracle.closure
 
-    def oracle_closure(gens, *args):
-        oracle_closures.append(gens)
-        return original_closure(gens, *args)
+    def oracle_closure(gens, *args, **kwargs):
+        group = original_closure(gens, *args, **kwargs)
+        oracle_closures.append((list(gens), group))
+        return group
     monkeypatch.setattr(ellisub.oracle, "closure", oracle_closure)
     once = {name: 1 for name in stages + ("substitution_sandwich",)}
     fingerprinted = []  # the group of each fingerprint computation
@@ -612,9 +613,14 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
     assert calls == once
-    # generation is decided by one closure: the loop group at row i0, which
-    # has |G| elements exactly when the oracle's triples generate the matrix
-    assert len(oracle_closures) == 1
+    # generation is decided by the loop group at row i0, which has |G|
+    # elements exactly when the oracle's triples generate the matrix.  It
+    # starts trivial and is closed again inside G only on a Schreier
+    # generator that it misses: S_3 needs two, and the second closure stops
+    # at |G| and returns G itself, which ends the search
+    assert [len(gens) for gens, _ in oracle_closures] == [0, 1, 2]
+    assert [group.order for _, group in oracle_closures] == [1, 3, 6]
+    assert oracle_closures[-1][1] is report.structure_group
     # and the oracle once more, in limit_maps, which reads its own fiber
     assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
                                                 "is_primitive": 1}
@@ -685,15 +691,25 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
 
     def recording(*args, **kwargs):
         group = original_closure(*args, **kwargs)
-        closed.append(group.element_set)
+        closed.append((group.element_set, kwargs.get("ambient")))
         return group
     for module in (ellisub.perms, ellisub.pipeline):
         monkeypatch.setattr(module, "closure", recording)
+    full = 0
     for sub in list(golden_simplified.values()) + random_corpus:
         rset, group = rset_and_group(sub)
         closed.clear()
         hs = heights(sub, rset, group)
-        assert closed.count(hs.little_group.element_set) == 1
+        # every group heights closes is closed inside G; a little group with
+        # |G| elements is G, so the normal completion closes nothing more
+        assert all(ambient is group for _, ambient in closed)
+        assert [elements for elements, _ in closed].count(hs.little_group.element_set) == 1
+        if hs.little_group.order == group.order:
+            full += 1
+            assert len(closed) == 1
+            assert hs.little_group.orders is group.orders
+            assert hs.normal_completion.fingerprint is group.fingerprint
+    assert full > 0
 
     # closure multiplies by each distinct generator once: a repeated
     # generator costs no compositions.  Each composition is a call of the
@@ -718,6 +734,13 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
     # every element of S_4 times each of the two generators
     assert walked == 2 * distinct.order == 48
     assert compositions == walked and repeated == distinct
+    # inside S_4 the walk stops at its 24th element, after 36 of the 48
+    # products, and returns S_4 itself; a proper subgroup is walked whole
+    compositions = 0
+    assert original_closure(gens, ambient=distinct) is distinct
+    assert compositions == 36
+    compositions = 0
+    assert original_closure(gens[:1], ambient=distinct).order == 4 and compositions == 4
 
 
 def test_fiber_no_larger_than_the_alphabet_stops_at_the_r_set(monkeypatch):
