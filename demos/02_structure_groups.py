@@ -5,12 +5,12 @@ The R-set collects the quotients of consecutive column maps; it generates the
 structure group.  Products g h^-1 of R-set elements generate the little
 structure group, whose normal completion cuts out a cyclic quotient -- the
 generalized height.  The classical height is recovered independently from a
-letter grading and from return positions of the fixed point.  Each stage
-takes what the one before it built.
+letter grading and from return positions of the fixed point.  The input
+is checked once, and each stage takes what the one before it built.
 """
 
-from ellisub import (classical_height_bruteforce, cycle_string, group_name,
-                     heights, is_normal, parse_substitution, r_set, simplify,
+from ellisub import (check_input, classical_height_bruteforce, cycle_string,
+                     group_name, heights, is_normal, parse_substitution, r_set,
                      structure_group)
 
 EXAMPLES = {
@@ -22,12 +22,12 @@ EXAMPLES = {
 }
 
 for name, source in EXAMPLES.items():
-    sub, exponent = simplify(parse_substitution(source))
-    letters = sub.alphabet.letters
-    rset = r_set(sub)
+    checked = check_input(parse_substitution(source))
+    letters = checked.power.alphabet.letters
+    rset = r_set(checked)
     group = structure_group(rset)
-    hs = heights(sub, rset, group)
-    print(f"== {name} (analyzed power {exponent})")
+    hs = heights(checked, rset, group)
+    print(f"== {name} (analyzed power {checked.exponent})")
     print("  R-set:", ", ".join(cycle_string(g, letters) for g in rset))
     print(f"  structure group: order {group.order} ({group_name(group) or 'unnamed'})")
     print(f"  little group: order {hs.little_group.order}, "
@@ -35,5 +35,5 @@ for name, source in EXAMPLES.items():
     print(f"  normal completion: order {hs.normal_completion.order} "
           f"({group_name(hs.normal_completion) or 'unnamed'})")
     print(f"  generalized height {hs.height}, classical height {hs.classical_height} "
-          f"(brute force check: {classical_height_bruteforce(sub, 3)})")
+          f"(brute force check: {classical_height_bruteforce(checked)})")
     print()

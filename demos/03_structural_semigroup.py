@@ -13,17 +13,18 @@ pairs, which adds no map.  Each stage takes what the one before it built:
 R-set, structure group, matrix presentation, fiber action.
 """
 
-from ellisub import (FiberAction, allowed_two_words, columns, cycle_string,
-                     parse_substitution, r_set, simplify, structure_group,
+from ellisub import (FiberAction, allowed_two_words, check_input, columns,
+                     cycle_string, parse_substitution, r_set, structure_group,
                      substitution_sandwich)
 from ellisub.perms import compose
 from ellisub.semigroups import map_compose
 
-sub, _ = simplify(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
+checked = check_input(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
+sub = checked.power
 letters = sub.alphabet.letters
 
 print("== normalized matrix presentation")
-rset = r_set(sub)
+rset = r_set(checked)
 group = structure_group(rset)
 matrix = substitution_sandwich(group, rset, rset[0])
 print(f"|I| = {len(rset)}, |G| = {group.order}: {matrix.size} elements")

@@ -15,11 +15,12 @@ of the row/column graph, formed one at a time, closed again only on one the
 group misses, and stopped once the group has |G| elements.
 """
 
-from ellisub import (FiberAction, cycle_string, global_description,
-                     limit_maps, oracle_equivalence, parse_substitution,
-                     simplify, substitution_power)
+from ellisub import (FiberAction, check_input, cycle_string,
+                     global_description, limit_maps, oracle_equivalence,
+                     parse_substitution, substitution_power)
 
-sub, _ = simplify(parse_substitution("a -> abba\nb -> baab"))
+checked = check_input(parse_substitution("a -> abba\nb -> baab"))
+sub = checked.power
 letters = sub.alphabet.letters
 
 
@@ -60,7 +61,7 @@ for m in result.maps:
     assert maps == {m.fiber_map}
 
 print("\n== equivalence with the algebraic semigroup")
-report = global_description(sub)
+report = global_description(checked)
 action = FiberAction(report.matrix, report.fiber)  # proves the action, builds no map
 triples = set()
 for m in result.maps:

@@ -17,8 +17,8 @@ from .oracle import (OracleComparison, OracleResult, limit_maps,
 from .perms import (PermGroup, centralizer_in_symmetric, closure,
                     cycle_string, element_order, group_fingerprint,
                     group_name, is_normal, is_transitive, normal_closure)
-from .pipeline import (AnalysisConfig, Heights, StructuralReport,
-                       analyze_substitution, automorphism_data,
+from .pipeline import (AnalysisConfig, CheckedPower, Heights, StructuralReport,
+                       analyze_substitution, automorphism_data, check_input,
                        classical_height_bruteforce, degree_map,
                        global_description, heights, r_set, structure_group)
 from .rees import (FiberAction, ReesElement, ReesMatrixSemigroup,

@@ -1,13 +1,15 @@
-"""From a simplified bijective substitution to the full structural picture:
-R-set, structure group, little structure group and its normal completion,
+"""From a bijective substitution to the full structural picture: R-set,
+structure group, little structure group and its normal completion,
 generalized and classical heights, the normalized Rees matrix form of the
 fiber semigroup, the degree grading, automorphism data, and the symbolic
 description of the whole Ellis semigroup.
 
-:func:`global_description` runs each stage once, in this order, and every
-stage takes the objects it consumes rather than a substitution to rebuild
-them from: :func:`r_set` (which validates that the substitution is bijective
-and simplified), :func:`structure_group`, :func:`heights`,
+:func:`check_input` checks the input theta once and returns a
+:class:`CheckedPower`: theta, n, the simplified power tau = theta^n that it
+writes out, the fiber and the aperiodicity verdict.  :func:`global_description`
+runs each stage once on it, in this order, and every stage takes the
+objects it consumes rather than a substitution to rebuild or check them
+from: :func:`r_set`, :func:`structure_group`, :func:`heights`,
 :func:`substitution_sandwich`, :func:`degree_map`,
 :func:`classical_height_bruteforce` and :func:`automorphism_data`.  No stage
 builds a fiber map, multiplies two elements of the structural semigroup (of
@@ -24,9 +26,6 @@ Z/hZ with kernel the normal completion, under which every sandwich entry
 and idempotent has degree 0 (:func:`degree_map`, from the 2|I| entries
 rather than from products); the classical height from the letter grading
 equals the one from return times; the centralizer of G is semiregular.
-:func:`r_set` validates the substitution, once, with the fiber that
-:func:`global_description` is given or reads once (a power has the fiber
-of the input it came from); the later stages take it as validated.
 
 Under ``--verify``, :func:`analyze_substitution` also builds the matrix
 action phi as a :class:`FiberAction`, which writes out none of the 2|I||G|
@@ -81,24 +80,66 @@ from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
 from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
                    substitution_sandwich)
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
-                           TwoWordFiber, allowed_two_words, columns,
-                           is_aperiodic, is_bijective, is_simplified,
-                           simplify)
+                           TwoWordFiber, _all_letters_exponent,
+                           allowed_two_words, aperiodicity_verdict, columns,
+                           is_bijective, simplified_power)
 
 
-def r_set(sub: Substitution, fiber: TwoWordFiber | None = None) -> tuple[Perm, ...]:
-    """Deduplicated successive-column quotients of a simplified substitution,
-    in canonical (lexicographic) order.  These label the minimal right ideals.
+@dataclass(frozen=True)
+class CheckedPower:
+    """An input theta that :func:`check_input` passed, with its simplified
+    power tau = theta^n and its allowed two-letter words, which are tau's:
+    the stages take this value and check none of it again."""
 
-    The one stage that validates its substitution; the later stages take the
-    R-set and what is built from it.  ``fiber`` is ``allowed_two_words(sub)``,
-    when the caller already holds it."""
-    if not is_simplified(sub, fiber):
-        # is_simplified starts with the bijectivity check; repeat it only to say which failed
-        if not is_bijective(sub):
-            raise ValidationError("the R-set needs a bijective substitution")
-        raise ValidationError("the R-set is read off level one only for simplified substitutions")
-    cols = columns(sub)
+    original: Substitution           # theta
+    exponent: int                    # n
+    power: Substitution              # tau = theta^n, simplified
+    fiber: TwoWordFiber
+    aperiodicity: AperiodicityVerdict
+
+
+def check_input(sub: Substitution) -> CheckedPower:
+    """Check theta once: bijective (naming the columns that are not),
+    primitive (by the all-letters exponent, which then gives n), aperiodic
+    (from the count of the allowed two-letter words), and tau = theta^n
+    written out (:func:`ellisub.substitution.simplify` proves it simplified).
+
+    The power tau = theta^n has the fiber of theta.  A word occurs in the
+    language of tau when it occurs in some theta^(nk)(a), so every such word
+    occurs in the language of theta.  Conversely, let w occur in
+    theta^k(a), and let p be a primitivity exponent: every letter occurs in
+    theta^p(c) for every letter c, and so in theta^q(c) =
+    theta^p(theta^(q-p)(c)) for every q >= p.  Take m with nm >= k + p.
+    Then theta^(nm)(c) = theta^k(theta^(nm-k)(c)) holds theta^k(a), since
+    theta^(nm-k)(c) holds a, and so w.  The two languages are equal, so
+    theta and tau generate the same subshift and have the same two-letter
+    factors, which is what :func:`allowed_two_words` lists."""
+    if not is_bijective(sub):
+        bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
+        raise ValidationError(f"substitution is not bijective: column(s) {bad} are not permutations")
+    letters_exp = _all_letters_exponent(sub)
+    if letters_exp is None:
+        raise ValidationError("substitution is not primitive")
+    fiber = allowed_two_words(sub)
+    verdict = aperiodicity_verdict(sub, fiber)
+    if verdict.kind == "periodic":
+        exc = ValidationError(
+            f"substitution is periodic: complexity p({verdict.period_evidence}) "
+            f"<= {verdict.period_evidence}")
+        exc.verdict = verdict
+        raise exc
+    try:
+        power, exponent = simplified_power(sub, fiber, letters_exp)
+    except ResourceLimitError as exc:
+        exc.stage = "simplify"
+        raise
+    return CheckedPower(sub, exponent, power, fiber, verdict)
+
+
+def r_set(checked: CheckedPower) -> tuple[Perm, ...]:
+    """Deduplicated successive-column quotients of the simplified power, in
+    canonical (lexicographic) order.  These label the minimal right ideals."""
+    cols = columns(checked.power)
     quotients = {compose(cols[i], inverse(cols[i - 1])) for i in range(1, len(cols))}
     return tuple(sorted(quotients))
 
@@ -154,11 +195,11 @@ def _classical_height_by_grading(sub: Substitution) -> int:
 
 
 def return_time_gcd(sub: Substitution, level: int) -> int:
-    """gcd of the positions of letter 0 in sigma^n(0): for a simplified
-    substitution, the level-n prefix of the one-sided fixed point that starts
-    with letter 0.
+    """gcd of the positions of letter 0 in the word sigma^n(0), n = ``level``.
+    For a simplified substitution that is the level-n prefix of the
+    one-sided fixed point that starts with letter 0.
 
-    The prefix is never written out.  Per letter b the recursion carries
+    The word is never written out.  Per letter b the recursion carries
     (r_b, d_b): one position of b in sigma^m(0) and the gcd of the differences
     of all positions of b from it.  Position q*l + j of sigma^(m+1)(0) holds
     letter j of the rule of the letter at q, so the first (b, j) that reaches c
@@ -184,22 +225,23 @@ def return_time_gcd(sub: Substitution, level: int) -> int:
     return gcd(*positions[0])
 
 
-def classical_height_bruteforce(sub: Substitution, prefix_level: int = 3) -> int:
+def classical_height_bruteforce(checked: CheckedPower) -> int:
     """Independent oracle: the gcd of the return times of the first letter
-    in sigma^n(0) (:func:`return_time_gcd`), then its largest divisor coprime
-    to the length.  ``sub`` must be simplified; :func:`global_description`
-    passes the substitution that :func:`r_set` validated."""
-    g = return_time_gcd(sub, prefix_level)
+    in tau^3(0), for tau = theta^n the simplified power, then its largest
+    divisor coprime to the length.  tau^3(0) is theta^(3n)(0), so the walk
+    reads theta's rules (:func:`return_time_gcd`, O(n*s*l)), and a divisor
+    is coprime to l^n exactly when it is coprime to l."""
+    g = return_time_gcd(checked.original, 3 * checked.exponent)
     if g == 0:
         raise InternalCheckError("a simplified substitution must return to its first letter",
                                  stage="classical_height_bruteforce")
     for d in sorted((d for d in range(1, g + 1) if g % d == 0), reverse=True):
-        if gcd(d, sub.length) == 1:
+        if gcd(d, checked.original.length) == 1:
             return d
     return 1
 
 
-def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heights:
+def heights(checked: CheckedPower, rset: tuple[Perm, ...], group: PermGroup) -> Heights:
     """Little structure group, its normal completion, and both heights.
 
     The little group is generated by the |I|^2 products g h^-1 of R-set
@@ -224,8 +266,8 @@ def heights(sub: Substitution, rset: tuple[Perm, ...], group: PermGroup) -> Heig
         raise InternalCheckError("R-set elements must share a single coset of the normal completion",
                                  stage="heights")
     order = group.order // completion.order
-    classical = _classical_height_by_grading(sub)
-    length = sub.length
+    classical = _classical_height_by_grading(checked.power)
+    length = checked.power.length
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
             f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}",
@@ -362,7 +404,7 @@ class StructuralReport:
     order_h_witness: Perm | None
     global_strings: dict[str, str]
     unresolved_extension: bool
-    aperiodicity: AperiodicityVerdict | None = None
+    aperiodicity: AperiodicityVerdict
     oracle: OracleComparison | None = None
 
     @property
@@ -370,61 +412,45 @@ class StructuralReport:
         return self.substitution.alphabet
 
 
-def global_description(sub: Substitution, g0_index: int | None = None,
-                       exponent: int = 1, original_length: int | None = None,
-                       aperiodicity: AperiodicityVerdict | None = None,
-                       fiber: TwoWordFiber | None = None) -> StructuralReport:
-    """Assemble the full report for a simplified substitution, running each
-    stage once; ``g0_index`` picks g0 from the R-set (default: the first).
-
-    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds
-    it.  For sub = theta^n, the power of a primitive theta that
-    :func:`analyze_substitution` analyses, that is ``allowed_two_words(theta)``.
-    A word occurs in the language of theta^n when it occurs in some
-    theta^(nk)(a), so every such word occurs in the language of theta.
-    Conversely, let w occur in theta^k(a), and let p be a primitivity
-    exponent: every letter occurs in theta^p(c) for every letter c, and so
-    in theta^q(c) = theta^p(theta^(q-p)(c)) for every q >= p.  Take m with
-    nm >= k + p.  Then theta^(nm)(c) = theta^k(theta^(nm-k)(c)) holds
-    theta^k(a), since theta^(nm-k)(c) holds a, and so w.  The two languages
-    are equal, so theta and theta^n generate the same subshift and have the
-    same two-letter factors, which is what :func:`allowed_two_words` lists.
-    :func:`r_set` still checks that sub is simplified on these words."""
-    if fiber is None:
-        fiber = allowed_two_words(sub)  # the fixed points, once r_set checks sub is simplified
-    rset = r_set(sub, fiber)
+def global_description(checked: CheckedPower, g0_index: int | None = None) -> StructuralReport:
+    """Assemble the full report for an input that :func:`check_input`
+    passed, running each stage once on its simplified power; ``g0_index``
+    picks g0 from the R-set (default: the first)."""
+    rset = r_set(checked)
     g0_index = g0_index or 0
     if not 0 <= g0_index < len(rset):
         raise ValidationError(
             f"g0 index {g0_index} out of range; the R-set has {len(rset)} elements")
-    # Column j-1 is followed by column j inside every rule word, so c_(j-1)(a)
-    # c_j(a) is an allowed two-letter word.  With only s of them (a fiber no
-    # larger than the alphabet) every letter has one successor f(a), so
-    # c_j = f * c_(j-1) and the R-set is {f}: this check refuses every such
-    # substitution before a stage runs.
-    if len(rset) < 2:
-        raise ValidationError("aperiodic bijective substitutions have at least two R-set elements")
+    # The R-set has two elements or more.  Column j-1 is followed by column j
+    # inside every rule word, so c_(j-1)(a) c_j(a) is an allowed two-letter
+    # word, and these interior words are all of them: the boundary columns
+    # of the simplified power are the identity, so its junction map fixes
+    # every word.  An R-set {f} would make c_j = f * c_(j-1) for every j, so
+    # the allowed words would be the s words a f(a): a fiber no larger than
+    # the alphabet, which check_input refuses as periodic, the power having
+    # the input's fiber.
     group = structure_group(rset)
-    hs = heights(sub, rset, group)
+    hs = heights(checked, rset, group)
     matrix = substitution_sandwich(group, rset, rset[g0_index])
     degrees = degree_map(matrix, hs.normal_completion)
     if degrees.modulus != hs.height:
         raise InternalCheckError("degree modulus differs from the generalized height",
                                  stage="global_description")
-    brute = classical_height_bruteforce(sub, prefix_level=3)
+    brute = classical_height_bruteforce(checked)
     if brute != hs.classical_height:
         raise InternalCheckError(
             f"classical height mismatch: grading {hs.classical_height}, brute force {brute}",
             stage="global_description")
     aut = automorphism_data(group)
     witness = _order_h_witness(rset, group, hs.height)
+    sub = checked.power
     strings = _global_strings(hs.height, hs.classical_height, sub.length,
                               group_name(group), group_name(hs.normal_completion),
                               witness is not None)
     return StructuralReport(
         substitution=sub,
-        exponent=exponent,
-        original_length=original_length or sub.length,
+        exponent=checked.exponent,
+        original_length=checked.original.length,
         g0_index=matrix.base[0],
         rset=rset,
         structure_group=group,
@@ -433,14 +459,14 @@ def global_description(sub: Substitution, g0_index: int | None = None,
         height=hs.height,
         classical_height=hs.classical_height,
         r_pi=sub.size,
-        fiber=fiber,
+        fiber=checked.fiber,
         matrix=matrix,
         degree=degrees,
         aut=aut,
         order_h_witness=witness,
         global_strings=strings,
         unresolved_extension=hs.height > hs.classical_height,
-        aperiodicity=aperiodicity,
+        aperiodicity=checked.aperiodicity,
     )
 
 
@@ -456,35 +482,15 @@ class AnalysisConfig:
 
 
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
-    """Validate, simplify and run the pipeline; under ``verify``, build the
-    matrix action and compare it with the window oracle.  The input's
-    allowed two-letter words are read once, by the one primitivity check,
-    and shared by the aperiodicity test and :func:`simplify`, which then
-    skip their own primitivity checks, and by :func:`global_description`,
-    as the fiber of the analysed power."""
+    """Check the input once (:func:`check_input`) and run the pipeline on
+    the value the check returns; under ``verify``, build the matrix action
+    and compare it with the window oracle."""
     config = config or AnalysisConfig()
-    if not is_bijective(sub):
-        bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
-        raise ValidationError(f"substitution is not bijective: column(s) {bad} are not permutations")
-    fiber = allowed_two_words(sub)  # refuses a substitution that is not primitive
-    verdict = is_aperiodic(sub, fiber)
-    if verdict.kind == "periodic":
-        exc = ValidationError(
-            f"substitution is periodic: complexity p({verdict.period_evidence}) "
-            f"<= {verdict.period_evidence}")
-        exc.verdict = verdict
-        raise exc
-    try:
-        simplified, exponent = simplify(sub, fiber)
-    except ResourceLimitError as exc:
-        exc.stage = "simplify"
-        raise
-    # the power has the input's subshift, so its fiber: see global_description
-    report = global_description(simplified, config.g0_index, exponent=exponent,
-                                original_length=sub.length, aperiodicity=verdict, fiber=fiber)
+    checked = check_input(sub)
+    report = global_description(checked, config.g0_index)
     if config.verify:
         action = FiberAction(report.matrix, report.fiber)
-        comparison = oracle_equivalence(simplified, report.matrix, action)
+        comparison = oracle_equivalence(checked.power, report.matrix, action)
         report.oracle = comparison
         if not comparison.equal:
             raise InternalCheckError(

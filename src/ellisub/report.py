@@ -149,13 +149,6 @@ def _report_fields(report: StructuralReport, cycles: _CycleStrings,
             "map_count": report.oracle.map_count,
             "discrepancies": list(report.oracle.discrepancies),
         }
-    aperiodicity = None
-    if report.aperiodicity is not None:
-        aperiodicity = {
-            "kind": report.aperiodicity.kind,
-            "bound": report.aperiodicity.bound,
-            "period_evidence": report.aperiodicity.period_evidence,
-        }
     return {
         "schema": SCHEMA_VERSION,
         "substitution": substitution_to_json(report.substitution),
@@ -187,7 +180,11 @@ def _report_fields(report: StructuralReport, cycles: _CycleStrings,
                             if report.order_h_witness is not None else None),
         "global_strings": dict(sorted(report.global_strings.items())),
         "unresolved_extension": report.unresolved_extension,
-        "aperiodicity": aperiodicity,
+        "aperiodicity": {
+            "kind": report.aperiodicity.kind,
+            "bound": report.aperiodicity.bound,
+            "period_evidence": report.aperiodicity.period_evidence,
+        },
         "oracle": oracle,
     }
 
@@ -292,9 +289,8 @@ def render_text(report: StructuralReport) -> str:
     if d["unresolved_extension"]:
         lines.append("  note: generalized height exceeds classical height; "
                      "the defining extension is not known to split")
-    if d["aperiodicity"] is not None:
-        a = d["aperiodicity"]
-        lines.append(f"aperiodicity: {a['kind']} (complexity scan bound {a['bound']})")
+    a = d["aperiodicity"]
+    lines.append(f"aperiodicity: {a['kind']} (complexity scan bound {a['bound']})")
     if d["oracle"] is not None:
         o = d["oracle"]
         verdict = "agrees with" if o["equal"] else "DISAGREES with"

@@ -17,8 +17,8 @@ fiber on which all later semigroup computation happens.
 
 The same words decide aperiodicity: the subshift of a primitive bijective
 substitution is aperiodic exactly when some letter has two successors, that
-is, when there are more than s allowed two-letter words (:func:`is_aperiodic`
-gives the proof).  No factor complexity is scanned for it.
+is, when there are more than s allowed two-letter words (the proof is in
+:func:`aperiodicity_verdict`).  No factor complexity is scanned for it.
 """
 
 from __future__ import annotations
@@ -299,10 +299,9 @@ def junction_map(sub: Substitution, pair: tuple[int, int]) -> tuple[int, int]:
 
 
 def allowed_two_words(sub: Substitution) -> TwoWordFiber:
-    """All two-letter factors of the subshift: interior pairs of the rule
-    words, closed under junction propagation."""
-    if not is_primitive(sub):
-        raise ValidationError("substitution is not primitive")
+    """All two-letter factors of the subshift of a primitive substitution:
+    interior pairs of the rule words, closed under junction propagation.
+    The callers check primitivity first (:func:`_all_letters_exponent`)."""
     pairs: set[tuple[int, int]] = set()
     for word in sub.rules:
         for j in range(len(word) - 1):
@@ -324,7 +323,7 @@ def allowed_two_words(sub: Substitution) -> TwoWordFiber:
 
 @dataclass(frozen=True)
 class AperiodicityVerdict:
-    """Outcome of :func:`is_aperiodic`.
+    """Outcome of :func:`aperiodicity_verdict`.
 
     kind is "aperiodic" or "periodic"; ``period_evidence`` is the least n
     with p(n) <= n for periodic verdicts, which is the alphabet size s.
@@ -345,9 +344,18 @@ def default_aperiodicity_bound(sub: Substitution) -> int:
     return sub.size**2 * sub.length**2
 
 
-def is_aperiodic(sub: Substitution, fiber: TwoWordFiber | None = None) -> AperiodicityVerdict:
-    """Decide aperiodicity of a primitive bijective substitution from its
-    allowed two-letter words: the subshift X is aperiodic iff it has more
+def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
+    """:func:`aperiodicity_verdict`, once sub is checked bijective and primitive."""
+    if not is_bijective(sub):
+        raise ValidationError("aperiodicity test needs a bijective substitution")
+    if not is_primitive(sub):
+        raise ValidationError("aperiodicity test needs a primitive substitution")
+    return aperiodicity_verdict(sub, allowed_two_words(sub))
+
+
+def aperiodicity_verdict(sub: Substitution, fiber: TwoWordFiber) -> AperiodicityVerdict:
+    """The verdict of a primitive bijective substitution with the allowed
+    two-letter words ``fiber``: the subshift X is aperiodic iff it has more
     than s of them (Dekking 1978).
 
     - Some power tau = sigma^m has identity boundary columns (m the lcm of
@@ -363,17 +371,7 @@ def is_aperiodic(sub: Substitution, fiber: TwoWordFiber | None = None) -> Aperio
 
     With exactly s words p(n) = s for every n, so the first n with
     p(n) <= n is s, the ``period_evidence`` of a periodic verdict.
-
-    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds
-    it; that function refuses a substitution that is not primitive, so then
-    primitivity is not checked again.
     """
-    if not is_bijective(sub):
-        raise ValidationError("aperiodicity test needs a bijective substitution")
-    if fiber is None:
-        if not is_primitive(sub):
-            raise ValidationError("aperiodicity test needs a primitive substitution")
-        fiber = allowed_two_words(sub)
     bound = default_aperiodicity_bound(sub)
     if fiber.size > sub.size:
         return AperiodicityVerdict("aperiodic", bound)
@@ -385,15 +383,14 @@ def is_aperiodic(sub: Substitution, fiber: TwoWordFiber | None = None) -> Aperio
 
 def is_simplified(sub: Substitution, fiber: TwoWordFiber | None = None) -> bool:
     """Both simplified conditions: boundary columns are the identity, every
-    junction orbit is a fixed point, and every rule word contains every letter.
+    junction orbit is a fixed point, and every rule word contains every
+    letter, that is, the all-letters exponent is 1, so sub is primitive.
     ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds it."""
     if not is_bijective(sub):
         return False
     cols = columns(sub)
     ident = identity(sub.size)
-    if cols[0] != ident or cols[-1] != ident:
-        return False
-    if any(len(set(word)) != sub.size for word in sub.rules):
+    if cols[0] != ident or cols[-1] != ident or _all_letters_exponent(sub) != 1:
         return False
     if fiber is None:
         fiber = allowed_two_words(sub)
@@ -418,40 +415,40 @@ def _junction_cycle_lcm(sub: Substitution, fiber: TwoWordFiber) -> int:
     return result
 
 
-def simplify(sub: Substitution, fiber: TwoWordFiber | None = None) -> tuple[Substitution, int]:
+def simplify(sub: Substitution) -> tuple[Substitution, int]:
     """Return (sub^n, n) with n minimal such that sub^n is simplified.
 
     n = M*m where M is the lcm of the junction-map cycle lengths on the
     allowed two-letter words (condition: all periodic points become fixed) and
     m is minimal so that every rule word of sub^(M*m) contains every letter.
 
-    Both conditions hold by this choice of n.  The junction map of sub^n is
-    the nth power of that of sub on the same two-letter words, and M divides
-    n.  If every rule word of sub^e contains every letter, then so does every
-    rule word of sub^(e+1) = sub^e o sub, and n >= e for the least such e.
-    The boundary columns are checked here; the whole of
-    :func:`is_simplified` is checked by :func:`ellisub.pipeline.r_set`, the
-    stage that validates the substitution it analyses.
-
-    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds
-    it, and stands for the primitivity check, as in :func:`is_aperiodic`.
+    Both conditions hold by this choice of n, so sub^n is not checked with
+    :func:`is_simplified`.  The junction map of sub^n is the nth power of
+    that of sub on the same two-letter words, and M divides n.  If every
+    rule word of sub^e contains every letter, then so does every rule word
+    of sub^(e+1) = sub^e o sub, and n >= e for the least such e.  The
+    boundary columns of sub^n, which the first condition makes the
+    identity, are still checked, at two letters per rule.
     """
     if not is_bijective(sub):
         raise ValidationError("simplify needs a bijective substitution")
-    if fiber is None:
-        if not is_primitive(sub):
-            raise ValidationError("simplify needs a primitive substitution")
-        fiber = allowed_two_words(sub)
-    cycle_lcm = _junction_cycle_lcm(sub, fiber)
     letters_exp = _all_letters_exponent(sub)
     if letters_exp is None:
-        raise ValidationError("substitution is not primitive")
+        raise ValidationError("simplify needs a primitive substitution")
+    return simplified_power(sub, allowed_two_words(sub), letters_exp)
+
+
+def simplified_power(sub: Substitution, fiber: TwoWordFiber,
+                     letters_exp: int) -> tuple[Substitution, int]:
+    """What :func:`simplify` returns, for a bijective substitution with the
+    allowed two-letter words ``fiber`` and the all-letters exponent
+    ``letters_exp`` (:func:`_all_letters_exponent`), which make it primitive."""
+    cycle_lcm = _junction_cycle_lcm(sub, fiber)
     m = -(-letters_exp // cycle_lcm)  # ceil division
     n = cycle_lcm * m
     result = substitution_power(sub, n)
-    cols = columns(result)
-    ident = identity(sub.size)
-    if cols[0] != ident or cols[-1] != ident:
+    ident = list(identity(sub.size))
+    if [word[0] for word in result.rules] != ident or [word[-1] for word in result.rules] != ident:
         raise ValidationError(
             "simplification failed: boundary columns of the computed power are not the identity "
             "(is the input really bijective and primitive?)")

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ellisub import (AnalysisConfig, analyze_substitution, is_aperiodic,
-                     parse_substitution, r_set, structure_group)
+from ellisub import (AnalysisConfig, analyze_substitution, check_input,
+                     is_aperiodic, parse_substitution, r_set, structure_group)
 from ellisub.golden import CASES
 from ellisub.perms import closure, compose
 from ellisub.rees import ReesMatrixSemigroup, substitution_sandwich
@@ -42,7 +42,7 @@ def make_substitution(rule_words: list[str]) -> Substitution:
 
 def rset_and_group(sub: Substitution) -> tuple:
     """The first two stages of a simplified substitution: R-set and structure group."""
-    rset = r_set(sub)
+    rset = r_set(check_input(sub))
     return rset, structure_group(rset)
 
 
@@ -156,7 +156,7 @@ def random_corpus() -> list[Substitution]:
 @pytest.fixture(scope="session")
 def random_reports(random_corpus) -> list:
     from ellisub import global_description
-    return [global_description(sub) for sub in random_corpus]
+    return [global_description(check_input(sub)) for sub in random_corpus]
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ pass line printed per criterion.  Run with ``pytest tests/test_acceptance.py -s`
 to see the lines."""
 
 from ellisub.perms import cycles, element_order, identity, is_normal
-from ellisub.pipeline import classical_height_bruteforce, degree_map
+from ellisub.pipeline import check_input, classical_height_bruteforce, degree_map
 from ellisub.rees import ReesMatrixSemigroup, idempotents_of
 from conftest import rset_and_group
 from reference import (fiber_semigroup, idempotent_generated, oracle_closure,
@@ -182,7 +182,7 @@ def test_criterion_9_structural_identities(golden_reports, golden_fibers, random
         assert cyclic and order == report.height
         generated = idempotent_generated(report.matrix)  # checked internally
         assert generated.group.elements == report.little_group.elements
-        assert classical_height_bruteforce(sub, 3) == report.classical_height
+        assert classical_height_bruteforce(check_input(sub)) == report.classical_height
         data = degree_map(report.matrix, report.normal_completion)  # morphism asserted
         assert data.modulus == report.height
         cent = report.aut.fiber_group

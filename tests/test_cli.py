@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ellisub.pipeline
 from ellisub.cli import main
 from ellisub.golden import (CASES, CASE_ORDER, load_expectations, run_case,
                             run_golden, snapshot)
+import test_pipeline
+from conftest import mutant
 
 THUE_MORSE = CASES["thue_morse"]
 GUARD_TRIPPER = "a -> baab\nb -> cbbc\nc -> accd\nd -> ddda\n"
@@ -233,7 +240,7 @@ def _forced_check(stage, monkeypatch):
         monkeypatch.setattr(pipeline, "degree_map", lambda matrix, completion: replace(
             original(matrix, completion), modulus=0))
     elif stage == "global_description (classical height)":
-        monkeypatch.setattr(pipeline, "classical_height_bruteforce", lambda sub, prefix_level: 5)
+        monkeypatch.setattr(pipeline, "classical_height_bruteforce", lambda checked: 5)
     else:
         # S_3 is no centralizer of S_3 on three points: it is not semiregular
         monkeypatch.setattr(pipeline, "centralizer_in_symmetric",
@@ -361,3 +368,103 @@ def test_degree_six_group_of_order_720_gets_a_report(tmp_path):
     assert payload["structure_group"]["order"] == 720
     assert len(payload["r_set"]) == 7
     assert payload["semigroup_size"] == 10080
+
+
+# each refusal of the gate: the analyze arguments, the input on stdin, the
+# exit code and the one stderr line, byte for byte
+REFUSALS = {
+    "non-bijective": ([], "a -> ab\nb -> ab\n", 1,
+                      '{"error": {"kind": "validation", "message": "substitution is not '
+                      'bijective: column(s) [0, 1] are not permutations"}}'),
+    "non-primitive": ([], "a -> ab\nb -> ba\nc -> cc\n", 1,
+                      '{"error": {"kind": "validation", "message": "substitution is not '
+                      'primitive"}}'),
+    "periodic": ([], "a -> aba\nb -> bab\n", 1,
+                 '{"error": {"kind": "validation", "message": "substitution is periodic: '
+                 'complexity p(2) <= 2", "verdict": {"kind": "periodic", "bound": 36, '
+                 '"period_evidence": 2}}}'),
+    "guard": ([], GUARD_TRIPPER, 3,
+              '{"error": {"kind": "resource-limit", "message": "power 12 would have rule '
+              'words of 16777216 letters (cap 10000000)", "stage": "simplify"}}'),
+    "g0-out-of-range": (["--verify", "--g0", "2"], THUE_MORSE, 1,
+                        '{"error": {"kind": "validation", "message": "g0 index 2 out of '
+                        'range; the R-set has 2 elements"}}'),
+}
+
+
+def analyze(args, stdin):
+    """``main(["analyze", *args, "-"])`` with ``stdin`` (text, or bytes to
+    decode as UTF-8) on stdin: the exit code, stdout and stderr."""
+    if isinstance(stdin, bytes):
+        stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    else:
+        stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", *args, "-"])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_each_refusal_keeps_its_exit_code_and_stderr_line(case):
+    args, source, code, line = REFUSALS[case]
+    assert analyze(args, source) == (code, "", line + "\n")
+
+
+@pytest.mark.parametrize("name", ["gate_skips_bijectivity", "gate_skips_the_periodic_refusal",
+                                  "exponent_from_the_junction_cycles_alone"])
+def test_a_mutant_of_the_gate_fails_a_named_test(name, monkeypatch):
+    pipeline = ellisub.pipeline
+    target, old, new = {
+        "gate_skips_bijectivity": ("check_input", "if not is_bijective(sub):", "if False:"),
+        "gate_skips_the_periodic_refusal": (
+            "check_input", 'if verdict.kind == "periodic":', "if False:"),
+        # n = M: the all-letters exponent no longer raises it
+        "exponent_from_the_junction_cycles_alone": (
+            "simplified_power", "m = -(-letters_exp // cycle_lcm)", "m = 1"),
+    }[name]
+    monkeypatch.setattr(pipeline, target, mutant(getattr(pipeline, target), old, new))
+    with pytest.raises(AssertionError):
+        if name == "exponent_from_the_junction_cycles_alone":
+            test_pipeline.test_the_gate_hands_on_a_simplified_power()
+        else:
+            test_each_refusal_keeps_its_exit_code_and_stderr_line(
+                "non-bijective" if name == "gate_skips_bijectivity" else "periodic")
+
+
+def rule_text(columns):
+    """The rule text of the substitution with these columns: letter a's word
+    holds column j's image of a at position j."""
+    letters = "abc"[:len(columns[0])]
+    return "".join(f"{letters[a]} -> {''.join(letters[col[a]] for col in columns)}\n"
+                   for a in range(len(letters)))
+
+
+bijective_rules = st.integers(2, 3).flatmap(
+    lambda s: st.lists(st.permutations(range(s)), min_size=2, max_size=4)).map(rule_text)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(st.binary(max_size=40), bijective_rules),
+       st.booleans(), st.sampled_from(["text", "json"]))
+def test_the_cli_refuses_or_reports_every_input_without_a_traceback(source, verify, fmt):
+    """Raw bytes and rule texts with random bijective columns, half of them
+    under --verify, through ``cli.main``: a report (exit 0), a refusal
+    (exit 1) or a resource guard (exit 3), with at most one JSON line on
+    stderr.  The rules keep s <= 3 letters and length l <= 4.  The analysed
+    power n is then at most 6: the lcm of the junction cycles is at most
+    lcm(2, 3) = 6 on three letters, and the all-letters exponent at most
+    (s-1)^2 + 1 = 5.  So L = l^n <= 4096, and the 80 examples fit the
+    tier-1 budget."""
+    code, out, err = analyze(["--verify"] * verify + ["--format", fmt], source)
+    assert code in (0, 1, 3), err
+    assert "Traceback" not in err and err.count("\n") <= 1
+    if err:
+        assert set(json.loads(err)) == {"error"} and out == ""
+    else:
+        assert code == 0 and out

@@ -15,7 +15,7 @@ from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
                             oracle_equivalence)
 from ellisub.perms import closure
-from ellisub.pipeline import r_set
+from ellisub.pipeline import check_input, r_set
 from ellisub.rees import FiberAction, ReesMatrixSemigroup, idempotents_of, substitution_sandwich
 from ellisub.semigroups import map_compose
 from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
@@ -314,7 +314,8 @@ def swapped_fiber(sub):
 def test_a_wrong_pipeline_fiber_is_a_discrepancy(golden_subs, monkeypatch):
     # the oracle reads its own fiber, so a pipeline fiber with two fixed
     # points swapped, which the fiber action still accepts, gives the
-    # oracle's maps no names; the error names the stage
+    # oracle's maps no names; the error names the stage.  The pipeline reads
+    # its fiber once, in check_input, through the name patched here
     monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped_fiber)
     with pytest.raises(InternalCheckError, match="window oracle disagrees") as caught:
         analyze_substitution(golden_subs["s3_seven_words"], AnalysisConfig(verify=True))
@@ -463,7 +464,7 @@ def test_oracle_idempotents(golden_simplified):
         sub = golden_simplified[name]
         result = limit_maps(sub)
         idem = [f for f in oracle_closure(result).elements if map_compose(f, f) == f]
-        assert len(idem) == 2 * len(r_set(sub))
+        assert len(idem) == 2 * len(r_set(check_input(sub)))
         for p in idem:
             for point in set(p):
                 assert p[point] == point
@@ -474,7 +475,7 @@ def test_oracle_plus_maps_mirror_r_set(golden_simplified):
     from ellisub.perms import compose, inverse
     sub = golden_simplified["thue_morse"]
     cols = columns(sub)
-    rset = set(r_set(sub))
+    rset = set(r_set(check_input(sub)))
     for nu in range(1, sub.length):
         assert compose(cols[nu], inverse(cols[nu - 1])) in rset
 

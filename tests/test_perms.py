@@ -17,7 +17,7 @@ from ellisub.perms import (after, centralizer_in_symmetric, closure,
                            compose, cycle_string, element_order,
                            group_fingerprint, group_name, identity, inverse,
                            is_normal, is_transitive, normal_closure)
-from ellisub.pipeline import global_description
+from ellisub.pipeline import check_input, global_description
 from ellisub.rees import FiberAction
 from conftest import mutant
 from reference import quotient_data
@@ -245,7 +245,7 @@ def closures_inside_g(subs, monkeypatch):
         for module in (ellisub.perms, ellisub.pipeline, ellisub.oracle):
             patch.setattr(module, "closure", recording)
         for sub in subs:
-            report = global_description(sub)
+            report = global_description(check_input(sub))
             oracle_equivalence(sub, report.matrix, FiberAction(report.matrix, report.fiber))
     return recorded
 
@@ -305,7 +305,7 @@ def test_orders_agree_with_element_order(golden_simplified, random_corpus, long_
     assert s5.order == 120 and s5.orders == {p: element_order(p) for p in s5.elements}
     checked = 0
     for sub in list(golden_simplified.values()) + random_corpus + long_power_simplified:
-        report = global_description(sub)
+        report = global_description(check_input(sub))
         for group in (report.structure_group, report.little_group, report.normal_completion,
                       report.aut.fiber_group):
             assert group.orders == {p: element_order(p) for p in group.elements}

@@ -17,13 +17,14 @@ from ellisub.perms import (PermGroup, closure, compose, cycle_string,
                            identity, inverse, is_normal, is_transitive,
                            normal_closure)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
-                              automorphism_data, classical_height_bruteforce,
+                              automorphism_data, check_input,
+                              classical_height_bruteforce,
                               degree_map, global_description, heights, r_set,
                               return_time_gcd, structure_group)
 from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import render_json, report_to_json
 from ellisub.semigroups import TransformationSemigroup, map_compose
-from ellisub.substitution import (Substitution, allowed_two_words, columns,
+from ellisub.substitution import (Substitution, allowed_two_words, columns, is_simplified,
                                   simplify, substitution_power)
 from conftest import (fiber_action, fiber_maps, make_substitution,
                       pair_closure, rset_and_group)
@@ -40,60 +41,83 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "semigroup_closure", "compare_map_semigroups")
 
 SWAP = (1, 0)
+# what the gate runs on the input, and the oracle on the analysed power
+CHECKS = ("is_bijective", "_all_letters_exponent", "allowed_two_words", "is_simplified",
+          "is_primitive", "is_aperiodic", "simplify")
 
 
 def test_r_set_thue_morse(golden_simplified):
-    assert set(r_set(golden_simplified["thue_morse"])) == {identity(2), SWAP}
+    assert set(r_set(check_input(golden_simplified["thue_morse"]))) == {identity(2), SWAP}
 
 
 def test_r_set_seven_words(golden_simplified):
-    rset = r_set(golden_simplified["s3_seven_words"])
+    rset = r_set(check_input(golden_simplified["s3_seven_words"]))
     letters = ("a", "b", "c")
     assert {cycle_string(g, letters) for g in rset} == {"(a b)", "(b c)", "(a c b)"}
 
 
 def test_r_set_d4(golden_simplified):
-    rset = r_set(golden_simplified["d4_height_two"])
+    rset = r_set(check_input(golden_simplified["d4_height_two"]))
     assert len(rset) == 2
     orders = sorted(element_order(g) for g in rset)
     assert orders == [2, 4]  # a double transposition and a four-cycle
 
 
-def test_r_set_requires_simplified():
-    with pytest.raises(ValidationError, match="simplified"):
-        r_set(make_substitution(["abc", "bca", "cab"]))
-    with pytest.raises(ValidationError, match="bijective"):
-        r_set(make_substitution(["abb", "bab"]))
+def test_the_gate_hands_on_a_simplified_power():
+    # cyclic_rotation is simplified only at power 3, the lcm of its junction
+    # cycles, and s3_seven_words at power 2, its all-letters exponent: the
+    # gate writes that power out, and what it refuses never reaches a stage
+    for words, exponent in ((["abc", "bca", "cab"], 3), (["abaa", "bacb", "ccbc"], 2)):
+        theta = make_substitution(words)
+        checked = check_input(theta)
+        assert (checked.original, checked.exponent) == (theta, exponent)
+        assert checked.power.length == theta.length**exponent
+        assert is_simplified(checked.power)
+        assert checked.fiber == allowed_two_words(checked.power)
+    with pytest.raises(ValidationError, match="not bijective"):
+        check_input(make_substitution(["abb", "bab"]))
 
 
-def test_r_set_checks_bijectivity_only_inside_is_simplified(golden_simplified, monkeypatch):
-    def refuse(sub):
-        raise AssertionError("r_set checked bijectivity outside is_simplified")
-    monkeypatch.setattr(ellisub.pipeline, "is_bijective", refuse)
-    assert set(r_set(golden_simplified["thue_morse"])) == {identity(2), SWAP}
+def test_the_stages_check_nothing_the_gate_checked(golden_subs, monkeypatch):
+    # once check_input has passed an input, no stage checks it or its power
+    # again: every check, under every name a module holds it by, refuses
+    checked = {name: check_input(sub) for name, sub in golden_subs.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage checked its input again")
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "ellisub" or module_name.startswith("ellisub."):
+            for attr in CHECKS:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert set(r_set(checked["thue_morse"])) == {identity(2), SWAP}
+    expectations = load_expectations()
+    for name, value in checked.items():
+        report = global_description(value)
+        assert compare(expectations[name], snapshot(report_to_json(report))) == []
 
 
 def test_r_set_is_power_invariant(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values())[:3] + random_corpus[:3]:
-        level1 = set(r_set(sub))
+        level1 = set(r_set(check_input(sub)))
         for k in (2, 3):
-            assert set(r_set(substitution_power(sub, k))) == level1
+            assert set(r_set(check_input(substitution_power(sub, k)))) == level1
 
 
 def test_r_set_has_at_least_two_elements(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        assert len(r_set(sub)) >= 2
+        assert len(r_set(check_input(sub))) >= 2
 
 
 def test_structure_groups(golden_simplified):
     orders = {"thue_morse": 2, "s3_seven_words": 6, "cyclic_rotation": 3, "d4_height_two": 8}
     for name, order in orders.items():
-        assert structure_group(r_set(golden_simplified[name])).order == order
+        assert structure_group(r_set(check_input(golden_simplified[name]))).order == order
 
 
 def test_structure_group_transitive(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus[:5]:
-        assert is_transitive(structure_group(r_set(sub)))
+        assert is_transitive(structure_group(r_set(check_input(sub))))
 
 
 def test_structure_group_refuses_an_intransitive_r_set():
@@ -112,14 +136,14 @@ def test_heights_per_case(golden_simplified):
     }
     for name, (h, h_cl) in expected.items():
         sub = golden_simplified[name]
-        hs = heights(sub, *rset_and_group(sub))
+        hs = heights(check_input(sub), *rset_and_group(sub))
         assert (hs.height, hs.classical_height) == (h, h_cl), name
 
 
 def test_little_group_not_normal_in_nonnormal_case(golden_simplified):
     sub = golden_simplified["s3_nonnormal_little"]
     rset, group = rset_and_group(sub)
-    hs = heights(sub, rset, group)
+    hs = heights(check_input(sub), rset, group)
     assert hs.little_group.order == 2
     assert not is_normal(hs.little_group, group)
     assert hs.normal_completion.order == 6
@@ -132,7 +156,7 @@ def test_heights_refuses_a_completion_that_is_not_normal(golden_simplified, monk
     rset, group = rset_and_group(sub)
     monkeypatch.setattr(ellisub.pipeline, "normal_closure", lambda little, ambient: little)
     with pytest.raises(InternalCheckError, match="must be normal"):
-        heights(sub, rset, group)
+        heights(check_input(sub), rset, group)
 
 
 def test_is_normal_decides_from_the_orders_only_for_the_whole_group():
@@ -145,7 +169,7 @@ def test_is_normal_decides_from_the_orders_only_for_the_whole_group():
 
 def test_height_divisibility(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        hs = heights(sub, *rset_and_group(sub))
+        hs = heights(check_input(sub), *rset_and_group(sub))
         length = sub.length
         assert (length - 1) % hs.height == 0
         assert (length - 1) % hs.classical_height == 0
@@ -168,7 +192,7 @@ def closure_of_all_conjugates(elements, ambient):
 def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
         rset, group = rset_and_group(sub)
-        hs = heights(sub, rset, group)
+        hs = heights(check_input(sub), rset, group)
         little = closure([compose(g, inverse(h)) for g in rset for h in rset], group.degree)
         completion = closure_of_all_conjugates(little.elements, group)
         order, cyclic = quotient_data(group, completion)
@@ -180,22 +204,28 @@ def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpu
                     == closure_of_all_conjugates([x], group).elements)
 
 
-def test_classical_height_bruteforce_examples(golden_simplified):
-    assert classical_height_bruteforce(golden_simplified["thue_morse"], 3) == 1
-    assert classical_height_bruteforce(golden_simplified["d4_height_two"], 3) == 2
-    assert classical_height_bruteforce(golden_simplified["s3_height_two"], 3) == 1
+def test_classical_height_bruteforce_examples(golden_subs, long_power_subs):
+    # it walks theta^(3n)(0), which is tau^3(0) for the simplified power tau
+    expected = {"thue_morse": 1, "d4_height_two": 2, "s3_height_two": 1}
+    for name, height in expected.items():
+        assert classical_height_bruteforce(check_input(golden_subs[name])) == height
+    for sub in list(golden_subs.values()) + long_power_subs:
+        checked = check_input(sub)
+        assert (return_time_gcd(sub, 3 * checked.exponent)
+                == return_time_gcd(checked.power, 3))
 
 
 def test_grading_height_equals_bruteforce(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        assert (heights(sub, *rset_and_group(sub)).classical_height
-                == classical_height_bruteforce(sub, 3))
+        checked = check_input(sub)
+        assert (heights(checked, *rset_and_group(sub)).classical_height
+                == classical_height_bruteforce(checked))
 
 
 def test_gtwo_pair_counts(golden_simplified):
     for name, count in {"thue_morse": 4, "s3_seven_words": 18}.items():
         sub = golden_simplified[name]
-        assert len(pair_closure(sub, structure_group(r_set(sub)))) == count
+        assert len(pair_closure(sub, structure_group(r_set(check_input(sub))))) == count
 
 
 def test_gtwo_pair_quotients_lie_in_r_set(golden_simplified):
@@ -244,7 +274,7 @@ def test_degree_map_trivial_when_height_one(golden_simplified):
     sub = golden_simplified["thue_morse"]
     rset, group = rset_and_group(sub)
     m = substitution_sandwich(group, rset, rset[0])
-    data = degree_map(m, heights(sub, rset, group).normal_completion)
+    data = degree_map(m, heights(check_input(sub), rset, group).normal_completion)
     assert data.modulus == 1
     assert data.by_perm.keys() == group.element_set
     assert set(data.by_perm.values()) == {0}
@@ -253,7 +283,7 @@ def test_degree_map_trivial_when_height_one(golden_simplified):
 def test_degree_map_splits_by_parity(golden_simplified):
     sub = golden_simplified["s3_height_two"]
     rset, group = rset_and_group(sub)
-    hs = heights(sub, rset, group)
+    hs = heights(check_input(sub), rset, group)
     m = substitution_sandwich(group, rset, rset[0])
     data = degree_map(m, hs.normal_completion)
     assert data.modulus == 2
@@ -338,7 +368,7 @@ def test_degree_calibration_level_two(golden_simplified):
     for name in ("s3_height_two", "d4_height_two"):
         sub = golden_simplified[name]
         rset, group = rset_and_group(sub)
-        hs = heights(sub, rset, group)
+        hs = heights(check_input(sub), rset, group)
         degrees = coset_degrees(rset[0], group, hs.normal_completion)
         assert len(set(degrees.values())) == hs.height
         square_cols = columns(substitution_power(sub, 2))
@@ -381,7 +411,7 @@ def test_global_strings_branches(golden_reports):
     assert not d4.unresolved_extension
     assert d4.order_h_witness is not None
     assert element_order(d4.order_h_witness) == 2
-    assert d4.order_h_witness in r_set(golden_reports["d4_height_two"].substitution)
+    assert d4.order_h_witness in r_set(check_input(golden_reports["d4_height_two"].substitution))
 
 
 def test_report_metadata(golden_reports):
@@ -423,7 +453,6 @@ def test_global_description_on_lone_class_example():
     # simplified, primitive, aperiodic, and the fixed point b.a sits alone in
     # both proximality classes; the pipeline must still go through cleanly
     sub = make_substitution(["acbacba", "baccbab", "cbabacc"])
-    from ellisub.substitution import is_simplified
     assert is_simplified(sub)
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.fiber.labels(sub.alphabet) == ("ab", "ac", "ba", "cb", "cc")
@@ -434,8 +463,10 @@ def test_global_description_on_lone_class_example():
 # ---------------------------------------------------------------------------
 # the cross-checks work on distinct columns, never on written-out powers
 
-def test_return_times_match_written_out_word(golden_simplified, random_corpus):
-    for sub in list(golden_simplified.values()) + random_corpus:
+def test_return_times_match_written_out_word(golden_subs, golden_simplified, random_corpus):
+    # on simplified substitutions and on the inputs they came from, which
+    # need not be simplified: the walk reads sigma^n(0) for any substitution
+    for sub in list(golden_subs.values()) + list(golden_simplified.values()) + random_corpus:
         for n in (1, 2, 3):
             word = substitution_power(sub, n).rules[0]
             g = 0
@@ -443,18 +474,15 @@ def test_return_times_match_written_out_word(golden_simplified, random_corpus):
                 if word[k] == word[0]:
                     g = gcd(g, k)
             assert return_time_gcd(sub, n) == g
-            expected = max(d for d in range(1, g + 1)
-                           if g % d == 0 and gcd(d, sub.length) == 1)
-            assert classical_height_bruteforce(sub, n) == expected
 
 
-def test_classical_height_bruteforce_needs_a_positive_level(golden_simplified):
+def test_return_time_gcd_needs_a_positive_level(golden_simplified):
     with pytest.raises(ValidationError, match="prefix level"):
-        classical_height_bruteforce(golden_simplified["thue_morse"], 0)
+        return_time_gcd(golden_simplified["thue_morse"], 0)
 
 
 def test_global_description_writes_out_no_power(golden_subs, monkeypatch):
-    simplified = {name: simplify(sub) for name, sub in golden_subs.items()}
+    checked = {name: check_input(sub) for name, sub in golden_subs.items()}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a power of the substitution was written out")
@@ -465,9 +493,8 @@ def test_global_description_writes_out_no_power(golden_subs, monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     expectations = load_expectations()
-    for name, (sub, exponent) in simplified.items():
-        report = global_description(sub, exponent=exponent,
-                                    original_length=golden_subs[name].length)
+    for name, value in checked.items():
+        report = global_description(value)
         assert compare(expectations[name], snapshot(report_to_json(report))) == []
 
 
@@ -479,7 +506,9 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # the fiber action encodes only the maps the window oracle names, and
     # the oracle closes none of them.
     calls: dict[str, int] = {}
-    on_power: list[tuple[str, object]] = []  # (name, substitution) per validation call
+    # (name, substitution, inside limit_maps) per check
+    on_power: list[tuple[str, object, bool]] = []
+    in_limit_maps = []
 
     def count(name):
         calls[name] = calls.get(name, 0) + 1
@@ -496,7 +525,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         original = getattr(module, name)
 
         def recorded(sub, *args, **kwargs):
-            on_power.append((name, sub))
+            on_power.append((name, sub, bool(in_limit_maps)))
             return original(sub, *args, **kwargs)
         monkeypatch.setattr(module, name, recorded)
 
@@ -515,10 +544,19 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert not hasattr(ReesMatrixSemigroup, "generators")
     assert not any(hasattr(TransformationSemigroup, name) for name in ("mul", "idempotent_indices"))
     assert not hasattr(OracleResult, "semigroup") and not hasattr(ellisub.semigroups, "CLOSURE_CAP")
-    for name in ("is_simplified", "allowed_two_words", "is_primitive"):
+    for name in CHECKS:
         for module in modules:
             if hasattr(module, name):
                 recording(module, name)
+    original_limit_maps = ellisub.oracle.limit_maps
+
+    def limit_maps(sub):
+        in_limit_maps.append(None)
+        try:
+            return original_limit_maps(sub)
+        finally:
+            in_limit_maps.pop()
+    monkeypatch.setattr(ellisub.oracle, "limit_maps", limit_maps)
     # map compositions of the fiber action, made by map_compose or by a
     # getter that map_after built once for a reused right factor, and the
     # oracle's reads of its column-pair tables, each a call of a getter
@@ -583,8 +621,8 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     counted_fingerprint.__set_name__(PermGroup, "fingerprint")
     monkeypatch.setattr(PermGroup, "fingerprint", counted_fingerprint)
 
-    def validations(power):
-        return Counter(name for name, sub in on_power if sub is power)
+    def validations(power, inside=False):
+        return Counter(name for name, sub, flag in on_power if sub is power and flag == inside)
 
     sub = golden_subs["s3_seven_words"]
     report = analyze_substitution(sub)
@@ -601,13 +639,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         assert group_fingerprint(group) is group_fingerprint(group)
     assert sorted(group.elements for group in fingerprinted) == sorted(
         {group.elements for group in groups})
-    # the pipeline validates the analysed power once, in r_set, on the
-    # input's fiber: a power has the subshift, so the two-letter words, of
-    # the input it came from, and its L-letter rule words are not scanned
-    assert validations(report.substitution) == {"is_simplified": 1}
-    # the input is checked primitive once, by the one allowed_two_words that
-    # the aperiodicity test, simplify and global_description share
-    assert validations(sub) == {"is_primitive": 1, "allowed_two_words": 1}
+    # the gate checks the input once: bijective, primitive by the one
+    # all-letters exponent, which also gives the power, and aperiodic from
+    # the one fiber, which is the power's too.  Simplify proves the power
+    # simplified, so nothing scans its L-letter rule words again
+    on_input = {"is_bijective": 1, "_all_letters_exponent": 1, "allowed_two_words": 1}
+    assert validations(sub) == on_input and validations(sub, inside=True) == {}
+    assert [name for name, power, _ in on_power if power is not sub] == []
     calls.clear()
     on_power.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
@@ -621,10 +659,13 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert [len(gens) for gens, _ in oracle_closures] == [0, 1, 2]
     assert [group.order for _, group in oracle_closures] == [1, 3, 6]
     assert oracle_closures[-1][1] is report.structure_group
-    # and the oracle once more, in limit_maps, which reads its own fiber
-    assert validations(report.substitution) == {"is_simplified": 2, "allowed_two_words": 1,
-                                                "is_primitive": 1}
-    assert validations(sub) == {"is_primitive": 1, "allowed_two_words": 1}
+    # and the oracle checks the power itself, once, in limit_maps, which
+    # reads its own fiber; the gate's checks of the input are unchanged
+    assert validations(report.substitution, inside=True) == {
+        "is_simplified": 1, "allowed_two_words": 1, "is_bijective": 1,
+        "_all_letters_exponent": 1}
+    assert validations(report.substitution) == {}
+    assert validations(sub) == on_input and validations(sub, inside=True) == {}
     # the oracle reads each of its 2(L - 1) maps by one getter call, at the
     # right or the left letters of the fixed points, off the table of its
     # column pair: 30 at L = 16.  The fiber action proves itself from the
@@ -699,7 +740,7 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
     for sub in list(golden_simplified.values()) + random_corpus:
         rset, group = rset_and_group(sub)
         closed.clear()
-        hs = heights(sub, rset, group)
+        hs = heights(check_input(sub), rset, group)
         # every group heights closes is closed inside G; a little group with
         # |G| elements is G, so the normal completion closes nothing more
         assert all(ambient is group for _, ambient in closed)
@@ -745,15 +786,19 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
 
 def test_fiber_no_larger_than_the_alphabet_stops_at_the_r_set(monkeypatch):
     # one successor per letter makes every column quotient the same
-    # permutation, so the R-set check refuses before any later stage runs
-    def refuse(rset):
-        raise AssertionError("a stage ran after the R-set check")
-    monkeypatch.setattr(ellisub.pipeline, "structure_group", refuse)
+    # permutation, a one-element R-set; such a fiber of s words is the
+    # periodic verdict, so the gate refuses the input before any stage runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran after the gate")
+    for stage in ("global_description", "r_set", "structure_group", "heights"):
+        monkeypatch.setattr(ellisub.pipeline, stage, refuse)
     for words in (["aba", "bab"], ["ab", "ca", "bc"]):
         sub = substitution_power(make_substitution(words), 2)
         assert allowed_two_words(sub).size == sub.size
-        with pytest.raises(ValidationError, match="at least two R-set elements"):
-            global_description(sub)
+        cols = columns(sub)
+        assert len({compose(b, inverse(a)) for a, b in zip(cols, cols[1:])}) == 1
+        with pytest.raises(ValidationError, match="substitution is periodic"):
+            analyze_substitution(sub)
 
 
 def relabeled(sub, perm):
@@ -783,8 +828,9 @@ def relabeling_invariants(report):
 def test_relabeling_the_alphabet_keeps_the_invariants(golden_simplified, random_corpus):
     rng = random.Random(20261018)
     for sub in list(golden_simplified.values()) + random_corpus:
-        expected = relabeling_invariants(global_description(sub))
+        expected = relabeling_invariants(global_description(check_input(sub)))
         for _ in range(3):
             perm = list(range(sub.size))
             rng.shuffle(perm)
-            assert relabeling_invariants(global_description(relabeled(sub, perm))) == expected
+            relabeled_report = global_description(check_input(relabeled(sub, perm)))
+            assert relabeling_invariants(relabeled_report) == expected

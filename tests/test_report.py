@@ -14,7 +14,8 @@ import pytest
 
 from ellisub import parse_substitution
 from ellisub.golden import CASE_ORDER
-from ellisub.pipeline import AnalysisConfig, analyze_substitution, global_description
+from ellisub.pipeline import (AnalysisConfig, analyze_substitution, check_input,
+                              global_description)
 from ellisub.report import _write, render_json, render_text, report_to_json
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
@@ -81,7 +82,7 @@ def test_render_json_is_the_indented_dump(golden_subs, golden_reports, random_re
     reports = list(golden_reports.values()) + random_reports
     for config in (AnalysisConfig(), AnalysisConfig(g0_index=1)):
         reports += [analyze_substitution(golden_subs[name], config) for name in CASE_ORDER]
-    reports += [global_description(sub) for sub in long_power_simplified]
+    reports += [global_description(check_input(sub)) for sub in long_power_simplified]
     reports += [analyze_substitution(parse_substitution(source), AnalysisConfig(verify=verify))
                 for source in NON_ASCII for verify in (False, True)]
     assert '"(\\u00e9 \\u00fc)"' in render_json(reports[-4])
