@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the base of the value
+classes that validate in their constructor or cache a property.
 
 The CLI maps these onto exit codes: input/validation problems -> 1,
 internal consistency failures -> 2, resource guards -> 3.
@@ -51,3 +52,25 @@ class InternalCheckError(EllisubError):
         self.witness = witness
         self.stage = stage
         super().__init__(message)
+
+
+class Frozen:
+    """A value whose constructor sets the fields named in ``_fields`` through
+    ``vars(self)``.  It compares and hashes by those fields, and assigning
+    to any attribute raises AttributeError, as on a named tuple.  A
+    ``cached_property`` still fills ``vars(self)`` on first read."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")

@@ -9,8 +9,8 @@ report, so the suite is byte-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .pipeline import analyze_substitution
 from .report import report_to_json
@@ -115,8 +115,7 @@ def compare(expected, actual, path: str = "") -> list[str]:
     return diffs
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     ok: bool
     diffs: tuple[str, ...]

@@ -65,7 +65,6 @@ trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -100,16 +99,13 @@ def _fixed_point_reads(fiber: TwoWordFiber) -> tuple[Callable, Callable]:
 
 
 class OracleMap(NamedTuple):
-    """The map of sigma^(nu * l^k) on the fiber, the same for every k.  A
-    named tuple, built by one tuple.__new__, where a frozen dataclass sets
-    each field through object.__setattr__."""
+    """The map of sigma^(nu * l^k) on the fiber, the same for every k."""
 
     nu: int
     fiber_map: FiberMap
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     fiber: TwoWordFiber
     maps: tuple[OracleMap, ...]
 
@@ -217,8 +213,7 @@ def generation_shortfall(matrix, triples) -> tuple[str, ...]:
             f"from row {i0} to column {matrix.lam_labels[lam0]}",)
 
 
-@dataclass
-class OracleComparison:
+class OracleComparison(NamedTuple):
     equal: bool
     discrepancies: tuple[str, ...]
     oracle: OracleResult

@@ -22,13 +22,12 @@ by cyclic subgroups; :func:`element_order` is the reference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import Frozen, ResourceLimitError, ValidationError
 
 Perm = tuple[int, ...]
 
@@ -106,13 +105,14 @@ def cycle_string(p: Perm, letters: tuple[str, ...] | None = None) -> str:
     return "".join(parts) or "()"
 
 
-@dataclass(frozen=True)
-class PermGroup:
-    """A finite permutation group with its full element set materialized."""
+class PermGroup(Frozen):
+    """A finite permutation group with its full element set materialized,
+    sorted lexicographically."""
 
-    degree: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]  # sorted lexicographically
+    _fields = ("degree", "generators", "elements")
+
+    def __init__(self, degree: int, generators: tuple[Perm, ...], elements: tuple[Perm, ...]):
+        vars(self).update(degree=degree, generators=generators, elements=elements)
 
     @property
     def order(self) -> int:
@@ -161,8 +161,8 @@ class PermGroup:
         """This group under other generators, sharing its element set, element
         orders and fingerprint, which depend on the elements alone."""
         group = PermGroup(self.degree, tuple(generators), self.elements)
-        group.__dict__.update(element_set=self.element_set, orders=self.orders,
-                              fingerprint=self.fingerprint)
+        vars(group).update(element_set=self.element_set, orders=self.orders,
+                           fingerprint=self.fingerprint)
         return group
 
 
@@ -327,8 +327,7 @@ def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
     return all(c in elems for c in _conjugates(sub.elements, ambient.generators))
 
 
-@dataclass(frozen=True)
-class GroupFingerprint:
+class GroupFingerprint(NamedTuple):
     order: int
     abelian: bool
     exponent: int

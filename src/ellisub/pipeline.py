@@ -68,9 +68,9 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
@@ -85,8 +85,7 @@ from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            is_bijective, simplified_power)
 
 
-@dataclass(frozen=True)
-class CheckedPower:
+class CheckedPower(NamedTuple):
     """An input theta that :func:`check_input` passed, with its simplified
     power tau = theta^n and its allowed two-letter words, which are tau's:
     the stages take this value and check none of it again."""
@@ -137,10 +136,24 @@ def check_input(sub: Substitution) -> CheckedPower:
 
 
 def r_set(checked: CheckedPower) -> tuple[Perm, ...]:
-    """Deduplicated successive-column quotients of the simplified power, in
-    canonical (lexicographic) order.  These label the minimal right ideals."""
-    cols = columns(checked.power)
-    quotients = {compose(cols[i], inverse(cols[i - 1])) for i in range(1, len(cols))}
+    """Deduplicated successive-column quotients of the simplified power
+    tau = theta^n, in canonical (lexicographic) order.  These label the
+    minimal right ideals.
+
+    They come from theta's columns c_0, ..., c_(l-1) by the recursion
+    R(theta^m) = R(theta) u c_0 R(theta^(m-1)) c_(l-1)^-1, n - 1 steps over
+    sets of at most |G| elements, with tau never read.  Column k*l + j of
+    theta^m is c_j P_k, for P_k column k of theta^(m-1).  A quotient inside
+    block k is c_j P_k (c_(j-1) P_k)^-1 = c_j c_(j-1)^-1, one of theta's; a
+    quotient across blocks k and k+1 is c_0 P_(k+1) (c_(l-1) P_k)^-1 =
+    c_0 (P_(k+1) P_k^-1) c_(l-1)^-1, and P_(k+1) P_k^-1 runs over
+    R(theta^(m-1)).  For n = 1 that is theta's own quotients."""
+    cols = columns(checked.original)
+    own = {compose(c, inverse(b)) for b, c in zip(cols, cols[1:])}
+    first, by_last_inverse = cols[0], after(inverse(cols[-1]))  # r -> r c_(l-1)^-1
+    quotients = own
+    for _ in range(checked.exponent - 1):
+        quotients = own.union([compose(first, by_last_inverse(r)) for r in quotients])
     return tuple(sorted(quotients))
 
 
@@ -159,8 +172,7 @@ def structure_group(rset: tuple[Perm, ...]) -> PermGroup:
     return group
 
 
-@dataclass(frozen=True)
-class Heights:
+class Heights(NamedTuple):
     height: int
     classical_height: int
     little_group: PermGroup
@@ -169,9 +181,13 @@ class Heights:
 
 def _classical_height_by_grading(sub: Substitution) -> int:
     """Largest divisor n of l-1 admitting letter classes c with
-    c(column_j(a)) = c(a) + j mod n; found by constraint propagation."""
+    c(column_j(a)) = c(a) + j mod n; found by constraint propagation.
+
+    Only the divisors n <= s are tried.  Such a grading gives letter j of the
+    rule of letter 0 the class c(0) + j mod n for j = 0, ..., l-1, and
+    l - 1 >= n, so it takes all n classes on at most s letters."""
     length = sub.length
-    candidates = sorted((d for d in range(1, length) if (length - 1) % d == 0), reverse=True)
+    candidates = [d for d in range(min(sub.size, length - 1), 0, -1) if (length - 1) % d == 0]
     for n in candidates:
         if n == 1:
             return 1
@@ -275,8 +291,7 @@ def heights(checked: CheckedPower, rset: tuple[Perm, ...], group: PermGroup) -> 
     return Heights(order, classical, little, completion)
 
 
-@dataclass
-class DegreeData:
+class DegreeData(NamedTuple):
     modulus: int
     by_perm: dict[Perm, int]  # degree of each g in G; (i, g, sign) has the degree of g
 
@@ -334,8 +349,7 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
     return DegreeData(modulus, degree_of_perm)
 
 
-@dataclass
-class AutomorphismData:
+class AutomorphismData(NamedTuple):
     fiber_group: PermGroup      # centralizer of the structure group
     virtual: str                # symbolic product with the acting group
     semi_regular: bool
@@ -384,8 +398,7 @@ def _global_strings(h: int, h_cl: int, length: int, g_name: str | None,
     return strings
 
 
-@dataclass
-class StructuralReport:
+class StructuralReport(NamedTuple):
     substitution: Substitution       # the analyzed (simplified) power
     exponent: int                    # which power of the input was analyzed
     original_length: int
@@ -470,15 +483,12 @@ def global_description(checked: CheckedPower, g0_index: int | None = None) -> St
     )
 
 
-@dataclass
 class AnalysisConfig:
-    g0_index: int | None = None
-    verify: bool = False
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if self.output_format not in ("text", "json"):
+    def __init__(self, g0_index: int | None = None, verify: bool = False,
+                 output_format: str = "text"):
+        if output_format not in ("text", "json"):
             raise ValidationError("output format must be 'text' or 'json'")
+        self.g0_index, self.verify, self.output_format = g0_index, verify, output_format
 
 
 def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None) -> StructuralReport:
@@ -491,7 +501,7 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
     if config.verify:
         action = FiberAction(report.matrix, report.fiber)
         comparison = oracle_equivalence(checked.power, report.matrix, action)
-        report.oracle = comparison
+        report = report._replace(oracle=comparison)
         if not comparison.equal:
             raise InternalCheckError(
                 "window oracle disagrees with the algebraic semigroup: "

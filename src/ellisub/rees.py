@@ -14,10 +14,9 @@ from 2|I| letter identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InternalCheckError, ValidationError
+from .errors import Frozen, InternalCheckError, ValidationError
 from .perms import Perm, PermGroup, after, compose, identity, inverse
 from .semigroups import FiberMap, green_summary, map_after, map_compose
 from .substitution import TwoWordFiber
@@ -36,23 +35,25 @@ class ReesElement(NamedTuple):
     lam: int  # index into Lambda
 
 
-@dataclass(frozen=True)
-class ReesMatrixSemigroup:
-    group: PermGroup
-    i_labels: tuple
-    lam_labels: tuple
-    sandwich: tuple[tuple[Perm, ...], ...]  # Lambda x I
-    base: tuple[int, int] = (0, 0)  # (i0, lam0) of the normalizing idempotent
+class ReesMatrixSemigroup(Frozen):
+    """M[G; I, Lambda; A]: the sandwich A has one row per lam and one entry
+    in G per i, and ``base`` is the slot (i0, lam0) of the normalizing
+    idempotent."""
 
-    def __post_init__(self):
-        if len(self.sandwich) != len(self.lam_labels):
+    _fields = ("group", "i_labels", "lam_labels", "sandwich", "base")
+
+    def __init__(self, group: PermGroup, i_labels: tuple, lam_labels: tuple,
+                 sandwich: tuple[tuple[Perm, ...], ...], base: tuple[int, int] = (0, 0)):
+        if len(sandwich) != len(lam_labels):
             raise ValidationError("sandwich matrix has wrong number of rows")
-        for row in self.sandwich:
-            if len(row) != len(self.i_labels):
+        for row in sandwich:
+            if len(row) != len(i_labels):
                 raise ValidationError("sandwich matrix has wrong number of columns")
             for entry in row:
-                if entry not in self.group:
+                if entry not in group:
                     raise ValidationError("sandwich entry outside the structure group")
+        vars(self).update(group=group, i_labels=i_labels, lam_labels=lam_labels,
+                          sandwich=sandwich, base=base)
 
     @property
     def size(self) -> int:

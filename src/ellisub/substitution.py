@@ -24,29 +24,29 @@ is, when there are more than s allowed two-letter words (the proof is in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
-from .errors import ParseError, ResourceLimitError, ValidationError
+from .errors import Frozen, ParseError, ResourceLimitError, ValidationError
 from .perms import identity, is_perm
 
 LETTER_LIMIT = 10**7  # refuse to materialize words longer than this
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """Ordered list of distinct single-character symbols, size >= 2."""
 
-    letters: tuple[str, ...]
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        if len(self.letters) < 2:
+    def __init__(self, letters: tuple[str, ...]):
+        if len(letters) < 2:
             raise ValidationError("alphabet needs at least 2 letters")
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise ValidationError("alphabet has duplicate letters")
-        for sym in self.letters:
+        for sym in letters:
             if len(sym) != 1 or not sym.isalnum():
                 raise ValidationError(f"letter {sym!r} is not a single alphanumeric symbol")
+        vars(self)["letters"] = letters
 
     @property
     def size(self) -> int:
@@ -59,30 +59,29 @@ class Alphabet:
             raise ValidationError(f"unknown letter {sym!r}") from None
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Frozen):
     """One rule word per letter, all of the same length >= 2.
 
     ``rules[a][j]`` is the letter index at position j of the image of letter a.
     """
 
-    alphabet: Alphabet
-    rules: tuple[tuple[int, ...], ...]
+    _fields = ("alphabet", "rules")
 
-    def __post_init__(self):
-        s = self.alphabet.size
-        if len(self.rules) != s:
-            raise ValidationError(f"expected {s} rules, got {len(self.rules)}")
-        length = len(self.rules[0])
+    def __init__(self, alphabet: Alphabet, rules: tuple[tuple[int, ...], ...]):
+        s = alphabet.size
+        if len(rules) != s:
+            raise ValidationError(f"expected {s} rules, got {len(rules)}")
+        length = len(rules[0])
         if length < 2:
             raise ValidationError("rule length must be >= 2; a length-1 substitution is a single permutation")
-        for a, word in enumerate(self.rules):
+        for a, word in enumerate(rules):
             if len(word) != length:
                 raise ValidationError(
-                    f"rule for {self.alphabet.letters[a]!r} has length {len(word)}, expected {length}")
+                    f"rule for {alphabet.letters[a]!r} has length {len(word)}, expected {length}")
             for x in word:
                 if not 0 <= x < s:
-                    raise ValidationError(f"rule for {self.alphabet.letters[a]!r} uses an out-of-range letter")
+                    raise ValidationError(f"rule for {alphabet.letters[a]!r} uses an out-of-range letter")
+        vars(self).update(alphabet=alphabet, rules=rules)
 
     @property
     def size(self) -> int:
@@ -276,8 +275,7 @@ def _all_letters_exponent(sub: Substitution) -> int | None:
 # ---------------------------------------------------------------------------
 # two-letter words and the junction map
 
-@dataclass(frozen=True)
-class TwoWordFiber:
+class TwoWordFiber(NamedTuple):
     """The allowed two-letter words (a, b), sorted; for simplified
     substitutions these index the fixed points a.b of the singular fiber."""
 
@@ -321,8 +319,7 @@ def allowed_two_words(sub: Substitution) -> TwoWordFiber:
 # ---------------------------------------------------------------------------
 # aperiodicity
 
-@dataclass(frozen=True)
-class AperiodicityVerdict:
+class AperiodicityVerdict(NamedTuple):
     """Outcome of :func:`aperiodicity_verdict`.
 
     kind is "aperiodic" or "periodic"; ``period_evidence`` is the least n

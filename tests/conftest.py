@@ -171,17 +171,25 @@ def random_oracle(random_corpus, random_reports) -> list:
             for sub, report in zip(random_corpus, random_reports)]
 
 
+def workload_subs(workload: str) -> list[Substitution]:
+    """The benchmark's inputs of ``workload`` at seeds 1-3, generated by
+    ``bench/corpus.py``, which is loaded once."""
+    corpus = sys.modules.get("bench_corpus")
+    if corpus is None:
+        path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("bench_corpus", path)
+        corpus = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = corpus  # its dataclasses look their module up
+        spec.loader.exec_module(corpus)
+    return [parse_substitution(case.source)
+            for seed in (1, 2, 3) for case in corpus.generate(workload, seed)]
+
+
 @pytest.fixture(scope="session")
 def long_power_subs() -> list[Substitution]:
     """The benchmark's long-power inputs, seeds 1-3: 2-3-letter inputs that
     are analysed at power 2 or 3."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # its dataclasses look their module up
-    spec.loader.exec_module(corpus)
-    return [parse_substitution(case.source)
-            for seed in (1, 2, 3) for case in corpus.generate("long-power", seed)]
+    return workload_subs("long-power")
 
 
 @pytest.fixture(scope="session")

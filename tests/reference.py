@@ -9,8 +9,9 @@ through the Rees factorization; Green's classes from Cayley graphs; the
 normalized Rees form of a completely simple map semigroup; a capped
 isomorphism search between presentations; closures of Rees triples and of
 map sets; a walk search in G for whether Rees triples generate; primitivity
-by boolean matrix powers; digit walks into the fixed points and the
-proximality classes of the fiber.
+by boolean matrix powers; the R-set and the grading height read off a
+written power; digit walks into the fixed points and the proximality
+classes of the fiber.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
 from ellisub.semigroups import (FiberMap, TransformationSemigroup, green_summary, map_after,
                                 map_compose)
 from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
-                                  is_simplified)
+                                  columns, is_simplified)
 
 ISO_SEARCH_GROUP_MAX = 120
 ISO_SEARCH_DEGREE_MAX = 6
@@ -698,6 +699,40 @@ def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
         if len(seen) == order:
             return order, True
     return order, False
+
+
+# ---------------------------------------------------------------------------
+# the stages on the written power
+
+def written_r_set(power: Substitution) -> tuple[Perm, ...]:
+    """The R-set read off a written simplified power: its L - 1
+    successive-column quotients, deduplicated and sorted."""
+    cols = columns(power)
+    return tuple(sorted({compose(cols[i], inverse(cols[i - 1])) for i in range(1, len(cols))}))
+
+
+def grading_height_full_scan(sub: Substitution) -> int:
+    """The classical height by the letter grading, trying every divisor of
+    l - 1 found by scanning range(1, l), largest first."""
+    length = sub.length
+    for n in sorted((d for d in range(1, length) if (length - 1) % d == 0), reverse=True):
+        grading: dict[int, int] = {0: 0}
+        queue = [0]
+        consistent = True
+        while queue and consistent:
+            a = queue.pop()
+            for j, b in enumerate(sub.rules[a]):
+                value = (grading[a] + j) % n
+                if b in grading:
+                    if grading[b] != value:
+                        consistent = False
+                        break
+                else:
+                    grading[b] = value
+                    queue.append(b)
+        if consistent and len(grading) == sub.size:
+            return n
+    return 1
 
 
 # ---------------------------------------------------------------------------

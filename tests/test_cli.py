@@ -219,8 +219,6 @@ def test_a_capped_group_closure_names_its_stage(tmp_path, monkeypatch, capsys):
 def _forced_check(stage, monkeypatch):
     """Break the one check of ``stage`` through what it calls; returns the
     golden case the check then fails on."""
-    from dataclasses import replace
-
     import ellisub.pipeline as pipeline
     from ellisub.perms import closure
     from ellisub.rees import ReesElement
@@ -237,8 +235,8 @@ def _forced_check(stage, monkeypatch):
         monkeypatch.setattr(pipeline, "return_time_gcd", lambda sub, level: 0)
     elif stage == "global_description (degree modulus)":
         original = pipeline.degree_map
-        monkeypatch.setattr(pipeline, "degree_map", lambda matrix, completion: replace(
-            original(matrix, completion), modulus=0))
+        monkeypatch.setattr(pipeline, "degree_map", lambda matrix, completion: original(
+            matrix, completion)._replace(modulus=0))
     elif stage == "global_description (classical height)":
         monkeypatch.setattr(pipeline, "classical_height_bruteforce", lambda checked: 5)
     else:
@@ -309,16 +307,17 @@ def test_main_callable_directly(tm_file, capsys):
 def test_a_broken_product_law_exits_2_naming_the_law_and_triple(tm_file, monkeypatch, capsys):
     # a sandwich entry that disagrees with the column labels the fiber action
     # is built from: the sandwich relation fails at the minus row and column
-    # 1, and the stderr JSON names the law, the triple and the stage
-    from dataclasses import replace
-
+    # 1, and the stderr JSON names the law, the triple and the stage; the
+    # corrupted matrix is built through the constructor, which validates it
     import ellisub.pipeline
+    from ellisub.rees import ReesMatrixSemigroup
     original = ellisub.pipeline.FiberAction
 
     def corrupted(matrix, fiber):
         plus, minus = matrix.sandwich
         assert matrix.base == (0, 0) and minus[1] == (1, 0)
-        return original(replace(matrix, sandwich=(plus, (minus[0], (0, 1)))), fiber)
+        return original(ReesMatrixSemigroup(matrix.group, matrix.i_labels, matrix.lam_labels,
+                                            (plus, (minus[0], (0, 1))), matrix.base), fiber)
     monkeypatch.setattr(ellisub.pipeline, "FiberAction", corrupted)
     assert main(["analyze", tm_file, "--verify"]) == 2
     captured = capsys.readouterr()

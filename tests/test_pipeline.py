@@ -16,8 +16,8 @@ from ellisub.perms import (PermGroup, closure, compose, cycle_string,
                            element_order, group_fingerprint, group_name,
                            identity, inverse, is_normal, is_transitive,
                            normal_closure)
-from ellisub.pipeline import (AnalysisConfig, analyze_substitution,
-                              automorphism_data, check_input,
+from ellisub.pipeline import (AnalysisConfig, _classical_height_by_grading,
+                              analyze_substitution, automorphism_data, check_input,
                               classical_height_bruteforce,
                               degree_map, global_description, heights, r_set,
                               return_time_gcd, structure_group)
@@ -25,10 +25,11 @@ from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitu
 from ellisub.report import render_json, report_to_json
 from ellisub.semigroups import TransformationSemigroup, map_compose
 from ellisub.substitution import (Substitution, allowed_two_words, columns, is_simplified,
-                                  simplify, substitution_power)
-from conftest import (fiber_action, fiber_maps, make_substitution,
-                      pair_closure, rset_and_group)
-from reference import quotient_data, semigroup_closure
+                                  parse_substitution, simplify, substitution_power)
+from conftest import (build_random_corpus, fiber_action, fiber_maps, make_substitution,
+                      pair_closure, rset_and_group, workload_subs)
+from reference import (grading_height_full_scan, quotient_data, semigroup_closure,
+                       written_r_set)
 
 # what moved to tests/reference.py or was deleted: no ellisub module defines it
 MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
@@ -41,6 +42,8 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "semigroup_closure", "compare_map_semigroups")
 
 SWAP = (1, 0)
+POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
+POWER_12 = "a -> bcd\nb -> dda\nc -> cab\nd -> abc\n"
 # what the gate runs on the input, and the oracle on the analysed power
 CHECKS = ("is_bijective", "_all_letters_exponent", "allowed_two_words", "is_simplified",
           "is_primitive", "is_aperiodic", "simplify")
@@ -107,6 +110,27 @@ def test_r_set_is_power_invariant(golden_simplified, random_corpus):
 def test_r_set_has_at_least_two_elements(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
         assert len(r_set(check_input(sub))) >= 2
+
+
+def test_r_set_and_grading_agree_with_the_written_power(golden_subs):
+    # r_set recurses over theta's columns and the grading tries the divisors
+    # up to s; the references read the L - 1 column quotients of the written
+    # power and try every divisor of L - 1
+    subs = [*golden_subs.values(), *build_random_corpus(60, seed=11),
+            *(sub for workload in ("golden", "wide-group", "long-power")
+              for sub in workload_subs(workload)),
+            parse_substitution(POWER_6), parse_substitution(POWER_12)]
+    exponents, graded = Counter(), Counter()
+    for sub in subs:
+        checked = check_input(sub)
+        assert r_set(checked) == written_r_set(checked.power)
+        assert r_set(checked._replace(power=None)) == r_set(checked)  # tau is not read
+        height = _classical_height_by_grading(checked.power)
+        assert height == grading_height_full_scan(checked.power)
+        exponents[checked.exponent] += 1
+        graded[height] += 1
+    assert sorted(exponents.items()) == [(1, 84), (2, 23), (3, 10), (6, 1), (12, 1)]
+    assert sorted(graded.items()) == [(1, 115), (2, 4)]
 
 
 def test_structure_groups(golden_simplified):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -311,7 +310,7 @@ def test_rees_generators_refuse_a_group_whose_generators_fall_short(golden_simpl
     # transposition, which reaches 2 of the 6 elements
     sub = golden_simplified["s3_seven_words"]
     rset, full = rset_and_group(sub)
-    short = replace(full, generators=((1, 0, 2),))
+    short = PermGroup(full.degree, ((1, 0, 2),), full.elements)
     fiber = allowed_two_words(sub)
     with pytest.raises(InternalCheckError, match="reach 2 of 6") as caught:
         reference_action(substitution_sandwich(short, rset, rset[0]), fiber)
@@ -405,7 +404,8 @@ def _corrupted(m):
     j = next(j for j in range(len(m.i_labels)) if j != m.base[0])
     wrong = next(g for g in m.group.elements if g != m.sandwich[MINUS][j])
     minus_row = m.sandwich[MINUS][:j] + (wrong,) + m.sandwich[MINUS][j + 1:]
-    return replace(m, sandwich=(m.sandwich[PLUS], minus_row)), wrong
+    return ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels,
+                               (m.sandwich[PLUS], minus_row), m.base), wrong
 
 
 def _is_homomorphism_on_all_pairs(sg, m, phi):
