@@ -32,4 +32,4 @@ from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            substitution_from_json, substitution_power,
                            substitution_to_json, substitution_to_text)
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"

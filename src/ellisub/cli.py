@@ -45,11 +45,8 @@ def _emit_error(kind: str, exc: Exception) -> None:
     payload = {"error": {"kind": kind, "message": str(exc)}}
     verdict = getattr(exc, "verdict", None)
     if verdict is not None:
-        payload["error"]["verdict"] = {
-            "kind": verdict.kind,
-            "bound": verdict.bound,
-            "period_evidence": verdict.period_evidence,
-        }
+        payload["error"]["verdict"] = {"kind": verdict.kind,
+                                       "period_evidence": verdict.period_evidence}
     if isinstance(exc, ParseError):
         payload["error"]["line"] = exc.line
         payload["error"]["column"] = exc.column

@@ -74,9 +74,6 @@ from .semigroups import FiberMap, map_after
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            columns, is_simplified)
 
-LIMIT_LEVEL = 1  # the level reported for every shift; the map is constant in the level
-REPORTED_MAX_LEVEL = 4  # ellis-report/1 keeps the ceiling the old level search printed by default
-
 
 def _column_pair_table(cols: tuple[tuple[int, ...], ...], index: dict[tuple[int, int], int],
                        nu: int) -> list[int]:
@@ -108,11 +105,6 @@ class OracleMap(NamedTuple):
 class OracleResult(NamedTuple):
     fiber: TwoWordFiber
     maps: tuple[OracleMap, ...]
-
-    def stabilization_by_nu(self) -> dict[int, int]:
-        """The level each map is reached at: 1 for every shift, by the proof
-        in the module docstring."""
-        return {m.nu: LIMIT_LEVEL for m in self.maps}
 
 
 def limit_maps(sub: Substitution) -> OracleResult:

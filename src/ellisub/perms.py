@@ -237,27 +237,22 @@ def normal_closure(sub: PermGroup, ambient: PermGroup) -> PermGroup:
     the subgroup generated by the previous one and its conjugates, so the
     chain of subgroups is the one met by closing over all their elements.
 
-    ``generators`` of the result lists the elements of the last subgroup of
-    that chain which conjugation enlarged, with their conjugates, or the
-    elements of ``sub`` when it is already normal: the set the chain closed
-    last, which reports print.  Each round closes inside ``ambient``.
+    ``generators`` of the result are the generators it closed: those of
+    ``sub``, then the conjugates each round added, in that order.  Each round
+    closes inside ``ambient``.
     """
     for g in sub.generators:
         if g not in ambient:
             raise ValidationError(f"{g} lies outside the ambient group")
     gens = list(sub.generators)
-    current, previous, new = sub, None, gens
+    current, new = sub, gens
     while current.order < ambient.order:
         new = sorted(set(_conjugates(new, ambient.generators)) - current.element_set)
         if not new:
             break
         gens += new
-        previous, current = current, closure(gens, ambient=ambient)
-    if previous is None:
-        return sub.with_generators(sub.elements)
-    listed = set(previous.elements)
-    listed.update(_conjugates(previous.elements, ambient.generators))
-    return current.with_generators(sorted(listed))
+        current = closure(gens, ambient=ambient)
+    return current.with_generators(gens)
 
 
 def is_transitive(group: PermGroup) -> bool:

@@ -1,4 +1,4 @@
-"""Rendering of structural reports: versioned JSON ("ellis-report/1") and a
+"""Rendering of structural reports: versioned JSON ("ellis-report/2") and a
 human-readable text form carrying the same facts.
 
 :func:`report_to_json` is the report as a dict.  :func:`render_json` returns
@@ -16,10 +16,9 @@ diverge from ``json``.
 The degree table has one row per triple (i, g, sign), |S| = 2|I||G| of
 them, while the degree depends on g alone, so :func:`_degree_table` joins
 its rows from one template per element of G and the writer splices the
-pieces in at the table's key.  Under ``--verify`` the oracle's
-``stabilized_levels`` has 2(L-1) entries, all 1, and
-:func:`_levels_written` writes them in one join without building their
-dict.  Every permutation is written in cycle notation once per render
+pieces in at the table's key.  Only the JSON paths write the table and the
+analysed rules (``substitution``), which the text report does not print.
+Every permutation is written in cycle notation once per render
 (:class:`_CycleStrings`): an element of the R-set appears in g0, ``r_set``,
 the group generators, the sandwich matrix and the table.
 """
@@ -28,15 +27,13 @@ from __future__ import annotations
 
 from collections import Counter
 from json.encoder import encode_basestring_ascii as encode
-from typing import Callable
 
-from .oracle import LIMIT_LEVEL, REPORTED_MAX_LEVEL, OracleResult
 from .perms import Perm, PermGroup, cycle_string, group_fingerprint
 from .pipeline import StructuralReport
 from .rees import SIGN_LABELS
 from .substitution import substitution_to_json
 
-SCHEMA_VERSION = "ellis-report/1"
+SCHEMA_VERSION = "ellis-report/2"
 
 
 class _CycleStrings(dict):
@@ -122,36 +119,20 @@ def _group_payload(group: PermGroup, cycles: _CycleStrings) -> dict:
     return payload
 
 
-def _levels_dict(result: OracleResult) -> dict:
-    return {str(nu): lvl for nu, lvl in sorted(result.stabilization_by_nu().items())}
-
-
-def _levels_written(result: OracleResult) -> _Written:
-    """``stabilized_levels``, 2(L-1) >= 2 entries that are all LIMIT_LEVEL, as
-    ``json.dumps(..., indent=2)`` writes it inside the ``oracle`` field, in
-    one join."""
-    shifts = sorted([nu for nu, _ in result.maps])
-    item = f'": {LIMIT_LEVEL}'
-    return _Written(['{\n      "', (item + ',\n      "').join(map(str, shifts)), item + "\n    }"])
-
-
-def _report_fields(report: StructuralReport, cycles: _CycleStrings,
-                   levels: Callable[[OracleResult], object] = _levels_dict) -> dict:
-    """Every field of the report, with an empty degree table; ``levels``
-    writes the oracle's ``stabilized_levels``."""
+def _report_fields(report: StructuralReport, cycles: _CycleStrings) -> dict:
+    """Every field of the report, with the two that only the JSON paths
+    write, ``substitution`` and ``degree_table``, left empty."""
     matrix = report.matrix
     oracle = None
     if report.oracle is not None:
         oracle = {
             "equal": report.oracle.equal,
-            "max_level": REPORTED_MAX_LEVEL,
-            "stabilized_levels": levels(report.oracle.oracle),
             "map_count": report.oracle.map_count,
             "discrepancies": list(report.oracle.discrepancies),
         }
     return {
         "schema": SCHEMA_VERSION,
-        "substitution": substitution_to_json(report.substitution),
+        "substitution": None,
         "analyzed_power": report.exponent,
         "original_length": report.original_length,
         "length": report.substitution.length,
@@ -182,7 +163,6 @@ def _report_fields(report: StructuralReport, cycles: _CycleStrings,
         "unresolved_extension": report.unresolved_extension,
         "aperiodicity": {
             "kind": report.aperiodicity.kind,
-            "bound": report.aperiodicity.bound,
             "period_evidence": report.aperiodicity.period_evidence,
         },
         "oracle": oracle,
@@ -192,6 +172,7 @@ def _report_fields(report: StructuralReport, cycles: _CycleStrings,
 def report_to_json(report: StructuralReport) -> dict:
     cycles = _CycleStrings(report.alphabet.letters)
     fields = _report_fields(report, cycles)
+    fields["substitution"] = substitution_to_json(report.substitution)
     matrix = report.matrix
     # elements() runs in (i, g, lam) order
     i_cycles = [cycles[label] for label in matrix.i_labels]
@@ -229,7 +210,8 @@ def _degree_table(report: StructuralReport, cycles: _CycleStrings) -> _Written:
 
 def render_json(report: StructuralReport) -> str:
     cycles = _CycleStrings(report.alphabet.letters)
-    fields = _report_fields(report, cycles, _levels_written)
+    fields = _report_fields(report, cycles)
+    fields["substitution"] = substitution_to_json(report.substitution)
     fields["degree_table"] = _degree_table(report, cycles)
     pieces: list[str] = []
     _write(fields, pieces)
@@ -289,13 +271,12 @@ def render_text(report: StructuralReport) -> str:
     if d["unresolved_extension"]:
         lines.append("  note: generalized height exceeds classical height; "
                      "the defining extension is not known to split")
-    a = d["aperiodicity"]
-    lines.append(f"aperiodicity: {a['kind']} (complexity scan bound {a['bound']})")
+    lines.append(f"aperiodicity: {d['aperiodicity']['kind']}")
     if d["oracle"] is not None:
         o = d["oracle"]
         verdict = "agrees with" if o["equal"] else "DISAGREES with"
         lines.append(f"window oracle: {o['map_count']} stabilized maps, {verdict} "
-                     f"the algebraic semigroup (levels {o['stabilized_levels']})")
+                     "the algebraic semigroup")
         for item in o["discrepancies"]:
             lines.append(f"  discrepancy: {item}")
     return "\n".join(lines) + "\n"

@@ -324,21 +324,14 @@ class AperiodicityVerdict(NamedTuple):
 
     kind is "aperiodic" or "periodic"; ``period_evidence`` is the least n
     with p(n) <= n for periodic verdicts, which is the alphabet size s.
-    ``bound`` is s^2 l^2 (:func:`default_aperiodicity_bound`), the length a
-    Morse-Hedlund complexity scan would reach; reports print it.
     """
 
     kind: str
-    bound: int
     period_evidence: int | None = None
 
     @property
     def is_aperiodic(self) -> bool:
         return self.kind == "aperiodic"
-
-
-def default_aperiodicity_bound(sub: Substitution) -> int:
-    return sub.size**2 * sub.length**2
 
 
 def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
@@ -369,10 +362,9 @@ def aperiodicity_verdict(sub: Substitution, fiber: TwoWordFiber) -> Aperiodicity
     With exactly s words p(n) = s for every n, so the first n with
     p(n) <= n is s, the ``period_evidence`` of a periodic verdict.
     """
-    bound = default_aperiodicity_bound(sub)
     if fiber.size > sub.size:
-        return AperiodicityVerdict("aperiodic", bound)
-    return AperiodicityVerdict("periodic", bound, period_evidence=sub.size)
+        return AperiodicityVerdict("aperiodic")
+    return AperiodicityVerdict("periodic", period_evidence=sub.size)
 
 
 # ---------------------------------------------------------------------------

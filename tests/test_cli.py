@@ -36,7 +36,7 @@ def tm_file(tmp_path):
 def test_version():
     code, out, _ = run_cli(["--version"])
     assert code == 0
-    assert out.strip() == "ellisub 3.0.0"
+    assert out.strip() == "ellisub 4.0.0"
 
 
 def test_analyze_text(tm_file):
@@ -51,22 +51,36 @@ def test_analyze_json_verify(tm_file):
     code, out, err = run_cli(["analyze", tm_file, "--verify", "--format", "json"])
     assert code == 0, err
     data = json.loads(out)
-    assert data["schema"] == "ellis-report/1"
+    assert data["schema"] == "ellis-report/2"
     assert data["height"] == 1
     assert data["structure_group"]["order"] == 2
     assert data["sandwich_matrix"] == [["()", "()"], ["()", "(a b)"]]
     assert data["oracle"]["equal"] is True
 
 
-def test_json_report_validates_against_bundled_schema(tm_file):
+def test_json_report_validates_against_bundled_schema(tm_file, golden_subs, golden_reports,
+                                                      random_reports, long_power_simplified):
     jsonschema = pytest.importorskip("jsonschema")
     from importlib import resources
+    from ellisub.pipeline import (AnalysisConfig, analyze_substitution, check_input,
+                                  global_description)
+    from ellisub.report import report_to_json
     schema = json.loads(resources.files("ellisub").joinpath("data/report_schema.json").read_text())
     _, out, _ = run_cli(["analyze", tm_file, "--verify", "--format", "json"])
     jsonschema.validate(json.loads(out), schema)
     # also without the optional oracle section
     _, out, _ = run_cli(["analyze", tm_file, "--format", "json"])
     jsonschema.validate(json.loads(out), schema)
+    reports = (list(golden_reports.values()) + random_reports
+               + [analyze_substitution(sub, AnalysisConfig()) for sub in golden_subs.values()]
+               + [global_description(check_input(sub)) for sub in long_power_simplified])
+    for report in reports:
+        jsonschema.validate(report_to_json(report), schema)
+    # the schema is closed: a field that ellis-report/2 removed is refused
+    data = report_to_json(golden_reports["thue_morse"])
+    data["oracle"]["stabilized_levels"] = {"1": 1}
+    with pytest.raises(jsonschema.ValidationError, match="stabilized_levels"):
+        jsonschema.validate(data, schema)
 
 
 def test_text_and_json_agree_on_numbers(tm_file):
@@ -103,8 +117,7 @@ def test_periodic_input_exits_1(tmp_path):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"]["kind"] == "validation"
-    # the bound is s^2 l^2 = 36, the length a complexity scan would reach
-    assert payload["error"]["verdict"] == {"kind": "periodic", "bound": 36, "period_evidence": 2}
+    assert payload["error"]["verdict"] == {"kind": "periodic", "period_evidence": 2}
 
 
 def test_non_bijective_exits_1(tmp_path):
@@ -380,7 +393,7 @@ REFUSALS = {
                       'primitive"}}'),
     "periodic": ([], "a -> aba\nb -> bab\n", 1,
                  '{"error": {"kind": "validation", "message": "substitution is periodic: '
-                 'complexity p(2) <= 2", "verdict": {"kind": "periodic", "bound": 36, '
+                 'complexity p(2) <= 2", "verdict": {"kind": "periodic", '
                  '"period_evidence": 2}}}'),
     "guard": ([], GUARD_TRIPPER, 3,
               '{"error": {"kind": "resource-limit", "message": "power 12 would have rule '

@@ -73,7 +73,6 @@ def test_limit_maps_stabilize_immediately(golden_simplified):
     # is already constant across levels
     for name, sub in golden_simplified.items():
         result = limit_maps(sub)
-        assert set(result.stabilization_by_nu().values()) == {1}
         fiber = result.fiber
         for entry in result.maps:
             for extra in (2, 3):
@@ -517,8 +516,7 @@ def test_oracle_json_serialization(golden_subs, golden_simplified):
     # the one JSON view of the oracle is the report's oracle section
     report = analyze_substitution(golden_subs["thue_morse"], AnalysisConfig(verify=True))
     payload = json.loads(json.dumps(report_to_json(report)["oracle"]))
-    assert payload["equal"] is True and payload["map_count"] == 8
-    assert payload["stabilized_levels"] == {str(nu): 1 for nu in (-3, -2, -1, 1, 2, 3)}
+    assert payload == {"equal": True, "map_count": 8, "discrepancies": []}
 
 
 def test_proximality_thue_morse(golden_simplified):

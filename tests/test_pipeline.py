@@ -221,8 +221,13 @@ def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpu
         completion = closure_of_all_conjugates(little.elements, group)
         order, cyclic = quotient_data(group, completion)
         assert cyclic
-        # generators too: reports list those of the normal completion
-        assert (hs.height, hs.little_group, hs.normal_completion) == (order, little, completion)
+        assert (hs.height, hs.little_group) == (order, little)
+        # reports list the generators the normal closure closed: the little
+        # group's, then the conjugates it added
+        gens = hs.normal_completion.generators
+        assert gens[:len(little.generators)] == little.generators
+        assert (hs.normal_completion.elements == closure(gens, ambient=group).elements
+                == completion.elements)
         for x in group.elements:
             assert (normal_closure(closure([x]), group).elements
                     == closure_of_all_conjugates([x], group).elements)

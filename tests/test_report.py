@@ -12,38 +12,43 @@ from collections import Counter
 
 import pytest
 
+import ellisub.pipeline
+import ellisub.report
 from ellisub import parse_substitution
-from ellisub.golden import CASE_ORDER
+from ellisub.golden import CASE_ORDER, CASES
+from ellisub.perms import closure, cycle_string, normal_closure
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution, check_input,
                               global_description)
 from ellisub.report import _write, render_json, render_text, report_to_json
 
+from conftest import mutant
+
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
 DIGESTS = {
-    ("thue_morse", False): ("d301bd5acc7c84e3da1c49dbc781fd012cb01600c300e036c55cd7c6ea4ec1d0",
-                            "29cd27c732644f8fbc17bd496711d818ff39ccaf006e49ddc9fd8daed22028e7"),
-    ("thue_morse", True): ("be5d1779c8fa900e1bac0adaf3d234ca79c9971d6ea09cf293055578af9030fc",
-                           "45bb9f403e34dfc7afd72dfe9ee1e2ba2f079a1badd91a8ac51b4514e67f911d"),
-    ("s3_seven_words", False): ("1a0921baeb79b47fc52979007ae05268a01eafa0b4c6d3b29ad7a2abba5ca6ab",
-                                "ce766d919399070f1548661072b685e1c9071d0805721a34523f8ee78f2ea0eb"),
-    ("s3_seven_words", True): ("1181a44950655ecb96d8079d46f668fa4c6c04e814254d6aaf7cffa6a6fa1bcf",
-                               "a7a647ff8023ea3850a89f674ddfa067288c4bf460fa24454ed8378519506341"),
-    ("s3_nonnormal_little", False): ("ba1eaec638854eff9c6bff262acdef492de4857a64ea733336c31f2fac5a3374",
-                                     "fbdba7d9dca46bc4f6d5b1d8d075170d242afbffd1d901808c0a6dc370456df9"),
-    ("s3_nonnormal_little", True): ("211da3d3785d2b6d9f821b815011ce1f63dbb29ae00cb729725d190836dd2026",
-                                    "f72387a684c8db6f046e75267d605439130431273450aff781bb7030e44d873e"),
-    ("s3_height_two", False): ("b070025e478c56d9ffc67be6db9989b2d4a2e37badce33bd95051d29a0df9153",
-                               "91fb3c0b02d15d8e94a7bea22d54bf41045c6fabea23b9e4bb432e0ff7781dfb"),
-    ("s3_height_two", True): ("b319236f7b3b87f64b23dd810fbc2625b1dd0efbb15fee72476f5cc18c30c3dd",
-                              "38a1701bacfd4e720bd262bc8d2e47e4852e875d7e332f1643509827619dd34f"),
-    ("cyclic_rotation", False): ("9dc9aa716e0b364b54579da4c05141640c694f72a35683d7e01c4060fa96a433",
-                                 "7f7878b9f4a8ea485adf609ccc0478fffeadb42b665b123de0a3761248299091"),
-    ("cyclic_rotation", True): ("a31a00fa8b0a2a56bcfda00d1b12c2c3987191da05cd60d1f261e84c9a255ffc",
-                                "0f29b840d175ab6214fe7557fac8cab4fac869a98a0941b93265b4fd6d435ab7"),
-    ("d4_height_two", False): ("4c1de5448cb5366208632f545b7ea604e9b46fc7f7b3f8d46b6a43a2a76ac869",
-                               "6ec1c05786b453b2750746950f26d3a433599709a483635a130f6763229463b0"),
-    ("d4_height_two", True): ("b9e6b3560a0724f61eea2dfda7c79d7995bbfcd05c15ccc9d2d954e93b880218",
-                              "f2e046a9062a2f999ae0e63a84bcf0a9d8858ea1a396f06bc1dd8b82e3f6b95a"),
+    ("thue_morse", False): ("f90493cd98db891fe935402ed3c2ddf270639d96385d30c298cfd7ef79bfb1ef",
+                            "e23423419483c486a78b58c465218650c2885aa58622ff490ae0fc1fca6c1480"),
+    ("thue_morse", True): ("fd8ddc2f82da8a52f15ace6504beba3c52126bbe4202316610fe6f836126fda7",
+                           "b1f8ef092cc7a14b18c0ad07b758599d471c5d352779c216ed5bf9cc611857cf"),
+    ("s3_seven_words", False): ("36d24405c8411ff2bc229c37a27654a21e2c3bdc6a31f4e588300ae32875e9a9",
+                                "b80b03366cf69ad18e781d454b84cbc21b6cd60e8d6bc889cf41ff0b6d960744"),
+    ("s3_seven_words", True): ("51784e5a780b5b63b8f4b7262c2ec156899d9a3cde2a53aa6d8b93cd8ab937f5",
+                               "717fdbe188e9e94111f7c9556bd5d9c5bc4121242077dd173b8eb865eb677de4"),
+    ("s3_nonnormal_little", False): ("8a8a080732d5ef5f90fa09c4f5abfedc98251814ac3f725e288f224b58c471bf",
+                                     "db49482ff90632c8d71f63bfd5d9f95cb9384a40916d42e60e43671b4a467da9"),
+    ("s3_nonnormal_little", True): ("424461ae6ffccd3b9b1caae0e4c3f8d8539ec28ada3f84d32eb450b0fe76a220",
+                                    "edc0f4fb66c418b21f03766fe8589679742b5fe3ebe1adbe0494c395dbd08bac"),
+    ("s3_height_two", False): ("17941acdd0fab1ddd4823278e2d27bcff44636de942b2f10dcc45a00f0c67ca8",
+                               "2a7de7d505013d9fd5a026ba69feef08e845026d175782a8461afa493393ab35"),
+    ("s3_height_two", True): ("e76f3fadc81ccf77d89db0f9ad3079630ebc99ed99851785cd48d85701d7555c",
+                              "a82910f5605ff9179a6495f2eaa6ffa2fd526053d1483ac5b5c6910a7ba4d113"),
+    ("cyclic_rotation", False): ("046c86b05a8d123aeec014ce4304fb675397bbff3d229de55d2ec14ed888d49a",
+                                 "1dcf03d6ed41ab9f5587ce022fe6ce28b64e055ded7fa6d258418634f80b886a"),
+    ("cyclic_rotation", True): ("d7138ba92a42d008bdb09a92f5619dc0711db90effdbaac7d60193b0ffc199ef",
+                                "88983850a4ce0698659d50502d99556f63990dd4d6b1b109270460e4f3d1b2fa"),
+    ("d4_height_two", False): ("11f41a2bacc9cca05516652443b191beb56f9130b5bd1a6999655f90e83215f5",
+                               "1fbd78034a289735146ff5c0c1627373cdf0e883d14284814e58a7979bd27917"),
+    ("d4_height_two", True): ("33a31f93565e616b819f8d942db64fd79e58db36613116a8e608df766ff7f8a1",
+                              "6f57fd74f730ccb0ec4c1d7ef8c8ecd9782adef3547df0ea4dae9ad1aa00e9ea"),
 }
 
 
@@ -60,13 +65,71 @@ def test_golden_reports_are_byte_identical(golden_subs, golden_reports, verify):
             DIGESTS[(name, verify)], name
 
 
-def test_oracle_max_level_keeps_the_printed_ceiling(golden_subs):
-    # every shift is read at level 1; ellis-report/1 still prints the ceiling
-    # 4 that the level search printed by default
-    report = analyze_substitution(golden_subs["thue_morse"], AnalysisConfig(verify=True))
-    oracle = report_to_json(report)["oracle"]
-    assert oracle["max_level"] == 4
-    assert set(oracle["stabilized_levels"].values()) == {1}
+def test_report_prints_no_field_fixed_by_proof(golden_reports):
+    # every shift's map is read at level 1 and the verdict scans nothing, so
+    # ellis-report/2 drops the level ceiling, the levels and the scan bound
+    for report in golden_reports.values():
+        d = report_to_json(report)
+        assert "max_level" not in d["oracle"] and "stabilized_levels" not in d["oracle"]
+        assert "bound" not in d["aperiodicity"]
+        text = render_text(report)
+        assert "(levels " not in text and "complexity scan bound" not in text
+
+
+def test_render_text_writes_no_rules(monkeypatch, golden_reports):
+    # the text report does not print the analysed rules, so it must not
+    # write them: on a long power that is most of its time
+    def refuse(sub):
+        raise AssertionError("render_text wrote the analysed rules")
+    monkeypatch.setattr(ellisub.report, "substitution_to_json", refuse)
+    for report in golden_reports.values():
+        render_text(report)
+
+
+def generator_failures(report) -> list[str]:
+    """The group payloads of ``report`` whose generators do not give their
+    group's elements, closed inside G (aut_fib, which is not a subgroup of
+    G, in the symmetric group), and a normal completion whose generators do
+    not begin with the little group's."""
+    d = report_to_json(report)
+    group = report.structure_group
+    degree = group.degree
+    letters = report.alphabet.letters
+    aut = report.aut.fiber_group
+    perm_of = {cycle_string(p, letters): p for p in group.elements + aut.elements}
+    failures = []
+    for key, target, ambient in (("structure_group", group, group),
+                                 ("little_group", report.little_group, group),
+                                 ("normal_completion", report.normal_completion, group),
+                                 ("aut_fib", aut, None)):
+        gens = [perm_of[text] for text in d[key]["generators"]]
+        if closure(gens, degree, ambient).element_set != target.element_set:
+            failures.append(key)
+    little = d["little_group"]["generators"]
+    if d["normal_completion"]["generators"][:len(little)] != little:
+        failures.append("normal_completion does not begin with little_group")
+    return failures
+
+
+def test_group_generators_give_their_groups(monkeypatch, golden_reports, random_reports,
+                                           long_power_simplified):
+    # each payload lists generators that the closure of the group used, not
+    # its elements: N under the little group's generators and the conjugates
+    # each round of the normal closure added
+    reports = (list(golden_reports.values()) + random_reports
+               + [global_description(check_input(sub)) for sub in long_power_simplified])
+    for report in reports:
+        assert generator_failures(report) == []
+    little = report_to_json(golden_reports["s3_nonnormal_little"])
+    assert little["little_group"]["generators"] == ["()", "(a c)"]
+    assert little["normal_completion"]["generators"] == ["()", "(a c)", "(b c)", "(a b)"]
+    # a normal closure that lists only the subgroup's generators fails
+    short = mutant(normal_closure, "current.with_generators(gens)",
+                   "current.with_generators(sub.generators)")
+    monkeypatch.setattr(ellisub.pipeline, "normal_closure", short)
+    report = analyze_substitution(parse_substitution(CASES["s3_nonnormal_little"]),
+                                  AnalysisConfig())
+    assert generator_failures(report) == ["normal_completion"]
 
 
 # json writes letters outside ASCII as \u escapes, and those outside the

@@ -290,7 +290,7 @@ def written_out_complexity(sub, n):
 def reference_scan(sub):
     """Reference Morse-Hedlund scan over :func:`written_out_complexity` to
     the bound s^2 l^2: doubling checkpoints, a plateau walk where strictness
-    fails, and a walk to the first n with p(n) <= n.  Returns (kind, bound,
+    fails, and a walk to the first n with p(n) <= n.  Returns (kind,
     period_evidence)."""
     bound = sub.size**2 * sub.length**2
 
@@ -298,7 +298,7 @@ def reference_scan(sub):
         while p_n > n:
             n += 1
             p_n = written_out_complexity(sub, n)
-        return ("periodic", bound, n)
+        return ("periodic", n)
 
     prev_n, prev_p = 1, written_out_complexity(sub, 1)
     if prev_p <= 1:
@@ -316,7 +316,7 @@ def reference_scan(sub):
                     return periodic_from(m, q)
                 pm = q
         prev_n, prev_p = n, p
-    return ("aperiodic", bound, None)
+    return ("aperiodic", None)
 
 
 def bijective_verdict_corpus(count=120, seed=20261018):
@@ -363,10 +363,10 @@ def test_aperiodicity_verdicts_match_reference_scan(golden_subs, random_corpus):
     for sub in cases:
         verdict = is_aperiodic(sub)
         expected.append(reference_scan(sub))
-        assert (verdict.kind, verdict.bound, verdict.period_evidence) == expected[-1]
-    assert [(kind, evidence) for kind, _, evidence in expected[:len(named)]] == [
+        assert verdict == expected[-1]
+    assert expected[:len(named)] == [
         ("periodic", 2), ("aperiodic", None), ("periodic", 3), ("aperiodic", None)]
-    periodic = [kind for kind, _, _ in expected if kind == "periodic"]
+    periodic = [kind for kind, _ in expected if kind == "periodic"]
     assert len(periodic) >= 20  # the periodic branch is exercised
 
 
@@ -389,14 +389,14 @@ def test_aperiodicity_scan_reads_two_letter_words_once(monkeypatch):
 
 
 def test_aperiodicity_scan_at_scale(monkeypatch):
-    # bounds s^2 l^2 = 1600 and 4900, decided without writing out a power
+    # a complexity scan would reach s^2 l^2 = 1600 and 4900; the verdict
+    # is decided without writing out a power
     def refuse(*args, **kwargs):
         raise AssertionError("the aperiodicity test wrote out a power")
     for attr in ("substitution_power", "compose_substitutions"):
         monkeypatch.setattr(ellisub.substitution, attr, refuse)
-    for source, bound in ((S5, 1600), (S7, 4900)):
-        verdict = is_aperiodic(parse_substitution(source))
-        assert (verdict.kind, verdict.bound) == ("aperiodic", bound)
+    for source in (S5, S7):
+        assert is_aperiodic(parse_substitution(source)) == ("aperiodic", None)
 
 
 # --- simplification ---------------------------------------------------------
