@@ -15,8 +15,8 @@ from .errors import (EllisubError, InternalCheckError, ParseError,
 from .oracle import (OracleComparison, OracleResult, limit_maps,
                      oracle_equivalence)
 from .perms import (PermGroup, centralizer_in_symmetric, closure,
-                    cycle_string, element_order, group_fingerprint,
-                    group_name, is_normal, is_transitive, normal_closure)
+                    cycle_string, element_order, group_name,
+                    is_normal, is_transitive, normal_closure)
 from .pipeline import (AnalysisConfig, CheckedPower, Heights, StructuralReport,
                        analyze_substitution, automorphism_data, check_input,
                        classical_height_bruteforce, degree_map,

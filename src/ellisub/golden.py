@@ -9,7 +9,7 @@ report, so the suite is byte-deterministic.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from typing import NamedTuple
 
 from .pipeline import analyze_substitution
@@ -36,8 +36,9 @@ CASE_ORDER = ("thue_morse", "s3_seven_words", "s3_nonnormal_little",
 
 
 def load_expectations() -> dict:
-    text = resources.files("ellisub").joinpath("data/golden.json").read_text()
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "golden.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def snapshot(report_json: dict) -> dict:

@@ -328,22 +328,10 @@ class GroupFingerprint(NamedTuple):
     exponent: int
     element_orders: tuple[tuple[int, int], ...]  # (order, count), sorted
 
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "abelian": self.abelian,
-            "exponent": self.exponent,
-            "element_orders": {str(k): v for k, v in self.element_orders},
-        }
-
     @property
     def name(self) -> str | None:
         """Name of the abstract isomorphism type for orders <= 12, else None."""
         return _NAMES.get((self.order, self.abelian, self.element_orders))
-
-
-def group_fingerprint(group: PermGroup) -> GroupFingerprint:
-    return group.fingerprint
 
 
 # (order, abelian, element-order multiset) separates all groups of order <= 12.

@@ -11,7 +11,7 @@ isomorphism search between presentations; closures of Rees triples and of
 map sets; a walk search in G for whether Rees triples generate; primitivity
 by boolean matrix powers; the R-set and the grading height read off a
 written power; digit walks into the fixed points and the proximality
-classes of the fiber.
+classes of the fiber; the text report read off the JSON report.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, i
                            is_normal)
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
                           ReesMatrixSemigroup, idempotents_of)
+from ellisub.report import report_to_json
 from ellisub.semigroups import (FiberMap, TransformationSemigroup, green_summary, map_after,
                                 map_compose)
 from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
@@ -844,3 +845,70 @@ def proximality_classes(sub: Substitution) -> ProximalityData:
         if all(len(c) == 1 for c in data.forward) or all(len(c) == 1 for c in data.backward):
             raise ValidationError("expected non-trivial forward and backward proximality")
     return data
+
+
+# ---------------------------------------------------------------------------
+# the text report, field by field from the JSON report
+
+def text_report(report) -> str:
+    """The text report of ``report`` read off ``report_to_json(report)``:
+    each line prints the JSON fields it names, and the degree distribution
+    counts the rows of the degree table."""
+    d = report_to_json(report)
+    letters = "".join(d["substitution"]["alphabet"])
+    lines = []
+    lines.append(f"substitution over {{{letters}}}, analyzed power: {d['analyzed_power']} "
+                 f"(length {d['original_length']} -> {d['length']})")
+    lines.append(f"normalization g0 = {d['g0']['cycles']} (R-set index {d['g0']['index']})")
+    lines.append("")
+    lines.append("R-set: " + ", ".join(entry["cycles"] for entry in d["r_set"]))
+
+    def describe(key, label):
+        g = d[key]
+        name = g["name"] or "unrecognized"
+        return f"{label}: order {g['order']} ({name})"
+
+    lines.append(describe("structure_group", "structure group"))
+    lines.append(describe("little_group", "little structure group"))
+    lines.append(describe("normal_completion", "normal completion"))
+    lines.append(f"generalized height: {d['height']}    classical height: {d['classical_height']}")
+    lines.append(f"minimal fiber rank: {d['r_pi']}    singular fiber size: {d['fiber_size']}")
+    lines.append("fiber two-words: " + ", ".join(d["fiber"]))
+    lines.append("")
+    lines.append("sandwich matrix (rows +,-):")
+    for sign, row in zip(SIGN_LABELS, d["sandwich_matrix"]):
+        lines.append(f"  {sign}: [" + ", ".join(row) + "]")
+    green = d["green"]
+    lines.append(f"structural semigroup: {d['semigroup_size']} elements, "
+                 f"{green['idempotents']} idempotents")
+    lines.append(f"  minimal left ideals: {green['l_classes']['count']} "
+                 f"of sizes {green['l_classes']['sizes']}")
+    lines.append(f"  minimal right ideals: {green['r_classes']['count']} "
+                 f"of sizes {green['r_classes']['sizes']}")
+    lines.append(f"  H-classes: {green['h_classes']['count']} of sizes {green['h_classes']['sizes']}")
+    degrees = Counter(row["degree"] for row in d["degree_table"])
+    lines.append("degree distribution: " + ", ".join(
+        f"{count} elements of degree {deg}" for deg, count in sorted(degrees.items())))
+    lines.append("")
+    lines.append(describe("aut_fib", "fiber-preserving automorphisms"))
+    lines.append(f"automorphism group: {d['aut_fib']['name'] or 'C'} x Z")
+    lines.append(f"virtual automorphism group: {d['virtual_aut']} (semi-regular: "
+                 f"{str(d['semi_regular']).lower()})")
+    if d["order_h_witness"] is not None:
+        lines.append(f"order-h witness: {d['order_h_witness']}")
+    lines.append("")
+    lines.append("global structure:")
+    for key, value in d["global_strings"].items():
+        lines.append(f"  {key}: {value}")
+    if d["unresolved_extension"]:
+        lines.append("  note: generalized height exceeds classical height; "
+                     "the defining extension is not known to split")
+    lines.append(f"aperiodicity: {d['aperiodicity']['kind']}")
+    if d["oracle"] is not None:
+        o = d["oracle"]
+        verdict = "agrees with" if o["equal"] else "DISAGREES with"
+        lines.append(f"window oracle: {o['map_count']} stabilized maps, {verdict} "
+                     "the algebraic semigroup")
+        for item in o["discrepancies"]:
+            lines.append(f"  discrepancy: {item}")
+    return "\n".join(lines) + "\n"

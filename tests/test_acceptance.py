@@ -98,7 +98,7 @@ def test_criterion_4_height_two_over_three_letters(golden_reports):
 def test_criterion_5_cyclic_rotation(golden_reports):
     report = golden_reports["cyclic_rotation"]
     assert report.exponent == 3
-    from ellisub.perms import group_fingerprint, group_name
+    from ellisub.perms import group_name
     assert report.structure_group.order == 3
     assert group_name(report.structure_group) == "Z/3"
     assert report.height == 1
@@ -113,8 +113,7 @@ def test_criterion_6_dihedral(golden_reports):
     assert len(report.rset) == 2
     assert report.structure_group.order == 8
     fp = report.normal_completion
-    from ellisub.perms import group_fingerprint
-    completion_fp = group_fingerprint(fp)
+    completion_fp = fp.fingerprint
     assert completion_fp.order == 4
     assert completion_fp.exponent == 2
     assert completion_fp.abelian

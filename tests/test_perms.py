@@ -15,7 +15,7 @@ from ellisub.errors import ValidationError
 from ellisub.oracle import oracle_equivalence
 from ellisub.perms import (after, centralizer_in_symmetric, closure,
                            compose, cycle_string, element_order,
-                           group_fingerprint, group_name, identity, inverse,
+                           group_name, identity, inverse,
                            is_normal, is_transitive, normal_closure)
 from ellisub.pipeline import check_input, global_description
 from ellisub.rees import FiberAction
@@ -208,11 +208,11 @@ def test_group_names():
     assert group_name(klein) == "Z/2xZ/2"
     # a fingerprint computed once names the group as well
     for group in (klein, s_n(3), s_n(4)):
-        assert group_fingerprint(group).name == group_name(group)
+        assert group.fingerprint.name == group_name(group)
 
 
 def test_fingerprint_contents():
-    fp = group_fingerprint(s_n(3))
+    fp = s_n(3).fingerprint
     assert fp.order == 6 and not fp.abelian and fp.exponent == 6
     assert dict(fp.element_orders) == {1: 1, 2: 3, 3: 2}
 

@@ -31,6 +31,22 @@ def test_importing_the_package_loads_no_dataclasses():
     assert proc.stdout == "False\n"
 
 
+def test_the_cli_loads_neither_dataclasses_nor_importlib_resources():
+    # -S: a site-packages .pth hook may import either before ellisub does;
+    # only `ellisub golden` reads data/golden.json, through os.path
+    code = ("import sys\n"
+            "import ellisub, ellisub.cli\n"
+            "print(sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))\n"
+            "from ellisub.golden import load_expectations\n"
+            "print(len(load_expectations()))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n6\n"
+
+
 def test_each_frozen_value_refuses_an_assignment(golden_subs):
     sub = golden_subs["s3_seven_words"]
     checked = check_input(sub)

@@ -8,7 +8,6 @@ report on purpose must update them and say so.
 
 import hashlib
 import json
-from collections import Counter
 
 import pytest
 
@@ -16,12 +15,14 @@ import ellisub.pipeline
 import ellisub.report
 from ellisub import parse_substitution
 from ellisub.golden import CASE_ORDER, CASES
-from ellisub.perms import closure, cycle_string, normal_closure
+from ellisub.perms import PermGroup, closure, cycle_string, normal_closure
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution, check_input,
                               global_description)
-from ellisub.report import _write, render_json, render_text, report_to_json
+from ellisub.report import (_CycleStrings, _dict, _green_shape, _group, _list, _strs,
+                            render_json, render_text, report_to_json)
 
 from conftest import mutant
+from reference import text_report
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
 DIGESTS = {
@@ -137,59 +138,79 @@ def test_group_generators_give_their_groups(monkeypatch, golden_reports, random_
 NON_ASCII = ("é -> éüüé\nü -> üééü\n", "𝔞 -> 𝔞𝔟𝔟𝔞\n𝔟 -> 𝔟𝔞𝔞𝔟\n")
 
 
-def test_render_json_is_the_indented_dump(golden_subs, golden_reports, random_reports,
-                                          long_power_simplified):
-    # render_json writes the degree table from a row template; it must give
-    # the bytes of the plain indented dump, and render_text the degree
-    # distribution of the rows it no longer builds
+@pytest.fixture(scope="module")
+def layout_reports(golden_subs, golden_reports, random_reports, long_power_simplified):
+    """The golden six plain, with --verify and normalised at R-set index 1,
+    the random corpus, the long-power powers and the non-ASCII inputs."""
     reports = list(golden_reports.values()) + random_reports
     for config in (AnalysisConfig(), AnalysisConfig(g0_index=1)):
         reports += [analyze_substitution(golden_subs[name], config) for name in CASE_ORDER]
     reports += [global_description(check_input(sub)) for sub in long_power_simplified]
     reports += [analyze_substitution(parse_substitution(source), AnalysisConfig(verify=verify))
                 for source in NON_ASCII for verify in (False, True)]
-    assert '"(\\u00e9 \\u00fc)"' in render_json(reports[-4])
-    assert '"(\\ud835\\udd1e \\ud835\\udd1f)"' in render_json(reports[-2])
-    for report in reports:
-        d = report_to_json(report)
-        assert render_json(report) == json.dumps(d, indent=2) + "\n"
-        degrees = Counter(row["degree"] for row in d["degree_table"])
-        line = "degree distribution: " + ", ".join(
-            f"{count} elements of degree {deg}" for deg, count in sorted(degrees.items()))
-        assert line in render_text(report).splitlines()
+    return reports
 
 
-def written(value) -> str:
-    pieces: list[str] = []
-    _write(value, pieces)
-    return "".join(pieces)
+def test_render_json_is_the_indented_dump(layout_reports):
+    # render_json writes the layout itself; it must be the bytes of the
+    # plain indented dump of what it wrote
+    assert '"(\\u00e9 \\u00fc)"' in render_json(layout_reports[-4])
+    assert '"(\\ud835\\udd1e \\ud835\\udd1f)"' in render_json(layout_reports[-2])
+    for report in layout_reports:
+        text = render_json(report)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-# the value types a report holds, in every position the writer lays out
-# differently: top level, dict value, list item, and lists of one scalar type
-WRITER_VALUES = [
-    {}, [], {"a": {}, "b": []}, [[], {}, [[]]], {"x": [{}], "y": {"z": []}},
-    None, True, False, 0, -1, -37, 2**64, 2**64 + 1, -(2**70),
-    "", '"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f\n\r\t\b\f", "\u2028", "é", "𝔞", "é𝔞\"",
-    [None, True, False, 0, -5, 2**65], [True, False], [None],
-    ["a", "é", "𝔞", '"'], [1, 2, 3], [1, True], [1, "1"],
-    [[1, 2], [3, [4, [5]]], ["a", ["b"]]],
-    [{"k": 1}, {"k": [None, {"é": "𝔞"}]}, {}],
-    {"é": 1, "𝔞": "𝔞", '"': None, "": False, "n": -(2**64)},
-    {"a": {"b": {"c": [1, {"d": []}]}}, "e": [["f"]]},
-]
+def test_render_text_is_the_text_of_the_json_report(layout_reports, golden_subs):
+    # render_text reads the report itself; it must print what the JSON
+    # report holds, the degree distribution as the rows of its table count it
+    for report in layout_reports:
+        assert render_text(report) == text_report(report)
+    swapped = mutant(render_text, 'describe(report.normal_completion, "normal completion")',
+                     'describe(report.little_group, "normal completion")')
+    report = analyze_substitution(golden_subs["s3_nonnormal_little"], AnalysisConfig())
+    assert swapped(report) != text_report(report)
 
 
-def test_writer_is_the_indented_dump():
-    for value in WRITER_VALUES:
-        assert written(value) == json.dumps(value, indent=2), repr(value)
+def indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as it is written at ``depth``."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-@pytest.mark.parametrize("value", [1.5, [1.0], {"a": 0.0}, {1, 2}, [frozenset()], (1, 2),
-                                   {1: "a"}, {None: 1}, {True: 1}, {"a": {2: 3}}, [{(1,): 1}]],
-                         ids=repr)
-def test_writer_refuses_what_a_report_does_not_hold(value):
-    # json would write a float, a tuple, or a key it can turn into a str;
-    # the writer refuses them rather than risk writing other bytes
-    with pytest.raises(TypeError):
-        written(value)
+# every escape a str can need: quote, backslash, control characters, a line
+# separator that json escapes, letters outside ASCII and outside the basic plane
+STRINGS = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f\n\r\t\b\f", "\u2028", "é", "𝔞", "é𝔞\"", ""]
+
+
+def test_shape_helpers_are_the_indented_dump(golden_reports):
+    # each helper writes a value at depth 1, as a top-level key's, and at
+    # depth 2, inside a field; the depth shifts json's layout right
+    for depth in (1, 2):
+        for items in ([], [""], STRINGS, ["(a b)"]):
+            assert _strs(items, depth) == indented(items, depth), items
+        nested = [[], [1, -2, 2**64], ["é", '"'], {}]
+        written = [indented(item, depth + 1) for item in nested]
+        assert _list(written, depth) == indented(nested, depth)
+        for values in ({}, {key: key for key in STRINGS}, {"1": 1, "12": [], "x": {}, "é": None}):
+            written = {key: indented(value, depth + 1) for key, value in values.items()}
+            assert _dict(written, depth) == indented(values, depth), values
+        letters = ("é", "𝔞", '"', "\\")
+        cycles = _CycleStrings(letters)
+        # no generators; S_4, which has no name; Z/2 on letters that need escapes
+        groups = (PermGroup(4, (), ((0, 1, 2, 3),)), closure([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
+                  closure([(1, 0, 3, 2)]))
+        assert groups[1].fingerprint.name is None
+        for group in groups:
+            fp = group.fingerprint
+            payload = {"order": fp.order, "abelian": fp.abelian, "exponent": fp.exponent,
+                       "element_orders": {str(k): v for k, v in fp.element_orders},
+                       "name": fp.name,
+                       "generators": [cycle_string(g, letters) for g in group.generators]}
+            assert _group(group, cycles, depth) == indented(payload, depth)
+        shapes = [{"count": 0, "sizes": {}}]
+        for report in golden_reports.values():
+            green = report.matrix.green_summary()
+            shapes += [green[relation] for relation in ("l_classes", "r_classes", "h_classes",
+                                                        "d_classes")]
+        for shape in shapes:
+            assert _green_shape(shape, depth) == indented(shape, depth)
