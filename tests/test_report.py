@@ -182,7 +182,7 @@ def indented(value, depth: int) -> str:
 STRINGS = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f\n\r\t\b\f", "\u2028", "é", "𝔞", "é𝔞\"", ""]
 
 
-def test_shape_helpers_are_the_indented_dump(golden_reports):
+def test_writer_is_the_indented_dump(golden_reports):
     # each helper writes a value at depth 1, as a top-level key's, and at
     # depth 2, inside a field; the depth shifts json's layout right
     for depth in (1, 2):
@@ -214,3 +214,17 @@ def test_shape_helpers_are_the_indented_dump(golden_reports):
                                                         "d_classes")]
         for shape in shapes:
             assert _green_shape(shape, depth) == indented(shape, depth)
+
+
+@pytest.mark.parametrize("value", [1.5, [1.0], {"a": 0.0}, {1, 2}, [frozenset()], (1, 2),
+                                   {1: "a"}, {None: 1}, {True: 1}, {"a": {2: 3}}, [{(1,): 1}]],
+                         ids=repr)
+def test_writer_refuses_what_a_report_does_not_hold(value):
+    # json would write a float, a tuple, or a key it can turn into a str;
+    # the helpers write every str and every key through encode, which
+    # refuses them rather than risk writing other bytes
+    with pytest.raises(TypeError):
+        _strs([value], 1)
+    if isinstance(value, dict) and not all(isinstance(key, str) for key in value):
+        with pytest.raises(TypeError):
+            _dict(dict.fromkeys(value, "0"), 1)
