@@ -7,9 +7,9 @@ a finite sequence of alphabet self-maps; when all of them are permutations
 the substitution is bijective and everything downstream applies.
 """
 
-from ellisub import (allowed_two_words, columns, cycle_string, is_aperiodic,
-                     is_bijective, is_primitive, is_simplified,
-                     parse_substitution, simplify)
+from ellisub import (allowed_two_words, check_input, columns, cycle_string,
+                     is_aperiodic, is_bijective, is_simplified,
+                     parse_substitution, substitution_to_json)
 
 THUE_MORSE = """
 # the classic two-letter example, already in simplified form
@@ -31,7 +31,8 @@ for j, col in enumerate(columns(tm)):
 
 print("\n== validation gates")
 print("bijective:", is_bijective(tm))
-print("primitive:", is_primitive(tm))
+# check_input is the one gate: bijective, primitive and aperiodic, or a refusal
+print("passes the input gate, analysed at power", check_input(tm).exponent)
 # aperiodic exactly when some letter has two successors: more than s
 # allowed two-letter words
 words = allowed_two_words(tm)
@@ -46,9 +47,10 @@ print("verdict:", is_aperiodic(periodic))
 print("\n== simplification may need a power")
 rot = parse_substitution(ROTATION)
 print("rotation simplified as given:", is_simplified(rot))
-simplified, exponent = simplify(rot)
-print(f"power {exponent} is simplified: length {simplified.length}, "
-      f"first rule {simplified.rule_word('a')[:12]}...")
+checked = check_input(rot)
+simplified = checked.power
+print(f"power {checked.exponent} is simplified: length {simplified.length}, "
+      f"first rule {substitution_to_json(simplified)['rules']['a'][:12]}...")
 print("boundary columns:",
       cycle_string(columns(simplified)[0], simplified.alphabet.letters),
       cycle_string(columns(simplified)[-1], simplified.alphabet.letters))

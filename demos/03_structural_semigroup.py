@@ -17,7 +17,6 @@ from ellisub import (FiberAction, allowed_two_words, check_input, columns,
                      cycle_string, parse_substitution, r_set, structure_group,
                      substitution_sandwich)
 from ellisub.perms import compose
-from ellisub.semigroups import map_compose
 
 checked = check_input(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
 sub = checked.power
@@ -57,6 +56,6 @@ for left, right in pairs:
     signed.add(tuple(index[(left[b], right[b])] for a, b in fiber.pairs))
     signed.add(tuple(index[(left[a], right[a])] for a, b in fiber.pairs))
 print(f"{len(signed)} signed-pair maps; the matrix action reproduces them:", signed == images)
-products = {map_compose(f, g) for f in signed for g in signed}
+products = {compose(f, g) for f in signed for g in signed}
 print(f"their {len(signed)}^2 products are signed-pair maps again:", products <= signed)
 assert signed == images and products <= signed

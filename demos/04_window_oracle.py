@@ -17,7 +17,8 @@ group misses, and stopped once the group has |G| elements.
 
 from ellisub import (FiberAction, check_input, cycle_string,
                      global_description, limit_maps, oracle_equivalence,
-                     parse_substitution, substitution_power)
+                     parse_substitution, substitution_power,
+                     substitution_to_json)
 
 checked = check_input(parse_substitution("a -> abba\nb -> baab"))
 sub = checked.power
@@ -31,8 +32,9 @@ def letter(blocks, pair, p):
 
 
 print("== reading a fixed point window")
-blocks = substitution_power(sub, 3).rules
-print("block of a at level 3:", substitution_power(sub, 3).rule_word("a"))
+cubed = substitution_power(sub, 3)
+blocks = cubed.rules
+print("block of a at level 3:", substitution_to_json(cubed)["rules"]["a"])
 window = "".join(letters[letter(blocks, (1, 0), p)] for p in range(-8, 8))
 print("window [-8, 8) of b.a:", window[:8], ".", window[8:])
 

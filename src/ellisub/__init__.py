@@ -12,24 +12,20 @@ cross-checks them against the fiber action of the matrix.
 
 from .errors import (EllisubError, InternalCheckError, ParseError,
                      ResourceLimitError, ValidationError)
-from .oracle import (OracleComparison, OracleResult, limit_maps,
-                     oracle_equivalence)
+from .oracle import OracleComparison, limit_maps, oracle_equivalence
 from .perms import (PermGroup, centralizer_in_symmetric, closure,
-                    cycle_string, element_order, group_name,
-                    is_normal, is_transitive, normal_closure)
-from .pipeline import (AnalysisConfig, CheckedPower, Heights, StructuralReport,
-                       analyze_substitution, automorphism_data, check_input,
-                       classical_height_bruteforce, degree_map,
+                    cycle_string, group_name, is_normal, is_transitive,
+                    normal_closure)
+from .pipeline import (AnalysisConfig, StructuralReport, analyze_substitution,
+                       check_input, classical_height_bruteforce,
                        global_description, heights, r_set, structure_group)
-from .rees import (FiberAction, ReesElement, ReesMatrixSemigroup,
-                   idempotents_of, substitution_sandwich)
+from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
+                   substitution_sandwich)
 from .semigroups import TransformationSemigroup
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,
-                           compose_substitutions, is_aperiodic,
-                           is_bijective, is_primitive, is_simplified,
-                           parse_any, parse_substitution, simplify,
-                           substitution_from_json, substitution_power,
-                           substitution_to_json, substitution_to_text)
+                           is_aperiodic, is_bijective, is_simplified,
+                           parse_any, parse_substitution, substitution_power,
+                           substitution_to_json)
 
 __version__ = "4.0.0"

@@ -69,8 +69,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
-from .perms import after, closure, compose, identity, inverse
-from .semigroups import FiberMap, map_after
+from .perms import Perm, after, closure, compose, identity, inverse
 from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
                            columns, is_simplified)
 
@@ -91,15 +90,15 @@ def _column_pair_table(cols: tuple[tuple[int, ...], ...], index: dict[tuple[int,
 def _fixed_point_reads(fiber: TwoWordFiber) -> tuple[Callable, Callable]:
     """Getters that read a letter table at the right letter b and at the left
     letter a of each fixed point a.b, built once for the 2(l-1) maps."""
-    return (map_after(tuple([b for _, b in fiber.pairs])),
-            map_after(tuple([a for a, _ in fiber.pairs])))
+    return (after(tuple([b for _, b in fiber.pairs])),
+            after(tuple([a for a, _ in fiber.pairs])))
 
 
 class OracleMap(NamedTuple):
     """The map of sigma^(nu * l^k) on the fiber, the same for every k."""
 
     nu: int
-    fiber_map: FiberMap
+    fiber_map: Perm
 
 
 class OracleResult(NamedTuple):

@@ -7,11 +7,14 @@ runs in C: ``itemgetter(*q)(p)`` reads p at the images of q in one call.
 ``itemgetter`` of one index returns a scalar and of none raises, so below
 degree 2 the kernel falls back to a list comprehension.  Where one right
 factor q is applied to many left factors, :func:`after` builds its getter
-once, and each product then costs one C call.  ``cycle_string``, which the
-report calls once per permutation it prints, skips fixed points without
-building a cycle for them.  Groups are stored as the full, lexicographically
-sorted element list; alphabets in scope are tiny (n <= 10), so enumeration
-beats stabilizer chains on simplicity and is fast enough by a wide margin.
+once, and each product then costs one C call.  Neither needs a bijection:
+p may be any tuple that q's entries index, so the fiber maps of
+``ellisub.rees`` and ``ellisub.oracle`` compose through the same two.
+``cycle_string``, which the report calls once per permutation it prints,
+skips fixed points without building a cycle for them.  Groups are stored as
+the full, lexicographically sorted element list; alphabets in scope are tiny
+(n <= 10), so enumeration beats stabilizer chains on simplicity and is fast
+enough by a wide margin.
 
 Every group closed after the structure group G is a subgroup of G, so
 :func:`closure` checks generators by membership in G and stops at |G|
@@ -166,24 +169,24 @@ class PermGroup(Frozen):
         return group
 
 
-def closure(gens: list[Perm] | tuple[Perm, ...], degree: int | None = None,
+def closure(gens: list[Perm] | tuple[Perm, ...],
             ambient: PermGroup | None = None) -> PermGroup:
     """Smallest group containing ``gens``, found by breadth-first multiplication
     on the right by each distinct generator, through one getter per generator.
 
-    ``degree`` is required when ``gens`` is empty and no ``ambient`` group
-    holds them.  Inside ``ambient`` the walk stops as soon as it holds
-    |ambient| elements and returns ``ambient``: a subset of a finite group
-    with as many elements is the group.  Otherwise it raises
+    An empty ``gens`` needs an ``ambient`` group; ``[identity(n)]`` gives the
+    trivial group on n points.  Inside ``ambient`` the walk stops as soon as
+    it holds |ambient| elements and returns ``ambient``: a subset of a finite
+    group with as many elements is the group.  Otherwise it raises
     ResourceLimitError past ``CLOSURE_CAP`` elements.
     """
     gens = list(dict.fromkeys(tuple(g) for g in gens))
     if ambient is not None:
         degree = ambient.degree
-    elif degree is None:
-        if not gens:
-            raise ValidationError("closure of an empty generator list needs an explicit degree")
+    elif gens:
         degree = len(gens[0])
+    else:
+        raise ValidationError("closure of an empty generator list needs an ambient group")
     for g in gens:
         if len(g) != degree:
             raise ValidationError(f"generator acts on {len(g)} points, expected {degree}")
@@ -257,20 +260,11 @@ def normal_closure(sub: PermGroup, ambient: PermGroup) -> PermGroup:
 
 def is_transitive(group: PermGroup) -> bool:
     """True iff the orbit of point 0 is everything."""
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in group.generators:
-            y = g[x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return len(orbit) == group.degree
+    return len(_transversal(group)) == group.degree
 
 
 def _transversal(group: PermGroup) -> dict[int, Perm]:
-    """For transitive groups: one group element w with w(0) = x, per point x."""
+    """One group element w with w(0) = x, per point x of the orbit of 0."""
     words: dict[int, Perm] = {0: identity(group.degree)}
     frontier = [0]
     while frontier:
@@ -291,10 +285,10 @@ def centralizer_in_symmetric(group: PermGroup) -> PermGroup:
     candidate c along a transversal via c(w(0)) = w(c(0)), then keep
     candidates commuting with every generator.
     """
-    if not is_transitive(group):
-        raise ValidationError("the centralizer is computed for transitive groups only")
     n = group.degree
     words = _transversal(group)
+    if len(words) != n:
+        raise ValidationError("the centralizer is computed for transitive groups only")
     found: list[Perm] = []
     for target in range(n):
         images = [0] * n

@@ -76,13 +76,13 @@ from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
                     compose, group_name, identity, inverse,
-                    is_normal, is_transitive, normal_closure)
+                    is_normal, is_perm, is_transitive, normal_closure)
 from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
                    substitution_sandwich)
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, _all_letters_exponent,
                            allowed_two_words, aperiodicity_verdict, columns,
-                           is_bijective, simplified_power)
+                           simplified_power)
 
 
 class CheckedPower(NamedTuple):
@@ -101,7 +101,8 @@ def check_input(sub: Substitution) -> CheckedPower:
     """Check theta once: bijective (naming the columns that are not),
     primitive (by the all-letters exponent, which then gives n), aperiodic
     (from the count of the allowed two-letter words), and tau = theta^n
-    written out (:func:`ellisub.substitution.simplify` proves it simplified).
+    written out (:func:`ellisub.substitution.simplified_power` proves it
+    simplified).
 
     The power tau = theta^n has the fiber of theta.  A word occurs in the
     language of tau when it occurs in some theta^(nk)(a), so every such word
@@ -113,8 +114,8 @@ def check_input(sub: Substitution) -> CheckedPower:
     theta^(nm-k)(c) holds a, and so w.  The two languages are equal, so
     theta and tau generate the same subshift and have the same two-letter
     factors, which is what :func:`allowed_two_words` lists."""
-    if not is_bijective(sub):
-        bad = [j for j, col in enumerate(columns(sub)) if sorted(col) != list(range(sub.size))]
+    bad = [j for j, col in enumerate(columns(sub)) if not is_perm(col)]
+    if bad:
         raise ValidationError(f"substitution is not bijective: column(s) {bad} are not permutations")
     letters_exp = _all_letters_exponent(sub)
     if letters_exp is None:
@@ -242,19 +243,21 @@ def return_time_gcd(sub: Substitution, level: int) -> int:
 
 
 def classical_height_bruteforce(checked: CheckedPower) -> int:
-    """Independent oracle: the gcd of the return times of the first letter
-    in tau^3(0), for tau = theta^n the simplified power, then its largest
-    divisor coprime to the length.  tau^3(0) is theta^(3n)(0), so the walk
-    reads theta's rules (:func:`return_time_gcd`, O(n*s*l)), and a divisor
-    is coprime to l^n exactly when it is coprime to l."""
+    """Independent oracle: the gcd g of the return times of the first letter
+    in tau^3(0), for tau = theta^n the simplified power of length L = l^n.
+    tau^3(0) is theta^(3n)(0), so the walk reads theta's rules
+    (:func:`return_time_gcd`, O(n*s*l)).
+
+    The classical height is the largest divisor of g coprime to l, and that
+    is g itself.  tau is simplified, so its boundary columns are the
+    identity: tau^2(0) starts with 0, so tau^3(0) starts with the block
+    tau(0), which ends in 0.  Positions 0 and L - 1 hold 0, so g divides
+    L - 1, which is coprime to L and so to l."""
     g = return_time_gcd(checked.original, 3 * checked.exponent)
     if g == 0:
         raise InternalCheckError("a simplified substitution must return to its first letter",
                                  stage="classical_height_bruteforce")
-    for d in sorted((d for d in range(1, g + 1) if g % d == 0), reverse=True):
-        if gcd(d, checked.original.length) == 1:
-            return d
-    return 1
+    return g
 
 
 def heights(checked: CheckedPower, rset: tuple[Perm, ...], group: PermGroup) -> Heights:

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .errors import Frozen, InternalCheckError, ValidationError
 from .perms import Perm, PermGroup, after, compose, identity, inverse
-from .semigroups import FiberMap, green_summary, map_after, map_compose
 from .substitution import TwoWordFiber
 
 PLUS, MINUS = 0, 1
@@ -78,11 +77,20 @@ class ReesMatrixSemigroup(Frozen):
         and x L y exactly when they share lam.  So there are |Lambda|
         L-classes of size |I||G|, |I| R-classes of size |Lambda||G|, |I||Lambda|
         H-classes of size |G|, each a group with one idempotent, and one
-        D-class, which is the whole semigroup and its kernel."""
+        D-class, which is the whole semigroup and its kernel.  Per relation
+        the summary gives the class count and the count of each class size."""
         n_i, n_lam, order = len(self.i_labels), len(self.lam_labels), self.group.order
-        return green_summary({n_i * order: n_lam}, {n_lam * order: n_i},
-                             {order: n_i * n_lam}, {self.size: 1},
-                             n_i * n_lam, self.size)
+
+        def shape(size, count):
+            return {"count": count, "sizes": {str(size): count}}
+        return {
+            "l_classes": shape(n_i * order, n_lam),
+            "r_classes": shape(n_lam * order, n_i),
+            "h_classes": shape(order, n_i * n_lam),
+            "d_classes": shape(self.size, 1),
+            "idempotents": n_i * n_lam,
+            "kernel_size": self.size,
+        }
 
 
 def idempotents_of(m: ReesMatrixSemigroup) -> list[ReesElement]:
@@ -119,7 +127,7 @@ IN_FIBER, SANDWICH_RELATION, FAITHFULNESS = "fiber", "sandwich relation", "faith
 STAGE = "fiber action"
 
 
-def _letter_reads(fiber: TwoWordFiber, g0: Perm) -> tuple[FiberMap, FiberMap]:
+def _letter_reads(fiber: TwoWordFiber, g0: Perm) -> tuple[Perm, Perm]:
     """The letter that a + map and a - map read at each fixed point a.b:
     c_+(a.b) = b, and g0 c_-(a.b) = g0(a), with c_-(a.b) = a and the factor
     g0 of R = g g0 folded in."""
@@ -212,16 +220,16 @@ class FiberAction:
         for lam, read in enumerate(reads):
             for j, target in enumerate(self.targets):
                 entry = matrix.sandwich[lam][j]
-                if map_compose(read, target) != entry:
+                if compose(read, target) != entry:
                     x = ReesElement(i0, entry, PLUS)
                     raise _broken(f"fiber action breaks the {SANDWICH_RELATION} at the "
                                   f"triple {tuple(x)}", SANDWICH_RELATION, x)
-        self._reads = tuple(map_after(read) for read in reads)
+        self._reads = tuple(after(read) for read in reads)
         self._rights = reads[PLUS]
-        self._through_base = map_after(self.targets[i0])  # f -> f T_i0
+        self._through_base = after(self.targets[i0])  # f -> f T_i0
         self._elements = matrix.group.element_set
 
-        self._rows: dict[FiberMap, int] = {}
+        self._rows: dict[Perm, int] = {}
         for j, target in enumerate(self.targets):
             if self._rows.setdefault(target, j) != j:
                 raise _broken(f"fiber action is not faithful: rows {self._rows[target]} and {j} "
@@ -234,11 +242,11 @@ class FiberAction:
                           "+ map can equal a - map", FAITHFULNESS, ReesElement(i0, ident, MINUS))
         self._twins = twins
 
-    def encode(self, i: int, g: Perm, lam: int) -> FiberMap:
+    def encode(self, i: int, g: Perm, lam: int) -> Perm:
         """phi(i, g, lam) = T_i g c_lam, in two getter calls."""
         return self._reads[lam](after(g)(self.targets[i]))
 
-    def decode(self, f: FiberMap) -> ReesElement | None:
+    def decode(self, f: Perm) -> ReesElement | None:
         """The triple x with phi(x) = f, or None when f is no image of phi:
         the steps of the injectivity proof, accepted only when x encodes
         back to f.  f T_i0 = T_i g is one call of a getter built once, and
@@ -246,7 +254,7 @@ class FiberAction:
         k, k2 = self._twins
         lam = PLUS if f[k] == f[k2] else MINUS
         written = self._through_base(f)  # T_i g
-        g = map_compose(self._rights, written)
+        g = compose(self._rights, written)
         if g not in self._elements:
             return None
         target = [0] * len(g)  # T_i, scattered: T_i(g(r)) = written(r)

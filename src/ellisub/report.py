@@ -94,8 +94,8 @@ def _group(group: PermGroup, cycles: _CycleStrings, depth: int) -> str:
 
 
 def _green_shape(shape: dict, depth: int) -> str:
-    """One relation of :func:`ellisub.semigroups.green_summary`: its class
-    count and the count of each class size."""
+    """One relation of :meth:`ellisub.rees.ReesMatrixSemigroup.green_summary`:
+    its class count and the count of each class size."""
     line = _LINE[depth + 1]
     sizes = {size: str(count) for size, count in shape["sizes"].items()}
     return (f'{{{line}"count": {shape["count"]},'

@@ -1,38 +1,13 @@
-"""Self-maps of a fixed point set and their composition, and the reported
-shape of a Green structure.
+"""Transformation semigroups: composition-closed sets of self-maps of
+{0..degree-1}, stored as image tuples, not necessarily injective.
 
-Elements are self-maps of {0..degree-1} stored as image tuples (not
-necessarily injective).  Composition follows the same convention as
-permutations, ``map_compose(x, y)`` applies y first, and runs in C the same
-way as :func:`ellisub.perms.compose`: ``itemgetter(*y)(x)``, with a list
-comprehension below degree 2, where ``itemgetter`` of one index returns a
-scalar and of none raises.  Where one right factor y is applied to many
-maps, :func:`map_after` builds its getter once.  Products are composed on
-demand; no map semigroup is closed or tabled: the window oracle names its
-maps through the matrix action and never closes them.
+No analysis builds one: the Green structure of the structural semigroup is
+read off its Rees matrix form
+(:meth:`ellisub.rees.ReesMatrixSemigroup.green_summary`), and fiber maps
+compose through :func:`ellisub.perms.compose`.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
-from typing import Callable
-
-FiberMap = tuple[int, ...]
-
-
-def map_compose(x: FiberMap, y: FiberMap) -> FiberMap:
-    """x after y."""
-    if len(y) > 1:
-        return itemgetter(*y)(x)
-    return tuple([x[i] for i in y])
-
-
-def map_after(y: FiberMap) -> Callable[[FiberMap], FiberMap]:
-    """The map x -> map_compose(x, y), built once for a right factor applied
-    to many maps."""
-    if len(y) > 1:
-        return itemgetter(*y)
-    return lambda x: tuple([x[i] for i in y])
 
 
 class TransformationSemigroup:
@@ -44,8 +19,8 @@ class TransformationSemigroup:
     reading it.
     """
 
-    def __init__(self, degree: int, elements: tuple[FiberMap, ...],
-                 generators: tuple[FiberMap, ...]):
+    def __init__(self, degree: int, elements: tuple[tuple[int, ...], ...],
+                 generators: tuple[tuple[int, ...], ...]):
         self.degree = degree
         self.elements = elements  # sorted
         self.generators = generators
@@ -59,22 +34,3 @@ class TransformationSemigroup:
     def __eq__(self, other) -> bool:
         return (isinstance(other, TransformationSemigroup)
                 and self.degree == other.degree and self.elements == other.elements)
-
-
-def green_summary(l_counts: dict[int, int], r_counts: dict[int, int], h_counts: dict[int, int],
-                  d_counts: dict[int, int], idempotents: int, kernel_size: int) -> dict:
-    """The reported shape of a Green structure, from how many L-, R-, H- and
-    D-classes have each size (a map from class size to class count): per
-    relation the class count and the count of each size, then the
-    idempotent count and the kernel size."""
-    def shape(counts):
-        return {"count": sum(counts.values()),
-                "sizes": {str(k): v for k, v in sorted(counts.items())}}
-    return {
-        "l_classes": shape(l_counts),
-        "r_classes": shape(r_counts),
-        "h_classes": shape(h_counts),
-        "d_classes": shape(d_counts),
-        "idempotents": idempotents,
-        "kernel_size": kernel_size,
-    }

@@ -11,9 +11,9 @@ A bijective substitution is *simplified* when (1) every periodic point of the
 substitution acting on its shift space is already a fixed point (forcing the
 first and last column maps to be the identity) and (2) every rule word
 contains every letter.  Both conditions hold for a suitable power, computed by
-:func:`simplify`.  For simplified substitutions the fixed points correspond
-one-to-one to the allowed two-letter words; that finite set is the singular
-fiber on which all later semigroup computation happens.
+:func:`simplified_power`.  For simplified substitutions the fixed points
+correspond one-to-one to the allowed two-letter words; that finite set is the
+singular fiber on which all later semigroup computation happens.
 
 The same words decide aperiodicity: the subshift of a primitive bijective
 substitution is aperiodic exactly when some letter has two successors, that
@@ -90,10 +90,6 @@ class Substitution(Frozen):
     @property
     def length(self) -> int:
         return len(self.rules[0])
-
-    def rule_word(self, sym: str) -> str:
-        word = self.rules[self.alphabet.index(sym)]
-        return "".join(self.alphabet.letters[x] for x in word)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +173,13 @@ def substitution_from_json(obj: dict | str) -> Substitution:
     return Substitution(alphabet, tuple(rules))
 
 
-def _rule_words(sub: Substitution) -> dict[str, str]:
-    """Each letter's rule word, spelled out, in alphabet order."""
-    letters = sub.alphabet.letters
-    return {sym: "".join(map(letters.__getitem__, word)) for sym, word in zip(letters, sub.rules)}
-
-
-def substitution_to_text(sub: Substitution) -> str:
-    return "\n".join(f"{sym} -> {word}" for sym, word in _rule_words(sub).items()) + "\n"
-
-
 def substitution_to_json(sub: Substitution) -> dict:
+    """The JSON form, each letter's rule word spelled out in alphabet order."""
+    letters = sub.alphabet.letters
     return {
-        "alphabet": list(sub.alphabet.letters),
-        "rules": _rule_words(sub),
+        "alphabet": list(letters),
+        "rules": {sym: "".join(map(letters.__getitem__, word))
+                  for sym, word in zip(letters, sub.rules)},
     }
 
 
@@ -249,18 +238,13 @@ def substitution_power(sub: Substitution, n: int) -> Substitution:
 # ---------------------------------------------------------------------------
 # primitivity
 
-def is_primitive(sub: Substitution) -> bool:
-    """True iff some power k makes every rule word of the power contain every
-    letter (:func:`_all_letters_exponent`)."""
-    return _all_letters_exponent(sub) is not None
-
-
 def _all_letters_exponent(sub: Substitution) -> int | None:
     """Minimal k such that every rule word of sub^k contains every letter, or
-    None when there is none.  The letters of sub^(k+1)(a) are those of the
-    rules of the letters of sub^k(a), so one union per letter and step; a
-    primitive substitution reaches all letters by the Wielandt bound
-    (s-1)^2 + 1 on the exponent of a primitive matrix."""
+    None when there is none, that is, when sub is not primitive.  The
+    letters of sub^(k+1)(a) are those of the rules of the letters of
+    sub^k(a), so one union per letter and step; a primitive substitution
+    reaches all letters by the Wielandt bound (s-1)^2 + 1 on the exponent
+    of a primitive matrix."""
     s = sub.size
     occurs = [frozenset(word) for word in sub.rules]
     reach = list(occurs)
@@ -338,7 +322,7 @@ def is_aperiodic(sub: Substitution) -> AperiodicityVerdict:
     """:func:`aperiodicity_verdict`, once sub is checked bijective and primitive."""
     if not is_bijective(sub):
         raise ValidationError("aperiodicity test needs a bijective substitution")
-    if not is_primitive(sub):
+    if _all_letters_exponent(sub) is None:
         raise ValidationError("aperiodicity test needs a primitive substitution")
     return aperiodicity_verdict(sub, allowed_two_words(sub))
 
@@ -404,8 +388,12 @@ def _junction_cycle_lcm(sub: Substitution, fiber: TwoWordFiber) -> int:
     return result
 
 
-def simplify(sub: Substitution) -> tuple[Substitution, int]:
-    """Return (sub^n, n) with n minimal such that sub^n is simplified.
+def simplified_power(sub: Substitution, fiber: TwoWordFiber,
+                     letters_exp: int) -> tuple[Substitution, int]:
+    """Return (sub^n, n) with n minimal such that sub^n is simplified, for a
+    bijective substitution with the allowed two-letter words ``fiber`` and
+    the all-letters exponent ``letters_exp`` (:func:`_all_letters_exponent`),
+    which make it primitive.
 
     n = M*m where M is the lcm of the junction-map cycle lengths on the
     allowed two-letter words (condition: all periodic points become fixed) and
@@ -419,19 +407,6 @@ def simplify(sub: Substitution) -> tuple[Substitution, int]:
     boundary columns of sub^n, which the first condition makes the
     identity, are still checked, at two letters per rule.
     """
-    if not is_bijective(sub):
-        raise ValidationError("simplify needs a bijective substitution")
-    letters_exp = _all_letters_exponent(sub)
-    if letters_exp is None:
-        raise ValidationError("simplify needs a primitive substitution")
-    return simplified_power(sub, allowed_two_words(sub), letters_exp)
-
-
-def simplified_power(sub: Substitution, fiber: TwoWordFiber,
-                     letters_exp: int) -> tuple[Substitution, int]:
-    """What :func:`simplify` returns, for a bijective substitution with the
-    allowed two-letter words ``fiber`` and the all-letters exponent
-    ``letters_exp`` (:func:`_all_letters_exponent`), which make it primitive."""
     cycle_lcm = _junction_cycle_lcm(sub, fiber)
     m = -(-letters_exp // cycle_lcm)  # ceil division
     n = cycle_lcm * m

@@ -132,8 +132,7 @@ def golden_subs() -> dict:
 
 @pytest.fixture(scope="session")
 def golden_simplified(golden_subs) -> dict:
-    from ellisub import simplify
-    return {name: simplify(sub)[0] for name, sub in golden_subs.items()}
+    return {name: check_input(sub).power for name, sub in golden_subs.items()}
 
 
 @pytest.fixture(scope="session")
@@ -195,5 +194,4 @@ def long_power_subs() -> list[Substitution]:
 @pytest.fixture(scope="session")
 def long_power_simplified(long_power_subs) -> list[Substitution]:
     """The simplified powers of the long-power inputs, length 16-27."""
-    from ellisub import simplify
-    return [simplify(sub)[0] for sub in long_power_subs]
+    return [check_input(sub).power for sub in long_power_subs]

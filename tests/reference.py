@@ -28,8 +28,7 @@ from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, i
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
                           ReesMatrixSemigroup, idempotents_of)
 from ellisub.report import report_to_json
-from ellisub.semigroups import (FiberMap, TransformationSemigroup, green_summary, map_after,
-                                map_compose)
+from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
                                   columns, is_simplified)
 
@@ -159,7 +158,7 @@ def little_structure_group(m: ReesMatrixSemigroup) -> PermGroup:
     """Group generated by the sandwich entries of a normalized presentation."""
     if not m.is_normalized():
         raise ValidationError("little structure group is defined for normalized presentations")
-    return closure([entry for row in m.sandwich for entry in row], m.group.degree)
+    return closure([entry for row in m.sandwich for entry in row])
 
 
 def idempotent_generated(m: ReesMatrixSemigroup) -> ReesMatrixSemigroup:
@@ -278,7 +277,7 @@ def product_law_failure(m: ReesMatrixSemigroup,
     while frontier:
         new = []
         for g in frontier:
-            g_after, theta_g_after = after(g), map_after(theta[g])
+            g_after, theta_g_after = after(g), after(theta[g])
             for s in gens:
                 sg = g_after(s)
                 if theta[sg] != theta_g_after(theta[s]):
@@ -299,20 +298,20 @@ def product_law_failure(m: ReesMatrixSemigroup,
     for mu in lam_range:
         for j in i_range:
             x = ReesElement(i0, m.sandwich[mu][j], lam0)
-            if phi[x] != map_compose(rights[mu], lefts[j]):
+            if phi[x] != compose(rights[mu], lefts[j]):
                 return SANDWICH_RELATION, x
 
     for h in group.elements:
         theta_h = theta[compose(a_inv, h)]
         for mu in lam_range:
-            middle_after = map_after(map_compose(theta_h, rights[mu]))
+            middle_after = after(compose(theta_h, rights[mu]))
             for j in i_range:
                 if phi[(j, h, mu)] != middle_after(lefts[j]):
                     return FACTORIZATION, ReesElement(j, h, mu)
     return None
 
 
-def reference_action(m: ReesMatrixSemigroup, fiber: TwoWordFiber) -> dict[ReesElement, FiberMap]:
+def reference_action(m: ReesMatrixSemigroup, fiber: TwoWordFiber) -> dict[ReesElement, Perm]:
     """The fiber action phi of a substitution sandwich, all |S| maps written
     out: (i, g, +) sends a.b to L(b).R(b) and (i, g, -) to L(a).R(a), with
     R = g (resp. g g0) and L = i^-1 R.  Checks that the maps stay in the
@@ -328,7 +327,7 @@ def reference_action(m: ReesMatrixSemigroup, fiber: TwoWordFiber) -> dict[ReesEl
     # per element g and sign: the getter of R (g for +, g g0 for -) and of the reads
     slots = [(g, lam, after(r), read_at[lam])
              for g in m.group.elements for lam, r in ((PLUS, g), (MINUS, g0_after(g)))]
-    phi: dict[ReesElement, FiberMap] = {}
+    phi: dict[ReesElement, Perm] = {}
     for i, i_perm in enumerate(m.i_labels):
         i_inv = inverse(i_perm)
         # the fixed point (i^-1 r, r) for each letter r, as a fiber index
@@ -351,7 +350,7 @@ def reference_action(m: ReesMatrixSemigroup, fiber: TwoWordFiber) -> dict[ReesEl
 
 
 def as_transformation_semigroup(m: ReesMatrixSemigroup,
-                                fiber: TwoWordFiber) -> dict[ReesElement, FiberMap]:
+                                fiber: TwoWordFiber) -> dict[ReesElement, Perm]:
     """phi written out by the library's own encoder, a dict from each of the
     |S| triples to its fiber map; ``--verify`` encodes only the maps it
     names (:class:`ellisub.rees.FiberAction`)."""
@@ -365,7 +364,7 @@ def as_transformation_semigroup(m: ReesMatrixSemigroup,
 CLOSURE_CAP = 10**5
 
 
-def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
+def semigroup_closure(gens: list[Perm] | tuple[Perm, ...],
                       degree: int | None = None) -> TransformationSemigroup:
     """Smallest composition-closed set of maps containing ``gens``.
 
@@ -386,7 +385,7 @@ def semigroup_closure(gens: list[FiberMap] | tuple[FiberMap, ...],
             raise ValidationError(f"map {g} has out-of-range images")
     elements = set(gens)
     frontier = list(elements)
-    getters = [map_after(g) for g in gens]
+    getters = [after(g) for g in gens]
     while frontier:
         new = []
         for g_after in getters:
@@ -450,7 +449,7 @@ def left_regular_action(m: ReesMatrixSemigroup) -> tuple[TransformationSemigroup
 
 
 def mul(sg: TransformationSemigroup, i: int, j: int) -> int:
-    return sg.index[map_compose(sg.elements[i], sg.elements[j])]
+    return sg.index[compose(sg.elements[i], sg.elements[j])]
 
 
 def idempotent_indices(sg: TransformationSemigroup) -> list[int]:
@@ -458,7 +457,7 @@ def idempotent_indices(sg: TransformationSemigroup) -> list[int]:
 
 
 def verify_rees_isomorphism(sg: TransformationSemigroup, m: ReesMatrixSemigroup,
-                            phi: dict[ReesElement, FiberMap]) -> bool:
+                            phi: dict[ReesElement, Perm]) -> bool:
     """Whether phi is a bijective homomorphism of M onto sg: bijective onto
     the maps of sg, and through :func:`product_law_failure`.  Raises
     InternalCheckError when the generators of G do not reach all of G."""
@@ -483,11 +482,21 @@ class GreenStructure:
     kernel: tuple[int, ...]
 
     def summary(self) -> dict:
-        def sizes(classes):
-            return Counter(len(c) for c in classes)
-        return green_summary(sizes(self.l_classes), sizes(self.r_classes),
-                             sizes(self.h_classes), sizes(self.d_classes),
-                             len(self.idempotents), len(self.kernel))
+        """The reported shape, counted from the classes themselves: per
+        relation the class count and the count of each class size, then the
+        idempotent count and the kernel size."""
+        def shape(classes):
+            sizes = Counter(len(c) for c in classes)
+            return {"count": len(classes),
+                    "sizes": {str(k): v for k, v in sorted(sizes.items())}}
+        return {
+            "l_classes": shape(self.l_classes),
+            "r_classes": shape(self.r_classes),
+            "h_classes": shape(self.h_classes),
+            "d_classes": shape(self.d_classes),
+            "idempotents": len(self.idempotents),
+            "kernel_size": len(self.kernel),
+        }
 
 
 def _components(edges: list[list[int]]) -> list[int]:
@@ -558,8 +567,8 @@ def green_structure(sg: TransformationSemigroup) -> GreenStructure:
     n = sg.size
     index, elements = sg.index, sg.elements
     gens = [index[g] for g in sg.generators]
-    right = [[index[map_compose(x, elements[g])] for g in gens] for x in elements]
-    left = [[index[map_compose(elements[g], x)] for g in gens] for x in elements]
+    right = [[index[compose(x, elements[g])] for g in gens] for x in elements]
+    left = [[index[compose(elements[g], x)] for g in gens] for x in elements]
 
     reached = set(gens)
     frontier = list(reached)
@@ -599,11 +608,11 @@ def is_completely_simple(sg: TransformationSemigroup,
 @dataclass
 class ReesDecomposition:
     matrix: ReesMatrixSemigroup
-    embedding: dict[ReesElement, FiberMap]
+    embedding: dict[ReesElement, Perm]
     point_order: tuple[int, ...]  # image of e, as fiber indices; G permutes positions
 
 
-def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
+def rees_decomposition(sg: TransformationSemigroup, e: Perm,
                        green: GreenStructure | None = None) -> ReesDecomposition:
     """Normalized Rees matrix form of a completely simple transformation
     semigroup w.r.t. the idempotent e.
@@ -617,7 +626,7 @@ def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
     green = green or green_structure(sg)
     if not is_completely_simple(sg, green):
         raise ValidationError("Rees decomposition needs a completely simple semigroup")
-    if e not in sg.index or not map_compose(e, e) == e:
+    if e not in sg.index or not compose(e, e) == e:
         raise ValidationError("the chosen element is not an idempotent of the semigroup")
     e_idx = sg.index[e]
     idem = set(green.idempotents)
@@ -628,7 +637,7 @@ def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
     r0 = class_of(green.r_classes, e_idx)
     l0 = class_of(green.l_classes, e_idx)
 
-    def unique_idempotent(h_class: frozenset[int]) -> FiberMap:
+    def unique_idempotent(h_class: frozenset[int]) -> Perm:
         found = [i for i in h_class if i in idem]
         if len(found) != 1:
             raise InternalCheckError("H-class of a completely simple semigroup must "
@@ -643,7 +652,7 @@ def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
     points = tuple(sorted(set(e)))
     position = {p: k for k, p in enumerate(points)}
 
-    def restrict(f: FiberMap) -> Perm:
+    def restrict(f: Perm) -> Perm:
         images = tuple(position[f[p]] for p in points)
         if sorted(images) != list(range(len(points))):
             raise InternalCheckError("H-class element does not permute the image of e")
@@ -656,20 +665,20 @@ def rees_decomposition(sg: TransformationSemigroup, e: FiberMap,
     by_perm = {p: f for f, p in perm_of.items()}
     # a few generators, each outside the group of those before it
     gens: list[Perm] = []
-    group = closure(gens, len(points))
+    group = closure([identity(len(points))])
     for p in sorted(by_perm):
         if p not in group:
             gens.append(p)
-            group = closure(gens, len(points))
+            group = closure(gens)
     if group.element_set != by_perm.keys():
         raise InternalCheckError("H-class of e is not closed under composition")
 
-    sandwich = tuple(tuple(perm_of[map_compose(q, r)] for r in r_reps) for q in q_reps)
+    sandwich = tuple(tuple(perm_of[compose(q, r)] for r in r_reps) for q in q_reps)
     matrix = ReesMatrixSemigroup(group, tuple(r_reps), tuple(q_reps), sandwich,
                                  base=(i0, lam0))
     if not matrix.is_normalized():
         raise InternalCheckError("normalized decomposition has a non-identity base row/column")
-    embedding = {x: map_compose(map_compose(r_reps[x.i], by_perm[x.g]), q_reps[x.lam])
+    embedding = {x: compose(compose(r_reps[x.i], by_perm[x.g]), q_reps[x.lam])
                  for x in matrix.elements()}
     if not verify_rees_isomorphism(sg, matrix, embedding):
         raise InternalCheckError("Rees decomposition embedding failed its product check")
@@ -788,7 +797,7 @@ def letter_at(sub: Substitution, pair: tuple[int, int], position: int) -> int:
 
 
 def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
-                      level: int) -> FiberMap:
+                      level: int) -> Perm:
     """Self-map of the fiber induced by sigma^(nu * l^level): each fixed point
     goes to the fixed point named by its shifted two-letter word, read by
     digit walks."""

@@ -9,15 +9,14 @@ import pytest
 
 import ellisub.oracle
 import ellisub.pipeline
-from ellisub import AnalysisConfig, analyze_substitution, parse_substitution, simplify
+from ellisub import AnalysisConfig, analyze_substitution, parse_substitution
 from ellisub.cli import main
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
                             oracle_equivalence)
-from ellisub.perms import closure
+from ellisub.perms import closure, compose
 from ellisub.pipeline import check_input, r_set
 from ellisub.rees import FiberAction, ReesMatrixSemigroup, idempotents_of, substitution_sandwich
-from ellisub.semigroups import map_compose
 from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
 from conftest import make_substitution, mutant, rset_and_group, three_row_matrix
@@ -109,7 +108,7 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
                                              long_power_simplified):
     # the lifted triples generate M exactly when the maps close to all |S|
     # maps: on every shift's map, and on three short sets that fall short
-    s5 = simplify(parse_substitution(S5))[0]
+    s5 = check_input(parse_substitution(S5)).power
     subs = list(golden_simplified.values()) + random_corpus + long_power_simplified + [s5]
     assert len(subs) == 6 + 20 + 21 + 1
     short_sets = 0
@@ -462,7 +461,7 @@ def test_oracle_idempotents(golden_simplified):
     for name in ("thue_morse", "s3_seven_words", "d4_height_two"):
         sub = golden_simplified[name]
         result = limit_maps(sub)
-        idem = [f for f in oracle_closure(result).elements if map_compose(f, f) == f]
+        idem = [f for f in oracle_closure(result).elements if compose(f, f) == f]
         assert len(idem) == 2 * len(r_set(check_input(sub)))
         for p in idem:
             for point in set(p):

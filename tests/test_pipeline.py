@@ -22,9 +22,9 @@ from ellisub.pipeline import (AnalysisConfig, _classical_height_by_grading,
                               return_time_gcd, structure_group)
 from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import render_json, report_to_json
-from ellisub.semigroups import TransformationSemigroup, map_compose
+from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Substitution, allowed_two_words, columns, is_simplified,
-                                  parse_substitution, simplify, substitution_power)
+                                  parse_substitution, substitution_power)
 from conftest import (build_random_corpus, fiber_action, fiber_maps, make_substitution,
                       pair_closure, rset_and_group, workload_subs)
 from reference import (grading_height_full_scan, quotient_data, semigroup_closure,
@@ -38,14 +38,15 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "_partition", "is_completely_simple", "quotient_data", "proximality_classes",
          "ProximalityData", "_merged_pairs", "_check_merge_classes", "induced_fiber_map",
          "letter_at", "_product_law_failure", "as_transformation_semigroup",
-         "semigroup_closure", "compare_map_semigroups")
+         "semigroup_closure", "compare_map_semigroups", "simplify", "is_primitive",
+         "substitution_to_text", "map_compose", "map_after", "FiberMap", "green_summary")
 
 SWAP = (1, 0)
 POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
 POWER_12 = "a -> bcd\nb -> dda\nc -> cab\nd -> abc\n"
 # what the gate runs on the input, and the oracle on the analysed power
 CHECKS = ("is_bijective", "_all_letters_exponent", "allowed_two_words", "is_simplified",
-          "is_primitive", "is_aperiodic", "simplify")
+          "is_aperiodic")
 
 
 def test_r_set_thue_morse(golden_simplified):
@@ -202,21 +203,21 @@ def test_height_divisibility(golden_simplified, random_corpus):
 def closure_of_all_conjugates(elements, ambient):
     """Reference normal closure: close over every element and every conjugate
     of one by a generator of the ambient group, until nothing new appears."""
-    current = closure(list(elements), ambient.degree)
+    current = closure(list(elements))
     while True:
         conjugates = [compose(compose(g, x), inverse(g))
                       for g in ambient.generators for x in current.elements]
         conjugates = [y for y in conjugates if y not in current]
         if not conjugates:
             return current
-        current = closure(list(current.elements) + conjugates, ambient.degree)
+        current = closure(list(current.elements) + conjugates)
 
 
 def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
         rset, group = rset_and_group(sub)
         hs = heights(check_input(sub), rset, group)
-        little = closure([compose(g, inverse(h)) for g in rset for h in rset], group.degree)
+        little = closure([compose(g, inverse(h)) for g in rset for h in rset])
         completion = closure_of_all_conjugates(little.elements, group)
         order, cyclic = quotient_data(group, completion)
         assert cyclic
@@ -237,10 +238,17 @@ def test_classical_height_bruteforce_examples(golden_subs, long_power_subs):
     expected = {"thue_morse": 1, "d4_height_two": 2, "s3_height_two": 1}
     for name, height in expected.items():
         assert classical_height_bruteforce(check_input(golden_subs[name])) == height
-    for sub in list(golden_subs.values()) + long_power_subs:
+    powers = [parse_substitution(source) for source in (POWER_6, POWER_12)]
+    for sub in list(golden_subs.values()) + long_power_subs + powers:
         checked = check_input(sub)
-        assert (return_time_gcd(sub, 3 * checked.exponent)
-                == return_time_gcd(checked.power, 3))
+        g = return_time_gcd(sub, 3 * checked.exponent)
+        if sub not in powers:  # the walk over tau reads L letters per step
+            assert g == return_time_gcd(checked.power, 3)
+        # g divides L - 1, which is coprime to l, so g is its own largest
+        # divisor coprime to l, the classical height that the scan returned
+        assert (checked.power.length - 1) % g == 0
+        coprime = max(d for d in range(1, g + 1) if g % d == 0 and gcd(d, sub.length) == 1)
+        assert classical_height_bruteforce(checked) == coprime == g
 
 
 def test_grading_height_equals_bruteforce(golden_simplified, random_corpus):
@@ -362,7 +370,7 @@ def test_degree_map_refuses_a_wrong_completion(golden_reports):
     # S3 has no map onto Z/6 sending every R-set element to 1
     report = golden_reports["s3_seven_words"]
     with pytest.raises(InternalCheckError, match="degree mod h"):
-        degree_map(report.matrix, closure([], degree=3))
+        degree_map(report.matrix, closure([identity(3)]))
 
 
 def test_degree_map_refuses_labels_that_miss_the_group(golden_reports):
@@ -569,7 +577,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
                if module_name == "ellisub" or module_name.startswith("ellisub.")]
     assert [(module.__name__, name) for module in modules for name in MOVED
             if hasattr(module, name)] == []
-    assert not hasattr(ReesMatrixSemigroup, "generators")
+    assert not hasattr(ReesMatrixSemigroup, "generators") and not hasattr(Substitution, "rule_word")
     assert not any(hasattr(TransformationSemigroup, name) for name in ("mul", "idempotent_indices"))
     assert not hasattr(OracleResult, "semigroup") and not hasattr(ellisub.semigroups, "CLOSURE_CAP")
     for name in CHECKS:
@@ -585,28 +593,29 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         finally:
             in_limit_maps.pop()
     monkeypatch.setattr(ellisub.oracle, "limit_maps", limit_maps)
-    # map compositions of the fiber action, made by map_compose or by a
-    # getter that map_after built once for a reused right factor, and the
-    # oracle's reads of its column-pair tables, each a call of a getter
+    # the compositions in ellisub.rees, made by compose or by a getter that
+    # after built once for a reused right factor, and the getter calls in
+    # ellisub.oracle, each a read of a column-pair table or a Schreier
+    # generator of the loop group
     products, reads = [], []
-    original_compose = ellisub.rees.map_compose
+    original_compose = ellisub.rees.compose
 
     def compose_maps(x, y):
         products.append(None)
         return original_compose(x, y)
 
     def counting_after(module, calls):
-        original_after = module.map_after
+        original_after = module.after
 
-        def map_after(y):
+        def after(y):
             getter = original_after(y)
 
             def counted(x):
                 calls.append(None)
                 return getter(x)
             return counted
-        monkeypatch.setattr(module, "map_after", map_after)
-    monkeypatch.setattr(ellisub.rees, "map_compose", compose_maps)
+        monkeypatch.setattr(module, "after", after)
+    monkeypatch.setattr(ellisub.rees, "compose", compose_maps)
     counting_after(ellisub.rees, products)
     counting_after(ellisub.oracle, reads)
     encoded = []
@@ -655,7 +664,11 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     sub = golden_subs["s3_seven_words"]
     report = analyze_substitution(sub)
     assert report.exponent == 2 and report.substitution is not sub
-    assert calls == once and products == [] and reads == [] and encoded == []
+    # the only compositions in ellisub.rees on a plain run make the
+    # sandwich's minus row, g0 g^-1 for each of the |I| column labels: no
+    # fiber map is composed
+    assert calls == once and len(products) == len(report.rset) and reads == []
+    assert encoded == []
     assert oracle_closures == []
     # the global strings, the automorphism data and the report all read group
     # fingerprints; each is computed once per distinct element set, so a
@@ -667,15 +680,17 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
         assert group.fingerprint is group.fingerprint
     assert sorted(group.elements for group in fingerprinted) == sorted(
         {group.elements for group in groups})
-    # the gate checks the input once: bijective, primitive by the one
+    # the gate checks the input once: bijective by one scan of its columns,
+    # which lists the ones that are not permutations, primitive by the one
     # all-letters exponent, which also gives the power, and aperiodic from
-    # the one fiber, which is the power's too.  Simplify proves the power
-    # simplified, so nothing scans its L-letter rule words again
-    on_input = {"is_bijective": 1, "_all_letters_exponent": 1, "allowed_two_words": 1}
+    # the one fiber, which is the power's too.  simplified_power proves the
+    # power simplified, so nothing scans its L-letter rule words again
+    on_input = {"_all_letters_exponent": 1, "allowed_two_words": 1}
     assert validations(sub) == on_input and validations(sub, inside=True) == {}
     assert [name for name, power, _ in on_power if power is not sub] == []
     calls.clear()
     on_power.clear()
+    products.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
     assert calls == once
@@ -697,18 +712,21 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # the oracle reads each of its 2(L - 1) maps by one getter call, at the
     # right or the left letters of the fixed points, off the table of its
     # column pair: 30 at L = 16.  The fiber action proves itself from the
-    # 2|I| letter identities c_lam T_j = A[lam][j], one map_compose each;
-    # the oracle names each of its distinct maps by one decode, a getter
-    # call through T_i0 and one map_compose, and one encode, whose read
-    # getter makes the third composition.  6 + 3 * 18 here, against the
-    # |S| = 36 maps of phi written out
+    # 2|I| letter identities c_lam T_j = A[lam][j], one compose each, after
+    # the |I| of the sandwich's minus row; the oracle names each of its
+    # distinct maps by one decode, a getter call through T_i0 and one
+    # compose, and one encode, two getter calls.  3 + 6 + 4 * 18 here,
+    # against the |S| = 36 maps of phi written out
     length = report.substitution.length
-    assert len(reads) == 2 * (length - 1) == 30
     matrix = report.matrix
     order, n_i = matrix.group.order, len(report.rset)
     distinct = sorted({m.fiber_map for m in report.oracle.oracle.maps})
     assert (matrix.size, order, n_i, len(distinct)) == (36, 6, 3, 18)
-    assert len(products) == 2 * n_i + 3 * len(distinct) == 60
+    assert len(products) == 3 * n_i + 4 * len(distinct) == 81
+    # the oracle's other getter calls form the loop group's Schreier
+    # generators, one at a time, until the group has |G| elements: two here,
+    # each new to the group, as the closures above show
+    assert len(reads) == 2 * (length - 1) + 2 == 32
     assert len(encoded) == len(distinct) <= len(distinct) + 2 * n_i
     action = FiberAction(matrix, report.fiber)
     assert sorted(original_encode(action, *x) for x in encoded) == distinct
@@ -717,7 +735,8 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
 def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     # power 3 (length 125), |I| = 4, |G| = 120: the pair closure has |I||G|
     # elements, and a plain analysis never builds it
-    sub, exponent = simplify(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
+    checked = check_input(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
+    sub, exponent = checked.power, checked.exponent
     rset, group = rset_and_group(sub)
     assert (exponent, sub.length, group.order, len(rset)) == (3, 125, 120, 4)
     assert len(pair_closure(sub, group)) == 480
@@ -747,7 +766,7 @@ def test_matrix_action_is_the_signed_pair_semigroup(golden_simplified, random_co
         for (l1, r1, e1), f1 in maps.items():
             for (l2, r2, e2), f2 in maps.items():
                 inner = r2 if e1 == PLUS else l2
-                assert map_compose(f1, f2) == maps[(compose(l1, inner), compose(r1, inner), e2)]
+                assert compose(f1, f2) == maps[(compose(l1, inner), compose(r1, inner), e2)]
         cols = columns(sub)
         generators = [maps[(left, right, sign)]
                       for left, right in zip(cols, cols[1:]) for sign in (PLUS, MINUS)]

@@ -10,7 +10,6 @@ from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
                           ReesMatrixSemigroup, idempotents_of, substitution_sandwich)
-from ellisub.semigroups import map_compose
 from ellisub.substitution import TwoWordFiber, allowed_two_words
 from conftest import build_random_corpus, fiber_action, rset_and_group, three_row_matrix
 from reference import (as_transformation_semigroup, element_closure, fiber_semigroup,
@@ -71,7 +70,7 @@ def test_multiply_matches_its_definition_on_random_presentations():
     for n in range(1, 10):
         gen = list(range(n))
         rng.shuffle(gen)
-        group = closure([tuple(gen)], n)
+        group = closure([tuple(gen)])
         ni, nlam = rng.randint(1, 3), rng.randint(1, 3)
         sandwich = tuple(tuple(rng.choice(group.elements) for _ in range(ni))
                          for _ in range(nlam))
@@ -409,7 +408,7 @@ def _corrupted(m):
 
 
 def _is_homomorphism_on_all_pairs(sg, m, phi):
-    return all(phi[multiply(m, x, y)] == map_compose(phi[x], phi[y])
+    return all(phi[multiply(m, x, y)] == compose(phi[x], phi[y])
                for x in m.elements() for y in m.elements())
 
 
@@ -457,7 +456,7 @@ def _isomorphism_by_multiply(sg, m, phi):
     images = set(phi.values())
     return (phi.keys() == set(elements) and len(images) == len(elements)
             and images == set(sg.elements)
-            and all(phi[multiply(m, x, y)] == map_compose(phi[x], phi[y])
+            and all(phi[multiply(m, x, y)] == compose(phi[x], phi[y])
                     for x in rees_generators(m) for y in elements))
 
 

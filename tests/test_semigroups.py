@@ -4,22 +4,10 @@ import pytest
 
 import reference
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
-from ellisub.semigroups import TransformationSemigroup, map_after, map_compose
+from ellisub.perms import compose
+from ellisub.semigroups import TransformationSemigroup
 from conftest import fiber_action
 from reference import green_structure, is_completely_simple, mul, semigroup_closure
-
-
-def test_map_compose_matches_its_definition_on_random_maps():
-    # maps need not be injective; degrees 0 and 1 take the fallback, since
-    # itemgetter of one index returns a scalar and of none raises
-    rng = random.Random(20261018)
-    for n in range(0, 11):
-        for _ in range(20):
-            x = tuple(rng.randrange(n) for _ in range(n))
-            y = tuple(rng.randrange(n) for _ in range(n))
-            expected = tuple([x[i] for i in y])
-            assert map_compose(x, y) == expected and type(map_compose(x, y)) is tuple
-            assert map_after(y)(x) == expected
 
 
 def test_closure_of_single_idempotent():
@@ -142,7 +130,7 @@ def test_large_semigroup_skips_memo_table():
     assert sg.size > 4096
     assert sg.table is None
     i, j = 3, sg.size - 1
-    assert sg.elements[mul(sg, i, j)] == map_compose(sg.elements[i], sg.elements[j])
+    assert sg.elements[mul(sg, i, j)] == compose(sg.elements[i], sg.elements[j])
 
 
 def _reference_green(sg):

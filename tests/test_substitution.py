@@ -7,13 +7,14 @@ import pytest
 import ellisub.substitution
 from ellisub.errors import ParseError, ResourceLimitError, ValidationError
 from ellisub.perms import compose, identity
+from ellisub.pipeline import check_input
 from ellisub.substitution import (_all_letters_exponent, allowed_two_words, columns,
                                   compose_substitutions, is_aperiodic,
-                                  is_bijective, is_primitive, is_simplified,
+                                  is_bijective, is_simplified,
                                   junction_map, parse_any,
-                                  parse_substitution, simplify,
+                                  parse_substitution,
                                   substitution_from_json, substitution_power,
-                                  substitution_to_json, substitution_to_text)
+                                  substitution_to_json)
 from conftest import make_substitution
 from reference import letter_at, occurrence_matrix_exponent
 
@@ -31,12 +32,12 @@ S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
 def test_parse_thue_morse():
     sub = parse_substitution(THUE_MORSE)
     assert sub.size == 2 and sub.length == 4
-    assert sub.rule_word("a") == "abba"
+    assert substitution_to_json(sub)["rules"]["a"] == "abba"
 
 
 def test_parse_comments_and_blanks():
     sub = parse_substitution("# comment\n\na -> ab  # trailing\nb -> ba\n")
-    assert sub.rule_word("b") == "ba"
+    assert substitution_to_json(sub)["rules"]["b"] == "ba"
 
 
 def test_parse_rejects_length_one():
@@ -72,7 +73,9 @@ def test_json_roundtrip():
     sub = parse_substitution(THUE_MORSE)
     again = substitution_from_json(substitution_to_json(sub))
     assert again == sub
-    assert parse_substitution(substitution_to_text(sub)) == sub
+    rules = substitution_to_json(sub)["rules"]
+    text = "".join(f"{sym} -> {word}\n" for sym, word in rules.items())
+    assert text == THUE_MORSE and parse_substitution(text) == sub
 
 
 def test_parse_any_dispatches():
@@ -115,7 +118,7 @@ def test_power_one_is_identity_operation():
 def test_thue_morse_square_rules_and_columns():
     sub = parse_substitution(THUE_MORSE)
     square = substitution_power(sub, 2)
-    assert square.rule_word("a") == "abbabaabbaababba"
+    assert substitution_to_json(square)["rules"]["a"] == "abbabaabbaababba"
     cols, square_cols = columns(sub), columns(square)
     for k in range(4):
         for j in range(4):
@@ -174,23 +177,27 @@ def test_power_letter_guard():
 # --- primitivity -----------------------------------------------------------
 
 def test_primitive_cases():
-    assert is_primitive(parse_substitution(THUE_MORSE))
-    assert is_primitive(make_substitution(["abaa", "bacb", "ccbc"]))
+    assert _all_letters_exponent(parse_substitution(THUE_MORSE)) is not None
+    assert _all_letters_exponent(make_substitution(["abaa", "bacb", "ccbc"])) is not None
 
 
 def test_unreachable_letter_is_not_primitive():
     sub = make_substitution(["ab", "ba", "cc"])
-    assert not is_primitive(sub)
+    assert _all_letters_exponent(sub) is None
+    with pytest.raises(ValidationError, match="not primitive"):
+        check_input(sub)
 
 
 def test_cyclic_occurrence_graph_is_not_primitive():
     sub = make_substitution(["bb", "aa"])
-    assert not is_primitive(sub)
+    assert _all_letters_exponent(sub) is None
+    with pytest.raises(ValidationError, match="not primitive"):
+        check_input(sub)
 
 
 def test_primitivity_agrees_with_boolean_matrix_powers(golden_subs, golden_simplified,
                                                        random_corpus, long_power_subs):
-    # one routine decides primitivity and gives simplify its exponent: the
+    # one routine decides primitivity and gives check_input its exponent: the
     # least k with every rule word of sub^k holding every letter, the least
     # all-true boolean power of the letter-occurrence matrix
     non_primitive = [make_substitution(words) for words in (
@@ -202,7 +209,6 @@ def test_primitivity_agrees_with_boolean_matrix_powers(golden_subs, golden_simpl
     for sub in subs:
         expected = occurrence_matrix_exponent(sub)
         assert _all_letters_exponent(sub) == expected, sub.rules
-        assert is_primitive(sub) == (expected is not None)
         exponents[expected] += 1
     assert exponents[None] == len(non_primitive)
     assert exponents[1] > 0 and any(k is not None and k > 1 for k in exponents)
@@ -232,7 +238,7 @@ def test_a_power_has_the_two_letter_words_of_its_base(golden_subs, random_corpus
     # its docstring proves that theta and theta^n generate the same subshift
     for sub in [*golden_subs.values(), *random_corpus, *long_power_simplified]:
         fiber = allowed_two_words(sub)
-        assert allowed_two_words(simplify(sub)[0]) == fiber
+        assert allowed_two_words(check_input(sub).power) == fiber
         assert allowed_two_words(substitution_power(sub, 2)) == fiber
 
 
@@ -347,7 +353,7 @@ def bijective_verdict_corpus(count=120, seed=20261018):
             if len(found) % 3 == 2:
                 cols[rng.randrange(length)] = rng.sample(range(size), size)
         sub = make_substitution(["".join("abcde"[col[a]] for col in cols) for a in range(size)])
-        if is_primitive(sub):
+        if _all_letters_exponent(sub) is not None:
             found.append(sub)
     return found
 
@@ -403,16 +409,17 @@ def test_aperiodicity_scan_at_scale(monkeypatch):
 
 def test_thue_morse_already_simplified():
     sub = parse_substitution(THUE_MORSE)
-    result, exponent = simplify(sub)
-    assert exponent == 1 and result == sub
+    checked = check_input(sub)
+    assert checked.exponent == 1 and checked.power == sub
     assert is_simplified(sub)
 
 
 def test_cyclic_rotation_needs_cube():
     sub = make_substitution(["abc", "bca", "cab"])
     assert not is_simplified(sub)
-    result, exponent = simplify(sub)
-    assert exponent == 3
+    checked = check_input(sub)
+    result = checked.power
+    assert checked.exponent == 3
     assert result.length == 27
     assert is_simplified(result)
 
@@ -420,16 +427,18 @@ def test_cyclic_rotation_needs_cube():
 def test_all_letters_condition_forces_square():
     # junction map is trivial but one rule misses a letter, so the power jumps
     sub = make_substitution(["abaa", "bacb", "ccbc"])
-    result, exponent = simplify(sub)
-    assert exponent == 2
+    checked = check_input(sub)
+    result = checked.power
+    assert checked.exponent == 2
     assert is_simplified(result)
     assert allowed_two_words(result).size == 7  # language is power-invariant
 
 
 def test_simplify_output_conditions(random_corpus):
     for sub in random_corpus[:5]:
-        result, exponent = simplify(sub)
-        assert exponent == 1  # generator emits simplified substitutions
+        checked = check_input(sub)
+        result = checked.power
+        assert checked.exponent == 1  # generator emits simplified substitutions
         cols = columns(result)
         assert cols[0] == cols[-1] == identity(result.size)
         assert all(len(set(w)) == result.size for w in result.rules)
@@ -438,10 +447,11 @@ def test_simplify_output_conditions(random_corpus):
 
 
 def test_simplify_rejects_bad_input():
+    # check_input is the one gate before the simplified power is written out
     with pytest.raises(ValidationError, match="bijective"):
-        simplify(make_substitution(["ab", "ab"]))
+        check_input(make_substitution(["ab", "ab"]))
     with pytest.raises(ValidationError, match="primitive"):
-        simplify(make_substitution(["ab", "ba", "cc"]))
+        check_input(make_substitution(["ab", "ba", "cc"]))
 
 
 # --- fixed points -----------------------------------------------------------
@@ -449,7 +459,7 @@ def test_simplify_rejects_bad_input():
 def test_fixed_points_exceed_alphabet(golden_subs, random_corpus):
     # a simplified substitution has one fixed point per allowed two-letter word
     for sub in list(golden_subs.values()) + random_corpus[:5]:
-        result, _ = simplify(sub)
+        result = check_input(sub).power
         assert is_simplified(result)
         assert allowed_two_words(result).size > result.size
 
@@ -457,7 +467,8 @@ def test_fixed_points_exceed_alphabet(golden_subs, random_corpus):
 def test_fixed_point_block_prefix_coherence():
     # the block sigma^n(b) of the fixed point at b is a prefix of sigma^(n+1)(b)
     tm = parse_substitution(THUE_MORSE)
-    blocks = ["b"] + [substitution_power(tm, level).rule_word("b") for level in range(1, 5)]
+    blocks = ["b"] + [substitution_to_json(substitution_power(tm, level))["rules"]["b"]
+                      for level in range(1, 5)]
     for shorter, longer in zip(blocks, blocks[1:]):
         assert longer.startswith(shorter)
 
