@@ -4,10 +4,25 @@ import pytest
 
 import reference
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
-from ellisub.perms import compose
+from ellisub.perms import after, compose
 from ellisub.semigroups import TransformationSemigroup
 from conftest import fiber_action
 from reference import green_structure, is_completely_simple, mul, semigroup_closure
+
+
+def test_map_compose_matches_its_definition_on_random_maps():
+    # the fiber maps compose through perms.compose and perms.after, so maps
+    # that are not injective must compose by the same definition; degrees 0
+    # and 1 take the fallback, since itemgetter of one index returns a
+    # scalar and of none raises
+    rng = random.Random(20261018)
+    for n in range(0, 11):
+        for _ in range(20):
+            x = tuple(rng.randrange(n) for _ in range(n))
+            y = tuple(rng.randrange(n) for _ in range(n))
+            expected = tuple([x[i] for i in y])
+            assert compose(x, y) == expected and type(compose(x, y)) is tuple
+            assert after(y)(x) == expected and after(y)(list(x)) == expected
 
 
 def test_closure_of_single_idempotent():
