@@ -4,9 +4,10 @@
 The R-set collects the quotients of consecutive column maps; it generates the
 structure group.  Products g h^-1 of R-set elements generate the little
 structure group, whose normal completion cuts out a cyclic quotient -- the
-generalized height.  The classical height is recovered independently from a
-letter grading and from return positions of the fixed point.  The input
-is checked once, and each stage takes what the one before it built.
+generalized height.  The classical height is recovered independently as the
+period of the graph of allowed two-letter words and from return positions of
+the fixed point.  The input is checked once, and each stage takes what the
+one before it built.
 """
 
 from ellisub import (check_input, classical_height_bruteforce, cycle_string,

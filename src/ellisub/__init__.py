@@ -19,8 +19,7 @@ from .perms import (PermGroup, centralizer_in_symmetric, closure,
 from .pipeline import (AnalysisConfig, StructuralReport, analyze_substitution,
                        check_input, classical_height_bruteforce,
                        global_description, heights, r_set, structure_group)
-from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
-                   substitution_sandwich)
+from .rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from .semigroups import TransformationSemigroup
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,

@@ -18,13 +18,13 @@ holds an |S|-sized object: the degree of (i, g, sign) is that of g, so the
 degree table has one entry per element of G.
 
 Checks that run on every input, each raising InternalCheckError on a
-mismatch, with the name of the function that runs it as ``stage``: the
-structure group is transitive; the R-set lies in one coset of the normal
-completion, which is normal, and the heights divide l - 1 and each other;
-the sandwich is normalized; the degree is a well-defined homomorphism onto
-Z/hZ with kernel the normal completion, under which every sandwich entry
-and idempotent has degree 0 (:func:`degree_map`, from the 2|I| entries
-rather than from products); the classical height from the letter grading
+mismatch, with the name of the function that runs it as ``stage``, and
+none implied by another: the structure group is transitive; the heights
+divide L - 1 and each other; the sandwich is normalized; the degree is a
+well-defined homomorphism onto Z/hZ with kernel the normal completion,
+which makes it normal and puts the R-set in one of its cosets, and every
+sandwich entry has degree 0 (:func:`degree_map`, from the 2|I| entries
+rather than from products); the classical height, the period of the fiber,
 equals the one from return times; the centralizer of G is semiregular.
 
 Under ``--verify``, :func:`analyze_substitution` also builds the matrix
@@ -75,10 +75,9 @@ from typing import NamedTuple
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
 from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
-                    compose, group_name, identity, inverse,
-                    is_normal, is_perm, is_transitive, normal_closure)
-from .rees import (FiberAction, ReesMatrixSemigroup, idempotents_of,
-                   substitution_sandwich)
+                    compose, group_name, identity, inverse, is_perm,
+                    is_transitive, normal_closure)
+from .rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, _all_letters_exponent,
                            allowed_two_words, aperiodicity_verdict, columns,
@@ -180,35 +179,32 @@ class Heights(NamedTuple):
     normal_completion: PermGroup
 
 
-def _classical_height_by_grading(sub: Substitution) -> int:
-    """Largest divisor n of l-1 admitting letter classes c with
-    c(column_j(a)) = c(a) + j mod n; found by constraint propagation.
+def _classical_height_by_grading(fiber: TwoWordFiber) -> int:
+    """The classical height, read off the fiber alone: the period p of the
+    graph with an edge a -> b for each allowed word ab, the gcd over all
+    edges of lev(a) + 1 - lev(b) for the levels of one breadth-first search
+    from letter 0 (Lind & Marcus, *An Introduction to Symbolic Dynamics and
+    Coding*, 1995, section 4.5).
 
-    Only the divisors n <= s are tried.  Such a grading gives letter j of the
-    rule of letter 0 the class c(0) + j mod n for j = 0, ..., l-1, and
-    l - 1 >= n, so it takes all n classes on at most s letters."""
-    length = sub.length
-    candidates = [d for d in range(min(sub.size, length - 1), 0, -1) if (length - 1) % d == 0]
-    for n in candidates:
-        if n == 1:
-            return 1
-        grading: dict[int, int] = {0: 0}
-        queue = [0]
-        consistent = True
-        while queue and consistent:
-            a = queue.pop()
-            for j, b in enumerate(sub.rules[a]):
-                value = (grading[a] + j) % n
-                if b in grading:
-                    if grading[b] != value:
-                        consistent = False
-                        break
-                else:
-                    grading[b] = value
-                    queue.append(b)
-        if consistent and len(grading) == sub.size:
-            return n
-    return 1
+    The classical height is the largest divisor d of L - 1 with letter
+    classes c(column_j(a)) = c(a) + j mod d on tau = theta^n.  Such a grading
+    steps by one along each rule word of tau, and every allowed word is
+    interior to one, the junction map fixing the fiber (see
+    :func:`global_description`): d divides every cycle length, so p.  And
+    lev mod p steps by one on every edge; tau(a) runs from a back to a in
+    L - 1 steps, its boundary columns being the identity, so p divides L - 1
+    and lev mod p is a grading.  p divides a cycle of at most s letters, so
+    p <= s, and p >= 1: a letter at the deepest level has a successor."""
+    successors: dict[int, list[int]] = {}
+    for a, b in fiber.pairs:
+        successors.setdefault(a, []).append(b)
+    level, queue = {0: 0}, [0]
+    for a in queue:  # the queue grows at its end while it is walked
+        for b in successors[a]:
+            if b not in level:
+                level[b] = level[a] + 1
+                queue.append(b)
+    return gcd(*(level[a] + 1 - level[b] for a, b in fiber.pairs))
 
 
 def return_time_gcd(sub: Substitution, level: int) -> int:
@@ -268,25 +264,20 @@ def heights(checked: CheckedPower, rset: tuple[Perm, ...], group: PermGroup) -> 
     from the |I| products g r0^-1 alone, since g h^-1 = (g r0^-1)(h r0^-1)^-1.
     A subgroup of G with |G| elements is G: its closure stops there.
 
-    The R-set is checked to lie in one coset r0 N of the normal completion
-    N.  Then G = <R> lies in <r0, N>, so G/N = <r0 N> is cyclic, and the
-    generalized height is its order |G|/|N|.  The classical height comes
-    from the letter grading and must divide it.
+    The generalized height is h = |G|/|N| for the normal completion N.
+    :func:`degree_map` proves that N is normal and that the R-set lies in
+    one coset r0 N, so that G/N = <r0 N> is cyclic of order h.  The classical
+    height is the period of the fiber (:func:`_classical_height_by_grading`),
+    so no rule word of tau is read, and L = l^n.  Both heights must divide
+    L - 1, and h_cl must divide h.
     """
     inverses = [inverse(h) for h in rset]
     products = sorted({compose(g, h_inverse) for g in rset for h_inverse in inverses})
     little = closure([compose(g, inverses[0]) for g in rset], ambient=group).with_generators(products)
     completion = normal_closure(little, group)
-    if not is_normal(completion, group):
-        raise InternalCheckError("the normal completion must be normal in the structure group",
-                                 stage="heights")
-    # r lies in the coset r0 N exactly when r0^-1 r lies in N
-    if any(compose(inverses[0], r) not in completion for r in rset):
-        raise InternalCheckError("R-set elements must share a single coset of the normal completion",
-                                 stage="heights")
     order = group.order // completion.order
-    classical = _classical_height_by_grading(checked.power)
-    length = checked.power.length
+    classical = _classical_height_by_grading(checked.fiber)
+    length = checked.original.length ** checked.exponent
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
             f"height invariants violated: h={order}, h_cl={classical}, l-1={length - 1}",
@@ -306,17 +297,18 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
 
     The group degrees come from one breadth-first search over G from the
     identity, by right multiplication g -> g*r with each r in the R-set,
-    that checks d(g*r) = d(g) + 1 mod h on every edge.  Every element of G is
-    a product of R-set elements, so a search that reaches all of G and passes
-    every edge check shows d to be a well-defined homomorphism onto Z/hZ that
-    sends each R-set element to 1; its kernel must then be N, which is checked.
+    that checks d(g*r) = d(g) + 1 mod h on every edge: the one runtime proof
+    of the grading.  Every element of G is a product of R-set elements, so a
+    search that reaches all of G and passes every edge check shows d to be a
+    well-defined homomorphism onto Z/hZ that sends each R-set element to 1.
+    Its kernel is checked to be N, so N is normal and holds r0^-1 r for each
+    r in the R-set: the R-set lies in one coset of N.
 
     On the matrix semigroup, (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu),
     and d is a homomorphism on G, so d(xy) = d(x) + d(y) holds for all x, y
     exactly when every sandwich entry A[lam][j] has degree 0.  The morphism
-    law is therefore checked on the 2|I| entries, not on products; the
-    idempotents (i, A[lam][i]^-1, lam) must then sit at degree 0, which is
-    checked as well.
+    law is therefore checked on the 2|I| entries, not on products, and the
+    idempotents (i, A[lam][i]^-1, lam), their inverses, sit at degree 0.
     """
     group = matrix.group
     modulus = group.order // completion.order
@@ -347,8 +339,6 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
                                  stage="degree_map")
     if any(degree_of_perm[entry] != 0 for row in matrix.sandwich for entry in row):
         raise InternalCheckError("degree map is not a semigroup morphism", stage="degree_map")
-    if any(degree_of_perm[p.g] != 0 for p in idempotents_of(matrix)):
-        raise InternalCheckError("idempotents must have degree 0", stage="degree_map")
     return DegreeData(modulus, degree_of_perm)
 
 
@@ -360,10 +350,8 @@ class AutomorphismData(NamedTuple):
 
 def automorphism_data(group: PermGroup) -> AutomorphismData:
     cent = centralizer_in_symmetric(group)
-    if cent.order > group.degree:
-        raise InternalCheckError("centralizer of a transitive group is semiregular, so at most s",
-                                 stage="automorphism_data")
     ident = identity(group.degree)
+    # fixed-point-free makes C semiregular: each orbit has |C| points, so |C| <= s
     for c in cent.elements:
         if c != ident and any(c[x] == x for x in range(group.degree)):
             raise InternalCheckError("non-identity centralizing maps must be fixed-point-free",
@@ -449,9 +437,6 @@ def global_description(checked: CheckedPower, g0_index: int | None = None) -> St
     hs = heights(checked, rset, group)
     matrix = substitution_sandwich(group, rset, rset[g0_index])
     degrees = degree_map(matrix, hs.normal_completion)
-    if degrees.modulus != hs.height:
-        raise InternalCheckError("degree modulus differs from the generalized height",
-                                 stage="global_description")
     brute = classical_height_bruteforce(checked)
     if brute != hs.classical_height:
         raise InternalCheckError(

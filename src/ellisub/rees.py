@@ -93,12 +93,6 @@ class ReesMatrixSemigroup(Frozen):
         }
 
 
-def idempotents_of(m: ReesMatrixSemigroup) -> list[ReesElement]:
-    """Exactly the triples (i, A[lam][i]^-1, lam); count |I|*|Lambda|."""
-    return [ReesElement(i, inverse(m.sandwich[lam][i]), lam)
-            for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
-
-
 def substitution_sandwich(group: PermGroup, i_perms: list[Perm] | tuple[Perm, ...],
                           g0: Perm) -> ReesMatrixSemigroup:
     """The two-row sandwich over the structure group G = <I>: plus row all

@@ -184,9 +184,10 @@ def substitution_to_json(sub: Substitution) -> dict:
 
 
 def parse_any(source: str) -> Substitution:
-    """Accept either the text grammar or the JSON form."""
-    stripped = source.lstrip()
-    if stripped.startswith("{"):
+    """Accept either the text grammar or the JSON form, after one leading
+    byte-order mark (U+FEFF), which some editors write."""
+    source = source.removeprefix("\ufeff")
+    if source.lstrip().startswith("{"):
         return substitution_from_json(source)
     return parse_substitution(source)
 

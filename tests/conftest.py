@@ -11,6 +11,7 @@ import pytest
 
 from ellisub import (AnalysisConfig, analyze_substitution, check_input,
                      is_aperiodic, parse_substitution, r_set, structure_group)
+from ellisub.errors import EllisubError
 from ellisub.golden import CASES
 from ellisub.perms import closure, compose
 from ellisub.rees import ReesMatrixSemigroup, substitution_sandwich
@@ -122,6 +123,34 @@ def build_random_corpus(count: int = 20, seed: int = 20240817) -> list[Substitut
         sub = random_simplified_aperiodic(rng, size, length)
         if sub is not None:
             found.append(sub)
+    return found
+
+
+def build_graded_corpus(count: int = 60, seed: int = 33) -> list[Substitution]:
+    """Inputs graded mod n by construction, n in {2, 3, 4}: the 2n letters
+    fall into n classes of two, letter a in class a // 2, column j sends
+    class c to class c + j mod n, c_0 is the identity and l = 1 mod n, so
+    the classical height is a multiple of n.  Inputs that
+    :func:`check_input` refuses are skipped."""
+    rng = random.Random(seed)
+    found: list[Substitution] = []
+    while len(found) < count:
+        n = rng.choice((2, 3, 4))
+        cols = [tuple(range(2 * n))]
+        for j in range(1, rng.choice((n + 1, 2 * n + 1))):
+            col: list[int] = []
+            for c in range(n):
+                pair = [2 * ((c + j) % n), 2 * ((c + j) % n) + 1]
+                rng.shuffle(pair)
+                col += pair
+            cols.append(tuple(col))
+        rules = tuple(tuple(col[a] for col in cols) for a in range(2 * n))
+        sub = Substitution(Alphabet(tuple("abcdefgh"[:2 * n])), rules)
+        try:
+            check_input(sub)
+        except EllisubError:
+            continue
+        found.append(sub)
     return found
 
 

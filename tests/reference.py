@@ -26,7 +26,7 @@ from ellisub.oracle import OracleResult, limit_maps
 from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, inverse,
                            is_normal)
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
-                          ReesMatrixSemigroup, idempotents_of)
+                          ReesMatrixSemigroup)
 from ellisub.report import report_to_json
 from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
@@ -42,6 +42,12 @@ ISO_SEARCH_DEGREE_MAX = 6
 def multiply(m: ReesMatrixSemigroup, x: ReesElement, y: ReesElement) -> ReesElement:
     middle = compose(compose(x.g, m.sandwich[x.lam][y.i]), y.g)
     return ReesElement(x.i, middle, y.lam)
+
+
+def idempotents_of(m: ReesMatrixSemigroup) -> list[ReesElement]:
+    """Exactly the triples (i, A[lam][i]^-1, lam); count |I|*|Lambda|."""
+    return [ReesElement(i, inverse(m.sandwich[lam][i]), lam)
+            for i in range(len(m.i_labels)) for lam in range(len(m.lam_labels))]
 
 
 def rees_generators(m: ReesMatrixSemigroup) -> tuple[ReesElement, ...]:

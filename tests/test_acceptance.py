@@ -4,10 +4,10 @@ to see the lines."""
 
 from ellisub.perms import cycles, element_order, identity, is_normal
 from ellisub.pipeline import check_input, classical_height_bruteforce, degree_map
-from ellisub.rees import ReesMatrixSemigroup, idempotents_of
+from ellisub.rees import ReesMatrixSemigroup
 from conftest import rset_and_group
-from reference import (fiber_semigroup, idempotent_generated, oracle_closure,
-                       presentations_isomorphic, quotient_data,
+from reference import (fiber_semigroup, idempotent_generated, idempotents_of,
+                       oracle_closure, presentations_isomorphic, quotient_data,
                        rees_decomposition, verify_rees_isomorphism)
 
 def passed(number: int, message: str) -> None:

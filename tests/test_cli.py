@@ -98,6 +98,27 @@ def test_analyze_stdin():
     assert "structure group" in out
 
 
+# an editor may begin a file with a UTF-8 byte-order mark: the rules read as
+# if it were not there, from a file and from stdin, in either form; only one
+# mark is skipped
+BOM_SOURCES = (THUE_MORSE, json.dumps({"alphabet": ["a", "b"],
+                                       "rules": {"a": "abba", "b": "baab"}}))
+
+
+@pytest.mark.parametrize("source", BOM_SOURCES, ids=["text", "json"])
+def test_a_leading_byte_order_mark_is_skipped(source, tmp_path, capsys):
+    expected = analyze(["--format", "json"], source)
+    assert expected[0] == 0
+    marked = b"\xef\xbb\xbf" + source.encode("utf-8")
+    assert analyze(["--format", "json"], marked) == expected
+    path = tmp_path / "marked.sub"
+    path.write_bytes(marked)
+    assert main(["analyze", "--format", "json", str(path)]) == 0
+    assert capsys.readouterr() == (expected[1], "")
+    code, out, err = analyze([], "\ufeff\ufeff" + source)
+    assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "validation"
+
+
 def test_analyze_martin_like_case(tmp_path):
     path = tmp_path / "seven.sub"
     path.write_text(CASES["s3_seven_words"])
@@ -234,26 +255,27 @@ def _forced_check(stage, monkeypatch):
     golden case the check then fails on."""
     import ellisub.pipeline as pipeline
     from ellisub.perms import closure
-    from ellisub.rees import ReesElement
     if stage == "structure_group":
         monkeypatch.setattr(pipeline, "is_transitive", lambda group: False)
     elif stage == "heights":
-        monkeypatch.setattr(pipeline, "is_normal", lambda sub, ambient: False)
-    elif stage == "degree_map":
-        # an R-set element has degree 1 when h = 2, so it is no idempotent
-        monkeypatch.setattr(pipeline, "idempotents_of",
-                            lambda matrix: [ReesElement(0, matrix.i_labels[0], 0)])
-        return "s3_height_two"
+        # h = 1, and a classical height of 2 neither divides it nor L - 1 = 15
+        monkeypatch.setattr(pipeline, "_classical_height_by_grading", lambda fiber: 2)
+    elif stage == "degree_map (not normal)":
+        # the little group of order 2, not normal in S_3: h = 3 divides L - 1
+        monkeypatch.setattr(pipeline, "normal_closure", lambda little, ambient: little)
+        return "s3_nonnormal_little"
+    elif stage == "degree_map (two cosets)":
+        # the rotations of D_4, normal of index 2 like N but holding only one
+        # of the two R-set elements
+        monkeypatch.setattr(pipeline, "normal_closure", lambda little, ambient: closure(
+            [next(g for g in ambient.elements if ambient.orders[g] == 4)], ambient))
+        return "d4_height_two"
     elif stage == "classical_height_bruteforce":
         monkeypatch.setattr(pipeline, "return_time_gcd", lambda sub, level: 0)
-    elif stage == "global_description (degree modulus)":
-        original = pipeline.degree_map
-        monkeypatch.setattr(pipeline, "degree_map", lambda matrix, completion: original(
-            matrix, completion)._replace(modulus=0))
     elif stage == "global_description (classical height)":
         monkeypatch.setattr(pipeline, "classical_height_bruteforce", lambda checked: 5)
     else:
-        # S_3 is no centralizer of S_3 on three points: it is not semiregular
+        # S_3 is no centralizer of S_3 on three points: its transpositions fix a point
         monkeypatch.setattr(pipeline, "centralizer_in_symmetric",
                             lambda group: closure(list(group.elements)))
     return "s3_seven_words"
@@ -261,12 +283,12 @@ def _forced_check(stage, monkeypatch):
 
 @pytest.mark.parametrize("stage, message", [
     ("structure_group", "must be transitive"),
-    ("heights", "the normal completion must be normal"),
-    ("degree_map", "idempotents must have degree 0"),
+    ("heights", "height invariants violated: h=1, h_cl=2, l-1=15"),
+    ("degree_map (not normal)", "R-set word lengths do not define a degree mod h"),
+    ("degree_map (two cosets)", "the degree-0 elements differ from the normal completion"),
     ("classical_height_bruteforce", "must return to its first letter"),
-    ("global_description (degree modulus)", "degree modulus differs"),
     ("global_description (classical height)", "classical height mismatch: grading 1, brute force 5"),
-    ("automorphism_data", "semiregular, so at most s")])
+    ("automorphism_data", "must be fixed-point-free")])
 def test_each_pipeline_check_names_its_stage(stage, message, tmp_path, monkeypatch, capsys):
     # a failed cross-check exits 2, and the stderr JSON names the function
     # of the stage that ran it

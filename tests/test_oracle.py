@@ -16,12 +16,12 @@ from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
                             oracle_equivalence)
 from ellisub.perms import closure, compose
 from ellisub.pipeline import check_input, r_set
-from ellisub.rees import FiberAction, ReesMatrixSemigroup, idempotents_of, substitution_sandwich
+from ellisub.rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
 from conftest import make_substitution, mutant, rset_and_group, three_row_matrix
 from reference import (as_transformation_semigroup, compare_map_semigroups,
-                       element_closure, fiber_semigroup, idempotent_generated,
+                       element_closure, fiber_semigroup, idempotent_generated, idempotents_of,
                        induced_fiber_map, letter_at, oracle_closure,
                        proximality_classes, reference_action, rees_generators,
                        semigroup_closure, walk_shortfall)

@@ -15,20 +15,19 @@ from ellisub.oracle import OracleResult
 from ellisub.perms import (PermGroup, closure, compose, cycle_string,
                            element_order, group_name, identity, inverse,
                            is_normal, is_transitive, normal_closure)
-from ellisub.pipeline import (AnalysisConfig, _classical_height_by_grading,
-                              analyze_substitution, automorphism_data, check_input,
-                              classical_height_bruteforce,
-                              degree_map, global_description, heights, r_set,
-                              return_time_gcd, structure_group)
+from ellisub.pipeline import (AnalysisConfig, analyze_substitution, automorphism_data,
+                              check_input, classical_height_bruteforce, degree_map,
+                              global_description, heights, r_set, return_time_gcd,
+                              structure_group)
 from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import render_json, report_to_json
 from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Substitution, allowed_two_words, columns, is_simplified,
                                   parse_substitution, substitution_power)
-from conftest import (build_random_corpus, fiber_action, fiber_maps, make_substitution,
-                      pair_closure, rset_and_group, workload_subs)
-from reference import (grading_height_full_scan, quotient_data, semigroup_closure,
-                       written_r_set)
+from conftest import (build_graded_corpus, build_random_corpus, fiber_action, fiber_maps,
+                      make_substitution, pair_closure, rset_and_group, workload_subs)
+from reference import (grading_height_full_scan, idempotents_of, quotient_data,
+                       semigroup_closure, written_r_set)
 
 # what moved to tests/reference.py or was deleted: no ellisub module defines it
 MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
@@ -39,7 +38,8 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "ProximalityData", "_merged_pairs", "_check_merge_classes", "induced_fiber_map",
          "letter_at", "_product_law_failure", "as_transformation_semigroup",
          "semigroup_closure", "compare_map_semigroups", "simplify", "is_primitive",
-         "substitution_to_text", "map_compose", "map_after", "FiberMap", "green_summary")
+         "substitution_to_text", "map_compose", "map_after", "FiberMap", "green_summary",
+         "idempotents_of")
 
 SWAP = (1, 0)
 POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
@@ -113,24 +113,30 @@ def test_r_set_has_at_least_two_elements(golden_simplified, random_corpus):
 
 
 def test_r_set_and_grading_agree_with_the_written_power(golden_subs):
-    # r_set recurses over theta's columns and the grading tries the divisors
-    # up to s; the references read the L - 1 column quotients of the written
-    # power and try every divisor of L - 1
+    # r_set recurses over theta's columns and the classical height is the
+    # period of the fiber, with L = l^n; the references read the L - 1 column
+    # quotients of the written power and try every divisor of L - 1 on its
+    # rule words.  The graded inputs have h_cl = 3 and 4, which no other has
+    def tally(subs):
+        exponents, graded = Counter(), Counter()
+        for sub in subs:
+            checked = check_input(sub)
+            assert r_set(checked) == written_r_set(checked.power)
+            unwritten = checked._replace(power=None)  # tau is not read
+            rset = r_set(unwritten)
+            assert rset == r_set(checked)
+            height = heights(unwritten, rset, structure_group(rset)).classical_height
+            assert height == grading_height_full_scan(checked.power)
+            exponents[checked.exponent] += 1
+            graded[height] += 1
+        return sorted(exponents.items()), sorted(graded.items())
     subs = [*golden_subs.values(), *build_random_corpus(60, seed=11),
             *(sub for workload in ("golden", "wide-group", "long-power")
               for sub in workload_subs(workload)),
             parse_substitution(POWER_6), parse_substitution(POWER_12)]
-    exponents, graded = Counter(), Counter()
-    for sub in subs:
-        checked = check_input(sub)
-        assert r_set(checked) == written_r_set(checked.power)
-        assert r_set(checked._replace(power=None)) == r_set(checked)  # tau is not read
-        height = _classical_height_by_grading(checked.power)
-        assert height == grading_height_full_scan(checked.power)
-        exponents[checked.exponent] += 1
-        graded[height] += 1
-    assert sorted(exponents.items()) == [(1, 84), (2, 23), (3, 10), (6, 1), (12, 1)]
-    assert sorted(graded.items()) == [(1, 115), (2, 4)]
+    assert tally(subs) == ([(1, 84), (2, 23), (3, 10), (6, 1), (12, 1)], [(1, 115), (2, 4)])
+    assert tally(build_graded_corpus()) == ([(2, 43), (3, 4), (4, 13)],
+                                            [(2, 18), (3, 24), (4, 18)])
 
 
 def test_structure_groups(golden_simplified):
@@ -173,14 +179,18 @@ def test_little_group_not_normal_in_nonnormal_case(golden_simplified):
     assert hs.normal_completion.order == 6
 
 
-def test_heights_refuses_a_completion_that_is_not_normal(golden_simplified, monkeypatch):
-    # a normal closure that returned the little group itself: |N| = 2 < |G| = 6,
-    # so is_normal cannot answer from the orders and conjugates each element
+def test_degree_map_refuses_a_completion_that_is_not_normal(golden_simplified, monkeypatch):
+    # a normal closure that returned the little group itself: |N| = 2, so
+    # h = |G|/|N| = 3 divides L - 1 and heights passes it, but no degree mod 3
+    # gives every R-set element 1, and degree_map's walk refuses it
     sub = golden_simplified["s3_nonnormal_little"]
     rset, group = rset_and_group(sub)
     monkeypatch.setattr(ellisub.pipeline, "normal_closure", lambda little, ambient: little)
-    with pytest.raises(InternalCheckError, match="must be normal"):
-        heights(check_input(sub), rset, group)
+    hs = heights(check_input(sub), rset, group)
+    assert (hs.height, hs.normal_completion) == (3, hs.little_group)
+    with pytest.raises(InternalCheckError, match="do not define a degree mod h") as caught:
+        degree_map(substitution_sandwich(group, rset, rset[0]), hs.normal_completion)
+    assert caught.value.stage == "degree_map"
 
 
 def test_is_normal_decides_from_the_orders_only_for_the_whole_group():
@@ -353,6 +363,8 @@ def test_degree_map_matches_written_out_cosets(golden_reports, random_reports):
         reference = coset_degrees(m.i_labels[0], m.group, report.normal_completion)
         assert report.degree.modulus == len(set(reference.values())) == report.height
         assert report.degree.by_perm == reference
+        # the sandwich entries have degree 0, and so have their inverses
+        assert {reference[x.g] for x in idempotents_of(m)} == {0}
 
 
 def test_degree_map_refuses_a_wrong_completion(golden_reports):

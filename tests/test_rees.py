@@ -9,14 +9,14 @@ from ellisub import AnalysisConfig, analyze_substitution
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.perms import PermGroup, closure, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
-                          ReesMatrixSemigroup, idempotents_of, substitution_sandwich)
+                          ReesMatrixSemigroup, substitution_sandwich)
 from ellisub.substitution import TwoWordFiber, allowed_two_words
 from conftest import build_random_corpus, fiber_action, rset_and_group, three_row_matrix
 from reference import (as_transformation_semigroup, element_closure, fiber_semigroup,
-                       idempotent_generated, left_regular_action, little_structure_group,
-                       multiply, presentations_isomorphic, product_law_failure,
-                       reference_action, rees_decomposition, rees_generators,
-                       semigroup_closure, verify_rees_isomorphism)
+                       idempotent_generated, idempotents_of, left_regular_action,
+                       little_structure_group, multiply, presentations_isomorphic,
+                       product_law_failure, reference_action, rees_decomposition,
+                       rees_generators, semigroup_closure, verify_rees_isomorphism)
 
 
 def sandwich(sub, g0_index: int = 0) -> ReesMatrixSemigroup:

@@ -53,8 +53,33 @@ DIGESTS = {
 }
 
 
+# inputs with a classical height above 2, which no golden case has:
+# source -> (h, h_cl, sha256 of render_json, sha256 of render_text), with --verify
+GRADED = {
+    "a -> afda\nb -> bceb\nc -> cdac\nd -> dbfe\ne -> eacd\nf -> febf\n": (
+        3, 3, "b39b42d7efcc7bcbf2a1e4318d156496dec02f94e5bc5e0d6488d4957502711b",
+        "b5474dd66bfad54f5f0c24977292530bbb28e9ea1b8556b431384b167181b226"),
+    "a -> afbefbe\nb -> bedbefb\nc -> cafcadc\nd -> dcadbaf\ne -> edcadca\nf -> fbefced\n": (
+        6, 3, "03a25de83cd02c779222f3792d90b361f756f779043f6843cf1d541533fb7d0a",
+        "96d795fadb1af81958a868fb5c7474f7277a825b4698d99cc55fa8f77c63018d"),
+    "a -> adgfa\nb -> bfhdg\nc -> cgeac\nd -> dbfhd\ne -> eacge\nf -> fhdbf\ng -> geacb\n"
+    "h -> hcbeh\n": (
+        4, 4, "bd559d22b2eef4716664a3c13c1a2e8eb9ad252f064ca1bf245120c93b9332f4",
+        "c64ab5dbde5b283d7f6709848abc9a413db2b73dd68abb8284f17d2d97064210"),
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_graded_reports_are_byte_identical():
+    for source, (h, h_cl, json_digest, text_digest) in GRADED.items():
+        report = analyze_substitution(parse_substitution(source), AnalysisConfig(verify=True))
+        assert (report.height, report.classical_height) == (h, h_cl)
+        assert report.unresolved_extension == (h > h_cl)
+        assert (sha256(render_json(report)), sha256(render_text(report))) == \
+            (json_digest, text_digest), source
 
 
 @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
