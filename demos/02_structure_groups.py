@@ -2,12 +2,13 @@
 """Structure groups and heights.
 
 The R-set collects the quotients of consecutive column maps; it generates the
-structure group.  Products g h^-1 of R-set elements generate the little
-structure group, whose normal completion cuts out a cyclic quotient -- the
-generalized height.  The classical height is recovered independently as the
-period of the graph of allowed two-letter words and from return positions of
-the fixed point.  The input is checked once, and each stage takes what the
-one before it built.
+structure group, which one walk g -> g r over the R-set lists.  Products
+g h^-1 of R-set elements generate the little structure group, whose normal
+completion cuts out a cyclic quotient -- the generalized height, the period
+of that walk's graph.  The classical height is recovered independently as
+the period of the letter graph a -> r(a), which is the graph of allowed
+two-letter words, and from return positions of the fixed point.  The input
+is checked once, and each stage takes what the one before it built.
 """
 
 from ellisub import (check_input, classical_height_bruteforce, cycle_string,
@@ -26,8 +27,9 @@ for name, source in EXAMPLES.items():
     checked = check_input(parse_substitution(source))
     letters = checked.power.alphabet.letters
     rset = r_set(checked)
-    group = structure_group(rset)
-    hs = heights(checked, rset, group)
+    graded = structure_group(rset)  # G, with the walks over G and over the letters
+    group = graded.group
+    hs = heights(checked, rset, graded)
     print(f"== {name} (analyzed power {checked.exponent})")
     print("  R-set:", ", ".join(cycle_string(g, letters) for g in rset))
     print(f"  structure group: order {group.order} ({group_name(group) or 'unnamed'})")

@@ -24,7 +24,7 @@ letters = sub.alphabet.letters
 
 print("== normalized matrix presentation")
 rset = r_set(checked)
-group = structure_group(rset)
+group = structure_group(rset).group
 matrix = substitution_sandwich(group, rset, rset[0])
 print(f"|I| = {len(rset)}, |G| = {group.order}: {matrix.size} elements")
 print("sandwich rows:")

@@ -14,8 +14,7 @@ from .errors import (EllisubError, InternalCheckError, ParseError,
                      ResourceLimitError, ValidationError)
 from .oracle import OracleComparison, limit_maps, oracle_equivalence
 from .perms import (PermGroup, centralizer_in_symmetric, closure,
-                    cycle_string, group_name, is_normal, is_transitive,
-                    normal_closure)
+                    cycle_string, group_name, is_normal, normal_closure)
 from .pipeline import (AnalysisConfig, StructuralReport, analyze_substitution,
                        check_input, classical_height_bruteforce,
                        global_description, heights, r_set, structure_group)

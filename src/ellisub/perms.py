@@ -16,16 +16,18 @@ the full, lexicographically sorted element list; alphabets in scope are tiny
 (n <= 10), so enumeration beats stabilizer chains on simplicity and is fast
 enough by a wide margin.
 
-Every group closed after the structure group G is a subgroup of G, so
-:func:`closure` checks generators by membership in G and stops at |G|
-elements, returning G.  :attr:`PermGroup.orders` counts element orders once,
-by cyclic subgroups; :func:`element_order` is the reference.
+The structure group G is listed by :func:`_graded_walk`, which also grades
+it.  Every group closed after G is a subgroup of G, so :func:`closure` takes
+G as its ambient group, checks generators by membership in G and stops at
+|G| elements, returning G.  :attr:`PermGroup.orders` counts element orders
+once, by cyclic subgroups; :func:`element_order` is the reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -169,34 +171,52 @@ class PermGroup(Frozen):
         return group
 
 
-def closure(gens: list[Perm] | tuple[Perm, ...],
-            ambient: PermGroup | None = None) -> PermGroup:
-    """Smallest group containing ``gens``, found by breadth-first multiplication
-    on the right by each distinct generator, through one getter per generator.
+def _graded_walk(start, steps) -> tuple[dict, int]:
+    """Breadth-first walk from ``start`` along the edges x -> step(x): each
+    reached vertex's level, its distance from ``start``, and the graph's
+    period, the gcd over all edges of lev(x) + 1 - lev(step(x)) (Lind &
+    Marcus, *An Introduction to Symbolic Dynamics and Coding*, 1995, section
+    4.5).  A new vertex adds 0 to the gcd, so each level keeps only the
+    levels of the known vertices its edges meet; an edge out of the deepest
+    level meets one, so the period is at least 1.  Past ``CLOSURE_CAP``
+    vertices, read at call time, it raises ResourceLimitError."""
+    cap = CLOSURE_CAP
+    level = {start: 0}
+    set_level = level.setdefault
+    frontier, lev, period = [start], 0, 0
+    while frontier:
+        deeper, reached, met = lev + 1, len(level), set()
+        for step in steps:
+            for y in map(step, frontier):
+                # one lookup per edge: a new y gets the next level, a known one keeps its own
+                d = set_level(y, deeper)
+                if d != deeper:
+                    met.add(d)
+                elif len(level) > cap:
+                    raise ResourceLimitError(f"group closure exceeded cap of {cap} elements")
+        period = gcd(period, *(lev + 1 - d for d in met))
+        # the dict keeps insertion order, so the vertices new at this level come last
+        frontier, lev = list(islice(level, reached, None)), deeper
+    return level, period
 
-    An empty ``gens`` needs an ``ambient`` group; ``[identity(n)]`` gives the
-    trivial group on n points.  Inside ``ambient`` the walk stops as soon as
-    it holds |ambient| elements and returns ``ambient``: a subset of a finite
-    group with as many elements is the group.  Otherwise it raises
-    ResourceLimitError past ``CLOSURE_CAP`` elements.
+
+def closure(gens: list[Perm] | tuple[Perm, ...], ambient: PermGroup) -> PermGroup:
+    """Smallest subgroup of ``ambient`` containing ``gens``, found by
+    breadth-first multiplication on the right by each distinct generator,
+    through one getter per generator.
+
+    The walk stops as soon as it holds |ambient| elements and returns
+    ``ambient``: a subset of a finite group with as many elements is the
+    group.  An empty ``gens`` gives the trivial subgroup.
     """
     gens = list(dict.fromkeys(tuple(g) for g in gens))
-    if ambient is not None:
-        degree = ambient.degree
-    elif gens:
-        degree = len(gens[0])
-    else:
-        raise ValidationError("closure of an empty generator list needs an ambient group")
     for g in gens:
-        if len(g) != degree:
-            raise ValidationError(f"generator acts on {len(g)} points, expected {degree}")
-        if not (is_perm(g) if ambient is None else g in ambient):
-            raise ValidationError(f"generator {g} is not a permutation" if ambient is None
-                                  else f"generator {g} lies outside the ambient group")
-    if ambient is not None and ambient.order == 1:  # the identity alone fills it
+        if g not in ambient:
+            raise ValidationError(f"generator {g} lies outside the ambient group")
+    if ambient.order == 1:  # the identity alone fills it
         return ambient
-    stop = ambient.order if ambient is not None else CLOSURE_CAP + 1
-    ident = identity(degree)
+    stop = ambient.order
+    ident = identity(ambient.degree)
     elements, frontier = {ident}, [ident]
     getters = [after(g) for g in gens]
     while frontier:
@@ -207,12 +227,9 @@ def closure(gens: list[Perm] | tuple[Perm, ...],
                     elements.add(y)
                     new.append(y)
                     if len(elements) == stop:
-                        if ambient is None:
-                            raise ResourceLimitError(
-                                f"group closure exceeded cap of {CLOSURE_CAP} elements")
                         return ambient
         frontier = new
-    return PermGroup(degree, tuple(sorted(gens)) or (ident,), tuple(sorted(elements)))
+    return PermGroup(ambient.degree, tuple(sorted(gens)) or (ident,), tuple(sorted(elements)))
 
 
 def _conjugates(elements, conjugators: tuple[Perm, ...]):
@@ -256,11 +273,6 @@ def normal_closure(sub: PermGroup, ambient: PermGroup) -> PermGroup:
         gens += new
         current = closure(gens, ambient=ambient)
     return current.with_generators(gens)
-
-
-def is_transitive(group: PermGroup) -> bool:
-    """True iff the orbit of point 0 is everything."""
-    return len(_transversal(group)) == group.degree
 
 
 def _transversal(group: PermGroup) -> dict[int, Perm]:

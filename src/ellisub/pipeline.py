@@ -15,17 +15,20 @@ from: :func:`r_set`, :func:`structure_group`, :func:`heights`,
 builds a fiber map, multiplies two elements of the structural semigroup (of
 size |S| = 2|I||G|) or writes out a power of the substitution, and none
 holds an |S|-sized object: the degree of (i, g, sign) is that of g, so the
-degree table has one entry per element of G.
+degree table has one entry per element of G.  :func:`structure_group`
+walks the two graphs that the R-set labels, g -> g r on G and a -> r(a) on
+the letters, once each.
 
 Checks that run on every input, each raising InternalCheckError on a
 mismatch, with the name of the function that runs it as ``stage``, and
-none implied by another: the structure group is transitive; the heights
-divide L - 1 and each other; the sandwich is normalized; the degree is a
-well-defined homomorphism onto Z/hZ with kernel the normal completion,
-which makes it normal and puts the R-set in one of its cosets, and every
-sandwich entry has degree 0 (:func:`degree_map`, from the 2|I| entries
-rather than from products); the classical height, the period of the fiber,
-equals the one from return times; the centralizer of G is semiregular.
+none implied by another: the letter walk reaches every letter, so G is
+transitive; the heights divide L - 1 and each other; the sandwich is
+normalized; h divides the period of G's walk, so the degree is a
+homomorphism onto Z/hZ, whose kernel is the normal completion, which makes
+it normal and puts the R-set in one of its cosets, and every sandwich entry
+has degree 0 (:func:`degree_map`, from the 2|I| entries rather than from
+products); the classical height equals the one from return times; the
+centralizer of G is semiregular.
 
 Under ``--verify``, :func:`analyze_substitution` also builds the matrix
 action phi as a :class:`FiberAction`, which writes out none of the 2|I||G|
@@ -42,11 +45,17 @@ misses, until it has |G| elements.  A disagreement lists the maps without a
 name, or what the triples miss, and raises InternalCheckError with the
 stage "window oracle"; no map is closed and no other triple is encoded.
 
-Three identities of the construction hold for every substitution, so they
+Four identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
 ``tests/``, not rechecked per input; only a fault in the code could break
 them.
 
+* The fiber is {(a, r(a)) : a a letter, r in the R-set}, the edges of the
+  letter walk.  The junction map of the simplified power fixes every
+  allowed word (see :func:`global_description`), so each word is interior,
+  (c_(j-1)(x), c_j(x)) = (a, q_j(a)) with a = c_(j-1)(x), which runs over
+  every letter.  :func:`classical_height_bruteforce` still cross-checks
+  the walk's period, the classical height, on every input.
 * The consecutive column pairs of sub, translated by G, are exactly
   {(i^-1 R, R) : i in I, R in G}, the pairs the matrix action realizes.
   Every column lies in G, since c_j = q_j c_(j-1) with c_0 = id and q_j in I.
@@ -68,15 +77,14 @@ them.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd
 from typing import NamedTuple
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .oracle import OracleComparison, oracle_equivalence
-from .perms import (Perm, PermGroup, after, centralizer_in_symmetric, closure,
-                    compose, group_name, identity, inverse, is_perm,
-                    is_transitive, normal_closure)
+from .perms import (Perm, PermGroup, _graded_walk, after, centralizer_in_symmetric,
+                    closure, compose, group_name, identity, inverse, is_perm,
+                    normal_closure)
 from .rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, _all_letters_exponent,
@@ -157,19 +165,41 @@ def r_set(checked: CheckedPower) -> tuple[Perm, ...]:
     return tuple(sorted(quotients))
 
 
-def structure_group(rset: tuple[Perm, ...]) -> PermGroup:
-    """The group generated by the R-set.  Every column lies in it and every
-    rule word of a simplified substitution holds every letter, so it is
-    transitive."""
+class GradedGroup(NamedTuple):
+    group: PermGroup
+    levels: dict[Perm, int]  # the length of a shortest R-set word for each g in G
+    period: int              # of the Cayley graph g -> g r, which is h = |G|/|N|
+    classical_height: int    # the period of the letter graph a -> r(a)
+
+
+def structure_group(rset: tuple[Perm, ...]) -> GradedGroup:
+    """G, the group generated by the R-set, as one walk from the identity by
+    g -> g r reaches it (:func:`ellisub.perms._graded_walk`), with the levels
+    and the period of that walk, and the period of one walk over the
+    letters by a -> r(a).
+
+    Every column lies in G and every rule word of a simplified substitution
+    holds every letter, so G is transitive: the letter walk must reach every
+    letter.  Its edges are the allowed words ab (the fiber identity of the
+    module docstring), and its period p is the classical height, the
+    largest divisor d of L - 1 with letter classes c(column_j(a)) = c(a) + j
+    mod d on tau = theta^n.  Such a grading steps by one along each rule word
+    of tau, and every allowed word is interior to one: d divides every cycle
+    length, so p.  And lev mod p steps by one on every edge; tau(a) runs from
+    a back to a in L - 1 steps, its boundary columns being the identity, so p
+    divides L - 1 and lev mod p is a grading."""
+    degree = len(rset[0])
     try:
-        group = closure(list(rset))
+        levels, period = _graded_walk(identity(degree), [after(r) for r in rset])
     except ResourceLimitError as exc:
         exc.stage = "structure_group"
         raise
-    if not is_transitive(group):
+    letters, classical = _graded_walk(0, [r.__getitem__ for r in rset])
+    if len(letters) != degree:
         raise InternalCheckError("structure group of a primitive substitution must be transitive",
                                  stage="structure_group")
-    return group
+    group = PermGroup(degree, tuple(sorted(set(rset))), tuple(sorted(levels)))
+    return GradedGroup(group, levels, period, classical)
 
 
 class Heights(NamedTuple):
@@ -177,34 +207,6 @@ class Heights(NamedTuple):
     classical_height: int
     little_group: PermGroup
     normal_completion: PermGroup
-
-
-def _classical_height_by_grading(fiber: TwoWordFiber) -> int:
-    """The classical height, read off the fiber alone: the period p of the
-    graph with an edge a -> b for each allowed word ab, the gcd over all
-    edges of lev(a) + 1 - lev(b) for the levels of one breadth-first search
-    from letter 0 (Lind & Marcus, *An Introduction to Symbolic Dynamics and
-    Coding*, 1995, section 4.5).
-
-    The classical height is the largest divisor d of L - 1 with letter
-    classes c(column_j(a)) = c(a) + j mod d on tau = theta^n.  Such a grading
-    steps by one along each rule word of tau, and every allowed word is
-    interior to one, the junction map fixing the fiber (see
-    :func:`global_description`): d divides every cycle length, so p.  And
-    lev mod p steps by one on every edge; tau(a) runs from a back to a in
-    L - 1 steps, its boundary columns being the identity, so p divides L - 1
-    and lev mod p is a grading.  p divides a cycle of at most s letters, so
-    p <= s, and p >= 1: a letter at the deepest level has a successor."""
-    successors: dict[int, list[int]] = {}
-    for a, b in fiber.pairs:
-        successors.setdefault(a, []).append(b)
-    level, queue = {0: 0}, [0]
-    for a in queue:  # the queue grows at its end while it is walked
-        for b in successors[a]:
-            if b not in level:
-                level[b] = level[a] + 1
-                queue.append(b)
-    return gcd(*(level[a] + 1 - level[b] for a, b in fiber.pairs))
 
 
 def return_time_gcd(sub: Substitution, level: int) -> int:
@@ -256,7 +258,7 @@ def classical_height_bruteforce(checked: CheckedPower) -> int:
     return g
 
 
-def heights(checked: CheckedPower, rset: tuple[Perm, ...], group: PermGroup) -> Heights:
+def heights(checked: CheckedPower, rset: tuple[Perm, ...], graded: GradedGroup) -> Heights:
     """Little structure group, its normal completion, and both heights.
 
     The little group is generated by the |I|^2 products g h^-1 of R-set
@@ -267,16 +269,17 @@ def heights(checked: CheckedPower, rset: tuple[Perm, ...], group: PermGroup) -> 
     The generalized height is h = |G|/|N| for the normal completion N.
     :func:`degree_map` proves that N is normal and that the R-set lies in
     one coset r0 N, so that G/N = <r0 N> is cyclic of order h.  The classical
-    height is the period of the fiber (:func:`_classical_height_by_grading`),
-    so no rule word of tau is read, and L = l^n.  Both heights must divide
-    L - 1, and h_cl must divide h.
+    height is the period of the letter graph that :func:`structure_group`
+    walked, so no rule word of tau is read, and L = l^n.  Both heights must
+    divide L - 1, and h_cl must divide h.
     """
+    group = graded.group
     inverses = [inverse(h) for h in rset]
     products = sorted({compose(g, h_inverse) for g in rset for h_inverse in inverses})
     little = closure([compose(g, inverses[0]) for g in rset], ambient=group).with_generators(products)
     completion = normal_closure(little, group)
     order = group.order // completion.order
-    classical = _classical_height_by_grading(checked.fiber)
+    classical = graded.classical_height
     length = checked.original.length ** checked.exponent
     if (length - 1) % order != 0 or (length - 1) % classical != 0 or order % classical != 0:
         raise InternalCheckError(
@@ -290,19 +293,22 @@ class DegreeData(NamedTuple):
     by_perm: dict[Perm, int]  # degree of each g in G; (i, g, sign) has the degree of g
 
 
-def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData:
+def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup,
+               graded: GradedGroup) -> DegreeData:
     """Degree of (i, g, sign) is the class of g modulo the normal completion N,
     written as an integer: the length mod h = |G|/|N| of any word for g in
     the R-set, whose elements label the columns of the substitution sandwich.
 
-    The group degrees come from one breadth-first search over G from the
-    identity, by right multiplication g -> g*r with each r in the R-set,
-    that checks d(g*r) = d(g) + 1 mod h on every edge: the one runtime proof
-    of the grading.  Every element of G is a product of R-set elements, so a
-    search that reaches all of G and passes every edge check shows d to be a
-    well-defined homomorphism onto Z/hZ that sends each R-set element to 1.
-    Its kernel is checked to be N, so N is normal and holds r0^-1 r for each
-    r in the R-set: the R-set lies in one coset of N.
+    The degree of g is its level in the walk of :func:`structure_group`
+    mod h: this stage walks nothing.  The walk's Cayley graph g -> g r has
+    period p = |G|/|N|.  Reduced mod p, the level is a homomorphism that
+    sends each r to 1, growing by one on each edge.  Its kernel is normal
+    and holds every g h^-1 of R-set elements, so it contains N, and p <= h.
+    G -> G/N = Z/hZ is another such grading, so h divides p.  The check that
+    h divides p is the one runtime proof of the grading: it makes lev mod h
+    a well-defined homomorphism onto Z/hZ.  Its kernel is checked to be N,
+    so N is normal and holds r0^-1 r for each r in the R-set: the R-set lies
+    in one coset of N.
 
     On the matrix semigroup, (i, g, lam)(j, h, mu) = (i, g A[lam][j] h, mu),
     and d is a homomorphism on G, so d(xy) = d(x) + d(y) holds for all x, y
@@ -310,30 +316,11 @@ def degree_map(matrix: ReesMatrixSemigroup, completion: PermGroup) -> DegreeData
     law is therefore checked on the 2|I| entries, not on products, and the
     idempotents (i, A[lam][i]^-1, lam), their inverses, sit at degree 0.
     """
-    group = matrix.group
-    modulus = group.order // completion.order
-    degree_of_perm = {identity(group.degree): 0}
-    set_degree = degree_of_perm.setdefault
-    getters = [after(r) for r in matrix.i_labels]
-    frontier = list(degree_of_perm)
-    level = 0
-    while frontier:
-        # every element of the frontier lies at distance `level` from the
-        # identity, so has degree level mod h, and each g*r must have the next
-        level += 1
-        d = level % modulus
-        reached = len(degree_of_perm)
-        for r_after in getters:
-            for y in map(r_after, frontier):
-                # one lookup per edge: a new g*r gets degree d, a known one keeps its own
-                if set_degree(y, d) != d:
-                    raise InternalCheckError("R-set word lengths do not define a degree mod h",
-                                             stage="degree_map")
-        # the dict keeps insertion order, so the elements new at this level come last
-        frontier = list(islice(degree_of_perm, reached, None))
-    if degree_of_perm.keys() != group.element_set:
-        raise InternalCheckError("the R-set does not reach every element of the structure group",
+    modulus = matrix.group.order // completion.order
+    if graded.period % modulus != 0:
+        raise InternalCheckError("R-set word lengths do not define a degree mod h",
                                  stage="degree_map")
+    degree_of_perm = {g: lev % modulus for g, lev in graded.levels.items()}
     if {g for g, d in degree_of_perm.items() if d == 0} != completion.element_set:
         raise InternalCheckError("the degree-0 elements differ from the normal completion",
                                  stage="degree_map")
@@ -433,10 +420,11 @@ def global_description(checked: CheckedPower, g0_index: int | None = None) -> St
     # the allowed words would be the s words a f(a): a fiber no larger than
     # the alphabet, which check_input refuses as periodic, the power having
     # the input's fiber.
-    group = structure_group(rset)
-    hs = heights(checked, rset, group)
+    graded = structure_group(rset)
+    group = graded.group
+    hs = heights(checked, rset, graded)
     matrix = substitution_sandwich(group, rset, rset[g0_index])
-    degrees = degree_map(matrix, hs.normal_completion)
+    degrees = degree_map(matrix, hs.normal_completion, graded)
     brute = classical_height_bruteforce(checked)
     if brute != hs.classical_height:
         raise InternalCheckError(

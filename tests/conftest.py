@@ -9,16 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from ellisub import (AnalysisConfig, analyze_substitution, check_input,
+from ellisub import (AnalysisConfig, analyze_substitution, check_input, heights,
                      is_aperiodic, parse_substitution, r_set, structure_group)
 from ellisub.errors import EllisubError
 from ellisub.golden import CASES
-from ellisub.perms import closure, compose
+from ellisub.perms import compose
 from ellisub.rees import ReesMatrixSemigroup, substitution_sandwich
 from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Alphabet, Substitution, TwoWordFiber,
                                   allowed_two_words, columns)
-from reference import GreenStructure, fiber_semigroup, green_structure
+from reference import GreenStructure, fiber_semigroup, generated_group, green_structure
 
 
 def mutant(function, old, new):
@@ -44,7 +44,16 @@ def make_substitution(rule_words: list[str]) -> Substitution:
 def rset_and_group(sub: Substitution) -> tuple:
     """The first two stages of a simplified substitution: R-set and structure group."""
     rset = r_set(check_input(sub))
-    return rset, structure_group(rset)
+    return rset, structure_group(rset).group
+
+
+def first_stages(sub: Substitution) -> tuple:
+    """The R-set, the structure group with its walks, and the heights of a
+    simplified substitution."""
+    checked = check_input(sub)
+    rset = r_set(checked)
+    graded = structure_group(rset)
+    return rset, graded, heights(checked, rset, graded)
 
 
 def translates(pairs, group) -> set:
@@ -84,7 +93,7 @@ def fiber_action(sub: Substitution) -> FiberMaps:
 
 def three_row_matrix(base: tuple[int, int] = (0, 0)) -> ReesMatrixSemigroup:
     """|I| = 2 and |Lambda| = 3 over S_3, with no identity sandwich entry."""
-    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    s3 = generated_group([(1, 0, 2), (1, 2, 0)])
     sandwich = (((1, 2, 0), (0, 2, 1)),
                 ((1, 0, 2), (2, 0, 1)),
                 ((2, 1, 0), (1, 2, 0)))

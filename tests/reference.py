@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
 from ellisub.oracle import OracleResult, limit_maps
-from ellisub.perms import (Perm, PermGroup, after, closure, compose, identity, inverse,
-                           is_normal)
+from ellisub.perms import (Perm, PermGroup, _graded_walk, after, compose, identity,
+                           inverse, is_normal)
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
                           ReesMatrixSemigroup)
 from ellisub.report import report_to_json
@@ -164,7 +164,7 @@ def little_structure_group(m: ReesMatrixSemigroup) -> PermGroup:
     """Group generated by the sandwich entries of a normalized presentation."""
     if not m.is_normalized():
         raise ValidationError("little structure group is defined for normalized presentations")
-    return closure([entry for row in m.sandwich for entry in row])
+    return generated_group([entry for row in m.sandwich for entry in row])
 
 
 def idempotent_generated(m: ReesMatrixSemigroup) -> ReesMatrixSemigroup:
@@ -671,11 +671,11 @@ def rees_decomposition(sg: TransformationSemigroup, e: Perm,
     by_perm = {p: f for f, p in perm_of.items()}
     # a few generators, each outside the group of those before it
     gens: list[Perm] = []
-    group = closure([identity(len(points))])
+    group = generated_group([identity(len(points))])
     for p in sorted(by_perm):
         if p not in group:
             gens.append(p)
-            group = closure(gens)
+            group = generated_group(gens)
     if group.element_set != by_perm.keys():
         raise InternalCheckError("H-class of e is not closed under composition")
 
@@ -693,6 +693,16 @@ def rees_decomposition(sg: TransformationSemigroup, e: Perm,
 
 # ---------------------------------------------------------------------------
 # groups
+
+def generated_group(gens) -> PermGroup:
+    """The group that a non-empty ``gens`` generates, listed by one walk from
+    the identity, as :func:`ellisub.pipeline.structure_group` lists G:
+    the reference that closures inside a group are checked against.
+    ``[identity(n)]`` gives the trivial group on n points."""
+    gens = sorted(set(map(tuple, gens)))
+    levels, _ = _graded_walk(identity(len(gens[0])), [after(g) for g in gens])
+    return PermGroup(len(gens[0]), tuple(gens), tuple(sorted(levels)))
+
 
 def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
     """(order, is_cyclic) of group/normal; normality is verified, not assumed."""

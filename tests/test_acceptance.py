@@ -3,7 +3,8 @@ pass line printed per criterion.  Run with ``pytest tests/test_acceptance.py -s`
 to see the lines."""
 
 from ellisub.perms import cycles, element_order, identity, is_normal
-from ellisub.pipeline import check_input, classical_height_bruteforce, degree_map
+from ellisub.pipeline import (check_input, classical_height_bruteforce, degree_map,
+                              structure_group)
 from ellisub.rees import ReesMatrixSemigroup
 from conftest import rset_and_group
 from reference import (fiber_semigroup, idempotent_generated, idempotents_of,
@@ -182,7 +183,8 @@ def test_criterion_9_structural_identities(golden_reports, golden_fibers, random
         generated = idempotent_generated(report.matrix)  # checked internally
         assert generated.group.elements == report.little_group.elements
         assert classical_height_bruteforce(check_input(sub)) == report.classical_height
-        data = degree_map(report.matrix, report.normal_completion)  # morphism asserted
+        # morphism asserted
+        data = degree_map(report.matrix, report.normal_completion, structure_group(report.rset))
         assert data.modulus == report.height
         cent = report.aut.fiber_group
         assert cent.order <= sub.size

@@ -248,6 +248,10 @@ def test_a_capped_group_closure_names_its_stage(tmp_path, monkeypatch, capsys):
     assert json.loads(captured.err) == {"error": {
         "kind": "resource-limit", "message": "group closure exceeded cap of 5 elements",
         "stage": "structure_group"}}
+    # the walk over G trips only past the cap: a cap of 6 holds all of S_3
+    monkeypatch.setattr(ellisub.perms, "CLOSURE_CAP", 6)
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _forced_check(stage, monkeypatch):
@@ -256,10 +260,20 @@ def _forced_check(stage, monkeypatch):
     import ellisub.pipeline as pipeline
     from ellisub.perms import closure
     if stage == "structure_group":
-        monkeypatch.setattr(pipeline, "is_transitive", lambda group: False)
+        # the walk over the letters stops one letter short
+        walk = pipeline._graded_walk
+
+        def short_of_a_letter(start, steps):
+            levels, period = walk(start, steps)
+            if start == 0:
+                levels.popitem()
+            return levels, period
+        monkeypatch.setattr(pipeline, "_graded_walk", short_of_a_letter)
     elif stage == "heights":
         # h = 1, and a classical height of 2 neither divides it nor L - 1 = 15
-        monkeypatch.setattr(pipeline, "_classical_height_by_grading", lambda fiber: 2)
+        walked = pipeline.structure_group
+        monkeypatch.setattr(pipeline, "structure_group",
+                            lambda rset: walked(rset)._replace(classical_height=2))
     elif stage == "degree_map (not normal)":
         # the little group of order 2, not normal in S_3: h = 3 divides L - 1
         monkeypatch.setattr(pipeline, "normal_closure", lambda little, ambient: little)
@@ -276,8 +290,7 @@ def _forced_check(stage, monkeypatch):
         monkeypatch.setattr(pipeline, "classical_height_bruteforce", lambda checked: 5)
     else:
         # S_3 is no centralizer of S_3 on three points: its transpositions fix a point
-        monkeypatch.setattr(pipeline, "centralizer_in_symmetric",
-                            lambda group: closure(list(group.elements)))
+        monkeypatch.setattr(pipeline, "centralizer_in_symmetric", lambda group: group)
     return "s3_seven_words"
 
 

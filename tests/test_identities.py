@@ -7,12 +7,13 @@ import random
 
 import pytest
 
-from ellisub.perms import closure, compose, inverse
+from ellisub.perms import compose, inverse
 from ellisub.rees import PLUS, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import report_to_json
 from ellisub.substitution import allowed_two_words, columns, substitution_power
 from conftest import pair_closure, rset_and_group, translates
-from reference import as_transformation_semigroup, green_structure, left_regular_action
+from reference import (as_transformation_semigroup, generated_group, green_structure,
+                       left_regular_action)
 
 
 def realized_pairs(matrix, fiber) -> set:
@@ -58,7 +59,7 @@ def test_green_summary_of_the_matrix_is_that_of_the_fiber_maps(golden_reports, g
 
 @pytest.mark.parametrize("n_i, n_lam", [(3, 4), (2, 1), (1, 3)])
 def test_green_summary_of_a_matrix_with_other_row_counts(n_i, n_lam):
-    group = closure([(1, 0, 2), (1, 2, 0)])  # S_3
+    group = generated_group([(1, 0, 2), (1, 2, 0)])  # S_3
     rng = random.Random(n_i * 10 + n_lam)
     sandwich = tuple(tuple(rng.choice(group.elements) for _ in range(n_i))
                      for _ in range(n_lam))

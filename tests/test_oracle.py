@@ -14,14 +14,15 @@ from ellisub.cli import main
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
                             oracle_equivalence)
-from ellisub.perms import closure, compose
+from ellisub.perms import compose
 from ellisub.pipeline import check_input, r_set
 from ellisub.rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
 from conftest import make_substitution, mutant, rset_and_group, three_row_matrix
 from reference import (as_transformation_semigroup, compare_map_semigroups,
-                       element_closure, fiber_semigroup, idempotent_generated, idempotents_of,
+                       element_closure, fiber_semigroup, generated_group,
+                       idempotent_generated, idempotents_of,
                        induced_fiber_map, letter_at, oracle_closure,
                        proximality_classes, reference_action, rees_generators,
                        semigroup_closure, walk_shortfall)
@@ -150,7 +151,7 @@ def random_rees_cases(count):
     and columns over S_4 with random entries and base, and 1 to 4 random
     triples.  Unlike a substitution sandwich, no entry need be 1."""
     rng = random.Random(20261019)
-    s4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)])
+    s4 = generated_group([(1, 2, 3, 0), (1, 0, 2, 3)])
     for _ in range(count):
         n_i, n_lam = rng.randint(1, 3), rng.randint(1, 3)
         sandwich = tuple(tuple(rng.choice(s4.elements) for _ in range(n_i)) for _ in range(n_lam))

@@ -14,7 +14,7 @@ from ellisub.golden import compare, load_expectations, snapshot
 from ellisub.oracle import OracleResult
 from ellisub.perms import (PermGroup, closure, compose, cycle_string,
                            element_order, group_name, identity, inverse,
-                           is_normal, is_transitive, normal_closure)
+                           is_normal, normal_closure)
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution, automorphism_data,
                               check_input, classical_height_bruteforce, degree_map,
                               global_description, heights, r_set, return_time_gcd,
@@ -25,9 +25,10 @@ from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Substitution, allowed_two_words, columns, is_simplified,
                                   parse_substitution, substitution_power)
 from conftest import (build_graded_corpus, build_random_corpus, fiber_action, fiber_maps,
-                      make_substitution, pair_closure, rset_and_group, workload_subs)
-from reference import (grading_height_full_scan, idempotents_of, quotient_data,
-                       semigroup_closure, written_r_set)
+                      first_stages, make_substitution, mutant, pair_closure, rset_and_group,
+                      workload_subs)
+from reference import (generated_group, grading_height_full_scan, idempotents_of,
+                       quotient_data, semigroup_closure, written_r_set)
 
 # what moved to tests/reference.py or was deleted: no ellisub module defines it
 MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
@@ -39,11 +40,16 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "letter_at", "_product_law_failure", "as_transformation_semigroup",
          "semigroup_closure", "compare_map_semigroups", "simplify", "is_primitive",
          "substitution_to_text", "map_compose", "map_after", "FiberMap", "green_summary",
-         "idempotents_of")
+         "idempotents_of", "is_transitive", "_classical_height_by_grading")
 
 SWAP = (1, 0)
 POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
 POWER_12 = "a -> bcd\nb -> dda\nc -> cab\nd -> abc\n"
+# G = Z/4 over N = Z/2, h = h_cl = 2: extensions that do not split
+NON_SPLIT = ("a -> abcba\nb -> bcdcb\nc -> cdadc\nd -> dabad\n",
+             "a -> aba\nb -> bcb\nc -> cdc\nd -> dad\n")
+# a walk that gives each new vertex the level lev + 2, not lev + 1
+LEVEL_PLUS_TWO = ("deeper, reached, met = lev + 1,", "deeper, reached, met = lev + 2,")
 # what the gate runs on the input, and the oracle on the analysed power
 CHECKS = ("is_bijective", "_all_letters_exponent", "allowed_two_words", "is_simplified",
           "is_aperiodic")
@@ -112,11 +118,14 @@ def test_r_set_has_at_least_two_elements(golden_simplified, random_corpus):
         assert len(r_set(check_input(sub))) >= 2
 
 
-def test_r_set_and_grading_agree_with_the_written_power(golden_subs):
+def test_r_set_and_grading_agree_with_the_written_power(golden_subs, random_corpus,
+                                                        monkeypatch):
     # r_set recurses over theta's columns and the classical height is the
-    # period of the fiber, with L = l^n; the references read the L - 1 column
-    # quotients of the written power and try every divisor of L - 1 on its
-    # rule words.  The graded inputs have h_cl = 3 and 4, which no other has
+    # period of the letter graph a -> r(a), with L = l^n; the references read
+    # the L - 1 column quotients of the written power and try every divisor
+    # of L - 1 on its rule words.  The letter graph is the graph of allowed
+    # two-letter words: the fiber is {(a, r(a))}.  The graded inputs have
+    # h_cl = 3 and 4, which no other has
     def tally(subs):
         exponents, graded = Counter(), Counter()
         for sub in subs:
@@ -125,6 +134,8 @@ def test_r_set_and_grading_agree_with_the_written_power(golden_subs):
             unwritten = checked._replace(power=None)  # tau is not read
             rset = r_set(unwritten)
             assert rset == r_set(checked)
+            assert checked.fiber.pairs == tuple(sorted({(a, r[a]) for r in rset
+                                                        for a in range(sub.size)}))
             height = heights(unwritten, rset, structure_group(rset)).classical_height
             assert height == grading_height_full_scan(checked.power)
             exponents[checked.exponent] += 1
@@ -137,17 +148,25 @@ def test_r_set_and_grading_agree_with_the_written_power(golden_subs):
     assert tally(subs) == ([(1, 84), (2, 23), (3, 10), (6, 1), (12, 1)], [(1, 115), (2, 4)])
     assert tally(build_graded_corpus()) == ([(2, 43), (3, 4), (4, 13)],
                                             [(2, 18), (3, 24), (4, 18)])
+    non_split = [parse_substitution(source) for source in NON_SPLIT]
+    assert tally(random_corpus + non_split) == ([(1, 20), (2, 1), (3, 1)], [(1, 20), (2, 2)])
+    monkeypatch.setattr(ellisub.pipeline, "_graded_walk",
+                        mutant(ellisub.perms._graded_walk, *LEVEL_PLUS_TWO))
+    with pytest.raises((AssertionError, InternalCheckError)):
+        tally(build_graded_corpus())
 
 
 def test_structure_groups(golden_simplified):
     orders = {"thue_morse": 2, "s3_seven_words": 6, "cyclic_rotation": 3, "d4_height_two": 8}
     for name, order in orders.items():
-        assert structure_group(r_set(check_input(golden_simplified[name]))).order == order
+        assert rset_and_group(golden_simplified[name])[1].order == order
 
 
 def test_structure_group_transitive(golden_simplified, random_corpus):
+    # the orbit of letter 0, read off the listed group
     for sub in list(golden_simplified.values()) + random_corpus[:5]:
-        assert is_transitive(structure_group(r_set(check_input(sub))))
+        group = rset_and_group(sub)[1]
+        assert {g[0] for g in group.elements} == set(range(sub.size))
 
 
 def test_structure_group_refuses_an_intransitive_r_set():
@@ -165,45 +184,41 @@ def test_heights_per_case(golden_simplified):
         "d4_height_two": (2, 2),
     }
     for name, (h, h_cl) in expected.items():
-        sub = golden_simplified[name]
-        hs = heights(check_input(sub), *rset_and_group(sub))
+        hs = first_stages(golden_simplified[name])[2]
         assert (hs.height, hs.classical_height) == (h, h_cl), name
 
 
 def test_little_group_not_normal_in_nonnormal_case(golden_simplified):
-    sub = golden_simplified["s3_nonnormal_little"]
-    rset, group = rset_and_group(sub)
-    hs = heights(check_input(sub), rset, group)
+    _, graded, hs = first_stages(golden_simplified["s3_nonnormal_little"])
     assert hs.little_group.order == 2
-    assert not is_normal(hs.little_group, group)
+    assert not is_normal(hs.little_group, graded.group)
     assert hs.normal_completion.order == 6
 
 
 def test_degree_map_refuses_a_completion_that_is_not_normal(golden_simplified, monkeypatch):
     # a normal closure that returned the little group itself: |N| = 2, so
-    # h = |G|/|N| = 3 divides L - 1 and heights passes it, but no degree mod 3
-    # gives every R-set element 1, and degree_map's walk refuses it
-    sub = golden_simplified["s3_nonnormal_little"]
-    rset, group = rset_and_group(sub)
+    # h = |G|/|N| = 3 divides L - 1 and heights passes it, but 3 does not
+    # divide the period of the walk over G, 1, and degree_map refuses it
     monkeypatch.setattr(ellisub.pipeline, "normal_closure", lambda little, ambient: little)
-    hs = heights(check_input(sub), rset, group)
-    assert (hs.height, hs.normal_completion) == (3, hs.little_group)
+    rset, graded, hs = first_stages(golden_simplified["s3_nonnormal_little"])
+    assert (hs.height, hs.normal_completion, graded.period) == (3, hs.little_group, 1)
     with pytest.raises(InternalCheckError, match="do not define a degree mod h") as caught:
-        degree_map(substitution_sandwich(group, rset, rset[0]), hs.normal_completion)
+        degree_map(substitution_sandwich(graded.group, rset, rset[0]), hs.normal_completion,
+                   graded)
     assert caught.value.stage == "degree_map"
 
 
 def test_is_normal_decides_from_the_orders_only_for_the_whole_group():
-    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    s3 = generated_group([(1, 0, 2), (1, 2, 0)])
     # a subgroup of S_3 with six elements is S_3
     assert is_normal(PermGroup(3, ((1, 0, 2),), s3.elements), s3)
     # six elements outside S_3 fail the subgroup check first
-    assert not is_normal(closure([(1, 0, 2, 3), (1, 2, 0, 3)]), s3)
+    assert not is_normal(generated_group([(1, 0, 2, 3), (1, 2, 0, 3)]), s3)
 
 
 def test_height_divisibility(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        hs = heights(check_input(sub), *rset_and_group(sub))
+        hs = first_stages(sub)[2]
         length = sub.length
         assert (length - 1) % hs.height == 0
         assert (length - 1) % hs.classical_height == 0
@@ -213,21 +228,21 @@ def test_height_divisibility(golden_simplified, random_corpus):
 def closure_of_all_conjugates(elements, ambient):
     """Reference normal closure: close over every element and every conjugate
     of one by a generator of the ambient group, until nothing new appears."""
-    current = closure(list(elements))
+    current = generated_group(list(elements))
     while True:
         conjugates = [compose(compose(g, x), inverse(g))
                       for g in ambient.generators for x in current.elements]
         conjugates = [y for y in conjugates if y not in current]
         if not conjugates:
             return current
-        current = closure(list(current.elements) + conjugates)
+        current = generated_group(list(current.elements) + conjugates)
 
 
 def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
-        rset, group = rset_and_group(sub)
-        hs = heights(check_input(sub), rset, group)
-        little = closure([compose(g, inverse(h)) for g in rset for h in rset])
+        rset, graded, hs = first_stages(sub)
+        group = graded.group
+        little = generated_group([compose(g, inverse(h)) for g in rset for h in rset])
         completion = closure_of_all_conjugates(little.elements, group)
         order, cyclic = quotient_data(group, completion)
         assert cyclic
@@ -239,7 +254,7 @@ def test_heights_match_closure_of_all_conjugates(golden_simplified, random_corpu
         assert (hs.normal_completion.elements == closure(gens, ambient=group).elements
                 == completion.elements)
         for x in group.elements:
-            assert (normal_closure(closure([x]), group).elements
+            assert (normal_closure(generated_group([x]), group).elements
                     == closure_of_all_conjugates([x], group).elements)
 
 
@@ -264,14 +279,13 @@ def test_classical_height_bruteforce_examples(golden_subs, long_power_subs):
 def test_grading_height_equals_bruteforce(golden_simplified, random_corpus):
     for sub in list(golden_simplified.values()) + random_corpus:
         checked = check_input(sub)
-        assert (heights(checked, *rset_and_group(sub)).classical_height
-                == classical_height_bruteforce(checked))
+        assert first_stages(sub)[2].classical_height == classical_height_bruteforce(checked)
 
 
 def test_gtwo_pair_counts(golden_simplified):
     for name, count in {"thue_morse": 4, "s3_seven_words": 18}.items():
         sub = golden_simplified[name]
-        assert len(pair_closure(sub, structure_group(r_set(check_input(sub))))) == count
+        assert len(pair_closure(sub, rset_and_group(sub)[1])) == count
 
 
 def test_gtwo_pair_quotients_lie_in_r_set(golden_simplified):
@@ -317,21 +331,18 @@ def test_structural_semigroup_g0_override(golden_simplified):
 
 
 def test_degree_map_trivial_when_height_one(golden_simplified):
-    sub = golden_simplified["thue_morse"]
-    rset, group = rset_and_group(sub)
-    m = substitution_sandwich(group, rset, rset[0])
-    data = degree_map(m, heights(check_input(sub), rset, group).normal_completion)
+    rset, graded, hs = first_stages(golden_simplified["thue_morse"])
+    m = substitution_sandwich(graded.group, rset, rset[0])
+    data = degree_map(m, hs.normal_completion, graded)
     assert data.modulus == 1
-    assert data.by_perm.keys() == group.element_set
+    assert data.by_perm.keys() == graded.group.element_set
     assert set(data.by_perm.values()) == {0}
 
 
 def test_degree_map_splits_by_parity(golden_simplified):
-    sub = golden_simplified["s3_height_two"]
-    rset, group = rset_and_group(sub)
-    hs = heights(check_input(sub), rset, group)
-    m = substitution_sandwich(group, rset, rset[0])
-    data = degree_map(m, hs.normal_completion)
+    rset, graded, hs = first_stages(golden_simplified["s3_height_two"])
+    m = substitution_sandwich(graded.group, rset, rset[0])
+    data = degree_map(m, hs.normal_completion, graded)
     assert data.modulus == 2
     counts = {0: 0, 1: 0}
     even = set(hs.normal_completion.elements)
@@ -357,14 +368,34 @@ def coset_degrees(rep, group, completion):
             for g in group.elements}
 
 
-def test_degree_map_matches_written_out_cosets(golden_reports, random_reports):
-    for report in list(golden_reports.values()) + random_reports:
-        m = report.matrix
-        reference = coset_degrees(m.i_labels[0], m.group, report.normal_completion)
+def test_degree_map_matches_written_out_cosets(golden_reports, random_reports, monkeypatch):
+    # the degree of g is its level in the walk over G mod h: the walk's
+    # Cayley graph g -> g r has period |G|/|N|, and the elements of level
+    # 0 mod that period make up N
+    more = [*build_random_corpus(60, seed=11), *build_graded_corpus(),
+            *(parse_substitution(source) for source in (POWER_6, POWER_12, *NON_SPLIT))]
+    reports = [*golden_reports.values(), *random_reports,
+               *(global_description(check_input(sub)) for sub in more)]
+
+    def check(report):
+        m, normal = report.matrix, report.normal_completion
+        graded = structure_group(report.rset)
+        assert graded.period == m.group.order // normal.order == report.height
+        kernel = {g for g, lev in graded.levels.items() if lev % graded.period == 0}
+        assert kernel == normal.element_set
+        reference = coset_degrees(m.i_labels[0], m.group, normal)
         assert report.degree.modulus == len(set(reference.values())) == report.height
         assert report.degree.by_perm == reference
         # the sandwich entries have degree 0, and so have their inverses
         assert {reference[x.g] for x in idempotents_of(m)} == {0}
+    for report in reports:
+        check(report)
+    assert Counter(report.height for report in reports) == {1: 86, 2: 22, 3: 24, 4: 18}
+    monkeypatch.setattr(ellisub.pipeline, "_graded_walk",
+                        mutant(ellisub.perms._graded_walk, *LEVEL_PLUS_TWO))
+    with pytest.raises(AssertionError):
+        for report in reports:
+            check(report)
 
 
 def test_degree_map_refuses_a_wrong_completion(golden_reports):
@@ -372,27 +403,18 @@ def test_degree_map_refuses_a_wrong_completion(golden_reports):
     # kernel of the R-set word length mod 2
     report = golden_reports["d4_height_two"]
     group, completion = report.structure_group, report.normal_completion
-    others = {closure([g, h]).element_set for g in group.elements for h in group.elements}
-    others = [closure(sorted(elements)) for elements in others
+    others = {generated_group([g, h]).element_set for g in group.elements for h in group.elements}
+    others = [generated_group(sorted(elements)) for elements in others
               if len(elements) == 4 and elements != completion.element_set]
     assert len(others) == 2
+    graded = structure_group(report.rset)
     for wrong in others:
         with pytest.raises(InternalCheckError, match="degree-0 elements"):
-            degree_map(report.matrix, wrong)
+            degree_map(report.matrix, wrong, graded)
     # S3 has no map onto Z/6 sending every R-set element to 1
     report = golden_reports["s3_seven_words"]
     with pytest.raises(InternalCheckError, match="degree mod h"):
-        degree_map(report.matrix, closure([identity(3)]))
-
-
-def test_degree_map_refuses_labels_that_miss_the_group(golden_reports):
-    report = golden_reports["s3_seven_words"]
-    group = report.structure_group
-    swap = next(g for g in report.rset if element_order(g) == 2)
-    matrix = substitution_sandwich(group, [swap], swap)  # <swap> has order 2 of 6
-    alternating = closure([g for g in group.elements if element_order(g) == 3])
-    with pytest.raises(InternalCheckError, match="does not reach"):
-        degree_map(matrix, alternating)
+        degree_map(report.matrix, generated_group([identity(3)]), structure_group(report.rset))
 
 
 @pytest.mark.parametrize("name", ["s3_height_two", "d4_height_two"])
@@ -407,7 +429,7 @@ def test_degree_map_refuses_a_sandwich_entry_of_nonzero_degree(golden_reports, n
     corrupted = ReesMatrixSemigroup(m.group, m.i_labels, m.lam_labels,
                                     (m.sandwich[PLUS], minus_row), m.base)
     with pytest.raises(InternalCheckError, match="not a semigroup morphism"):
-        degree_map(corrupted, report.normal_completion)
+        degree_map(corrupted, report.normal_completion, structure_group(report.rset))
 
 
 def test_degree_calibration_level_two(golden_simplified):
@@ -415,9 +437,8 @@ def test_degree_calibration_level_two(golden_simplified):
     # degree nu modulo h
     for name in ("s3_height_two", "d4_height_two"):
         sub = golden_simplified[name]
-        rset, group = rset_and_group(sub)
-        hs = heights(check_input(sub), rset, group)
-        degrees = coset_degrees(rset[0], group, hs.normal_completion)
+        rset, graded, hs = first_stages(sub)
+        degrees = coset_degrees(rset[0], graded.group, hs.normal_completion)
         assert len(set(degrees.values())) == hs.height
         square_cols = columns(substitution_power(sub, 2))
         for nu in range(1, len(square_cols)):
@@ -651,6 +672,26 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
                     patch.setattr(module, "closure", no_group_closure)
             return original_sandwich(*args, **kwargs)
     monkeypatch.setattr(ellisub.pipeline, "substitution_sandwich", sandwich)
+    walks = []  # the start of each graded walk: G's from the identity, the letters' from 0
+    original_walk = ellisub.pipeline._graded_walk
+
+    def graded_walk(start, steps):
+        walks.append(start)
+        return original_walk(start, steps)
+    monkeypatch.setattr(ellisub.pipeline, "_graded_walk", graded_walk)
+    counted_degree_map = ellisub.pipeline.degree_map
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("degree_map walked a group again")
+
+    def degree_map(*args, **kwargs):
+        # the degrees are the walk's levels mod h: degree_map builds no
+        # getter, closes no group and walks nothing
+        with monkeypatch.context() as patch:
+            for name in ("after", "closure", "_graded_walk"):
+                patch.setattr(ellisub.pipeline, name, no_walk)
+            return counted_degree_map(*args, **kwargs)
+    monkeypatch.setattr(ellisub.pipeline, "degree_map", degree_map)
     oracle_closures = []  # the generators of each group the oracle closes, and the group
     original_closure = ellisub.oracle.closure
 
@@ -680,6 +721,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # sandwich's minus row, g0 g^-1 for each of the |I| column labels: no
     # fiber map is composed
     assert calls == once and len(products) == len(report.rset) and reads == []
+    assert walks == [identity(3), 0]
     assert encoded == []
     assert oracle_closures == []
     # the global strings, the automorphism data and the report all read group
@@ -703,9 +745,10 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     calls.clear()
     on_power.clear()
     products.clear()
+    walks.clear()
     report = analyze_substitution(sub, AnalysisConfig(verify=True))
     assert report.oracle.equal and report.oracle.map_count == report.matrix.size
-    assert calls == once
+    assert calls == once and walks == [identity(3), 0]
     # generation is decided by the loop group at row i0, which has |G|
     # elements exactly when the oracle's triples generate the matrix.  It
     # starts trivial and is closed again inside G only on a Schreier
@@ -797,9 +840,12 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
         monkeypatch.setattr(module, "closure", recording)
     full = 0
     for sub in list(golden_simplified.values()) + random_corpus:
-        rset, group = rset_and_group(sub)
+        checked = check_input(sub)
+        rset = r_set(checked)
+        graded = structure_group(rset)
+        group = graded.group
         closed.clear()
-        hs = heights(check_input(sub), rset, group)
+        hs = heights(checked, rset, graded)
         # every group heights closes is closed inside G; a little group with
         # |G| elements is G, so the normal completion closes nothing more
         assert all(ambient is group for _, ambient in closed)
@@ -811,9 +857,9 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
             assert hs.normal_completion.fingerprint is group.fingerprint
     assert full > 0
 
-    # closure multiplies by each distinct generator once: a repeated
-    # generator costs no compositions.  Each composition is a call of the
-    # getter that perms.after builds once per generator.
+    # the walk and the closure multiply by each distinct generator once: a
+    # repeated generator costs no compositions.  Each composition is a call
+    # of the getter that perms.after builds once per generator.
     compositions = 0
     original_after = ellisub.perms.after
 
@@ -827,20 +873,17 @@ def test_heights_closes_the_little_group_once(golden_simplified, random_corpus, 
         return counted
     monkeypatch.setattr(ellisub.perms, "after", counting)
     gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
-    distinct = original_closure(gens)
-    walked = compositions
-    compositions = 0
-    repeated = original_closure(gens * 3 + gens[:1])
+    levels, _ = ellisub.perms._graded_walk(identity(4), [ellisub.perms.after(g) for g in gens])
     # every element of S_4 times each of the two generators
-    assert walked == 2 * distinct.order == 48
-    assert compositions == walked and repeated == distinct
-    # inside S_4 the walk stops at its 24th element, after 36 of the 48
+    assert compositions == 2 * len(levels) == 48
+    s4 = generated_group(gens)
+    # inside S_4 the closure stops at its 24th element, after 36 of the 48
     # products, and returns S_4 itself; a proper subgroup is walked whole
+    for repeats in (gens, gens * 3 + gens[:1]):
+        compositions = 0
+        assert original_closure(repeats, ambient=s4) is s4 and compositions == 36
     compositions = 0
-    assert original_closure(gens, ambient=distinct) is distinct
-    assert compositions == 36
-    compositions = 0
-    assert original_closure(gens[:1], ambient=distinct).order == 4 and compositions == 4
+    assert original_closure(gens[:1] * 2, ambient=s4).order == 4 and compositions == 4
 
 
 def test_fiber_no_larger_than_the_alphabet_stops_at_the_r_set(monkeypatch):

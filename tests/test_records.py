@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from ellisub import AnalysisConfig, analyze_substitution, check_input, heights
+from ellisub import (AnalysisConfig, analyze_substitution, check_input, heights, r_set,
+                     structure_group)
 from ellisub.errors import ValidationError
-from ellisub.perms import PermGroup, closure, identity
+from ellisub.perms import PermGroup, identity
 from ellisub.rees import SIGN_LABELS, ReesMatrixSemigroup
 from ellisub.substitution import Alphabet, Substitution, parse_substitution
-from conftest import rset_and_group
+from reference import generated_group
 
 ROOT = Path(__file__).resolve().parent.parent
 S3 = ((1, 0, 2), (1, 2, 0))
@@ -50,13 +51,15 @@ def test_the_cli_loads_neither_dataclasses_nor_importlib_resources():
 def test_each_frozen_value_refuses_an_assignment(golden_subs):
     sub = golden_subs["s3_seven_words"]
     checked = check_input(sub)
-    rset, group = rset_and_group(checked.power)
+    rset = r_set(checked)
+    graded = structure_group(rset)
+    group = graded.group
     report = analyze_substitution(sub)
     values = (sub.alphabet, sub, checked.fiber, checked.aperiodicity, group,
-              group.fingerprint, report.matrix, checked, heights(checked, rset, group))
+              group.fingerprint, report.matrix, checked, graded, heights(checked, rset, graded))
     assert [type(v).__name__ for v in values] == [
         "Alphabet", "Substitution", "TwoWordFiber", "AperiodicityVerdict", "PermGroup",
-        "GroupFingerprint", "ReesMatrixSemigroup", "CheckedPower", "Heights"]
+        "GroupFingerprint", "ReesMatrixSemigroup", "CheckedPower", "GradedGroup", "Heights"]
     for value in values:
         for field in value._fields:
             before = getattr(value, field)
@@ -72,7 +75,7 @@ def test_alphabet_substitution_and_group_compare_and_hash_by_value():
     assert sub == twin and hash(sub) == hash(twin) and len({sub, twin}) == 1
     assert sub != Substitution(sub.alphabet, ((0, 1, 0, 0), (1, 0, 1, 1)))
     assert Alphabet(("a", "b")) != Alphabet(("b", "a"))
-    s3 = closure(S3)
+    s3 = generated_group(S3)
     fresh = PermGroup(s3.degree, s3.generators, s3.elements)
     assert s3.fingerprint.order == 6  # a cached property leaves the value alone
     assert s3 == fresh and hash(s3) == hash(fresh) and len({s3, fresh}) == 1
@@ -91,12 +94,12 @@ def test_alphabet_substitution_and_group_compare_and_hash_by_value():
      "rule for 'b' has length 3, expected 2"),
     (lambda: Substitution(Alphabet(("a", "b")), ((0, 2), (1, 0))),
      "rule for 'a' uses an out-of-range letter"),
-    (lambda: ReesMatrixSemigroup(closure(S3), ("i",), SIGN_LABELS, ((identity(3),),)),
+    (lambda: ReesMatrixSemigroup(generated_group(S3), ("i",), SIGN_LABELS, ((identity(3),),)),
      "sandwich matrix has wrong number of rows"),
-    (lambda: ReesMatrixSemigroup(closure(S3), ("i",), SIGN_LABELS,
+    (lambda: ReesMatrixSemigroup(generated_group(S3), ("i",), SIGN_LABELS,
                                  ((identity(3),), (identity(3), identity(3)))),
      "sandwich matrix has wrong number of columns"),
-    (lambda: ReesMatrixSemigroup(closure([S3[0]]), ("i",), SIGN_LABELS,
+    (lambda: ReesMatrixSemigroup(generated_group([S3[0]]), ("i",), SIGN_LABELS,
                                  ((identity(3),), (S3[1],))),
      "sandwich entry outside the structure group"),
     (lambda: AnalysisConfig(verify=True, output_format="yaml"),
@@ -111,7 +114,7 @@ def test_the_constructors_keep_their_messages(build, message):
 def test_the_constructors_take_their_keywords():
     config = AnalysisConfig(verify=True, output_format="json")
     assert (config.g0_index, config.verify, config.output_format) == (None, True, "json")
-    s3 = closure(S3)
+    s3 = generated_group(S3)
     m = ReesMatrixSemigroup(group=s3, i_labels=("i",), lam_labels=("p",),
                             sandwich=((identity(3),),))
     assert m.base == (0, 0) and m == ReesMatrixSemigroup(s3, ("i",), ("p",), ((identity(3),),))

@@ -7,16 +7,17 @@ import ellisub.pipeline
 import ellisub.rees
 from ellisub import AnalysisConfig, analyze_substitution
 from ellisub.errors import InternalCheckError, ValidationError
-from ellisub.perms import PermGroup, closure, compose, identity, inverse
+from ellisub.perms import PermGroup, compose, identity, inverse
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
                           ReesMatrixSemigroup, substitution_sandwich)
 from ellisub.substitution import TwoWordFiber, allowed_two_words
 from conftest import build_random_corpus, fiber_action, rset_and_group, three_row_matrix
 from reference import (as_transformation_semigroup, element_closure, fiber_semigroup,
-                       idempotent_generated, idempotents_of, left_regular_action,
-                       little_structure_group, multiply, presentations_isomorphic,
-                       product_law_failure, reference_action, rees_decomposition,
-                       rees_generators, semigroup_closure, verify_rees_isomorphism)
+                       generated_group, idempotent_generated, idempotents_of,
+                       left_regular_action, little_structure_group, multiply,
+                       presentations_isomorphic, product_law_failure, reference_action,
+                       rees_decomposition, rees_generators, semigroup_closure,
+                       verify_rees_isomorphism)
 
 
 def sandwich(sub, g0_index: int = 0) -> ReesMatrixSemigroup:
@@ -57,7 +58,7 @@ def test_sandwich_requires_membership(golden_simplified):
 def test_sandwich_refuses_labels_outside_the_group(golden_simplified):
     # the group is taken as given: an R-set element outside it is refused
     rset, group = rset_and_group(golden_simplified["s3_height_two"])
-    a3 = closure([(1, 2, 0)])
+    a3 = generated_group([(1, 2, 0)])
     assert any(g not in a3 for g in rset)
     with pytest.raises(ValidationError, match="structure group"):
         substitution_sandwich(a3, rset, rset[0])
@@ -70,7 +71,7 @@ def test_multiply_matches_its_definition_on_random_presentations():
     for n in range(1, 10):
         gen = list(range(n))
         rng.shuffle(gen)
-        group = closure([tuple(gen)])
+        group = generated_group([tuple(gen)])
         ni, nlam = rng.randint(1, 3), rng.randint(1, 3)
         sandwich = tuple(tuple(rng.choice(group.elements) for _ in range(ni))
                          for _ in range(nlam))
@@ -156,7 +157,7 @@ def test_idempotent_generated_subsemigroup(golden_simplified):
 
 
 def test_idempotent_generated_of_group_case():
-    group = closure([(1, 0)])
+    group = generated_group([(1, 0)])
     m = ReesMatrixSemigroup(group, ("i",), ("l",), ((identity(2),),))
     assert idempotent_generated(m).size == 1
 
@@ -295,7 +296,7 @@ def test_rees_generators_refuse_a_group_whose_generators_fall_short(golden_simpl
     # group-law search from the identity reaches 1 of its 6 elements, and the
     # checks refuse even a true homomorphism, naming the group law and a
     # triple of the base H-class that the search missed
-    s3 = closure([(1, 0, 2), (1, 2, 0)])
+    s3 = generated_group([(1, 0, 2), (1, 2, 0)])
     group = PermGroup(3, (identity(3),), s3.elements)
     ident = identity(3)
     m = ReesMatrixSemigroup(group, ("i", "j"), SIGN_LABELS, ((ident, ident), (ident, ident)))

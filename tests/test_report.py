@@ -15,14 +15,14 @@ import ellisub.pipeline
 import ellisub.report
 from ellisub import parse_substitution
 from ellisub.golden import CASE_ORDER, CASES
-from ellisub.perms import PermGroup, closure, cycle_string, normal_closure
+from ellisub.perms import PermGroup, cycle_string, normal_closure
 from ellisub.pipeline import (AnalysisConfig, analyze_substitution, check_input,
                               global_description)
 from ellisub.report import (_CycleStrings, _dict, _green_shape, _group, _list, _strs,
                             render_json, render_text, report_to_json)
 
 from conftest import mutant
-from reference import text_report
+from reference import generated_group, text_report
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
 DIGESTS = {
@@ -114,21 +114,18 @@ def test_render_text_writes_no_rules(monkeypatch, golden_reports):
 
 def generator_failures(report) -> list[str]:
     """The group payloads of ``report`` whose generators do not give their
-    group's elements, closed inside G (aut_fib, which is not a subgroup of
-    G, in the symmetric group), and a normal completion whose generators do
-    not begin with the little group's."""
+    group's elements, walked from the identity, and a normal completion
+    whose generators do not begin with the little group's."""
     d = report_to_json(report)
     group = report.structure_group
     letters = report.alphabet.letters
     aut = report.aut.fiber_group
     perm_of = {cycle_string(p, letters): p for p in group.elements + aut.elements}
     failures = []
-    for key, target, ambient in (("structure_group", group, group),
-                                 ("little_group", report.little_group, group),
-                                 ("normal_completion", report.normal_completion, group),
-                                 ("aut_fib", aut, None)):
+    for key, target in (("structure_group", group), ("little_group", report.little_group),
+                        ("normal_completion", report.normal_completion), ("aut_fib", aut)):
         gens = [perm_of[text] for text in d[key]["generators"]]
-        if closure(gens, ambient).element_set != target.element_set:
+        if generated_group(gens).element_set != target.element_set:
             failures.append(key)
     little = d["little_group"]["generators"]
     if d["normal_completion"]["generators"][:len(little)] != little:
@@ -221,8 +218,8 @@ def test_writer_is_the_indented_dump(golden_reports):
         letters = ("é", "𝔞", '"', "\\")
         cycles = _CycleStrings(letters)
         # no generators; S_4, which has no name; Z/2 on letters that need escapes
-        groups = (PermGroup(4, (), ((0, 1, 2, 3),)), closure([(1, 0, 2, 3), (1, 2, 3, 0)]),
-                  closure([(1, 0, 3, 2)]))
+        groups = (PermGroup(4, (), ((0, 1, 2, 3),)), generated_group([(1, 0, 2, 3), (1, 2, 3, 0)]),
+                  generated_group([(1, 0, 3, 2)]))
         assert groups[1].fingerprint.name is None
         for group in groups:
             fp = group.fingerprint
