@@ -4,15 +4,18 @@
 The two-sided fixed point a.b of a simplified substitution reads
 x[p] = sigma^n(b)[p] to the right of the dot and x[-k] = sigma^n(a)[-k] to
 its left, so a window is read off the rule words of a power.  For a
-simplified substitution the map that a shift sigma^(nu * l^k) induces on the
-fixed points is the same at every level k, so the oracle reads each once, off
-the rule words; the written-out powers confirm it at levels 1 to 4.  The
-comparison with the algebraic pipeline names each map by its triple,
-decoding it through the matrix action, and decides whether the triples
-generate the whole matrix semigroup by the order of their loop group: the
-closure inside the structure group of the Schreier generators of the edges
-of the row/column graph, formed one at a time, closed again only on one the
-group misses, and stopped once the group has |G| elements.
+simplified substitution the map that a shift sigma^(nu * L^k) induces on the
+fixed points is the same at every level k, so it is read once, off the rule
+words; the written-out powers confirm it at levels 1 to 4.  The maps of
+sigma^nu and sigma^(nu - L) read one table of a column pair, and the oracle
+builds the distinct tables from the columns of the input theta and the
+exponent n alone, by a recursion over the levels, without writing the
+power.  The comparison with the algebraic pipeline names each map by its
+triple, decoding it through the matrix action, and decides whether the
+triples generate the whole matrix semigroup by the order of their loop
+group: the closure inside the structure group of the Schreier generators of
+the edges of the row/column graph, formed one at a time, closed again only
+on one the group misses, and stopped once the group has |G| elements.
 """
 
 from ellisub import (FiberAction, check_input, cycle_string,
@@ -23,6 +26,7 @@ from ellisub import (FiberAction, check_input, cycle_string,
 checked = check_input(parse_substitution("a -> abba\nb -> baab"))
 sub = checked.power
 letters = sub.alphabet.letters
+length = sub.length
 
 
 def letter(blocks, pair, p):
@@ -44,33 +48,51 @@ for nu in (1, 2, 3, -1):
     print(f"  sigma^{nu} of a.a sits over the two-word {letters[a]}{letters[b]}")
 
 print("\n== limit maps, read once off the rule words")
-result = limit_maps(sub)
-distinct = sorted({m.fiber_map for m in result.maps})
-print(f"{len(result.maps)} seed maps, {len(distinct)} distinct")
+# for 0 < nu < L, sigma^nu puts letters nu-1, nu of rule(b) over a.b, and
+# sigma^(nu - L) puts letters nu-1, nu of rule(a) over it
+fiber = checked.fiber
+index = {pair: k for k, pair in enumerate(fiber.pairs)}
+by_shift = {}
+for nu in range(1, length):
+    for shift, side in ((nu, 1), (nu - length, 0)):
+        by_shift[shift] = tuple(index[tuple(sub.rules[pair[side]][nu - 1:nu + 1])]
+                                for pair in fiber.pairs)
+distinct = sorted(set(by_shift.values()))
+print(f"{len(by_shift)} seed maps, {len(distinct)} distinct")
 
 print("\n== every level reads the same map")
 # c_0 = c_(l-1) = id gives x[nu * l^k] = x[nu] and x[nu * l^k - 1] = x[nu - 1]
-index = {pair: k for k, pair in enumerate(result.fiber.pairs)}
-for m in result.maps:
+for nu, f in sorted(by_shift.items()):
     maps = set()
     for k in range(1, 5):
         blocks = substitution_power(sub, k + 1).rules  # |nu| * 4^k < 4^(k+1)
-        shift = m.nu * sub.length**k
+        shift = nu * length**k
         maps.add(tuple(index[(letter(blocks, pair, shift - 1), letter(blocks, pair, shift))]
-                       for pair in result.fiber.pairs))
-    print(f"  sigma^({m.nu} * 4^k) for k = 1..4: {len(maps)} distinct map")
-    assert maps == {m.fiber_map}
+                       for pair in fiber.pairs))
+    print(f"  sigma^({nu} * 4^k) for k = 1..4: {len(maps)} distinct map")
+    assert maps == {f}
+
+print("\n== the oracle's tables, from the input's columns")
+result = limit_maps(checked.original, checked.exponent)
+pairs = result.map_pairs()
+print(f"{len(result.tables)} tables, each the maps of sigma^nu and sigma^(nu - {length})")
+assert set(pairs) == {(by_shift[nu], by_shift[nu - length]) for nu in range(1, length)}
+assert sorted({f for pair in pairs for f in pair}) == distinct
+long_power = check_input(parse_substitution("a -> bcd\nb -> dda\nc -> cab\nd -> abc"))
+tables = limit_maps(long_power.original, long_power.exponent).tables
+print(f"power {long_power.exponent} of a length-3 rule: {len(tables)} distinct tables "
+      f"of {3**long_power.exponent - 1} column pairs, with no power written")
 
 print("\n== equivalence with the algebraic semigroup")
 report = global_description(checked)
 action = FiberAction(report.matrix, report.fiber)  # proves the action, builds no map
 triples = set()
-for m in result.maps:
-    i, g, sign = action.decode(m.fiber_map)
+for nu, f in sorted(by_shift.items()):
+    i, g, sign = action.decode(f)
     triples.add((i, g, sign))
-    print(f"  sigma^({m.nu} * 4^k) is the triple "
+    print(f"  sigma^({nu} * 4^k) is the triple "
           f"({cycle_string(report.rset[i], letters)}, {cycle_string(g, letters)}, {'+-'[sign]})")
-comparison = oracle_equivalence(sub, report.matrix, action)
+comparison = oracle_equivalence(checked.original, checked.exponent, report.matrix, action)
 print(f"{len(triples)} triples; equal: {comparison.equal}, against the "
       f"{comparison.map_count} maps of the matrix action")
 assert len(triples) == len(distinct)

@@ -1,9 +1,10 @@
 """Independent verification by actual shift dynamics on fixed-point windows.
 
 The maps under test are built from nothing but the substitution rules: the
-maps induced on the singular fiber by the shift powers sigma^(nu * l^k) are
-read off the letters of the two-sided fixed points.  Only the comparison step
-looks at the algebra, and the construction of the maps never does.
+maps induced on the singular fiber by the shift powers sigma^(nu * L^k) are
+read off the letters of the two-sided fixed points, which the rule letters
+of the input theta determine.  Only the comparison step looks at the
+algebra, and the construction of the maps never does.
 
 The comparison decides whether the maps generate exactly the algebraic fiber
 semigroup phi(M), the image of the matrix action phi of M = M[G; I, {+,-}; A]
@@ -20,47 +21,103 @@ generate phi(M) exactly when their triples generate M
 (:func:`_compare_with_action` proves it): when they meet every row and
 column and their loop group at row i0 is G.  :func:`generation_shortfall`
 closes that group inside G from its Schreier generators, stopping once it
-has |G| elements, and its order names what the triples miss.  No map is closed and no triple outside the oracle's is encoded.
+has |G| elements, and its order names what the triples miss.  No map is
+closed and no triple outside the oracle's is encoded.
 
 The paper builds E^fib from limits of sigma^(n_k) along n_k -> 0 in the
-l-adic factor; here n_k = nu * l^k.  For a simplified substitution the map
-of sigma^(nu * l^k) does not depend on k (Dekking, *The spectrum of dynamical
-systems arising from substitutions of constant length*, 1978).  The fixed
-point x = a.b satisfies x[p*l + r] = rule(x[p])[r] for every integer p and
-0 <= r < l, and its boundary columns c_0 = c_(l-1) = id give rule(y)[0] = y
-and rule(y)[l-1] = y for every letter y.  So
+l-adic factor; here n_k = nu * l^k.  That factor is the same for theta and
+for its simplified power tau = theta^n, whose rule words have L = l^n
+letters, so the oracle takes theta and n and never writes a word of tau.
+For a simplified tau the map of sigma^(nu * L^k) does not depend on k
+(Dekking, *The spectrum of dynamical systems arising from substitutions of
+constant length*, 1978).  The fixed point x = a.b of tau satisfies
+x[p*L + r] = tau(x[p])[r] for every integer p and 0 <= r < L, and its
+boundary columns are the identity, so tau(y)[0] = y and tau(y)[L-1] = y for
+every letter y.  So
 
-    x[nu*l] = rule(x[nu])[0] = x[nu],
-    x[nu*l - 1] = x[(nu-1)*l + (l-1)] = rule(x[nu-1])[l-1] = x[nu - 1],
+    x[nu*L] = tau(x[nu])[0] = x[nu],
+    x[nu*L - 1] = x[(nu-1)*L + (L-1)] = tau(x[nu-1])[L-1] = x[nu - 1],
 
-and by induction x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] for every
-k >= 0.  The two-letter word that sigma^(nu*l^k) puts over each fixed point,
-and with it the induced fiber map, is the same at every level k.  For
-0 < |nu| < l that word lies in the central block of x: x[p] = rule(b)[p] for
-0 <= p < l and x[p] = rule(a)[p + l] for -l <= p < 0, so the limit map is
-read straight off the rule words.  The tests check the collapse against
-maps read by base-l digit walks at levels 1 to 4.
+and by induction x[nu*L^k] = x[nu] and x[nu*L^k - 1] = x[nu - 1] for every
+k >= 0.  The two-letter word that sigma^(nu*L^k) puts over each fixed
+point, and with it the induced fiber map, is the same at every level k.
+For 0 < |nu| < L that word lies in the central block of x: x[p] = tau(b)[p]
+for 0 <= p < L and x[p] = tau(a)[p + L] for -L <= p < 0.  The tests check
+the collapse against maps read by base-L digit walks at levels 1 to 4.
 
-The maps of sigma^nu and sigma^(nu - l) share a column pair.  For
-0 < nu < l,
+The maps of sigma^nu and sigma^(nu - L) share a column pair.  For
+0 < nu < L, with C_0, ..., C_(L-1) the columns of tau,
 
-    sigma^nu puts x[nu-1] x[nu] = letters nu-1, nu of rule(b) over a.b,
-    sigma^(nu-l) puts x[nu-l-1] x[nu-l] = letters nu-1, nu of rule(a) over it.
+    sigma^nu puts x[nu-1] x[nu] = letters nu-1, nu of tau(b) over a.b,
+    sigma^(nu-L) puts x[nu-L-1] x[nu-L] = letters nu-1, nu of tau(a) over it.
 
-So one table, the fiber index of (c_(nu-1)(y), c_nu(y)) for each letter y,
-gives both: the + map reads it at the right letter b of each fixed point and
-the - map at the left letter a, through two getters built once.  That is
-l - 1 tables of s lookups for the 2(l - 1) maps, where reading each fixed
-point's two-letter word would take 2(l - 1) * fiber.
+So the table T_nu, the fiber index of (C_(nu-1)(y), C_nu(y)) for each
+letter y, gives both: the + map reads it at the right letter b of each
+fixed point and the - map at the left letter a.  Equal tables give equal
+maps, so the oracle keeps only the distinct tables, each once.
 
-The oracle validates the substitution itself: :func:`limit_maps` computes
-its own ``allowed_two_words`` and checks ``is_simplified`` on it, although
-the pipeline has validated the same power.  Taking the pipeline's fiber
-would save two scans of the rule words and cost the oracle its own reading
-of the fixed points.  Its fiber indices are what ``FiberAction.decode``
-compares with the action's, which the pipeline builds on its own fiber, so
-a wrong fiber there shows up as a discrepancy rather than being taken on
-trust.
+*The tables by recursion over theta's columns.*  Let theta have the columns
+c_0, ..., c_(l-1), and let P_0, ..., P_(l^(k-1) - 1) be the columns of
+theta^(k-1), P_0 = id for k = 1.  Since theta^k(y) = theta(theta^(k-1)(y)),
+column q*l + r of theta^k is c_r P_q.  Write E_r(y) for the fiber index of
+(c_(r-1)(y), c_r(y)), 1 <= r < l, and J for theta's junction map
+(a, b) -> (c_(l-1)(a), c_0(b)) on fiber indices.  The table q*l + r of
+theta^k reads the columns q*l + r - 1 and q*l + r:
+- for r >= 1 they are c_(r-1) P_q and c_r P_q, so the table is E_r P_q;
+- for r = 0 and q >= 1 they are c_(l-1) P_(q-1) and c_0 P_q, the junction
+  of the word (P_(q-1)(y), P_q(y)), so the table is J T_q, with T_q the
+  table q of theta^(k-1).
+The distinct tables of theta^k are therefore E_r P over the distinct
+columns P of theta^(k-1), and J T over the distinct tables T of level k-1.
+The distinct columns of theta^k are c_r P in the same way.  There are at
+most |G| of them for k <= n: column q*l^(n-k) of tau is c_0^(n-k) P_q for
+P_q column q of theta^k, and tau's columns lie in the structure group G,
+as its first column is the identity and its column quotients form the
+R-set.  n - 1 steps over
+sets give the tables of tau from theta's l - 1 tables E_r; for n = 1 no
+step runs.  Every word read is a two-letter factor of theta^k, and theta^k
+has theta's fiber (``pipeline.check_input`` proves it), so every table
+lands in the fiber of theta, which the oracle computes itself, and J maps
+that fiber into itself, as :func:`allowed_two_words` closes it under the
+junction map.
+
+*Simplified-ness from theta.*  The oracle needs tau simplified and checks
+it from theta and n alone.  tau is simplified exactly when
+1. theta is bijective: a column c_r P_q of tau takes no more values than
+   c_r, and compositions of permutations are permutations;
+2. c_0^n = c_(l-1)^n = id: tau's first column is c_0^n and its last
+   c_(l-1)^n, by the column formula above;
+3. J^n fixes every fiber word: tau's junction map is
+   (a, b) -> (c_(l-1)^n(a), c_0^n(b)) = J^n(a, b) on the fiber that the two
+   share;
+4. theta's all-letters exponent is at most n: the rule words of tau are
+   those of theta^n, and if every rule word of theta^e holds every letter,
+   so does every rule word of theta^(e+1) = theta^e o theta.
+Fact 3 follows from fact 2, and gives it back: a primitive substitution's
+fiber has every letter as a left letter and as a right letter, so J^n = id
+there says c_(l-1)^n = id and c_0^n = id.  The oracle checks facts 1 and 4,
+then fact 3 by composing J n times on the fiber, and refuses any other
+input as not simplified.  It checks on purpose what the pipeline
+proved: the oracle is the independent witness and takes nothing from the
+pipeline but theta and n.  It reads its own fiber too; its fiber indices are
+what ``FiberAction.decode`` compares with the action's, which the pipeline
+builds on its own fiber, so a wrong fiber there shows up as a discrepancy
+rather than being taken on trust.
+
+*The - triple off the + triple.*  A table t gives the + map t B and the
+- map t A, where B reads the right letter b and A the left letter a of each
+fixed point.  Every letter is a right letter and a left letter of some
+fixed point, so each map determines t.  With T_i and g0 as in
+``FiberAction``, phi(i, g, +) = T_i g B and phi(i, g', -) = T_i g' g0 A.  So
+the + map is phi(i, g, +) exactly when t = T_i g, and then the - map
+T_i g A is phi(i, g g0^-1, -); conversely a - map phi(i, g', -) makes the
++ map phi(i, g' g0, +).  In a substitution sandwich g0 lies in G, so the
++ map has a triple exactly when the - map has one, and one decode names
+both.  The comparison still checks that g g0^-1 lies in G and that the
+- triple encodes back to the - map, and decodes the - map itself
+otherwise, so no map is named on the strength of this argument alone: a
+matrix whose group misses g0, or a wrong pipeline fiber, under which the
+argument fails, gets the names that decoding each map gives.
 """
 
 from __future__ import annotations
@@ -69,69 +126,80 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
-from .perms import Perm, after, closure, compose, identity, inverse
-from .substitution import (Substitution, TwoWordFiber, allowed_two_words,
-                           columns, is_simplified)
+from .perms import Perm, after, closure, compose, identity, inverse, is_perm
+from .rees import MINUS, ReesElement
+from .substitution import (Substitution, TwoWordFiber, _all_letters_exponent,
+                           allowed_two_words, columns)
 
 
-def _column_pair_table(cols: tuple[tuple[int, ...], ...], index: dict[tuple[int, int], int],
-                       nu: int) -> list[int]:
-    """The fiber index of (c_(nu-1)(x), c_nu(x)), letters nu-1 and nu of the
-    rule word of x, for each letter x: the maps of sigma^nu and of
-    sigma^(nu - l) both read it."""
-    table = list(map(index.get, zip(cols[nu - 1], cols[nu])))
+NOT_SIMPLIFIED = "the window oracle needs a simplified substitution"
+
+
+def _fiber_indices(words: list[tuple[int, int]], index: dict[tuple[int, int], int]) -> Perm:
+    """The fiber index of each two-letter word, refusing a word outside the
+    fiber."""
+    table = tuple(map(index.get, words))
     if None in table:
-        x = table.index(None)
-        word = (cols[nu - 1][x], cols[nu][x])
+        word = words[table.index(None)]
         raise ValidationError(f"shifted two-word {word} is not an allowed two-word")
     return table
 
 
 def _fixed_point_reads(fiber: TwoWordFiber) -> tuple[Callable, Callable]:
     """Getters that read a letter table at the right letter b and at the left
-    letter a of each fixed point a.b, built once for the 2(l-1) maps."""
+    letter a of each fixed point a.b, built once for all tables."""
     return (after(tuple([b for _, b in fiber.pairs])),
             after(tuple([a for a, _ in fiber.pairs])))
 
 
-class OracleMap(NamedTuple):
-    """The map of sigma^(nu * l^k) on the fiber, the same for every k."""
-
-    nu: int
-    fiber_map: Perm
-
-
 class OracleResult(NamedTuple):
+    """The fiber of theta and the distinct column-pair tables of tau =
+    theta^n, sorted: each table names the map of some sigma^nu and of
+    sigma^(nu - L), 0 < nu < L, the same at every level."""
+
     fiber: TwoWordFiber
-    maps: tuple[OracleMap, ...]
+    tables: tuple[Perm, ...]
+
+    def map_pairs(self) -> list[tuple[Perm, Perm]]:
+        """The + map and the - map of each table: the table read at the
+        right letter and at the left letter of each fixed point."""
+        read_right, read_left = _fixed_point_reads(self.fiber)
+        return [(read_right(t), read_left(t)) for t in self.tables]
 
 
-def limit_maps(sub: Substitution) -> OracleResult:
-    """The limit maps of sigma^(nu * l^k) on the fiber for 0 < |nu| < l, in
-    the order 1, ..., l-1, 1-l, ..., -1.
+def limit_maps(sub: Substitution, n: int) -> OracleResult:
+    """The distinct column-pair tables of tau = sub^n, from the rule letters
+    of sub alone (the module docstring proves the recursion and the check).
 
-    Each map is read once, off the rule words.  That is the limit: for a
-    simplified substitution x[nu*l^k] = x[nu] and x[nu*l^k - 1] = x[nu - 1] at
-    every level k, since x[p*l + r] = rule(x[p])[r] and the boundary columns
-    are the identity (the module docstring spells out the induction), so the
-    map does not depend on k.  For 0 < nu < l, sigma^nu puts letters nu-1
-    and nu of rule(b) over a.b, and sigma^(nu - l) puts letters nu-1 and nu
-    of rule(a) over it.  So both maps read one table of the column pair
-    (c_(nu-1), c_nu), at b and at a: l - 1 tables of s lookups, where reading
-    each fixed point's word takes 2(l-1) * fiber.  No closure is run.
+    sub^n must be simplified: sub bijective, its all-letters exponent at
+    most n and the nth power of its junction map the identity on the
+    fiber.  E_r is the table of
+    sub's column pair (c_(r-1), c_r) and J its junction map on the fiber; the
+    tables of sub^k are E_r P for the distinct columns P of sub^(k-1) and
+    J T for the tables T of sub^(k-1).  That is n - 1 steps over sets of at
+    most (l - 1)|G| + |tables| tables, where reading tau takes L - 1 tables
+    of s lookups.
     """
-    fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
-    if not is_simplified(sub, fiber):
-        raise ValidationError("the window oracle needs a simplified substitution")
+    cols = columns(sub)
+    exponent = _all_letters_exponent(sub)
+    if not all(map(is_perm, cols)) or exponent is None or exponent > n:
+        raise ValidationError(NOT_SIMPLIFIED)
+    fiber = allowed_two_words(sub)
     index = {p: k for k, p in enumerate(fiber.pairs)}
-    cols, length = columns(sub), sub.length
-    read_right, read_left = _fixed_point_reads(fiber)
-    plus, minus = [], []
-    for nu in range(1, length):
-        table = _column_pair_table(cols, index, nu)
-        plus.append(OracleMap(nu, read_right(table)))
-        minus.append(OracleMap(nu - length, read_left(table)))
-    return OracleResult(fiber, tuple(plus + minus))
+    pair_tables = [_fiber_indices(list(zip(cols[r - 1], cols[r])), index)
+                   for r in range(1, sub.length)]
+    junction = _fiber_indices([(cols[-1][a], cols[0][b]) for a, b in fiber.pairs], index)
+    ident = power = identity(fiber.size)
+    for _ in range(n):
+        power = compose(junction, power)
+    if power != ident:  # J^n moves a fiber word
+        raise ValidationError(NOT_SIMPLIFIED)
+    below, tables = set(cols), set(pair_tables)  # the columns and tables of sub
+    for _ in range(n - 1):
+        tables = {compose(e, p) for p in below for e in pair_tables}.union(
+            [compose(junction, t) for t in tables])
+        below = {compose(c, p) for p in below for c in cols}
+    return OracleResult(fiber, tuple(sorted(tables)))
 
 
 def generation_shortfall(matrix, triples) -> tuple[str, ...]:
@@ -213,9 +281,16 @@ class OracleComparison(NamedTuple):
 
 def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparison:
     """Compare the oracle's maps F with phi(M): name each distinct map by its
-    triple with ``action.decode``, list each map without one, and when every
-    map has one, let :func:`generation_shortfall` decide from the order of
-    their loop group whether the triples generate M, and say what they miss.
+    triple, list each map without one, and when every map has one, let
+    :func:`generation_shortfall` decide from the order of their loop group
+    whether the triples generate M, and say what they miss.
+
+    Each table is decoded once, at its + map (i, g, +); its - map is named
+    (i, g g0^-1, -) when g g0^-1 lies in G and that triple encodes back to
+    it, and is decoded itself otherwise.  Those are the checks that
+    ``decode`` makes, so a - map gets the triple that its own decode would
+    give; the module docstring proves that it gets it without a decode
+    whenever g0 lies in G and both fibers agree.
 
     F generates phi(M) exactly when every map of F has a triple and the
     triples generate M.  phi is an injective homomorphism, so its image
@@ -230,8 +305,17 @@ def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparis
     So the decision closes one subgroup of G and never F, encodes no triple
     outside T, and names only the oracle's own maps outside phi(M).
     """
-    seeds = sorted({m.fiber_map for m in result.maps})
-    triples = [action.decode(f) for f in seeds]
+    below_base = after(inverse(matrix.i_labels[matrix.base[0]]))  # g -> g g0^-1
+    elements = matrix.group.element_set
+    named = {}
+    for plus, minus in result.map_pairs():
+        x = named[plus] = action.decode(plus)
+        y = None if x is None else ReesElement(x.i, below_base(x.g), MINUS)
+        if y is None or y.g not in elements or action.encode(*y) != minus:
+            y = action.decode(minus)
+        named[minus] = y
+    seeds = sorted(named)
+    triples = [named[f] for f in seeds]
     discrepancies = tuple(f"oracle map {f} missing from the algebraic semigroup"
                           for f, x in zip(seeds, triples) if x is None)
     if not discrepancies:
@@ -239,13 +323,13 @@ def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparis
     return OracleComparison(not discrepancies, discrepancies, result, matrix.size)
 
 
-def oracle_equivalence(sub: Substitution, matrix, action) -> OracleComparison:
-    """Compare the semigroup that the oracle's maps generate with the
-    algebraic fiber semigroup phi(M): equal, or a discrepancy list.
+def oracle_equivalence(sub: Substitution, n: int, matrix, action) -> OracleComparison:
+    """Compare the semigroup that the oracle's maps of sub^n generate with
+    the algebraic fiber semigroup phi(M): equal, or a discrepancy list.
 
     ``matrix`` is the substitution sandwich M and ``action`` its action phi
     on the fiber, ``FiberAction(matrix, fiber)``, proved an injective
     homomorphism when it was built; they enter only the comparison, never
     the construction of the oracle's maps (the module docstring says why).
     """
-    return _compare_with_action(limit_maps(sub), matrix, action)
+    return _compare_with_action(limit_maps(sub, n), matrix, action)

@@ -37,13 +37,16 @@ fiber maps.  Its constructor proves phi an injective homomorphism: each
 c_lam T_j = A[lam][j] hold, the rows write distinct fixed points, and some
 letter has two predecessors in the fiber; O(|I| s + fiber) work in all.
 The matrix and the action then go to the window oracle, the one witness
-built independently of this module.  The oracle reads its maps off the rule
-letters, names each distinct map by decoding it, O(fiber) per map, and
-decides whether the triples generate the matrix semigroup by the order of
-their loop group, closed inside G again only on a Schreier generator it
-misses, until it has |G| elements.  A disagreement lists the maps without a
-name, or what the triples miss, and raises InternalCheckError with the
-stage "window oracle"; no map is closed and no other triple is encoded.
+built independently of this module, with theta and n rather than tau.  The
+oracle checks from theta's columns that tau is simplified, builds the
+distinct column-pair tables of tau from theta's columns by a recursion over
+the levels, writing no word of tau, names the + and the - map of each table
+by one decode and one encode, O(fiber) per table, and decides whether the
+triples generate the matrix semigroup by the order of their loop group,
+closed inside G again only on a Schreier generator it misses, until it has
+|G| elements.  A disagreement lists the maps without a name, or what the
+triples miss, and raises InternalCheckError with the stage "window oracle";
+no map is closed and no other triple is encoded.
 
 Four identities of the construction hold for every substitution, so they
 are proved here and tested over the golden cases and a random corpus in
@@ -476,7 +479,7 @@ def analyze_substitution(sub: Substitution, config: AnalysisConfig | None = None
     report = global_description(checked, config.g0_index)
     if config.verify:
         action = FiberAction(report.matrix, report.fiber)
-        comparison = oracle_equivalence(checked.power, report.matrix, action)
+        comparison = oracle_equivalence(checked.original, checked.exponent, report.matrix, action)
         report = report._replace(oracle=comparison)
         if not comparison.equal:
             raise InternalCheckError(

@@ -204,7 +204,7 @@ def random_fibers(random_reports) -> list:
 @pytest.fixture(scope="session")
 def random_oracle(random_corpus, random_reports) -> list:
     from ellisub import FiberAction, oracle_equivalence
-    return [oracle_equivalence(sub, report.matrix, FiberAction(report.matrix, report.fiber))
+    return [oracle_equivalence(sub, 1, report.matrix, FiberAction(report.matrix, report.fiber))
             for sub, report in zip(random_corpus, random_reports)]
 
 

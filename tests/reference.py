@@ -10,8 +10,9 @@ normalized Rees form of a completely simple map semigroup; a capped
 isomorphism search between presentations; closures of Rees triples and of
 map sets; a walk search in G for whether Rees triples generate; primitivity
 by boolean matrix powers; the R-set and the grading height read off a
-written power; digit walks into the fixed points and the proximality
-classes of the fiber; the text report read off the JSON report.
+written power; the window oracle's maps shift by shift, off the rule
+words of a written power; digit walks into the fixed points and the
+proximality classes of the fiber; the text report read off the JSON report.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
 from ellisub.oracle import OracleResult, limit_maps
@@ -406,11 +408,16 @@ def semigroup_closure(gens: list[Perm] | tuple[Perm, ...],
     return TransformationSemigroup(degree, tuple(sorted(elements)), tuple(sorted(gens)))
 
 
+def oracle_maps(result: OracleResult) -> list[Perm]:
+    """The window oracle's distinct maps, sorted: the + and the - map of
+    each of its tables."""
+    return sorted({f for pair in result.map_pairs() for f in pair})
+
+
 def oracle_closure(result: OracleResult) -> TransformationSemigroup:
     """The closure of the window oracle's maps, generated by the sorted
     distinct maps."""
-    seeds = sorted({m.fiber_map for m in result.maps})
-    return semigroup_closure(seeds, degree=result.fiber.size)
+    return semigroup_closure(oracle_maps(result), degree=result.fiber.size)
 
 
 def compare_map_semigroups(oracle_sg: TransformationSemigroup,
@@ -827,6 +834,48 @@ def induced_fiber_map(sub: Substitution, fiber: TwoWordFiber, nu: int,
     return tuple(index[word] for word in words)
 
 
+class ShiftMap(NamedTuple):
+    """The map of sigma^(nu * l^k) on the fiber, the same for every k."""
+
+    nu: int
+    fiber_map: Perm
+
+
+class ShiftMaps(NamedTuple):
+    fiber: TwoWordFiber
+    maps: tuple[ShiftMap, ...]
+
+
+def written_limit_maps(sub: Substitution) -> ShiftMaps:
+    """The window oracle's maps shift by shift, read off the rule words of a
+    written simplified substitution: the maps of sigma^(nu * l^k) for
+    0 < |nu| < l, in the order 1, ..., l-1, 1-l, ..., -1.
+
+    For 0 < nu < l, sigma^nu puts letters nu-1 and nu of rule(b) over a.b,
+    and sigma^(nu - l) puts letters nu-1 and nu of rule(a) over it, so both
+    maps read the table of the column pair (c_(nu-1), c_nu), at b and at a:
+    l - 1 tables of s lookups.  ``ellisub.oracle.limit_maps`` builds the
+    distinct tables from the columns of the input instead, without the
+    written power."""
+    fiber = allowed_two_words(sub)  # the fixed points of a simplified sub
+    if not is_simplified(sub, fiber):
+        raise ValidationError("the window oracle needs a simplified substitution")
+    index = {p: k for k, p in enumerate(fiber.pairs)}
+    cols, length = columns(sub), sub.length
+    read_right = after(tuple([b for _, b in fiber.pairs]))
+    read_left = after(tuple([a for a, _ in fiber.pairs]))
+    plus, minus = [], []
+    for nu in range(1, length):
+        words = list(zip(cols[nu - 1], cols[nu]))
+        missing = [w for w in words if w not in index]
+        if missing:
+            raise ValidationError(f"shifted two-word {missing[0]} is not an allowed two-word")
+        table = [index[w] for w in words]
+        plus.append(ShiftMap(nu, read_right(table)))
+        minus.append(ShiftMap(nu - length, read_left(table)))
+    return ShiftMaps(fiber, tuple(plus + minus))
+
+
 @dataclass
 class ProximalityData:
     fiber: TwoWordFiber
@@ -860,7 +909,7 @@ def proximality_classes(sub: Substitution) -> ProximalityData:
         return frozenset((x, y) for x in range(n) for y in range(x + 1, n) if f[x] == f[y])
     classes = {frozenset((x, y) for c in side for x in c for y in c if x < y)
                for side in (data.forward, data.backward)}
-    for f in oracle_closure(limit_maps(sub)).elements:
+    for f in oracle_closure(limit_maps(sub, 1)).elements:
         # a stabilized map reads one side of the fixed point, so it must merge
         # exactly one of the two partitions
         if merged_pairs(f) not in classes:

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,21 +16,38 @@ from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.oracle import (OracleResult, generation_shortfall, limit_maps,
                             oracle_equivalence)
 from ellisub.perms import compose
-from ellisub.pipeline import check_input, r_set
+from ellisub.pipeline import check_input, global_description, r_set
 from ellisub.rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
-from conftest import make_substitution, mutant, rset_and_group, three_row_matrix
+from conftest import (build_graded_corpus, build_random_corpus, make_substitution, mutant,
+                      rset_and_group, three_row_matrix)
 from reference import (as_transformation_semigroup, compare_map_semigroups,
                        element_closure, fiber_semigroup, generated_group,
                        idempotent_generated, idempotents_of,
-                       induced_fiber_map, letter_at, oracle_closure,
+                       induced_fiber_map, letter_at, oracle_closure, oracle_maps,
                        proximality_classes, reference_action, rees_generators,
-                       semigroup_closure, walk_shortfall)
+                       semigroup_closure, walk_shortfall, written_limit_maps)
 
 S5 = "a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\ne -> ebccadae"
 S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
       "e -> ecacbfadge\nf -> fdebcbgaef\ng -> gbcefedcag\n")
+POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
+POWER_12 = "a -> bcd\nb -> dda\nc -> cab\nd -> abc\n"
+
+
+def theta_oracle(sub):
+    """The window oracle's tables of an input, read off the input and the
+    exponent that check_input finds, with no power written."""
+    checked = check_input(sub)
+    return limit_maps(checked.original, checked.exponent)
+
+
+def shift_pairs(result):
+    """The (+ map, - map) pairs of the per-shift reference: sigma^nu and
+    sigma^(nu - L) for 0 < nu < L, which read one column-pair table."""
+    by_shift = {m.nu: m.fiber_map for m in result.maps}
+    return {(f, by_shift[nu - len(by_shift) // 2 - 1]) for nu, f in by_shift.items() if nu > 0}
 
 
 def shifted_two_word(sub, pair, nu):
@@ -61,10 +79,10 @@ def test_shift_two_word_matches_columns(golden_simplified):
             assert shifted_two_word(sub, pair, nu) == expected
 
 
-def test_limit_maps_counts(golden_simplified):
-    tm_result = limit_maps(golden_simplified["thue_morse"])
+def test_limit_maps_counts(golden_subs):
+    tm_result = theta_oracle(golden_subs["thue_morse"])
     assert oracle_closure(tm_result).size == 8
-    seven = limit_maps(golden_simplified["s3_seven_words"])
+    seven = theta_oracle(golden_subs["s3_seven_words"])
     assert oracle_closure(seven).size == 36
 
 
@@ -72,7 +90,7 @@ def test_limit_maps_stabilize_immediately(golden_simplified):
     # simplified substitutions pin the boundary columns, so the induced map
     # is already constant across levels
     for name, sub in golden_simplified.items():
-        result = limit_maps(sub)
+        result = written_limit_maps(sub)
         fiber = result.fiber
         for entry in result.maps:
             for extra in (2, 3):
@@ -83,15 +101,16 @@ def test_every_level_reads_the_limit_map(golden_simplified, random_corpus,
                                          long_power_simplified):
     # c_0 = c_(l-1) = id gives x[nu l^k] = x[nu] and x[nu l^k - 1] = x[nu - 1]
     # for every k, so the map read off the rule words is the map that the
-    # digit walks read at every level
+    # digit walks read at every level; the oracle's tables of the simplified
+    # power, read at b and at a, give the same distinct maps
     subs = list(golden_simplified.values()) + random_corpus + long_power_simplified
     assert len(subs) == 6 + 20 + 21
     for sub in subs:
-        result = limit_maps(sub)
+        result = written_limit_maps(sub)
         assert [m.nu for m in result.maps] == \
             list(range(1, sub.length)) + list(range(1 - sub.length, 0))
-        seeds = tuple(sorted({m.fiber_map for m in result.maps}))
-        assert oracle_closure(result).generators == seeds
+        seeds = sorted({m.fiber_map for m in result.maps})
+        assert oracle_maps(limit_maps(sub, 1)) == seeds
         for m in result.maps:
             for k in range(1, 5):
                 assert induced_fiber_map(sub, result.fiber, m.nu, k) == m.fiber_map, (sub, m.nu, k)
@@ -115,7 +134,7 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
     short_sets = 0
     for sub in subs:
         matrix, action = sandwich_action(sub)
-        by_shift = {m.nu: m.fiber_map for m in limit_maps(sub).maps}
+        by_shift = {m.nu: m.fiber_map for m in written_limit_maps(sub).maps}
         candidates = [list(by_shift.values()),
                       [f for nu, f in by_shift.items() if nu > 0],
                       [f for nu, f in by_shift.items() if nu < 0],
@@ -193,7 +212,7 @@ def test_the_loop_group_agrees_with_the_walk_search(golden_simplified, random_co
     cases = []
     for sub in list(golden_simplified.values()) + random_corpus + long_power_simplified:
         matrix, action = sandwich_action(sub)
-        maps = limit_maps(sub).maps
+        maps = written_limit_maps(sub).maps
         for keep in (lambda nu: True, lambda nu: abs(nu) == 1, lambda nu: nu > 0,
                      lambda nu: nu < 0):
             cases.append((matrix, [action.decode(m.fiber_map) for m in maps if keep(m.nu)]))
@@ -218,25 +237,29 @@ def test_the_loop_group_agrees_with_the_walk_search(golden_simplified, random_co
 
 
 def test_a_short_map_set_is_named_by_the_walk_search(golden_simplified):
-    # Thue-Morse cut to the maps of sigma^(+-1) generates 4 of its 8 maps:
-    # both maps have a triple, and the loop group names what the triples
-    # miss, a row that none of them lies in; no map is closed and no triple
-    # outside the oracle's is encoded
+    # Thue-Morse cut to the maps of sigma^(+-1), or to the maps sigma^1 and
+    # sigma^-3 of its first table, generates 4 of its 8 maps: every map has
+    # a triple, and the loop group names what the triples miss, a row that
+    # none of them lies in; no map is closed and no triple outside the
+    # oracle's is encoded
     sub = golden_simplified["thue_morse"]
     matrix, action = sandwich_action(sub)
-    result = limit_maps(sub)
-    short = OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1))
-    triples = [action.decode(m.fiber_map) for m in short.maps]
+    by_shift = {m.nu: m.fiber_map for m in written_limit_maps(sub).maps}
+    triples = [action.decode(by_shift[nu]) for nu in (1, -1)]
     assert None not in triples
     assert generation_shortfall(matrix, triples) == ("no oracle map lies in row 0",)
+    result = limit_maps(sub, 1)
+    short = OracleResult(result.fiber, result.tables[:1])
+    assert oracle_maps(short) == sorted({by_shift[1], by_shift[-3]})
     comparison = ellisub.oracle._compare_with_action(short, matrix, action)
     full = semigroup_closure(list(as_transformation_semigroup(matrix, result.fiber).values()),
                              degree=4)
     assert oracle_closure(short).size == 4 and full.size == 8
     assert not comparison.equal and comparison.map_count == 8
     assert comparison.discrepancies == ("no oracle map lies in row 0",)
-    # all six shifts generate: the loop group decides it
+    # the three tables, all six shifts, generate: the loop group decides it
     whole = ellisub.oracle._compare_with_action(result, matrix, action)
+    assert len(result.tables) == 3 and len(oracle_maps(result)) == 6
     assert whole.equal and whole.map_count == 8 and whole.discrepancies == ()
     assert not hasattr(OracleResult, "semigroup")
 
@@ -249,9 +272,9 @@ def test_a_map_outside_the_action_is_a_discrepancy(golden_simplified):
     rset, group = rset_and_group(sub)
     partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
     partial_sg, _ = fiber_semigroup(partial, allowed_two_words(sub))
-    comparison = oracle_equivalence(sub, partial, FiberAction(partial, allowed_two_words(sub)))
+    comparison = oracle_equivalence(sub, 1, partial, FiberAction(partial, allowed_two_words(sub)))
     assert not comparison.equal and comparison.map_count == partial.size == 18
-    seeds = sorted({m.fiber_map for m in comparison.oracle.maps})
+    seeds = oracle_maps(comparison.oracle)
     outside = [f for f in seeds if f not in partial_sg.index]
     assert (len(seeds), len(outside)) == (12, 6)
     assert comparison.discrepancies == tuple(
@@ -259,40 +282,118 @@ def test_a_map_outside_the_action_is_a_discrepancy(golden_simplified):
 
 
 def test_verify_reads_each_column_pair_once(golden_subs, monkeypatch):
-    # the maps of sigma^nu and sigma^(nu - L) read one table of the column
-    # pair (c_(nu-1), c_nu), so L - 1 tables give the 2(L - 1) maps; the
-    # digit walks live in the tests only (test_pipeline.py checks that no
-    # ellisub module defines letter_at)
-    tables = []
-    column_pair_table = ellisub.oracle._column_pair_table
+    # the maps of sigma^nu and sigma^(nu - L) read one table of tau's column
+    # pair (C_(nu-1), C_nu), and the oracle builds the distinct tables from
+    # theta's l - 1 column-pair tables and its junction map, each read once:
+    # cyclic_rotation has l = 3 and n = 3, so 3 reads give the tables of the
+    # 26 column pairs of tau; the digit walks live in the tests only
+    # (test_pipeline.py checks that no ellisub module defines letter_at)
+    reads = []
+    fiber_indices = ellisub.oracle._fiber_indices
 
-    def counted_table(cols, index, nu):
-        tables.append(nu)
-        return column_pair_table(cols, index, nu)
-    monkeypatch.setattr(ellisub.oracle, "_column_pair_table", counted_table)
-    report = analyze_substitution(golden_subs["cyclic_rotation"], AnalysisConfig(verify=True))
+    def counted_indices(words, index):
+        reads.append(words)
+        return fiber_indices(words, index)
+    monkeypatch.setattr(ellisub.oracle, "_fiber_indices", counted_indices)
+    theta = golden_subs["cyclic_rotation"]
+    report = analyze_substitution(theta, AnalysisConfig(verify=True))
     sub = report.substitution
-    length = sub.length
-    assert report.exponent == 3 and length == 27
+    assert report.exponent == 3 and sub.length == 27
     assert report.oracle is not None and report.oracle.equal
-    assert tables == list(range(1, length)) and len(tables) == 26
+    cols = columns(theta)
+    assert reads == [list(zip(cols[0], cols[1])), list(zip(cols[1], cols[2])),
+                     [(cols[2][a], cols[0][b]) for a, b in report.fiber.pairs]]
+    # each table gives the maps of sigma^nu and sigma^(nu - L), which the
+    # written power reads off one column pair
     result = report.oracle.oracle
-    assert [m.nu for m in result.maps] == list(range(1, length)) + list(range(1 - length, 0))
-    for m in result.maps:
-        assert induced_fiber_map(sub, result.fiber, m.nu, 1) == m.fiber_map, m.nu
+    assert result.fiber == report.fiber and len(result.tables) == 8
+    assert set(result.map_pairs()) == shift_pairs(written_limit_maps(sub))
+
+
+def test_the_tables_agree_with_the_written_power(golden_subs):
+    # the recursion over theta's columns gives the distinct tables of tau:
+    # its + maps, its - maps and the pairs of the two that one column pair
+    # of tau gives are those the written power reads, shift by shift
+    subs = (list(golden_subs.values()) + build_random_corpus() + build_random_corpus(60, seed=11)
+            + build_graded_corpus() + [parse_substitution(POWER_6)])
+    exponents = Counter()
+    for theta in subs:
+        checked = check_input(theta)
+        exponents[checked.exponent] += 1
+        result = ellisub.oracle.limit_maps(theta, checked.exponent)
+        reference = written_limit_maps(checked.power)
+        pairs = shift_pairs(reference)
+        assert result.fiber == reference.fiber
+        assert set(result.map_pairs()) == pairs, theta.rules
+        assert {plus for plus, _ in result.map_pairs()} == {m.fiber_map for m in reference.maps
+                                                            if m.nu > 0}
+        assert {minus for _, minus in result.map_pairs()} == {m.fiber_map for m in reference.maps
+                                                              if m.nu < 0}
+        assert len(result.tables) == len(pairs)
+    assert sum(count for n, count in exponents.items() if n >= 2) >= 4 and max(exponents) == 6
+
+
+@pytest.mark.slow
+def test_the_tables_agree_with_the_written_power_twelve():
+    # power-12, L = 531 441: the written power's 531 440 tables are 438 distinct ones
+    checked = check_input(parse_substitution(POWER_12))
+    assert checked.exponent == 12
+    result = limit_maps(checked.original, checked.exponent)
+    pairs = shift_pairs(written_limit_maps(checked.power))
+    assert set(result.map_pairs()) == pairs and len(result.tables) == len(pairs) == 438
+
+
+def test_the_oracle_reads_no_power(monkeypatch):
+    # on power-6 (L = 117 649) the oracle writes no power of theta, under
+    # any name a module holds the writers by, and reads the columns of
+    # theta alone
+    theta = parse_substitution(POWER_6)
+    checked = check_input(theta)
+    report = global_description(checked)
+    action = FiberAction(report.matrix, report.fiber)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power of the substitution was written out")
+    for name, module in list(sys.modules.items()):
+        if name == "ellisub" or name.startswith("ellisub."):
+            for attr in ("substitution_power", "compose_substitutions"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    read = []
+    original_columns = ellisub.oracle.columns
+
+    def recorded_columns(sub):
+        read.append(sub)
+        return original_columns(sub)
+    monkeypatch.setattr(ellisub.oracle, "columns", recorded_columns)
+    comparison = oracle_equivalence(theta, checked.exponent, report.matrix, action)
+    assert comparison.equal and comparison.map_count == report.matrix.size == 72
+    assert read == [theta] and checked.exponent == 6
 
 
 def test_limit_maps_refuse_a_substitution_that_is_not_simplified(golden_subs):
-    # cyclic_rotation is simplified at power 3, not at power 1
-    with pytest.raises(ValidationError, match="the window oracle needs a simplified substitution"):
-        limit_maps(golden_subs["cyclic_rotation"])
+    # cyclic_rotation is simplified at power 3, not at power 1, and each
+    # input that check_input analyses at a power n >= 2 is not simplified at
+    # n - 1: its boundary columns or its all-letters exponent need n
+    cases = [(golden_subs["cyclic_rotation"], 1)]
+    for sub in golden_subs.values():
+        n = check_input(sub).exponent
+        limit_maps(sub, n)
+        if n >= 2:
+            cases.append((sub, n - 1))
+    assert len(cases) == 4
+    for sub, n in cases:
+        with pytest.raises(ValidationError,
+                           match="^the window oracle needs a simplified substitution$"):
+            limit_maps(sub, n)
 
 
-def test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_simplified, monkeypatch):
-    # every shifted two-word is a factor of a rule word, so only a fiber that
-    # lacks one misses it: here the first two letters of rule(a), which the
-    # table of the column pair (c_0, c_1) reads first
-    sub = golden_simplified["s3_seven_words"]
+def test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_subs, monkeypatch):
+    # every shifted two-word is a factor of a rule word of a power of theta,
+    # so only a fiber that lacks one misses it: here the first two letters
+    # of theta(a), which the table of theta's column pair (c_0, c_1) reads
+    # first; s3_seven_words is analysed at power 2
+    sub = golden_subs["s3_seven_words"]
     word = sub.rules[0][:2]
     fiber = allowed_two_words(sub)
     short = TwoWordFiber(tuple(p for p in fiber.pairs if p != word))
@@ -300,13 +401,13 @@ def test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_simplified, m
     monkeypatch.setattr(ellisub.oracle, "allowed_two_words", lambda s: short)
     with pytest.raises(ValidationError,
                        match=re.escape(f"shifted two-word {word} is not an allowed two-word")):
-        limit_maps(sub)
+        limit_maps(sub, 2)
 
 
-def swapped_fiber(sub):
-    """The fiber of ``sub`` with its first two fixed points swapped."""
+def swapped_fiber(sub, k=1):
+    """The fiber of ``sub`` with its first fixed point and its kth swapped."""
     pairs = list(allowed_two_words(sub).pairs)
-    pairs[0], pairs[1] = pairs[1], pairs[0]
+    pairs[0], pairs[k] = pairs[k], pairs[0]
     return TwoWordFiber(tuple(pairs))
 
 
@@ -324,23 +425,22 @@ def test_a_wrong_pipeline_fiber_is_a_discrepancy(golden_subs, monkeypatch):
 
 def test_the_comparison_agrees_with_the_reference_closure(golden_simplified, random_corpus,
                                                           long_power_simplified, monkeypatch):
-    # four map sets per input: all maps, the maps of sigma^(+-1), the + maps
-    # and all maps against an action on a fiber with two fixed points
-    # swapped.  The comparison is equal exactly when the closure of the maps
-    # is the image of the reference phi, and it lists exactly the distinct
-    # maps outside that image; it never lists the matrix's elements
+    # five table sets per input: all tables, the first table, every other
+    # table, and all tables against an action on a fiber with two fixed
+    # points swapped, the first two or the first and the last.  The
+    # comparison is equal exactly when the closure of the maps is the image
+    # of the reference phi, and it lists exactly the distinct maps outside
+    # that image; it never lists the matrix's elements
     subs = list(golden_simplified.values()) + random_corpus + long_power_simplified
     outcomes = Counter()
     for sub in subs:
         rset, group = rset_and_group(sub)
         matrix = substitution_sandwich(group, rset, rset[0])
-        result = limit_maps(sub)
+        result = limit_maps(sub, 1)
         cases = [(result, allowed_two_words(sub)),
-                 (OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1)),
-                  allowed_two_words(sub)),
-                 (OracleResult(result.fiber, tuple(m for m in result.maps if m.nu > 0)),
-                  allowed_two_words(sub)),
-                 (result, swapped_fiber(sub))]
+                 (OracleResult(result.fiber, result.tables[:1]), allowed_two_words(sub)),
+                 (OracleResult(result.fiber, result.tables[::2]), allowed_two_words(sub)),
+                 (result, swapped_fiber(sub)), (result, swapped_fiber(sub, -1))]
         for k, (maps, fiber) in enumerate(cases):
             image = set(reference_action(matrix, fiber).values())
             closed = set(oracle_closure(maps).elements)
@@ -350,23 +450,24 @@ def test_the_comparison_agrees_with_the_reference_closure(golden_simplified, ran
                 comparison = ellisub.oracle._compare_with_action(maps, matrix, action)
             assert comparison.equal == (closed == image), (sub.rules, k)
             assert comparison.map_count == matrix.size
-            outside = sorted({m.fiber_map for m in maps.maps} - image)
+            outside = sorted(set(oracle_maps(maps)) - image)
             unnamed = [d for d in comparison.discrepancies if d.startswith("oracle map ")]
             assert unnamed == [f"oracle map {f} missing from the algebraic semigroup"
                                for f in outside], (sub.rules, k)
             if not outside:
-                triples = [action.decode(m.fiber_map) for m in maps.maps]
+                triples = [action.decode(f) for f in oracle_maps(maps)]
                 assert comparison.discrepancies == generation_shortfall(matrix, triples)
             outcomes[k, comparison.equal, bool(outside)] += 1
-    assert outcomes[0, True, False] == len(subs)
-    assert outcomes[2, False, False] == len(subs)
-    assert outcomes[3, False, True] == len(subs)
-    assert outcomes[1, False, False] > 0
+    # one table lies in one row, and the R-set has two elements or more
+    assert outcomes[0, True, False] == outcomes[1, False, False] == len(subs)
+    assert outcomes[3, False, True] == len(subs) and outcomes[4, False, True] > 0
+    assert outcomes[2, True, False] > 0 and outcomes[2, False, False] > 0
 
 
 @pytest.mark.parametrize("name", ["minus_reads_the_right_letters",
                                   "minus_reads_the_next_column_pair",
-                                  "table_skips_the_fiber_check"])
+                                  "table_skips_the_fiber_check",
+                                  "junction_skipped", "junction_columns_swapped"])
 def test_a_mutant_of_the_limit_maps_fails_a_named_test(name, golden_subs, golden_simplified,
                                                        random_corpus, long_power_simplified,
                                                        monkeypatch):
@@ -378,38 +479,67 @@ def test_a_mutant_of_the_limit_maps_fails_a_named_test(name, golden_subs, golden
             test_every_level_reads_the_limit_map(golden_simplified, random_corpus,
                                                  long_power_simplified)
     elif name == "minus_reads_the_next_column_pair":
-        # the maps of sigma^(nu - L) are the same set, so the oracle still
-        # agrees; only the reads and their shifts tell
-        monkeypatch.setattr(oracle, "limit_maps", mutant(
-            oracle.limit_maps, "read_left(table)",
-            "read_left(_column_pair_table(cols, index, nu % (length - 1) + 1))"))
+        # the - maps are the same set, so the oracle still agrees; only the
+        # pairs that one column pair gives tell
+        monkeypatch.setattr(OracleResult, "map_pairs", mutant(
+            OracleResult.map_pairs, "read_left(t)) for t in self.tables]",
+            "read_left(u)) for t, u in zip(self.tables, self.tables[1:] + self.tables[:1])]"))
         with pytest.raises(AssertionError):
             test_verify_reads_each_column_pair_once(golden_subs, monkeypatch)
+    elif name == "table_skips_the_fiber_check":
+        monkeypatch.setattr(oracle, "_fiber_indices", mutant(
+            oracle._fiber_indices, "if None in table:", "if False:"))
+        # the table's missing index reaches the composition of a table with
+        # a lower one, instead of the refusal
+        with pytest.raises(TypeError, match="NoneType"):
+            test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_subs, monkeypatch)
     else:
-        monkeypatch.setattr(oracle, "_column_pair_table", mutant(
-            oracle._column_pair_table, "if None in table:", "if False:"))
-        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
-            test_limit_maps_refuse_a_shifted_word_outside_the_fiber(golden_simplified,
-                                                                   monkeypatch)
+        # the table q*l of theta^k is J T_q; without J, or with the boundary
+        # columns of J swapped, the tables of every power n >= 2 go wrong
+        old, new = {
+            "junction_skipped": ("[compose(junction, t) for t in tables]", "tables"),
+            "junction_columns_swapped": ("(cols[-1][a], cols[0][b])", "(cols[0][a], cols[-1][b])"),
+        }[name]
+        monkeypatch.setattr(oracle, "limit_maps", mutant(oracle.limit_maps, old, new))
+        with pytest.raises(AssertionError):
+            test_the_tables_agree_with_the_written_power(golden_subs)
 
 
 @pytest.mark.parametrize("name", ["comparison_skips_unnamed_maps",
-                                  "comparison_skips_the_walk_search"])
-def test_a_mutant_of_the_comparison_fails_a_named_test(name, golden_simplified, monkeypatch):
+                                  "comparison_skips_the_walk_search",
+                                  "comparison_trusts_the_minus_triple",
+                                  "comparison_trusts_the_minus_label"])
+def test_a_mutant_of_the_comparison_fails_a_named_test(name, golden_simplified, random_corpus,
+                                                       long_power_simplified, monkeypatch):
     oracle = ellisub.oracle
     if name == "comparison_skips_unnamed_maps":
         # only the named maps go on to the loop group
         monkeypatch.setattr(oracle, "_compare_with_action", mutant(
-            oracle._compare_with_action, "triples = [action.decode(f) for f in seeds]",
-            "triples = [x for x in map(action.decode, seeds) if x is not None]"))
+            oracle._compare_with_action, "triples = [named[f] for f in seeds]",
+            "triples = [named[f] for f in seeds if named[f] is not None]"))
         with pytest.raises(AssertionError):
             test_a_map_outside_the_action_is_a_discrepancy(golden_simplified)
-    else:
+    elif name == "comparison_skips_the_walk_search":
         monkeypatch.setattr(oracle, "_compare_with_action", mutant(
             oracle._compare_with_action, "discrepancies = generation_shortfall(matrix, triples)",
             "discrepancies = ()"))
         with pytest.raises(AssertionError):
             test_a_short_map_set_is_named_by_the_walk_search(golden_simplified)
+    elif name == "comparison_trusts_the_minus_triple":
+        # the - triple read off the + triple is the - map's only when the
+        # action reads the oracle's fiber; a swapped pipeline fiber breaks it
+        monkeypatch.setattr(oracle, "_compare_with_action", mutant(
+            oracle._compare_with_action, " or action.encode(*y) != minus", ""))
+        with pytest.raises(AssertionError):
+            test_the_comparison_agrees_with_the_reference_closure(
+                golden_simplified, random_corpus, long_power_simplified, monkeypatch)
+    else:
+        # and its label lies in G only when g0 does: the idempotent-generated
+        # half of s3_height_two has the little group, without g0
+        monkeypatch.setattr(oracle, "_compare_with_action", mutant(
+            oracle._compare_with_action, " or y.g not in elements", ""))
+        with pytest.raises(AssertionError):
+            test_a_map_outside_the_action_is_a_discrepancy(golden_simplified)
 
 
 @pytest.mark.parametrize("name", ["loop_group_drops_the_sandwich_edges",
@@ -436,7 +566,7 @@ def test_a_mutant_of_the_loop_group_fails_a_named_test(name, golden_simplified, 
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("case", ["swapped_fiber", "cut_to_one_shift"])
+@pytest.mark.parametrize("case", ["swapped_fiber", "cut_to_one_table"])
 def test_a_forced_discrepancy_on_s7_exits_2_and_names_the_stage(case, tmp_path, monkeypatch,
                                                                 capsys):
     # |S| = 80 640: the exit-2 path lists the unnamed maps or what the
@@ -444,9 +574,9 @@ def test_a_forced_discrepancy_on_s7_exits_2_and_names_the_stage(case, tmp_path, 
     if case == "swapped_fiber":
         monkeypatch.setattr(ellisub.pipeline, "allowed_two_words", swapped_fiber)
     else:
-        def cut(sub):
-            result = limit_maps(sub)
-            return OracleResult(result.fiber, tuple(m for m in result.maps if abs(m.nu) == 1))
+        def cut(sub, n):
+            result = limit_maps(sub, n)
+            return OracleResult(result.fiber, result.tables[:1])
         monkeypatch.setattr(ellisub.oracle, "limit_maps", cut)
     path = tmp_path / "s7.sub"
     path.write_text(S7)
@@ -461,7 +591,7 @@ def test_a_forced_discrepancy_on_s7_exits_2_and_names_the_stage(case, tmp_path, 
 def test_oracle_idempotents(golden_simplified):
     for name in ("thue_morse", "s3_seven_words", "d4_height_two"):
         sub = golden_simplified[name]
-        result = limit_maps(sub)
+        result = limit_maps(sub, 1)
         idem = [f for f in oracle_closure(result).elements if compose(f, f) == f]
         assert len(idem) == 2 * len(r_set(check_input(sub)))
         for p in idem:
@@ -488,7 +618,7 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
     # compare the oracle against a genuinely closed but wrong candidate: the
     # idempotent-generated part, which is a proper subsemigroup here
     sub = golden_simplified["s3_height_two"]
-    result = limit_maps(sub)
+    result = limit_maps(sub, 1)
     rset, group = rset_and_group(sub)
     partial = idempotent_generated(substitution_sandwich(group, rset, rset[0]))
     partial_sg, _ = fiber_semigroup(partial, allowed_two_words(sub))
@@ -502,12 +632,12 @@ def test_negative_control_detects_wrong_semigroup(golden_simplified):
 def test_oracle_json_serialization(golden_subs, golden_simplified):
     from ellisub.report import report_to_json
     sub = golden_simplified["thue_morse"]
-    comparison = oracle_equivalence(sub, *sandwich_action(sub))
+    comparison = oracle_equivalence(sub, 1, *sandwich_action(sub))
     assert comparison.equal and comparison.discrepancies == ()
     result = comparison.oracle
     assert list(result.fiber.labels(sub.alphabet)) == ["aa", "ab", "ba", "bb"]
     assert oracle_closure(result).size == 8
-    by_shift = {m.nu: m.fiber_map for m in result.maps}
+    by_shift = {m.nu: m.fiber_map for m in written_limit_maps(sub).maps}
     # sigma^(1*4^k) sends a.b to the two-word at positions 4^k - 1, 4^k of b's
     # block; for abba/baab that is b(b).a(b) read from the rules
     aa, ab = result.fiber.pairs.index((0, 0)), result.fiber.pairs.index((0, 1))

@@ -252,7 +252,7 @@ def closures_inside_g(subs, monkeypatch):
             patch.setattr(module, "closure", recording)
         for sub in subs:
             report = global_description(check_input(sub))
-            oracle_equivalence(sub, report.matrix, FiberAction(report.matrix, report.fiber))
+            oracle_equivalence(sub, 1, report.matrix, FiberAction(report.matrix, report.fiber))
     return recorded
 
 

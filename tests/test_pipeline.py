@@ -28,7 +28,7 @@ from conftest import (build_graded_corpus, build_random_corpus, fiber_action, fi
                       first_stages, make_substitution, mutant, pair_closure, rset_and_group,
                       workload_subs)
 from reference import (generated_group, grading_height_full_scan, idempotents_of,
-                       quotient_data, semigroup_closure, written_r_set)
+                       oracle_maps, quotient_data, semigroup_closure, written_r_set)
 
 # what moved to tests/reference.py or was deleted: no ellisub module defines it
 MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
@@ -619,10 +619,10 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
                 recording(module, name)
     original_limit_maps = ellisub.oracle.limit_maps
 
-    def limit_maps(sub):
+    def limit_maps(sub, n):
         in_limit_maps.append(None)
         try:
-            return original_limit_maps(sub)
+            return original_limit_maps(sub, n)
         finally:
             in_limit_maps.pop()
     monkeypatch.setattr(ellisub.oracle, "limit_maps", limit_maps)
@@ -757,32 +757,36 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert [len(gens) for gens, _ in oracle_closures] == [0, 1, 2]
     assert [group.order for _, group in oracle_closures] == [1, 3, 6]
     assert oracle_closures[-1][1] is report.structure_group
-    # and the oracle checks the power itself, once, in limit_maps, which
-    # reads its own fiber; the gate's checks of the input are unchanged
-    assert validations(report.substitution, inside=True) == {
-        "is_simplified": 1, "allowed_two_words": 1, "is_bijective": 1,
-        "_all_letters_exponent": 1}
-    assert validations(report.substitution) == {}
-    assert validations(sub) == on_input and validations(sub, inside=True) == {}
-    # the oracle reads each of its 2(L - 1) maps by one getter call, at the
-    # right or the left letters of the fixed points, off the table of its
-    # column pair: 30 at L = 16.  The fiber action proves itself from the
-    # 2|I| letter identities c_lam T_j = A[lam][j], one compose each, after
-    # the |I| of the sandwich's minus row; the oracle names each of its
-    # distinct maps by one decode, a getter call through T_i0 and one
-    # compose, and one encode, two getter calls.  3 + 6 + 4 * 18 here,
-    # against the |S| = 36 maps of phi written out
+    # and the oracle checks the input itself, once, in limit_maps, which
+    # reads its own fiber and checks that the power n is simplified from the
+    # input's columns, all-letters exponent and junction map; it reads no
+    # word of the power, and the gate's checks of the input are unchanged
+    assert validations(sub, inside=True) == {"allowed_two_words": 1, "_all_letters_exponent": 1}
+    assert validations(report.substitution) == validations(report.substitution, inside=True) == {}
+    assert validations(sub) == on_input
+    # the oracle reads each of its distinct column-pair tables by two getter
+    # calls, at the right and at the left letters of the fixed points, and
+    # names the - triple of each by one more, g -> g g0^-1: 3 * 9 here, where
+    # the written power has L - 1 = 15 tables.  The fiber action proves itself
+    # from the 2|I| letter identities c_lam T_j = A[lam][j], one compose
+    # each, after the |I| of the sandwich's minus row; the oracle names the
+    # two maps of each table by one decode of the + map, a getter call
+    # through T_i0, one compose and one encode, and one encode of the -
+    # triple, two getter calls each.  3 + 6 + 6 * 9 here, where naming each
+    # of the 18 distinct maps by its own decode took 4 * 18, against the
+    # |S| = 36 maps of phi written out
     length = report.substitution.length
     matrix = report.matrix
     order, n_i = matrix.group.order, len(report.rset)
-    distinct = sorted({m.fiber_map for m in report.oracle.oracle.maps})
-    assert (matrix.size, order, n_i, len(distinct)) == (36, 6, 3, 18)
-    assert len(products) == 3 * n_i + 4 * len(distinct) == 81
+    tables, oracle_reads = report.oracle.oracle.tables, len(reads)
+    distinct = oracle_maps(report.oracle.oracle)
+    assert (matrix.size, order, n_i, len(tables), len(distinct), length) == (36, 6, 3, 9, 18, 16)
+    assert len(products) == 3 * n_i + 6 * len(tables) == 63
     # the oracle's other getter calls form the loop group's Schreier
     # generators, one at a time, until the group has |G| elements: two here,
     # each new to the group, as the closures above show
-    assert len(reads) == 2 * (length - 1) + 2 == 32
-    assert len(encoded) == len(distinct) <= len(distinct) + 2 * n_i
+    assert oracle_reads == 3 * len(tables) + 2 == 29
+    assert len(encoded) == 2 * len(tables) == len(distinct)
     action = FiberAction(matrix, report.fiber)
     assert sorted(original_encode(action, *x) for x in encoded) == distinct
 
