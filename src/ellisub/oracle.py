@@ -103,21 +103,6 @@ pipeline but theta and n.  It reads its own fiber too; its fiber indices are
 what ``FiberAction.decode`` compares with the action's, which the pipeline
 builds on its own fiber, so a wrong fiber there shows up as a discrepancy
 rather than being taken on trust.
-
-*The - triple off the + triple.*  A table t gives the + map t B and the
-- map t A, where B reads the right letter b and A the left letter a of each
-fixed point.  Every letter is a right letter and a left letter of some
-fixed point, so each map determines t.  With T_i and g0 as in
-``FiberAction``, phi(i, g, +) = T_i g B and phi(i, g', -) = T_i g' g0 A.  So
-the + map is phi(i, g, +) exactly when t = T_i g, and then the - map
-T_i g A is phi(i, g g0^-1, -); conversely a - map phi(i, g', -) makes the
-+ map phi(i, g' g0, +).  In a substitution sandwich g0 lies in G, so the
-+ map has a triple exactly when the - map has one, and one decode names
-both.  The comparison still checks that g g0^-1 lies in G and that the
-- triple encodes back to the - map, and decodes the - map itself
-otherwise, so no map is named on the strength of this argument alone: a
-matrix whose group misses g0, or a wrong pipeline fiber, under which the
-argument fails, gets the names that decoding each map gives.
 """
 
 from __future__ import annotations
@@ -127,7 +112,6 @@ from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 from .perms import Perm, after, closure, compose, identity, inverse, is_perm
-from .rees import MINUS, ReesElement
 from .substitution import (Substitution, TwoWordFiber, _all_letters_exponent,
                            allowed_two_words, columns)
 
@@ -173,10 +157,10 @@ def limit_maps(sub: Substitution, n: int) -> OracleResult:
 
     sub^n must be simplified: sub bijective, its all-letters exponent at
     most n and the nth power of its junction map the identity on the
-    fiber.  E_r is the table of
-    sub's column pair (c_(r-1), c_r) and J its junction map on the fiber; the
-    tables of sub^k are E_r P for the distinct columns P of sub^(k-1) and
-    J T for the tables T of sub^(k-1).  That is n - 1 steps over sets of at
+    fiber.  E_r is the table of sub's column pair (c_(r-1), c_r) and J its
+    junction map on the fiber; the tables of sub^k are E_r P for the
+    distinct columns P of sub^(k-1) and J T for the tables T of sub^(k-1),
+    and the last step builds no columns.  That is n - 1 steps over sets of at
     most (l - 1)|G| + |tables| tables, where reading tau takes L - 1 tables
     of s lookups.
     """
@@ -195,10 +179,11 @@ def limit_maps(sub: Substitution, n: int) -> OracleResult:
     if power != ident:  # J^n moves a fiber word
         raise ValidationError(NOT_SIMPLIFIED)
     below, tables = set(cols), set(pair_tables)  # the columns and tables of sub
-    for _ in range(n - 1):
+    for k in range(2, n + 1):  # the tables of sub^k, and its columns if a later step reads them
         tables = {compose(e, p) for p in below for e in pair_tables}.union(
             [compose(junction, t) for t in tables])
-        below = {compose(c, p) for p in below for c in cols}
+        if k < n:
+            below = {compose(c, p) for p in below for c in cols}
     return OracleResult(fiber, tuple(sorted(tables)))
 
 
@@ -281,16 +266,9 @@ class OracleComparison(NamedTuple):
 
 def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparison:
     """Compare the oracle's maps F with phi(M): name each distinct map by its
-    triple, list each map without one, and when every map has one, let
-    :func:`generation_shortfall` decide from the order of their loop group
-    whether the triples generate M, and say what they miss.
-
-    Each table is decoded once, at its + map (i, g, +); its - map is named
-    (i, g g0^-1, -) when g g0^-1 lies in G and that triple encodes back to
-    it, and is decoded itself otherwise.  Those are the checks that
-    ``decode`` makes, so a - map gets the triple that its own decode would
-    give; the module docstring proves that it gets it without a decode
-    whenever g0 lies in G and both fibers agree.
+    triple with ``action.decode``, list each map without one, and when every
+    map has one, let :func:`generation_shortfall` decide from the order of
+    their loop group whether the triples generate M, and say what they miss.
 
     F generates phi(M) exactly when every map of F has a triple and the
     triples generate M.  phi is an injective homomorphism, so its image
@@ -305,17 +283,8 @@ def _compare_with_action(result: OracleResult, matrix, action) -> OracleComparis
     So the decision closes one subgroup of G and never F, encodes no triple
     outside T, and names only the oracle's own maps outside phi(M).
     """
-    below_base = after(inverse(matrix.i_labels[matrix.base[0]]))  # g -> g g0^-1
-    elements = matrix.group.element_set
-    named = {}
-    for plus, minus in result.map_pairs():
-        x = named[plus] = action.decode(plus)
-        y = None if x is None else ReesElement(x.i, below_base(x.g), MINUS)
-        if y is None or y.g not in elements or action.encode(*y) != minus:
-            y = action.decode(minus)
-        named[minus] = y
-    seeds = sorted(named)
-    triples = [named[f] for f in seeds]
+    seeds = sorted({f for pair in result.map_pairs() for f in pair})
+    triples = [action.decode(f) for f in seeds]
     discrepancies = tuple(f"oracle map {f} missing from the algebraic semigroup"
                           for f, x in zip(seeds, triples) if x is None)
     if not discrepancies:

@@ -40,8 +40,8 @@ The matrix and the action then go to the window oracle, the one witness
 built independently of this module, with theta and n rather than tau.  The
 oracle checks from theta's columns that tau is simplified, builds the
 distinct column-pair tables of tau from theta's columns by a recursion over
-the levels, writing no word of tau, names the + and the - map of each table
-by one decode and one encode, O(fiber) per table, and decides whether the
+the levels, writing no word of tau, names each distinct map, the + or the -
+map of a table, by decoding it, O(fiber) per map, and decides whether the
 triples generate the matrix semigroup by the order of their loop group,
 closed inside G again only on a Schreier generator it misses, until it has
 |G| elements.  A disagreement lists the maps without a name, or what the

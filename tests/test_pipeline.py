@@ -765,28 +765,25 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert validations(report.substitution) == validations(report.substitution, inside=True) == {}
     assert validations(sub) == on_input
     # the oracle reads each of its distinct column-pair tables by two getter
-    # calls, at the right and at the left letters of the fixed points, and
-    # names the - triple of each by one more, g -> g g0^-1: 3 * 9 here, where
-    # the written power has L - 1 = 15 tables.  The fiber action proves itself
-    # from the 2|I| letter identities c_lam T_j = A[lam][j], one compose
-    # each, after the |I| of the sandwich's minus row; the oracle names the
-    # two maps of each table by one decode of the + map, a getter call
-    # through T_i0, one compose and one encode, and one encode of the -
-    # triple, two getter calls each.  3 + 6 + 6 * 9 here, where naming each
-    # of the 18 distinct maps by its own decode took 4 * 18, against the
-    # |S| = 36 maps of phi written out
+    # calls, at the right and at the left letters of the fixed points: 2 * 9
+    # here, where the written power has L - 1 = 15 tables.  The fiber action
+    # proves itself from the 2|I| letter identities c_lam T_j = A[lam][j],
+    # one compose each, after the |I| of the sandwich's minus row; the oracle
+    # names each of its distinct maps by one decode, a getter call through
+    # T_i0 and one compose, and one encode, two getter calls.  3 + 6 + 4 * 18
+    # here, against the |S| = 36 maps of phi written out
     length = report.substitution.length
     matrix = report.matrix
     order, n_i = matrix.group.order, len(report.rset)
     tables, oracle_reads = report.oracle.oracle.tables, len(reads)
     distinct = oracle_maps(report.oracle.oracle)
     assert (matrix.size, order, n_i, len(tables), len(distinct), length) == (36, 6, 3, 9, 18, 16)
-    assert len(products) == 3 * n_i + 6 * len(tables) == 63
+    assert len(products) == 3 * n_i + 4 * len(distinct) == 81
     # the oracle's other getter calls form the loop group's Schreier
     # generators, one at a time, until the group has |G| elements: two here,
     # each new to the group, as the closures above show
-    assert oracle_reads == 3 * len(tables) + 2 == 29
-    assert len(encoded) == 2 * len(tables) == len(distinct)
+    assert oracle_reads == 2 * len(tables) + 2 == 20
+    assert len(encoded) == len(distinct)
     action = FiberAction(matrix, report.fiber)
     assert sorted(original_encode(action, *x) for x in encoded) == distinct
 
