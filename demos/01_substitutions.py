@@ -8,8 +8,8 @@ the substitution is bijective and everything downstream applies.
 """
 
 from ellisub import (allowed_two_words, check_input, columns, cycle_string,
-                     is_aperiodic, is_bijective, is_simplified,
-                     parse_substitution, substitution_to_json)
+                     is_aperiodic, is_bijective, parse_substitution,
+                     substitution_power, substitution_to_json)
 
 THUE_MORSE = """
 # the classic two-letter example, already in simplified form
@@ -46,9 +46,12 @@ print("verdict:", is_aperiodic(periodic))
 
 print("\n== simplification may need a power")
 rot = parse_substitution(ROTATION)
-print("rotation simplified as given:", is_simplified(rot))
 checked = check_input(rot)
-simplified = checked.power
+# n is the least exponent with theta^n simplified, so theta is simplified
+# as given exactly when n = 1; the analysis reads theta and n, and the power
+# is written out here only to show it
+print("rotation simplified as given:", checked.exponent == 1)
+simplified = substitution_power(rot, checked.exponent)
 print(f"power {checked.exponent} is simplified: length {simplified.length}, "
       f"first rule {substitution_to_json(simplified)['rules']['a'][:12]}...")
 print("boundary columns:",

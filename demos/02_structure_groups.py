@@ -12,7 +12,7 @@ is checked once, and each stage takes what the one before it built.
 """
 
 from ellisub import (check_input, classical_height_bruteforce, cycle_string,
-                     group_name, heights, is_normal, parse_substitution, r_set,
+                     group_name, heights, parse_substitution, r_set,
                      structure_group)
 
 EXAMPLES = {
@@ -25,7 +25,7 @@ EXAMPLES = {
 
 for name, source in EXAMPLES.items():
     checked = check_input(parse_substitution(source))
-    letters = checked.power.alphabet.letters
+    letters = checked.original.alphabet.letters
     rset = r_set(checked)
     graded = structure_group(rset)  # G, with the walks over G and over the letters
     group = graded.group
@@ -33,8 +33,10 @@ for name, source in EXAMPLES.items():
     print(f"== {name} (analyzed power {checked.exponent})")
     print("  R-set:", ", ".join(cycle_string(g, letters) for g in rset))
     print(f"  structure group: order {group.order} ({group_name(group) or 'unnamed'})")
+    # a subgroup is normal exactly when it equals its normal closure, which
+    # contains it: when the two have the same order
     print(f"  little group: order {hs.little_group.order}, "
-          f"normal in G: {is_normal(hs.little_group, group)}")
+          f"normal in G: {hs.little_group.order == hs.normal_completion.order}")
     print(f"  normal completion: order {hs.normal_completion.order} "
           f"({group_name(hs.normal_completion) or 'unnamed'})")
     print(f"  generalized height {hs.height}, classical height {hs.classical_height} "

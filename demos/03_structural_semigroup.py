@@ -15,11 +15,13 @@ R-set, structure group, matrix presentation, fiber action.
 
 from ellisub import (FiberAction, allowed_two_words, check_input, columns,
                      cycle_string, parse_substitution, r_set, structure_group,
-                     substitution_sandwich)
+                     substitution_power, substitution_sandwich)
 from ellisub.perms import compose
 
 checked = check_input(parse_substitution("a -> abaa\nb -> bacb\nc -> ccbc"))
-sub = checked.power
+# the analysis reads theta and n; the signed pairs below are read off the
+# columns of the power tau = theta^n, written out here
+sub = substitution_power(checked.original, checked.exponent)
 letters = sub.alphabet.letters
 
 print("== normalized matrix presentation")

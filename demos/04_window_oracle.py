@@ -24,7 +24,8 @@ from ellisub import (FiberAction, check_input, cycle_string,
                      substitution_to_json)
 
 checked = check_input(parse_substitution("a -> abba\nb -> baab"))
-sub = checked.power
+assert checked.exponent == 1  # simplified as given
+sub = checked.original
 letters = sub.alphabet.letters
 length = sub.length
 

@@ -14,7 +14,7 @@ from .errors import (EllisubError, InternalCheckError, ParseError,
                      ResourceLimitError, ValidationError)
 from .oracle import OracleComparison, limit_maps, oracle_equivalence
 from .perms import (PermGroup, centralizer_in_symmetric, closure,
-                    cycle_string, group_name, is_normal, normal_closure)
+                    cycle_string, group_name, normal_closure)
 from .pipeline import (AnalysisConfig, StructuralReport, analyze_substitution,
                        check_input, classical_height_bruteforce,
                        global_description, heights, r_set, structure_group)
@@ -22,8 +22,8 @@ from .rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from .semigroups import TransformationSemigroup
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, allowed_two_words, columns,
-                           is_aperiodic, is_bijective, is_simplified,
-                           parse_any, parse_substitution, substitution_power,
+                           is_aperiodic, is_bijective, parse_any,
+                           parse_substitution, substitution_power,
                            substitution_to_json)
 
 __version__ = "4.0.0"

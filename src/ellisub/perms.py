@@ -20,7 +20,8 @@ The structure group G is listed by :func:`_graded_walk`, which also grades
 it.  Every group closed after G is a subgroup of G, so :func:`closure` takes
 G as its ambient group, checks generators by membership in G and stops at
 |G| elements, returning G.  :attr:`PermGroup.orders` counts element orders
-once, by cyclic subgroups; :func:`element_order` is the reference.
+once, by cyclic subgroups; ``tests/reference.py`` holds the reference
+``element_order``, the lcm of the cycle lengths.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ def inverse(p: Perm) -> Perm:
     for x, y in enumerate(p):
         out[y] = x
     return tuple(out)
-
-
-def element_order(p: Perm) -> int:
-    """Least n >= 1 with p^n = id (lcm of cycle lengths)."""
-    return lcm(*[len(c) for c in cycles(p)]) if p else 1
 
 
 def cycles(p: Perm) -> list[tuple[int, ...]]:
@@ -130,9 +126,6 @@ class PermGroup(Frozen):
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.element_set <= other.element_set
 
     @cached_property
     def orders(self) -> dict[Perm, int]:
@@ -313,19 +306,6 @@ def centralizer_in_symmetric(group: PermGroup) -> PermGroup:
             found.append(c)
     found.sort()
     return PermGroup(n, tuple(found), tuple(found))
-
-
-def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
-    """Whether ``sub`` is a normal subgroup of ``ambient``.  A subgroup with
-    as many elements as ``ambient`` is ``ambient``, normal in itself;
-    otherwise each conjugate of an element of ``sub`` by a generator of
-    ``ambient`` must lie in ``sub``."""
-    if not sub.is_subgroup_of(ambient):
-        return False
-    if sub.order == ambient.order:
-        return True
-    elems = sub.element_set
-    return all(c in elems for c in _conjugates(sub.elements, ambient.generators))
 
 
 class GroupFingerprint(NamedTuple):

@@ -5,19 +5,19 @@ fiber semigroup, the degree grading, automorphism data, and the symbolic
 description of the whole Ellis semigroup.
 
 :func:`check_input` checks the input theta once and returns a
-:class:`CheckedPower`: theta, n, the simplified power tau = theta^n that it
-writes out, the fiber and the aperiodicity verdict.  :func:`global_description`
-runs each stage once on it, in this order, and every stage takes the
-objects it consumes rather than a substitution to rebuild or check them
-from: :func:`r_set`, :func:`structure_group`, :func:`heights`,
-:func:`substitution_sandwich`, :func:`degree_map`,
-:func:`classical_height_bruteforce` and :func:`automorphism_data`.  No stage
-builds a fiber map, multiplies two elements of the structural semigroup (of
-size |S| = 2|I||G|) or writes out a power of the substitution, and none
-holds an |S|-sized object: the degree of (i, g, sign) is that of g, so the
-degree table has one entry per element of G.  :func:`structure_group`
-walks the two graphs that the R-set labels, g -> g r on G and a -> r(a) on
-the letters, once each.
+:class:`CheckedPower`: theta, the exponent n of the simplified power
+tau = theta^n, the fiber and the aperiodicity verdict; it writes no word of
+tau.  :func:`global_description` runs each stage once on it, in this
+order, and every stage takes the objects it consumes rather than a
+substitution to rebuild or check them from: :func:`r_set`,
+:func:`structure_group`, :func:`heights`, :func:`substitution_sandwich`,
+:func:`degree_map`, :func:`classical_height_bruteforce` and
+:func:`automorphism_data`.  No stage builds a fiber map, multiplies two
+elements of the structural semigroup (of size |S| = 2|I||G|) or writes out
+a power of the substitution, and none holds an |S|-sized object: the
+degree of (i, g, sign) is that of g, so the degree table has one entry per
+element of G.  :func:`structure_group` walks the two graphs that the R-set
+labels, g -> g r on G and a -> r(a) on the letters, once each.
 
 Checks that run on every input, each raising InternalCheckError on a
 mismatch, with the name of the function that runs it as ``stage``, and
@@ -92,17 +92,19 @@ from .rees import FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from .substitution import (Alphabet, AperiodicityVerdict, Substitution,
                            TwoWordFiber, _all_letters_exponent,
                            allowed_two_words, aperiodicity_verdict, columns,
-                           simplified_power)
+                           simplified_exponent)
+
+EXPONENT_LIMIT = 100  # refuse to analyse a higher power: each stage takes O(n) steps
 
 
 class CheckedPower(NamedTuple):
-    """An input theta that :func:`check_input` passed, with its simplified
-    power tau = theta^n and its allowed two-letter words, which are tau's:
-    the stages take this value and check none of it again."""
+    """An input theta that :func:`check_input` passed, with the exponent n
+    of its simplified power tau = theta^n and its allowed two-letter words,
+    which are tau's: the stages take this value, check none of it again and
+    read tau through theta and n alone."""
 
     original: Substitution           # theta
-    exponent: int                    # n
-    power: Substitution              # tau = theta^n, simplified
+    exponent: int                    # n: tau = theta^n is simplified
     fiber: TwoWordFiber
     aperiodicity: AperiodicityVerdict
 
@@ -110,9 +112,12 @@ class CheckedPower(NamedTuple):
 def check_input(sub: Substitution) -> CheckedPower:
     """Check theta once: bijective (naming the columns that are not),
     primitive (by the all-letters exponent, which then gives n), aperiodic
-    (from the count of the allowed two-letter words), and tau = theta^n
-    written out (:func:`ellisub.substitution.simplified_power` proves it
-    simplified).
+    (from the count of the allowed two-letter words), and the least n
+    with tau = theta^n simplified
+    (:func:`ellisub.substitution.simplified_exponent`), writing no word of
+    tau.  An n over ``EXPONENT_LIMIT`` is refused: r_set, the return-time
+    walk and the window oracle each take O(n) steps, over sets of up to
+    |G| elements, and the reports print L = l^n in decimal.
 
     The power tau = theta^n has the fiber of theta.  A word occurs in the
     language of tau when it occurs in some theta^(nk)(a), so every such word
@@ -138,12 +143,11 @@ def check_input(sub: Substitution) -> CheckedPower:
             f"<= {verdict.period_evidence}")
         exc.verdict = verdict
         raise exc
-    try:
-        power, exponent = simplified_power(sub, fiber, letters_exp)
-    except ResourceLimitError as exc:
-        exc.stage = "simplify"
-        raise
-    return CheckedPower(sub, exponent, power, fiber, verdict)
+    exponent = simplified_exponent(sub, fiber, letters_exp)
+    if exponent > EXPONENT_LIMIT:
+        raise ResourceLimitError(f"simplified power {exponent} exceeds the exponent cap "
+                                 f"{EXPONENT_LIMIT}", stage="check_input")
+    return CheckedPower(sub, exponent, fiber, verdict)
 
 
 def r_set(checked: CheckedPower) -> tuple[Perm, ...]:
@@ -380,9 +384,8 @@ def _global_strings(h: int, h_cl: int, length: int, g_name: str | None,
 
 
 class StructuralReport(NamedTuple):
-    substitution: Substitution       # the analyzed (simplified) power
-    exponent: int                    # which power of the input was analyzed
-    original_length: int
+    substitution: Substitution       # the input theta
+    exponent: int                    # n: the analyzed power is theta^n, of length l^n
     g0_index: int
     rset: tuple[Perm, ...]
     structure_group: PermGroup
@@ -435,14 +438,13 @@ def global_description(checked: CheckedPower, g0_index: int | None = None) -> St
             stage="global_description")
     aut = automorphism_data(group)
     witness = _order_h_witness(rset, group, hs.height)
-    sub = checked.power
-    strings = _global_strings(hs.height, hs.classical_height, sub.length,
+    sub = checked.original
+    strings = _global_strings(hs.height, hs.classical_height, sub.length ** checked.exponent,
                               group_name(group), group_name(hs.normal_completion),
                               witness is not None)
     return StructuralReport(
         substitution=sub,
         exponent=checked.exponent,
-        original_length=checked.original.length,
         g0_index=matrix.base[0],
         rset=rset,
         structure_group=group,

@@ -19,8 +19,18 @@ The degree table has one row per triple (i, g, sign), |S| = 2|I||G| of
 them, while the degree depends on g alone, so :func:`_degree_table` joins
 its rows from one template per element of G, and :func:`render_json`
 splices the pieces in at the table's key.  Only the JSON paths write the
-table and the analysed rules (``substitution``), which the text report does
-not print.  Every permutation is written in cycle notation once per render
+table and the analysed rules, which the text report does not print.
+
+The report holds the input theta and the exponent n, as every stage does,
+and no stage writes a word of the analysed power tau = theta^n.
+:func:`render_json` is the one writer of tau
+(:func:`ellisub.substitution.substitution_power`), because the
+``substitution`` field of ``ellis-report/2`` prints tau's rules, l^n
+letters each.  Over ``LETTER_LIMIT`` letters it refuses with the stage
+``render_json``, after the analysis has run; the text report, which prints
+only l and l^n, reads no power and has no such cap.
+
+Every permutation is written in cycle notation once per render
 (:class:`_CycleStrings`): an element of the R-set appears in g0, ``r_set``,
 the group generators, the sandwich matrix and the table.
 """
@@ -31,10 +41,11 @@ import json
 from collections import Counter
 from json.encoder import encode_basestring_ascii as encode
 
+from .errors import ResourceLimitError
 from .perms import Perm, PermGroup, cycle_string
 from .pipeline import StructuralReport
 from .rees import SIGN_LABELS
-from .substitution import substitution_to_json
+from .substitution import substitution_power, substitution_to_json
 
 SCHEMA_VERSION = "ellis-report/2"
 
@@ -129,9 +140,14 @@ def _degree_table(report: StructuralReport, cycles: _CycleStrings) -> list[str]:
 def render_json(report: StructuralReport) -> str:
     """``report`` as ``ellis-report/2``, in the layout of
     ``json.dumps(..., indent=2)``, ending in a line break."""
+    try:
+        power = substitution_power(report.substitution, report.exponent)
+    except ResourceLimitError as exc:
+        exc.stage = "render_json"
+        raise
     cycles = _CycleStrings(report.alphabet.letters)
     matrix = report.matrix
-    sub = substitution_to_json(report.substitution)
+    sub = substitution_to_json(power)
     rules = {letter: encode(word) for letter, word in sub["rules"].items()}
     r_set = [f'{{\n      "cycles": {encode(cycles[g])},\n      "images": {_list(map(str, g), 3)}'
              f'\n    }}' for g in report.rset]
@@ -142,9 +158,9 @@ def render_json(report: StructuralReport) -> str:
         f'\n  "substitution": {{\n    "alphabet": {_strs(sub["alphabet"], 2)},'
         f'\n    "rules": {_dict(rules, 2)}\n  }},'
         f'\n  "analyzed_power": {report.exponent},'
-        f'\n  "original_length": {report.original_length},'
-        f'\n  "length": {report.substitution.length},'
-        f'\n  "alphabet_size": {report.substitution.size},'
+        f'\n  "original_length": {report.substitution.length},'
+        f'\n  "length": {power.length},'
+        f'\n  "alphabet_size": {power.size},'
         f'\n  "g0": {{\n    "index": {report.g0_index},'
         f'\n    "cycles": {encode(cycles[report.rset[report.g0_index]])}\n  }},'
         f'\n  "r_set": {_list(r_set, 1)},'
@@ -204,7 +220,8 @@ def render_text(report: StructuralReport) -> str:
 
     lines = [
         f"substitution over {{{letters}}}, analyzed power: {report.exponent} "
-        f"(length {report.original_length} -> {report.substitution.length})",
+        f"(length {report.substitution.length} -> "
+        f"{report.substitution.length ** report.exponent})",
         f"normalization g0 = {cycles[report.rset[report.g0_index]]} "
         f"(R-set index {report.g0_index})",
         "",

@@ -10,8 +10,11 @@ is *bijective* when every column map is a permutation.
 A bijective substitution is *simplified* when (1) every periodic point of the
 substitution acting on its shift space is already a fixed point (forcing the
 first and last column maps to be the identity) and (2) every rule word
-contains every letter.  Both conditions hold for a suitable power, computed by
-:func:`simplified_power`.  For simplified substitutions the fixed points
+contains every letter.  Both conditions hold for a suitable power, whose
+exponent :func:`simplified_exponent` computes without writing the power.
+:func:`substitution_power` writes a power out, under the cap
+``LETTER_LIMIT``; the one package caller is the JSON report, which prints
+the analysed power's rules.  For simplified substitutions the fixed points
 correspond one-to-one to the allowed two-letter words; that finite set is the
 singular fiber on which all later semigroup computation happens.
 
@@ -28,7 +31,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import Frozen, ParseError, ResourceLimitError, ValidationError
-from .perms import identity, is_perm
+from .perms import cycles, is_perm
 
 LETTER_LIMIT = 10**7  # refuse to materialize words longer than this
 
@@ -355,22 +358,6 @@ def aperiodicity_verdict(sub: Substitution, fiber: TwoWordFiber) -> Aperiodicity
 # ---------------------------------------------------------------------------
 # simplification
 
-def is_simplified(sub: Substitution, fiber: TwoWordFiber | None = None) -> bool:
-    """Both simplified conditions: boundary columns are the identity, every
-    junction orbit is a fixed point, and every rule word contains every
-    letter, that is, the all-letters exponent is 1, so sub is primitive.
-    ``fiber`` is ``allowed_two_words(sub)``, when the caller already holds it."""
-    if not is_bijective(sub):
-        return False
-    cols = columns(sub)
-    ident = identity(sub.size)
-    if cols[0] != ident or cols[-1] != ident or _all_letters_exponent(sub) != 1:
-        return False
-    if fiber is None:
-        fiber = allowed_two_words(sub)
-    return all(junction_map(sub, p) == p for p in fiber.pairs)
-
-
 def _junction_cycle_lcm(sub: Substitution, fiber: TwoWordFiber) -> int:
     seen: set[tuple[int, int]] = set()
     result = 1
@@ -389,32 +376,32 @@ def _junction_cycle_lcm(sub: Substitution, fiber: TwoWordFiber) -> int:
     return result
 
 
-def simplified_power(sub: Substitution, fiber: TwoWordFiber,
-                     letters_exp: int) -> tuple[Substitution, int]:
-    """Return (sub^n, n) with n minimal such that sub^n is simplified, for a
-    bijective substitution with the allowed two-letter words ``fiber`` and
-    the all-letters exponent ``letters_exp`` (:func:`_all_letters_exponent`),
-    which make it primitive.
+def simplified_exponent(sub: Substitution, fiber: TwoWordFiber, letters_exp: int) -> int:
+    """The least n such that sub^n is simplified, for a bijective
+    substitution with the allowed two-letter words ``fiber`` and the
+    all-letters exponent ``letters_exp`` (:func:`_all_letters_exponent`),
+    which make it primitive.  No word of sub^n is written.
 
     n = M*m where M is the lcm of the junction-map cycle lengths on the
     allowed two-letter words (condition: all periodic points become fixed) and
     m is minimal so that every rule word of sub^(M*m) contains every letter.
 
-    Both conditions hold by this choice of n, so sub^n is not checked with
-    :func:`is_simplified`.  The junction map of sub^n is the nth power of
-    that of sub on the same two-letter words, and M divides n.  If every
-    rule word of sub^e contains every letter, then so does every rule word
-    of sub^(e+1) = sub^e o sub, and n >= e for the least such e.  The
-    boundary columns of sub^n, which the first condition makes the
-    identity, are still checked, at two letters per rule.
+    Both conditions hold by this choice of n.  The junction map of sub^n is
+    the nth power of that of sub on the same two-letter words, and M divides
+    n.  If every rule word of sub^e contains every letter, then so does every
+    rule word of sub^(e+1) = sub^e o sub, and n >= e for the least such e.
+    The boundary columns of sub^n, which the first condition makes the
+    identity, are still checked: they are c_0^n and c_(l-1)^n for the
+    columns c_0 and c_(l-1) of sub (``ellisub.oracle`` proves the column
+    formula), and c^n is the identity exactly when n is a multiple of the
+    length of every cycle of c, O(s) work whatever n is.
     """
     cycle_lcm = _junction_cycle_lcm(sub, fiber)
     m = -(-letters_exp // cycle_lcm)  # ceil division
     n = cycle_lcm * m
-    result = substitution_power(sub, n)
-    ident = list(identity(sub.size))
-    if [word[0] for word in result.rules] != ident or [word[-1] for word in result.rules] != ident:
+    cols = columns(sub)
+    if any(n % len(cycle) for col in (cols[0], cols[-1]) for cycle in cycles(col)):
         raise ValidationError(
             "simplification failed: boundary columns of the computed power are not the identity "
             "(is the input really bijective and primitive?)")
-    return result, n
+    return n

@@ -18,7 +18,8 @@ from ellisub.rees import ReesMatrixSemigroup, substitution_sandwich
 from ellisub.semigroups import TransformationSemigroup
 from ellisub.substitution import (Alphabet, Substitution, TwoWordFiber,
                                   allowed_two_words, columns)
-from reference import GreenStructure, fiber_semigroup, generated_group, green_structure
+from reference import (GreenStructure, fiber_semigroup, generated_group, green_structure,
+                       written_power)
 
 
 def mutant(function, old, new):
@@ -170,7 +171,7 @@ def golden_subs() -> dict:
 
 @pytest.fixture(scope="session")
 def golden_simplified(golden_subs) -> dict:
-    return {name: check_input(sub).power for name, sub in golden_subs.items()}
+    return {name: written_power(check_input(sub)) for name, sub in golden_subs.items()}
 
 
 @pytest.fixture(scope="session")
@@ -232,4 +233,4 @@ def long_power_subs() -> list[Substitution]:
 @pytest.fixture(scope="session")
 def long_power_simplified(long_power_subs) -> list[Substitution]:
     """The simplified powers of the long-power inputs, length 16-27."""
-    return [check_input(sub).power for sub in long_power_subs]
+    return [written_power(check_input(sub)) for sub in long_power_subs]

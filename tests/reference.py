@@ -13,6 +13,9 @@ by boolean matrix powers; the R-set and the grading height read off a
 written power; the window oracle's maps shift by shift, off the rule
 words of a written power; digit walks into the fixed points and the
 proximality classes of the fiber; the text report read off the JSON report.
+It also holds the checks that no stage of the library calls: element
+orders from cycle lengths, subgroup and normality tests, and whether a
+written substitution is simplified.
 """
 
 from __future__ import annotations
@@ -21,18 +24,20 @@ import itertools
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import lcm
 from typing import NamedTuple
 
 from ellisub.errors import InternalCheckError, ResourceLimitError, ValidationError
 from ellisub.oracle import OracleResult, limit_maps
-from ellisub.perms import (Perm, PermGroup, _graded_walk, after, compose, identity,
-                           inverse, is_normal)
+from ellisub.perms import (Perm, PermGroup, _conjugates, _graded_walk, after, compose,
+                           cycles, identity, inverse)
 from ellisub.rees import (MINUS, PLUS, SIGN_LABELS, FiberAction, ReesElement,
                           ReesMatrixSemigroup)
 from ellisub.report import report_to_json
 from ellisub.semigroups import TransformationSemigroup
-from ellisub.substitution import (Substitution, TwoWordFiber, allowed_two_words,
-                                  columns, is_simplified)
+from ellisub.substitution import (Substitution, TwoWordFiber, _all_letters_exponent,
+                                  allowed_two_words, columns, is_bijective, junction_map,
+                                  substitution_power)
 
 ISO_SEARCH_GROUP_MAX = 120
 ISO_SEARCH_DEGREE_MAX = 6
@@ -711,9 +716,31 @@ def generated_group(gens) -> PermGroup:
     return PermGroup(len(gens[0]), tuple(gens), tuple(sorted(levels)))
 
 
+def element_order(p: Perm) -> int:
+    """Least n >= 1 with p^n = id (lcm of cycle lengths)."""
+    return lcm(*[len(c) for c in cycles(p)]) if p else 1
+
+
+def is_subgroup_of(sub: PermGroup, other: PermGroup) -> bool:
+    return sub.degree == other.degree and sub.element_set <= other.element_set
+
+
+def is_normal(sub: PermGroup, ambient: PermGroup) -> bool:
+    """Whether ``sub`` is a normal subgroup of ``ambient``.  A subgroup with
+    as many elements as ``ambient`` is ``ambient``, normal in itself;
+    otherwise each conjugate of an element of ``sub`` by a generator of
+    ``ambient`` must lie in ``sub``."""
+    if not is_subgroup_of(sub, ambient):
+        return False
+    if sub.order == ambient.order:
+        return True
+    elems = sub.element_set
+    return all(c in elems for c in _conjugates(sub.elements, ambient.generators))
+
+
 def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
     """(order, is_cyclic) of group/normal; normality is verified, not assumed."""
-    if not normal.is_subgroup_of(group):
+    if not is_subgroup_of(normal, group):
         raise ValidationError("quotient: not a subgroup")
     if not is_normal(normal, group):
         raise ValidationError("quotient: subgroup is not normal")
@@ -736,6 +763,29 @@ def quotient_data(group: PermGroup, normal: PermGroup) -> tuple[int, bool]:
 
 # ---------------------------------------------------------------------------
 # the stages on the written power
+
+def written_power(checked) -> Substitution:
+    """tau = theta^n written out, for a ``CheckedPower`` of theta: the power
+    whose rules the JSON report prints, and which no stage writes."""
+    return substitution_power(checked.original, checked.exponent)
+
+
+def is_simplified(sub: Substitution, fiber: TwoWordFiber | None = None) -> bool:
+    """Both simplified conditions on a written substitution: boundary
+    columns are the identity, every junction orbit is a fixed point, and
+    every rule word contains every letter, that is, the all-letters exponent
+    is 1, so sub is primitive.  ``fiber`` is ``allowed_two_words(sub)``,
+    when the caller already holds it."""
+    if not is_bijective(sub):
+        return False
+    cols = columns(sub)
+    ident = identity(sub.size)
+    if cols[0] != ident or cols[-1] != ident or _all_letters_exponent(sub) != 1:
+        return False
+    if fiber is None:
+        fiber = allowed_two_words(sub)
+    return all(junction_map(sub, p) == p for p in fiber.pairs)
+
 
 def written_r_set(power: Substitution) -> tuple[Perm, ...]:
     """The R-set read off a written simplified power: its L - 1

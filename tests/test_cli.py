@@ -225,14 +225,22 @@ def test_help_exits_0_and_lists_four_options():
 
 
 def test_resource_guard_exits_3(tmp_path):
-    # junction cycles of order 12 push the simplification power past the cap
+    # junction cycles of order 12 push the simplification power past the
+    # letter cap, which only the JSON report meets: it prints the power's
+    # rules, and render_json is the one writer of the power
     path = tmp_path / "huge.sub"
     path.write_text(GUARD_TRIPPER)
-    code, _, err = run_cli(["analyze", str(path)])
+    code, _, err = run_cli(["analyze", "--format", "json", str(path)])
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["kind"] == "resource-limit"
-    assert payload["error"]["stage"] == "simplify"
+    assert payload["error"]["stage"] == "render_json"
+    # the text report prints l and l^n, and writes no word of the power
+    for flags in ([], ["--verify"]):
+        code, out, err = run_cli(["analyze", *flags, "--format", "text", str(path)])
+        assert (code, err) == (0, "")
+        assert out.split("\n", 1)[0].endswith("analyzed power: 12 (length 4 -> 16777216)")
+        assert ("window oracle:" in out) == bool(flags)
 
 
 def test_a_capped_group_closure_names_its_stage(tmp_path, monkeypatch, capsys):
@@ -430,9 +438,15 @@ REFUSALS = {
                  '{"error": {"kind": "validation", "message": "substitution is periodic: '
                  'complexity p(2) <= 2", "verdict": {"kind": "periodic", '
                  '"period_evidence": 2}}}'),
-    "guard": ([], GUARD_TRIPPER, 3,
+    "guard": (["--format", "json"], GUARD_TRIPPER, 3,
               '{"error": {"kind": "resource-limit", "message": "power 12 would have rule '
-              'words of 16777216 letters (cap 10000000)", "stage": "simplify"}}'),
+              'words of 16777216 letters (cap 10000000)", "stage": "render_json"}}'),
+    # junction cycles of order 105 on eight letters: every stage would take
+    # O(n) steps, so the gate refuses before any runs, in either format
+    "exponent": ([], "a -> fac\nb -> hba\nc -> edh\nd -> ccd\ne -> dgg\nf -> ghb\n"
+                 "g -> bff\nh -> aee\n", 3,
+                 '{"error": {"kind": "resource-limit", "message": "simplified power 105 '
+                 'exceeds the exponent cap 100", "stage": "check_input"}}'),
     "g0-out-of-range": (["--verify", "--g0", "2"], THUE_MORSE, 1,
                         '{"error": {"kind": "validation", "message": "g0 index 2 out of '
                         'range; the R-set has 2 elements"}}'),
@@ -473,7 +487,7 @@ def test_a_mutant_of_the_gate_fails_a_named_test(name, monkeypatch):
             "check_input", 'if verdict.kind == "periodic":', "if False:"),
         # n = M: the all-letters exponent no longer raises it
         "exponent_from_the_junction_cycles_alone": (
-            "simplified_power", "m = -(-letters_exp // cycle_lcm)", "m = 1"),
+            "simplified_exponent", "m = -(-letters_exp // cycle_lcm)", "m = 1"),
     }[name]
     monkeypatch.setattr(pipeline, target, mutant(getattr(pipeline, target), old, new))
     with pytest.raises(AssertionError):

@@ -27,7 +27,8 @@ from reference import (as_transformation_semigroup, compare_map_semigroups,
                        idempotent_generated, idempotents_of,
                        induced_fiber_map, letter_at, oracle_closure, oracle_maps,
                        proximality_classes, reference_action, rees_generators,
-                       semigroup_closure, walk_shortfall, written_limit_maps)
+                       semigroup_closure, walk_shortfall, written_limit_maps,
+                       written_power)
 
 S5 = "a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\ne -> ebccadae"
 S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
@@ -128,7 +129,7 @@ def test_walk_search_agrees_with_the_closure(golden_simplified, random_corpus,
                                              long_power_simplified):
     # the lifted triples generate M exactly when the maps close to all |S|
     # maps: on every shift's map, and on three short sets that fall short
-    s5 = check_input(parse_substitution(S5)).power
+    s5 = written_power(check_input(parse_substitution(S5)))
     subs = list(golden_simplified.values()) + random_corpus + long_power_simplified + [s5]
     assert len(subs) == 6 + 20 + 21 + 1
     short_sets = 0
@@ -297,7 +298,7 @@ def test_verify_reads_each_column_pair_once(golden_subs, monkeypatch):
     monkeypatch.setattr(ellisub.oracle, "_fiber_indices", counted_indices)
     theta = golden_subs["cyclic_rotation"]
     report = analyze_substitution(theta, AnalysisConfig(verify=True))
-    sub = report.substitution
+    sub = substitution_power(report.substitution, report.exponent)
     assert report.exponent == 3 and sub.length == 27
     assert report.oracle is not None and report.oracle.equal
     cols = columns(theta)
@@ -321,7 +322,7 @@ def test_the_tables_agree_with_the_written_power(golden_subs):
         checked = check_input(theta)
         exponents[checked.exponent] += 1
         result = ellisub.oracle.limit_maps(theta, checked.exponent)
-        reference = written_limit_maps(checked.power)
+        reference = written_limit_maps(written_power(checked))
         pairs = shift_pairs(reference)
         assert result.fiber == reference.fiber
         assert set(result.map_pairs()) == pairs, theta.rules
@@ -339,7 +340,7 @@ def test_the_tables_agree_with_the_written_power_twelve():
     checked = check_input(parse_substitution(POWER_12))
     assert checked.exponent == 12
     result = limit_maps(checked.original, checked.exponent)
-    pairs = shift_pairs(written_limit_maps(checked.power))
+    pairs = shift_pairs(written_limit_maps(written_power(checked)))
     assert set(result.map_pairs()) == pairs and len(result.tables) == len(pairs) == 438
 
 

@@ -12,23 +12,23 @@ import ellisub.semigroups
 from ellisub.errors import InternalCheckError, ValidationError
 from ellisub.golden import compare, load_expectations, snapshot
 from ellisub.oracle import OracleResult
-from ellisub.perms import (PermGroup, closure, compose, cycle_string,
-                           element_order, group_name, identity, inverse,
-                           is_normal, normal_closure)
-from ellisub.pipeline import (AnalysisConfig, analyze_substitution, automorphism_data,
-                              check_input, classical_height_bruteforce, degree_map,
-                              global_description, heights, r_set, return_time_gcd,
-                              structure_group)
+from ellisub.perms import (PermGroup, closure, compose, cycle_string, group_name,
+                           identity, inverse, normal_closure)
+from ellisub.pipeline import (AnalysisConfig, CheckedPower, StructuralReport,
+                              analyze_substitution, automorphism_data, check_input,
+                              classical_height_bruteforce, degree_map, global_description,
+                              heights, r_set, return_time_gcd, structure_group)
 from ellisub.rees import MINUS, PLUS, FiberAction, ReesMatrixSemigroup, substitution_sandwich
 from ellisub.report import render_json, report_to_json
 from ellisub.semigroups import TransformationSemigroup
-from ellisub.substitution import (Substitution, allowed_two_words, columns, is_simplified,
+from ellisub.substitution import (Substitution, allowed_two_words, columns,
                                   parse_substitution, substitution_power)
 from conftest import (build_graded_corpus, build_random_corpus, fiber_action, fiber_maps,
                       first_stages, make_substitution, mutant, pair_closure, rset_and_group,
                       workload_subs)
-from reference import (generated_group, grading_height_full_scan, idempotents_of,
-                       oracle_maps, quotient_data, semigroup_closure, written_r_set)
+from reference import (element_order, generated_group, grading_height_full_scan,
+                       idempotents_of, is_normal, is_simplified, oracle_maps, quotient_data,
+                       semigroup_closure, written_power, written_r_set)
 
 # what moved to tests/reference.py or was deleted: no ellisub module defines it
 MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
@@ -40,7 +40,8 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "letter_at", "_product_law_failure", "as_transformation_semigroup",
          "semigroup_closure", "compare_map_semigroups", "simplify", "is_primitive",
          "substitution_to_text", "map_compose", "map_after", "FiberMap", "green_summary",
-         "idempotents_of", "is_transitive", "_classical_height_by_grading")
+         "idempotents_of", "is_transitive", "_classical_height_by_grading",
+         "simplified_power", "is_simplified", "is_normal", "element_order")
 
 SWAP = (1, 0)
 POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
@@ -75,14 +76,16 @@ def test_r_set_d4(golden_simplified):
 def test_the_gate_hands_on_a_simplified_power():
     # cyclic_rotation is simplified only at power 3, the lcm of its junction
     # cycles, and s3_seven_words at power 2, its all-letters exponent: the
-    # gate writes that power out, and what it refuses never reaches a stage
+    # gate hands on theta and n, writing no word of the power, which this
+    # test writes out; what the gate refuses never reaches a stage
     for words, exponent in ((["abc", "bca", "cab"], 3), (["abaa", "bacb", "ccbc"], 2)):
         theta = make_substitution(words)
         checked = check_input(theta)
         assert (checked.original, checked.exponent) == (theta, exponent)
-        assert checked.power.length == theta.length**exponent
-        assert is_simplified(checked.power)
-        assert checked.fiber == allowed_two_words(checked.power)
+        power = written_power(checked)
+        assert power.length == theta.length**exponent
+        assert is_simplified(power)
+        assert checked.fiber == allowed_two_words(power)
     with pytest.raises(ValidationError, match="not bijective"):
         check_input(make_substitution(["abb", "bab"]))
 
@@ -130,14 +133,13 @@ def test_r_set_and_grading_agree_with_the_written_power(golden_subs, random_corp
         exponents, graded = Counter(), Counter()
         for sub in subs:
             checked = check_input(sub)
-            assert r_set(checked) == written_r_set(checked.power)
-            unwritten = checked._replace(power=None)  # tau is not read
-            rset = r_set(unwritten)
-            assert rset == r_set(checked)
+            power = written_power(checked)
+            rset = r_set(checked)  # tau is not read: checked holds theta and n
+            assert rset == written_r_set(power)
             assert checked.fiber.pairs == tuple(sorted({(a, r[a]) for r in rset
                                                         for a in range(sub.size)}))
-            height = heights(unwritten, rset, structure_group(rset)).classical_height
-            assert height == grading_height_full_scan(checked.power)
+            height = heights(checked, rset, structure_group(rset)).classical_height
+            assert height == grading_height_full_scan(power)
             exponents[checked.exponent] += 1
             graded[height] += 1
         return sorted(exponents.items()), sorted(graded.items())
@@ -268,10 +270,10 @@ def test_classical_height_bruteforce_examples(golden_subs, long_power_subs):
         checked = check_input(sub)
         g = return_time_gcd(sub, 3 * checked.exponent)
         if sub not in powers:  # the walk over tau reads L letters per step
-            assert g == return_time_gcd(checked.power, 3)
+            assert g == return_time_gcd(written_power(checked), 3)
         # g divides L - 1, which is coprime to l, so g is its own largest
         # divisor coprime to l, the classical height that the scan returned
-        assert (checked.power.length - 1) % g == 0
+        assert (sub.length ** checked.exponent - 1) % g == 0
         coprime = max(d for d in range(1, g + 1) if g % d == 0 and gcd(d, sub.length) == 1)
         assert classical_height_bruteforce(checked) == coprime == g
 
@@ -484,10 +486,14 @@ def test_global_strings_branches(golden_reports):
 
 
 def test_report_metadata(golden_reports):
+    # the report holds theta and n, and the JSON report writes tau = theta^n
     report = golden_reports["cyclic_rotation"]
     assert report.exponent == 3
-    assert report.original_length == 3
-    assert report.substitution.length == 27
+    assert report.substitution.length == 3
+    assert report.substitution.length ** report.exponent == 27
+    assert (report_to_json(report)["original_length"], report_to_json(report)["length"]) == (3, 27)
+    assert "power" not in CheckedPower._fields
+    assert "original_length" not in StructuralReport._fields
     assert report.r_pi == 3
     assert report.fiber.size == 9
 
@@ -551,19 +557,20 @@ def test_return_time_gcd_needs_a_positive_level(golden_simplified):
 
 
 def test_global_description_writes_out_no_power(golden_subs, monkeypatch):
-    checked = {name: check_input(sub) for name, sub in golden_subs.items()}
-
+    # neither the gate nor any stage writes a power; the JSON report, which
+    # prints the power's rules, is rendered once the writers are back
     def refuse(*args, **kwargs):
         raise AssertionError("a power of the substitution was written out")
 
-    for name, module in list(sys.modules.items()):
-        if name == "ellisub" or name.startswith("ellisub."):
-            for attr in ("substitution_power", "compose_substitutions"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name == "ellisub" or name.startswith("ellisub."):
+                for attr in ("substitution_power", "compose_substitutions"):
+                    if hasattr(module, attr):
+                        patch.setattr(module, attr, refuse)
+        reports = {name: global_description(check_input(sub)) for name, sub in golden_subs.items()}
     expectations = load_expectations()
-    for name, value in checked.items():
-        report = global_description(value)
+    for name, report in reports.items():
         assert compare(expectations[name], snapshot(report_to_json(report))) == []
 
 
@@ -611,6 +618,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     assert [(module.__name__, name) for module in modules for name in MOVED
             if hasattr(module, name)] == []
     assert not hasattr(ReesMatrixSemigroup, "generators") and not hasattr(Substitution, "rule_word")
+    assert not hasattr(PermGroup, "is_subgroup_of")
     assert not any(hasattr(TransformationSemigroup, name) for name in ("mul", "idempotent_indices"))
     assert not hasattr(OracleResult, "semigroup") and not hasattr(ellisub.semigroups, "CLOSURE_CAP")
     for name in CHECKS:
@@ -716,7 +724,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
 
     sub = golden_subs["s3_seven_words"]
     report = analyze_substitution(sub)
-    assert report.exponent == 2 and report.substitution is not sub
+    assert report.exponent == 2 and report.substitution is sub
     # the only compositions in ellisub.rees on a plain run make the
     # sandwich's minus row, g0 g^-1 for each of the |I| column labels: no
     # fiber map is composed
@@ -737,8 +745,8 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # the gate checks the input once: bijective by one scan of its columns,
     # which lists the ones that are not permutations, primitive by the one
     # all-letters exponent, which also gives the power, and aperiodic from
-    # the one fiber, which is the power's too.  simplified_power proves the
-    # power simplified, so nothing scans its L-letter rule words again
+    # the one fiber, which is the power's too.  simplified_exponent proves the
+    # power simplified, and no stage writes its L-letter rule words
     on_input = {"_all_letters_exponent": 1, "allowed_two_words": 1}
     assert validations(sub) == on_input and validations(sub, inside=True) == {}
     assert [name for name, power, _ in on_power if power is not sub] == []
@@ -762,7 +770,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # input's columns, all-letters exponent and junction map; it reads no
     # word of the power, and the gate's checks of the input are unchanged
     assert validations(sub, inside=True) == {"allowed_two_words": 1, "_all_letters_exponent": 1}
-    assert validations(report.substitution) == validations(report.substitution, inside=True) == {}
+    assert [name for name, power, _ in on_power if power is not sub] == []
     assert validations(sub) == on_input
     # the oracle reads each of its distinct column-pair tables by two getter
     # calls, at the right and at the left letters of the fixed points: 2 * 9
@@ -772,7 +780,7 @@ def test_verified_analysis_runs_each_stage_once(golden_subs, monkeypatch):
     # names each of its distinct maps by one decode, a getter call through
     # T_i0 and one compose, and one encode, two getter calls.  3 + 6 + 4 * 18
     # here, against the |S| = 36 maps of phi written out
-    length = report.substitution.length
+    length = report.substitution.length ** report.exponent
     matrix = report.matrix
     order, n_i = matrix.group.order, len(report.rset)
     tables, oracle_reads = report.oracle.oracle.tables, len(reads)
@@ -792,7 +800,7 @@ def test_gtwo_pairs_on_five_letters_with_group_of_order_120():
     # power 3 (length 125), |I| = 4, |G| = 120: the pair closure has |I||G|
     # elements, and a plain analysis never builds it
     checked = check_input(make_substitution(["abdaa", "baedb", "cecec", "ddbbd", "ecace"]))
-    sub, exponent = checked.power, checked.exponent
+    sub, exponent = written_power(checked), checked.exponent
     rset, group = rset_and_group(sub)
     assert (exponent, sub.length, group.order, len(rset)) == (3, 125, 120, 4)
     assert len(pair_closure(sub, group)) == 480

@@ -8,6 +8,7 @@ report on purpose must update them and say so.
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -22,6 +23,8 @@ from ellisub.report import (_CycleStrings, _dict, _green_shape, _group, _list, _
                             render_json, render_text, report_to_json)
 
 from conftest import mutant
+from test_cli import GUARD_TRIPPER
+from test_pipeline import POWER_6
 from reference import generated_group, text_report
 
 # (case, verify) -> (sha256 of render_json, sha256 of render_text)
@@ -103,13 +106,32 @@ def test_report_prints_no_field_fixed_by_proof(golden_reports):
 
 
 def test_render_text_writes_no_rules(monkeypatch, golden_reports):
-    # the text report does not print the analysed rules, so it must not
-    # write them: on a long power that is most of its time
-    def refuse(sub):
-        raise AssertionError("render_text wrote the analysed rules")
-    monkeypatch.setattr(ellisub.report, "substitution_to_json", refuse)
+    # the text report does not print the analysed rules, so neither it nor
+    # any stage before it writes them or any other word of the power, under
+    # any name a module holds the writers by: on a long power that was most
+    # of its time.  GUARD_TRIPPER's power would have 16 777 216 letters per
+    # rule, over the cap that only the JSON report meets
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text path wrote a power of the substitution")
+    for name, module in list(sys.modules.items()):
+        if name == "ellisub" or name.startswith("ellisub."):
+            for attr in ("substitution_power", "compose_substitutions", "substitution_to_json"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
     for report in golden_reports.values():
         render_text(report)
+    for source, first_line in (
+            (POWER_6, "substitution over {abc}, analyzed power: 6 (length 7 -> 117649)"),
+            (GUARD_TRIPPER,
+             "substitution over {abcd}, analyzed power: 12 (length 4 -> 16777216)")):
+        for verify in (False, True):
+            report = analyze_substitution(parse_substitution(source),
+                                          AnalysisConfig(verify=verify))
+            assert (report.oracle is not None) == verify
+            text = render_text(report)
+            assert text.split("\n", 1)[0] == first_line
+            with pytest.raises(AssertionError, match="wrote a power"):
+                render_json(report)
 
 
 def generator_failures(report) -> list[str]:

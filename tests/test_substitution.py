@@ -8,15 +8,14 @@ import ellisub.substitution
 from ellisub.errors import ParseError, ResourceLimitError, ValidationError
 from ellisub.perms import compose, identity
 from ellisub.pipeline import check_input
-from ellisub.substitution import (_all_letters_exponent, allowed_two_words, columns,
-                                  compose_substitutions, is_aperiodic,
-                                  is_bijective, is_simplified,
-                                  junction_map, parse_any,
-                                  parse_substitution,
+from ellisub.substitution import (TwoWordFiber, _all_letters_exponent, allowed_two_words,
+                                  columns, compose_substitutions, is_aperiodic,
+                                  is_bijective, junction_map, parse_any,
+                                  parse_substitution, simplified_exponent,
                                   substitution_from_json, substitution_power,
                                   substitution_to_json)
 from conftest import make_substitution
-from reference import letter_at, occurrence_matrix_exponent
+from reference import is_simplified, letter_at, occurrence_matrix_exponent, written_power
 
 THUE_MORSE = "a -> abba\nb -> baab\n"
 PERIODIC = "a -> aba\nb -> bab\n"
@@ -238,7 +237,7 @@ def test_a_power_has_the_two_letter_words_of_its_base(golden_subs, random_corpus
     # its docstring proves that theta and theta^n generate the same subshift
     for sub in [*golden_subs.values(), *random_corpus, *long_power_simplified]:
         fiber = allowed_two_words(sub)
-        assert allowed_two_words(check_input(sub).power) == fiber
+        assert allowed_two_words(written_power(check_input(sub))) == fiber
         assert allowed_two_words(substitution_power(sub, 2)) == fiber
 
 
@@ -410,7 +409,7 @@ def test_aperiodicity_scan_at_scale(monkeypatch):
 def test_thue_morse_already_simplified():
     sub = parse_substitution(THUE_MORSE)
     checked = check_input(sub)
-    assert checked.exponent == 1 and checked.power == sub
+    assert checked.exponent == 1 and written_power(checked) == sub
     assert is_simplified(sub)
 
 
@@ -418,7 +417,7 @@ def test_cyclic_rotation_needs_cube():
     sub = make_substitution(["abc", "bca", "cab"])
     assert not is_simplified(sub)
     checked = check_input(sub)
-    result = checked.power
+    result = written_power(checked)
     assert checked.exponent == 3
     assert result.length == 27
     assert is_simplified(result)
@@ -428,7 +427,7 @@ def test_all_letters_condition_forces_square():
     # junction map is trivial but one rule misses a letter, so the power jumps
     sub = make_substitution(["abaa", "bacb", "ccbc"])
     checked = check_input(sub)
-    result = checked.power
+    result = written_power(checked)
     assert checked.exponent == 2
     assert is_simplified(result)
     assert allowed_two_words(result).size == 7  # language is power-invariant
@@ -437,7 +436,7 @@ def test_all_letters_condition_forces_square():
 def test_simplify_output_conditions(random_corpus):
     for sub in random_corpus[:5]:
         checked = check_input(sub)
-        result = checked.power
+        result = written_power(checked)
         assert checked.exponent == 1  # generator emits simplified substitutions
         cols = columns(result)
         assert cols[0] == cols[-1] == identity(result.size)
@@ -447,11 +446,21 @@ def test_simplify_output_conditions(random_corpus):
 
 
 def test_simplify_rejects_bad_input():
-    # check_input is the one gate before the simplified power is written out
+    # check_input is the one gate before any stage reads the simplified power
     with pytest.raises(ValidationError, match="bijective"):
         check_input(make_substitution(["ab", "ab"]))
     with pytest.raises(ValidationError, match="primitive"):
         check_input(make_substitution(["ab", "ba", "cc"]))
+
+
+def test_simplified_exponent_checks_the_boundary_columns_of_the_power():
+    # the boundary columns of theta^n are c_0^n and c_(l-1)^n: with no
+    # junction cycle to raise n, the rotation's columns of order 3 are
+    # not the identity at n = 1
+    sub = make_substitution(["abc", "bca", "cab"])
+    assert simplified_exponent(sub, allowed_two_words(sub), 1) == 3
+    with pytest.raises(ValidationError, match="boundary columns of the computed power"):
+        simplified_exponent(sub, TwoWordFiber(()), 1)
 
 
 # --- fixed points -----------------------------------------------------------
@@ -459,7 +468,7 @@ def test_simplify_rejects_bad_input():
 def test_fixed_points_exceed_alphabet(golden_subs, random_corpus):
     # a simplified substitution has one fixed point per allowed two-letter word
     for sub in list(golden_subs.values()) + random_corpus[:5]:
-        result = check_input(sub).power
+        result = written_power(check_input(sub))
         assert is_simplified(result)
         assert allowed_two_words(result).size > result.size
 
@@ -475,7 +484,7 @@ def test_fixed_point_block_prefix_coherence():
 
 def test_fixed_point_block_starts_with_its_letter(golden_reports):
     for report in golden_reports.values():
-        sub = report.substitution
+        sub = substitution_power(report.substitution, report.exponent)
         for a in range(sub.size):
             assert sub.rules[a][0] == a
 
