@@ -1,9 +1,12 @@
+import ast
 import contextlib
+import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +18,9 @@ from ellisub.golden import (CASES, CASE_ORDER, load_expectations, run_case,
                             run_golden, snapshot)
 import test_pipeline
 from conftest import mutant
+from pins import GUARD_TRIPPER, NON_BIJECTIVE, PERIODIC, PINS, POWER_6, ROWS, SWAPPED_FIBER
 
 THUE_MORSE = CASES["thue_morse"]
-GUARD_TRIPPER = "a -> baab\nb -> cbbc\nc -> accd\nd -> ddda\n"
 
 
 def run_cli(args, stdin=""):
@@ -132,7 +135,7 @@ def test_analyze_martin_like_case(tmp_path):
 
 def test_periodic_input_exits_1(tmp_path):
     path = tmp_path / "periodic.sub"
-    path.write_text("a -> aba\nb -> bab\n")
+    path.write_text(PERIODIC)
     code, out, err = run_cli(["analyze", str(path)])
     assert code == 1
     assert out == ""
@@ -143,7 +146,7 @@ def test_periodic_input_exits_1(tmp_path):
 
 def test_non_bijective_exits_1(tmp_path):
     path = tmp_path / "bad.sub"
-    path.write_text("a -> ab\nb -> ab\n")
+    path.write_text(NON_BIJECTIVE)
     code, _, err = run_cli(["analyze", str(path)])
     assert code == 1
     assert "not bijective" in json.loads(err)["error"]["message"]
@@ -389,7 +392,7 @@ def test_a_broken_product_law_exits_2_naming_the_law_and_triple(tm_file, monkeyp
 def test_power_six_input_gets_a_report(tmp_path):
     # simplified at power 6, rule words of 117649 letters
     path = tmp_path / "power_six.sub"
-    path.write_text("a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n")
+    path.write_text(POWER_6)
     code, out, err = run_cli(["analyze", "--format", "json", str(path)])
     assert code == 0, err
     payload = json.loads(out)
@@ -410,49 +413,6 @@ def test_group_of_order_120_verifies(tmp_path):
     assert payload["oracle"]["equal"] is True
 
 
-@pytest.mark.slow
-def test_degree_six_group_of_order_720_gets_a_report(tmp_path):
-    # |I| = 7, |G| = 720 (S_6), |S| = 10080: the report rests on the matrix
-    # presentation's own checks, with no capped isomorphism search
-    path = tmp_path / "order_720.sub"
-    path.write_text("a -> aabefddca\nb -> bddceaffb\nc -> cefdbeeac\n"
-                    "d -> dcafcbaed\ne -> efcbafcde\nf -> fbeadcbbf\n")
-    code, out, err = run_cli(["analyze", "--format", "json", str(path)])
-    assert code == 0, err
-    payload = json.loads(out)
-    assert payload["structure_group"]["order"] == 720
-    assert len(payload["r_set"]) == 7
-    assert payload["semigroup_size"] == 10080
-
-
-# each refusal of the gate: the analyze arguments, the input on stdin, the
-# exit code and the one stderr line, byte for byte
-REFUSALS = {
-    "non-bijective": ([], "a -> ab\nb -> ab\n", 1,
-                      '{"error": {"kind": "validation", "message": "substitution is not '
-                      'bijective: column(s) [0, 1] are not permutations"}}'),
-    "non-primitive": ([], "a -> ab\nb -> ba\nc -> cc\n", 1,
-                      '{"error": {"kind": "validation", "message": "substitution is not '
-                      'primitive"}}'),
-    "periodic": ([], "a -> aba\nb -> bab\n", 1,
-                 '{"error": {"kind": "validation", "message": "substitution is periodic: '
-                 'complexity p(2) <= 2", "verdict": {"kind": "periodic", '
-                 '"period_evidence": 2}}}'),
-    "guard": (["--format", "json"], GUARD_TRIPPER, 3,
-              '{"error": {"kind": "resource-limit", "message": "power 12 would have rule '
-              'words of 16777216 letters (cap 10000000)", "stage": "render_json"}}'),
-    # junction cycles of order 105 on eight letters: every stage would take
-    # O(n) steps, so the gate refuses before any runs, in either format
-    "exponent": ([], "a -> fac\nb -> hba\nc -> edh\nd -> ccd\ne -> dgg\nf -> ghb\n"
-                 "g -> bff\nh -> aee\n", 3,
-                 '{"error": {"kind": "resource-limit", "message": "simplified power 105 '
-                 'exceeds the exponent cap 100", "stage": "check_input"}}'),
-    "g0-out-of-range": (["--verify", "--g0", "2"], THUE_MORSE, 1,
-                        '{"error": {"kind": "validation", "message": "g0 index 2 out of '
-                        'range; the R-set has 2 elements"}}'),
-}
-
-
 def analyze(args, stdin):
     """``main(["analyze", *args, "-"])`` with ``stdin`` (text, or bytes to
     decode as UTF-8) on stdin: the exit code, stdout and stderr."""
@@ -471,10 +431,112 @@ def analyze(args, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("case", list(REFUSALS))
-def test_each_refusal_keeps_its_exit_code_and_stderr_line(case):
-    args, source, code, line = REFUSALS[case]
-    assert analyze(args, source) == (code, "", line + "\n")
+# a child's ru_maxrss starts at the RSS of the process that forked it, so a
+# timed run is the one child of a fresh Python, which prints its exit code and
+# peak RSS in kB; argv: the stdin, stdout and stderr files, timeout, command
+LAUNCHER = """
+import resource, subprocess, sys
+source, out, err, timeout, *command = sys.argv[1:]
+with open(source, "rb") as i, open(out, "wb") as o, open(err, "wb") as e:
+    code = subprocess.run(command, stdin=i, stdout=o, stderr=e, timeout=float(timeout)).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def run_pin(pin, tmp_path, command=None):
+    """The exit code, the sha256 and size of stdout, stderr and the peak RSS
+    in kB of ``pin``'s run: through :func:`analyze`, with no peak, if it has no
+    timeout, else ``command`` (by default its analyze command) as a child."""
+    if pin.timeout is None:
+        code, out, err = analyze(pin.args, pin.source)
+        out, peak = out.encode("utf-8"), None
+    else:
+        command = command or [sys.executable, "-m", "ellisub", "analyze", *pin.args, "-"]
+        paths = [tmp_path / name for name in ("stdin", "stdout", "stderr")]
+        paths[0].write_text(pin.source)
+        launcher = subprocess.run([sys.executable, "-c", LAUNCHER, *map(str, paths),
+                                   str(pin.timeout), *command], capture_output=True, text=True)
+        assert launcher.returncode == 0, f"{pin.name}: {launcher.stderr}"
+        code, peak = map(int, launcher.stdout.split())
+        out, err = paths[1].read_bytes(), paths[2].read_text()
+    return code, hashlib.sha256(out).hexdigest(), len(out), err, peak
+
+
+@pytest.mark.parametrize("pin", [pytest.param(pin, id=pin.name,
+                                              marks=pytest.mark.slow if pin.slow else ())
+                                 for pin in PINS])
+def test_each_pin_holds(pin, tmp_path):
+    code, digest, size, err, peak = run_pin(pin, tmp_path)
+    assert code == pin.code, f"{pin.name}: {err}"
+    if pin.sha256 is None:
+        assert (size, err) == (0, pin.stderr + "\n"), pin.name
+    else:
+        assert (digest, err) == (pin.sha256, ""), \
+            f"{pin.name}: pinned {pin.sha256}, measured {digest}"
+    if pin.max_bytes is not None:
+        assert size + len(err.encode("utf-8")) <= pin.max_bytes, pin.name
+    if pin.max_rss_kb is not None:
+        assert peak <= pin.max_rss_kb, f"{pin.name}: peak RSS {peak} kB"
+    if pin.rss_percent_of is not None:
+        name, percent = pin.rss_percent_of
+        base = run_pin(ROWS[name], tmp_path)[-1]
+        assert peak * 100 <= base * percent, f"{pin.name}: peak RSS {peak} kB, {name} {base} kB"
+
+
+@pytest.mark.parametrize("pin", [pin for pin in PINS if pin.stderr and pin.timeout is None],
+                         ids=lambda pin: pin.name)
+def test_each_refusal_keeps_its_exit_code_and_stderr_line(pin):
+    # in either format, plain and with --verify; render_json alone meets the
+    # letter cap, so a refusal of that stage leaves the text report
+    flags = [arg for arg in pin.args if arg not in ("--verify", "--format", "json", "text")]
+    for fmt in ("json", "text"):
+        for verify in ([], ["--verify"]):
+            code, out, err = analyze([*flags, *verify, "--format", fmt], pin.source)
+            if fmt == "text" and '"stage": "render_json"' in pin.stderr:
+                assert (code, err) == (0, "") and out
+            else:
+                assert (code, out, err) == (pin.code, "", pin.stderr + "\n"), (fmt, verify)
+
+
+def test_each_input_of_the_pin_table_is_spelled_out_there_alone():
+    # a copy of an input of tests/pins.py, in a test or in CI, drifts from its
+    # row; it may be written with newlines or with the two characters \n
+    sources = {pin.source.rstrip("\n") for pin in PINS}
+    sources |= {source.replace("\n", "\\n") for source in sources}
+    tests = Path(__file__).resolve().parent
+    workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text()
+    copies = [source for source in sources if source in workflow]
+    for path in set(tests.glob("*.py")) - {tests / "pins.py"}:
+        copies += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_bytes()))
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and any(source in node.value for source in sources)]
+    assert copies == []
+
+
+# the pipeline reads its fiber once, in check_input, through
+# ellisub.pipeline.allowed_two_words, which this swaps; argv: the tests
+# directory, then the analyze arguments
+SWAP_THE_FIBER = """
+import sys, ellisub.pipeline
+from ellisub.cli import main
+sys.path.insert(0, sys.argv.pop(1))
+from test_oracle import swapped_fiber
+ellisub.pipeline.allowed_two_words = swapped_fiber
+sys.exit(main(["analyze", *sys.argv[1:]]))
+"""
+
+
+@pytest.mark.slow
+def test_a_swapped_fiber_lists_each_unnamed_map_once(tmp_path):
+    pin = SWAPPED_FIBER
+    code, _, size, err, _ = run_pin(pin, tmp_path,
+                                    [sys.executable, "-c", SWAP_THE_FIBER,
+                                     str(Path(__file__).parent), *pin.args, "-"])
+    assert (code, size) == (pin.code, 0)
+    assert '"stage": "window oracle"' in err
+    assert len(err.encode("utf-8")) <= pin.max_bytes
+    discrepancies = json.loads(err)["error"]["message"].split(": ", 1)[1].split("; ")
+    assert len(set(discrepancies)) == len(discrepancies) > 1
 
 
 @pytest.mark.parametrize("name", ["gate_skips_bijectivity", "gate_skips_the_periodic_refusal",
@@ -495,7 +557,7 @@ def test_a_mutant_of_the_gate_fails_a_named_test(name, monkeypatch):
             test_pipeline.test_the_gate_hands_on_a_simplified_power()
         else:
             test_each_refusal_keeps_its_exit_code_and_stderr_line(
-                "non-bijective" if name == "gate_skips_bijectivity" else "periodic")
+                ROWS["non-bijective" if name == "gate_skips_bijectivity" else "periodic"])
 
 
 def rule_text(columns):

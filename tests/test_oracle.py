@@ -22,6 +22,7 @@ from ellisub.substitution import (TwoWordFiber, allowed_two_words, columns,
                                   substitution_power)
 from conftest import (build_graded_corpus, build_random_corpus, make_substitution, mutant,
                       rset_and_group, three_row_matrix)
+from pins import POWER_6, POWER_12, S7
 from reference import (as_transformation_semigroup, compare_map_semigroups,
                        element_closure, fiber_semigroup, generated_group,
                        idempotent_generated, idempotents_of,
@@ -31,10 +32,6 @@ from reference import (as_transformation_semigroup, compare_map_semigroups,
                        written_power)
 
 S5 = "a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\ne -> ebccadae"
-S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
-      "e -> ecacbfadge\nf -> fdebcbgaef\ng -> gbcefedcag\n")
-POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
-POWER_12 = "a -> bcd\nb -> dda\nc -> cab\nd -> abc\n"
 
 
 def theta_oracle(sub):

@@ -26,6 +26,7 @@ from ellisub.substitution import (Substitution, allowed_two_words, columns,
 from conftest import (build_graded_corpus, build_random_corpus, fiber_action, fiber_maps,
                       first_stages, make_substitution, mutant, pair_closure, rset_and_group,
                       workload_subs)
+from pins import POWER_6, POWER_12
 from reference import (element_order, generated_group, grading_height_full_scan,
                        idempotents_of, is_normal, is_simplified, oracle_maps, quotient_data,
                        semigroup_closure, written_power, written_r_set)
@@ -44,8 +45,6 @@ MOVED = ("rees_decomposition", "ReesDecomposition", "presentations_isomorphic",
          "simplified_power", "is_simplified", "is_normal", "element_order")
 
 SWAP = (1, 0)
-POWER_6 = "a -> ccaaacc\nb -> bacbbaa\nc -> abbccbb\n"
-POWER_12 = "a -> bcd\nb -> dda\nc -> cab\nd -> abc\n"
 # G = Z/4 over N = Z/2, h = h_cl = 2: extensions that do not split
 NON_SPLIT = ("a -> abcba\nb -> bcdcb\nc -> cdadc\nd -> dabad\n",
              "a -> aba\nb -> bcb\nc -> cdc\nd -> dad\n")

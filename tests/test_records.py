@@ -8,6 +8,7 @@ import pytest
 from ellisub import (AnalysisConfig, analyze_substitution, check_input, heights, r_set,
                      structure_group)
 from ellisub.errors import ValidationError
+from ellisub.golden import CASES
 from ellisub.perms import PermGroup, identity
 from ellisub.rees import SIGN_LABELS, ReesMatrixSemigroup
 from ellisub.substitution import Alphabet, Substitution, parse_substitution
@@ -22,7 +23,7 @@ def test_importing_the_package_loads_no_dataclasses():
     code = ("import sys\n"
             "import ellisub, ellisub.cli\n"
             "from ellisub.substitution import parse_any\n"
-            "parse_any('a -> abba\\nb -> baab\\n')\n"
+            f"parse_any({CASES['thue_morse']!r})\n"
             "print('dataclasses' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -69,7 +70,7 @@ def test_each_frozen_value_refuses_an_assignment(golden_subs):
 
 
 def test_alphabet_substitution_and_group_compare_and_hash_by_value():
-    sub = parse_substitution("a -> abba\nb -> baab\n")
+    sub = parse_substitution(CASES["thue_morse"])
     twin = Substitution(Alphabet(("a", "b")), ((0, 1, 1, 0), (1, 0, 0, 1)))
     assert sub.alphabet == twin.alphabet and hash(sub.alphabet) == hash(twin.alphabet)
     assert sub == twin and hash(sub) == hash(twin) and len({sub, twin}) == 1

@@ -1,19 +1,15 @@
-"""The whole rendered report of every golden case, pinned by its sha256.
+"""The rendered report: its two writers, its layout and what it prints.
 
-The golden snapshot compares a subset of the report's fields; these digests
-also pin the degree table, the fiber labels, the group generators and the
-text layout, with and without the window oracle.  A change that alters a
-report on purpose must update them and say so.
+The whole report of every golden case is pinned by its sha256 in
+``tests/pins.py``, with and without the window oracle.
 """
 
-import hashlib
 import json
 import sys
 
 import pytest
 
 import ellisub.pipeline
-import ellisub.report
 from ellisub import parse_substitution
 from ellisub.golden import CASE_ORDER, CASES
 from ellisub.perms import PermGroup, cycle_string, normal_closure
@@ -23,75 +19,8 @@ from ellisub.report import (_CycleStrings, _dict, _green_shape, _group, _list, _
                             render_json, render_text, report_to_json)
 
 from conftest import mutant
-from test_cli import GUARD_TRIPPER
-from test_pipeline import POWER_6
+from pins import GUARD_TRIPPER, POWER_6
 from reference import generated_group, text_report
-
-# (case, verify) -> (sha256 of render_json, sha256 of render_text)
-DIGESTS = {
-    ("thue_morse", False): ("f90493cd98db891fe935402ed3c2ddf270639d96385d30c298cfd7ef79bfb1ef",
-                            "e23423419483c486a78b58c465218650c2885aa58622ff490ae0fc1fca6c1480"),
-    ("thue_morse", True): ("fd8ddc2f82da8a52f15ace6504beba3c52126bbe4202316610fe6f836126fda7",
-                           "b1f8ef092cc7a14b18c0ad07b758599d471c5d352779c216ed5bf9cc611857cf"),
-    ("s3_seven_words", False): ("36d24405c8411ff2bc229c37a27654a21e2c3bdc6a31f4e588300ae32875e9a9",
-                                "b80b03366cf69ad18e781d454b84cbc21b6cd60e8d6bc889cf41ff0b6d960744"),
-    ("s3_seven_words", True): ("51784e5a780b5b63b8f4b7262c2ec156899d9a3cde2a53aa6d8b93cd8ab937f5",
-                               "717fdbe188e9e94111f7c9556bd5d9c5bc4121242077dd173b8eb865eb677de4"),
-    ("s3_nonnormal_little", False): ("8a8a080732d5ef5f90fa09c4f5abfedc98251814ac3f725e288f224b58c471bf",
-                                     "db49482ff90632c8d71f63bfd5d9f95cb9384a40916d42e60e43671b4a467da9"),
-    ("s3_nonnormal_little", True): ("424461ae6ffccd3b9b1caae0e4c3f8d8539ec28ada3f84d32eb450b0fe76a220",
-                                    "edc0f4fb66c418b21f03766fe8589679742b5fe3ebe1adbe0494c395dbd08bac"),
-    ("s3_height_two", False): ("17941acdd0fab1ddd4823278e2d27bcff44636de942b2f10dcc45a00f0c67ca8",
-                               "2a7de7d505013d9fd5a026ba69feef08e845026d175782a8461afa493393ab35"),
-    ("s3_height_two", True): ("e76f3fadc81ccf77d89db0f9ad3079630ebc99ed99851785cd48d85701d7555c",
-                              "a82910f5605ff9179a6495f2eaa6ffa2fd526053d1483ac5b5c6910a7ba4d113"),
-    ("cyclic_rotation", False): ("046c86b05a8d123aeec014ce4304fb675397bbff3d229de55d2ec14ed888d49a",
-                                 "1dcf03d6ed41ab9f5587ce022fe6ce28b64e055ded7fa6d258418634f80b886a"),
-    ("cyclic_rotation", True): ("d7138ba92a42d008bdb09a92f5619dc0711db90effdbaac7d60193b0ffc199ef",
-                                "88983850a4ce0698659d50502d99556f63990dd4d6b1b109270460e4f3d1b2fa"),
-    ("d4_height_two", False): ("11f41a2bacc9cca05516652443b191beb56f9130b5bd1a6999655f90e83215f5",
-                               "1fbd78034a289735146ff5c0c1627373cdf0e883d14284814e58a7979bd27917"),
-    ("d4_height_two", True): ("33a31f93565e616b819f8d942db64fd79e58db36613116a8e608df766ff7f8a1",
-                              "6f57fd74f730ccb0ec4c1d7ef8c8ecd9782adef3547df0ea4dae9ad1aa00e9ea"),
-}
-
-
-# inputs with a classical height above 2, which no golden case has:
-# source -> (h, h_cl, sha256 of render_json, sha256 of render_text), with --verify
-GRADED = {
-    "a -> afda\nb -> bceb\nc -> cdac\nd -> dbfe\ne -> eacd\nf -> febf\n": (
-        3, 3, "b39b42d7efcc7bcbf2a1e4318d156496dec02f94e5bc5e0d6488d4957502711b",
-        "b5474dd66bfad54f5f0c24977292530bbb28e9ea1b8556b431384b167181b226"),
-    "a -> afbefbe\nb -> bedbefb\nc -> cafcadc\nd -> dcadbaf\ne -> edcadca\nf -> fbefced\n": (
-        6, 3, "03a25de83cd02c779222f3792d90b361f756f779043f6843cf1d541533fb7d0a",
-        "96d795fadb1af81958a868fb5c7474f7277a825b4698d99cc55fa8f77c63018d"),
-    "a -> adgfa\nb -> bfhdg\nc -> cgeac\nd -> dbfhd\ne -> eacge\nf -> fhdbf\ng -> geacb\n"
-    "h -> hcbeh\n": (
-        4, 4, "bd559d22b2eef4716664a3c13c1a2e8eb9ad252f064ca1bf245120c93b9332f4",
-        "c64ab5dbde5b283d7f6709848abc9a413db2b73dd68abb8284f17d2d97064210"),
-}
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def test_graded_reports_are_byte_identical():
-    for source, (h, h_cl, json_digest, text_digest) in GRADED.items():
-        report = analyze_substitution(parse_substitution(source), AnalysisConfig(verify=True))
-        assert (report.height, report.classical_height) == (h, h_cl)
-        assert report.unresolved_extension == (h > h_cl)
-        assert (sha256(render_json(report)), sha256(render_text(report))) == \
-            (json_digest, text_digest), source
-
-
-@pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
-def test_golden_reports_are_byte_identical(golden_subs, golden_reports, verify):
-    for name in CASE_ORDER:
-        report = (golden_reports[name] if verify
-                  else analyze_substitution(golden_subs[name], AnalysisConfig()))
-        assert (sha256(render_json(report)), sha256(render_text(report))) == \
-            DIGESTS[(name, verify)], name
 
 
 def test_report_prints_no_field_fixed_by_proof(golden_reports):

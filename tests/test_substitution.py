@@ -6,6 +6,7 @@ import pytest
 
 import ellisub.substitution
 from ellisub.errors import ParseError, ResourceLimitError, ValidationError
+from ellisub.golden import CASES
 from ellisub.perms import compose, identity
 from ellisub.pipeline import check_input
 from ellisub.substitution import (TwoWordFiber, _all_letters_exponent, allowed_two_words,
@@ -15,15 +16,13 @@ from ellisub.substitution import (TwoWordFiber, _all_letters_exponent, allowed_t
                                   substitution_from_json, substitution_power,
                                   substitution_to_json)
 from conftest import make_substitution
+from pins import PERIODIC, S7
 from reference import is_simplified, letter_at, occurrence_matrix_exponent, written_power
 
-THUE_MORSE = "a -> abba\nb -> baab\n"
-PERIODIC = "a -> aba\nb -> bab\n"
-# 5- and 7-letter inputs with structure groups of order 120 and 5040
+THUE_MORSE = CASES["thue_morse"]
+# a 5-letter input with a structure group of order 120; S7's has order 5040
 S5 = ("a -> acadbeda\nb -> bddecaeb\nc -> ceeadbcc\nd -> dabbecbd\n"
       "e -> ebccadae\n")
-S7 = ("a -> afdgegcbda\nb -> bafddcegfb\nc -> cggfadfebc\nd -> debagabfcd\n"
-      "e -> ecacbfadge\nf -> fdebcbgaef\ng -> gbcefedcag\n")
 
 
 # --- parsing ---------------------------------------------------------------
